@@ -205,6 +205,7 @@ pub fn compressed_cod_governed<R: Rng>(
     let mut own = QueryScratch::new();
     let ws = scratch.unwrap_or(&mut own);
     ws.prepare_buckets(m);
+    fill_levels(chain, &universe, &mut ws.levels);
 
     // --- Stage 1: shared sample generation + HFS ------------------------
     // Phase timers are read outside the per-sample loop, and counters are
@@ -225,7 +226,7 @@ pub fn compressed_cod_governed<R: Rng>(
                         let now = sampler.stats();
                         tok.charge_rr_edges(now.delta_since(charged).edges);
                         charged = now;
-                        tok.charge_memory(stage1_memory_estimate(&ws.buckets, &ws.hfs));
+                        tok.charge_memory(stage1_memory_estimate(&ws.buckets, &ws.hfs, &ws.levels));
                         if tok.should_stop() {
                             break;
                         }
@@ -233,11 +234,12 @@ pub fn compressed_cod_governed<R: Rng>(
                 }
                 draw_and_record(
                     &mut sampler,
-                    chain,
+                    &ws.levels,
                     &universe,
                     restricted,
                     m,
                     rng,
+                    &mut ws.rr,
                     &mut ws.hfs,
                     &mut ws.buckets,
                     &mut ws.sink,
@@ -261,7 +263,7 @@ pub fn compressed_cod_governed<R: Rng>(
                         let now = sampler.stats();
                         tok.charge_rr_edges(now.delta_since(charged).edges);
                         charged = now;
-                        tok.charge_memory(stage1_memory_estimate(&ws.buckets, &ws.hfs));
+                        tok.charge_memory(stage1_memory_estimate(&ws.buckets, &ws.hfs, &ws.levels));
                         if tok.should_stop() {
                             break;
                         }
@@ -270,11 +272,12 @@ pub fn compressed_cod_governed<R: Rng>(
                 let mut rng = seeds.rng_for(i as u64);
                 draw_and_record(
                     &mut sampler,
-                    chain,
+                    &ws.levels,
                     &universe,
                     restricted,
                     m,
                     &mut rng,
+                    &mut ws.rr,
                     &mut ws.hfs,
                     &mut ws.buckets,
                     &mut ws.sink,
@@ -296,8 +299,10 @@ pub fn compressed_cod_governed<R: Rng>(
             // Workers poll the shared token at the same batch cadence; a
             // fired token stops every shard at its next boundary, and the
             // per-shard completion counts sum to the draws actually made.
+            let levels = &ws.levels;
             let shards = par_ranges(theta, par.thread_count(), |range| {
                 let mut sampler = RrSampler::new(g, model);
+                let mut rr = RrGraph::default();
                 let mut hfs = HfsScratch::new(m);
                 let mut sink = TraceSink::new(false);
                 let mut buckets: Vec<FxHashMap<NodeId, u32>> = vec![FxHashMap::default(); m];
@@ -310,7 +315,7 @@ pub fn compressed_cod_governed<R: Rng>(
                             let now = sampler.stats();
                             tok.charge_rr_edges(now.delta_since(charged).edges);
                             charged = now;
-                            tok.charge_memory(stage1_memory_estimate(&buckets, &hfs));
+                            tok.charge_memory(stage1_memory_estimate(&buckets, &hfs, levels));
                             if tok.should_stop() {
                                 break;
                             }
@@ -319,11 +324,12 @@ pub fn compressed_cod_governed<R: Rng>(
                     let mut rng = seeds.rng_for(i as u64);
                     draw_and_record(
                         &mut sampler,
-                        chain,
+                        levels,
                         &universe,
                         restricted,
                         m,
                         &mut rng,
+                        &mut rr,
                         &mut hfs,
                         &mut buckets,
                         &mut sink,
@@ -383,51 +389,75 @@ pub fn compressed_cod_governed<R: Rng>(
 
 /// Approximate live bytes of stage-1 state for [`CancelToken`] memory
 /// accounting: bucket entries (the part that grows with samples) plus the
-/// HFS scratch capacities. Map overhead is folded into a flat per-entry
-/// constant — the cap is a guard rail, not an allocator audit.
-fn stage1_memory_estimate(buckets: &[FxHashMap<NodeId, u32>], hfs: &HfsScratch) -> usize {
+/// HFS scratch capacities and the dense level table. Map overhead is
+/// folded into a flat per-entry constant — the cap is a guard rail, not an
+/// allocator audit.
+fn stage1_memory_estimate(
+    buckets: &[FxHashMap<NodeId, u32>],
+    hfs: &HfsScratch,
+    levels: &[u32],
+) -> usize {
     const BUCKET_ENTRY_BYTES: usize =
         2 * std::mem::size_of::<NodeId>() + std::mem::size_of::<u32>(); // key + count + control byte slack
     let entries: usize = buckets.iter().map(FxHashMap::len).sum();
-    let hfs_bytes = hfs.queues.iter().map(Vec::capacity).sum::<usize>()
-        * std::mem::size_of::<u32>()
-        + hfs.explored.capacity()
-        + hfs.level_cache.capacity() * std::mem::size_of::<usize>()
-        + hfs.levels.capacity() * std::mem::size_of::<u32>();
-    entries * BUCKET_ENTRY_BYTES + hfs_bytes
+    entries * BUCKET_ENTRY_BYTES + hfs.memory_bytes() + std::mem::size_of_val(levels)
+}
+
+/// Fills the dense per-query level table both stage-1 paths read:
+/// `levels[v]` is `chain.level_of(v)` for a universe node, `m` (prune) for
+/// a universe node in no chain community, and `u32::MAX` for a node
+/// outside the universe. One `level_of` sweep serves the source lookup,
+/// the restricted sampler's `keep` and every HFS level lookup. The table
+/// ends at the largest universe node; [`level`] reads past it as
+/// `u32::MAX`.
+fn fill_levels(chain: &impl Chain, universe: &[NodeId], levels: &mut Vec<u32>) {
+    let m = chain.len() as u32;
+    levels.clear();
+    levels.resize(universe.last().map_or(0, |&v| v as usize + 1), u32::MAX);
+    for &v in universe {
+        levels[v as usize] = chain.level_of(v).map_or(m, |l| l as u32);
+    }
+}
+
+/// `levels[v]`, reading nodes past the table's end as outside the universe.
+#[inline]
+fn level(levels: &[u32], v: NodeId) -> u32 {
+    levels.get(v as usize).copied().unwrap_or(u32::MAX)
 }
 
 /// The shared per-sample body of stage 1: draw a source, generate its RR
-/// graph (restricted to the universe when the chain doesn't span the
-/// graph), and fold it into the buckets via HFS. The seed policy only
+/// graph into `rr` (restricted to the universe when the chain doesn't span
+/// the graph), and fold it into the buckets via HFS. The seed policy only
 /// decides which `rng` arrives here.
 #[inline]
 #[allow(clippy::too_many_arguments)] // private loop body shared by three skeletons
 fn draw_and_record<R: Rng>(
     sampler: &mut RrSampler<'_>,
-    chain: &impl Chain,
+    levels: &[u32],
     universe: &[NodeId],
     restricted: bool,
     m: usize,
     rng: &mut R,
+    rr: &mut RrGraph,
     hfs: &mut HfsScratch,
     buckets: &mut [FxHashMap<NodeId, u32>],
     sink: &mut TraceSink,
     cancel: Option<&CancelToken>,
 ) {
     let s = universe[rng.random_range(0..universe.len())];
-    let Some(ls) = chain.level_of(s) else {
+    let ls = level(levels, s) as usize;
+    if ls >= m {
         // Source outside every chain community: its induced RR graphs
         // are all empty (Example 3) — nothing to record.
         sink.incr(Counter::HfsNodesPruned);
         return;
-    };
-    let rr = if restricted {
-        sampler.sample_restricted(s, rng, |v| universe.binary_search(&v).is_ok())
+    }
+    if restricted {
+        sampler.sample_into(s, rng, |v| level(levels, v) != u32::MAX, rr);
     } else {
-        sampler.sample_from(s, rng)
-    };
-    hfs_record(chain, &rr, ls, m, hfs, buckets, sink, cancel);
+        sampler.sample_into(s, rng, |_| true, rr);
+    }
+    hfs_record_dense(rr, ls, m, levels, hfs, buckets, sink, cancel);
 }
 
 /// [`compressed_cod`] with per-index seed derivation and parallel sample
@@ -551,27 +581,44 @@ fn resolve_theta(
 /// Hierarchical-first search over one RR graph (stage 1 inner loop of
 /// Algorithm 1): every RR node is recorded in the bucket of the deepest
 /// chain community within which it is reachable from the source. `ls` is
-/// the source's chain level. Leaves `scratch.queues` drained for reuse —
+/// the source's chain level; `levels` is the query's dense table
+/// ([`fill_levels`]). Leaves `scratch.queues` drained for reuse —
 /// including on the cancellation early-exit, which abandons the remaining
 /// levels of this one RR graph (the caller flags the outcome best-effort).
-#[allow(clippy::too_many_arguments)]
-fn hfs_record(
-    chain: &impl Chain,
+///
+/// **Flat-graph shortcut** (DESIGN.md §3): when no RR node's level exceeds
+/// `ls`, the whole graph lies in `C_ls` and every node is reachable from
+/// the source, so the level loop would pop every node at level `ls`. The
+/// shortcut records them there directly, after the one `HfsLevel`
+/// checkpoint that level would make.
+#[allow(clippy::too_many_arguments)] // private HFS body: graph, levels, scratch, output, telemetry, token
+fn hfs_record_dense(
     rr: &RrGraph,
     ls: usize,
     m: usize,
+    levels: &[u32],
     scratch: &mut HfsScratch,
     buckets: &mut [FxHashMap<NodeId, u32>],
     sink: &mut TraceSink,
     cancel: Option<&CancelToken>,
 ) {
     let n = rr.len();
+    if rr.nodes().iter().all(|&v| level(levels, v) <= ls as u32) {
+        failpoint::hit(failpoint::Site::HfsLevel, cancel);
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            sink.add(Counter::HfsNodesPruned, n as u64);
+            return;
+        }
+        let bucket = &mut buckets[ls];
+        for &v in rr.nodes() {
+            *bucket.entry(v).or_insert(0) += 1;
+        }
+        sink.add(Counter::HfsNodesVisited, n as u64);
+        return;
+    }
     let mut visited = 0u64;
     scratch.explored.clear();
     scratch.explored.resize(n, false);
-    scratch.level_cache.clear();
-    scratch.level_cache.resize(n, usize::MAX);
-    scratch.level_cache[0] = ls;
     scratch.queues[ls].push(0);
     #[allow(clippy::needless_range_loop)] // h indexes both queues and buckets
     for h in ls..m {
@@ -593,75 +640,11 @@ fn hfs_record(
                 if scratch.explored[u as usize] {
                     continue;
                 }
-                let lu = if scratch.level_cache[u as usize] != usize::MAX {
-                    scratch.level_cache[u as usize]
-                } else {
-                    // `m` marks nodes inside the universe but outside
-                    // every chain community (possible when the chain
-                    // excludes its sampling universe's root): no
-                    // within-chain path can pass through them.
-                    let l = chain.level_of(rr.node(u)).unwrap_or(m);
-                    scratch.level_cache[u as usize] = l;
-                    l
-                };
-                if lu >= m {
-                    continue;
-                }
-                scratch.queues[lu.max(h)].push(u);
-            }
-        }
-    }
-    sink.add(Counter::HfsNodesVisited, visited);
-    sink.add(Counter::HfsNodesPruned, n as u64 - visited);
-}
-
-/// [`hfs_record`] against the dense `node → level` table in
-/// `scratch.levels` instead of live `Chain::level_of` queries. The pooled
-/// fold touches every RR graph of a prebuilt pool back to back, so it
-/// amortizes one `level_of` sweep over the universe (building the table)
-/// across all `Θ` folds — the LCA lookups that dominate a warm fold
-/// collapse to array reads. Bucket updates and traversal order are
-/// identical to [`hfs_record`], so the outcome is bit-identical; only the
-/// lookup path differs.
-fn hfs_record_dense(
-    rr: &RrGraph,
-    ls: usize,
-    m: usize,
-    scratch: &mut HfsScratch,
-    buckets: &mut [FxHashMap<NodeId, u32>],
-    sink: &mut TraceSink,
-    cancel: Option<&CancelToken>,
-) {
-    let n = rr.len();
-    let mut visited = 0u64;
-    scratch.explored.clear();
-    scratch.explored.resize(n, false);
-    scratch.queues[ls].push(0);
-    #[allow(clippy::needless_range_loop)] // h indexes both queues and buckets
-    for h in ls..m {
-        failpoint::hit(failpoint::Site::HfsLevel, cancel);
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            for queue in &mut scratch.queues[h..m] {
-                queue.clear();
-            }
-            break;
-        }
-        while let Some(v) = scratch.queues[h].pop() {
-            if scratch.explored[v as usize] {
-                continue;
-            }
-            scratch.explored[v as usize] = true;
-            visited += 1;
-            *buckets[h].entry(rr.node(v)).or_insert(0) += 1;
-            for &u in rr.out_neighbors(v) {
-                if u == 0 || scratch.explored[u as usize] {
-                    continue;
-                }
-                let lu = scratch
-                    .levels
-                    .get(rr.node(u) as usize)
-                    .copied()
-                    .unwrap_or(u32::MAX) as usize;
+                // `m` marks universe nodes outside every chain community
+                // (possible when the chain excludes its sampling
+                // universe's root) and `u32::MAX` nodes outside the
+                // universe: no within-chain path can pass through them.
+                let lu = level(levels, rr.node(u)) as usize;
                 if lu >= m {
                     continue;
                 }
@@ -922,17 +905,7 @@ fn pooled_fold(
     let m = chain.len();
     let universe_len = universe.len();
     ws.prepare_buckets(m);
-    // One `level_of` sweep over the universe builds the dense table every
-    // fold reads; pool samples never leave the universe, so `u32::MAX`
-    // padding only marks genuinely prunable nodes.
-    let bound = universe.last().map_or(0, |&v| v as usize + 1);
-    ws.hfs.levels.clear();
-    ws.hfs.levels.resize(bound, u32::MAX);
-    for &v in universe {
-        if let Some(l) = chain.level_of(v) {
-            ws.hfs.levels[v as usize] = l as u32;
-        }
-    }
+    fill_levels(chain, universe, &mut ws.levels);
     let t_sample = ws.sink.timing().then(Instant::now);
     let take = theta.min(view.len());
     let mut completed = 0usize;
@@ -940,18 +913,13 @@ fn pooled_fold(
         if i % CHECK_EVERY == 0 {
             failpoint::hit(failpoint::Site::PoolFold, cancel);
             if let Some(tok) = cancel {
-                tok.charge_memory(stage1_memory_estimate(&ws.buckets, &ws.hfs));
+                tok.charge_memory(stage1_memory_estimate(&ws.buckets, &ws.hfs, &ws.levels));
                 if tok.should_stop() {
                     break;
                 }
             }
         }
-        let ls = ws
-            .hfs
-            .levels
-            .get(rr.source() as usize)
-            .copied()
-            .unwrap_or(u32::MAX) as usize;
+        let ls = level(&ws.levels, rr.source()) as usize;
         if ls >= m {
             // Source outside every chain community: the induced RR graph
             // is empty (Example 3) — nothing to record, but the sample
@@ -962,6 +930,7 @@ fn pooled_fold(
                 rr,
                 ls,
                 m,
+                &ws.levels,
                 &mut ws.hfs,
                 &mut ws.buckets,
                 &mut ws.sink,

@@ -344,7 +344,9 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// Failpoint state is process-global: serialize these tests.
+    /// Failpoint state is process-global: serialize these tests. They arm
+    /// serve-tier sites only, which nothing in this crate hits, so the
+    /// engine unit tests running beside them never meet an armed site.
     static LOCK: Mutex<()> = Mutex::new(());
 
     fn guard() -> std::sync::MutexGuard<'static, ()> {
@@ -364,9 +366,9 @@ mod tests {
     #[test]
     fn cancel_action_fires_the_token() {
         let _g = guard();
-        arm(Site::MergeWave, Action::Cancel);
+        arm(Site::Accept, Action::Cancel);
         let token = cod_influence::CancelToken::unlimited();
-        hit(Site::MergeWave, Some(&token));
+        hit(Site::Accept, Some(&token));
         assert!(token.is_cancelled());
         // Other sites stay disarmed.
         let other = cod_influence::CancelToken::unlimited();
@@ -376,11 +378,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "failpoint EvalWorker armed to panic")]
+    #[should_panic(expected = "failpoint RespWrite armed to panic")]
     fn panic_action_panics() {
         let _g = guard();
-        arm(Site::EvalWorker, Action::Panic);
-        let out = std::panic::catch_unwind(|| hit(Site::EvalWorker, None));
+        arm(Site::RespWrite, Action::Panic);
+        let out = std::panic::catch_unwind(|| hit(Site::RespWrite, None));
         disarm_all();
         drop(_g);
         // Re-raise outside the guard so cleanup always ran.

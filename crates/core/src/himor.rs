@@ -124,9 +124,9 @@ pub struct BuildStats {
 type HfsStageOutput = (Vec<FxHashMap<NodeId, u32>>, Vec<RrGraph>, SampleStats);
 
 /// Detached inputs of one vertex's bucket merge (stage 2).
-struct MergeItem {
+struct MergeItem<'b> {
     vertex: VertexId,
-    bucket: FxHashMap<NodeId, u32>,
+    bucket: &'b FxHashMap<NodeId, u32>,
     left: Vec<(u32, NodeId)>,
     right: Vec<(u32, NodeId)>,
 }
@@ -136,8 +136,9 @@ struct MergeItem {
 struct MergeOutput {
     /// Sorted count list (count desc, id asc) of the merged community.
     merged: Vec<(u32, NodeId)>,
-    /// `(node, new accumulated count)` — assignments, not deltas.
-    acc_updates: Vec<(NodeId, u32)>,
+    /// `(new accumulated count, node)` of the bucket's nodes — assignments,
+    /// not deltas.
+    updated: Vec<(u32, NodeId)>,
     /// `(node, root-path index, rank)` assignments.
     rank_updates: Vec<(NodeId, u32, u32)>,
 }
@@ -157,7 +158,7 @@ impl HimorIndex {
         assert_eq!(g.num_nodes(), n);
         let theta = theta_per_node.max(1) * n;
         let (buckets, sampled) = Self::hfs_stage(g, model, dendro, lca, theta, rng);
-        let Some(ranks) = Self::merge_stage(dendro, buckets, 1, None) else {
+        let Some(ranks) = Self::merge_stage(dendro, &buckets, 1, None) else {
             unreachable!("an ungoverned build has no token to cancel it")
         };
         let build_stats = BuildStats {
@@ -227,7 +228,7 @@ impl HimorIndex {
             cancel,
             false,
         )?;
-        let ranks = Self::merge_stage(dendro, buckets, threads, cancel)?;
+        let ranks = Self::merge_stage(dendro, &buckets, threads, cancel)?;
         let build_stats = BuildStats {
             rr_graphs: sampled.graphs,
             rr_edges: sampled.edges,
@@ -286,7 +287,7 @@ impl HimorIndex {
         let seeds = SeedSequence::new(seed);
         let (buckets, samples, sampled) =
             Self::hfs_stage_seeded(g, model, dendro, lca, theta, seeds, threads, cancel, true)?;
-        let ranks = Self::merge_stage(dendro, buckets.clone(), threads, cancel)?;
+        let ranks = Self::merge_stage(dendro, &buckets, threads, cancel)?;
         let build_stats = BuildStats {
             rr_graphs: sampled.graphs,
             rr_edges: sampled.edges,
@@ -325,12 +326,13 @@ impl HimorIndex {
             .unwrap_or(1) as usize;
         let mut buckets: Vec<FxHashMap<NodeId, u32>> = vec![FxHashMap::default(); nv];
         let mut sampler = RrSampler::new(g, model);
+        let mut rr = RrGraph::default();
         // Per-RR scratch: queues indexed by tag depth, drained deepest-first.
         let mut queues: Vec<Vec<(u32, VertexId)>> = vec![Vec::new(); max_depth + 1];
         let mut explored: Vec<bool> = Vec::new();
 
         for _ in 0..theta {
-            let rr = sampler.sample_uniform(rng);
+            Self::draw_uniform(&mut sampler, rng, &mut rr);
             Self::hfs_record_tree(dendro, lca, &rr, &mut queues, &mut explored, &mut buckets);
         }
         let sampled = sampler.stats();
@@ -365,6 +367,7 @@ impl HimorIndex {
             .unwrap_or(1) as usize;
         let shards = par_ranges(theta, threads, |range| {
             let mut sampler = RrSampler::new(g, model);
+            let mut rr = RrGraph::default();
             let mut queues: Vec<Vec<(u32, VertexId)>> = vec![Vec::new(); max_depth + 1];
             let mut explored: Vec<bool> = Vec::new();
             let mut buckets: Vec<FxHashMap<NodeId, u32>> = vec![FxHashMap::default(); nv];
@@ -386,10 +389,10 @@ impl HimorIndex {
                     }
                 }
                 let mut rng = seeds.rng_for(i as u64);
-                let rr = sampler.sample_uniform(&mut rng);
+                Self::draw_uniform(&mut sampler, &mut rng, &mut rr);
                 Self::hfs_record_tree(dendro, lca, &rr, &mut queues, &mut explored, &mut buckets);
                 if keep_samples {
-                    kept.push(rr);
+                    kept.push(rr.clone());
                 }
             }
             (buckets, kept, sampler.stats())
@@ -413,6 +416,14 @@ impl HimorIndex {
             return None;
         }
         Some((merged, samples, sampled))
+    }
+
+    /// Draws one RR graph from a uniform source into `rr`, in place: the
+    /// graph and the RNG stream of [`RrSampler::sample_uniform`], without
+    /// allocating. Builds that keep their samples store exact-size clones.
+    fn draw_uniform<R: Rng>(sampler: &mut RrSampler<'_>, rng: &mut R, rr: &mut RrGraph) {
+        let s = rng.random_range(0..sampler.graph().num_nodes()) as NodeId;
+        sampler.sample_into(s, rng, |_| true, rr);
     }
 
     /// Records one RR graph into the per-vertex buckets: every RR node goes
@@ -489,7 +500,7 @@ impl HimorIndex {
     /// half-merged state and returns `None`.
     fn merge_stage(
         dendro: &Dendrogram,
-        mut buckets: Vec<FxHashMap<NodeId, u32>>,
+        buckets: &[FxHashMap<NodeId, u32>],
         threads: usize,
         cancel: Option<&CancelToken>,
     ) -> Option<Vec<Vec<u32>>> {
@@ -498,9 +509,14 @@ impl HimorIndex {
         // acc[v] = accumulated count of v over the already-folded buckets on
         // its root path (exact count within the vertex being processed).
         let mut acc = vec![0u32; n];
+        // A leaf at depth `d` has `d - 1` ancestors: its root path's length.
         let mut ranks: Vec<Vec<u32>> = (0..n as NodeId)
-            .map(|v| vec![0; dendro.root_path(v).len()])
+            .map(|v| vec![0; dendro.depth(dendro.leaf(v)) as usize - 1])
             .collect();
+        // `stale[v]`: v's count changes in the wave being merged, so its
+        // entries in the children's lists are superseded. Same-depth
+        // subtrees are disjoint, so one flag array serves the whole wave.
+        let mut stale = vec![false; n];
         // Sorted count lists (count desc, id asc), one per live vertex.
         let mut lists: Vec<Option<Vec<(u32, NodeId)>>> = (0..nv).map(|_| None).collect();
         for (v, slot) in lists.iter_mut().enumerate().take(n) {
@@ -531,7 +547,7 @@ impl HimorIndex {
             let items: Vec<MergeItem> = wave
                 .iter()
                 .map(|&i| {
-                    let bucket = std::mem::take(&mut buckets[i as usize]);
+                    let bucket = &buckets[i as usize];
                     let [a, b] = dendro.children(i);
                     let (Some(left), Some(right)) =
                         (lists[a as usize].take(), lists[b as usize].take())
@@ -549,14 +565,20 @@ impl HimorIndex {
             // ... compute every merge of the wave against the pre-wave
             // accumulator (same-depth subtrees are disjoint, so no item can
             // observe another's updates even serially) ...
+            for &v in items.iter().flat_map(|item| item.bucket.keys()) {
+                stale[v as usize] = true;
+            }
             let outputs = par_ranges(items.len(), threads, |range| {
                 range
-                    .map(|idx| Self::merge_one(dendro, &items[idx], &acc))
+                    .map(|idx| Self::merge_one(dendro, &items[idx], &acc, &stale))
                     .collect::<Vec<MergeOutput>>()
             });
+            for &v in items.iter().flat_map(|item| item.bucket.keys()) {
+                stale[v as usize] = false;
+            }
             // ... and apply the results in the fixed post-order.
             for (item, out) in items.iter().zip(outputs.into_iter().flatten()) {
-                for &(v, c) in &out.acc_updates {
+                for &(c, v) in &out.updated {
                     acc[v as usize] = c;
                 }
                 for &(v, j, r) in &out.rank_updates {
@@ -571,47 +593,35 @@ impl HimorIndex {
 
     /// Folds one internal vertex's bucket into its children's sorted count
     /// lists, returning the merged list plus the accumulator and rank
-    /// assignments to apply. Pure in `acc` — the caller applies updates
-    /// after the whole wave is computed.
-    fn merge_one(dendro: &Dendrogram, item: &MergeItem, acc: &[u32]) -> MergeOutput {
-        let bucket = &item.bucket;
+    /// assignments to apply. Pure in `acc` and `stale` (the wave's bucket
+    /// nodes) — the caller applies updates after the whole wave is
+    /// computed.
+    fn merge_one(
+        dendro: &Dendrogram,
+        item: &MergeItem,
+        acc: &[u32],
+        stale: &[bool],
+    ) -> MergeOutput {
         // New accumulated counts for nodes recorded in this bucket.
-        let mut acc_updates: Vec<(NodeId, u32)> = bucket
+        let mut updated: Vec<(u32, NodeId)> = item
+            .bucket
             .iter()
-            .map(|(&v, &c)| (v, acc[v as usize] + c))
+            .map(|(&v, &c)| (acc[v as usize] + c, v))
             .collect();
-        acc_updates.sort_unstable_by_key(|&(v, _)| v);
-        let mut updated: Vec<(u32, NodeId)> = acc_updates.iter().map(|&(v, c)| (c, v)).collect();
-        updated.sort_unstable_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
-        // Three-way merge, skipping stale child entries.
-        let mut merged = Vec::with_capacity(item.left.len() + item.right.len());
-        let stale = |v: NodeId| bucket.contains_key(&v);
-        let mut ia = item.left.iter().filter(|e| !stale(e.1)).peekable();
-        let mut ib = item.right.iter().filter(|e| !stale(e.1)).peekable();
-        let mut iu = updated.iter().peekable();
-        loop {
-            // Pick the largest head among the three runs.
-            let best = [ia.peek().copied(), ib.peek().copied(), iu.peek().copied()]
-                .into_iter()
-                .enumerate()
-                .filter_map(|(idx, e)| e.map(|e| (idx, *e)))
-                .max_by(|(_, x), (_, y)| x.0.cmp(&y.0).then(y.1.cmp(&x.1)));
-            match best {
-                None => break,
-                Some((0, e)) => {
-                    ia.next();
-                    merged.push(e);
-                }
-                Some((1, e)) => {
-                    ib.next();
-                    merged.push(e);
-                }
-                Some((_, e)) => {
-                    iu.next();
-                    merged.push(e);
-                }
-            }
-        }
+        updated.sort_unstable_by_key(|&e| rank_key(e));
+        // Merge the three runs, skipping stale child entries. Node ids are
+        // unique across the runs, so the order is total and the result is
+        // the one sorted list of them all.
+        let fresh = |e: &&(u32, NodeId)| !stale[e.1 as usize];
+        let mut merged = Vec::with_capacity(item.left.len() + item.right.len() + updated.len());
+        merge_sorted(
+            [
+                &mut item.left.iter().filter(fresh),
+                &mut item.right.iter().filter(fresh),
+                &mut updated.iter(),
+            ],
+            &mut merged,
+        );
         // Assign ranks: ties share the rank of their first position.
         let depth_i = dendro.depth(item.vertex);
         let mut rank_updates = Vec::with_capacity(merged.len());
@@ -627,7 +637,7 @@ impl HimorIndex {
         }
         MergeOutput {
             merged,
-            acc_updates,
+            updated,
             rank_updates,
         }
     }
@@ -708,6 +718,32 @@ impl HimorIndex {
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of_val(self.ranks.raw_values())
             + std::mem::size_of_val(self.ranks.raw_offsets())
+    }
+}
+
+/// Sort key of a `(count, node)` rank-list entry: count descending, then
+/// node id ascending — the order every sorted count list keeps.
+#[inline]
+fn rank_key((count, node): (u32, NodeId)) -> u64 {
+    (u64::from(!count) << 32) | u64::from(node)
+}
+
+/// Appends the merge of three runs sorted by [`rank_key`] to `out`.
+fn merge_sorted(runs: [&mut dyn Iterator<Item = &(u32, NodeId)>; 3], out: &mut Vec<(u32, NodeId)>) {
+    let mut runs = runs.map(Iterator::peekable);
+    loop {
+        let mut best: Option<(usize, u64)> = None;
+        for (r, run) in runs.iter_mut().enumerate() {
+            if let Some(&&e) = run.peek() {
+                if best.is_none_or(|(_, k)| rank_key(e) < k) {
+                    best = Some((r, rank_key(e)));
+                }
+            }
+        }
+        let Some((r, _)) = best else { break };
+        if let Some(&e) = runs[r].next() {
+            out.push(e);
+        }
     }
 }
 
@@ -918,8 +954,7 @@ impl HimorPatchState {
 
         // Rank merge over a copy, keeping the master buckets for the next
         // patch. Commit only once the whole pipeline succeeded.
-        let ranks =
-            HimorIndex::merge_stage(new_dendro, buckets.clone(), par.thread_count(), cancel)?;
+        let ranks = HimorIndex::merge_stage(new_dendro, &buckets, par.thread_count(), cancel)?;
         for (i, rr) in redrawn {
             self.samples[i as usize] = rr;
         }

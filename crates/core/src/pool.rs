@@ -217,6 +217,16 @@ impl RrPoolEntry {
         cancel: Option<&CancelToken>,
     ) -> GrowthStats {
         let n = theta - have;
+        // Universe membership as a dense table, so the restricted sampler's
+        // `keep` is one load per live edge instead of a binary search.
+        let mut inside = Vec::new();
+        if self.restricted {
+            inside.resize(self.universe.last().map_or(0, |&v| v as usize + 1), false);
+            for &v in self.universe.iter() {
+                inside[v as usize] = true;
+            }
+        }
+        let inside = &inside;
         let shards = par_ranges(n, par.thread_count(), |range| {
             let mut sampler = RrSampler::new(g, model);
             let mut out = Vec::with_capacity(range.len());
@@ -238,8 +248,9 @@ impl RrPoolEntry {
                 let mut rng = self.seeds.rng_for((have + i) as u64);
                 let s = self.universe[rand::Rng::random_range(&mut rng, 0..self.universe.len())];
                 let rr = if self.restricted {
-                    sampler
-                        .sample_restricted(s, &mut rng, |v| self.universe.binary_search(&v).is_ok())
+                    sampler.sample_restricted(s, &mut rng, |v| {
+                        inside.get(v as usize).copied().unwrap_or(false)
+                    })
                 } else {
                     sampler.sample_from(s, &mut rng)
                 };

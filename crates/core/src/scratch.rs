@@ -17,7 +17,7 @@
 //! seed-replay suite asserts the resulting bit-identity.
 
 use cod_graph::{FxHashMap, NodeId};
-use cod_influence::SamplerScratch;
+use cod_influence::{RrGraph, SamplerScratch};
 
 use crate::telemetry::{QueryTrace, TraceSink};
 
@@ -26,11 +26,6 @@ use crate::telemetry::{QueryTrace, TraceSink};
 pub(crate) struct HfsScratch {
     pub(crate) queues: Vec<Vec<u32>>,
     pub(crate) explored: Vec<bool>,
-    pub(crate) level_cache: Vec<usize>,
-    /// Dense per-query `node → chain level` table for pooled folds
-    /// (`u32::MAX` = prune): one `level_of` sweep per query instead of one
-    /// per RR-graph node, which is what makes a warm fold cheap.
-    pub(crate) levels: Vec<u32>,
 }
 
 impl HfsScratch {
@@ -38,17 +33,21 @@ impl HfsScratch {
         Self {
             queues: vec![Vec::new(); m],
             explored: Vec::new(),
-            level_cache: Vec::new(),
-            levels: Vec::new(),
         }
     }
 
     /// Readies the scratch for a chain of `m` levels. Queues are already
-    /// drained by `hfs_record`; only the level count needs adjusting.
+    /// drained by `hfs_record_dense`; only the level count needs adjusting.
     pub(crate) fn prepare(&mut self, m: usize) {
         debug_assert!(self.queues.iter().all(Vec::is_empty));
         self.queues.truncate(m);
         self.queues.resize_with(m, Vec::new);
+    }
+
+    /// Capacity bytes of the queues and the explored flags.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.queues.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<u32>()
+            + self.explored.capacity()
     }
 }
 
@@ -73,7 +72,8 @@ impl TopKScratch {
 /// A reusable workspace for one in-flight COD query.
 ///
 /// Holds every transient buffer the compressed evaluation path needs:
-/// RR-sampler stamps, HFS queues, per-level buckets and top-k vectors.
+/// RR-sampler stamps, the RR graph each draw refills, the dense level
+/// table, HFS queues, per-level buckets and top-k vectors.
 /// Create one per worker (it is `Send` but deliberately not shared), hand
 /// it to `compressed_cod_with` via `Some(&mut ws)`, and reuse it for the
 /// next query. Passing a recycled workspace never changes an answer; it
@@ -81,6 +81,12 @@ impl TopKScratch {
 #[derive(Default, Debug)]
 pub struct QueryScratch {
     pub(crate) sampler: SamplerScratch,
+    /// The RR graph stage 1 draws into, refilled in place per sample.
+    pub(crate) rr: RrGraph,
+    /// Dense per-query `node → chain level` table (see
+    /// `compressed::fill_levels`): one `level_of` sweep over the universe
+    /// per query instead of one per RR-graph node.
+    pub(crate) levels: Vec<u32>,
     pub(crate) hfs: HfsScratch,
     pub(crate) buckets: Vec<FxHashMap<NodeId, u32>>,
     pub(crate) topk: TopKScratch,
@@ -123,14 +129,13 @@ impl QueryScratch {
     /// Approximate bytes retained by the workspace (sampler stamps plus
     /// vector capacities; map capacity is not observable and excluded).
     pub fn memory_bytes(&self) -> usize {
-        let hfs = self.hfs.queues.iter().map(Vec::capacity).sum::<usize>()
-            * std::mem::size_of::<u32>()
-            + self.hfs.explored.capacity()
-            + self.hfs.level_cache.capacity() * std::mem::size_of::<usize>()
-            + self.hfs.levels.capacity() * std::mem::size_of::<u32>();
         let topk = (self.topk.pool.capacity() + self.topk.candidates.capacity())
             * std::mem::size_of::<NodeId>()
             + self.topk.taus.capacity() * std::mem::size_of::<u32>();
-        self.sampler.memory_bytes() + hfs + topk
+        self.sampler.memory_bytes()
+            + self.rr.memory_bytes()
+            + self.levels.capacity() * std::mem::size_of::<u32>()
+            + self.hfs.memory_bytes()
+            + topk
     }
 }

@@ -10,8 +10,8 @@
 //!   (Definition 2), supporting induced restriction to a community
 //!   (Definition 3) and the possible-world coupling of Theorem 2;
 //! * [`sampler::RrSampler`] — RR-graph generation with reusable scratch
-//!   space, including community-restricted sampling for the Independent
-//!   baseline;
+//!   space and no allocation per sample, including community-restricted
+//!   sampling for the Independent baseline;
 //! * [`montecarlo`] — forward IC/LT simulation for ground-truth influence
 //!   `σ_C(q)` (used for the paper's top-k precision measure, §V-C);
 //! * [`estimate`] — RR-based influence and rank estimation on a whole graph

@@ -102,21 +102,24 @@ impl Model {
 }
 
 /// Appends `min(k, |pool|)` distinct uniform elements of `pool` to `out`
-/// (partial Fisher–Yates on a scratch copy for small pools, rejection
-/// sampling otherwise).
+/// (partial Fisher–Yates on a copy in `out`'s tail for small pools,
+/// rejection sampling otherwise).
 fn sample_distinct<R: Rng>(pool: &[NodeId], k: usize, rng: &mut R, out: &mut Vec<NodeId>) {
     let k = k.min(pool.len());
     if k == 0 {
         return;
     }
     if k * 3 >= pool.len() {
-        // Dense draw: shuffle a copy partially.
-        let mut copy: Vec<NodeId> = pool.to_vec();
+        // Dense draw: shuffle a copy partially, in place past `start`, and
+        // keep the first `k` slots it settles.
+        let start = out.len();
+        out.extend_from_slice(pool);
+        let copy = &mut out[start..];
         for i in 0..k {
             let j = rng.random_range(i..copy.len());
             copy.swap(i, j);
-            out.push(copy[i]);
         }
+        out.truncate(start + k);
     } else {
         // Sparse draw: rejection on indices.
         let start = out.len();
@@ -197,6 +200,28 @@ mod tests {
                 sorted.sort_unstable();
                 sorted.dedup();
                 assert_eq!(sorted.len(), out.len(), "duplicates in {out:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn random_k_dense_draw_matches_a_shuffled_copy() {
+        // The dense branch shuffles its copy inside `out`; the draws must
+        // be those of a partial Fisher–Yates over a separate copy.
+        let pool: Vec<NodeId> = (10..19).collect();
+        for seed in 0..50 {
+            for k in 3..=9 {
+                let mut got = vec![99];
+                sample_distinct(&pool, k, &mut SmallRng::seed_from_u64(seed), &mut got);
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut copy = pool.clone();
+                let mut want = vec![99];
+                for i in 0..k {
+                    let j = rng.random_range(i..copy.len());
+                    copy.swap(i, j);
+                    want.push(copy[i]);
+                }
+                assert_eq!(got, want, "seed {seed} k {k}");
             }
         }
     }

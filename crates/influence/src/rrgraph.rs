@@ -11,44 +11,22 @@ use cod_graph::NodeId;
 /// Definition 3; by Theorem 2 the probability that a node is reachable from
 /// the source inside the restriction estimates its influence in that
 /// community.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// [`RrSampler::sample_into`](crate::RrSampler::sample_into) refills one
+/// graph in place; `Default` gives the empty buffer to start from. A clone
+/// holds exactly its contents, with no spare capacity.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RrGraph {
     /// Global node ids, in exploration (BFS) order; `nodes[0]` is the source.
-    nodes: Vec<NodeId>,
+    pub(crate) nodes: Vec<NodeId>,
     /// CSR offsets into `targets`, per local node.
-    offsets: Vec<u32>,
+    pub(crate) offsets: Vec<u32>,
     /// Out-neighbors (local indices) following activated edges away from the
     /// source.
-    targets: Vec<u32>,
+    pub(crate) targets: Vec<u32>,
 }
 
 impl RrGraph {
-    /// Assembles an RR graph from exploration results. `edges` holds local
-    /// `(from, to)` pairs; both endpoints must be in range.
-    pub(crate) fn from_parts(nodes: Vec<NodeId>, edges: &[(u32, u32)]) -> Self {
-        let n = nodes.len();
-        let mut counts = vec![0u32; n + 1];
-        for &(f, _) in edges {
-            counts[f as usize + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut targets = vec![0u32; edges.len()];
-        for &(f, t) in edges {
-            debug_assert!((t as usize) < n);
-            targets[cursor[f as usize] as usize] = t;
-            cursor[f as usize] += 1;
-        }
-        Self {
-            nodes,
-            offsets,
-            targets,
-        }
-    }
-
     /// The source node (global id).
     #[inline]
     pub fn source(&self) -> NodeId {
@@ -61,10 +39,11 @@ impl RrGraph {
         self.nodes.len()
     }
 
-    /// Whether the RR graph holds only the source (it never holds zero).
+    /// Whether the graph holds no node: true only of a default buffer that
+    /// was never sampled into (a drawn RR graph always holds its source).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        false
+        self.nodes.is_empty()
     }
 
     /// Number of activated (directed traversal) edges.
@@ -133,7 +112,11 @@ mod tests {
 
     /// source 7 ⇒ 3 ⇒ 5, and 7 ⇒ 9 (local: 0⇒1⇒2, 0⇒3).
     fn sample() -> RrGraph {
-        RrGraph::from_parts(vec![7, 3, 5, 9], &[(0, 1), (1, 2), (0, 3)])
+        RrGraph {
+            nodes: vec![7, 3, 5, 9],
+            offsets: vec![0, 2, 3, 3, 3],
+            targets: vec![1, 3, 2],
+        }
     }
 
     #[test]

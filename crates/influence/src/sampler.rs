@@ -8,10 +8,16 @@ use crate::rrgraph::RrGraph;
 
 /// Generates RR graphs on a graph under a diffusion model.
 ///
-/// Scratch arrays (visited stamps and local-id mapping) are allocated once
-/// and reused across samples, so generating `Θ` RR graphs costs
-/// `O(Θ · ω)` with no per-sample `O(|V|)` term (paper Theorem 4's sampling
-/// cost).
+/// Scratch arrays (visited stamps, local-id mapping and the expansion
+/// list) are allocated once and reused across samples, so generating `Θ`
+/// RR graphs costs `O(Θ · ω)` with no per-sample `O(|V|)` term (paper
+/// Theorem 4's sampling cost). [`RrSampler::sample_into`] allocates
+/// nothing per sample: it refills a caller's [`RrGraph`] in place, writing
+/// each CSR row as the BFS settles its node. The owning calls
+/// ([`RrSampler::sample_from`], [`RrSampler::sample_uniform`],
+/// [`RrSampler::sample_restricted`]) draw into the sampler's own buffer
+/// and return an exact-size copy, so their only allocation is the graph
+/// they hand back.
 ///
 /// ```
 /// use cod_graph::GraphBuilder;
@@ -37,6 +43,10 @@ pub struct RrSampler<'g> {
     local: Vec<u32>,
     epoch: u32,
     stats: SampleStats,
+    /// Live reverse coins of the node being expanded.
+    expansion: Vec<NodeId>,
+    /// Draw buffer of the owning `sample_*` calls.
+    rr: RrGraph,
 }
 
 /// Detached sampler scratch buffers, reusable across queries and graphs.
@@ -57,12 +67,16 @@ pub struct SamplerScratch {
     local: Vec<u32>,
     epoch: u32,
     stats: SampleStats,
+    expansion: Vec<NodeId>,
+    rr: RrGraph,
 }
 
 impl SamplerScratch {
     /// Bytes held by the scratch buffers (capacity, not length).
     pub fn memory_bytes(&self) -> usize {
-        (self.stamp.capacity() + self.local.capacity()) * std::mem::size_of::<u32>()
+        (self.stamp.capacity() + self.local.capacity() + self.expansion.capacity())
+            * std::mem::size_of::<u32>()
+            + self.rr.memory_bytes()
     }
 
     /// Cumulative sampling effort recorded by every sampler this scratch
@@ -126,6 +140,8 @@ impl<'g> RrSampler<'g> {
             mut local,
             epoch,
             stats,
+            expansion,
+            rr,
         } = scratch;
         stamp.resize(g.num_nodes(), 0);
         local.resize(g.num_nodes(), 0);
@@ -136,6 +152,8 @@ impl<'g> RrSampler<'g> {
             local,
             epoch,
             stats,
+            expansion,
+            rr,
         }
     }
 
@@ -146,6 +164,8 @@ impl<'g> RrSampler<'g> {
             local: self.local,
             epoch: self.epoch,
             stats: self.stats,
+            expansion: self.expansion,
+            rr: self.rr,
         }
     }
 
@@ -187,6 +207,28 @@ impl<'g> RrSampler<'g> {
         rng: &mut R,
         keep: impl Fn(NodeId) -> bool,
     ) -> RrGraph {
+        let mut rr = std::mem::take(&mut self.rr);
+        self.sample_into(source, rng, keep, &mut rr);
+        let copy = rr.clone();
+        self.rr = rr;
+        copy
+    }
+
+    /// [`RrSampler::sample_restricted`] into `out`, which is cleared and
+    /// refilled in place: once `out` and the sampler's buffers have grown to
+    /// the largest RR graph seen, a draw allocates nothing. The drawn graph
+    /// (and the RNG stream consumed) is the one `sample_restricted` returns.
+    ///
+    /// The BFS settles nodes in local-index order, so each node's CSR row
+    /// is complete before the next opens and is written straight into
+    /// `out` with no edge list to sort afterwards.
+    pub fn sample_into<R: Rng>(
+        &mut self,
+        source: NodeId,
+        rng: &mut R,
+        keep: impl Fn(NodeId) -> bool,
+        out: &mut RrGraph,
+    ) {
         debug_assert!(keep(source), "source must satisfy the restriction");
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -195,37 +237,39 @@ impl<'g> RrSampler<'g> {
             self.epoch = 1;
         }
         let epoch = self.epoch;
-        let mut nodes = vec![source];
-        let mut edges: Vec<(u32, u32)> = Vec::new();
+        out.nodes.clear();
+        out.offsets.clear();
+        out.targets.clear();
+        out.nodes.push(source);
         self.stamp[source as usize] = epoch;
         self.local[source as usize] = 0;
         let mut frontier = 0usize;
-        let mut expansion: Vec<NodeId> = Vec::new();
-        while frontier < nodes.len() {
-            let v = nodes[frontier];
-            let lv = frontier as u32;
+        while frontier < out.nodes.len() {
+            let v = out.nodes[frontier];
             frontier += 1;
-            expansion.clear();
-            self.model.reverse_expand(self.g, v, rng, &mut expansion);
-            for &u in &expansion {
+            out.offsets.push(out.targets.len() as u32);
+            self.expansion.clear();
+            self.model
+                .reverse_expand(self.g, v, rng, &mut self.expansion);
+            for &u in &self.expansion {
                 if !keep(u) {
                     continue;
                 }
                 let lu = if self.stamp[u as usize] == epoch {
                     self.local[u as usize]
                 } else {
-                    let lu = nodes.len() as u32;
+                    let lu = out.nodes.len() as u32;
                     self.stamp[u as usize] = epoch;
                     self.local[u as usize] = lu;
-                    nodes.push(u);
+                    out.nodes.push(u);
                     lu
                 };
-                edges.push((lv, lu));
+                out.targets.push(lu);
             }
         }
+        out.offsets.push(out.targets.len() as u32);
         self.stats.graphs += 1;
-        self.stats.edges += edges.len() as u64;
-        RrGraph::from_parts(nodes, &edges)
+        self.stats.edges += out.targets.len() as u64;
     }
 }
 
@@ -361,6 +405,82 @@ mod tests {
                 edges: 0
             }
         );
+    }
+
+    /// Reference construction: collect the `(from, to)` pairs of one WC
+    /// draw, then counting-sort them into CSR rows.
+    fn edge_list_reference<R: Rng>(g: &Csr, source: NodeId, rng: &mut R) -> RrGraph {
+        let mut local = std::collections::HashMap::new();
+        local.insert(source, 0u32);
+        let mut nodes = vec![source];
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut frontier = 0;
+        let mut expansion = Vec::new();
+        while frontier < nodes.len() {
+            let v = nodes[frontier];
+            let lv = frontier as u32;
+            frontier += 1;
+            expansion.clear();
+            Model::WeightedCascade.reverse_expand(g, v, rng, &mut expansion);
+            for &u in &expansion {
+                let lu = *local.entry(u).or_insert_with(|| {
+                    nodes.push(u);
+                    nodes.len() as u32 - 1
+                });
+                edges.push((lv, lu));
+            }
+        }
+        let mut offsets = vec![0u32; nodes.len() + 1];
+        for &(f, _) in &edges {
+            offsets[f as usize + 1] += 1;
+        }
+        for i in 0..nodes.len() {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut targets = vec![0u32; edges.len()];
+        for &(f, t) in &edges {
+            targets[cursor[f as usize] as usize] = t;
+            cursor[f as usize] += 1;
+        }
+        RrGraph {
+            nodes,
+            offsets,
+            targets,
+        }
+    }
+
+    #[test]
+    fn sample_into_matches_the_edge_list_construction_without_reallocating() {
+        // A dense-ish ring with chords, so RR graphs have several rows.
+        let mut b = GraphBuilder::new(40);
+        for v in 0..40u32 {
+            b.add_edge(v, (v + 1) % 40);
+            b.add_edge(v, (v + 7) % 40);
+        }
+        let g = b.build();
+        let mut s = RrSampler::new(&g, Model::WeightedCascade);
+        let mut buf = RrGraph::default();
+        assert!(buf.is_empty());
+        for i in 0..300u64 {
+            let source = (i % 40) as NodeId;
+            let want = edge_list_reference(&g, source, &mut SmallRng::seed_from_u64(i));
+            s.sample_into(source, &mut SmallRng::seed_from_u64(i), |_| true, &mut buf);
+            assert_eq!(buf, want, "draw {i}");
+            let owned = s.sample_from(source, &mut SmallRng::seed_from_u64(i));
+            assert_eq!(owned, want, "draw {i}");
+            assert_eq!(
+                owned.memory_bytes(),
+                4 * (2 * owned.len() + 1 + owned.num_edges())
+            );
+        }
+        // Once grown to the largest draw, refills reuse the same storage.
+        let cap = buf.memory_bytes();
+        for i in 0..300u64 {
+            let source = (i % 40) as NodeId;
+            s.sample_into(source, &mut SmallRng::seed_from_u64(i), |_| true, &mut buf);
+        }
+        assert_eq!(buf.memory_bytes(), cap);
     }
 
     #[test]

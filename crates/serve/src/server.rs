@@ -852,11 +852,17 @@ fn query_endpoint(shared: &Shared, req: &Request, batch: bool) -> Response {
     }
 
     // Parse specs + optional deadline from the query string (single GET)
-    // or the JSON body.
+    // or the JSON body. A deadline that is present but not a
+    // non-negative integer is a 400: dropping it would run the query
+    // without the bound the caller asked for.
+    const BAD_DEADLINE: &str = "\"deadline_ms\" must be a non-negative integer";
     let mut deadline_ms: Option<u64> = None;
     let specs: Result<Vec<QuerySpec>, String> = if req.method == "GET" && !batch {
-        deadline_ms = req.query_param("deadline_ms").and_then(|v| v.parse().ok());
         (|| {
+            deadline_ms = req
+                .query_param("deadline_ms")
+                .map(|v| v.parse::<u64>().map_err(|_| BAD_DEADLINE))
+                .transpose()?;
             let node = req
                 .query_param("node")
                 .ok_or("missing \"node\" query parameter")?
@@ -874,7 +880,10 @@ fn query_endpoint(shared: &Shared, req: &Request, batch: bool) -> Response {
             let text =
                 std::str::from_utf8(&req.body).map_err(|_| "body is not UTF-8".to_string())?;
             let v = json::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
-            deadline_ms = v.get("deadline_ms").and_then(Value::as_u64);
+            deadline_ms = match v.get("deadline_ms") {
+                None | Some(Value::Null) => None,
+                Some(d) => Some(d.as_u64().ok_or(BAD_DEADLINE)?),
+            };
             if batch {
                 let items = v
                     .get("queries")

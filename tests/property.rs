@@ -1,9 +1,16 @@
 //! Property-based tests (proptest) for the core invariants.
 
+use std::sync::Arc;
+
 use cod_graph::FxHashMap;
-use pcod::cod::compressed::incremental_top_k;
+use pcod::cod::compressed::{
+    compressed_cod, compressed_cod_pooled, compressed_cod_seeded, incremental_top_k, CodOutcome,
+};
+use pcod::cod::pool::RrPoolEntry;
 use pcod::cod::recluster::build_hierarchy;
-use pcod::influence::RrPool;
+use pcod::cod::SubgraphChain;
+use pcod::graph::subgraph::Subgraph;
+use pcod::influence::{RrGraph, RrPool};
 use pcod::prelude::*;
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -23,6 +30,126 @@ fn random_graph(n: usize, extra_edges: usize, seed: u64) -> Csr {
         b.add_edge(u, v);
     }
     b.build()
+}
+
+/// Definition 3 applied literally: each RR graph's node `v` is recorded
+/// at the smallest level `h` whose induced RR graph — the graph restricted
+/// to `C_h = {u : level_of(u) ≤ h}` — still reaches `v` from the source,
+/// and the buckets are ranked by the paper's stage 2. Graphs whose source
+/// lies in no chain community contribute nothing. No level table, no
+/// shortcut, no HFS queues: the reference the compressed paths must equal
+/// bit for bit.
+fn definition3_outcome<'a>(
+    chain: &impl Chain,
+    draws: impl Iterator<Item = Option<&'a RrGraph>>,
+    q: NodeId,
+    k: usize,
+    theta: usize,
+) -> CodOutcome {
+    let m = chain.len();
+    let mut buckets: Vec<FxHashMap<NodeId, u32>> = vec![FxHashMap::default(); m];
+    for rr in draws.flatten() {
+        let mut recorded: Vec<NodeId> = Vec::new();
+        for (h, bucket) in buckets.iter_mut().enumerate() {
+            for v in rr.reachable_within(|u| chain.level_of(u).is_some_and(|l| l <= h)) {
+                if !recorded.contains(&v) {
+                    recorded.push(v);
+                    *bucket.entry(v).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+    incremental_top_k(&buckets, q, k, theta, chain.universe().len())
+}
+
+/// One draw of compressed stage 1, replayed through the public sampler: a
+/// uniform universe source from `rng`, no RR graph when the source is in
+/// no chain community, and otherwise its RR graph restricted to the
+/// universe, drawn from the same RNG.
+fn replay_draw<R: Rng>(
+    sampler: &mut RrSampler<'_>,
+    chain: &impl Chain,
+    universe: &[NodeId],
+    rng: &mut R,
+) -> Option<RrGraph> {
+    let s = universe[rng.random_range(0..universe.len())];
+    chain.level_of(s)?;
+    Some(sampler.sample_restricted(s, rng, |v| universe.binary_search(&v).is_ok()))
+}
+
+/// Checks every compressed entry point on `chain` against
+/// [`definition3_outcome`] over the very draws it made: the caller-RNG
+/// stream, per-index seeding at 1 and 2 threads, and a shared pool (the
+/// oracle reads the pool's own view).
+fn assert_compressed_matches_definition3(
+    g: &Csr,
+    chain: &(impl Chain + Sync),
+    q: NodeId,
+    seed: u64,
+) {
+    if chain.is_empty() {
+        return;
+    }
+    let (model, k, theta_per_node) = (Model::WeightedCascade, 2, 6);
+    let universe = chain.universe();
+    let theta = theta_per_node * universe.len();
+    let mut sampler = RrSampler::new(g, model);
+
+    let got = compressed_cod(
+        g,
+        model,
+        chain,
+        q,
+        k,
+        theta_per_node,
+        &mut SmallRng::seed_from_u64(seed),
+    )
+    .unwrap();
+    let mut stream = SmallRng::seed_from_u64(seed);
+    let draws: Vec<_> = (0..theta)
+        .map(|_| replay_draw(&mut sampler, chain, &universe, &mut stream))
+        .collect();
+    let want = definition3_outcome(chain, draws.iter().map(Option::as_ref), q, k, theta);
+    assert_eq!(got, want, "stream");
+
+    let seeds = SeedSequence::new(seed);
+    let draws: Vec<_> = (0..theta)
+        .map(|i| replay_draw(&mut sampler, chain, &universe, &mut seeds.rng_for(i as u64)))
+        .collect();
+    let want = definition3_outcome(chain, draws.iter().map(Option::as_ref), q, k, theta);
+    for t in [1, 2] {
+        let par = Parallelism::Threads(t);
+        let got = compressed_cod_seeded(g, model, chain, q, k, theta_per_node, seed, par).unwrap();
+        assert_eq!(got, want, "seeded, {t} threads");
+    }
+
+    let restricted = universe.len() < g.num_nodes();
+    let pool = RrPoolEntry::new(None, Arc::new(universe), restricted);
+    let par = Parallelism::Threads(2);
+    let got = compressed_cod_pooled(
+        g,
+        model,
+        chain,
+        q,
+        k,
+        theta_per_node,
+        None,
+        &pool,
+        par,
+        None,
+        None,
+    )
+    .unwrap();
+    let (view, _) = pool.ensure(g, model, theta, par, None);
+    let draws = view
+        .iter()
+        .take(theta)
+        .map(|rr| chain.level_of(rr.source()).map(|_| rr));
+    assert_eq!(
+        got,
+        definition3_outcome(chain, draws, q, k, theta),
+        "pooled"
+    );
 }
 
 proptest! {
@@ -157,6 +284,42 @@ proptest! {
             }
         }
         prop_assert_eq!(out.best_level, best);
+    }
+
+    /// Compressed evaluation equals the Definition-3 oracle bit for bit on
+    /// all three chain shapes: the whole-graph `DendroChain`, a
+    /// `SubgraphChain` over a proper community with its root excluded
+    /// (restricted sampling, and universe nodes in no chain community) and
+    /// the `ComposedChain` stitched onto that community.
+    #[test]
+    fn compressed_paths_match_the_definition3_oracle(
+        n in 4usize..26,
+        extra in 0usize..40,
+        gseed in 0u64..1000,
+        pick in 0usize..64,
+        seed in 0u64..u64::MAX,
+    ) {
+        let g = random_graph(n, extra, gseed);
+        let d = build_hierarchy(&g, Linkage::Average);
+        let lca = LcaIndex::new(&d);
+        let q = (gseed % n as u64) as NodeId;
+        assert_compressed_matches_definition3(&g, &DendroChain::new(&d, &lca, q).unwrap(), q, seed);
+        let communities: Vec<u32> = d
+            .root_path(q)
+            .into_iter()
+            .filter(|&c| (3..n).contains(&d.size(c)))
+            .collect();
+        if !communities.is_empty() {
+            let c = communities[pick % communities.len()];
+            let sub = Subgraph::induced(&g, &d.members_sorted(c));
+            let sd = build_hierarchy(&sub.csr, Linkage::Average);
+            let slca = LcaIndex::new(&sd);
+            let lower = SubgraphChain::new(&sub, &sd, &slca, q, false).unwrap();
+            assert_compressed_matches_definition3(&g, &lower, q, seed);
+            let lower = SubgraphChain::new(&sub, &sd, &slca, q, true).unwrap();
+            let composed = ComposedChain::new(lower, &d, &lca, c).unwrap();
+            assert_compressed_matches_definition3(&g, &composed, q, seed);
+        }
     }
 
     /// k-core members all have >= k neighbors inside the community.

@@ -10,6 +10,7 @@
 
 use pcod::cod::compressed::{compressed_cod_adaptive_seeded, compressed_cod_seeded, CodOutcome};
 use pcod::cod::recluster::build_hierarchy;
+use pcod::cod::AnswerSource;
 use pcod::influence::estimate::InfluenceEstimate;
 use pcod::influence::montecarlo;
 use pcod::influence::RrPool;
@@ -766,3 +767,392 @@ fn dynamic_mutation_interleavings_replay_across_threads() {
         assert_eq!(run(t), reference, "threads {t}: interleaving diverged");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Pinned answers: the sample stream itself, not only its self-consistency.
+// ---------------------------------------------------------------------------
+//
+// Every other test here compares the code with itself, so a change that
+// alters the drawn samples everywhere at once (a reordered coin, another
+// source draw, an HFS that buckets a node elsewhere) would pass them all.
+// These fixtures were recorded from the release before stage 1 became
+// allocation-free and table-driven; `--threads serial` in particular is
+// documented as byte-compatible across releases.
+
+/// The pinned query list: 16 nodes of `cora_like(1)`, each asked with its
+/// first attribute under all four methods.
+const PINNED_NODES: [NodeId; 16] = [
+    0, 7, 42, 99, 256, 311, 512, 640, 777, 901, 1024, 1337, 1500, 1789, 2048, 2400,
+];
+
+/// FNV-1a over the members' little-endian bytes: a compact, stable
+/// fingerprint of an answer's member list.
+fn members_fingerprint(members: &[NodeId]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &v in members {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// One pinned answer: `(|members|, members fingerprint, rank, uncertain,
+/// answered from the index)`, or `None` when no community qualifies.
+type Pinned = Option<(usize, u64, usize, bool, bool)>;
+
+/// Answers the pinned list on `cora_like(1)` under `parallelism` and
+/// `pool`, with a fixed index-build stream and a fixed query stream.
+fn pinned_answers(parallelism: Parallelism, pool: bool) -> Vec<Pinned> {
+    let g = pcod::datasets::cora_like(1).graph;
+    let cfg = CodConfig {
+        theta: 4,
+        parallelism,
+        pool,
+        ..CodConfig::default()
+    };
+    let engine = CodEngine::new(g.clone(), cfg);
+    engine.ensure_himor(&mut SmallRng::seed_from_u64(16));
+    let mut rng = SmallRng::seed_from_u64(1616);
+    let mut out = Vec::new();
+    for &q in &PINNED_NODES {
+        let attr = g.node_attrs(q).first().copied().unwrap_or(0);
+        let queries = [
+            Query::codu(q),
+            Query::new(q, attr, Method::Codr),
+            Query::new(q, attr, Method::CodlMinus),
+            Query::new(q, attr, Method::Codl),
+        ];
+        for query in queries {
+            let answer = engine.query(query, &mut rng).unwrap();
+            out.push(answer.map(|a| {
+                (
+                    a.members.len(),
+                    members_fingerprint(&a.members),
+                    a.rank,
+                    a.uncertain,
+                    a.source == AnswerSource::Index,
+                )
+            }));
+        }
+    }
+    out
+}
+
+/// Asserts the pinned list's answers under `parallelism` and `pool` equal
+/// the recorded fixture, answer by answer.
+fn check_pinned(name: &str, parallelism: Parallelism, pool: bool, want: &[Pinned; 64]) {
+    let got = pinned_answers(parallelism, pool);
+    assert_eq!(got.len(), want.len());
+    for (i, (got, want)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            got,
+            want,
+            "{name}: answer {i} (node {}, method #{}) moved off the fixture",
+            PINNED_NODES[i / 4],
+            i % 4
+        );
+    }
+}
+
+#[test]
+fn serial_answers_match_the_pinned_fixture() {
+    check_pinned("serial", Parallelism::Serial, false, &PINNED_SERIAL);
+}
+
+#[test]
+fn seeded_one_thread_answers_match_the_pinned_fixture() {
+    check_pinned(
+        "threads 1",
+        Parallelism::Threads(1),
+        false,
+        &PINNED_THREADS_1,
+    );
+}
+
+#[test]
+fn seeded_two_thread_answers_match_the_pinned_fixture() {
+    check_pinned(
+        "threads 2",
+        Parallelism::Threads(2),
+        false,
+        &PINNED_THREADS_2,
+    );
+}
+
+#[test]
+fn pooled_answers_match_the_pinned_fixture() {
+    check_pinned("pooled", Parallelism::Threads(2), true, &PINNED_POOLED);
+}
+
+#[rustfmt::skip]
+const PINNED_SERIAL: [Pinned; 64] = [
+    Some((10, 0x04c831a007808507, 4, true, false)),
+    Some((12, 0xb82c471522b893f0, 4, true, false)),
+    Some((13, 0x7ba2e8a9f7c9232b, 3, true, false)),
+    Some((2, 0x28b2a85380f12c09, 1, false, false)),
+    Some((8, 0x5f8cda989451daab, 5, true, false)),
+    Some((19, 0x63e5455541a16509, 4, true, false)),
+    Some((8, 0x5f8cda989451daab, 3, true, false)),
+    Some((8, 0x5f8cda989451daab, 2, true, false)),
+    Some((6, 0xa1926a92e3a8ca95, 3, true, false)),
+    Some((14, 0xddfc136eb18a2106, 4, true, false)),
+    Some((6, 0xa1926a92e3a8ca95, 5, true, false)),
+    Some((6, 0xa1926a92e3a8ca95, 3, false, true)),
+    Some((6, 0x051bcc3d6d9196df, 2, true, false)),
+    Some((6, 0x051bcc3d6d9196df, 2, true, false)),
+    Some((6, 0x051bcc3d6d9196df, 1, false, false)),
+    Some((6, 0x051bcc3d6d9196df, 1, false, true)),
+    Some((14, 0x05bdf3d63d41d679, 5, true, false)),
+    Some((12, 0x96ed99a262efcbce, 4, true, false)),
+    Some((3, 0xb1f5919cd1075e67, 2, false, false)),
+    Some((3, 0xb1f5919cd1075e67, 2, false, false)),
+    Some((7, 0x87abf83f3d070e98, 5, true, false)),
+    Some((7, 0x87abf83f3d070e98, 2, true, false)),
+    Some((18, 0xd876c550761a20a0, 5, true, false)),
+    Some((7, 0x87abf83f3d070e98, 4, false, true)),
+    Some((14, 0x3f682ea425a24094, 5, true, false)),
+    Some((7, 0xde0f8c01b165ec89, 5, true, false)),
+    Some((14, 0x3f682ea425a24094, 4, true, false)),
+    Some((7, 0xde0f8c01b165ec89, 5, false, true)),
+    Some((58, 0xae998711c3f82809, 5, true, false)),
+    Some((55, 0xd258fdd491a94992, 5, true, false)),
+    Some((50, 0x459a1e9a985f04ec, 3, true, false)),
+    Some((17, 0xa9caede93b8e7845, 2, true, false)),
+    Some((47, 0x98bad8fc002ddb3f, 5, true, false)),
+    Some((5, 0xb4f3a5ddae3aafd9, 1, false, false)),
+    Some((23, 0xbd576f3eaa6b5e41, 2, true, false)),
+    Some((23, 0xbd576f3eaa6b5e41, 3, false, true)),
+    Some((5, 0x09bfd5747ed0f8b2, 2, false, false)),
+    Some((10, 0x588d46f9f1411ca0, 4, true, false)),
+    Some((5, 0x09bfd5747ed0f8b2, 3, false, false)),
+    Some((5, 0x09bfd5747ed0f8b2, 3, false, true)),
+    Some((10, 0xfd0b528da2fc8b28, 5, true, false)),
+    Some((11, 0x4865ab2d19882539, 5, true, false)),
+    Some((5, 0x0b1f77fdbaba29c1, 3, false, false)),
+    Some((5, 0x0b1f77fdbaba29c1, 4, false, false)),
+    Some((10, 0xcaf848cc923f1a8d, 4, true, false)),
+    Some((5, 0xab05a4fef40aff1c, 5, false, false)),
+    Some((5, 0xab05a4fef40aff1c, 3, false, false)),
+    Some((5, 0xab05a4fef40aff1c, 5, false, false)),
+    Some((17, 0xaa15d677d020c826, 5, true, false)),
+    Some((68, 0x3d73146961d43b11, 5, true, false)),
+    Some((3, 0xdc850c3c59fd80ad, 3, false, false)),
+    Some((6, 0x83ef746608d0d5aa, 5, true, false)),
+    Some((6, 0xe5bbbd80409ebd6b, 3, true, false)),
+    Some((12, 0x718515c367dada7b, 5, true, false)),
+    Some((4, 0xadc8ee9fe023185d, 4, false, false)),
+    Some((9, 0x5c7b98ddb350e970, 5, false, true)),
+    Some((6, 0x2eae47947b31ed1f, 5, true, false)),
+    Some((5, 0x550e7ced198565d6, 5, false, false)),
+    Some((11, 0x4b7ae434c9fa14e8, 3, true, false)),
+    Some((6, 0x2eae47947b31ed1f, 4, true, false)),
+    Some((6, 0x8cfa6cb3ef22e54c, 5, true, false)),
+    Some((11, 0x03a7435ce01d1b1e, 4, true, false)),
+    Some((12, 0x72f3f23927c4b087, 4, true, false)),
+    Some((11, 0x03a7435ce01d1b1e, 5, true, false)),
+];
+
+#[rustfmt::skip]
+const PINNED_THREADS_1: [Pinned; 64] = [
+    Some((10, 0x04c831a007808507, 3, true, false)),
+    Some((19, 0xb6841aa6030528f4, 4, true, false)),
+    Some((46, 0x253693a4aaeea16c, 4, true, false)),
+    Some((22, 0x4a20d55171afe1d0, 4, true, false)),
+    Some((8, 0x5f8cda989451daab, 5, true, false)),
+    Some((8, 0x5f8cda989451daab, 2, true, false)),
+    Some((29, 0xf057f336a1c5b741, 5, true, false)),
+    Some((19, 0x63e5455541a16509, 5, true, false)),
+    Some((6, 0xa1926a92e3a8ca95, 4, false, false)),
+    Some((6, 0xa1926a92e3a8ca95, 3, true, false)),
+    Some((5, 0xd206ed444cfaa668, 5, false, false)),
+    Some((6, 0xa1926a92e3a8ca95, 5, false, true)),
+    Some((6, 0x051bcc3d6d9196df, 2, true, false)),
+    Some((6, 0x051bcc3d6d9196df, 1, false, false)),
+    Some((6, 0x051bcc3d6d9196df, 3, true, false)),
+    Some((6, 0x051bcc3d6d9196df, 2, false, true)),
+    Some((7, 0xc0c6054b1e567fda, 4, true, false)),
+    Some((6, 0x7c0ead852bc73c1d, 4, true, false)),
+    Some((3, 0xb1f5919cd1075e67, 2, false, false)),
+    Some((16, 0xc4125843f2984371, 5, true, false)),
+    Some((18, 0xd876c550761a20a0, 5, true, false)),
+    Some((7, 0x87abf83f3d070e98, 2, true, false)),
+    Some((7, 0x87abf83f3d070e98, 3, true, false)),
+    Some((18, 0xd876c550761a20a0, 3, false, true)),
+    Some((4, 0x711aacd1c4de9b71, 4, false, false)),
+    Some((7, 0xde0f8c01b165ec89, 4, true, false)),
+    Some((22, 0xd55d16423f54f849, 4, true, false)),
+    Some((7, 0xde0f8c01b165ec89, 4, false, true)),
+    Some((58, 0xae998711c3f82809, 4, true, false)),
+    Some((372, 0x0590418f2cd8a522, 5, true, false)),
+    Some((17, 0xa9caede93b8e7845, 2, true, false)),
+    Some((17, 0xa9caede93b8e7845, 4, true, false)),
+    Some((7, 0xab051df94dff05a2, 2, true, false)),
+    Some((28, 0x13d35ee2a88ff8d4, 5, true, false)),
+    Some((23, 0xbd576f3eaa6b5e41, 3, true, false)),
+    Some((7, 0xab051df94dff05a2, 5, false, true)),
+    Some((5, 0x09bfd5747ed0f8b2, 3, false, false)),
+    Some((5, 0x09bfd5747ed0f8b2, 5, false, false)),
+    Some((14, 0x7cd94ad2595fdd2a, 5, true, false)),
+    Some((5, 0x09bfd5747ed0f8b2, 3, false, true)),
+    Some((10, 0xfd0b528da2fc8b28, 5, true, false)),
+    Some((11, 0x4865ab2d19882539, 4, true, false)),
+    Some((5, 0x0b1f77fdbaba29c1, 5, false, false)),
+    Some((5, 0x0b1f77fdbaba29c1, 3, false, false)),
+    Some((5, 0xf15ef10397116c38, 3, false, false)),
+    Some((5, 0xab05a4fef40aff1c, 4, false, false)),
+    Some((5, 0xab05a4fef40aff1c, 5, false, false)),
+    Some((5, 0xab05a4fef40aff1c, 4, false, false)),
+    Some((4, 0x7cfd4e98fb1edb98, 3, false, false)),
+    Some((7, 0xe0d3da98f6f484a9, 5, true, false)),
+    Some((6, 0x83ef746608d0d5aa, 5, true, false)),
+    Some((6, 0x83ef746608d0d5aa, 3, true, false)),
+    Some((6, 0xe5bbbd80409ebd6b, 5, true, false)),
+    Some((4, 0xadc8ee9fe023185d, 4, false, false)),
+    Some((9, 0x5c7b98ddb350e970, 5, true, false)),
+    Some((6, 0xe5bbbd80409ebd6b, 5, false, true)),
+    Some((12, 0x708b55659f0203a8, 4, true, false)),
+    Some((6, 0x2eae47947b31ed1f, 4, true, false)),
+    Some((11, 0x4b7ae434c9fa14e8, 5, true, false)),
+    Some((11, 0x4b7ae434c9fa14e8, 4, true, false)),
+    Some((9, 0xec4f199cef60bcd7, 3, true, false)),
+    Some((5, 0x8173384d1160e531, 4, false, false)),
+    Some((12, 0x72f3f23927c4b087, 4, true, false)),
+    Some((5, 0x8173384d1160e531, 5, false, false)),
+];
+
+#[rustfmt::skip]
+const PINNED_THREADS_2: [Pinned; 64] = [
+    Some((10, 0x04c831a007808507, 3, true, false)),
+    Some((19, 0xb6841aa6030528f4, 4, true, false)),
+    Some((46, 0x253693a4aaeea16c, 4, true, false)),
+    Some((22, 0x4a20d55171afe1d0, 4, true, false)),
+    Some((8, 0x5f8cda989451daab, 5, true, false)),
+    Some((8, 0x5f8cda989451daab, 2, true, false)),
+    Some((29, 0xf057f336a1c5b741, 5, true, false)),
+    Some((19, 0x63e5455541a16509, 5, true, false)),
+    Some((6, 0xa1926a92e3a8ca95, 4, false, false)),
+    Some((6, 0xa1926a92e3a8ca95, 3, true, false)),
+    Some((5, 0xd206ed444cfaa668, 5, false, false)),
+    Some((6, 0xa1926a92e3a8ca95, 5, false, true)),
+    Some((6, 0x051bcc3d6d9196df, 2, true, false)),
+    Some((6, 0x051bcc3d6d9196df, 1, false, false)),
+    Some((6, 0x051bcc3d6d9196df, 3, true, false)),
+    Some((6, 0x051bcc3d6d9196df, 2, false, true)),
+    Some((7, 0xc0c6054b1e567fda, 4, true, false)),
+    Some((6, 0x7c0ead852bc73c1d, 4, true, false)),
+    Some((3, 0xb1f5919cd1075e67, 2, false, false)),
+    Some((16, 0xc4125843f2984371, 5, true, false)),
+    Some((18, 0xd876c550761a20a0, 5, true, false)),
+    Some((7, 0x87abf83f3d070e98, 2, true, false)),
+    Some((7, 0x87abf83f3d070e98, 3, true, false)),
+    Some((18, 0xd876c550761a20a0, 3, false, true)),
+    Some((4, 0x711aacd1c4de9b71, 4, false, false)),
+    Some((7, 0xde0f8c01b165ec89, 4, true, false)),
+    Some((22, 0xd55d16423f54f849, 4, true, false)),
+    Some((7, 0xde0f8c01b165ec89, 4, false, true)),
+    Some((58, 0xae998711c3f82809, 4, true, false)),
+    Some((372, 0x0590418f2cd8a522, 5, true, false)),
+    Some((17, 0xa9caede93b8e7845, 2, true, false)),
+    Some((17, 0xa9caede93b8e7845, 4, true, false)),
+    Some((7, 0xab051df94dff05a2, 2, true, false)),
+    Some((28, 0x13d35ee2a88ff8d4, 5, true, false)),
+    Some((23, 0xbd576f3eaa6b5e41, 3, true, false)),
+    Some((7, 0xab051df94dff05a2, 5, false, true)),
+    Some((5, 0x09bfd5747ed0f8b2, 3, false, false)),
+    Some((5, 0x09bfd5747ed0f8b2, 5, false, false)),
+    Some((14, 0x7cd94ad2595fdd2a, 5, true, false)),
+    Some((5, 0x09bfd5747ed0f8b2, 3, false, true)),
+    Some((10, 0xfd0b528da2fc8b28, 5, true, false)),
+    Some((11, 0x4865ab2d19882539, 4, true, false)),
+    Some((5, 0x0b1f77fdbaba29c1, 5, false, false)),
+    Some((5, 0x0b1f77fdbaba29c1, 3, false, false)),
+    Some((5, 0xf15ef10397116c38, 3, false, false)),
+    Some((5, 0xab05a4fef40aff1c, 4, false, false)),
+    Some((5, 0xab05a4fef40aff1c, 5, false, false)),
+    Some((5, 0xab05a4fef40aff1c, 4, false, false)),
+    Some((4, 0x7cfd4e98fb1edb98, 3, false, false)),
+    Some((7, 0xe0d3da98f6f484a9, 5, true, false)),
+    Some((6, 0x83ef746608d0d5aa, 5, true, false)),
+    Some((6, 0x83ef746608d0d5aa, 3, true, false)),
+    Some((6, 0xe5bbbd80409ebd6b, 5, true, false)),
+    Some((4, 0xadc8ee9fe023185d, 4, false, false)),
+    Some((9, 0x5c7b98ddb350e970, 5, true, false)),
+    Some((6, 0xe5bbbd80409ebd6b, 5, false, true)),
+    Some((12, 0x708b55659f0203a8, 4, true, false)),
+    Some((6, 0x2eae47947b31ed1f, 4, true, false)),
+    Some((11, 0x4b7ae434c9fa14e8, 5, true, false)),
+    Some((11, 0x4b7ae434c9fa14e8, 4, true, false)),
+    Some((9, 0xec4f199cef60bcd7, 3, true, false)),
+    Some((5, 0x8173384d1160e531, 4, false, false)),
+    Some((12, 0x72f3f23927c4b087, 4, true, false)),
+    Some((5, 0x8173384d1160e531, 5, false, false)),
+];
+
+#[rustfmt::skip]
+const PINNED_POOLED: [Pinned; 64] = [
+    Some((10, 0x04c831a007808507, 2, true, false)),
+    Some((12, 0xb82c471522b893f0, 5, true, false)),
+    Some((13, 0x7ba2e8a9f7c9232b, 5, true, false)),
+    Some((22, 0x4a20d55171afe1d0, 5, true, false)),
+    Some((15, 0xa57151bdd5f6bc36, 5, true, false)),
+    Some((29, 0xf057f336a1c5b741, 3, true, false)),
+    Some((29, 0xf057f336a1c5b741, 3, true, false)),
+    Some((8, 0x5f8cda989451daab, 1, true, false)),
+    Some((13, 0xf79e31b19eed23a9, 5, true, false)),
+    Some((5, 0xd206ed444cfaa668, 5, false, false)),
+    Some((5, 0xd206ed444cfaa668, 5, false, false)),
+    Some((6, 0xa1926a92e3a8ca95, 5, false, true)),
+    Some((6, 0x051bcc3d6d9196df, 2, true, false)),
+    Some((6, 0x051bcc3d6d9196df, 2, true, false)),
+    Some((6, 0x051bcc3d6d9196df, 2, true, false)),
+    Some((6, 0x051bcc3d6d9196df, 2, false, true)),
+    Some((7, 0xc0c6054b1e567fda, 4, true, false)),
+    Some((6, 0x7c0ead852bc73c1d, 2, true, false)),
+    Some((3, 0xb1f5919cd1075e67, 1, false, false)),
+    Some((3, 0xb1f5919cd1075e67, 2, false, false)),
+    Some((7, 0x87abf83f3d070e98, 3, true, false)),
+    Some((4, 0x53077ce0fa9e3da3, 3, false, false)),
+    Some((4, 0x53077ce0fa9e3da3, 3, false, false)),
+    Some((18, 0xd876c550761a20a0, 3, false, true)),
+    Some((7, 0xde0f8c01b165ec89, 5, true, false)),
+    Some((16, 0x872aec899bc0292b, 5, true, false)),
+    Some((14, 0x3f682ea425a24094, 5, true, false)),
+    Some((7, 0xde0f8c01b165ec89, 4, false, true)),
+    Some((85, 0x7f06700598a412bd, 5, true, false)),
+    Some((55, 0xd258fdd491a94992, 3, true, false)),
+    Some((50, 0x459a1e9a985f04ec, 3, true, false)),
+    Some((50, 0x459a1e9a985f04ec, 3, true, false)),
+    Some((23, 0xbd576f3eaa6b5e41, 1, true, false)),
+    Some((28, 0x13d35ee2a88ff8d4, 5, true, false)),
+    Some((47, 0x98bad8fc002ddb3f, 4, true, false)),
+    Some((7, 0xab051df94dff05a2, 5, false, true)),
+    Some((5, 0x09bfd5747ed0f8b2, 4, false, false)),
+    Some((5, 0x09bfd5747ed0f8b2, 4, false, false)),
+    Some((5, 0x09bfd5747ed0f8b2, 4, false, false)),
+    Some((5, 0x09bfd5747ed0f8b2, 3, false, true)),
+    Some((5, 0x0b1f77fdbaba29c1, 3, false, false)),
+    Some((19, 0xf4b4a8230cf94ad7, 5, true, false)),
+    Some((5, 0x0b1f77fdbaba29c1, 5, false, false)),
+    Some((5, 0x0b1f77fdbaba29c1, 4, false, false)),
+    Some((10, 0xcaf848cc923f1a8d, 4, true, false)),
+    Some((5, 0xab05a4fef40aff1c, 5, false, false)),
+    Some((5, 0xab05a4fef40aff1c, 5, false, false)),
+    Some((5, 0xab05a4fef40aff1c, 3, false, false)),
+    Some((4, 0x7cfd4e98fb1edb98, 4, false, false)),
+    Some((7, 0xe0d3da98f6f484a9, 5, true, false)),
+    Some((6, 0x83ef746608d0d5aa, 3, true, false)),
+    Some((21, 0x63f8cb68f4cdc051, 5, true, false)),
+    Some((6, 0xe5bbbd80409ebd6b, 4, true, false)),
+    Some((4, 0xadc8ee9fe023185d, 2, false, false)),
+    Some((9, 0x5c7b98ddb350e970, 5, true, false)),
+    Some((6, 0xe5bbbd80409ebd6b, 5, false, true)),
+    Some((5, 0x550e7ced198565d6, 5, false, false)),
+    Some((6, 0x2eae47947b31ed1f, 5, true, false)),
+    Some((6, 0x2eae47947b31ed1f, 5, true, false)),
+    Some((6, 0x2eae47947b31ed1f, 5, true, false)),
+    Some((9, 0xec4f199cef60bcd7, 3, true, false)),
+    Some((15, 0x574ff9ed32bcb487, 5, true, false)),
+    Some((12, 0x72f3f23927c4b087, 3, true, false)),
+    Some((5, 0x8173384d1160e531, 3, false, false)),
+];

@@ -192,6 +192,43 @@ fn error_mapping_covers_the_documented_taxonomy() {
     let (s, _, b) = post(&addr, "/query_batch", r#"{"queries":[]}"#).unwrap();
     assert_eq!(s, 400, "{b}");
 
+    // 400: a deadline that is present but not a non-negative integer is
+    // rejected, not dropped (dropping it would run the query unbounded or
+    // under the server default). JSON `null` means "no deadline".
+    for bad in ["abc", "-5", "%22100%22", "1.5", ""] {
+        let (s, _, b) = get(
+            &addr,
+            &format!("/query?node=0&method=codu&deadline_ms={bad}"),
+        )
+        .unwrap();
+        assert_eq!(s, 400, "deadline_ms={bad}: {b}");
+        assert!(
+            b.contains("deadline_ms") && b.contains("bad_request"),
+            "{b}"
+        );
+    }
+    for bad in [r#""100""#, "-5", "1.5", "true", "[]"] {
+        let body = format!(r#"{{"node":0,"method":"codu","deadline_ms":{bad}}}"#);
+        let (s, _, b) = post(&addr, "/query", &body).unwrap();
+        assert_eq!(s, 400, "deadline_ms {bad}: {b}");
+        assert!(b.contains("deadline_ms"), "{b}");
+        let batch = format!(r#"{{"queries":[{{"node":0,"method":"codu"}}],"deadline_ms":{bad}}}"#);
+        assert_eq!(
+            post(&addr, "/query_batch", &batch).unwrap().0,
+            400,
+            "{batch}"
+        );
+    }
+    let (s, _, b) = post(
+        &addr,
+        "/query",
+        r#"{"node":0,"method":"codu","deadline_ms":null}"#,
+    )
+    .unwrap();
+    assert_eq!(s, 200, "{b}");
+    let (s, _, b) = get(&addr, "/query?node=0&method=codu&deadline_ms=20000").unwrap();
+    assert_eq!(s, 200, "{b}");
+
     // 413: the body cap.
     let big = format!(r#"{{"node":0,"pad":"{}"}}"#, "x".repeat(512));
     assert_eq!(post(&addr, "/query", &big).unwrap().0, 413);
