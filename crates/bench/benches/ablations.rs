@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use cod_bench::util::compressed;
 use cod_core::chain::DendroChain;
-use cod_core::compressed::compressed_cod;
 use cod_core::recluster::{build_hierarchy, global_recluster};
 use cod_core::CodConfig;
 use cod_hierarchy::LcaIndex;
@@ -56,6 +56,7 @@ fn bench_ablations(c: &mut Criterion) {
         ("model_uniform_ic", Model::UniformIc(0.05)),
         ("model_linear_threshold", Model::LinearThreshold),
     ] {
+        let cfg = CodConfig { model, ..cfg };
         group.bench_function(name, |b| {
             let mut rng = SmallRng::seed_from_u64(41);
             b.iter(|| {
@@ -63,9 +64,7 @@ fn bench_ablations(c: &mut Criterion) {
                     let chain =
                         DendroChain::new(&dendro, &lca, q).expect("query node within hierarchy");
                     black_box(
-                        compressed_cod(g.csr(), model, &chain, q, cfg.k, cfg.theta, &mut rng)
-                            .expect("valid query")
-                            .best_level,
+                        compressed(g.csr(), cfg, &chain, q, cfg.k, cfg.theta, &mut rng).best_level,
                     );
                 }
             })

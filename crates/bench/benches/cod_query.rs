@@ -5,8 +5,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cod_bench::multik::{codl_minus_multi_k, codl_multi_k, codr_multi_k, codu_multi_k};
+use cod_bench::util::himor;
 use cod_core::recluster::build_hierarchy;
-use cod_core::{CodConfig, HimorIndex};
+use cod_core::CodConfig;
 use cod_hierarchy::LcaIndex;
 use rand::prelude::*;
 
@@ -17,7 +18,7 @@ fn bench_queries(c: &mut Criterion) {
     let dendro = build_hierarchy(g.csr(), cfg.linkage);
     let lca = LcaIndex::new(&dendro);
     let mut rng = SmallRng::seed_from_u64(4);
-    let index = HimorIndex::build(g.csr(), cfg.model, &dendro, &lca, cfg.theta, &mut rng);
+    let index = himor(g.csr(), cfg, &dendro, &lca, &mut rng);
     let queries = cod_datasets::gen_queries(g, 8, &mut rng);
 
     let mut group = c.benchmark_group("cod_query_cora");

@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use cod_bench::util::compressed;
 use cod_core::chain::DendroChain;
-use cod_core::compressed::compressed_cod;
 use cod_core::independent::independent_cod;
 use cod_core::recluster::global_recluster;
 use cod_core::CodConfig;
@@ -40,9 +40,7 @@ fn bench_eval(c: &mut Criterion) {
                     let chain =
                         DendroChain::new(dendro, &lca, *q).expect("query node within hierarchy");
                     black_box(
-                        compressed_cod(g.csr(), cfg.model, &chain, *q, cfg.k, theta, &mut rng)
-                            .expect("valid query")
-                            .best_level,
+                        compressed(g.csr(), cfg, &chain, *q, cfg.k, theta, &mut rng).best_level,
                     );
                 }
             })

@@ -3,9 +3,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use cod_bench::util::himor;
 use cod_core::recluster::build_hierarchy;
-use cod_core::{CodConfig, HimorIndex};
+use cod_core::CodConfig;
 use cod_hierarchy::LcaIndex;
+use cod_influence::Parallelism;
 use rand::prelude::*;
 
 fn bench_build(c: &mut Criterion) {
@@ -22,20 +24,15 @@ fn bench_build(c: &mut Criterion) {
         let lca = LcaIndex::new(&dendro);
         group.bench_function(name, |b| {
             let mut rng = SmallRng::seed_from_u64(30);
-            b.iter(|| {
-                black_box(
-                    HimorIndex::build(&g, cfg.model, &dendro, &lca, cfg.theta, &mut rng)
-                        .memory_bytes(),
-                )
-            })
+            b.iter(|| black_box(himor(&g, cfg, &dendro, &lca, &mut rng).memory_bytes()))
         });
         group.bench_function(format!("{name}_parallel4"), |b| {
-            b.iter(|| {
-                black_box(
-                    HimorIndex::build_parallel(&g, cfg.model, &dendro, &lca, cfg.theta, 30, 4)
-                        .memory_bytes(),
-                )
-            })
+            let four = CodConfig {
+                parallelism: Parallelism::Threads(4),
+                ..cfg
+            };
+            let mut rng = SmallRng::seed_from_u64(30);
+            b.iter(|| black_box(himor(&g, four, &dendro, &lca, &mut rng).memory_bytes()))
         });
     }
     group.finish();

@@ -52,9 +52,8 @@ fn bench_churn(c: &mut Criterion) {
     // The stream cycles through the 1%-churn edge list, toggling each edge
     // so the graph never drifts from its seed topology.
     group.bench_function("repair_per_event", |b| {
-        let mut d = DynamicCod::with_seed(g, cfg, 7);
+        let mut d = DynamicCod::with_seed(g, cfg, 7).expect("valid config");
         d.set_repair_verification(false);
-        let mut rng = SmallRng::seed_from_u64(1);
         let mut present = vec![false; edges.len()];
         let mut i = 0usize;
         b.iter(|| {
@@ -66,7 +65,7 @@ fn bench_churn(c: &mut Criterion) {
             }
             present[i % edges.len()] = !present[i % edges.len()];
             i += 1;
-            black_box(d.flush(&mut rng).expect("ungoverned flush").outcome)
+            black_box(d.flush().expect("ungoverned flush").outcome)
         })
     });
 
@@ -109,9 +108,8 @@ fn bench_churn(c: &mut Criterion) {
 
     // The identical stream forced through full from-scratch rebuilds.
     group.bench_function("rebuild_per_event", |b| {
-        let mut d = DynamicCod::with_seed(g, cfg, 7);
+        let mut d = DynamicCod::with_seed(g, cfg, 7).expect("valid config");
         d.set_rebuild_threshold(0.0);
-        let mut rng = SmallRng::seed_from_u64(1);
         let mut present = vec![false; edges.len()];
         let mut i = 0usize;
         b.iter(|| {
@@ -123,7 +121,7 @@ fn bench_churn(c: &mut Criterion) {
             }
             present[i % edges.len()] = !present[i % edges.len()];
             i += 1;
-            black_box(d.flush(&mut rng).expect("ungoverned flush").outcome)
+            black_box(d.flush().expect("ungoverned flush").outcome)
         })
     });
 

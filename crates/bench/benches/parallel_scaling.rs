@@ -31,8 +31,7 @@ fn bench_rr_pool(c: &mut Criterion) {
             group.bench_function(format!("{name}_{label}"), |b| {
                 b.iter(|| {
                     black_box(
-                        RrPool::sample_seeded(&g, Model::WeightedCascade, theta, seeds, None, par)
-                            .len(),
+                        RrPool::sample(&g, Model::WeightedCascade, theta, seeds, None, par).len(),
                     )
                 })
             });
@@ -60,7 +59,8 @@ fn bench_himor_build(c: &mut Criterion) {
             group.bench_function(format!("{name}_{label}"), |b| {
                 b.iter(|| {
                     black_box(
-                        HimorIndex::build_seeded(&g, cfg.model, &dendro, &lca, cfg.theta, 30, par)
+                        HimorIndex::build(&g, cfg.model, &dendro, &lca, cfg.theta, 30, par, None)
+                            .expect("ungoverned build")
                             .memory_bytes(),
                     )
                 })
@@ -94,7 +94,7 @@ fn speedup_report(_c: &mut Criterion) {
         let mut runs: Vec<f64> = (0..5)
             .map(|_| {
                 let t = Instant::now();
-                black_box(RrPool::sample_seeded(
+                black_box(RrPool::sample(
                     &g,
                     Model::WeightedCascade,
                     theta,

@@ -46,7 +46,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use cod_core::{CodConfig, CodEngine, Method, Query, COUNTERS};
-use cod_influence::Parallelism;
 use rand::prelude::*;
 
 const SCHEMA_VERSION: u64 = 1;
@@ -321,7 +320,7 @@ fn parse_entries(text: &str) -> Result<BTreeMap<String, Entry>, String> {
 }
 
 /// A deterministic telemetry-counter snapshot: a fixed mixed-method batch on
-/// the `cora` preset, serial, seed 42. Counters never depend on wall-clock
+/// the `cora` preset, default config (one thread), seed 42. Counters never depend on wall-clock
 /// timing, so two runs of the same code produce identical numbers and any
 /// diff against the committed baseline reflects an algorithmic change.
 fn counter_snapshot() -> BTreeMap<&'static str, u64> {
@@ -335,11 +334,7 @@ fn counter_snapshot() -> BTreeMap<&'static str, u64> {
         Query::new(42, attr_of(42), Method::Codl),
         Query::new(99, attr_of(99), Method::Codl),
     ];
-    let cfg = CodConfig {
-        parallelism: Parallelism::Serial,
-        ..CodConfig::default()
-    };
-    let engine = CodEngine::new(g, cfg);
+    let engine = CodEngine::new(g, CodConfig::default());
     let mut rng = SmallRng::seed_from_u64(42);
     for result in engine.query_batch(&queries, &mut rng) {
         if let Err(e) = result {

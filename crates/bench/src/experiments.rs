@@ -1,16 +1,15 @@
 //! One runner per table/figure of the paper's §V evaluation.
 
 use cod_core::chain::Chain;
-use cod_core::compressed::compressed_cod;
 use cod_core::independent::independent_cod;
 use cod_core::lore::select_recluster_community;
 use cod_core::measures::{answer_quality, average_quality, AnswerQuality};
 use cod_core::recluster::{build_hierarchy, global_recluster, local_recluster};
-use cod_core::{CodConfig, ComposedChain, DendroChain, HimorIndex, SubgraphChain};
+use cod_core::{CodConfig, ComposedChain, DendroChain, SubgraphChain};
 use cod_datasets::{by_name, gen_queries, Dataset};
 use cod_graph::{measures as gm, AttrId, AttributedGraph, NodeId};
 use cod_hierarchy::LcaIndex;
-use cod_influence::InfluenceEstimate;
+use cod_influence::{InfluenceEstimate, SeedSequence};
 use cod_search::atc::AtcParams;
 use rand::prelude::*;
 use std::time::Duration;
@@ -18,7 +17,7 @@ use std::time::Duration;
 use crate::multik::{
     baseline_multi_k, codl_minus_multi_k, codl_multi_k, codr_multi_k, codu_multi_k,
 };
-use crate::util::{print_table, secs, timed, CliOpts};
+use crate::util::{community_estimate, compressed, himor, print_table, secs, timed, CliOpts};
 
 /// ACQ's structural parameter in all experiments (a 2-core keeps ACQ's
 /// "large community" character from the paper's discussion).
@@ -251,14 +250,19 @@ pub fn fig7(opts: &CliOpts) {
             let dendro = build_hierarchy(g.csr(), cfg.linkage);
             let lca = LcaIndex::new(&dendro);
             let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xbeef);
-            let index = HimorIndex::build(g.csr(), cfg.model, &dendro, &lca, cfg.theta, &mut rng);
+            let index = himor(g.csr(), cfg, &dendro, &lca, &mut rng);
             (dendro, lca, index)
         });
         let mut rng = SmallRng::seed_from_u64(opts.seed + 7);
         let queries = gen_queries(g, opts.queries, &mut rng);
         // One global influence estimate serves every I(q) readout.
-        let global_est =
-            InfluenceEstimate::on_graph(g.csr(), cfg.model, cfg.theta * g.num_nodes(), &mut rng);
+        let global_est = InfluenceEstimate::on_graph(
+            g.csr(),
+            cfg.model,
+            cfg.theta * g.num_nodes(),
+            SeedSequence::new(rng.next_u64()),
+            cfg.parallelism,
+        );
 
         let mut accs: Vec<Fig7Acc> = (0..methods.len()).map(|_| Fig7Acc::new(k_max)).collect();
         for &(q, a) in &queries {
@@ -369,10 +373,8 @@ pub fn fig8(opts: &CliOpts) {
                 if chain.is_empty() {
                     continue;
                 }
-                let (comp, t_comp) = timed(|| {
-                    compressed_cod(g.csr(), cfg.model, &chain, q, cfg.k, theta, &mut rng)
-                        .expect("valid query")
-                });
+                let (comp, t_comp) =
+                    timed(|| compressed(g.csr(), cfg, &chain, q, cfg.k, theta, &mut rng));
                 let (ind, t_ind) = timed(|| {
                     independent_cod(g.csr(), cfg.model, &chain, q, cfg.k, theta, &mut rng)
                 });
@@ -382,7 +384,7 @@ pub fn fig8(opts: &CliOpts) {
                     if let Some(h) = out.best_level {
                         let members = chain.members(h);
                         stat.sizes.push(members.len() as f64);
-                        let truth = InfluenceEstimate::on_community(
+                        let truth = community_estimate(
                             g.csr(),
                             cfg.model,
                             &members,
@@ -506,7 +508,7 @@ pub fn fig9(opts: &CliOpts) {
             let dendro = build_hierarchy(g.csr(), cfg.linkage);
             let lca = LcaIndex::new(&dendro);
             let mut irng = SmallRng::seed_from_u64(opts.seed ^ 0xf00d);
-            let index = HimorIndex::build(g.csr(), cfg.model, &dendro, &lca, cfg.theta, &mut irng);
+            let index = himor(g.csr(), cfg, &dendro, &lca, &mut irng);
             (dendro, lca, index)
         });
         let (dendro, lca, index) = &prep;
@@ -578,8 +580,7 @@ pub fn table2(opts: &CliOpts) {
         let dendro = build_hierarchy(g.csr(), cfg.linkage);
         let lca = LcaIndex::new(&dendro);
         let mut rng = SmallRng::seed_from_u64(opts.seed + 10);
-        let (index, t_build) =
-            timed(|| HimorIndex::build(g.csr(), cfg.model, &dendro, &lca, cfg.theta, &mut rng));
+        let (index, t_build) = timed(|| himor(g.csr(), cfg, &dendro, &lca, &mut rng));
         // Input size: CSR + attributes + hierarchy, in bytes.
         let input_bytes = g.csr().num_half_edges() * 4
             + (g.num_nodes() + 1) * 8
@@ -632,8 +633,7 @@ pub fn ablation_hgc(opts: &CliOpts) {
         ] {
             let lca = LcaIndex::new(&dendro);
             let mut rng = SmallRng::seed_from_u64(opts.seed + 12);
-            let (index, t_build) =
-                timed(|| HimorIndex::build(g.csr(), cfg.model, &dendro, &lca, cfg.theta, &mut rng));
+            let (index, t_build) = timed(|| himor(g.csr(), cfg, &dendro, &lca, &mut rng));
             let queries = gen_queries(g, opts.queries, &mut rng);
             let mut qualities = Vec::new();
             for &(q, a) in &queries {
@@ -642,9 +642,7 @@ pub fn ablation_hgc(opts: &CliOpts) {
                 let out = if chain.is_empty() {
                     None
                 } else {
-                    compressed_cod(g.csr(), cfg.model, &chain, q, cfg.k, cfg.theta, &mut rng)
-                        .expect("valid query")
-                        .best_level
+                    compressed(g.csr(), cfg, &chain, q, cfg.k, cfg.theta, &mut rng).best_level
                 };
                 let ans = out.map(|h| cod_core::CodAnswer {
                     members: chain.members(h),
@@ -731,9 +729,7 @@ pub fn ablation_weights(opts: &CliOpts) {
             let best = if chain.is_empty() {
                 None
             } else {
-                compressed_cod(g.csr(), cfg.model, &chain, q, cfg.k, cfg.theta, &mut rng)
-                    .expect("valid query")
-                    .best_level
+                compressed(g.csr(), cfg, &chain, q, cfg.k, cfg.theta, &mut rng).best_level
             };
             let ans = best.map(|h| cod_core::CodAnswer {
                 members: chain.members(h),
@@ -780,7 +776,7 @@ pub fn case_study(opts: &CliOpts) {
     let dendro = build_hierarchy(g.csr(), cfg.linkage);
     let lca = LcaIndex::new(&dendro);
     let mut rng = SmallRng::seed_from_u64(opts.seed + 11);
-    let index = HimorIndex::build(g.csr(), cfg.model, &dendro, &lca, cfg.theta, &mut rng);
+    let index = himor(g.csr(), cfg, &dendro, &lca, &mut rng);
     let codl = cod_core::Codl::from_parts(g, cfg, dendro, lca, index);
 
     let queries = gen_queries(g, 400, &mut rng);
@@ -804,8 +800,7 @@ pub fn case_study(opts: &CliOpts) {
                 .chain(cod_search::cac_query(g, q, a).map(|c| ("CAC", c)))
                 .collect();
         for (m, c) in &communities {
-            let est =
-                InfluenceEstimate::on_community(g.csr(), cfg.model, c, 200 * c.len(), &mut rng);
+            let est = community_estimate(g.csr(), cfg.model, c, 200 * c.len(), &mut rng);
             rows.push(vec![
                 m.to_string(),
                 c.len().to_string(),

@@ -8,14 +8,15 @@
 //! (and one estimate per baseline community).
 
 use cod_core::chain::{Chain, ComposedChain, DendroChain, SubgraphChain};
-use cod_core::compressed::{compressed_cod, CodOutcome};
+use cod_core::compressed::CodOutcome;
 use cod_core::lore::select_recluster_community;
 use cod_core::recluster::{global_recluster, local_recluster};
 use cod_core::{CodConfig, HimorIndex};
 use cod_graph::{AttrId, AttributedGraph, NodeId};
 use cod_hierarchy::{Dendrogram, LcaIndex};
-use cod_influence::InfluenceEstimate;
 use rand::prelude::*;
+
+use crate::util::{community_estimate, compressed};
 
 /// Characteristic communities of one query for each `k = 1..=k_max`.
 /// `per_k[k-1]` is `None` when no community qualifies at that `k`.
@@ -52,8 +53,7 @@ pub fn codu_multi_k<R: Rng>(
             per_k: vec![None; k_max],
         };
     }
-    let out =
-        compressed_cod(g.csr(), cfg.model, &chain, q, k_max, cfg.theta, rng).expect("valid query");
+    let out = compressed(g.csr(), cfg, &chain, q, k_max, cfg.theta, rng);
     MultiK::from_outcome(&chain, &out, k_max)
 }
 
@@ -74,8 +74,7 @@ pub fn codr_multi_k<R: Rng>(
             per_k: vec![None; k_max],
         };
     }
-    let out =
-        compressed_cod(g.csr(), cfg.model, &chain, q, k_max, cfg.theta, rng).expect("valid query");
+    let out = compressed(g.csr(), cfg, &chain, q, k_max, cfg.theta, rng);
     MultiK::from_outcome(&chain, &out, k_max)
 }
 
@@ -106,8 +105,7 @@ pub fn codl_minus_multi_k<R: Rng>(
                     per_k: vec![None; k_max],
                 };
             }
-            let out = compressed_cod(g.csr(), cfg.model, &chain, q, k_max, cfg.theta, rng)
-                .expect("valid query");
+            let out = compressed(g.csr(), cfg, &chain, q, k_max, cfg.theta, rng);
             MultiK::from_outcome(&chain, &out, k_max)
         }
     }
@@ -160,8 +158,7 @@ pub fn codl_multi_k<R: Rng>(
                         cancelled: false,
                     }
                 } else {
-                    compressed_cod(g.csr(), cfg.model, &chain, q, k_max, cfg.theta, rng)
-                        .expect("valid query")
+                    compressed(g.csr(), cfg, &chain, q, k_max, cfg.theta, rng)
                 }
             };
             fallback = Some((SubgraphOwned { sub, sd, slca }, out));
@@ -196,13 +193,8 @@ pub fn baseline_multi_k<R: Rng>(
     let mut per_k = vec![None; k_max];
     if let Some(members) = community {
         if !members.is_empty() {
-            let est = InfluenceEstimate::on_community(
-                g.csr(),
-                cfg.model,
-                &members,
-                cfg.theta.max(1) * members.len(),
-                rng,
-            );
+            let theta = cfg.theta.max(1) * members.len();
+            let est = community_estimate(g.csr(), cfg.model, &members, theta, rng);
             let rank = est.rank(q, &members);
             for (i, slot) in per_k.iter_mut().enumerate() {
                 if rank <= i + 1 {

@@ -1,12 +1,86 @@
-//! Timing and formatting helpers for the experiment harness.
+//! Timing, formatting and seeded-sampling helpers for the experiment
+//! harness.
 
 use std::time::{Duration, Instant};
+
+use cod_core::chain::Chain;
+use cod_core::compressed::{compressed_cod, CodOutcome, EvalOptions, Samples};
+use cod_core::{CodConfig, HimorIndex};
+use cod_graph::{Csr, NodeId};
+use cod_hierarchy::{Dendrogram, LcaIndex};
+use cod_influence::{InfluenceEstimate, Model, Parallelism, SeedSequence};
+use rand::Rng;
 
 /// Runs `f`, returning its result and wall-clock duration.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed())
+}
+
+/// Compressed evaluation of `q` over `chain` under `cfg`'s model and
+/// fan-out, at rank threshold `k` with `theta` RR graphs per node, from one
+/// master seed drawn from `rng`.
+pub fn compressed<R: Rng>(
+    g: &Csr,
+    cfg: CodConfig,
+    chain: &impl Chain,
+    q: NodeId,
+    k: usize,
+    theta: usize,
+    rng: &mut R,
+) -> CodOutcome {
+    let opts = EvalOptions {
+        par: cfg.parallelism,
+        ..EvalOptions::default()
+    };
+    compressed_cod(
+        g,
+        cfg.model,
+        chain,
+        q,
+        k,
+        theta,
+        Samples::Seed(rng.next_u64()),
+        opts,
+    )
+    .expect("valid query")
+}
+
+/// The HIMOR index over `(dendro, lca)` under `cfg`, from one master seed
+/// drawn from `rng`.
+pub fn himor<R: Rng>(
+    g: &Csr,
+    cfg: CodConfig,
+    dendro: &Dendrogram,
+    lca: &LcaIndex,
+    rng: &mut R,
+) -> HimorIndex {
+    let seed = rng.next_u64();
+    HimorIndex::build(
+        g,
+        cfg.model,
+        dendro,
+        lca,
+        cfg.theta,
+        seed,
+        cfg.parallelism,
+        None,
+    )
+    .expect("ungoverned build")
+}
+
+/// `theta` RR samples inside `members` (sorted ascending) on one thread,
+/// from one master seed drawn from `rng`.
+pub fn community_estimate<R: Rng>(
+    g: &Csr,
+    model: Model,
+    members: &[NodeId],
+    theta: usize,
+    rng: &mut R,
+) -> InfluenceEstimate {
+    let seeds = SeedSequence::new(rng.next_u64());
+    InfluenceEstimate::on_community(g, model, members, theta, seeds, Parallelism::Threads(1))
 }
 
 /// Seconds as a compact human string.

@@ -644,7 +644,9 @@ mod tests {
         let dendro = build_hierarchy(g.csr(), Linkage::Average);
         let lca = LcaIndex::new(&dendro);
         let mut rng = SmallRng::seed_from_u64(50);
-        let index = HimorIndex::build(g.csr(), Model::WeightedCascade, &dendro, &lca, 5, &mut rng);
+        let par = cod_influence::Parallelism::Threads(1);
+        let (model, seed) = (Model::WeightedCascade, rng.next_u64());
+        let index = HimorIndex::build(g.csr(), model, &dendro, &lca, 5, seed, par, None).unwrap();
         (g, dendro, index)
     }
 

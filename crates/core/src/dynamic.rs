@@ -14,9 +14,9 @@
 //!   and only evicts the pooled RR graphs it can actually stale (an
 //!   attribute edit leaves disjoint attributes' pools resident; an edge
 //!   edit keeps restricted pools whose universe avoids both endpoints);
-//! * **the hierarchy is repaired, not rebuilt** — on flush, seeded
-//!   configurations re-run linkage only along the leaf-to-root paths of
-//!   touched nodes ([`repair_merges`]) and patch the HIMOR index by
+//! * **the hierarchy is repaired, not rebuilt** — on flush, linkage is
+//!   re-run only along the leaf-to-root paths of touched nodes
+//!   ([`repair_merges`]) and the HIMOR index is patched by
 //!   redrawing only the RR samples whose node sets intersect the
 //!   footprint ([`crate::himor::HimorPatchState::patch`]); a full rebuild happens only
 //!   when the edit volume crosses `rebuild_threshold` or the node range
@@ -26,25 +26,26 @@
 //!   repaired index is bit-identical to a from-scratch build of the
 //!   mutated graph with the same seed, at any thread count.
 //!
-//! Serial (unseeded) configurations keep the legacy behaviour: edits
-//! accumulate against the cached hierarchy, queries run over the slightly
-//! stale chain with fresh influence sampling, and the rebuild threshold
-//! drops the cache wholesale — there is no per-sample seed to patch from.
+//! Every query flushes pending mutations first, so an answer depends only
+//! on the seeds, the config and the mutation log — never on when the
+//! flushes happened.
 
-use cod_graph::{AttrId, AttrInterner, AttrTable, AttributedGraph, DeltaCsr, FxHashSet, NodeId};
+use cod_graph::{
+    AttrId, AttrInterner, AttrTable, AttributedGraph, Csr, DeltaCsr, FxHashSet, NodeId,
+};
 use cod_hierarchy::{match_vertices, repair_merges, Dendrogram, LcaIndex, RepairOutcome};
 use cod_influence::CancelToken;
 use rand::prelude::*;
 
-use crate::chain::{ComposedChain, DendroChain, SubgraphChain};
+use crate::chain::{Chain, ComposedChain, DendroChain, SubgraphChain};
+use crate::compressed::{compressed_cod, total_theta, EvalOptions, Samples};
+use crate::engine::package;
 use crate::error::{CodError, CodResult};
 use crate::failpoint::{self, Site};
 use crate::himor::HimorIndex;
 use crate::lore::select_recluster_community;
 use crate::mutation::{Footprint, Mutation, MutationKind, MutationLog};
-use crate::pipeline::{
-    answer_from_chain, answer_from_chain_pooled, AnswerSource, CodAnswer, CodConfig,
-};
+use crate::pipeline::{AnswerSource, CodAnswer, CodConfig};
 use crate::pool::{PoolCache, PoolCacheStats};
 use crate::recluster::{build_hierarchy, local_recluster};
 use crate::telemetry::{MetricsRegistry, MetricsSnapshot};
@@ -82,6 +83,13 @@ pub struct MutationFlushReport {
     pub events: usize,
 }
 
+/// The attribute list of every node of `g`.
+fn node_attrs(g: &AttributedGraph) -> Vec<Vec<AttrId>> {
+    (0..g.num_nodes() as NodeId)
+        .map(|v| g.node_attrs(v).to_vec())
+        .collect()
+}
+
 /// A COD engine over a mutable attributed graph.
 pub struct DynamicCod {
     /// Current topology: the last materialized CSR plus a mutable overlay
@@ -92,7 +100,7 @@ pub struct DynamicCod {
     cfg: CodConfig,
     /// Fraction of `|E|` worth of edits that triggers a full rebuild.
     rebuild_threshold: f64,
-    cache: Option<Cache>,
+    cache: Cache,
     edits_since_build: usize,
     /// Nodes touched by edits since the last rebuild/repair.
     dirty: FxHashSet<NodeId>,
@@ -100,9 +108,9 @@ pub struct DynamicCod {
     /// mutation through the event's [`Footprint`]: pools provably
     /// untouched by the mutation stay resident.
     pool: PoolCache,
-    /// Pinned HIMOR seed (seeded configurations): rebuilds and patches
-    /// both derive per-sample RNGs from it, so a repaired index is
-    /// bit-identical to a from-scratch build of the mutated graph.
+    /// Pinned HIMOR seed: rebuilds and patches both derive per-sample RNGs
+    /// from it, so a repaired index is bit-identical to a from-scratch
+    /// build of the mutated graph.
     himor_seed: u64,
     /// Every applied mutation, in order — persistable via
     /// [`MutationLog::save`] and replayable with [`DynamicCod::apply`].
@@ -120,57 +128,79 @@ struct Cache {
     dendro: Dendrogram,
     lca: LcaIndex,
     index: HimorIndex,
-    /// Retained seeded-build state that makes `index` patchable across a
-    /// dendrogram repair (`None` for serial builds).
+    /// Retained build state that makes `index` patchable across a
+    /// dendrogram repair (`None` for artifacts restored from a checkpoint,
+    /// until the first topology flush rebuilds).
     patch: Option<crate::himor::HimorPatchState>,
     /// Graph edits newer than `graph` (CSR/attrs need refresh before
     /// queries).
     csr_stale: bool,
 }
 
+impl Cache {
+    /// A from-scratch hierarchy and patchable index over `csr`, carrying
+    /// the given attribute lists, from the pinned HIMOR `seed`.
+    fn build(
+        csr: Csr,
+        attrs: &[Vec<AttrId>],
+        interner: &AttrInterner,
+        cfg: &CodConfig,
+        seed: u64,
+        cancel: Option<&CancelToken>,
+    ) -> CodResult<Self> {
+        let dendro = build_hierarchy(&csr, cfg.linkage);
+        let lca = LcaIndex::new(&dendro);
+        let (index, patch) = HimorIndex::build_patchable(
+            &csr,
+            cfg.model,
+            &dendro,
+            &lca,
+            cfg.theta,
+            seed,
+            cfg.parallelism,
+            cancel,
+        )?;
+        let graph = AttributedGraph::from_parts(
+            csr,
+            AttrTable::from_lists(attrs.to_vec()),
+            interner.clone(),
+        );
+        Ok(Self {
+            graph,
+            dendro,
+            lca,
+            index,
+            patch: Some(patch),
+            csr_stale: false,
+        })
+    }
+}
+
 impl DynamicCod {
     /// Starts from an existing attributed graph, drawing the pinned HIMOR
-    /// seed (seeded configurations) or the build stream (serial) from
-    /// `rng`.
-    pub fn new<R: Rng>(g: &AttributedGraph, cfg: CodConfig, rng: &mut R) -> Self {
-        if cfg.parallelism.is_seeded() {
-            Self::with_seed(g, cfg, rng.next_u64())
-        } else {
-            let mut me = Self::shell(g, cfg, 0);
-            me.rebuild_stream(rng);
-            me
-        }
+    /// seed from `rng`.
+    pub fn new<R: Rng>(g: &AttributedGraph, cfg: CodConfig, rng: &mut R) -> CodResult<Self> {
+        Self::with_seed(g, cfg, rng.next_u64())
     }
 
     /// Starts from an existing attributed graph with an explicit HIMOR
     /// seed. Two instances built with the same seed and fed the same
     /// mutation log answer every query identically — regardless of how
     /// many repair/rebuild cycles each went through and at any thread
-    /// count.
-    pub fn with_seed(g: &AttributedGraph, cfg: CodConfig, seed: u64) -> Self {
-        let mut me = Self::shell(g, cfg, seed);
-        if cfg.parallelism.is_seeded() {
-            match me.rebuild_seeded(None) {
-                Ok(()) => {}
-                Err(_) => unreachable!("an ungoverned rebuild has no token to cancel it"),
-            }
-        } else {
-            // Serial builds have no per-sample seeds; derive the legacy
-            // stream from the seed so construction stays deterministic.
-            let mut rng = SmallRng::seed_from_u64(seed);
-            me.rebuild_stream(&mut rng);
-        }
-        me
+    /// count. Fails with [`CodError::InvalidQuery`] when `θ·|V|` overflows.
+    pub fn with_seed(g: &AttributedGraph, cfg: CodConfig, seed: u64) -> CodResult<Self> {
+        total_theta(cfg.theta, g.num_nodes())?;
+        let attrs = node_attrs(g);
+        let cache = Cache::build(g.csr().clone(), &attrs, g.interner(), &cfg, seed, None)?;
+        Ok(Self::shell(g, attrs, cfg, seed, cache))
     }
 
     /// Rehydrates a dynamic engine from checkpointed artifacts (a CODX v3
     /// snapshot) without rebuilding anything — the recovery path.
     ///
-    /// Requires a seeded configuration: the artifacts are only replayable
-    /// because every rebuild derives from the pinned `himor_seed`, so a
-    /// serial (unseeded) instance could not reconcile a WAL suffix with
-    /// them. The restored cache carries no patch state — the first
-    /// topology flush takes the seeded rebuild branch, which the
+    /// The artifacts are replayable because every rebuild derives from the
+    /// pinned `himor_seed`. The restored cache carries no patch state — the
+    /// first topology flush takes the rebuild branch, which the
     /// determinism contract proves bit-identical to a from-scratch build
     /// (see `tests/mutation.rs`).
     pub fn from_artifacts(
@@ -180,14 +210,8 @@ impl DynamicCod {
         cfg: CodConfig,
         himor_seed: u64,
     ) -> CodResult<Self> {
-        if !cfg.parallelism.is_seeded() {
-            return Err(CodError::InvalidQuery(
-                "recovery from artifacts requires seeded parallelism \
-                 (serial builds have no replayable seed)"
-                    .into(),
-            ));
-        }
         let n = g.num_nodes();
+        total_theta(cfg.theta, n)?;
         if dendro.num_leaves() != n || index.num_nodes() != n {
             return Err(CodError::IndexCorrupt(format!(
                 "artifact size mismatch: graph has {n} nodes, dendrogram {} leaves, index {}",
@@ -195,50 +219,42 @@ impl DynamicCod {
                 index.num_nodes()
             )));
         }
-        let mut me = Self::shell(g, cfg, himor_seed);
         let lca = LcaIndex::new(&dendro);
-        me.cache = Some(Cache {
+        let cache = Cache {
             graph: g.clone(),
             dendro,
             lca,
             index,
             patch: None,
             csr_stale: false,
-        });
-        Ok(me)
+        };
+        Ok(Self::shell(g, node_attrs(g), cfg, himor_seed, cache))
     }
 
     /// Flushes pending mutations and returns the current artifacts
     /// `(graph, dendrogram, index)` — the inputs of
     /// [`crate::codx::serialize_artifacts`], used by checkpointing and the
-    /// recovery bit-identity proofs. Seeded configurations only (the
-    /// flush would otherwise need a caller RNG stream).
+    /// recovery bit-identity proofs.
     pub fn artifacts(&mut self) -> CodResult<(&AttributedGraph, &Dendrogram, &HimorIndex)> {
-        if !self.cfg.parallelism.is_seeded() {
-            return Err(CodError::InvalidQuery(
-                "artifact snapshots require seeded parallelism".into(),
-            ));
-        }
-        // The seeded flush path never touches the RNG; any stream works.
-        let mut rng = SmallRng::seed_from_u64(self.himor_seed);
-        self.flush(&mut rng)?;
-        let Some(c) = self.cache.as_ref() else {
-            unreachable!("flush populates the cache")
-        };
+        self.flush()?;
+        let c = &self.cache;
         Ok((&c.graph, &c.dendro, &c.index))
     }
 
-    fn shell(g: &AttributedGraph, cfg: CodConfig, himor_seed: u64) -> Self {
-        let attrs = (0..g.num_nodes() as NodeId)
-            .map(|v| g.node_attrs(v).to_vec())
-            .collect();
+    fn shell(
+        g: &AttributedGraph,
+        attrs: Vec<Vec<AttrId>>,
+        cfg: CodConfig,
+        himor_seed: u64,
+        cache: Cache,
+    ) -> Self {
         Self {
             topo: DeltaCsr::new(g.csr().clone()),
             attrs,
             interner: g.interner().clone(),
             cfg,
             rebuild_threshold: 0.02,
-            cache: None,
+            cache,
             edits_since_build: 0,
             dirty: FxHashSet::default(),
             pool: PoolCache::new(cfg.pool_budget_bytes),
@@ -262,8 +278,7 @@ impl DynamicCod {
         self.verify_repairs = on;
     }
 
-    /// The pinned HIMOR seed (0 for serial configurations, which stream
-    /// from the caller's RNG instead).
+    /// The pinned HIMOR seed.
     pub fn himor_seed(&self) -> u64 {
         self.himor_seed
     }
@@ -322,11 +337,6 @@ impl DynamicCod {
         let n = self.topo.num_nodes();
         if n > self.attrs.len() {
             self.attrs.resize(n, Vec::new());
-            if !self.cfg.parallelism.is_seeded() {
-                // Serial builds cannot repair: new nodes invalidate the
-                // hierarchy wholesale.
-                self.cache = None;
-            }
         }
         self.record_edge_event(Mutation::InsertEdge { u, v });
         true
@@ -367,9 +377,7 @@ impl DynamicCod {
         // take the index fast path blindly.
         self.dirty.insert(v);
         self.unflushed += 1;
-        if let Some(c) = &mut self.cache {
-            c.csr_stale = true; // attribute table lives in the cached graph
-        }
+        self.cache.csr_stale = true; // attribute table lives in the cached graph
         self.metrics.record_mutation(MutationKind::SetAttrs);
         self.log.push(Mutation::SetAttrs { node: v, attrs });
         self.evict_scoped(&fp);
@@ -394,19 +402,8 @@ impl DynamicCod {
         self.unflushed += 1;
         self.dirty.insert(u);
         self.dirty.insert(v);
-        if let Some(c) = &mut self.cache {
-            c.csr_stale = true;
-        }
+        self.cache.csr_stale = true;
         self.evict_scoped(&fp);
-        if !self.cfg.parallelism.is_seeded() {
-            // Legacy serial behaviour: past the threshold the cache is
-            // dropped eagerly (seeded builds decide repair-vs-rebuild at
-            // flush time instead).
-            let limit = (self.topo.num_edges() as f64 * self.rebuild_threshold) as usize;
-            if self.edits_since_build > limit {
-                self.cache = None;
-            }
-        }
     }
 
     /// Drops exactly the pooled RR graphs the footprint can stale:
@@ -439,73 +436,23 @@ impl DynamicCod {
             AttrTable::from_lists(self.attrs.clone()),
             self.interner.clone(),
         );
-        if let Some(c) = self.cache.as_mut() {
-            c.graph = graph;
-            c.csr_stale = false;
-        }
+        self.cache.graph = graph;
+        self.cache.csr_stale = false;
     }
 
-    /// Legacy serial rebuild: consumes the caller's RNG stream and leaves
-    /// no patch state behind.
-    fn rebuild_stream<R: Rng>(&mut self, rng: &mut R) {
+    /// Rebuild from the pinned seed, retaining the patch state so later
+    /// mutations can repair instead of rebuilding.
+    fn rebuild_governed(&mut self, cancel: Option<&CancelToken>) -> CodResult<()> {
         let csr = self.topo.materialize();
-        let dendro = build_hierarchy(&csr, self.cfg.linkage);
-        let lca = LcaIndex::new(&dendro);
-        let index = HimorIndex::build(&csr, self.cfg.model, &dendro, &lca, self.cfg.theta, rng);
-        let graph = AttributedGraph::from_parts(
+        self.cache = Cache::build(
             csr.clone(),
-            AttrTable::from_lists(self.attrs.clone()),
-            self.interner.clone(),
-        );
-        self.topo.rebase(csr);
-        self.cache = Some(Cache {
-            graph,
-            dendro,
-            lca,
-            index,
-            patch: None,
-            csr_stale: false,
-        });
-        self.edits_since_build = 0;
-        self.dirty.clear();
-        // A rebuild reshapes the hierarchy, so chain universes (the pool
-        // keys) may all change; start the pooled generation over.
-        self.pool.invalidate();
-    }
-
-    /// Seeded rebuild from the pinned seed, retaining the patch state so
-    /// later mutations can repair instead of rebuilding.
-    fn rebuild_seeded(&mut self, cancel: Option<&CancelToken>) -> CodResult<()> {
-        let csr = self.topo.materialize();
-        let dendro = build_hierarchy(&csr, self.cfg.linkage);
-        let lca = LcaIndex::new(&dendro);
-        let built = HimorIndex::build_seeded_patchable(
-            &csr,
-            self.cfg.model,
-            &dendro,
-            &lca,
-            self.cfg.theta,
+            &self.attrs,
+            &self.interner,
+            &self.cfg,
             self.himor_seed,
-            self.cfg.parallelism,
             cancel,
-        );
-        let Some((index, patch)) = built else {
-            return Err(CodError::DeadlineExceeded);
-        };
-        let graph = AttributedGraph::from_parts(
-            csr.clone(),
-            AttrTable::from_lists(self.attrs.clone()),
-            self.interner.clone(),
-        );
+        )?;
         self.topo.rebase(csr);
-        self.cache = Some(Cache {
-            graph,
-            dendro,
-            lca,
-            index,
-            patch: Some(patch),
-            csr_stale: false,
-        });
         self.edits_since_build = 0;
         self.dirty.clear();
         Ok(())
@@ -514,16 +461,14 @@ impl DynamicCod {
     /// Localized repair: splice the dendrogram along the touched
     /// leaf-to-root paths and patch the HIMOR index, committing only when
     /// both succeed (a cancelled repair leaves every artifact as it was).
-    fn repair_seeded(&mut self, cancel: Option<&CancelToken>) -> CodResult<FlushOutcome> {
+    fn repair_governed(&mut self, cancel: Option<&CancelToken>) -> CodResult<FlushOutcome> {
         let new_csr = self.topo.materialize();
         let touched = self.topo.touched_nodes();
         failpoint::hit(Site::DendroRepair, cancel);
         if cancel.is_some_and(CancelToken::should_stop) {
             return Err(CodError::DeadlineExceeded);
         }
-        let Some(cache) = self.cache.as_mut() else {
-            unreachable!("flush checked the cache before choosing repair")
-        };
+        let cache = &mut self.cache;
         let rr = repair_merges(
             &cache.dendro,
             &new_csr,
@@ -560,14 +505,14 @@ impl DynamicCod {
             self.interner.clone(),
         );
         self.topo.rebase(new_csr);
-        self.cache = Some(Cache {
+        self.cache = Cache {
             graph,
             dendro: new_dendro,
             lca: new_lca,
             index,
             patch: Some(patch),
             csr_stale: false,
-        });
+        };
         self.edits_since_build = 0;
         self.dirty.clear();
         Ok(FlushOutcome::Repaired {
@@ -577,68 +522,32 @@ impl DynamicCod {
         })
     }
 
-    /// Forces an immediate hierarchy + index rebuild.
-    pub fn rebuild<R: Rng>(&mut self, rng: &mut R) {
-        if self.cfg.parallelism.is_seeded() {
-            match self.rebuild_seeded(None) {
-                Ok(()) => {}
-                Err(_) => unreachable!("an ungoverned rebuild has no token to cancel it"),
-            }
-            // Explicit rebuilds keep the legacy contract: a fresh pooled
-            // generation (and epoch bump) regardless of footprints.
-            self.pool.invalidate();
-        } else {
-            self.rebuild_stream(rng);
-        }
+    /// Forces an immediate hierarchy + index rebuild. Explicit rebuilds
+    /// also start a fresh pooled generation (and bump the pool epoch)
+    /// regardless of footprints.
+    pub fn rebuild(&mut self) -> CodResult<()> {
+        self.rebuild_governed(None)?;
+        self.pool.invalidate();
         self.unflushed = 0;
+        Ok(())
     }
 
-    /// Brings every cached artifact current with the pending mutations.
-    /// Seeded configurations choose between a localized repair and a full
-    /// rebuild; serial ones refresh the graph and rebuild only when the
-    /// edit threshold already dropped the cache.
-    pub fn flush<R: Rng>(&mut self, rng: &mut R) -> CodResult<MutationFlushReport> {
-        self.flush_governed(rng, None)
+    /// Brings every cached artifact current with the pending mutations,
+    /// choosing between a localized repair and a full rebuild.
+    pub fn flush(&mut self) -> CodResult<MutationFlushReport> {
+        self.flush_governed(None)
     }
 
     /// [`DynamicCod::flush`] under cooperative governance: the repair,
     /// patch and rebuild stages poll `cancel`, and a fired token returns
     /// [`CodError::DeadlineExceeded`] with every artifact unchanged (the
     /// pending mutations stay queued for the next flush).
-    pub fn flush_governed<R: Rng>(
+    pub fn flush_governed(
         &mut self,
-        rng: &mut R,
         cancel: Option<&CancelToken>,
     ) -> CodResult<MutationFlushReport> {
         let events = self.unflushed;
-        if !self.cfg.parallelism.is_seeded() {
-            let outcome = if self.cache.is_none() {
-                if events > 0 {
-                    self.metrics.record_full_rebuild();
-                }
-                self.rebuild_stream(rng);
-                FlushOutcome::Rebuilt
-            } else if self.cache.as_ref().is_some_and(|c| c.csr_stale) {
-                self.refresh_graph();
-                FlushOutcome::Refreshed
-            } else {
-                FlushOutcome::Noop
-            };
-            self.unflushed = 0;
-            return Ok(MutationFlushReport { outcome, events });
-        }
-        if self.cache.is_none() {
-            self.rebuild_seeded(cancel)?;
-            if events > 0 {
-                self.metrics.record_full_rebuild();
-            }
-            self.unflushed = 0;
-            return Ok(MutationFlushReport {
-                outcome: FlushOutcome::Rebuilt,
-                events,
-            });
-        }
-        if !self.cache.as_ref().is_some_and(|c| c.csr_stale) {
+        if !self.cache.csr_stale {
             self.unflushed = 0;
             return Ok(MutationFlushReport {
                 outcome: FlushOutcome::Noop,
@@ -657,18 +566,15 @@ impl DynamicCod {
                 events,
             });
         }
-        let grew = self
-            .cache
-            .as_ref()
-            .is_some_and(|c| self.topo.num_nodes() > c.graph.num_nodes());
+        let grew = self.topo.num_nodes() > self.cache.graph.num_nodes();
         let limit = (self.topo.num_edges() as f64 * self.rebuild_threshold) as usize;
-        let repairable = self.cache.as_ref().is_some_and(|c| c.patch.is_some());
+        let repairable = self.cache.patch.is_some();
         let outcome = if grew || !repairable || self.edits_since_build > limit {
-            self.rebuild_seeded(cancel)?;
+            self.rebuild_governed(cancel)?;
             self.metrics.record_full_rebuild();
             FlushOutcome::Rebuilt
         } else {
-            let outcome = self.repair_seeded(cancel)?;
+            let outcome = self.repair_governed(cancel)?;
             self.metrics.record_repair();
             outcome
         };
@@ -682,12 +588,11 @@ impl DynamicCod {
         self.edits_since_build == 0 && !self.dirty.contains(&q)
     }
 
-    /// Answers a COD query on the *current* graph. Seeded configurations
-    /// flush pending mutations first (repairing or rebuilding as needed),
-    /// so the answer is identical to a from-scratch instance of the
-    /// mutated graph with the same seed. Serial configurations keep the
-    /// legacy contract: the hierarchy may be up to `rebuild_threshold·|E|`
-    /// edits stale, but all influence estimates are fresh.
+    /// Answers a COD query on the *current* graph. Pending mutations are
+    /// flushed first (repairing or rebuilding as needed), so the answer is
+    /// identical to a from-scratch instance of the mutated graph with the
+    /// same seed. A compressed evaluation draws one master seed from `rng`
+    /// (none when the index answers or [`CodConfig::pool`] is on).
     pub fn query<R: Rng>(
         &mut self,
         q: NodeId,
@@ -711,14 +616,9 @@ impl DynamicCod {
                 "top-k rank threshold k must be at least 1".into(),
             ));
         }
-        match self.flush_governed(rng, None) {
-            Ok(_) => {}
-            Err(_) => unreachable!("an ungoverned flush has no token to cancel it"),
-        }
+        self.flush()?;
         let use_index = self.index_usable_for(q);
-        let Some(c) = self.cache.as_ref() else {
-            unreachable!("flush populates the cache")
-        };
+        let c = &self.cache;
         let g = &c.graph;
         let choice = select_recluster_community(g, &c.dendro, &c.lca, q, attr);
         if use_index {
@@ -739,17 +639,10 @@ impl DynamicCod {
                 }));
             }
         }
-        // Compressed evaluation over the (possibly stale) chain with fresh
-        // influence sampling — pooled (cross-query RR cache) when
-        // `cfg.pool` is on, from the caller's RNG stream otherwise.
         match choice {
             None => {
                 let chain = DendroChain::new(&c.dendro, &c.lca, q)?;
-                if self.cfg.pool {
-                    answer_from_chain_pooled(g, self.cfg, &chain, q, Some(attr), &self.pool)
-                } else {
-                    answer_from_chain(g, self.cfg, &chain, q, rng)
-                }
+                self.answer_from_chain(g, &chain, q, attr, rng)
             }
             Some(choice) => {
                 let members = c.dendro.members_sorted(choice.vertex);
@@ -757,13 +650,51 @@ impl DynamicCod {
                 let slca = LcaIndex::new(&sd);
                 let lower = SubgraphChain::new(&sub, &sd, &slca, q, true)?;
                 let chain = ComposedChain::new(lower, &c.dendro, &c.lca, choice.vertex)?;
-                if self.cfg.pool {
-                    answer_from_chain_pooled(g, self.cfg, &chain, q, Some(attr), &self.pool)
-                } else {
-                    answer_from_chain(g, self.cfg, &chain, q, rng)
-                }
+                self.answer_from_chain(g, &chain, q, attr, rng)
             }
         }
+    }
+
+    /// Compressed evaluation of `q` over `chain`, packaged as an answer:
+    /// folded from the shared RR-pool cache when [`CodConfig::pool`] is
+    /// on, drawn fresh from one master seed of `rng` otherwise. An empty
+    /// chain answers `None` without drawing a seed or creating a pool.
+    fn answer_from_chain<R: Rng>(
+        &self,
+        g: &AttributedGraph,
+        chain: &impl Chain,
+        q: NodeId,
+        attr: AttrId,
+        rng: &mut R,
+    ) -> CodResult<Option<CodAnswer>> {
+        if chain.is_empty() {
+            return Ok(None);
+        }
+        let entry = self.cfg.pool.then(|| {
+            let universe = chain.universe();
+            let restricted = universe.len() < g.num_nodes();
+            self.pool.get_or_create(Some(attr), &universe, restricted).0
+        });
+        let samples = match &entry {
+            Some(entry) => Samples::Pool(entry),
+            None => Samples::Seed(rng.next_u64()),
+        };
+        let opts = EvalOptions {
+            budget: self.cfg.budget,
+            par: self.cfg.parallelism,
+            ..EvalOptions::default()
+        };
+        let out = compressed_cod(
+            g.csr(),
+            self.cfg.model,
+            chain,
+            q,
+            self.cfg.k,
+            self.cfg.theta,
+            samples,
+            opts,
+        )?;
+        Ok(package(chain, out, None))
     }
 
     /// Gauges of the shared RR-pool cache (pools resident, bytes, epoch).
@@ -779,16 +710,10 @@ impl DynamicCod {
         self.pool.epoch()
     }
 
-    /// The current graph (rebuilding the CSR if edits are pending).
-    pub fn graph<R: Rng>(&mut self, rng: &mut R) -> &AttributedGraph {
-        match self.flush_governed(rng, None) {
-            Ok(_) => {}
-            Err(_) => unreachable!("an ungoverned flush has no token to cancel it"),
-        }
-        let Some(c) = self.cache.as_ref() else {
-            unreachable!("flush populates the cache")
-        };
-        &c.graph
+    /// The current graph (flushing pending edits first).
+    pub fn graph(&mut self) -> CodResult<&AttributedGraph> {
+        self.flush()?;
+        Ok(&self.cache.graph)
     }
 }
 
@@ -820,20 +745,11 @@ mod tests {
         }
     }
 
-    /// `cfg()` with seeded (deterministic per-sample) parallelism — the
-    /// configuration family that unlocks the repair/patch pipeline.
-    fn seeded_cfg() -> CodConfig {
-        CodConfig {
-            parallelism: cod_influence::Parallelism::Threads(1),
-            ..cfg()
-        }
-    }
-
     #[test]
     fn behaves_like_codl_without_edits() {
         let g = star_graph();
         let mut rng = SmallRng::seed_from_u64(61);
-        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng);
+        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
         assert!(dyn_cod.index_usable_for(0));
         let ans = dyn_cod
             .query(0, 0, &mut rng)
@@ -846,13 +762,13 @@ mod tests {
     fn edits_disable_the_fast_path_until_rebuild() {
         let g = star_graph();
         let mut rng = SmallRng::seed_from_u64(62);
-        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng);
+        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
         dyn_cod.set_rebuild_threshold(10.0); // avoid auto-rebuild
         assert!(dyn_cod.insert_edge(1, 2));
         assert!(!dyn_cod.index_usable_for(1));
         assert!(!dyn_cod.index_usable_for(4) || dyn_cod.pending_edits() == 0);
         let _ = dyn_cod.query(1, 0, &mut rng).unwrap();
-        dyn_cod.rebuild(&mut rng);
+        dyn_cod.rebuild().unwrap();
         assert!(dyn_cod.index_usable_for(1));
         assert_eq!(dyn_cod.pending_edits(), 0);
     }
@@ -864,12 +780,12 @@ mod tests {
         // before any rebuild.
         let g = star_graph();
         let mut rng = SmallRng::seed_from_u64(63);
-        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng);
+        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
         dyn_cod.set_rebuild_threshold(10.0);
         for v in 8..13 {
             assert!(dyn_cod.insert_edge(7, v));
         }
-        let graph = dyn_cod.graph(&mut rng);
+        let graph = dyn_cod.graph().unwrap();
         assert_eq!(graph.degree(7), 6);
         assert_eq!(graph.num_nodes(), 13);
     }
@@ -878,7 +794,7 @@ mod tests {
     fn duplicate_and_missing_edits_are_rejected() {
         let g = star_graph();
         let mut rng = SmallRng::seed_from_u64(64);
-        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng);
+        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
         assert!(!dyn_cod.insert_edge(0, 1), "edge already present");
         assert!(!dyn_cod.insert_edge(3, 3), "self loop");
         assert!(!dyn_cod.remove_edge(0, 7), "edge absent");
@@ -890,7 +806,7 @@ mod tests {
     fn threshold_triggers_automatic_rebuild() {
         let g = star_graph();
         let mut rng = SmallRng::seed_from_u64(65);
-        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng);
+        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
         dyn_cod.set_rebuild_threshold(0.0); // every edit forces a rebuild
         dyn_cod.insert_edge(2, 3);
         // Next query flushes; with a zero threshold that is a full rebuild
@@ -905,13 +821,13 @@ mod tests {
     fn attribute_edits_steer_lore() {
         let g = star_graph();
         let mut rng = SmallRng::seed_from_u64(66);
-        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng);
+        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
         let b = dyn_cod.intern_attr("B");
         dyn_cod.set_attrs(6, vec![b]).unwrap();
         dyn_cod.set_attrs(7, vec![b]).unwrap();
         // Query on the new attribute works (and returns fresh attributes).
         let _ = dyn_cod.query(6, b, &mut rng).unwrap();
-        let graph = dyn_cod.graph(&mut rng);
+        let graph = dyn_cod.graph().unwrap();
         assert!(graph.has_attr(6, b));
     }
 
@@ -919,7 +835,7 @@ mod tests {
     fn set_attrs_out_of_range_is_a_typed_error() {
         let g = star_graph();
         let mut rng = SmallRng::seed_from_u64(67);
-        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng);
+        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
         let err = dyn_cod.set_attrs(99, vec![0]).unwrap_err();
         assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
         assert_eq!(dyn_cod.mutation_log().len(), 0, "rejected edits unlogged");
@@ -930,7 +846,7 @@ mod tests {
         // Duplicate edge inserts and absent removals must not be logged.
         let g = star_graph();
         let mut rng = SmallRng::seed_from_u64(68);
-        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng);
+        let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
         dyn_cod.set_rebuild_threshold(10.0);
         assert!(dyn_cod.insert_edge(1, 3));
         assert!(!dyn_cod.insert_edge(1, 3));
@@ -947,11 +863,10 @@ mod tests {
     #[test]
     fn repair_flush_matches_a_from_scratch_instance() {
         let g = star_graph();
-        let mut a = DynamicCod::with_seed(&g, seeded_cfg(), 4242);
+        let mut a = DynamicCod::with_seed(&g, cfg(), 4242).unwrap();
         a.set_rebuild_threshold(10.0); // keep the repair path in play
         assert!(a.insert_edge(1, 2));
-        let mut rng = SmallRng::seed_from_u64(7);
-        let report = a.flush(&mut rng).unwrap();
+        let report = a.flush().unwrap();
         assert!(
             matches!(report.outcome, FlushOutcome::Repaired { .. }),
             "{report:?}"
@@ -971,7 +886,7 @@ mod tests {
         let mut interner = AttrInterner::new();
         interner.intern("A");
         let g2 = AttributedGraph::from_parts(b.build(), attrs, interner);
-        let mut fresh = DynamicCod::with_seed(&g2, seeded_cfg(), 4242);
+        let mut fresh = DynamicCod::with_seed(&g2, cfg(), 4242).unwrap();
 
         for q in 0..8u32 {
             let mut r1 = SmallRng::seed_from_u64(100 + u64::from(q));
@@ -989,12 +904,11 @@ mod tests {
     #[test]
     fn net_zero_churn_refreshes_without_repair() {
         let g = star_graph();
-        let mut dyn_cod = DynamicCod::with_seed(&g, seeded_cfg(), 9);
+        let mut dyn_cod = DynamicCod::with_seed(&g, cfg(), 9).unwrap();
         dyn_cod.set_rebuild_threshold(10.0);
         assert!(dyn_cod.insert_edge(1, 2));
         assert!(dyn_cod.remove_edge(1, 2));
-        let mut rng = SmallRng::seed_from_u64(8);
-        let report = dyn_cod.flush(&mut rng).unwrap();
+        let report = dyn_cod.flush().unwrap();
         assert_eq!(report.outcome, FlushOutcome::Refreshed);
         assert_eq!(report.events, 2);
         let snap = dyn_cod.metrics_snapshot();

@@ -7,13 +7,15 @@
 //! comparisons so lopsided.
 
 use cod_graph::{Csr, NodeId};
-use cod_influence::{InfluenceEstimate, Model};
+use cod_influence::{InfluenceEstimate, Model, Parallelism, SeedSequence};
 use rand::prelude::*;
 
 use crate::chain::Chain;
 use crate::compressed::CodOutcome;
 
-/// Runs the Independent baseline for query `q` over `chain`.
+/// Runs the Independent baseline for query `q` over `chain`. Each
+/// community's estimate draws from its own master seed, taken from `rng`
+/// in chain order.
 pub fn independent_cod<R: Rng>(
     g: &Csr,
     model: Model,
@@ -33,7 +35,15 @@ pub fn independent_cod<R: Rng>(
         let members = chain.members(h);
         let theta = theta_per_node.max(1) * members.len();
         total_theta += theta;
-        let est = InfluenceEstimate::on_community(g, model, &members, theta, rng);
+        let seeds = SeedSequence::new(rng.next_u64());
+        let est = InfluenceEstimate::on_community(
+            g,
+            model,
+            &members,
+            theta,
+            seeds,
+            Parallelism::Threads(1),
+        );
         let rank = est.rank(q, &members);
         ranks.push(rank);
         sigma_q.push(est.sigma(q));

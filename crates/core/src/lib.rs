@@ -60,10 +60,8 @@ pub use cache::{CacheStats, ReclusterCache};
 pub use chain::{Chain, ComposedChain, DendroChain, SubgraphChain};
 pub use codx::{save_artifacts, serialize_artifacts, MappedArtifacts, CODX_V3};
 pub use compressed::{
-    compressed_cod, compressed_cod_adaptive, compressed_cod_adaptive_pooled,
-    compressed_cod_adaptive_seeded, compressed_cod_governed, compressed_cod_pooled,
-    compressed_cod_seeded, compressed_cod_with, influence_half_width, resolve_theta_pooled,
-    AdaptiveReport, CodOutcome,
+    compressed_cod, compressed_cod_adaptive, influence_half_width, resolve_theta, AdaptiveReport,
+    CodOutcome, EvalOptions, Samples,
 };
 pub use dynamic::{DynamicCod, FlushOutcome, MutationFlushReport};
 pub use engine::{CodEngine, Method, Query};

@@ -1,7 +1,7 @@
 //! Answer-quality measures for the experiment suite (§V-A, §V-C).
 
 use cod_graph::{measures as gm, AttrId, AttributedGraph, NodeId};
-use cod_influence::{InfluenceEstimate, Model};
+use cod_influence::{InfluenceEstimate, Model, Parallelism, SeedSequence};
 use rand::prelude::*;
 
 use crate::pipeline::CodAnswer;
@@ -51,7 +51,8 @@ pub fn average_quality(qualities: &[AnswerQuality]) -> AnswerQuality {
 
 /// Ground-truth check for the paper's *top-k precision* (§V-C): whether `q`
 /// really is top-k influential in `members`, judged by a high-θ RR
-/// estimate (the paper samples 1000 RR sets per community node).
+/// estimate (the paper samples 1000 RR sets per community node) from one
+/// master seed drawn from `rng`.
 pub fn is_truly_top_k<R: Rng>(
     g: &AttributedGraph,
     model: Model,
@@ -69,7 +70,8 @@ pub fn is_truly_top_k<R: Rng>(
         model,
         members,
         theta_per_node * members.len(),
-        rng,
+        SeedSequence::new(rng.next_u64()),
+        Parallelism::Threads(1),
     );
     est.is_top_k(q, members, k)
 }

@@ -519,7 +519,9 @@ mod tests {
         let dendro = build_hierarchy(&g, Linkage::Average);
         let lca = LcaIndex::new(&dendro);
         let mut rng = SmallRng::seed_from_u64(50);
-        let index = HimorIndex::build(&g, Model::WeightedCascade, &dendro, &lca, 50, &mut rng);
+        let par = cod_influence::Parallelism::Threads(1);
+        let (model, seed) = (Model::WeightedCascade, rng.next_u64());
+        let index = HimorIndex::build(&g, model, &dendro, &lca, 50, seed, par, None).unwrap();
         (g, dendro, index)
     }
 

@@ -278,11 +278,6 @@ impl DurableCod {
         seed: u64,
         dcfg: DurabilityConfig,
     ) -> CodResult<Self> {
-        if !cfg.parallelism.is_seeded() {
-            return Err(CodError::InvalidQuery(
-                "durable mode requires seeded parallelism (serial builds cannot replay)".into(),
-            ));
-        }
         std::fs::create_dir_all(dir)?;
         if dir.join(MANIFEST_NAME).exists() {
             return Err(CodError::InvalidQuery(format!(
@@ -291,7 +286,7 @@ impl DurableCod {
             )));
         }
         let _ = persist::sweep_temp_files(dir);
-        let inner = DynamicCod::with_seed(g, cfg, seed);
+        let inner = DynamicCod::with_seed(g, cfg, seed)?;
         let mut me = DurableCod {
             inner,
             // Placeholder writer; `checkpoint_to` swaps in wal-0.
@@ -323,11 +318,6 @@ impl DurableCod {
         dcfg: DurabilityConfig,
     ) -> CodResult<(Self, RecoveryReport)> {
         let t0 = Instant::now();
-        if !cfg.parallelism.is_seeded() {
-            return Err(CodError::InvalidQuery(
-                "durable mode requires seeded parallelism (serial builds cannot replay)".into(),
-            ));
-        }
         let swept = persist::sweep_temp_files(dir)?;
         let manifest = Manifest::load(dir)?;
         let mapped = MappedArtifacts::open_eager(&dir.join(&manifest.snapshot))?;
@@ -526,8 +516,7 @@ impl DurableCod {
 
     /// Flushes pending mutations through the repair pipeline.
     pub fn flush(&mut self) -> CodResult<MutationFlushReport> {
-        let mut rng = SmallRng::seed_from_u64(self.inner.himor_seed());
-        self.inner.flush(&mut rng)
+        self.inner.flush()
     }
 
     /// A point-in-time snapshot of the engine + durability telemetry.
@@ -573,12 +562,11 @@ mod tests {
         AttributedGraph::from_parts(b.build(), attrs, interner)
     }
 
-    fn seeded_cfg() -> CodConfig {
+    fn cfg() -> CodConfig {
         CodConfig {
             k: 2,
             theta: 60,
             model: Model::WeightedCascade,
-            parallelism: cod_influence::Parallelism::Threads(1),
             ..CodConfig::default()
         }
     }
@@ -632,8 +620,7 @@ mod tests {
     fn create_apply_reopen_is_bit_identical() {
         let dir = tmp_dir("roundtrip");
         let g = star_graph();
-        let mut d =
-            DurableCod::create(&dir, &g, seeded_cfg(), 77, DurabilityConfig::default()).unwrap();
+        let mut d = DurableCod::create(&dir, &g, cfg(), 77, DurabilityConfig::default()).unwrap();
         assert!(DurableCod::exists(&dir));
         d.apply(&Mutation::InsertEdge { u: 1, v: 2 }).unwrap();
         d.apply(&Mutation::RemoveEdge { u: 5, v: 6 }).unwrap();
@@ -647,7 +634,7 @@ mod tests {
         drop(d);
 
         let (mut back, report) =
-            DurableCod::open(&dir, seeded_cfg(), DurabilityConfig::default()).unwrap();
+            DurableCod::open(&dir, cfg(), DurabilityConfig::default()).unwrap();
         assert_eq!(report.replayed, 3);
         assert_eq!(report.checkpoint_events, 0);
         assert!(report.torn_tail.is_none());
@@ -662,8 +649,7 @@ mod tests {
     fn checkpoint_rotates_and_gcs() {
         let dir = tmp_dir("rotate");
         let g = star_graph();
-        let mut d =
-            DurableCod::create(&dir, &g, seeded_cfg(), 5, DurabilityConfig::default()).unwrap();
+        let mut d = DurableCod::create(&dir, &g, cfg(), 5, DurabilityConfig::default()).unwrap();
         d.apply(&Mutation::InsertEdge { u: 2, v: 4 }).unwrap();
         assert_eq!(d.wal_records(), 1);
         d.checkpoint().unwrap();
@@ -677,7 +663,7 @@ mod tests {
         let live = d.snapshot_bytes().unwrap();
         drop(d);
         let (mut back, report) =
-            DurableCod::open(&dir, seeded_cfg(), DurabilityConfig::default()).unwrap();
+            DurableCod::open(&dir, cfg(), DurabilityConfig::default()).unwrap();
         assert_eq!(report.replayed, 0);
         assert_eq!(report.checkpoint_events, 1);
         assert_eq!(back.snapshot_bytes().unwrap(), live);
@@ -692,7 +678,7 @@ mod tests {
             checkpoint_every_events: 2,
             ..DurabilityConfig::default()
         };
-        let mut d = DurableCod::create(&dir, &g, seeded_cfg(), 5, dcfg).unwrap();
+        let mut d = DurableCod::create(&dir, &g, cfg(), 5, dcfg).unwrap();
         d.apply(&Mutation::InsertEdge { u: 2, v: 4 }).unwrap();
         assert_eq!(d.manifest().events_covered, 0);
         d.apply(&Mutation::InsertEdge { u: 3, v: 7 }).unwrap();
@@ -705,8 +691,7 @@ mod tests {
     fn rejected_event_is_rolled_back_from_the_wal() {
         let dir = tmp_dir("rollback");
         let g = star_graph();
-        let mut d =
-            DurableCod::create(&dir, &g, seeded_cfg(), 5, DurabilityConfig::default()).unwrap();
+        let mut d = DurableCod::create(&dir, &g, cfg(), 5, DurabilityConfig::default()).unwrap();
         let err = d
             .apply(&Mutation::SetAttrs {
                 node: 999,
@@ -718,8 +703,7 @@ mod tests {
         assert_eq!(d.events_total(), 0);
         // The directory still recovers cleanly.
         drop(d);
-        let (_, report) =
-            DurableCod::open(&dir, seeded_cfg(), DurabilityConfig::default()).unwrap();
+        let (_, report) = DurableCod::open(&dir, cfg(), DurabilityConfig::default()).unwrap();
         assert_eq!(report.replayed, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -728,25 +712,13 @@ mod tests {
     fn create_refuses_to_clobber_existing_state() {
         let dir = tmp_dir("clobber");
         let g = star_graph();
-        let d = DurableCod::create(&dir, &g, seeded_cfg(), 5, DurabilityConfig::default()).unwrap();
+        let d = DurableCod::create(&dir, &g, cfg(), 5, DurabilityConfig::default()).unwrap();
         drop(d);
-        let err = match DurableCod::create(&dir, &g, seeded_cfg(), 5, DurabilityConfig::default()) {
+        let err = match DurableCod::create(&dir, &g, cfg(), 5, DurabilityConfig::default()) {
             Err(e) => e,
             Ok(_) => panic!("re-create over live state must fail"),
         };
         assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn serial_parallelism_is_rejected() {
-        let dir = tmp_dir("serial");
-        let g = star_graph();
-        let cfg = CodConfig {
-            parallelism: cod_influence::Parallelism::Serial,
-            ..seeded_cfg()
-        };
-        assert!(DurableCod::create(&dir, &g, cfg, 5, DurabilityConfig::default()).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

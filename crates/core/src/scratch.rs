@@ -75,8 +75,9 @@ impl TopKScratch {
 /// RR-sampler stamps, the RR graph each draw refills, the dense level
 /// table, HFS queues, per-level buckets and top-k vectors.
 /// Create one per worker (it is `Send` but deliberately not shared), hand
-/// it to `compressed_cod_with` via `Some(&mut ws)`, and reuse it for the
-/// next query. Passing a recycled workspace never changes an answer; it
+/// it to [`crate::compressed::compressed_cod`] through
+/// [`crate::compressed::EvalOptions::scratch`], and reuse it for the next
+/// query. Passing a recycled workspace never changes an answer; it
 /// only removes allocations.
 #[derive(Default, Debug)]
 pub struct QueryScratch {

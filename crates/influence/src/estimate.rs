@@ -4,7 +4,7 @@ use cod_graph::{Csr, FxHashMap, NodeId};
 use rand::prelude::*;
 
 use crate::model::Model;
-use crate::parallel::{par_ranges, Parallelism, SeedPolicy};
+use crate::parallel::{par_ranges, Parallelism};
 use crate::sampler::{RrSampler, SamplerScratch};
 use crate::seed::SeedSequence;
 
@@ -40,8 +40,7 @@ impl SourceUniverse<'_> {
 }
 
 /// Draws one RR sample per the universe and folds its nodes into `counts`.
-/// This is the shared per-sample body of every estimation loop; the seed
-/// policy only decides which `rng` arrives here.
+/// This is the shared per-sample body of every estimation loop.
 #[inline]
 fn record_one<R: Rng>(
     sampler: &mut RrSampler<'_>,
@@ -72,147 +71,89 @@ pub struct InfluenceEstimate {
 
 impl InfluenceEstimate {
     /// The single estimation driver: `theta` RR samples over `universe`,
-    /// randomness per `policy`, optional reusable sampler `scratch`.
+    /// sample `i` drawn from `seeds.rng_for(i)`, fanned out under `par`,
+    /// with an optional reusable sampler `scratch`.
     ///
-    /// Every `on_*` constructor is a thin wrapper over this. The drawn
-    /// samples depend only on `(g, model, universe, theta, policy)` — the
-    /// scratch and the resolved thread count never change a sample.
-    pub fn with_policy<R: Rng>(
+    /// The estimate is a pure function of `(g, model, universe, theta,
+    /// seeds)`: neither the scratch nor the resolved thread count changes a
+    /// sample, and shards merge by commutative count addition.
+    pub fn with_policy(
         g: &Csr,
         model: Model,
         universe: SourceUniverse<'_>,
         theta: usize,
-        policy: SeedPolicy<'_, R>,
-        mut scratch: Option<&mut SamplerScratch>,
+        seeds: SeedSequence,
+        par: Parallelism,
+        scratch: Option<&mut SamplerScratch>,
     ) -> InfluenceEstimate {
         assert!(theta > 0 && universe.len(g) > 0);
         if let SourceUniverse::Members(m) = universe {
             debug_assert!(m.windows(2).all(|w| w[0] < w[1]));
         }
-        let universe_len = universe.len(g);
-        // Borrow the caller's scratch for single-threaded runs; parallel
-        // shards allocate their own (a &mut cannot be shared across
-        // workers, and shard-local scratch keeps workers contention-free).
-        let take = |scratch: &mut Option<&mut SamplerScratch>| match scratch {
-            Some(s) => RrSampler::with_scratch(g, model, std::mem::take(*s)),
-            None => RrSampler::new(g, model),
-        };
-        let put = |sampler: RrSampler<'_>, scratch: &mut Option<&mut SamplerScratch>| {
-            if let Some(s) = scratch {
-                **s = sampler.into_scratch();
+        let record_range = |sampler: &mut RrSampler<'_>, range: std::ops::Range<usize>| {
+            let mut counts: FxHashMap<NodeId, u32> = FxHashMap::default();
+            for i in range {
+                let mut rng = seeds.rng_for(i as u64);
+                record_one(sampler, universe, &mut rng, &mut counts);
             }
+            counts
         };
-        let counts = match policy {
-            SeedPolicy::Stream(rng) => {
-                let mut sampler = take(&mut scratch);
-                let mut counts: FxHashMap<NodeId, u32> = FxHashMap::default();
-                for _ in 0..theta {
-                    record_one(&mut sampler, universe, rng, &mut counts);
-                }
-                put(sampler, &mut scratch);
+        let counts = match scratch {
+            // Single-threaded runs borrow the caller's scratch; parallel
+            // shards allocate their own (a &mut cannot be shared across
+            // workers, and shard-local scratch keeps workers
+            // contention-free).
+            Some(s) if par.thread_count() <= 1 => {
+                let mut sampler = RrSampler::with_scratch(g, model, std::mem::take(s));
+                let counts = record_range(&mut sampler, 0..theta);
+                *s = sampler.into_scratch();
                 counts
             }
-            SeedPolicy::PerIndex { seeds, par } if par.thread_count() <= 1 => {
-                let mut sampler = take(&mut scratch);
-                let mut counts: FxHashMap<NodeId, u32> = FxHashMap::default();
-                for i in 0..theta {
-                    let mut rng = seeds.rng_for(i as u64);
-                    record_one(&mut sampler, universe, &mut rng, &mut counts);
-                }
-                put(sampler, &mut scratch);
-                counts
-            }
-            SeedPolicy::PerIndex { seeds, par } => {
-                merge_count_shards(par_ranges(theta, par.thread_count(), |range| {
-                    let mut sampler = RrSampler::new(g, model);
-                    let mut counts: FxHashMap<NodeId, u32> = FxHashMap::default();
-                    for i in range {
-                        let mut rng = seeds.rng_for(i as u64);
-                        record_one(&mut sampler, universe, &mut rng, &mut counts);
-                    }
-                    counts
-                }))
-            }
+            _ => merge_count_shards(par_ranges(theta, par.thread_count(), |range| {
+                record_range(&mut RrSampler::new(g, model), range)
+            })),
         };
         InfluenceEstimate {
             counts,
             theta,
-            universe: universe_len,
+            universe: universe.len(g),
         }
     }
 
     /// Estimates influences on the whole graph from `theta` RR graphs with
-    /// uniformly random sources.
-    pub fn on_graph<R: Rng>(g: &Csr, model: Model, theta: usize, rng: &mut R) -> InfluenceEstimate {
-        Self::with_policy(
-            g,
-            model,
-            SourceUniverse::Graph,
-            theta,
-            SeedPolicy::Stream(rng),
-            None,
-        )
+    /// uniformly random sources. Sample `i` draws its source and RR graph
+    /// from `seeds.rng_for(i)`, so the estimate is identical for every
+    /// thread count.
+    pub fn on_graph(
+        g: &Csr,
+        model: Model,
+        theta: usize,
+        seeds: SeedSequence,
+        par: Parallelism,
+    ) -> InfluenceEstimate {
+        Self::with_policy(g, model, SourceUniverse::Graph, theta, seeds, par, None)
     }
 
     /// Estimates influences *within a community* from `theta` RR graphs
     /// whose sources are uniform over `members` and whose traversal is
     /// restricted to `members` — the Independent baseline's per-community
-    /// estimator (§V-C). `members` must be sorted ascending.
-    pub fn on_community<R: Rng>(
+    /// estimator (§V-C). `members` must be sorted ascending. Seeded and
+    /// thread-count-invariant like [`InfluenceEstimate::on_graph`].
+    pub fn on_community(
         g: &Csr,
         model: Model,
         members: &[NodeId],
         theta: usize,
-        rng: &mut R,
+        seeds: SeedSequence,
+        par: Parallelism,
     ) -> InfluenceEstimate {
         Self::with_policy(
             g,
             model,
             SourceUniverse::Members(members),
             theta,
-            SeedPolicy::Stream(rng),
-            None,
-        )
-    }
-
-    /// [`InfluenceEstimate::on_graph`] with per-index seed derivation:
-    /// sample `i` draws its source and RR graph from `seeds.rng_for(i)`, so
-    /// the estimate is a pure function of `(g, model, theta, seeds)` and is
-    /// identical for every thread count.
-    pub fn on_graph_seeded(
-        g: &Csr,
-        model: Model,
-        theta: usize,
-        seeds: SeedSequence,
-        par: Parallelism,
-    ) -> InfluenceEstimate {
-        Self::with_policy::<SmallRng>(
-            g,
-            model,
-            SourceUniverse::Graph,
-            theta,
-            SeedPolicy::PerIndex { seeds, par },
-            None,
-        )
-    }
-
-    /// [`InfluenceEstimate::on_community`] with per-index seed derivation;
-    /// thread-count-invariant like [`InfluenceEstimate::on_graph_seeded`].
-    /// `members` must be sorted ascending.
-    pub fn on_community_seeded(
-        g: &Csr,
-        model: Model,
-        members: &[NodeId],
-        theta: usize,
-        seeds: SeedSequence,
-        par: Parallelism,
-    ) -> InfluenceEstimate {
-        Self::with_policy::<SmallRng>(
-            g,
-            model,
-            SourceUniverse::Members(members),
-            theta,
-            SeedPolicy::PerIndex { seeds, par },
+            seeds,
+            par,
             None,
         )
     }
@@ -274,7 +215,13 @@ mod tests {
     fn center_of_star_ranks_first() {
         let g = star();
         let mut rng = SmallRng::seed_from_u64(5);
-        let est = InfluenceEstimate::on_graph(&g, Model::WeightedCascade, 5000, &mut rng);
+        let est = InfluenceEstimate::on_graph(
+            &g,
+            Model::WeightedCascade,
+            5000,
+            SeedSequence::new(rng.next_u64()),
+            Parallelism::Threads(1),
+        );
         let members: Vec<NodeId> = (0..5).collect();
         assert_eq!(est.rank(0, &members), 1);
         // σ(center) = 5 under weighted cascade (see montecarlo tests).
@@ -289,7 +236,13 @@ mod tests {
         b.add_edge(0, 1);
         let g = b.build();
         let mut rng = SmallRng::seed_from_u64(6);
-        let est = InfluenceEstimate::on_graph(&g, Model::UniformIc(1.0), 200, &mut rng);
+        let est = InfluenceEstimate::on_graph(
+            &g,
+            Model::UniformIc(1.0),
+            200,
+            SeedSequence::new(rng.next_u64()),
+            Parallelism::Threads(1),
+        );
         assert_eq!(est.sigma(0), 2.0);
         assert_eq!(est.sigma(1), 2.0);
     }
@@ -299,8 +252,14 @@ mod tests {
         let g = star();
         let mut rng = SmallRng::seed_from_u64(7);
         let members = vec![0, 1, 2];
-        let est =
-            InfluenceEstimate::on_community(&g, Model::UniformIc(1.0), &members, 300, &mut rng);
+        let est = InfluenceEstimate::on_community(
+            &g,
+            Model::UniformIc(1.0),
+            &members,
+            300,
+            SeedSequence::new(rng.next_u64()),
+            Parallelism::Threads(1),
+        );
         // With p = 1 inside {0,1,2} every restricted RR set covers all
         // three members.
         for &v in &members {
@@ -314,14 +273,14 @@ mod tests {
         let g = star();
         let seeds = SeedSequence::new(99);
         let members: Vec<NodeId> = (0..5).collect();
-        let base = InfluenceEstimate::on_graph_seeded(
+        let base = InfluenceEstimate::on_graph(
             &g,
             Model::WeightedCascade,
             512,
             seeds,
             Parallelism::Threads(1),
         );
-        let base_c = InfluenceEstimate::on_community_seeded(
+        let base_c = InfluenceEstimate::on_community(
             &g,
             Model::WeightedCascade,
             &members,
@@ -330,14 +289,14 @@ mod tests {
             Parallelism::Threads(1),
         );
         for t in [2usize, 8] {
-            let est = InfluenceEstimate::on_graph_seeded(
+            let est = InfluenceEstimate::on_graph(
                 &g,
                 Model::WeightedCascade,
                 512,
                 seeds,
                 Parallelism::Threads(t),
             );
-            let est_c = InfluenceEstimate::on_community_seeded(
+            let est_c = InfluenceEstimate::on_community(
                 &g,
                 Model::WeightedCascade,
                 &members,
@@ -359,7 +318,7 @@ mod tests {
         let members: Vec<NodeId> = (0..5).collect();
         let seeds = SeedSequence::new(42);
         let mut scratch = SamplerScratch::default();
-        let want = InfluenceEstimate::on_community_seeded(
+        let want = InfluenceEstimate::on_community(
             &g,
             Model::WeightedCascade,
             &members,
@@ -368,15 +327,13 @@ mod tests {
             Parallelism::Threads(1),
         );
         for round in 0..3 {
-            let got = InfluenceEstimate::with_policy::<SmallRng>(
+            let got = InfluenceEstimate::with_policy(
                 &g,
                 Model::WeightedCascade,
                 SourceUniverse::Members(&members),
                 256,
-                SeedPolicy::PerIndex {
-                    seeds,
-                    par: Parallelism::Threads(1),
-                },
+                seeds,
+                Parallelism::Threads(1),
                 Some(&mut scratch),
             );
             for v in 0..5 {

@@ -31,45 +31,12 @@ pub struct RrPool {
 }
 
 impl RrPool {
-    /// Samples `theta` RR sets from uniformly random sources, restricted
-    /// to `keep` (pass `|_| true` for the whole graph).
-    pub fn sample<R: Rng>(
-        g: &Csr,
-        model: Model,
-        theta: usize,
-        rng: &mut R,
-        members: Option<&[NodeId]>,
-    ) -> Self {
-        assert!(theta > 0 && g.num_nodes() > 0);
-        let mut sampler = RrSampler::new(g, model);
-        let mut sets = Vec::with_capacity(theta);
-        let mut inverted = vec![Vec::new(); g.num_nodes()];
-        for i in 0..theta {
-            let rr = match members {
-                None => sampler.sample_uniform(rng),
-                Some(m) => {
-                    debug_assert!(m.windows(2).all(|w| w[0] < w[1]));
-                    let s = m[rng.random_range(0..m.len())];
-                    sampler.sample_restricted(s, rng, |v| m.binary_search(&v).is_ok())
-                }
-            };
-            for &v in rr.nodes() {
-                inverted[v as usize].push(i as u32);
-            }
-            sets.push(rr.nodes().to_vec());
-        }
-        Self {
-            sets,
-            inverted,
-            universe: members.map_or(g.num_nodes(), <[NodeId]>::len),
-        }
-    }
-
-    /// [`RrPool::sample`] with per-index seed derivation: set `i` is drawn
-    /// entirely from `seeds.rng_for(i)`, so the pool is a pure function of
-    /// `(g, model, theta, seeds, members)` and bit-identical for every
-    /// thread count.
-    pub fn sample_seeded(
+    /// Samples `theta` RR sets from uniformly random sources, restricted to
+    /// `members` (sorted ascending; `None` for the whole graph). Set `i` is
+    /// drawn entirely from `seeds.rng_for(i)`, so the pool is a pure
+    /// function of `(g, model, theta, seeds, members)` and bit-identical
+    /// for every thread count.
+    pub fn sample(
         g: &Csr,
         model: Model,
         theta: usize,
@@ -210,7 +177,14 @@ mod tests {
     fn greedy_picks_the_hubs_first() {
         let g = two_stars();
         let mut rng = SmallRng::seed_from_u64(1);
-        let pool = RrPool::sample(&g, Model::WeightedCascade, 20_000, &mut rng, None);
+        let pool = RrPool::sample(
+            &g,
+            Model::WeightedCascade,
+            20_000,
+            SeedSequence::new(rng.next_u64()),
+            None,
+            Parallelism::Threads(1),
+        );
         let seeds = pool.greedy_seeds(2);
         assert_eq!(seeds.len(), 2);
         let picked: Vec<NodeId> = seeds.iter().map(|&(v, _)| v).collect();
@@ -224,10 +198,24 @@ mod tests {
     fn estimate_matches_single_node_sigma() {
         let g = two_stars();
         let mut rng = SmallRng::seed_from_u64(2);
-        let pool = RrPool::sample(&g, Model::WeightedCascade, 30_000, &mut rng, None);
+        let pool = RrPool::sample(
+            &g,
+            Model::WeightedCascade,
+            30_000,
+            SeedSequence::new(rng.next_u64()),
+            None,
+            Parallelism::Threads(1),
+        );
         let mut mc = SmallRng::seed_from_u64(3);
-        let truth =
-            crate::montecarlo::influence(&g, Model::WeightedCascade, 0, 20_000, &mut mc, |_| true);
+        let truth = crate::montecarlo::influence(
+            &g,
+            Model::WeightedCascade,
+            0,
+            20_000,
+            SeedSequence::new(mc.next_u64()),
+            Parallelism::Threads(1),
+            |_| true,
+        );
         let got = pool.estimate(&[0]);
         assert!(
             (got - truth).abs() < 0.2 * truth,
@@ -239,7 +227,14 @@ mod tests {
     fn coverage_is_monotone() {
         let g = two_stars();
         let mut rng = SmallRng::seed_from_u64(4);
-        let pool = RrPool::sample(&g, Model::WeightedCascade, 5_000, &mut rng, None);
+        let pool = RrPool::sample(
+            &g,
+            Model::WeightedCascade,
+            5_000,
+            SeedSequence::new(rng.next_u64()),
+            None,
+            Parallelism::Threads(1),
+        );
         let one = pool.estimate(&[0]);
         let two = pool.estimate(&[0, 6]);
         let all: Vec<NodeId> = (0..10).collect();
@@ -253,7 +248,14 @@ mod tests {
         let g = two_stars();
         let members: Vec<NodeId> = vec![6, 7, 8, 9];
         let mut rng = SmallRng::seed_from_u64(5);
-        let pool = RrPool::sample(&g, Model::WeightedCascade, 3_000, &mut rng, Some(&members));
+        let pool = RrPool::sample(
+            &g,
+            Model::WeightedCascade,
+            3_000,
+            SeedSequence::new(rng.next_u64()),
+            Some(&members),
+            Parallelism::Threads(1),
+        );
         let seeds = pool.greedy_seeds(1);
         assert_eq!(seeds[0].0, 6, "community hub wins inside the community");
         // Outside nodes have no coverage at all.
@@ -266,7 +268,14 @@ mod tests {
         b.add_edge(0, 1);
         let g = b.build();
         let mut rng = SmallRng::seed_from_u64(6);
-        let pool = RrPool::sample(&g, Model::UniformIc(1.0), 1_000, &mut rng, None);
+        let pool = RrPool::sample(
+            &g,
+            Model::UniformIc(1.0),
+            1_000,
+            SeedSequence::new(rng.next_u64()),
+            None,
+            Parallelism::Threads(1),
+        );
         let seeds = pool.greedy_seeds(10);
         // Two seeds cover every RR set (component {0,1} and isolated 2).
         assert!(seeds.len() <= 3);

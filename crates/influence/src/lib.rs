@@ -35,7 +35,7 @@ pub use cancel::CancelToken;
 pub use estimate::{rank_in_members, InfluenceEstimate, SourceUniverse};
 pub use im::RrPool;
 pub use model::Model;
-pub use parallel::{par_ranges, Parallelism, SeedPolicy, SeededOnly};
+pub use parallel::{par_ranges, Parallelism};
 pub use rrgraph::RrGraph;
 pub use sampler::{RrSampler, SampleStats, SamplerScratch};
 pub use seed::{splitmix64, SeedSequence};

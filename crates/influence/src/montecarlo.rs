@@ -17,32 +17,10 @@ use crate::seed::SeedSequence;
 ///
 /// Edge probabilities are those of the full graph `g` regardless of the
 /// restriction, matching the community influence semantics of Theorem 2.
-pub fn influence<R: Rng>(
-    g: &Csr,
-    model: Model,
-    seed: NodeId,
-    trials: usize,
-    rng: &mut R,
-    keep: impl Fn(NodeId) -> bool,
-) -> f64 {
-    assert!(trials > 0);
-    let mut total = 0usize;
-    let mut scratch = Scratch::new(g.num_nodes());
-    for _ in 0..trials {
-        total += match model {
-            Model::LinearThreshold => simulate_lt(g, seed, rng, &keep, &mut scratch),
-            Model::RandomK(k) => simulate_triggering(g, k, seed, rng, &keep, &mut scratch),
-            _ => simulate_ic(g, model, seed, rng, &keep, &mut scratch),
-        };
-    }
-    total as f64 / trials as f64
-}
-
-/// [`influence`] with per-index seed derivation: trial `i` runs entirely on
-/// `seeds.rng_for(i)`. Activation counts are integers, so the sum over
-/// contiguous trial ranges is exact and the estimate is bit-identical for
-/// every thread count.
-pub fn influence_seeded(
+/// Trial `i` runs entirely on `seeds.rng_for(i)`. Activation counts are
+/// integers, so the sum over contiguous trial ranges is exact and the
+/// estimate is bit-identical for every thread count.
+pub fn influence(
     g: &Csr,
     model: Model,
     seed: NodeId,
@@ -224,7 +202,15 @@ mod tests {
         b.add_edge(0, 1);
         let g = b.build();
         let mut r = rng();
-        let inf = influence(&g, Model::UniformIc(0.0), 0, 100, &mut r, |_| true);
+        let inf = influence(
+            &g,
+            Model::UniformIc(0.0),
+            0,
+            100,
+            SeedSequence::new(r.next_u64()),
+            Parallelism::Threads(1),
+            |_| true,
+        );
         assert_eq!(inf, 1.0);
     }
 
@@ -236,7 +222,15 @@ mod tests {
         // node 3 disconnected
         let g = b.build();
         let mut r = rng();
-        let inf = influence(&g, Model::UniformIc(1.0), 0, 50, &mut r, |_| true);
+        let inf = influence(
+            &g,
+            Model::UniformIc(1.0),
+            0,
+            50,
+            SeedSequence::new(r.next_u64()),
+            Parallelism::Threads(1),
+            |_| true,
+        );
         assert_eq!(inf, 3.0);
     }
 
@@ -247,7 +241,15 @@ mod tests {
         b.add_edge(1, 2);
         let g = b.build();
         let mut r = rng();
-        let inf = influence(&g, Model::UniformIc(1.0), 0, 50, &mut r, |v| v != 2);
+        let inf = influence(
+            &g,
+            Model::UniformIc(1.0),
+            0,
+            50,
+            SeedSequence::new(r.next_u64()),
+            Parallelism::Threads(1),
+            |v| v != 2,
+        );
         assert_eq!(inf, 2.0);
     }
 
@@ -258,7 +260,15 @@ mod tests {
         b.add_edge(0, 1);
         let g = b.build();
         let mut r = rng();
-        let inf = influence(&g, Model::WeightedCascade, 0, 2000, &mut r, |_| true);
+        let inf = influence(
+            &g,
+            Model::WeightedCascade,
+            0,
+            2000,
+            SeedSequence::new(r.next_u64()),
+            Parallelism::Threads(1),
+            |_| true,
+        );
         assert!((inf - 2.0).abs() < 1e-9);
     }
 
@@ -274,9 +284,25 @@ mod tests {
         }
         let g = b.build();
         let mut r = rng();
-        let c = influence(&g, Model::WeightedCascade, 0, 4000, &mut r, |_| true);
+        let c = influence(
+            &g,
+            Model::WeightedCascade,
+            0,
+            4000,
+            SeedSequence::new(r.next_u64()),
+            Parallelism::Threads(1),
+            |_| true,
+        );
         assert!((c - 5.0).abs() < 1e-9, "center {c}");
-        let l = influence(&g, Model::WeightedCascade, 1, 40_000, &mut r, |_| true);
+        let l = influence(
+            &g,
+            Model::WeightedCascade,
+            1,
+            40_000,
+            SeedSequence::new(r.next_u64()),
+            Parallelism::Threads(1),
+            |_| true,
+        );
         assert!((l - 2.0).abs() < 0.08, "leaf {l}");
     }
 
@@ -290,7 +316,15 @@ mod tests {
         b.add_edge(2, 3);
         let g = b.build();
         let mut r = rng();
-        let inf = influence(&g, Model::RandomK(10), 0, 200, &mut r, |_| true);
+        let inf = influence(
+            &g,
+            Model::RandomK(10),
+            0,
+            200,
+            SeedSequence::new(r.next_u64()),
+            Parallelism::Threads(1),
+            |_| true,
+        );
         assert_eq!(inf, 4.0);
     }
 
@@ -305,11 +339,24 @@ mod tests {
         b.add_edge(1, 2);
         let g = b.build();
         let mut r = rng();
-        let est =
-            crate::estimate::InfluenceEstimate::on_graph(&g, Model::RandomK(2), 40_000, &mut r);
+        let est = crate::estimate::InfluenceEstimate::on_graph(
+            &g,
+            Model::RandomK(2),
+            40_000,
+            SeedSequence::new(r.next_u64()),
+            Parallelism::Threads(1),
+        );
         let mut mc = SmallRng::seed_from_u64(99);
         for v in 0..6u32 {
-            let truth = influence(&g, Model::RandomK(2), v, 20_000, &mut mc, |_| true);
+            let truth = influence(
+                &g,
+                Model::RandomK(2),
+                v,
+                20_000,
+                SeedSequence::new(mc.next_u64()),
+                Parallelism::Threads(1),
+                |_| true,
+            );
             let got = est.sigma(v);
             assert!(
                 (got - truth).abs() < 0.25 * truth.max(1.0),
@@ -326,7 +373,15 @@ mod tests {
         b.add_edge(0, 1);
         let g = b.build();
         let mut r = rng();
-        let inf = influence(&g, Model::LinearThreshold, 0, 500, &mut r, |_| true);
+        let inf = influence(
+            &g,
+            Model::LinearThreshold,
+            0,
+            500,
+            SeedSequence::new(r.next_u64()),
+            Parallelism::Threads(1),
+            |_| true,
+        );
         assert_eq!(inf, 2.0);
     }
 }

@@ -75,9 +75,9 @@ impl SeedSequence {
     }
 
     /// A derived child sequence for sub-stream `stream` — used when one
-    /// logical operation needs several independent index spaces (e.g. the
-    /// adaptive sampler's doubling rounds, each of which must draw fresh
-    /// samples). The tweak constant keeps child masters out of the
+    /// logical operation needs several independent index spaces (e.g. a
+    /// query's fallback evaluation, which must not reuse the samples of
+    /// the evaluation it replaces). The tweak constant keeps child masters out of the
     /// `seed_for` image of typical small indices.
     #[must_use]
     pub fn child(&self, stream: u64) -> SeedSequence {

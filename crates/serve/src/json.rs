@@ -58,6 +58,7 @@ impl Value {
 /// trailing garbage rejected).
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -94,6 +95,7 @@ pub fn escape(s: &str) -> String {
 const MAX_DEPTH: usize = 32;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -218,12 +220,15 @@ impl Parser<'_> {
                 }
                 b if b < 0x80 => out.push(b as char),
                 _ => {
-                    // Re-decode the multi-byte UTF-8 sequence.
+                    // A multi-byte character: decode it from the input
+                    // `&str` at its own offset (O(1), the input is valid
+                    // UTF-8). `get` rejects an offset inside a character.
                     let start = self.pos - 1;
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = s.chars().next().ok_or("empty decode")?;
+                    let c = self
+                        .text
+                        .get(start..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("invalid UTF-8 in string")?;
                     out.push(c);
                     self.pos = start + c.len_utf8();
                 }

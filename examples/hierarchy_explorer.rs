@@ -9,7 +9,8 @@
 //! Run with: `cargo run --release --example hierarchy_explorer [node]`
 
 use pcod::cod::chain::Chain;
-use pcod::cod::{compressed::compressed_cod, lore, recluster};
+use pcod::cod::compressed::{compressed_cod, EvalOptions, Samples};
+use pcod::cod::{lore, recluster};
 use pcod::prelude::*;
 use rand::prelude::*;
 
@@ -44,7 +45,19 @@ fn main() {
     // Influence rank of q in every community (compressed evaluation).
     let mut rng = SmallRng::seed_from_u64(seed);
     let k = 5;
-    let out = compressed_cod(g.csr(), Model::WeightedCascade, &chain, q, k, 30, &mut rng).unwrap();
+    let seed = Samples::Seed(rng.next_u64());
+    let opts = EvalOptions::default();
+    let out = compressed_cod(
+        g.csr(),
+        Model::WeightedCascade,
+        &chain,
+        q,
+        k,
+        30,
+        seed,
+        opts,
+    )
+    .unwrap();
 
     println!("\nlevel | size     | depth | r(C)     | rank(q) | top-{k}?");
     println!("------+----------+-------+----------+---------+-------");

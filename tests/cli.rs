@@ -180,11 +180,17 @@ impl Drop for TempFile {
 
 /// A 30-node path graph where every node carries attribute `A`.
 fn tiny_graph_files() -> (TempFile, TempFile) {
-    let edges: String = (0..29).map(|v| format!("{v} {}\n", v + 1)).collect();
-    let attrs: String = (0..30).map(|v| format!("{v} A\n")).collect();
+    path_graph_files("", 30)
+}
+
+/// An `n`-node path graph where every node carries attribute `A`; `tag`
+/// keeps the temp file names apart from other fixtures.
+fn path_graph_files(tag: &str, n: usize) -> (TempFile, TempFile) {
+    let edges: String = (0..n - 1).map(|v| format!("{v} {}\n", v + 1)).collect();
+    let attrs: String = (0..n).map(|v| format!("{v} A\n")).collect();
     (
-        TempFile::new("edges", edges.as_bytes()),
-        TempFile::new("attrs", attrs.as_bytes()),
+        TempFile::new(&format!("edges{tag}"), edges.as_bytes()),
+        TempFile::new(&format!("attrs{tag}"), attrs.as_bytes()),
     )
 }
 
@@ -413,4 +419,94 @@ fn mutate_rejects_a_malformed_log_with_a_line_number() {
     assert!(!o.status.success());
     assert!(stderr(&o).contains("line 2"), "{}", stderr(&o));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn theta_whose_total_overflows_is_a_one_line_error() {
+    // θ·|V| over the 31-node path: 595056260442243601·31 wraps to 15, and
+    // u64::MAX·31 to a count no run finishes. Both must be rejected before
+    // the index is built.
+    let (edges, attrs) = path_graph_files("31", 31);
+    for theta in ["595056260442243601", "18446744073709551615"] {
+        let o = run(&[
+            "query",
+            "--edges",
+            edges.path(),
+            "--attrs",
+            attrs.path(),
+            "--node",
+            "3",
+            "--theta",
+            theta,
+        ]);
+        let err = assert_clean_failure(&o);
+        assert!(err.contains("overflows"), "θ = {theta}: {err}");
+        assert_eq!(err.trim_end().lines().count(), 1, "not one line: {err}");
+    }
+}
+
+#[test]
+fn threads_takes_only_auto_or_a_number() {
+    let o = run(&[
+        "query",
+        "--preset",
+        "cora",
+        "--node",
+        "17",
+        "--threads",
+        "serial",
+    ]);
+    let err = assert_clean_failure(&o);
+    let first = err.lines().next().unwrap_or_default();
+    assert_eq!(first, "error: --threads wants auto or a number", "{err}");
+}
+
+#[test]
+fn thread_count_never_changes_query_output() {
+    // The default is one seeded thread, so all three spellings print the
+    // same bytes, for every method.
+    for method in ["codu", "codr", "codl-", "codl"] {
+        let base = [
+            "query", "--preset", "cora", "--node", "17", "--seed", "7", "--method", method,
+        ];
+        let outputs: Vec<Output> = [&[][..], &["--threads", "1"], &["--threads", "4"]]
+            .iter()
+            .map(|extra| {
+                let mut args = base.to_vec();
+                args.extend_from_slice(extra);
+                run(&args)
+            })
+            .collect();
+        for (o, label) in outputs
+            .iter()
+            .zip(["default", "--threads 1", "--threads 4"])
+        {
+            assert!(o.status.success(), "{method} {label}: {}", stderr(o));
+            assert_eq!(
+                stdout(o),
+                stdout(&outputs[0]),
+                "{method}: {label} differs from the default"
+            );
+        }
+    }
+}
+
+#[test]
+fn best_effort_note_names_both_causes_without_a_budget() {
+    // No --budget: the answer is uncertain because its top-k verdict is
+    // within sampling noise, and the note must say so.
+    let o = run(&[
+        "query", "--preset", "cora", "--node", "17", "--method", "codl", "--seed", "7",
+    ]);
+    assert!(o.status.success(), "stderr: {}", stderr(&o));
+    let out = stdout(&o);
+    let note = out
+        .lines()
+        .find(|l| l.starts_with("note: best-effort"))
+        .unwrap_or_else(|| panic!("no best-effort note: {out}"));
+    assert!(
+        note.contains("sampling noise") && note.contains("--theta"),
+        "{note}"
+    );
+    assert!(note.contains("--budget"), "{note}");
 }

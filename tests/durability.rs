@@ -114,7 +114,7 @@ const SEED: u64 = 0xD0_0D;
 /// `events()[..prefix]` on a fresh engine.
 fn clean_replay_bytes(prefix: usize, threads: usize) -> Vec<u8> {
     let g = graph();
-    let mut d = DynamicCod::with_seed(&g, cfg(threads), SEED);
+    let mut d = DynamicCod::with_seed(&g, cfg(threads), SEED).unwrap();
     for m in &events()[..prefix] {
         d.apply(m).expect("clean apply");
     }

@@ -79,7 +79,9 @@ fn monte_carlo_converges_to_exact_ic() {
     for model in [Model::WeightedCascade, Model::UniformIc(0.4)] {
         for q in 0..4u32 {
             let exact = exact_influence(&g, model, q, &members);
-            let mc = montecarlo::influence(&g, model, q, 60_000, &mut rng, |_| true);
+            let seeds = SeedSequence::new(rng.next_u64());
+            let par = Parallelism::Threads(1);
+            let mc = montecarlo::influence(&g, model, q, 60_000, seeds, par, |_| true);
             assert!(
                 (mc - exact).abs() < 0.03 * exact.max(1.0),
                 "{model:?} q={q}: mc {mc} vs exact {exact}"
@@ -94,7 +96,8 @@ fn rr_estimator_converges_to_exact_ic() {
     let members: Vec<NodeId> = (0..4).collect();
     let mut rng = SmallRng::seed_from_u64(2);
     for model in [Model::WeightedCascade, Model::UniformIc(0.35)] {
-        let est = InfluenceEstimate::on_graph(&g, model, 120_000, &mut rng);
+        let seeds = SeedSequence::new(rng.next_u64());
+        let est = InfluenceEstimate::on_graph(&g, model, 120_000, seeds, Parallelism::Threads(1));
         for q in 0..4u32 {
             let exact = exact_influence(&g, model, q, &members);
             let got = est.sigma(q);
@@ -112,8 +115,14 @@ fn restricted_rr_estimator_matches_exact_community_influence() {
     let g = tiny();
     let members: Vec<NodeId> = vec![0, 1, 2];
     let mut rng = SmallRng::seed_from_u64(3);
-    let est =
-        InfluenceEstimate::on_community(&g, Model::WeightedCascade, &members, 150_000, &mut rng);
+    let est = InfluenceEstimate::on_community(
+        &g,
+        Model::WeightedCascade,
+        &members,
+        150_000,
+        SeedSequence::new(rng.next_u64()),
+        Parallelism::Threads(1),
+    );
     for &q in &members {
         let exact = exact_influence(&g, Model::WeightedCascade, q, &members);
         let got = est.sigma(q);

@@ -78,7 +78,18 @@ fn small_index() -> (Dendrogram, HimorIndex) {
     let dendro = build_hierarchy(&g, Linkage::Average);
     let lca = LcaIndex::new(&dendro);
     let mut rng = SmallRng::seed_from_u64(77);
-    let index = HimorIndex::build(&g, Model::WeightedCascade, &dendro, &lca, 20, &mut rng);
+    let (seed, par) = (rng.next_u64(), Parallelism::Threads(1));
+    let index = HimorIndex::build(
+        &g,
+        Model::WeightedCascade,
+        &dendro,
+        &lca,
+        20,
+        seed,
+        par,
+        None,
+    )
+    .unwrap();
     (dendro, index)
 }
 

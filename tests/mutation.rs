@@ -132,13 +132,13 @@ fn randomized_cora_schedule_repairs_match_rebuilds_across_threads() {
     };
     let g = &data.graph;
     const SEED: u64 = 0xC0DA;
-    let mut a1 = DynamicCod::with_seed(g, seeded_cfg(1), SEED);
-    let mut a2 = DynamicCod::with_seed(g, seeded_cfg(2), SEED);
-    let mut a8 = DynamicCod::with_seed(g, seeded_cfg(8), SEED);
+    let mut a1 = DynamicCod::with_seed(g, seeded_cfg(1), SEED).unwrap();
+    let mut a2 = DynamicCod::with_seed(g, seeded_cfg(2), SEED).unwrap();
+    let mut a8 = DynamicCod::with_seed(g, seeded_cfg(8), SEED).unwrap();
     for a in [&mut a1, &mut a2, &mut a8] {
         a.set_rebuild_threshold(10.0); // keep the repair path in play
     }
-    let mut r = DynamicCod::with_seed(g, seeded_cfg(1), SEED);
+    let mut r = DynamicCod::with_seed(g, seeded_cfg(1), SEED).unwrap();
     r.set_rebuild_threshold(0.0); // every flush rebuilds from scratch
 
     let schedule = random_schedule(g, events, 0xEE);
@@ -159,8 +159,8 @@ fn randomized_cora_schedule_repairs_match_rebuilds_across_threads() {
         assert!(r.apply(m).unwrap());
 
         let ev = i as u64;
-        let rep = a1.flush(&mut SmallRng::seed_from_u64(ev)).unwrap();
-        let ref_rep = r.flush(&mut SmallRng::seed_from_u64(7700 + ev)).unwrap();
+        let rep = a1.flush().unwrap();
+        let ref_rep = r.flush().unwrap();
         assert_eq!(rep.events, 1);
         if matches!(m, Mutation::SetAttrs { .. }) {
             // Attribute churn never touches the hierarchy on either path.
@@ -175,10 +175,10 @@ fn randomized_cora_schedule_repairs_match_rebuilds_across_threads() {
         }
         // Staggered cadences: a2 and a8 accumulate events across flushes.
         if i % 3 == 2 {
-            a2.flush(&mut SmallRng::seed_from_u64(31 + ev)).unwrap();
+            a2.flush().unwrap();
         }
         if i % 7 == 6 {
-            a8.flush(&mut SmallRng::seed_from_u64(77 + ev)).unwrap();
+            a8.flush().unwrap();
         }
 
         // Rotating probe after every event: repaired ≡ from-scratch.
@@ -200,8 +200,8 @@ fn randomized_cora_schedule_repairs_match_rebuilds_across_threads() {
         // Checkpoint: bring every cadence current and sweep the full probe
         // set across all four instances.
         if (i + 1) % 25 == 0 || i + 1 == schedule.len() {
-            a2.flush(&mut SmallRng::seed_from_u64(43 + ev)).unwrap();
-            a8.flush(&mut SmallRng::seed_from_u64(83 + ev)).unwrap();
+            a2.flush().unwrap();
+            a8.flush().unwrap();
             for &q in &probes {
                 let attr = g.node_attrs(q).first().copied().unwrap_or(0);
                 let qseed = 900_000 + ev * 10 + u64::from(q % 10);
@@ -240,13 +240,13 @@ fn randomized_cora_schedule_repairs_match_rebuilds_across_threads() {
 
     // Seed + log replay: a fresh instance fed the whole log in one batch
     // (one big repair) agrees with the instance that lived through it.
-    let mut fresh = DynamicCod::with_seed(g, seeded_cfg(1), SEED);
+    let mut fresh = DynamicCod::with_seed(g, seeded_cfg(1), SEED).unwrap();
     fresh.set_rebuild_threshold(10.0);
     let log = a1.mutation_log().events().to_vec();
     for m in &log {
         assert!(fresh.apply(m).unwrap());
     }
-    let rep = fresh.flush(&mut SmallRng::seed_from_u64(424_242)).unwrap();
+    let rep = fresh.flush().unwrap();
     assert_eq!(rep.events, events);
     assert!(
         matches!(rep.outcome, FlushOutcome::Repaired { .. }),
@@ -287,7 +287,7 @@ fn attribute_edits_evict_only_the_touched_attributes_pools() {
         parallelism: Parallelism::Threads(1),
         ..CodConfig::default()
     };
-    let mut d = DynamicCod::with_seed(g, cfg, 77);
+    let mut d = DynamicCod::with_seed(g, cfg, 77).unwrap();
     let mut rng = SmallRng::seed_from_u64(1);
 
     // Warm the pool cache until at least two distinct attributes own
@@ -389,15 +389,14 @@ fn cancelled_flush_recovers(site: Site) {
     }
     let _lock = guard();
     let g = small_graph();
-    let mut d = DynamicCod::with_seed(&g, seeded_cfg(1), 4242);
+    let mut d = DynamicCod::with_seed(&g, seeded_cfg(1), 4242).unwrap();
     d.set_rebuild_threshold(10.0);
     assert!(d.insert_edge(2, 9));
 
     failpoint::disarm_all();
     failpoint::arm(site, Action::Cancel);
     let token = CancelToken::unlimited();
-    let mut rng = SmallRng::seed_from_u64(1);
-    let err = d.flush_governed(&mut rng, Some(&token)).unwrap_err();
+    let err = d.flush_governed(Some(&token)).unwrap_err();
     assert!(
         matches!(err, CodError::DeadlineExceeded),
         "{site:?}: fired token must surface as DeadlineExceeded, got {err}"
@@ -410,9 +409,7 @@ fn cancelled_flush_recovers(site: Site) {
     failpoint::disarm_all();
 
     // Recovery: the same instance, a fresh (unfired) token, a clean repair.
-    let rep = d
-        .flush_governed(&mut rng, Some(&CancelToken::unlimited()))
-        .unwrap();
+    let rep = d.flush_governed(Some(&CancelToken::unlimited())).unwrap();
     assert!(
         matches!(rep.outcome, FlushOutcome::Repaired { .. }),
         "{site:?}: {rep:?}"
@@ -433,7 +430,7 @@ fn cancelled_flush_recovers(site: Site) {
         let mut interner = pcod::graph::AttrInterner::new();
         interner.intern("A");
         let g2 = AttributedGraph::from_parts(b.build(), attrs, interner);
-        DynamicCod::with_seed(&g2, seeded_cfg(1), 4242)
+        DynamicCod::with_seed(&g2, seeded_cfg(1), 4242).unwrap()
     };
     for q in 0..10u32 {
         let x = comparable(d.query(q, 0, &mut SmallRng::seed_from_u64(9)).unwrap());
@@ -498,9 +495,9 @@ proptest! {
             parallelism: Parallelism::Threads(2),
             ..CodConfig::default()
         };
-        let mut a = DynamicCod::with_seed(&g, cfg, 0xBEEF);
+        let mut a = DynamicCod::with_seed(&g, cfg, 0xBEEF).unwrap();
         a.set_rebuild_threshold(10.0);
-        let mut r = DynamicCod::with_seed(&g, cfg, 0xBEEF);
+        let mut r = DynamicCod::with_seed(&g, cfg, 0xBEEF).unwrap();
         r.set_rebuild_threshold(0.0);
 
         let mut edges: Vec<(NodeId, NodeId)> = g.csr().edges().collect();
@@ -540,8 +537,8 @@ proptest! {
             };
             prop_assert!(a.apply(&m).unwrap());
             prop_assert!(r.apply(&m).unwrap());
-            a.flush(&mut SmallRng::seed_from_u64(i)).unwrap();
-            r.flush(&mut SmallRng::seed_from_u64(1000 + i)).unwrap();
+            a.flush().unwrap();
+            r.flush().unwrap();
             // Every node normally; every 5th under the CI chaos leg, where
             // each probe pays injected checkpoint sleeps on both instances.
             let stride = if chaos_armed() { 5 } else { 1 };

@@ -18,7 +18,7 @@
 
 use pcod::cod::failpoint::{self, Action, Site};
 use pcod::cod::pool::RrPoolEntry;
-use pcod::cod::DynamicCod;
+use pcod::cod::{AnswerSource, DynamicCod};
 use pcod::prelude::*;
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -262,18 +262,6 @@ fn clear_cache_invalidates_pools_and_rebuilds_identically() {
 // DynamicCod: every mutation invalidates, a stale pool is never served.
 // ---------------------------------------------------------------------------
 
-/// `pooled_cfg` with serial parallelism: `DynamicCod` then keeps the
-/// legacy lazy contract (no flush-on-query repair), so queries on a dirty
-/// node take the pooled compressed path — exactly the window this test
-/// observes. The seeded flush pipeline's scoped eviction is covered by
-/// `tests/mutation.rs`.
-fn serial_pooled_cfg() -> CodConfig {
-    CodConfig {
-        parallelism: Parallelism::Serial,
-        ..pooled_cfg(1)
-    }
-}
-
 /// Every `DynamicCod` mutation path — edge insert, edge removal, attribute
 /// edit, explicit rebuild — bumps the pool epoch, and scoped eviction
 /// drops every pool the mutation could stale. All pools in this workload
@@ -281,20 +269,37 @@ fn serial_pooled_cfg() -> CodConfig {
 /// (attribute edits), so each mutation must leave zero pools resident: a
 /// pool sampled on the old graph does not survive to the first
 /// post-mutation lookup.
+///
+/// Queries flush (repair) first, so the index is always current and
+/// answers whatever it can; the script needs a query node that pooled
+/// compressed evaluation serves at every step. Candidates are tried in id
+/// order, and every run checks every assertion up to the step (if any)
+/// where the index answered instead.
 #[test]
 fn dynamic_mutations_invalidate_the_pool() {
     let _g = guard();
     failpoint::disarm_all();
     let data = dataset();
     let g = &data.graph;
-    let mut dyn_cod = DynamicCod::new(g, serial_pooled_cfg(), &mut SmallRng::seed_from_u64(11));
-    let q: NodeId = 9;
+    let served = (0..g.num_nodes() as NodeId).find(|&q| pool_invalidation_script(g, q).is_some());
+    assert!(
+        served.is_some(),
+        "no query node is served by pooled evaluation at every step"
+    );
+}
+
+/// The mutation script of [`dynamic_mutations_invalidate_the_pool`] on
+/// query node `q`; `None` when the index answers `q` at some step.
+fn pool_invalidation_script(g: &AttributedGraph, q: NodeId) -> Option<()> {
+    let mut dyn_cod = DynamicCod::new(g, pooled_cfg(1), &mut SmallRng::seed_from_u64(11)).unwrap();
     let attr = g.node_attrs(q).first().copied().unwrap_or(0);
     let ask = |d: &mut DynamicCod| {
-        d.query(q, attr, &mut SmallRng::seed_from_u64(500))
-            .expect("valid query")
+        let answer = d
+            .query(q, attr, &mut SmallRng::seed_from_u64(500))
+            .expect("valid query")?;
+        (answer.source == AnswerSource::Compressed).then_some(answer)
     };
-    ask(&mut dyn_cod);
+    ask(&mut dyn_cod)?;
     // Pick an endpoint not adjacent to q so the insert is a real edit.
     let other = (0..g.num_nodes() as NodeId)
         .find(|&v| v != q && !g.csr().neighbors(q).contains(&v))
@@ -309,15 +314,15 @@ fn dynamic_mutations_invalidate_the_pool() {
         "insert_edge must invalidate"
     );
     assert_eq!(dyn_cod.pool_stats().pools, 0);
-    // The edit touches q, so the index path is unusable and the query runs
-    // the pooled compressed evaluation: the pool repopulates, and a repeat
-    // query reuses it with the identical answer.
-    let cold = ask(&mut dyn_cod);
+    // The query repairs the hierarchy and index, then runs the pooled
+    // compressed evaluation: the pool repopulates, and a repeat query
+    // reuses it with the identical answer.
+    let cold = ask(&mut dyn_cod)?;
     assert!(
         dyn_cod.pool_stats().pools > 0,
         "post-mutation query did not rebuild the pool"
     );
-    let warm = ask(&mut dyn_cod);
+    let warm = ask(&mut dyn_cod)?;
     assert_eq!(warm, cold, "warm pooled answer diverged after mutation");
 
     // Edge removal.
@@ -331,7 +336,7 @@ fn dynamic_mutations_invalidate_the_pool() {
     assert_eq!(dyn_cod.pool_stats().pools, 0);
 
     // Attribute edit (repopulate first so the drop is observable).
-    ask(&mut dyn_cod);
+    ask(&mut dyn_cod)?;
     assert!(dyn_cod.pool_stats().pools > 0);
     let epoch = dyn_cod.pool_epoch();
     dyn_cod.set_attrs(q, vec![attr]).expect("q is in range");
@@ -339,11 +344,12 @@ fn dynamic_mutations_invalidate_the_pool() {
     assert_eq!(dyn_cod.pool_stats().pools, 0);
 
     // Explicit rebuild.
-    ask(&mut dyn_cod);
+    ask(&mut dyn_cod)?;
     let epoch = dyn_cod.pool_epoch();
-    dyn_cod.rebuild(&mut SmallRng::seed_from_u64(12));
+    dyn_cod.rebuild().unwrap();
     assert_eq!(dyn_cod.pool_epoch(), epoch + 1, "rebuild must invalidate");
     assert_eq!(dyn_cod.pool_stats().pools, 0);
+    Some(())
 }
 
 // ---------------------------------------------------------------------------

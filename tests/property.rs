@@ -3,9 +3,7 @@
 use std::sync::Arc;
 
 use cod_graph::FxHashMap;
-use pcod::cod::compressed::{
-    compressed_cod, compressed_cod_pooled, compressed_cod_seeded, incremental_top_k, CodOutcome,
-};
+use pcod::cod::compressed::{compressed_cod, incremental_top_k, CodOutcome, EvalOptions, Samples};
 use pcod::cod::pool::RrPoolEntry;
 use pcod::cod::recluster::build_hierarchy;
 use pcod::cod::SubgraphChain;
@@ -77,10 +75,10 @@ fn replay_draw<R: Rng>(
     Some(sampler.sample_restricted(s, rng, |v| universe.binary_search(&v).is_ok()))
 }
 
-/// Checks every compressed entry point on `chain` against
-/// [`definition3_outcome`] over the very draws it made: the caller-RNG
-/// stream, per-index seeding at 1 and 2 threads, and a shared pool (the
-/// oracle reads the pool's own view).
+/// Checks both sample sources of `compressed_cod` on `chain` against
+/// [`definition3_outcome`] over the very draws they made: per-index seeding
+/// at 1 and 2 threads, and a shared pool (the oracle reads the pool's own
+/// view).
 fn assert_compressed_matches_definition3(
     g: &Csr,
     chain: &(impl Chain + Sync),
@@ -94,23 +92,10 @@ fn assert_compressed_matches_definition3(
     let universe = chain.universe();
     let theta = theta_per_node * universe.len();
     let mut sampler = RrSampler::new(g, model);
-
-    let got = compressed_cod(
-        g,
-        model,
-        chain,
-        q,
-        k,
-        theta_per_node,
-        &mut SmallRng::seed_from_u64(seed),
-    )
-    .unwrap();
-    let mut stream = SmallRng::seed_from_u64(seed);
-    let draws: Vec<_> = (0..theta)
-        .map(|_| replay_draw(&mut sampler, chain, &universe, &mut stream))
-        .collect();
-    let want = definition3_outcome(chain, draws.iter().map(Option::as_ref), q, k, theta);
-    assert_eq!(got, want, "stream");
+    let opts = |t| EvalOptions {
+        par: Parallelism::Threads(t),
+        ..EvalOptions::default()
+    };
 
     let seeds = SeedSequence::new(seed);
     let draws: Vec<_> = (0..theta)
@@ -118,29 +103,16 @@ fn assert_compressed_matches_definition3(
         .collect();
     let want = definition3_outcome(chain, draws.iter().map(Option::as_ref), q, k, theta);
     for t in [1, 2] {
-        let par = Parallelism::Threads(t);
-        let got = compressed_cod_seeded(g, model, chain, q, k, theta_per_node, seed, par).unwrap();
+        let sampled = Samples::Seed(seed);
+        let got = compressed_cod(g, model, chain, q, k, theta_per_node, sampled, opts(t)).unwrap();
         assert_eq!(got, want, "seeded, {t} threads");
     }
 
     let restricted = universe.len() < g.num_nodes();
     let pool = RrPoolEntry::new(None, Arc::new(universe), restricted);
-    let par = Parallelism::Threads(2);
-    let got = compressed_cod_pooled(
-        g,
-        model,
-        chain,
-        q,
-        k,
-        theta_per_node,
-        None,
-        &pool,
-        par,
-        None,
-        None,
-    )
-    .unwrap();
-    let (view, _) = pool.ensure(g, model, theta, par, None);
+    let pooled = Samples::Pool(&pool);
+    let got = compressed_cod(g, model, chain, q, k, theta_per_node, pooled, opts(2)).unwrap();
+    let (view, _) = pool.ensure(g, model, theta, Parallelism::Threads(2), None);
     let draws = view
         .iter()
         .take(theta)
@@ -466,10 +438,10 @@ proptest! {
         let g = random_graph(n, extra, gseed);
         let seq = SeedSequence::new(master);
         let theta = 64;
-        let serial = RrPool::sample_seeded(
+        let serial = RrPool::sample(
             &g, Model::WeightedCascade, theta, seq, None, Parallelism::Threads(1),
         );
-        let parallel = RrPool::sample_seeded(
+        let parallel = RrPool::sample(
             &g, Model::WeightedCascade, theta, seq, None, Parallelism::Threads(threads),
         );
         for i in 0..theta {

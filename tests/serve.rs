@@ -660,3 +660,61 @@ fn recovering_server_gates_readiness_until_replay_completes() {
     let report = handle.shutdown();
     assert_eq!(report.http_stats.panics, 0);
 }
+
+/// The JSON request bodies this suite sends, plus one with multi-byte
+/// characters: the corpus of the parser fuzz below.
+const REQUEST_BODIES: &[&str] = &[
+    r#"{"queries":[{"node":0,"method":"codu"},{"node":1,"method":"codu"}],"deadline_ms":20000}"#,
+    "{not json",
+    r#"{"queries":[]}"#,
+    r#"{"node":0,"method":"codu","deadline_ms":"100"}"#,
+    r#"{"node":0,"method":"codu","deadline_ms":-5}"#,
+    r#"{"node":0,"method":"codu","deadline_ms":1.5}"#,
+    r#"{"node":0,"method":"codu","deadline_ms":true}"#,
+    r#"{"node":0,"method":"codu","deadline_ms":[]}"#,
+    r#"{"queries":[{"node":0,"method":"codu"}],"deadline_ms":"100"}"#,
+    r#"{"node":0,"method":"codu","deadline_ms":null}"#,
+    r#"{"queries":[{"node":0,"method":"codu"},{"node":7,"method":"codu"}],"deadline_ms":10000}"#,
+    "{broken",
+    r#"{"node":3,"attr":"Datenbanken été — 数据库 🚀","method":"codl"}"#,
+];
+
+/// Every truncation and every single-bit flip (that stays valid UTF-8) of
+/// every request body parses to `Ok` or `Err` — never a panic.
+#[test]
+fn json_truncations_and_bit_flips_never_panic() {
+    use pcod::serve::json::parse;
+    for body in REQUEST_BODIES {
+        let bytes = body.as_bytes();
+        for end in 0..=bytes.len() {
+            if let Ok(prefix) = std::str::from_utf8(&bytes[..end]) {
+                let _ = parse(prefix);
+            }
+        }
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.to_vec();
+                flipped[i] ^= 1 << bit;
+                if let Ok(text) = String::from_utf8(flipped) {
+                    let _ = parse(&text);
+                }
+            }
+        }
+    }
+}
+
+/// A 256 KiB string of two-byte characters decodes in linear time.
+#[test]
+fn large_non_ascii_json_string_parses_in_linear_time() {
+    let value = "é".repeat(128 * 1024);
+    let body = format!(r#"{{"attr":"{value}"}}"#);
+    assert!(body.len() >= 256 * 1024);
+    let t0 = std::time::Instant::now();
+    let parsed = pcod::serve::json::parse(&body).expect("valid JSON");
+    let elapsed = t0.elapsed();
+    assert_eq!(
+        parsed.get("attr").and_then(|v| v.as_str()),
+        Some(&value[..])
+    );
+    assert!(elapsed < Duration::from_secs(1), "parse took {elapsed:?}");
+}

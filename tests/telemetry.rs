@@ -273,7 +273,7 @@ fn pool_counters_flow_through_traces_and_registry() {
 /// a resample of what was already pooled.
 #[test]
 fn pool_topups_are_counted_and_sample_only_the_missing_suffix() {
-    use pcod::cod::compressed::compressed_cod_pooled;
+    use pcod::cod::compressed::{compressed_cod, EvalOptions, Samples};
     use pcod::cod::pool::RrPoolEntry;
     use pcod::cod::recluster::build_hierarchy;
     use std::sync::Arc;
@@ -290,18 +290,21 @@ fn pool_topups_are_counted_and_sample_only_the_missing_suffix() {
     let mut ws = QueryScratch::new();
     let mut run = |theta_pn: usize| {
         ws.reset_telemetry(false);
-        compressed_cod_pooled(
+        let opts = EvalOptions {
+            par: Parallelism::Threads(1),
+            scratch: Some(&mut ws),
+            ..EvalOptions::default()
+        };
+        let pooled = Samples::Pool(&pool);
+        compressed_cod(
             g,
             Model::WeightedCascade,
             &chain,
             q,
             3,
             theta_pn,
-            None,
-            &pool,
-            Parallelism::Threads(1),
-            Some(&mut ws),
-            None,
+            pooled,
+            opts,
         )
         .expect("valid query");
         ws.take_trace()
@@ -364,17 +367,16 @@ fn mutation_counters_flow_through_the_exposition() {
         parallelism: Parallelism::Threads(1),
         ..CodConfig::default()
     };
-    let mut d = DynamicCod::with_seed(g, cfg, 5);
+    let mut d = DynamicCod::with_seed(g, cfg, 5).unwrap();
     d.set_rebuild_threshold(10.0);
-    let mut rng = SmallRng::seed_from_u64(1);
     assert!(d.insert_edge(0, 60));
     assert!(d.insert_edge(1, 61));
     assert!(d.remove_edge(0, 60));
     d.set_attrs(5, vec![0]).unwrap();
-    let _ = d.flush(&mut rng).unwrap(); // one localized repair
+    let _ = d.flush().unwrap(); // one localized repair
     d.set_rebuild_threshold(0.0);
     assert!(d.insert_edge(2, 62));
-    let _ = d.flush(&mut rng).unwrap(); // one forced full rebuild
+    let _ = d.flush().unwrap(); // one forced full rebuild
 
     let snap = d.metrics_snapshot();
     assert_eq!(snap.mutations_insert, 3);
