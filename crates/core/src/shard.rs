@@ -113,17 +113,18 @@ impl ShardedEngine {
 
     /// A sharded engine that builds the base hierarchy and HIMOR index
     /// eagerly (consuming `rng` exactly as [`CodEngine::ensure_himor`]
-    /// would) and shares them across shards.
+    /// would) and shares them across shards. Fails with
+    /// [`crate::CodError::InvalidQuery`] when `θ·|V|` overflows `usize`.
     pub fn build<R: Rng>(
         g: Arc<AttributedGraph>,
         cfg: CodConfig,
         num_shards: usize,
         rng: &mut R,
-    ) -> Self {
+    ) -> CodResult<Self> {
         let builder = CodEngine::from_shared(Arc::clone(&g), cfg);
         let base = builder.base_hierarchy();
-        let index = builder.ensure_himor(rng);
-        Self::from_shared_parts(g, cfg, base, index, num_shards)
+        let index = builder.ensure_himor_governed(rng, None)?;
+        Ok(Self::from_shared_parts(g, cfg, base, index, num_shards))
     }
 
     /// The graph being served.
@@ -498,7 +499,7 @@ mod tests {
     fn routing_respects_components() {
         let g = Arc::new(two_component_graph());
         let mut rng = SmallRng::seed_from_u64(1);
-        let sharded = ShardedEngine::build(Arc::clone(&g), cfg(), 2, &mut rng);
+        let sharded = ShardedEngine::build(Arc::clone(&g), cfg(), 2, &mut rng).unwrap();
         assert_eq!(sharded.num_shards(), 2);
         let s0 = sharded.shard_of(0).expect("node 0 in range");
         for v in 1..5 {
@@ -513,7 +514,7 @@ mod tests {
     fn metrics_text_exports_shard_series() {
         let g = Arc::new(two_component_graph());
         let mut rng = SmallRng::seed_from_u64(2);
-        let sharded = ShardedEngine::build(Arc::clone(&g), cfg(), 2, &mut rng);
+        let sharded = ShardedEngine::build(Arc::clone(&g), cfg(), 2, &mut rng).unwrap();
         let queries = all_queries(&g);
         let _ = sharded.query_batch(&queries, &mut rng);
         let text = sharded.metrics_text();
@@ -529,7 +530,7 @@ mod tests {
     fn out_of_range_node_is_invalid_not_panic() {
         let g = Arc::new(two_component_graph());
         let mut rng = SmallRng::seed_from_u64(3);
-        let sharded = ShardedEngine::build(Arc::clone(&g), cfg(), 2, &mut rng);
+        let sharded = ShardedEngine::build(Arc::clone(&g), cfg(), 2, &mut rng).unwrap();
         let result = sharded.query(Query::codu(1_000), &mut rng);
         assert!(matches!(result, Err(crate::CodError::InvalidQuery(_))));
     }

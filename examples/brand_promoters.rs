@@ -32,7 +32,7 @@ fn main() {
         theta: 20,
         ..CodConfig::default()
     };
-    let codl = Codl::new(g, cfg, &mut rng);
+    let codl = Codl::new(g, cfg, &mut rng).expect("valid config");
 
     // Candidate promoters: users interested in the campaign topic.
     let topic = 0; // campaign topic = attribute 0

@@ -34,7 +34,7 @@ fn main() {
         theta: 20,
         ..CodConfig::default()
     };
-    let codl = Codl::new(g, cfg, &mut rng);
+    let codl = Codl::new(g, cfg, &mut rng).expect("valid config");
 
     // Pick organizers: nodes with a topic attribute and decent degree.
     let organizers: Vec<NodeId> = (0..g.num_nodes() as NodeId)

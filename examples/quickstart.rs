@@ -28,7 +28,7 @@ fn main() {
             theta: 500, // generous sampling: the example graph is tiny
             ..CodConfig::default()
         };
-        let codl = Codl::new(g, cfg, &mut rng);
+        let codl = Codl::new(g, cfg, &mut rng).expect("valid config");
         for q in [0u32, 6] {
             match codl.query(q, db, &mut rng).expect("valid query") {
                 Some(ans) => println!(

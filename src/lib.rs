@@ -17,10 +17,11 @@
 //! let g = &data.graph;
 //! let db = g.interner().get("DB").unwrap();
 //!
-//! // Fully optimized CODL: LORE local reclustering + HIMOR index.
+//! // Fully optimized CODL: LORE local reclustering + HIMOR index. Building
+//! // fails only on an invalid config (θ·|V| overflowing `usize`).
 //! let cfg = CodConfig { k: 1, theta: 200, ..CodConfig::default() };
 //! let mut rng = SmallRng::seed_from_u64(42);
-//! let codl = Codl::new(g, cfg, &mut rng);
+//! let codl = Codl::new(g, cfg, &mut rng).unwrap();
 //!
 //! // `query` returns `CodResult<Option<CodAnswer>>`: `Err` for invalid
 //! // input, `Ok(None)` when no community qualifies.

@@ -27,7 +27,7 @@ fn all_methods_answer_a_workload() {
     let codu = Codu::new(g, c);
     let codr = Codr::new(g, c);
     let codl_minus = CodlMinus::new(g, c);
-    let codl = Codl::new(g, c, &mut rng);
+    let codl = Codl::new(g, c, &mut rng).unwrap();
 
     let mut answered = [0usize; 4];
     for &(q, a) in &queries {
@@ -74,7 +74,7 @@ fn answers_are_usually_truly_top_k() {
     let mut rng = SmallRng::seed_from_u64(2);
     let queries = pcod::datasets::gen_queries(g, 10, &mut rng);
     let c = cfg(5);
-    let codl = Codl::new(g, c, &mut rng);
+    let codl = Codl::new(g, c, &mut rng).unwrap();
     let mut checked = 0;
     let mut correct = 0;
     for &(q, a) in &queries {
@@ -140,7 +140,7 @@ fn codl_agrees_with_codl_minus_on_found_levels() {
     let mut rng = SmallRng::seed_from_u64(4);
     let queries = pcod::datasets::gen_queries(g, 10, &mut rng);
     let c = cfg(5);
-    let codl = Codl::new(g, c, &mut rng);
+    let codl = Codl::new(g, c, &mut rng).unwrap();
     let codl_minus = CodlMinus::new(g, c);
     let mut both = 0;
     let mut close = 0;

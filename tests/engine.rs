@@ -34,7 +34,7 @@ fn invalid_queries_error_identically_through_every_variant() {
     let codu = Codu::new(g, cfg());
     let codr = Codr::new(g, cfg());
     let cm = CodlMinus::new(g, cfg());
-    let codl = Codl::new(g, cfg(), &mut rng);
+    let codl = Codl::new(g, cfg(), &mut rng).unwrap();
     let engine = CodEngine::new(g.clone(), cfg());
 
     // Out-of-range node, through all eight entry points.
