@@ -1,12 +1,12 @@
 //! Serving-layer throughput: what the `CodEngine` reuse layers actually buy.
 //!
-//! Three comparisons, all over identical query streams with identical
+//! The comparisons all run over identical query streams with identical
 //! (bit-for-bit) answers — the engine's caches and scratch reuse are not
 //! allowed to change results, only latency:
 //!
 //! * **cold vs warm artifact cache** — repeat-attribute CODR queries with
-//!   the recluster cache disabled (capacity 0: every query rebuilds `T_ℓ`,
-//!   the legacy facade behaviour) vs enabled and pre-warmed;
+//!   the recluster cache disabled (capacity 0: every query rebuilds `T_ℓ`)
+//!   vs enabled and pre-warmed;
 //! * **single vs batch** — the same mixed workload issued one `query()` at
 //!   a time vs one `query_batch()` call that groups by attribute and fans
 //!   groups out;
@@ -57,8 +57,8 @@ fn bench_cold_vs_warm_cache(c: &mut Criterion) {
         ("citeseer", cod_datasets::citeseer_like(2)),
     ] {
         let queries = repeat_attr_queries(32);
-        // Capacity 0 replays the legacy facade path: every query rebuilds
-        // its reclustered hierarchy from scratch.
+        // Capacity 0: every query rebuilds its reclustered hierarchy from
+        // scratch.
         let uncached = CodEngine::with_cache_capacity(
             std::sync::Arc::new(data.graph.clone()),
             cfg(Parallelism::Threads(1)),
@@ -229,7 +229,9 @@ fn bench_mmap_cold_vs_eager(c: &mut Criterion) {
     let g = &data.graph;
     let engine = CodEngine::new(g.clone(), cfg(Parallelism::Threads(1)));
     let base = engine.base_hierarchy();
-    let index = engine.ensure_himor(&mut SmallRng::seed_from_u64(4242));
+    let index = engine
+        .ensure_himor(&mut SmallRng::seed_from_u64(4242))
+        .expect("valid config");
     let path = std::env::temp_dir().join(format!("bench_mmap_{}.codx", std::process::id()));
     cod_core::save_artifacts(&path, g, &base.dendro, &index).expect("save artifacts");
     let queries = repeat_attr_queries(16);
@@ -256,104 +258,12 @@ fn bench_mmap_cold_vs_eager(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
-/// Scatter-gather overhead: the same warm batch through a two-shard
-/// `ShardedEngine` (route → per-shard sub-batches → gather) vs one
-/// unsharded engine over identical shared artifacts. Answers are
-/// bit-identical by the positional-seed contract; `bench_report` tracks
-/// `shard_batch_ratio` so routing can never silently become a tax.
-fn bench_sharded_vs_single_batch(c: &mut Criterion) {
-    use cod_core::ShardedEngine;
-    use cod_graph::{AttrTable, AttributedGraph, GraphBuilder, NodeId};
-    use std::sync::Arc;
-
-    let mut group = c.benchmark_group("query_throughput/sharded");
-    group.sample_size(10);
-
-    // Two disjoint copies of the dataset, so the partitioner has real
-    // components to spread and the batch genuinely fans out.
-    let data = cod_datasets::cora_like(1);
-    let src = &data.graph;
-    let n = src.num_nodes();
-    let mut b = GraphBuilder::new(2 * n);
-    for v in 0..n as NodeId {
-        for &u in src.csr().neighbors(v) {
-            if u > v {
-                b.add_edge(v, u);
-                b.add_edge(v + n as NodeId, u + n as NodeId);
-            }
-        }
-    }
-    let lists: Vec<Vec<cod_graph::AttrId>> = (0..2 * n)
-        .map(|v| src.node_attrs((v % n) as NodeId).to_vec())
-        .collect();
-    let g = Arc::new(AttributedGraph::from_parts(
-        b.build(),
-        AttrTable::from_lists(lists),
-        src.interner().clone(),
-    ));
-
-    let config = cfg(Parallelism::Threads(2));
-    let builder = CodEngine::from_shared(Arc::clone(&g), config);
-    let base = builder.base_hierarchy();
-    let index = builder.ensure_himor(&mut SmallRng::seed_from_u64(4242));
-    let queries: Vec<Query> = (0..32u32)
-        .map(|i| {
-            let q = (i as usize % 2 * n + (i as usize / 2) % n) as NodeId;
-            Query::new(q, (i % 2) as cod_graph::AttrId, Method::Codr)
-        })
-        .collect();
-    let limits = QueryLimits::default();
-
-    let single = CodEngine::from_shared_parts(
-        Arc::clone(&g),
-        config,
-        Arc::clone(&base),
-        Arc::clone(&index),
-    );
-    let sharded = ShardedEngine::from_shared_parts(Arc::clone(&g), config, base, index, 2);
-    // Warm both sides: measure routing + evaluation, not artifact builds.
-    let mut rng = SmallRng::seed_from_u64(7);
-    let _ = single.query_batch_with_limits(&queries, &limits, &mut rng);
-    let _ = sharded.query_batch_with_limits(&queries, &limits, &mut rng);
-
-    group.bench_function("single_batch", |b| {
-        b.iter(|| {
-            let mut rng = SmallRng::seed_from_u64(7);
-            black_box(
-                single
-                    .query_batch_with_limits(&queries, &limits, &mut rng)
-                    .into_iter()
-                    .flatten()
-                    .flatten()
-                    .map(|a| a.size())
-                    .sum::<usize>(),
-            )
-        })
-    });
-    group.bench_function("sharded_batch", |b| {
-        b.iter(|| {
-            let mut rng = SmallRng::seed_from_u64(7);
-            black_box(
-                sharded
-                    .query_batch_with_limits(&queries, &limits, &mut rng)
-                    .into_iter()
-                    .flatten()
-                    .flatten()
-                    .map(|a| a.size())
-                    .sum::<usize>(),
-            )
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_cold_vs_warm_cache,
     bench_single_vs_batch,
     bench_governance_overhead,
     bench_mmap_cold_vs_eager,
-    bench_sharded_vs_single_batch,
     throughput_report
 );
 criterion_main!(benches);

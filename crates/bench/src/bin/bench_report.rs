@@ -149,16 +149,6 @@ const RATIOS: &[(&str, &str, &str, Option<f64>)] = &[
         "query_throughput/mmap/eager_cold",
         Some(1.10),
     ),
-    // Scatter-gather routing tax: a two-shard batch over shared artifacts
-    // vs the same batch on one engine. No absolute cap — on small graphs
-    // the ratio is dominated by per-sub-batch dispatch, which varies by
-    // core count; the baseline comparison still flags regressions.
-    (
-        "shard_batch_ratio",
-        "query_throughput/sharded/sharded_batch",
-        "query_throughput/sharded/single_batch",
-        None,
-    ),
 ];
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -5,13 +5,14 @@ use cod_core::independent::independent_cod;
 use cod_core::lore::select_recluster_community;
 use cod_core::measures::{answer_quality, average_quality, AnswerQuality};
 use cod_core::recluster::{build_hierarchy, global_recluster, local_recluster};
-use cod_core::{CodConfig, ComposedChain, DendroChain, SubgraphChain};
+use cod_core::{CodConfig, CodEngine, ComposedChain, DendroChain, Method, Query, SubgraphChain};
 use cod_datasets::{by_name, gen_queries, Dataset};
 use cod_graph::{measures as gm, AttrId, AttributedGraph, NodeId};
-use cod_hierarchy::LcaIndex;
+use cod_hierarchy::{Hierarchy, LcaIndex};
 use cod_influence::{InfluenceEstimate, SeedSequence};
 use cod_search::atc::AtcParams;
 use rand::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::multik::{
@@ -777,7 +778,12 @@ pub fn case_study(opts: &CliOpts) {
     let lca = LcaIndex::new(&dendro);
     let mut rng = SmallRng::seed_from_u64(opts.seed + 11);
     let index = himor(g.csr(), cfg, &dendro, &lca, &mut rng);
-    let codl = cod_core::Codl::from_parts(g, cfg, dendro, lca, index);
+    let engine = CodEngine::from_parts(
+        Arc::new(g.clone()),
+        cfg,
+        Arc::new(Hierarchy { dendro, lca }),
+        Arc::new(index),
+    );
 
     let queries = gen_queries(g, 400, &mut rng);
     let mut shown = 0;
@@ -785,7 +791,8 @@ pub fn case_study(opts: &CliOpts) {
         if shown >= 2 {
             break;
         }
-        let Some(cod_ans) = codl.query(q, a, &mut rng).expect("valid query") else {
+        let query = Query::new(q, a, Method::Codl);
+        let Some(cod_ans) = engine.query(query, &mut rng).expect("valid query") else {
             continue;
         };
         let atc = cod_search::atc_query(g, q, a, AtcParams::default());

@@ -1,13 +1,15 @@
-//! CODX **version 3**: the out-of-core artifact format.
+//! CODX **version 3**: the one on-disk artifact format.
 //!
-//! v2 (see [`crate::persist`]) stores only the hierarchy and the HIMOR
-//! rank rows, framed for eager parsing — every load copies and re-encodes.
-//! v3 makes the *whole* prepared-artifact set disk-native so a process can
-//! `mmap` the file and serve queries from zero-copy slices:
+//! The HIMOR index is built once per graph (Θ = θ·|V| RR graphs; Table II
+//! reports minutes on the large datasets) and reused across queries and
+//! sessions, so a deployment wants it on disk and wants to trust what it
+//! reads back. A CODX v3 file holds the *whole* prepared-artifact set in a
+//! disk-native layout, so a process can `mmap` it and serve queries from
+//! zero-copy slices:
 //!
 //! * the graph itself (CSR offsets/targets, attribute tables, interned
-//!   attribute names) rides along, so `--mmap` serving needs no separate
-//!   graph source;
+//!   attribute names) rides along, so serving from the file needs no
+//!   separate graph source;
 //! * every array section is aligned to an **8-byte boundary** from the
 //!   start of the file (the mmap base is page-aligned, so file alignment
 //!   is pointer alignment) and stored in the exact in-memory layout of the
@@ -16,7 +18,8 @@
 //!   entry) lets a reader locate sections without scanning, and lets the
 //!   CRC of each section be verified **lazily on first access** instead of
 //!   in one eager whole-file pass at open;
-//! * the same total-length footer as v2 backstops directory corruption.
+//! * a **total-length footer** backstops directory corruption: truncation
+//!   or a shifted length field disagrees with the real file length.
 //!
 //! ```text
 //! 0:   magic "CODX" | version u32 = 3
@@ -34,11 +37,21 @@
 //! [`crate::himor::RankTable`]) get zero-copy [`Segment`] views; small
 //! derived structures (the interner, the dendrogram and its LCA table)
 //! are decoded eagerly — they are `O(|A| + n)` against the `O(n + E +
-//! Σdep)` arrays that dominate the file.
+//! Σdep)` arrays that dominate the file. Every declared count and offset
+//! is validated against the bytes actually present before anything is
+//! sized, so a corrupt file can never request more memory than its own
+//! size.
 //!
 //! The same handle works without `mmap`: [`MappedArtifacts::open_eager`]
-//! reads the file into RAM and serves views into the owned buffer, which
-//! is also the v3 fallback path behind [`crate::persist::load_index`].
+//! reads the file into RAM and serves views into the owned buffer.
+//!
+//! [`save_artifacts`] writes atomically (temp sibling + fsync + rename),
+//! so a crash mid-save leaves any previous file intact. Files of the
+//! retired v1/v2 layouts (hierarchy and ranks only, no graph) fail to open
+//! with [`CodError::IndexCorrupt`] naming their version; rebuilding the
+//! artifacts and saving them again is the upgrade path. Every load failure
+//! maps to [`CodError::IndexCorrupt`] (untrustworthy bytes) or
+//! [`CodError::Io`] (the file could not be read) — never a panic.
 
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -197,8 +210,8 @@ pub fn serialize_artifacts(
     Ok(out)
 }
 
-/// Writes the full artifact set to `path` atomically (temp sibling +
-/// fsync + rename, like [`crate::persist::save_index`]).
+/// Writes the full artifact set to `path` atomically: temp sibling, fsync,
+/// rename (see [`crate::persist`]).
 pub fn save_artifacts(
     path: &Path,
     g: &AttributedGraph,
@@ -222,11 +235,18 @@ struct Entry {
 }
 
 /// Lazily-initialized artifact slot. `CodError` is not `Clone`, so load
-/// failures are cached as messages and re-wrapped per access.
+/// failures are cached as messages and re-wrapped per access (an
+/// `IndexCorrupt` keeps only its own text, so the re-wrap does not repeat
+/// the variant's prefix).
 type Slot<T> = OnceLock<Result<Arc<T>, String>>;
 
 fn slot_get<T>(slot: &Slot<T>, build: impl FnOnce() -> CodResult<T>) -> CodResult<Arc<T>> {
-    let cached = slot.get_or_init(|| build().map(Arc::new).map_err(|e| e.to_string()));
+    let cached = slot.get_or_init(|| {
+        build().map(Arc::new).map_err(|e| match e {
+            CodError::IndexCorrupt(msg) => msg,
+            other => other.to_string(),
+        })
+    });
     match cached {
         Ok(v) => Ok(Arc::clone(v)),
         Err(msg) => Err(corrupt(msg.clone())),
@@ -277,8 +297,8 @@ impl MappedArtifacts {
         Self::from_bytes(Bytes::from_vec(std::fs::read(path)?))
     }
 
-    /// Parses an in-memory v3 image (fault-injection tests and the
-    /// [`crate::persist::load_index`] v3 fallback).
+    /// Parses an in-memory v3 image (snapshots held in RAM, and the
+    /// fault-injection tests).
     pub fn from_vec(bytes: Vec<u8>) -> CodResult<Self> {
         Self::from_bytes(Bytes::from_vec(bytes))
     }
@@ -295,10 +315,11 @@ impl MappedArtifacts {
         let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
         if version != CODX_V3 {
             return Err(corrupt(format!(
-                "version {version} is not CODX v3; use persist::load_index"
+                "CODX version {version} is not readable (only v{CODX_V3} is); \
+                 rebuild the artifacts to upgrade"
             )));
         }
-        // Footer before anything else, as in v2: it catches truncation and
+        // Footer before anything else: it catches truncation and
         // length-field corruption in one comparison.
         let mut tail = [0u8; 8];
         tail.copy_from_slice(&bytes[file_len - 8..]);
@@ -709,7 +730,9 @@ mod tests {
         // ...the corrupted one fails on first access, and stays failed.
         for _ in 0..2 {
             match arts.himor() {
-                Err(CodError::IndexCorrupt(m)) => assert!(m.contains("checksum"), "{m}"),
+                Err(CodError::IndexCorrupt(m)) => {
+                    assert!(m.starts_with("section") && m.contains("checksum"), "{m}")
+                }
                 other => panic!("expected IndexCorrupt, got {:?}", other.map(|_| ())),
             }
         }
@@ -748,12 +771,20 @@ mod tests {
     }
 
     #[test]
-    fn v2_files_are_not_v3() {
-        let (_, dendro, index) = setup();
-        let v2 = crate::persist::serialize_index(&dendro, &index).unwrap();
-        match MappedArtifacts::from_vec(v2) {
-            Err(CodError::IndexCorrupt(m)) => assert!(m.contains("version"), "{m}"),
-            other => panic!("expected IndexCorrupt, got {:?}", other.map(|_| ())),
+    fn v1_and_v2_files_are_rejected_by_version() {
+        for version in [1u32, 2] {
+            // The retired layouts: magic, version, then at least a section
+            // length or a leaf count — padded past the v3 header minimum.
+            let mut old = Vec::new();
+            old.extend_from_slice(MAGIC);
+            old.extend_from_slice(&version.to_le_bytes());
+            old.extend_from_slice(&[0u8; 32]);
+            match MappedArtifacts::from_vec(old) {
+                Err(CodError::IndexCorrupt(m)) => {
+                    assert!(m.contains(&format!("version {version}")), "{m}")
+                }
+                other => panic!("v{version}: expected IndexCorrupt, got {other:?}"),
+            }
         }
     }
 }

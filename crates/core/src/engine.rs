@@ -2,9 +2,7 @@
 //! variants, with shared prepared artifacts, a recluster cache, reusable
 //! query workspaces and a batch API.
 //!
-//! The legacy facades ([`crate::pipeline`]) are one-shot: every query
-//! re-derives reclustered hierarchies and re-allocates sampler scratch. The
-//! engine owns the immutable prepared artifacts — the graph, the
+//! The engine owns the immutable prepared artifacts — the graph, the
 //! non-attributed hierarchy `T` (+ LCA), the HIMOR index — behind `Arc`,
 //! and layers three kinds of reuse on top:
 //!
@@ -23,15 +21,14 @@
 //! The caller's RNG only ever yields master seeds; every RR sample derives
 //! from a master seed and its sample index ([`SeedSequence`]). An answer is
 //! therefore a pure function of `(seed, config, artifact state)`:
-//! bit-identical single or batched, cold or warm cache, traced or not, for
-//! every thread count, and equal to the facade answers. The plan pass
-//! draws, per query and in query order, exactly one `u64` master seed
-//! *iff* that query reaches compressed evaluation (index hits, empty
-//! chains and validation errors draw nothing); the first CODL query draws
-//! one more for the one-time HIMOR build, where
-//! [`crate::pipeline::Codl::new`] would. All plans come first, then the
-//! evaluations fan out, so a query's deadline clock starts before earlier
-//! queries of its batch evaluate.
+//! bit-identical single or batched, cold or warm cache, traced or not, and
+//! for every thread count. The plan pass draws, per query and in query
+//! order, exactly one `u64` master seed *iff* that query reaches
+//! compressed evaluation (index hits, empty chains and validation errors
+//! draw nothing); the first CODL query draws one more for the one-time
+//! HIMOR build, unless [`CodEngine::ensure_himor`] already drew it. All
+//! plans come first, then the evaluations fan out, so a query's deadline
+//! clock starts before earlier queries of its batch evaluate.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -264,8 +261,8 @@ const RETRY_AFTER_MAX_SHIFT: u32 = 6;
 ///
 /// Construction is cheap: the base hierarchy `T` and the HIMOR index are
 /// built lazily on first need (the index build draws its master seed from
-/// the RNG of the query that triggers it, mirroring
-/// [`crate::pipeline::Codl::new`]).
+/// the RNG of the query that triggers it, or of an explicit
+/// [`CodEngine::ensure_himor`] call).
 /// `&CodEngine` is `Sync`; queries can be served from multiple threads.
 pub struct CodEngine {
     g: Arc<AttributedGraph>,
@@ -309,11 +306,6 @@ impl CodEngine {
         Self::with_cache_capacity(Arc::new(g), cfg, DEFAULT_CACHE_CAPACITY)
     }
 
-    /// An engine over an already-shared graph.
-    pub fn from_shared(g: Arc<AttributedGraph>, cfg: CodConfig) -> Self {
-        Self::with_cache_capacity(g, cfg, DEFAULT_CACHE_CAPACITY)
-    }
-
     /// An engine with an explicit recluster-cache capacity (0 disables
     /// artifact caching; answers are unaffected either way).
     pub fn with_cache_capacity(
@@ -337,25 +329,11 @@ impl CodEngine {
         }
     }
 
-    /// An engine adopting a prebuilt base hierarchy and HIMOR index
-    /// (benchmarks and index persistence amortize construction this way).
+    /// An engine adopting a prebuilt base hierarchy and HIMOR index. The
+    /// artifacts are shared, not copied: several engines — or an engine
+    /// and the [`crate::codx::MappedArtifacts`] handle they came from — can
+    /// point at one hierarchy and one index.
     pub fn from_parts(
-        g: Arc<AttributedGraph>,
-        cfg: CodConfig,
-        base: Hierarchy,
-        index: HimorIndex,
-    ) -> Self {
-        let engine = Self::with_cache_capacity(g, cfg, DEFAULT_CACHE_CAPACITY);
-        let _ = engine.base.set(Arc::new(base));
-        let _ = engine.index.set(Arc::new(index));
-        engine
-    }
-
-    /// An engine adopting *shared* prebuilt artifacts. Several engines can
-    /// point at one base hierarchy and one HIMOR index without copying —
-    /// this is how [`crate::shard::ShardedEngine`] keeps one engine per
-    /// shard over a single set of (possibly memory-mapped) artifacts.
-    pub fn from_shared_parts(
         g: Arc<AttributedGraph>,
         cfg: CodConfig,
         base: Arc<Hierarchy>,
@@ -372,10 +350,12 @@ impl CodEngine {
     /// materialized once — zero-copy views of the mapping where the
     /// platform allows — and shared with the engine.
     pub fn from_mapped(arts: &crate::codx::MappedArtifacts, cfg: CodConfig) -> CodResult<Self> {
-        let g = arts.graph()?;
-        let base = arts.hierarchy()?;
-        let index = arts.himor()?;
-        Ok(Self::from_shared_parts(g, cfg, base, index))
+        Ok(Self::from_parts(
+            arts.graph()?,
+            cfg,
+            arts.hierarchy()?,
+            arts.himor()?,
+        ))
     }
 
     /// The graph being served.
@@ -496,16 +476,10 @@ impl CodEngine {
 
     /// The HIMOR index, building it on first call from one `u64` master
     /// seed drawn from `rng` (nothing is drawn once the index exists).
-    ///
-    /// # Panics
-    ///
-    /// If `θ·|V|` overflows `usize`. Queries reject such a config with
-    /// [`CodError::InvalidQuery`] before they reach the index.
-    pub fn ensure_himor<R: Rng>(&self, rng: &mut R) -> Arc<HimorIndex> {
-        match self.ensure_himor_governed(rng, None) {
-            Ok(ix) => ix,
-            Err(e) => panic!("cannot build the HIMOR index: {e}"),
-        }
+    /// Fails with [`CodError::InvalidQuery`] when `θ·|V|` overflows
+    /// `usize`.
+    pub fn ensure_himor<R: Rng>(&self, rng: &mut R) -> CodResult<Arc<HimorIndex>> {
+        self.ensure_himor_governed(rng, None)
     }
 
     /// [`CodEngine::ensure_himor`] under cooperative governance: the
@@ -772,56 +746,6 @@ impl CodEngine {
         limits: &QueryLimits,
         rng: &mut R,
     ) -> Vec<CodResult<Option<CodAnswer>>> {
-        self.query_batch_impl(queries, limits, rng, None)
-    }
-
-    /// [`CodEngine::query_batch_with_limits`] with every master seed
-    /// *derived* from `seq` by global query position instead of drawn from
-    /// a streaming RNG: query `i` evaluates on `seq.seed_for(offset + i +
-    /// 1)` (stream 0 is reserved for the one-time HIMOR build). Because a
-    /// query's seed depends only on its position, a batch split across
-    /// engines — the [`crate::shard::ShardedEngine`] scatter — answers
-    /// bit-identically to the whole batch on one engine, regardless of how
-    /// the split interleaves. Queries that settle without evaluation
-    /// (validation errors, index hits, empty chains) simply leave their
-    /// derived seed unused; unlike the streaming path, this cannot shift
-    /// any later query's seed.
-    pub fn query_batch_seeded(
-        &self,
-        queries: &[Query],
-        seq: &SeedSequence,
-        offset: u64,
-        limits: &QueryLimits,
-    ) -> Vec<CodResult<Option<CodAnswer>>> {
-        let seeds: Vec<u64> = (0..queries.len() as u64)
-            .map(|i| seq.seed_for(offset + i + 1))
-            .collect();
-        self.query_batch_derived(queries, &seeds, seq, limits)
-    }
-
-    /// The scatter half of the sharded batch: `queries[i]` evaluates on
-    /// `seeds[i]` (already derived from the batch's [`SeedSequence`] by
-    /// *global* position), and `seq` stream 0 seeds the RNG any lazy
-    /// artifact build would consume.
-    pub(crate) fn query_batch_derived(
-        &self,
-        queries: &[Query],
-        seeds: &[u64],
-        seq: &SeedSequence,
-        limits: &QueryLimits,
-    ) -> Vec<CodResult<Option<CodAnswer>>> {
-        debug_assert_eq!(queries.len(), seeds.len());
-        let mut build_rng = seq.rng_for(0);
-        self.query_batch_impl(queries, limits, &mut build_rng, Some(seeds))
-    }
-
-    fn query_batch_impl<R: Rng>(
-        &self,
-        queries: &[Query],
-        limits: &QueryLimits,
-        rng: &mut R,
-        derived: Option<&[u64]>,
-    ) -> Vec<CodResult<Option<CodAnswer>>> {
         // Admission control: with `max_inflight` set, at most that many
         // batch calls run concurrently; excess calls are shed immediately
         // with a retriable error instead of queueing behind a stalled
@@ -854,10 +778,7 @@ impl CodEngine {
         let plans: Vec<Plan> = queries
             .iter()
             .zip(sinks.iter_mut())
-            .enumerate()
-            .map(|(i, (&query, sink))| {
-                self.plan(query, limits, rng, derived.map(|seeds| seeds[i]), sink)
-            })
+            .map(|(&query, sink)| self.plan(query, limits, rng, sink))
             .collect();
 
         // Group pending evaluations by (method, attr), preserving
@@ -973,7 +894,6 @@ impl CodEngine {
         query: Query,
         limits: &QueryLimits,
         rng: &mut R,
-        derived: Option<u64>,
         sink: &mut TraceSink,
     ) -> Plan {
         let t0 = sink.timing().then(Instant::now);
@@ -982,7 +902,7 @@ impl CodEngine {
         // becomes this query's `Internal` error and the engine stays
         // serviceable. Cache and scratch locks recover from poisoning.
         let plan = match catch_unwind(AssertUnwindSafe(|| {
-            self.plan_inner(query, limits, rng, derived, sink)
+            self.plan_inner(query, limits, rng, sink)
         })) {
             Ok(Ok(plan)) => plan,
             Ok(Err(e)) => Plan::Done(Err(e)),
@@ -1001,8 +921,8 @@ impl CodEngine {
 
     /// The sequential planning pass for one query: validation, artifact
     /// preparation, index lookup, empty-chain short-circuit, master-seed
-    /// draw. Replicates the legacy facades' control flow (and therefore
-    /// their RNG consumption) exactly. Telemetry for plan-side events
+    /// draw, in that order (the order fixes the RNG consumption the
+    /// determinism contract promises). Telemetry for plan-side events
     /// (cache outcomes, artifact builds, index hits) lands in `sink`;
     /// nothing recorded there reads or writes `rng`.
     fn plan_inner<R: Rng>(
@@ -1010,14 +930,12 @@ impl CodEngine {
         query: Query,
         limits: &QueryLimits,
         rng: &mut R,
-        derived: Option<u64>,
         sink: &mut TraceSink,
     ) -> CodResult<Plan> {
         let Query {
             node: q, method, ..
         } = query;
-        // CODU ignores the attribute (its facade has no attr parameter);
-        // every other method requires one.
+        // CODU ignores the attribute; every other method requires one.
         let attr = if method.needs_attr() {
             match query.attr {
                 Some(a) => Some(a),
@@ -1144,19 +1062,17 @@ impl CodEngine {
 
         // Build the chain once here so construction errors and the
         // empty-chain short-circuit surface in plan order, *before* any
-        // seed draw — exactly where the legacy facades surface them.
+        // seed draw.
         let empty = build_chain(&artifacts, q)?.is_empty();
         if empty {
             return Ok(Plan::Done(Ok(None)));
         }
 
-        // One master seed per evaluated query: position-derived when the
-        // caller fixed it up front (`query_batch_seeded`), else drawn in
-        // query order.
+        // One master seed per evaluated query, drawn in query order.
         Ok(Plan::Pending {
             q,
             attr,
-            seed: derived.unwrap_or_else(|| rng.next_u64()),
+            seed: rng.next_u64(),
             artifacts,
             cache: cache_outcome,
             method,

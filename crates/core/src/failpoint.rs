@@ -69,9 +69,6 @@ pub enum Site {
     /// Out-of-core artifacts: before a mapped CODX v3 section's lazy CRC
     /// verification runs (first access of that section).
     MmapSection,
-    /// Sharded engine: per shard, after its slice of a scattered batch
-    /// completes and before results are gathered into global order.
-    ShardGather,
     /// Durability: after a WAL record's bytes reach the file, before the
     /// fsync-policy decision (a crash here leaves an un-fsynced tail).
     WalAppend,
@@ -114,12 +111,10 @@ pub const POOL_SITES: [Site; 2] = [Site::PoolGrow, Site::PoolFold];
 /// chaos sweeps over frozen graphs don't arm unreachable checkpoints.
 pub const MUTATION_SITES: [Site; 2] = [Site::DendroRepair, Site::HimorPatch];
 
-/// The out-of-core + sharded sites, reachable only through mapped CODX v3
-/// artifacts ([`crate::codx::MappedArtifacts`]) and the
-/// [`crate::shard::ShardedEngine`] scatter-gather path. Kept out of
-/// [`SITES`] so single-engine in-RAM chaos sweeps don't arm checkpoints
-/// their workload can never hit.
-pub const OOC_SITES: [Site; 2] = [Site::MmapSection, Site::ShardGather];
+/// The out-of-core sites, reachable only through mapped CODX v3 artifacts
+/// ([`crate::codx::MappedArtifacts`]). Kept out of [`SITES`] so in-RAM
+/// chaos sweeps don't arm checkpoints their workload can never hit.
+pub const OOC_SITES: [Site; 1] = [Site::MmapSection];
 
 /// The durability sites, reachable only through the write-ahead log and
 /// checkpoint path ([`crate::wal`] / [`crate::recovery`]). Kept out of
@@ -153,7 +148,6 @@ impl Site {
             "dendro_repair" => Some(Site::DendroRepair),
             "himor_patch" => Some(Site::HimorPatch),
             "mmap_section" => Some(Site::MmapSection),
-            "shard_gather" => Some(Site::ShardGather),
             "wal_append" => Some(Site::WalAppend),
             "wal_fsync" => Some(Site::WalFsync),
             "checkpoint_commit" => Some(Site::CheckpointCommit),

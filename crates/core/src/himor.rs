@@ -109,7 +109,7 @@ pub struct HimorIndex {
 /// Effort counters of one HIMOR construction, mirroring Theorem 6's cost
 /// terms: `Θ·ω` (graphs × edges sampled) plus one bucket merge per internal
 /// vertex of `T`. All zero for an index reloaded from disk
-/// ([`HimorIndex::from_raw`]) — persistence stores ranks, not provenance.
+/// ([`HimorIndex::from_table`]) — persistence stores ranks, not provenance.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BuildStats {
     /// RR graphs generated during stage 1.
@@ -574,15 +574,9 @@ impl HimorIndex {
         }
     }
 
-    /// Reassembles an index from stored parts (see [`crate::persist`]).
-    /// `ranks[v]` must align with the root path of `v` in the hierarchy the
-    /// index will be queried against.
-    pub fn from_raw(ranks: Vec<Vec<u32>>, theta: usize) -> Self {
-        Self::from_table(RankTable::from_nested(ranks), theta)
-    }
-
     /// Reassembles an index from a prebuilt (possibly memory-mapped) rank
-    /// table — the CODX v3 zero-copy load path.
+    /// table — the CODX v3 zero-copy load path. Row `v` must align with the
+    /// root path of `v` in the hierarchy the index will be queried against.
     pub fn from_table(ranks: RankTable, theta: usize) -> Self {
         Self {
             ranks,
@@ -597,7 +591,7 @@ impl HimorIndex {
     }
 
     /// Construction-effort counters ([`BuildStats`]); all zero for an index
-    /// reloaded via [`HimorIndex::from_raw`].
+    /// reloaded via [`HimorIndex::from_table`].
     pub fn build_stats(&self) -> BuildStats {
         self.build_stats
     }
@@ -1091,7 +1085,7 @@ mod tests {
         assert_eq!(four.build_stats().rr_graphs, 100);
         assert_eq!(four.build_stats().bucket_merges, s.bucket_merges);
         // A reloaded index carries no provenance.
-        let raw = HimorIndex::from_raw(vec![vec![1]], 5);
+        let raw = HimorIndex::from_table(RankTable::from_nested(vec![vec![1]]), 5);
         assert_eq!(raw.build_stats(), BuildStats::default());
     }
 

@@ -19,15 +19,21 @@
 //!   re-clustering (the `g_ℓ` transform, §IV);
 //! * [`himor`] — the **HIMOR index**: compressed construction over the tree
 //!   of buckets and **Algorithm 3** query processing (§IV-B);
-//! * [`engine`] — the **CodEngine** serving layer: prepared artifacts
-//!   behind `Arc`, a bounded recluster cache, reusable query workspaces
-//!   and a batch API, fronting all four method variants;
+//! * [`engine`] — the **CodEngine** serving layer, the one query type:
+//!   prepared artifacts behind `Arc`, a bounded recluster cache, reusable
+//!   query workspaces and a batch API, serving all four method variants
+//!   (`CODU`, `CODR`, `CODL⁻`, `CODL`, §V);
 //! * [`pool`] — the cross-query shared RR-pool cache: key-derived
 //!   deterministic sampling, incremental top-ups, epoch invalidation and
 //!   LRU byte-budget eviction, plus the confidence-bound adaptive
 //!   evaluation built on it;
-//! * [`pipeline`] — the method facades evaluated in §V: `CODU`, `CODR`,
-//!   `CODL⁻` and `CODL` (thin wrappers over the engine);
+//! * [`pipeline`] — the shared query configuration, limits and answer
+//!   types;
+//! * [`codx`] — CODX v3, the one on-disk artifact format (graph, hierarchy
+//!   and HIMOR index), memory-mappable and lazily CRC-verified;
+//! * [`dynamic`], [`mutation`], [`wal`] and [`recovery`] — streaming
+//!   graph mutations with localized repair, made crash-safe by a
+//!   write-ahead log and checkpoints;
 //! * [`measures`] — answer-quality measures (size, `ρ`, `φ`, top-k
 //!   precision) shared by the experiment harness.
 
@@ -52,7 +58,6 @@ pub mod pool;
 pub mod recluster;
 pub mod recovery;
 pub mod scratch;
-pub mod shard;
 pub mod telemetry;
 pub mod wal;
 
@@ -69,16 +74,13 @@ pub use error::{CodError, CodResult};
 pub use himor::{BuildStats, HimorIndex, HimorPatchState, PatchStats};
 pub use lore::{select_recluster_community, ReclusterChoice};
 pub use mutation::{Footprint, Mutation, MutationKind, MutationLog};
-pub use pipeline::{
-    AnswerSource, CacheOutcome, CodAnswer, CodConfig, Codl, CodlMinus, Codr, Codu, QueryLimits,
-};
+pub use pipeline::{AnswerSource, CacheOutcome, CodAnswer, CodConfig, QueryLimits};
 pub use pool::{
     GrowthStats, PoolCache, PoolCacheStats, PoolLookup, PoolView, RrPoolEntry,
     DEFAULT_POOL_BUDGET_BYTES,
 };
 pub use recovery::{DurabilityConfig, DurableCod, Manifest, RecoveryReport, MANIFEST_NAME};
 pub use scratch::QueryScratch;
-pub use shard::ShardedEngine;
 pub use telemetry::{
     Counter, CounterSnapshot, MetricsRegistry, MetricsSnapshot, Phase, PhaseNanos, QueryOutcome,
     QueryTrace, TraceSink, COUNTERS, PHASES,

@@ -1,36 +1,20 @@
-//! Method facades: the COD variants evaluated in the paper's §V.
+//! Shared query configuration and answer types for the four COD variants
+//! evaluated in the paper's §V (CODU, CODR, CODL⁻, CODL), all served by
+//! [`crate::engine::CodEngine`]:
 //!
-//! * [`Codu`] — non-attributed hierarchy + compressed evaluation;
-//! * [`Codr`] — global reclustering of `g_ℓ` per query + compressed
-//!   evaluation;
-//! * [`CodlMinus`] — LORE local reclustering + compressed evaluation over
-//!   the composed chain (no index);
-//! * [`Codl`] — LORE + HIMOR index (Algorithm 3), the fully optimized
-//!   method.
-//!
-//! All variants share one [`CodConfig`] and return [`CodAnswer`]s carrying
-//! the characteristic community's members plus diagnostics.
-//!
-//! Since the serving-layer refactor the facades are thin, API-stable
-//! wrappers over [`CodEngine`]: each owns an engine restricted to one
-//! [`Method`] and answers are bit-identical to what the pre-engine facades
-//! produced. New code should use [`CodEngine`] directly — it serves all
-//! four variants from one set of shared artifacts, caches reclustered
-//! hierarchies across queries and offers a batch API; the facades remain
-//! for the experiment harness and for one-method callers.
-
-use std::marker::PhantomData;
-use std::sync::Arc;
+//! * [`CodConfig`] — the paper's parameters plus the serving knobs;
+//! * [`QueryLimits`] — per-query deadline and resource caps;
+//! * [`CodAnswer`] — the characteristic community's members plus
+//!   diagnostics ([`AnswerSource`], [`CacheOutcome`]);
+//! * `validate_query` — the one boundary check every query passes.
 
 use cod_graph::{AttrId, AttributedGraph, NodeId};
-use cod_hierarchy::{Dendrogram, Hierarchy, LcaIndex, Linkage};
+use cod_hierarchy::Linkage;
 use cod_influence::{CancelToken, Model, Parallelism};
-use rand::prelude::*;
 
 use crate::compressed::total_theta;
-use crate::engine::{CodEngine, Method, Query};
+use crate::engine::Method;
 use crate::error::{CodError, CodResult};
-use crate::himor::HimorIndex;
 
 /// Per-query resource limits enforced by cooperative cancellation.
 ///
@@ -109,7 +93,8 @@ pub struct CodConfig {
     /// Per-query deadline and resource caps ([`QueryLimits`]); unlimited by
     /// default. Limits that never trigger leave answers bit-identical.
     pub limits: QueryLimits,
-    /// Admission-control cap on concurrent [`CodEngine::query_batch`]
+    /// Admission-control cap on concurrent
+    /// [`crate::engine::CodEngine::query_batch`]
     /// calls. When the cap is reached, further calls are shed immediately
     /// with the retriable [`CodError::Overloaded`] instead of queueing.
     /// `None` (the default) admits everything.
@@ -255,206 +240,12 @@ impl CodAnswer {
     }
 }
 
-/// CODU: compressed evaluation over the non-attributed hierarchy `T`.
-///
-/// Thin wrapper over [`CodEngine`] with [`Method::Codu`]; prefer the engine
-/// for new code.
-pub struct Codu<'g> {
-    engine: CodEngine,
-    base: Arc<Hierarchy>,
-    _g: PhantomData<&'g AttributedGraph>,
-}
-
-impl<'g> Codu<'g> {
-    /// Builds `T` once; queries reuse it.
-    pub fn new(g: &'g AttributedGraph, cfg: CodConfig) -> Self {
-        let engine = CodEngine::new(g.clone(), cfg);
-        let base = engine.base_hierarchy();
-        Self {
-            engine,
-            base,
-            _g: PhantomData,
-        }
-    }
-
-    /// The shared non-attributed hierarchy.
-    pub fn hierarchy(&self) -> (&Dendrogram, &LcaIndex) {
-        (&self.base.dendro, &self.base.lca)
-    }
-
-    /// The underlying engine.
-    pub fn engine(&self) -> &CodEngine {
-        &self.engine
-    }
-
-    /// Answers a COD query (the query attribute is ignored by CODU).
-    pub fn query<R: Rng>(&self, q: NodeId, rng: &mut R) -> CodResult<Option<CodAnswer>> {
-        self.engine.query(Query::codu(q), rng)
-    }
-}
-
-/// CODR: per-query global reclustering of the attribute-weighted `g_ℓ`.
-///
-/// Thin wrapper over [`CodEngine`] with [`Method::Codr`]; prefer the engine
-/// for new code. Unlike the pre-engine facade, repeat queries on the same
-/// attribute reuse the cached `T_ℓ` (the answers are identical either way).
-pub struct Codr<'g> {
-    engine: CodEngine,
-    _g: PhantomData<&'g AttributedGraph>,
-}
-
-impl<'g> Codr<'g> {
-    /// A CODR instance (no precomputation — reclustering is per query).
-    pub fn new(g: &'g AttributedGraph, cfg: CodConfig) -> Self {
-        Self {
-            engine: CodEngine::new(g.clone(), cfg),
-            _g: PhantomData,
-        }
-    }
-
-    /// The underlying engine.
-    pub fn engine(&self) -> &CodEngine {
-        &self.engine
-    }
-
-    /// Answers a COD query for `(q, attr)`.
-    pub fn query<R: Rng>(
-        &self,
-        q: NodeId,
-        attr: AttrId,
-        rng: &mut R,
-    ) -> CodResult<Option<CodAnswer>> {
-        self.engine.query(Query::new(q, attr, Method::Codr), rng)
-    }
-
-    /// The attribute-aware hierarchy CODR would use for `attr` (exposed for
-    /// the Fig. 4 skew analysis).
-    pub fn hierarchy_for(&self, attr: AttrId) -> Dendrogram {
-        self.engine.global_hierarchy(attr).0.dendro.clone()
-    }
-}
-
-/// CODL⁻: LORE local reclustering + compressed evaluation, no HIMOR index.
-///
-/// Thin wrapper over [`CodEngine`] with [`Method::CodlMinus`]; prefer the
-/// engine for new code.
-pub struct CodlMinus<'g> {
-    engine: CodEngine,
-    _g: PhantomData<&'g AttributedGraph>,
-}
-
-impl<'g> CodlMinus<'g> {
-    /// Builds the reference hierarchy `T` once.
-    pub fn new(g: &'g AttributedGraph, cfg: CodConfig) -> Self {
-        let engine = CodEngine::new(g.clone(), cfg);
-        // Eager like the pre-engine facade: construction pays for `T`.
-        engine.base_hierarchy();
-        Self {
-            engine,
-            _g: PhantomData,
-        }
-    }
-
-    /// The underlying engine.
-    pub fn engine(&self) -> &CodEngine {
-        &self.engine
-    }
-
-    /// Answers a COD query for `(q, attr)` over the composed chain
-    /// `H_ℓ(q)`.
-    pub fn query<R: Rng>(
-        &self,
-        q: NodeId,
-        attr: AttrId,
-        rng: &mut R,
-    ) -> CodResult<Option<CodAnswer>> {
-        self.engine
-            .query(Query::new(q, attr, Method::CodlMinus), rng)
-    }
-}
-
-/// CODL: LORE + the HIMOR index (the paper's fully optimized method).
-///
-/// Thin wrapper over [`CodEngine`] with [`Method::Codl`]; prefer the engine
-/// for new code.
-pub struct Codl<'g> {
-    engine: CodEngine,
-    base: Arc<Hierarchy>,
-    index: Arc<HimorIndex>,
-    _g: PhantomData<&'g AttributedGraph>,
-}
-
-impl<'g> Codl<'g> {
-    /// Builds `T` and the HIMOR index (`Θ = θ·|V|` RR graphs). Fails with
-    /// [`CodError::InvalidQuery`] when `θ·|V|` overflows `usize`.
-    pub fn new<R: Rng>(g: &'g AttributedGraph, cfg: CodConfig, rng: &mut R) -> CodResult<Self> {
-        let engine = CodEngine::new(g.clone(), cfg);
-        let base = engine.base_hierarchy();
-        // Build the index now, from one master seed of the caller's RNG,
-        // exactly where the pre-engine facade consumed it.
-        let index = engine.ensure_himor_governed(rng, None)?;
-        Ok(Self {
-            engine,
-            base,
-            index,
-            _g: PhantomData,
-        })
-    }
-
-    /// Reuses a prebuilt hierarchy and index (for benchmarks that amortize
-    /// construction).
-    pub fn from_parts(
-        g: &'g AttributedGraph,
-        cfg: CodConfig,
-        dendro: Dendrogram,
-        lca: LcaIndex,
-        index: HimorIndex,
-    ) -> Self {
-        let engine =
-            CodEngine::from_parts(Arc::new(g.clone()), cfg, Hierarchy { dendro, lca }, index);
-        let base = engine.base_hierarchy();
-        let index = match engine.himor() {
-            Some(ix) => ix,
-            None => unreachable!("from_parts pre-fills the index"),
-        };
-        Self {
-            engine,
-            base,
-            index,
-            _g: PhantomData,
-        }
-    }
-
-    /// The HIMOR index.
-    pub fn index(&self) -> &HimorIndex {
-        &self.index
-    }
-
-    /// The reference hierarchy.
-    pub fn hierarchy(&self) -> (&Dendrogram, &LcaIndex) {
-        (&self.base.dendro, &self.base.lca)
-    }
-
-    /// The underlying engine.
-    pub fn engine(&self) -> &CodEngine {
-        &self.engine
-    }
-
-    /// Answers a COD query for `(q, attr)` — Algorithm 3.
-    pub fn query<R: Rng>(
-        &self,
-        q: NodeId,
-        attr: AttrId,
-        rng: &mut R,
-    ) -> CodResult<Option<CodAnswer>> {
-        self.engine.query(Query::new(q, attr, Method::Codl), rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{CodEngine, Query};
     use cod_graph::{AttrInterner, AttrTable, GraphBuilder};
+    use rand::prelude::*;
 
     /// Two attribute-homogeneous triangles bridged; hubs 0 and 3.
     fn toy() -> AttributedGraph {
@@ -499,11 +290,10 @@ mod tests {
 
     #[test]
     fn codu_finds_some_community_for_a_hub() {
-        let g = toy();
-        let codu = Codu::new(&g, cfg());
+        let engine = CodEngine::new(toy(), cfg());
         let mut rng = SmallRng::seed_from_u64(31);
-        let ans = codu
-            .query(0, &mut rng)
+        let ans = engine
+            .query(Query::codu(0), &mut rng)
             .unwrap()
             .expect("hub has a community");
         assert!(ans.members.contains(&0));
@@ -513,22 +303,22 @@ mod tests {
 
     #[test]
     fn codr_and_codl_minus_accept_attributes() {
-        let g = toy();
+        let engine = CodEngine::new(toy(), cfg());
         let mut rng = SmallRng::seed_from_u64(32);
-        let codr = Codr::new(&g, cfg());
-        let a = codr.query(0, 0, &mut rng).unwrap();
-        assert!(a.is_some());
-        let cm = CodlMinus::new(&g, cfg());
-        let b = cm.query(0, 0, &mut rng).unwrap();
-        assert!(b.is_some());
+        for method in [Method::Codr, Method::CodlMinus] {
+            let ans = engine.query(Query::new(0, 0, method), &mut rng).unwrap();
+            assert!(ans.is_some(), "{method:?}");
+        }
     }
 
     #[test]
     fn codl_index_answers_hub_queries() {
-        let g = toy();
+        let engine = CodEngine::new(toy(), cfg());
         let mut rng = SmallRng::seed_from_u64(33);
-        let codl = Codl::new(&g, cfg(), &mut rng).unwrap();
-        let ans = codl.query(0, 0, &mut rng).unwrap().expect("hub answered");
+        let ans = engine
+            .query(Query::new(0, 0, Method::Codl), &mut rng)
+            .unwrap()
+            .expect("hub answered");
         assert!(ans.members.contains(&0));
         // The hub is globally influential, so the index should answer.
         assert_eq!(ans.source, AnswerSource::Index);
@@ -538,23 +328,14 @@ mod tests {
     #[test]
     fn all_variants_return_communities_containing_q() {
         let g = toy();
-        let c = cfg();
+        let engine = CodEngine::new(g.clone(), cfg());
         let mut rng = SmallRng::seed_from_u64(34);
-        let codu = Codu::new(&g, c);
-        let codr = Codr::new(&g, c);
-        let cm = CodlMinus::new(&g, c);
-        let codl = Codl::new(&g, c, &mut rng).unwrap();
         for q in 0..8u32 {
             let attr = g.node_attrs(q)[0];
-            for ans in [
-                codu.query(q, &mut rng).unwrap(),
-                codr.query(q, attr, &mut rng).unwrap(),
-                cm.query(q, attr, &mut rng).unwrap(),
-                codl.query(q, attr, &mut rng).unwrap(),
-            ]
-            .into_iter()
-            .flatten()
-            {
+            for method in [Method::Codu, Method::Codr, Method::CodlMinus, Method::Codl] {
+                let Some(ans) = engine.query(Query::new(q, attr, method), &mut rng).unwrap() else {
+                    continue;
+                };
                 assert!(ans.members.contains(&q), "q={q} missing from C*");
                 assert!(ans.members.windows(2).all(|w| w[0] < w[1]));
             }
@@ -563,37 +344,36 @@ mod tests {
 
     #[test]
     fn boundary_rejects_bad_parameters_without_panicking() {
-        let g = toy();
+        let engine = CodEngine::new(toy(), cfg());
         let mut rng = SmallRng::seed_from_u64(35);
-        let codu = Codu::new(&g, cfg());
         // Node id out of range.
-        let err = codu.query(99, &mut rng).unwrap_err();
+        let err = engine.query(Query::codu(99), &mut rng).unwrap_err();
         assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
         assert!(err.to_string().contains("out of range"), "{err}");
         // Unknown attribute id.
-        let codr = Codr::new(&g, cfg());
-        let err = codr.query(0, 77, &mut rng).unwrap_err();
+        let err = engine
+            .query(Query::new(0, 77, Method::Codr), &mut rng)
+            .unwrap_err();
         assert!(err.to_string().contains("unknown attribute"), "{err}");
         // k == 0 and theta == 0.
         for bad in [CodConfig { k: 0, ..cfg() }, CodConfig { theta: 0, ..cfg() }] {
-            let codu = Codu::new(&g, bad);
-            let err = codu.query(0, &mut rng).unwrap_err();
+            let engine = CodEngine::new(toy(), bad);
+            let err = engine.query(Query::codu(0), &mut rng).unwrap_err();
             assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
         }
     }
 
     #[test]
     fn tight_budget_yields_best_effort_uncertain_answer() {
-        let g = toy();
         let tight = CodConfig {
             budget: Some(8),
             ..cfg()
         };
         let mut rng = SmallRng::seed_from_u64(36);
-        let codu = Codu::new(&g, tight);
         // 8 total samples instead of θ·|V| = 960: the query still answers,
         // but must carry the best-effort flag.
-        if let Some(ans) = codu.query(0, &mut rng).unwrap() {
+        let engine = CodEngine::new(toy(), tight);
+        if let Some(ans) = engine.query(Query::codu(0), &mut rng).unwrap() {
             assert!(ans.uncertain, "truncated evaluation must be flagged");
         }
         // A zero budget is a hard error, not a silent empty answer.
@@ -601,8 +381,8 @@ mod tests {
             budget: Some(0),
             ..cfg()
         };
-        let codu = Codu::new(&g, starved);
-        let err = codu.query(0, &mut rng).unwrap_err();
+        let engine = CodEngine::new(toy(), starved);
+        let err = engine.query(Query::codu(0), &mut rng).unwrap_err();
         assert!(matches!(err, CodError::BudgetExhausted { .. }), "{err}");
     }
 }

@@ -158,8 +158,8 @@ pub enum Phase {
     /// Building a reclustered hierarchy on a cache miss (global `T_ℓ` or
     /// local `C_ℓ`).
     Recluster,
-    /// One-time HIMOR index construction (charged to the triggering query,
-    /// exactly like `Codl::new` charges its caller).
+    /// One-time HIMOR index construction (charged to the query that
+    /// triggers it).
     HimorBuild,
     /// Stage 1 of Algorithm 1: shared RR sample generation + HFS.
     Sample,
@@ -207,17 +207,6 @@ impl CounterSnapshot {
     pub fn iter(&self) -> impl Iterator<Item = (Counter, u64)> + '_ {
         COUNTERS.iter().map(move |&c| (c, self.0[c as usize]))
     }
-
-    /// Component-wise sum (used to cross-check per-query traces against
-    /// registry aggregates).
-    #[must_use]
-    pub fn saturating_add(&self, other: &CounterSnapshot) -> CounterSnapshot {
-        let mut out = *self;
-        for (slot, v) in out.0.iter_mut().zip(other.0) {
-            *slot = slot.saturating_add(v);
-        }
-        out
-    }
 }
 
 /// Per-phase elapsed nanoseconds.
@@ -239,16 +228,6 @@ impl PhaseNanos {
     /// Total accounted nanoseconds across all phases.
     pub fn total(&self) -> u64 {
         self.0.iter().sum()
-    }
-
-    /// Component-wise sum (used when aggregating per-shard snapshots).
-    #[must_use]
-    pub fn saturating_add(&self, other: &PhaseNanos) -> PhaseNanos {
-        let mut out = *self;
-        for (slot, v) in out.0.iter_mut().zip(other.0) {
-            *slot = slot.saturating_add(v);
-        }
-        out
     }
 }
 
@@ -709,43 +688,6 @@ impl MetricsSnapshot {
         self.latency_buckets.iter().sum()
     }
 
-    /// Component-wise sum of two snapshots; uptime keeps the maximum (the
-    /// oldest registry). The sharded engine aggregates its per-shard
-    /// registries through this before rendering one exposition.
-    #[must_use]
-    pub fn merged(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = *self;
-        out.counters = out.counters.saturating_add(&other.counters);
-        out.phase_nanos = out.phase_nanos.saturating_add(&other.phase_nanos);
-        out.queries += other.queries;
-        out.answers_index += other.answers_index;
-        out.answers_compressed += other.answers_compressed;
-        out.answers_none += other.answers_none;
-        out.errors += other.errors;
-        out.answers_degraded += other.answers_degraded;
-        out.queries_shed += other.queries_shed;
-        out.mutations_insert += other.mutations_insert;
-        out.mutations_remove += other.mutations_remove;
-        out.mutations_set_attrs += other.mutations_set_attrs;
-        out.repairs += other.repairs;
-        out.full_rebuilds += other.full_rebuilds;
-        out.pool_scoped_evictions += other.pool_scoped_evictions;
-        out.wal_appended_records += other.wal_appended_records;
-        out.wal_fsyncs += other.wal_fsyncs;
-        out.recovery_replayed_records += other.recovery_replayed_records;
-        out.recovery_nanos += other.recovery_nanos;
-        for (slot, v) in out
-            .latency_buckets
-            .iter_mut()
-            .zip(other.latency_buckets.iter())
-        {
-            *slot += v;
-        }
-        out.latency_sum_nanos += other.latency_sum_nanos;
-        out.uptime_nanos = out.uptime_nanos.max(other.uptime_nanos);
-        out
-    }
-
     /// Renders the snapshot in the Prometheus text exposition format.
     /// `cache` carries the engine's recluster-cache gauges; `pool` the
     /// shared RR-pool cache gauges.
@@ -1078,9 +1020,6 @@ mod tests {
         assert_eq!(snap.wal_fsyncs, 1);
         assert_eq!(snap.recovery_replayed_records, 2);
         assert_eq!(snap.recovery_nanos, 1_500_000_000);
-        let merged = snap.merged(&snap);
-        assert_eq!(merged.wal_appended_records, 6);
-        assert_eq!(merged.recovery_nanos, 3_000_000_000);
         let cache = crate::cache::CacheStats::default();
         let pool = crate::pool::PoolCacheStats::default();
         let text = snap.render_prometheus(&cache, &pool);

@@ -1,153 +1,12 @@
-//! Graph partitioning for shard routing, plus partition-agreement metrics
-//! (normalized mutual information and the adjusted Rand index).
+//! Partition-agreement metrics: normalized mutual information and the
+//! adjusted Rand index.
 //!
-//! [`partition_components`] assigns every node to one of `num_shards`
-//! shards such that no connected component is split across shards — the
-//! property the multi-shard engine relies on: a community never crosses a
-//! component boundary, so any query seeded in a shard can be answered
-//! entirely by that shard's engine. Components are packed into shards by
-//! greedy size-balancing (largest component first, into the currently
-//! lightest shard), which bounds the heaviest shard at `max(largest
-//! component, ~2× ideal)` for typical component-size distributions.
-//!
-//! The agreement metrics validate that the dataset presets' hierarchies
-//! actually recover the planted ground-truth communities (a realism check
-//! on the substitutions of `DESIGN.md` §5), and are available downstream
-//! for evaluating flat cuts of a community hierarchy.
+//! They validate that the dataset presets' hierarchies actually recover
+//! the planted ground-truth communities (a realism check on the
+//! substitutions of `DESIGN.md` §5), and are available downstream for
+//! evaluating flat cuts of a community hierarchy.
 
-use crate::components::connected_components;
-use crate::csr::Csr;
 use crate::fxhash::FxHashMap;
-use crate::NodeId;
-
-/// A node-to-shard assignment produced by [`partition_components`].
-///
-/// Invariants (upheld by construction, property-tested in
-/// `tests/` and the cod-core shard suite):
-///
-/// * **cover** — every node of the source graph has exactly one shard;
-/// * **component-closed** — two nodes in the same connected component are
-///   always in the same shard;
-/// * **dense ids** — shard ids are `0..num_shards()`, each non-empty
-///   unless the graph has fewer components than requested shards.
-#[derive(Clone, Debug)]
-pub struct Partition {
-    /// `assignment[v]` = shard id of node `v`.
-    assignment: Vec<u32>,
-    /// Number of shards (some possibly empty).
-    num_shards: u32,
-    /// Nodes per shard, for balance introspection and metrics.
-    sizes: Vec<usize>,
-}
-
-impl Partition {
-    /// The trivial single-shard partition of an `n`-node graph.
-    pub fn single(n: usize) -> Self {
-        Self {
-            assignment: vec![0; n],
-            num_shards: 1,
-            sizes: vec![n],
-        }
-    }
-
-    /// The shard holding node `v`.
-    #[inline]
-    pub fn shard_of(&self, v: NodeId) -> u32 {
-        self.assignment[v as usize]
-    }
-
-    /// The shard holding node `v`, or `None` if `v` is out of range.
-    #[inline]
-    pub fn shard_of_checked(&self, v: NodeId) -> Option<u32> {
-        self.assignment.get(v as usize).copied()
-    }
-
-    /// Number of shards (fixed at construction; trailing shards may be
-    /// empty when the graph has fewer components than shards).
-    #[inline]
-    pub fn num_shards(&self) -> usize {
-        self.num_shards as usize
-    }
-
-    /// Number of nodes covered.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// Nodes assigned to each shard.
-    #[inline]
-    pub fn shard_sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
-    /// The full assignment vector (`assignment[v]` = shard of `v`).
-    #[inline]
-    pub fn assignment(&self) -> &[u32] {
-        &self.assignment
-    }
-
-    /// The nodes of shard `s`, ascending.
-    pub fn nodes_of_shard(&self, s: u32) -> Vec<NodeId> {
-        (0..self.assignment.len() as NodeId)
-            .filter(|&v| self.assignment[v as usize] == s)
-            .collect()
-    }
-}
-
-/// Partitions a graph into at most `num_shards` shards without splitting
-/// any connected component.
-///
-/// Components are sorted by size descending (component id breaks ties, so
-/// the result is deterministic) and greedily placed on the currently
-/// lightest shard — the classic LPT bin-packing heuristic. `num_shards`
-/// is clamped to at least 1; a graph with fewer components than shards
-/// leaves the trailing shards empty rather than splitting components.
-pub fn partition_components(g: &Csr, num_shards: usize) -> Partition {
-    let num_shards = num_shards.max(1).min(u32::MAX as usize) as u32;
-    let n = g.num_nodes();
-    if num_shards == 1 || n == 0 {
-        return Partition {
-            assignment: vec![0; n],
-            num_shards,
-            sizes: {
-                let mut s = vec![0; num_shards as usize];
-                s[0] = n;
-                s
-            },
-        };
-    }
-
-    let (k, comp) = connected_components(g);
-    let mut comp_sizes = vec![0usize; k];
-    for &c in &comp {
-        comp_sizes[c as usize] += 1;
-    }
-
-    // LPT: biggest components first, each onto the lightest shard.
-    let mut order: Vec<u32> = (0..k as u32).collect();
-    order.sort_by_key(|&c| (std::cmp::Reverse(comp_sizes[c as usize]), c));
-
-    let mut shard_of_comp = vec![0u32; k];
-    let mut sizes = vec![0usize; num_shards as usize];
-    for c in order {
-        let mut lightest = 0usize;
-        for s in 1..sizes.len() {
-            if sizes[s] < sizes[lightest] {
-                lightest = s;
-            }
-        }
-        shard_of_comp[c as usize] = lightest as u32;
-        sizes[lightest] += comp_sizes[c as usize];
-    }
-
-    let assignment = comp.iter().map(|&c| shard_of_comp[c as usize]).collect();
-    Partition {
-        assignment,
-        num_shards,
-        sizes,
-    }
-}
 
 /// Contingency table between two label vectors over the same nodes.
 struct Contingency {
@@ -236,92 +95,6 @@ pub fn adjusted_rand_index(a: &[u32], b: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::GraphBuilder;
-
-    fn components_graph() -> Csr {
-        // Components of sizes 4, 3, 2, 1 over 10 nodes.
-        let mut b = GraphBuilder::new(10);
-        for (u, v) in [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (7, 8)] {
-            b.add_edge(u, v);
-        }
-        b.build()
-    }
-
-    #[test]
-    fn partition_is_a_cover() {
-        let g = components_graph();
-        let p = partition_components(&g, 3);
-        assert_eq!(p.num_nodes(), 10);
-        assert_eq!(p.num_shards(), 3);
-        for v in 0..10 {
-            assert!(p.shard_of(v) < 3);
-        }
-        assert_eq!(p.shard_sizes().iter().sum::<usize>(), 10);
-    }
-
-    #[test]
-    fn components_are_never_split() {
-        let g = components_graph();
-        let (_, comp) = connected_components(&g);
-        for shards in 1..=5 {
-            let p = partition_components(&g, shards);
-            for (u, v) in g.edges() {
-                assert_eq!(p.shard_of(u), p.shard_of(v), "edge ({u},{v}) split");
-            }
-            for u in 0..10u32 {
-                for v in 0..10u32 {
-                    if comp[u as usize] == comp[v as usize] {
-                        assert_eq!(p.shard_of(u), p.shard_of(v));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lpt_balances_shards() {
-        let g = components_graph();
-        let p = partition_components(&g, 2);
-        // Sizes 4,3,2,1 pack as {4,1} vs {3,2}: perfectly balanced.
-        assert_eq!(p.shard_sizes(), &[5, 5]);
-    }
-
-    #[test]
-    fn singleton_graph() {
-        let g = GraphBuilder::new(1).build();
-        let p = partition_components(&g, 4);
-        assert_eq!(p.num_nodes(), 1);
-        assert_eq!(p.shard_of(0), 0);
-        assert_eq!(p.shard_sizes().iter().sum::<usize>(), 1);
-    }
-
-    #[test]
-    fn empty_graph() {
-        let g = GraphBuilder::new(0).build();
-        let p = partition_components(&g, 4);
-        assert_eq!(p.num_nodes(), 0);
-        assert_eq!(p.num_shards(), 4);
-        assert_eq!(p.shard_sizes().iter().sum::<usize>(), 0);
-        assert!(p.shard_of_checked(0).is_none());
-    }
-
-    #[test]
-    fn more_shards_than_components_leaves_empties() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1);
-        b.add_edge(1, 2);
-        let p = partition_components(&b.build(), 8);
-        assert_eq!(p.num_shards(), 8);
-        assert_eq!(p.shard_sizes()[0], 3);
-        assert!(p.shard_sizes()[1..].iter().all(|&s| s == 0));
-    }
-
-    #[test]
-    fn single_is_trivial() {
-        let p = Partition::single(5);
-        assert_eq!(p.num_shards(), 1);
-        assert!(p.nodes_of_shard(0).len() == 5);
-    }
 
     #[test]
     fn identical_partitions_score_one() {

@@ -5,12 +5,13 @@
 //! request per connection (`Connection: close` on every response), header
 //! parsing limited to what routing and body framing require
 //! (`Content-Length`), and a hard cap on total request bytes so a hostile
-//! or broken client cannot balloon memory. Timeouts come from the socket
-//! itself (`set_read_timeout` / `set_write_timeout` on the stream); a
-//! read that times out surfaces as [`ParseError::Timeout`].
+//! or broken client cannot balloon memory. The parser reads from any
+//! [`Read`] and the writer writes to any [`Write`]; the server hands both
+//! its `TcpStream`, whose own `set_read_timeout` / `set_write_timeout`
+//! bound the wait — a read that times out surfaces as
+//! [`ParseError::Timeout`].
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
 
 /// Longest request line + headers the parser accepts, independent of the
 /// body cap (a request line alone should never need more).
@@ -72,7 +73,7 @@ fn io_to_parse(e: std::io::Error) -> ParseError {
 /// Reads and parses one request from `stream`. `max_body_bytes` caps the
 /// declared `Content-Length`; the head (request line + headers) is capped
 /// at 16 KiB regardless.
-pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Request, ParseError> {
+pub fn read_request<R: Read>(stream: &mut R, max_body_bytes: usize) -> Result<Request, ParseError> {
     // Accumulate until the blank line ending the head. Reads are small
     // and bounded; the socket's read timeout bounds total wait.
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
@@ -116,18 +117,23 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Req
         )));
     }
 
-    let mut content_length: usize = 0;
+    let mut content_length: Option<usize> = None;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             return Err(ParseError::Malformed(format!("bad header line: {line:?}")));
         };
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .trim()
-                .parse()
-                .map_err(|_| ParseError::Malformed(format!("bad content-length: {value:?}")))?;
+            let len = parse_content_length(value)?;
+            // RFC 9112 §6.3: differing lengths make the framing ambiguous.
+            if content_length.is_some_and(|prev| prev != len) {
+                return Err(ParseError::Malformed(
+                    "conflicting content-length headers".into(),
+                ));
+            }
+            content_length = Some(len);
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body_bytes {
         return Err(ParseError::TooLarge);
     }
@@ -162,6 +168,18 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Req
         query,
         body,
     })
+}
+
+/// A `Content-Length` value: ASCII digits only (RFC 9110 §8.6), around
+/// optional whitespace. `str::parse` alone would also take a leading `+`.
+fn parse_content_length(value: &str) -> Result<usize, ParseError> {
+    let digits = value.trim();
+    match digits.parse() {
+        Ok(len) if digits.bytes().all(|b| b.is_ascii_digit()) => Ok(len),
+        _ => Err(ParseError::Malformed(format!(
+            "bad content-length: {value:?}"
+        ))),
+    }
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -226,7 +244,7 @@ impl Response {
     }
 
     /// Serializes the response and writes it to `stream`.
-    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+    pub fn write_to<W: Write>(&self, stream: &mut W) -> std::io::Result<()> {
         use std::fmt::Write as _;
         let mut head = String::with_capacity(160);
         let _ = write!(head, "HTTP/1.1 {} {}\r\n", self.status, self.reason());
@@ -245,18 +263,9 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
 
-    /// Runs the parser against raw bytes by pushing them through a real
-    /// socket pair (the parser's input type is `TcpStream`).
-    fn parse_bytes(bytes: &[u8], max_body: usize) -> Result<Request, ParseError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(bytes).unwrap();
-        drop(client); // EOF after the payload
-        let (mut server_side, _) = listener.accept().unwrap();
-        read_request(&mut server_side, max_body)
+    fn parse_bytes(mut bytes: &[u8], max_body: usize) -> Result<Request, ParseError> {
+        read_request(&mut bytes, max_body)
     }
 
     #[test]
@@ -293,6 +302,34 @@ mod tests {
     }
 
     #[test]
+    fn content_length_takes_digits_only() {
+        for bad in ["+5", "-5", "5 5", "0x5", "", "5,5"] {
+            let raw = format!("POST /q HTTP/1.1\r\nContent-Length: {bad}\r\n\r\nhello");
+            let r = parse_bytes(raw.as_bytes(), 100);
+            assert!(matches!(r, Err(ParseError::Malformed(_))), "{bad:?}: {r:?}");
+        }
+        let req =
+            parse_bytes(b"POST /q HTTP/1.1\r\nContent-Length:\t5 \r\n\r\nhello", 100).unwrap();
+        assert_eq!(req.body, b"hello");
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_rejected() {
+        let r = parse_bytes(
+            b"POST /q HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 3\r\n\r\nhello",
+            100,
+        );
+        assert!(matches!(r, Err(ParseError::Malformed(_))), "{r:?}");
+        // Repeating the same length is unambiguous.
+        let req = parse_bytes(
+            b"POST /q HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello",
+            100,
+        )
+        .unwrap();
+        assert_eq!(req.body, b"hello");
+    }
+
+    #[test]
     fn malformed_request_line_is_rejected() {
         let r = parse_bytes(b"NONSENSE\r\n\r\n", 100);
         assert!(matches!(r, Err(ParseError::Malformed(_))), "{r:?}");
@@ -306,18 +343,12 @@ mod tests {
 
     #[test]
     fn response_serializes_with_retry_after() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (mut server_side, _) = listener.accept().unwrap();
+        let mut wire = Vec::new();
         Response::text(503, "overloaded\n")
             .with_retry_after(std::time::Duration::from_millis(25))
-            .write_to(&mut server_side)
+            .write_to(&mut wire)
             .unwrap();
-        drop(server_side);
-        let mut out = String::new();
-        let mut client = client;
-        client.read_to_string(&mut out).unwrap();
+        let out = String::from_utf8(wire).unwrap();
         assert!(
             out.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
             "{out}"

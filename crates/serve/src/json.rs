@@ -203,18 +203,7 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            self.pos += 4;
-                            // Surrogate pairs unsupported; BMP only.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
+                        b'u' => out.push(self.unicode_escape()?),
                         other => return Err(format!("bad escape \\{}", other as char)),
                     }
                 }
@@ -234,6 +223,50 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The character of a `\\uXXXX` escape whose `\\u` is consumed. A
+    /// character outside the BMP arrives as a UTF-16 surrogate pair — a
+    /// high surrogate escape immediately followed by a low one; a lone or
+    /// reversed surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let code = match self.hex4()? {
+            hi @ 0xD800..=0xDBFF => {
+                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                    return Err(format!("unpaired high surrogate at offset {at}"));
+                }
+                self.pos += 2;
+                let lo = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&lo) {
+                    return Err(format!(
+                        "high surrogate at offset {at} not followed by a low surrogate"
+                    ));
+                }
+                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(format!("unpaired low surrogate at offset {at}")),
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| format!("bad \\u escape at offset {at}"))
+    }
+
+    /// Exactly four hex digits (`u32::from_str_radix` alone would also take
+    /// a sign).
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or("truncated \\u escape")?;
+        let mut code = 0;
+        for &b in hex {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| format!("bad \\u escape at offset {}", self.pos))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -330,6 +363,41 @@ mod tests {
         let wire = format!("\"{}\"", escape(original));
         let v = parse(&wire).unwrap();
         assert_eq!(v.as_str(), Some(original));
+    }
+
+    #[test]
+    fn unicode_escapes_decode_surrogate_pairs() {
+        let v = parse(r#""\u0041\u00e9\ud83d\ude80\uD83D\uDE80""#).unwrap();
+        assert_eq!(v.as_str(), Some("Aé🚀🚀"));
+    }
+
+    #[test]
+    fn unpaired_or_reversed_surrogates_are_rejected() {
+        for bad in [
+            r#""\ud83d""#,       // lone high surrogate at the end
+            r#""\ud83dx""#,      // high surrogate followed by a character
+            r#""\ud83d\n""#,     // ... or by another escape
+            r#""\ud83d\u0041""#, // ... or by a non-surrogate \u escape
+            r#""\ud83d\ud83d""#, // ... or by another high surrogate
+            r#""\ude80""#,       // lone low surrogate
+            r#""\ude80\ud83d""#, // reversed pair
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains("surrogate"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u004""#,
+            r#""\u00G1""#,
+            r#""\u 041""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad} must be rejected");
+        }
     }
 
     #[test]

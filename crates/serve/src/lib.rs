@@ -43,6 +43,5 @@ mod server;
 pub mod signal;
 
 pub use server::{
-    serve, serve_handle, serve_recovering, EngineHandle, HttpStats, RecoveringServer, ServeConfig,
-    ServerHandle, ShutdownReport,
+    serve, serve_recovering, HttpStats, RecoveringServer, ServeConfig, ServerHandle, ShutdownReport,
 };

@@ -37,98 +37,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cod_core::failpoint::{self, Site};
-use cod_core::{
-    CodAnswer, CodConfig, CodEngine, CodError, Method, MetricsSnapshot, Query, QueryLimits,
-    ShardedEngine,
-};
-use cod_graph::{AttrId, AttributedGraph};
+use cod_core::{CodAnswer, CodEngine, CodError, Method, MetricsSnapshot, Query, QueryLimits};
+use cod_graph::AttrId;
 use rand::prelude::*;
 
 use crate::http::{self, ParseError, Request, Response};
 use crate::json::{self, Value};
-
-/// The engine behind the server: a single [`CodEngine`], or a
-/// [`ShardedEngine`] routing by connected component. Every endpoint goes
-/// through this, so the HTTP surface is identical either way — sharded
-/// serving only adds the `cod_shard_*` series to `/metrics`.
-#[derive(Clone)]
-pub enum EngineHandle {
-    /// One engine serving the whole graph.
-    Single(Arc<CodEngine>),
-    /// A per-shard engine fleet over shared artifacts.
-    Sharded(Arc<ShardedEngine>),
-}
-
-impl EngineHandle {
-    /// The graph being served.
-    pub fn graph(&self) -> &AttributedGraph {
-        match self {
-            EngineHandle::Single(e) => e.graph(),
-            EngineHandle::Sharded(e) => e.graph(),
-        }
-    }
-
-    /// The shared configuration.
-    pub fn config(&self) -> &CodConfig {
-        match self {
-            EngineHandle::Single(e) => e.config(),
-            EngineHandle::Sharded(e) => e.config(),
-        }
-    }
-
-    /// Engine metrics (aggregated across shards when sharded).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        match self {
-            EngineHandle::Single(e) => e.metrics(),
-            EngineHandle::Sharded(e) => e.metrics(),
-        }
-    }
-
-    /// The Prometheus exposition (includes `cod_shard_*` when sharded).
-    pub fn metrics_text(&self) -> String {
-        match self {
-            EngineHandle::Single(e) => e.metrics_text(),
-            EngineHandle::Sharded(e) => e.metrics_text(),
-        }
-    }
-
-    /// The advisory wait before retrying a shed request.
-    pub fn retry_after_hint(&self) -> Duration {
-        match self {
-            EngineHandle::Single(e) => e.retry_after_hint(),
-            EngineHandle::Sharded(e) => e.retry_after_hint(),
-        }
-    }
-
-    /// Starts drain: every new query gets a kill-linked token.
-    pub fn begin_drain(&self) {
-        match self {
-            EngineHandle::Single(e) => e.begin_drain(),
-            EngineHandle::Sharded(e) => e.begin_drain(),
-        }
-    }
-
-    /// Fires the kill switch under every in-flight query.
-    pub fn cancel_inflight(&self) {
-        match self {
-            EngineHandle::Single(e) => e.cancel_inflight(),
-            EngineHandle::Sharded(e) => e.cancel_inflight(),
-        }
-    }
-
-    /// Batch evaluation under per-request limits.
-    pub fn query_batch_with_limits<R: Rng>(
-        &self,
-        queries: &[Query],
-        limits: &QueryLimits,
-        rng: &mut R,
-    ) -> Vec<cod_core::CodResult<Option<CodAnswer>>> {
-        match self {
-            EngineHandle::Single(e) => e.query_batch_with_limits(queries, limits, rng),
-            EngineHandle::Sharded(e) => e.query_batch_with_limits(queries, limits, rng),
-        }
-    }
-}
 
 /// Tuning knobs for [`serve`]. `Default` suits tests and local use.
 #[derive(Clone, Debug)]
@@ -254,7 +168,7 @@ impl HttpMetrics {
 
 /// State shared by the acceptor, the workers and the handle.
 struct Shared {
-    engine: EngineHandle,
+    engine: Arc<CodEngine>,
     cfg: ServeConfig,
     state: AtomicU8,
     /// Connections accepted and not yet fully handled (queued + active).
@@ -292,25 +206,20 @@ pub struct ShutdownReport {
     pub http_stats: HttpStats,
 }
 
-/// Starts the server over a single engine; returns once the listener is
-/// bound and the threads are running.
+/// Starts the server over `engine`; returns once the listener is bound and
+/// the threads are running.
 pub fn serve(engine: Arc<CodEngine>, cfg: ServeConfig) -> std::io::Result<ServerHandle> {
-    serve_handle(EngineHandle::Single(engine), cfg)
-}
-
-/// Starts the server over any [`EngineHandle`] — the sharded entry point.
-pub fn serve_handle(engine: EngineHandle, cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
-    serve_handle_on(listener, engine, cfg)
+    serve_on(listener, engine, cfg)
 }
 
 /// Starts the server on an already-bound (nonblocking) listener — the
 /// recovery front hands its listener over through here, so the port never
 /// closes between "recovering" and "serving".
-fn serve_handle_on(
+fn serve_on(
     listener: TcpListener,
-    engine: EngineHandle,
+    engine: Arc<CodEngine>,
     cfg: ServeConfig,
 ) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
@@ -386,15 +295,15 @@ impl RecoveringServer {
 /// Binds the listener immediately and runs `recover` on a background
 /// thread while a minimal front loop answers health probes with
 /// `503 RECOVERING`. When `recover` returns an engine, the listener is
-/// handed to the normal serving loop ([`serve_handle`] semantics).
+/// handed to the normal serving loop ([`serve`] semantics).
 pub fn serve_recovering<F>(cfg: ServeConfig, recover: F) -> std::io::Result<RecoveringServer>
 where
-    F: FnOnce() -> Result<EngineHandle, CodError> + Send + 'static,
+    F: FnOnce() -> Result<Arc<CodEngine>, CodError> + Send + 'static,
 {
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let (engine_tx, engine_rx) = std::sync::mpsc::channel::<Result<EngineHandle, CodError>>();
+    let (engine_tx, engine_rx) = std::sync::mpsc::channel::<Result<Arc<CodEngine>, CodError>>();
     std::thread::Builder::new()
         .name("cod-serve-recover".into())
         .spawn(move || {
@@ -415,14 +324,14 @@ where
 fn recovering_front(
     listener: TcpListener,
     cfg: ServeConfig,
-    engine_rx: &Receiver<Result<EngineHandle, CodError>>,
+    engine_rx: &Receiver<Result<Arc<CodEngine>, CodError>>,
     handle_tx: &std::sync::mpsc::Sender<Result<ServerHandle, CodError>>,
 ) {
     use std::sync::mpsc::TryRecvError;
     loop {
         match engine_rx.try_recv() {
             Ok(Ok(engine)) => {
-                let res = serve_handle_on(listener, engine, cfg).map_err(CodError::from);
+                let res = serve_on(listener, engine, cfg).map_err(CodError::from);
                 let _ = handle_tx.send(res);
                 return;
             }
@@ -473,7 +382,7 @@ impl ServerHandle {
     }
 
     /// The engine being served.
-    pub fn engine(&self) -> &EngineHandle {
+    pub fn engine(&self) -> &Arc<CodEngine> {
         &self.shared.engine
     }
 

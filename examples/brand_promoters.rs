@@ -32,7 +32,8 @@ fn main() {
         theta: 20,
         ..CodConfig::default()
     };
-    let codl = Codl::new(g, cfg, &mut rng).expect("valid config");
+    let engine = CodEngine::new(g.clone(), cfg);
+    engine.ensure_himor(&mut rng).expect("valid config");
 
     // Candidate promoters: users interested in the campaign topic.
     let topic = 0; // campaign topic = attribute 0
@@ -49,7 +50,8 @@ fn main() {
 
     let mut ranked: Vec<(NodeId, usize, f64)> = Vec::new();
     for &q in &candidates {
-        if let Some(ans) = codl.query(q, topic, &mut rng).expect("valid query") {
+        let query = Query::new(q, topic, Method::Codl);
+        if let Some(ans) = engine.query(query, &mut rng).expect("valid query") {
             let density = measures::attribute_density(g, &ans.members, topic);
             ranked.push((q, ans.size(), density));
         }

@@ -34,7 +34,8 @@ fn main() {
         theta: 20,
         ..CodConfig::default()
     };
-    let codl = Codl::new(g, cfg, &mut rng).expect("valid config");
+    let engine = CodEngine::new(g.clone(), cfg);
+    engine.ensure_himor(&mut rng).expect("valid config");
 
     // Pick organizers: nodes with a topic attribute and decent degree.
     let organizers: Vec<NodeId> = (0..g.num_nodes() as NodeId)
@@ -47,7 +48,10 @@ fn main() {
         let topic_name = g.interner().name(topic).unwrap_or("?").to_owned();
         println!("\n== organizer v{q}, topic {topic_name} ==");
 
-        match codl.query(q, topic, &mut rng).expect("valid query") {
+        match engine
+            .query(Query::new(q, topic, Method::Codl), &mut rng)
+            .expect("valid query")
+        {
             Some(ans) => {
                 println!(
                     "CODL invites {} researchers (organizer influence rank {}; source {:?})",

@@ -3,12 +3,13 @@
 //! Demonstrates the two deployment features beyond the paper's core
 //! algorithms: [`pcod::cod::dynamic::DynamicCod`] (the paper's §VI
 //! future-work direction — queries on a graph receiving edge edits) and
-//! [`pcod::cod::persist`] (saving the HIMOR index across sessions).
+//! [`pcod::cod::codx`] (saving the graph, hierarchy and HIMOR index as one
+//! CODX v3 file, reused across sessions).
 //!
 //! Run with: `cargo run --release --example evolving_network`
 
 use pcod::cod::dynamic::DynamicCod;
-use pcod::cod::persist::{load_index, save_index};
+use pcod::cod::{save_artifacts, MappedArtifacts};
 use pcod::prelude::*;
 use rand::prelude::*;
 
@@ -30,21 +31,21 @@ fn main() {
     };
 
     // --- Persistence: build once, save, reload --------------------------
-    let codl = Codl::new(g, cfg, &mut rng).expect("valid config");
+    let engine = CodEngine::new(g.clone(), cfg);
+    let index = engine.ensure_himor(&mut rng).expect("valid config");
     let path = std::env::temp_dir().join("citeseer.codx");
-    let (dendro, _) = codl.hierarchy();
-    save_index(&path, dendro, codl.index()).expect("save index");
+    save_artifacts(&path, g, &engine.base_hierarchy().dendro, &index).expect("save index");
     println!(
         "saved HIMOR index ({} KB) to {}",
-        codl.index().memory_bytes() / 1024,
+        index.memory_bytes() / 1024,
         path.display()
     );
-    let (dendro2, index2) = load_index(&path).expect("reload index");
-    let lca2 = LcaIndex::new(&dendro2);
-    let codl2 = Codl::from_parts(g, cfg, dendro2, lca2, index2);
+    let arts = MappedArtifacts::open(&path).expect("reopen index");
+    let reloaded = CodEngine::from_mapped(&arts, cfg).expect("reload index");
     let q = 17;
     let attr = g.node_attrs(q)[0];
-    let before = codl2.query(q, attr, &mut rng).expect("valid query");
+    let query = Query::new(q, attr, Method::Codl);
+    let before = reloaded.query(query, &mut rng).expect("valid query");
     println!(
         "query from the reloaded index: node {q} -> {:?}",
         before.as_ref().map(|a| a.size())

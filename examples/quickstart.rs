@@ -28,9 +28,10 @@ fn main() {
             theta: 500, // generous sampling: the example graph is tiny
             ..CodConfig::default()
         };
-        let codl = Codl::new(g, cfg, &mut rng).expect("valid config");
+        let engine = CodEngine::new(g.clone(), cfg);
         for q in [0u32, 6] {
-            match codl.query(q, db, &mut rng).expect("valid query") {
+            let query = Query::new(q, db, Method::Codl);
+            match engine.query(query, &mut rng).expect("valid query") {
                 Some(ans) => println!(
                     "k={k}: characteristic community of v{q} is {:?} — rank {} via {:?}",
                     ans.members, ans.rank, ans.source
@@ -46,9 +47,9 @@ fn main() {
         theta: 500,
         ..CodConfig::default()
     };
-    let codu = Codu::new(g, cfg);
+    let engine = CodEngine::new(g.clone(), cfg);
     for q in [0u32, 6] {
-        match codu.query(q, &mut rng).expect("valid query") {
+        match engine.query(Query::codu(q), &mut rng).expect("valid query") {
             Some(ans) => println!(
                 "CODU answer for v{q}: {:?} (rank {})",
                 ans.members, ans.rank

@@ -8,6 +8,8 @@
 //! cod query     (graph opts) --node 17 [--attr DB] [--k 5] [--theta 10] [--method codl]
 //!               [--index idx.codx [--strict-index]] [--budget N]
 //! cod query     (graph opts) --queries FILE    # batch: one "node[,attr]" per line
+//! cod index     (graph opts) --index idx.codx   # prebuild the CODX v3 artifacts
+//! cod serve     (graph opts | --index idx.codx) [--addr 127.0.0.1:7700]
 //! cod hierarchy (graph opts) --node 17 [--levels 12]
 //! cod baseline  (graph opts) --node 17 --attr DB --method acq|atc|cac
 //! cod generate  --preset cora --out-edges g.txt --out-attrs a.txt
@@ -26,14 +28,12 @@ use std::time::Duration;
 
 use pcod::cod::chain::Chain;
 use pcod::cod::compressed::{compressed_cod, total_theta, EvalOptions, Samples};
-use pcod::cod::persist::{load_index, save_index_versioned};
 use pcod::cod::recluster::build_hierarchy;
-use pcod::cod::shard::ShardedEngine;
-use pcod::cod::MappedArtifacts;
+use pcod::cod::{save_artifacts, MappedArtifacts};
 use pcod::graph::io;
 use pcod::graph::measures;
+use pcod::hierarchy::Hierarchy;
 use pcod::prelude::*;
-use pcod::serve::EngineHandle;
 use rand::prelude::*;
 
 fn main() -> ExitCode {
@@ -83,8 +83,8 @@ USAGE:
 
 COMMANDS:
   stats      print graph statistics
-  index      build the hierarchy + HIMOR index and persist them to --index
-             (CODX v3 by default; --codx-version 2 for the legacy format)
+  index      build the hierarchy + HIMOR index and persist them, with the
+             graph, to --index as one CODX v3 artifact file
   query      find the characteristic community of a node
   hierarchy  print a node's hierarchical communities and influence ranks
   baseline   run a community-search baseline (acq / atc / cac)
@@ -105,6 +105,8 @@ GRAPH SOURCE (choose one):
   --edges FILE [--attrs FILE]   load from plain-text files
   --preset NAME                 built-in preset (cora, citeseer, pubmed,
                                 retweet, amazon, dblp, livejournal)
+  query --method codl and serve also accept --index FILE alone: the graph
+  stored in the artifact file is served
 
 OPTIONS:
   --node N        query node id
@@ -123,22 +125,16 @@ OPTIONS:
   --method M      query: codu|codr|codl-|codl (default codl)
                   baseline: acq|atc|cac
   --levels N      hierarchy: number of levels to print (default 15)
-  --index FILE    query (codl): persist the HIMOR index + hierarchy here.
-                  Missing or corrupt files trigger a rebuild + resave with
-                  a warning on stderr
-  --strict-index  treat an unusable --index file as a fatal error instead
-                  of rebuilding
-  --codx-version V index/query: CODX format written by `cod index` and by
-                  the corrupt-index rebuild path (3 = sectioned, mmap-able
-                  artifact file, the default; 2 = legacy hierarchy+index)
-  --mmap          query/serve: serve the --index CODX v3 artifacts from a
-                  memory mapping (zero-copy, lazily CRC-verified) instead
-                  of loading them eagerly. The graph source may be
-                  omitted; the graph inside the artifact file is served
-  --shards N      serve: partition the graph by connected component onto N
-                  shards, one engine per shard over the shared artifacts;
-                  batches scatter-gather with per-shard admission control.
-                  Answers are bit-identical to --shards 1 for any N
+  --index FILE    a CODX v3 artifact file (graph, hierarchy and HIMOR
+                  index), served from a memory mapping (zero-copy, each
+                  section CRC-verified on first use). query (codl): loaded
+                  when usable; a missing, corrupt, older-version or
+                  other-graph file is rebuilt and resaved with a warning on
+                  stderr (with a graph source). serve: an unusable file is
+                  a fatal error. Without a graph source, the graph stored
+                  in the file is served
+  --strict-index  query: treat an unusable --index file as a fatal error
+                  instead of rebuilding
   --budget N      cap total RR-graph samples per query; truncated answers
                   are flagged best-effort
   --deadline-ms N wall-clock deadline per query. A query that overruns it
@@ -229,9 +225,6 @@ struct Opts {
     accept_queue: Option<usize>,
     drain_ms: Option<u64>,
     max_request_bytes: Option<usize>,
-    shards: Option<usize>,
-    mmap: bool,
-    codx_version: Option<u32>,
     wal: Option<PathBuf>,
     fsync: Option<String>,
     checkpoint_events: Option<u64>,
@@ -277,11 +270,6 @@ impl Opts {
             }
             if args[i] == "--pool" {
                 o.pool = true;
-                i += 1;
-                continue;
-            }
-            if args[i] == "--mmap" {
-                o.mmap = true;
                 i += 1;
                 continue;
             }
@@ -364,20 +352,6 @@ impl Opts {
                             .map_err(|_| "--max-request-bytes wants a number")?,
                     )
                 }
-                "--shards" => {
-                    o.shards = Some(
-                        value(args, i)?
-                            .parse()
-                            .map_err(|_| "--shards wants a number")?,
-                    )
-                }
-                "--codx-version" => {
-                    o.codx_version = Some(
-                        value(args, i)?
-                            .parse()
-                            .map_err(|_| "--codx-version wants 2 or 3")?,
-                    )
-                }
                 "--log" => o.log = Some(PathBuf::from(value(args, i)?)),
                 "--wal" => o.wal = Some(PathBuf::from(value(args, i)?)),
                 "--fsync" => o.fsync = Some(value(args, i)?),
@@ -402,6 +376,10 @@ impl Opts {
             i += 2;
         }
         Ok(o)
+    }
+
+    fn has_graph_source(&self) -> bool {
+        self.edges.is_some() || self.preset.is_some()
     }
 
     fn load_graph(&self) -> Result<AttributedGraph, String> {
@@ -502,101 +480,118 @@ fn cmd_stats(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// The CODX version `--codx-version` asks for (default: v3, the
-/// sectioned mmap-able format). Shared by `cod index` and the
-/// corrupt-index rebuild path, so a rebuild resaves in the version the
-/// user originally requested.
-fn requested_codx_version(opts: &Opts) -> u32 {
-    opts.codx_version.unwrap_or(pcod::cod::CODX_V3)
+/// An `--index FILE` opened for reading: only the header and section
+/// directory are parsed up front; each section is CRC-verified on first
+/// use. A file that cannot be opened keeps its error, so callers decide
+/// whether that is fatal.
+struct IndexFile<'a> {
+    path: &'a Path,
+    arts: Result<MappedArtifacts, String>,
 }
 
-/// Builds a CODL engine, loading the HIMOR index from `--index` when one is
-/// given and usable. Unusable index files (missing, corrupt, stale version,
-/// wrong graph) are fatal under `--strict-index`; otherwise they trigger a
-/// rebuild and an atomic resave (in the `--codx-version` the caller
-/// requested), with a warning on stderr.
-fn build_codl<'g, R: Rng>(
-    g: &'g AttributedGraph,
+impl<'a> IndexFile<'a> {
+    fn open(path: &'a Path) -> Self {
+        let arts = MappedArtifacts::open(path).map_err(|e| e.to_string());
+        IndexFile { path, arts }
+    }
+
+    /// The file's hierarchy and HIMOR index, checked against the graph
+    /// `g` they are to serve.
+    fn artifacts_for(
+        &self,
+        g: &AttributedGraph,
+    ) -> Result<(Arc<Hierarchy>, Arc<HimorIndex>), String> {
+        let arts = self.arts.as_ref().map_err(String::clone)?;
+        if arts.num_nodes() != g.num_nodes() {
+            return Err(format!(
+                "index covers {} nodes but the graph has {}",
+                arts.num_nodes(),
+                g.num_nodes()
+            ));
+        }
+        let text = |e: CodError| e.to_string();
+        Ok((arts.hierarchy().map_err(text)?, arts.himor().map_err(text)?))
+    }
+
+    /// A one-line error naming the file.
+    fn error(&self, why: &str) -> String {
+        format!("index {}: {why}", self.path.display())
+    }
+}
+
+/// The graph `cod query` and `cod serve` answer on: the graph source's,
+/// or — with `--index` and no graph source — the graph stored in the
+/// artifact file (a view of the mapping, not a copy).
+fn load_served_graph(
+    opts: &Opts,
+    index: Option<&IndexFile<'_>>,
+) -> Result<Arc<AttributedGraph>, String> {
+    match index {
+        Some(ix) if !opts.has_graph_source() => {
+            let arts = ix.arts.as_ref().map_err(|e| ix.error(e))?;
+            arts.graph().map_err(|e| ix.error(&e.to_string()))
+        }
+        _ => opts.load_graph().map(Arc::new),
+    }
+}
+
+/// A CODL engine with its HIMOR index ready. With a usable `--index` file
+/// the engine adopts the file's hierarchy and index; otherwise both are
+/// built from one seed drawn from `rng` (the draw the first CODL query
+/// would make). An unusable file — missing, corrupt, a retired CODX
+/// version, another graph — is fatal under `--strict-index` or when the
+/// file is also the graph source; otherwise the artifacts are rebuilt and
+/// saved over it as CODX v3, with a warning on stderr.
+fn codl_engine<R: Rng>(
+    g: Arc<AttributedGraph>,
     cfg: CodConfig,
     opts: &Opts,
+    index: Option<&IndexFile<'_>>,
     rng: &mut R,
-) -> Result<Codl<'g>, String> {
-    let Some(path) = &opts.index else {
-        return Codl::new(g, cfg, rng).map_err(|e| e.to_string());
-    };
-    match try_load_codl(g, cfg, path, opts.mmap) {
-        Ok(codl) => {
-            eprintln!("loaded HIMOR index from {}", path.display());
-            Ok(codl)
-        }
-        Err(why) => {
-            if opts.strict_index {
-                return Err(format!("index {}: {why}", path.display()));
+) -> Result<CodEngine, String> {
+    if let Some(ix) = index {
+        match ix.artifacts_for(&g) {
+            Ok((base, himor)) => {
+                eprintln!("loaded HIMOR index from {}", ix.path.display());
+                return Ok(CodEngine::from_parts(g, cfg, base, himor));
             }
-            eprintln!(
+            Err(why) if opts.strict_index || !opts.has_graph_source() => return Err(ix.error(&why)),
+            Err(why) => eprintln!(
                 "warning: index {} unusable ({why}); rebuilding",
-                path.display()
-            );
-            let codl = Codl::new(g, cfg, rng).map_err(|e| e.to_string())?;
-            let (dendro, _) = codl.hierarchy();
-            match save_index_versioned(path, g, dendro, codl.index(), requested_codx_version(opts))
-            {
-                Ok(()) => eprintln!("saved rebuilt index to {}", path.display()),
-                Err(e) => eprintln!("warning: could not save rebuilt index: {e}"),
-            }
-            Ok(codl)
+                ix.path.display()
+            ),
         }
     }
-}
-
-/// Loads a saved index and validates it against the loaded graph. With
-/// `mmap`, a CODX v3 file is memory-mapped and its sections are verified
-/// lazily; otherwise the bytes are read eagerly (either format).
-fn try_load_codl<'g>(
-    g: &'g AttributedGraph,
-    cfg: CodConfig,
-    path: &Path,
-    mmap: bool,
-) -> Result<Codl<'g>, String> {
-    let (dendro, index) = if mmap {
-        let arts = MappedArtifacts::open(path).map_err(|e| e.to_string())?;
-        let hier = arts.hierarchy().map_err(|e| e.to_string())?;
-        let index = arts.himor().map_err(|e| e.to_string())?;
-        (hier.dendro.clone(), (*index).clone())
-    } else {
-        load_index(path).map_err(|e| e.to_string())?
-    };
-    if index.num_nodes() != g.num_nodes() {
-        return Err(format!(
-            "index covers {} nodes but the graph has {}",
-            index.num_nodes(),
-            g.num_nodes()
-        ));
+    let engine = CodEngine::new(Arc::unwrap_or_clone(g), cfg);
+    let himor = engine.ensure_himor(rng).map_err(|e| e.to_string())?;
+    if let Some(ix) = index {
+        let base = engine.base_hierarchy();
+        match save_artifacts(ix.path, engine.graph(), &base.dendro, &himor) {
+            Ok(()) => eprintln!("saved rebuilt index to {}", ix.path.display()),
+            Err(e) => eprintln!("warning: could not save rebuilt index: {e}"),
+        }
     }
-    let lca = LcaIndex::new(&dendro);
-    Ok(Codl::from_parts(g, cfg, dendro, lca, index))
+    Ok(engine)
 }
 
 /// `cod index`: build the hierarchy + HIMOR index for a graph and persist
-/// them to `--index` in the requested CODX version (v3 by default — the
-/// sectioned format `--mmap` serving requires).
+/// them, with the graph, to `--index` as one CODX v3 artifact file.
 fn cmd_index(opts: &Opts) -> Result<(), String> {
     let path = opts
         .index
         .as_ref()
         .ok_or("index needs --index FILE (the output path)")?;
-    let g = opts.load_graph()?;
-    let cfg = opts.cod_config();
-    let version = requested_codx_version(opts);
+    let engine = CodEngine::new(opts.load_graph()?, opts.cod_config());
     let mut rng = SmallRng::seed_from_u64(opts.seed);
-    let codl = Codl::new(&g, cfg, &mut rng).map_err(|e| e.to_string())?;
-    let (dendro, _) = codl.hierarchy();
-    save_index_versioned(path, &g, dendro, codl.index(), version).map_err(|e| e.to_string())?;
+    let index = engine.ensure_himor(&mut rng).map_err(|e| e.to_string())?;
+    let base = engine.base_hierarchy();
+    save_artifacts(path, engine.graph(), &base.dendro, &index).map_err(|e| e.to_string())?;
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     println!(
-        "saved CODX v{version} index to {} ({bytes} bytes, {} nodes)",
+        "saved CODX v{} index to {} ({bytes} bytes, {} nodes)",
+        pcod::cod::CODX_V3,
         path.display(),
-        g.num_nodes()
+        engine.graph().num_nodes()
     );
     Ok(())
 }
@@ -615,24 +610,7 @@ fn check_node(g: &AttributedGraph, q: NodeId) -> Result<(), String> {
     }
 }
 
-/// Graph source for `cod query`: the usual `--edges`/`--preset` ladder,
-/// or — with `--mmap` and no graph source — the graph section of the
-/// `--index` CODX v3 artifact itself (the same rung `cod serve` uses).
-/// The clone shares the file mapping; no eager copy is made.
-fn load_query_graph(opts: &Opts) -> Result<AttributedGraph, String> {
-    if opts.mmap && opts.edges.is_none() && opts.preset.is_none() {
-        let path = opts
-            .index
-            .as_ref()
-            .ok_or("--mmap needs --index FILE (a CODX v3 artifact)")?;
-        let arts = MappedArtifacts::open(path).map_err(|e| e.to_string())?;
-        return Ok((*arts.graph().map_err(|e| e.to_string())?).clone());
-    }
-    opts.load_graph()
-}
-
 fn cmd_query(opts: &Opts) -> Result<(), String> {
-    let g = load_query_graph(opts)?;
     let cfg = opts.cod_config();
     let method = opts.method.as_deref().unwrap_or("codl");
     if opts.index.is_some() && method != "codl" {
@@ -640,41 +618,31 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
             "--index only applies to --method codl, not {method:?}"
         ));
     }
+    let index = opts.index.as_deref().map(IndexFile::open);
+    let g = load_served_graph(opts, index.as_ref())?;
     if let Some(path) = &opts.queries {
         if opts.node.is_some() {
             return Err("--node and --queries are mutually exclusive".into());
         }
-        return cmd_query_batch(opts, &g, cfg, method, path);
+        return cmd_query_batch(opts, g, index.as_ref(), cfg, method, path);
     }
     let q = opts.node.ok_or("query needs --node or --queries")?;
     check_node(&g, q)?;
     let mut rng = SmallRng::seed_from_u64(opts.seed);
     let attr = opts.resolve_attr(&g, q);
-    // Keep the facade alive past the answer so --metrics-out can read the
-    // engine's registry after the query completes.
-    let codu;
-    let codr;
-    let codl_minus;
-    let codl;
-    let (answer, engine): (_, &CodEngine) = match method {
-        "codu" => {
-            codu = Codu::new(&g, cfg);
-            (codu.query(q, &mut rng), codu.engine())
-        }
-        "codr" => {
-            codr = Codr::new(&g, cfg);
-            (codr.query(q, attr?, &mut rng), codr.engine())
-        }
-        "codl-" => {
-            codl_minus = CodlMinus::new(&g, cfg);
-            (codl_minus.query(q, attr?, &mut rng), codl_minus.engine())
-        }
-        "codl" => {
-            codl = build_codl(&g, cfg, opts, &mut rng)?;
-            (codl.query(q, attr?, &mut rng), codl.engine())
-        }
-        other => return Err(format!("unknown method {other:?} (codu|codr|codl-|codl)")),
+    let method = parse_method(method)?;
+    let query = match method {
+        Method::Codu => Query::codu(q),
+        _ => Query::new(q, attr?, method),
     };
+    // Keep the engine alive past the answer so --metrics-out can read its
+    // registry after the query completes.
+    let engine = match method {
+        Method::Codl => codl_engine(g, cfg, opts, index.as_ref(), &mut rng)?,
+        _ => CodEngine::new(Arc::unwrap_or_clone(g), cfg),
+    };
+    let g = engine.graph();
+    let answer = engine.query(query, &mut rng);
     // A failed query must still flush --metrics-out before the error
     // propagates: the registry records the failure (cod_errors_total), and
     // metrics matter most exactly when something went wrong.
@@ -716,23 +684,18 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
             Ok(())
         }
     };
-    write_metrics(opts, engine)?;
+    write_metrics(opts, &engine)?;
     outcome
 }
 
 /// Writes the engine's Prometheus-style metrics to `--metrics-out`, when
 /// given.
 fn write_metrics(opts: &Opts, engine: &CodEngine) -> Result<(), String> {
-    write_metrics_text(opts, engine.metrics_text())
-}
-
-/// [`write_metrics`] over an already-rendered exposition (the sharded
-/// handle renders its own, with the `cod_shard_*` series appended).
-fn write_metrics_text(opts: &Opts, text: String) -> Result<(), String> {
     let Some(path) = &opts.metrics_out else {
         return Ok(());
     };
-    std::fs::write(path, text).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    std::fs::write(path, engine.metrics_text())
+        .map_err(|e| format!("writing {}: {e}", path.display()))?;
     eprintln!("wrote metrics to {}", path.display());
     Ok(())
 }
@@ -796,7 +759,8 @@ fn parse_batch_line(
 /// exit code once everything has been served.
 fn cmd_query_batch(
     opts: &Opts,
-    g: &AttributedGraph,
+    g: Arc<AttributedGraph>,
+    index: Option<&IndexFile<'_>>,
     cfg: CodConfig,
     method_name: &str,
     path: &Path,
@@ -811,7 +775,7 @@ fn cmd_query_batch(
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match parse_batch_line(opts, g, method, line) {
+        match parse_batch_line(opts, &g, method, line) {
             Ok(query) => queries.push(query),
             Err(msg) => {
                 println!("{}:{}: error: {msg}", path.display(), no + 1);
@@ -829,16 +793,12 @@ fn cmd_query_batch(
     }
 
     let mut rng = SmallRng::seed_from_u64(opts.seed);
-    // CODL goes through the facade so --index load/rebuild/save applies;
-    // either way one engine serves the whole batch.
-    let codl_facade;
-    let plain_engine;
-    let engine: &CodEngine = if method == Method::Codl {
-        codl_facade = build_codl(g, cfg, opts, &mut rng)?;
-        codl_facade.engine()
+    // One engine serves the whole batch; for CODL, --index load, rebuild
+    // and resave apply as for a single query.
+    let engine = if method == Method::Codl {
+        codl_engine(g, cfg, opts, index, &mut rng)?
     } else {
-        plain_engine = CodEngine::new(g.clone(), cfg);
-        &plain_engine
+        CodEngine::new(Arc::unwrap_or_clone(g), cfg)
     };
 
     // Batch summary tallies: degraded answers are counted separately from
@@ -899,7 +859,7 @@ fn cmd_query_batch(
         stats.hit_rate() * 100.0,
         stats.len,
     );
-    write_metrics(opts, engine)?;
+    write_metrics(opts, &engine)?;
     if bad_lines > 0 {
         return Err(malformed());
     }
@@ -992,8 +952,10 @@ fn cmd_im(opts: &Opts) -> Result<(), String> {
         Some(q) => {
             check_node(&g, q)?;
             let attr = opts.resolve_attr(&g, q)?;
-            let codl = Codl::new(&g, cfg, &mut rng).map_err(|e| e.to_string())?;
-            match codl.query(q, attr, &mut rng).map_err(|e| e.to_string())? {
+            let engine = CodEngine::new(g.clone(), cfg);
+            engine.ensure_himor(&mut rng).map_err(|e| e.to_string())?;
+            let query = Query::new(q, attr, Method::Codl);
+            match engine.query(query, &mut rng).map_err(|e| e.to_string())? {
                 Some(ans) => {
                     println!(
                         "scoping to the characteristic community of node {q} ({} members)",
@@ -1045,8 +1007,8 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     // while /readyz answers 503 RECOVERING, then promote the listener to
     // the full server over the recovered artifacts.
     if let Some(dir) = &opts.wal {
-        if opts.mmap || opts.shards.unwrap_or(1) > 1 {
-            return Err("--wal serving is single-engine: drop --mmap and --shards".into());
+        if opts.index.is_some() {
+            return Err("--wal serves the recovered state: drop --index".into());
         }
         let cfg = opts.cod_config();
         let dcfg = opts.durability_config()?;
@@ -1056,8 +1018,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
             let (mut durable, report) = pcod::cod::DurableCod::open(&dir, cfg, dcfg)?;
             let bytes = durable.snapshot_bytes()?;
             let arts = MappedArtifacts::from_vec(bytes)?;
-            let engine =
-                CodEngine::from_shared_parts(arts.graph()?, cfg, arts.hierarchy()?, arts.himor()?);
+            let engine = CodEngine::from_mapped(&arts, cfg)?;
             engine.record_recovery(report.replayed, report.wall_time.as_nanos() as u64);
             eprintln!(
                 "recovered {} event(s) over checkpoint {} in {:.2?}{}{}",
@@ -1074,7 +1035,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
                     String::new()
                 },
             );
-            Ok(EngineHandle::Single(Arc::new(engine)))
+            Ok(Arc::new(engine))
         })
         .map_err(|e| format!("binding listener: {e}"))?;
         println!("recovering; serving on http://{}", recovering.addr());
@@ -1086,60 +1047,35 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         return run_until_shutdown(handle, opts);
     }
 
+    // With --index the engine serves the artifact file's hierarchy and
+    // index (and its graph, absent a graph source); an unusable file fails
+    // startup. Without it, the artifacts build in-process on first use.
     let cfg = opts.cod_config();
-    let shards = opts.shards.unwrap_or(1).max(1);
-    // Engine source ladder: --mmap serves straight out of a CODX v3
-    // artifact file (graph included — no --edges/--preset needed);
-    // otherwise the graph loads from its usual source and artifacts build
-    // in-process. --shards picks the sharded fleet either way.
-    let engine = if opts.mmap {
-        let path = opts
-            .index
-            .as_ref()
-            .ok_or("--mmap needs --index FILE (a CODX v3 artifact)")?;
-        let arts = MappedArtifacts::open(path).map_err(|e| e.to_string())?;
-        eprintln!(
-            "mapped {} ({} bytes, {} nodes, {})",
-            path.display(),
-            arts.file_bytes(),
-            arts.num_nodes(),
-            if arts.is_mapped() {
-                "zero-copy"
-            } else {
-                "eager-load fallback"
+    let engine = match opts.index.as_deref().map(IndexFile::open) {
+        None => CodEngine::new(opts.load_graph()?, cfg),
+        Some(ix) => {
+            let g = load_served_graph(opts, Some(&ix))?;
+            let (base, himor) = ix.artifacts_for(&g).map_err(|why| ix.error(&why))?;
+            if let Ok(arts) = &ix.arts {
+                eprintln!(
+                    "mapped {} ({} bytes, {} nodes, {})",
+                    ix.path.display(),
+                    arts.file_bytes(),
+                    arts.num_nodes(),
+                    if arts.is_mapped() {
+                        "zero-copy"
+                    } else {
+                        "eager-load fallback"
+                    }
+                );
             }
-        );
-        if shards > 1 {
-            let sharded =
-                ShardedEngine::from_mapped(&arts, cfg, shards).map_err(|e| e.to_string())?;
-            EngineHandle::Sharded(Arc::new(sharded))
-        } else {
-            EngineHandle::Single(Arc::new(
-                CodEngine::from_mapped(&arts, cfg).map_err(|e| e.to_string())?,
-            ))
-        }
-    } else {
-        let g = opts.load_graph()?;
-        if shards > 1 {
-            let mut rng = SmallRng::seed_from_u64(opts.seed);
-            let sharded = ShardedEngine::build(Arc::new(g), cfg, shards, &mut rng)
-                .map_err(|e| e.to_string())?;
-            EngineHandle::Sharded(Arc::new(sharded))
-        } else {
-            EngineHandle::Single(Arc::new(CodEngine::new(g, cfg)))
+            CodEngine::from_parts(g, cfg, base, himor)
         }
     };
-    if let EngineHandle::Sharded(s) = &engine {
-        eprintln!(
-            "sharded serving: {} shard(s), node distribution {:?}",
-            s.num_shards(),
-            s.partition().shard_sizes()
-        );
-    }
     // Install the handler before binding so a signal racing startup still
     // lands in the flag the loop below polls.
     pcod::serve::signal::install_shutdown_handler();
-    let handle = pcod::serve::serve_handle(engine, serve_cfg)
+    let handle = pcod::serve::serve(Arc::new(engine), serve_cfg)
         .map_err(|e| format!("binding listener: {e}"))?;
     println!("serving on http://{}", handle.addr());
     let _ = std::io::stdout().flush();
@@ -1195,8 +1131,7 @@ fn run_until_shutdown(handle: pcod::serve::ServerHandle, opts: &Opts) -> Result<
         stats.draining_rejects,
         stats.panics,
     );
-    write_metrics_text(opts, engine.metrics_text())?;
-    Ok(())
+    write_metrics(opts, &engine)
 }
 
 /// The replay target behind `cod mutate`: the plain in-memory pipeline or

@@ -17,15 +17,18 @@
 //! let g = &data.graph;
 //! let db = g.interner().get("DB").unwrap();
 //!
-//! // Fully optimized CODL: LORE local reclustering + HIMOR index. Building
-//! // fails only on an invalid config (θ·|V| overflowing `usize`).
+//! // One engine serves all four methods (CODU, CODR, CODL⁻, CODL) from
+//! // shared artifacts; the first CODL query builds the HIMOR index.
 //! let cfg = CodConfig { k: 1, theta: 200, ..CodConfig::default() };
+//! let engine = CodEngine::new(g.clone(), cfg);
 //! let mut rng = SmallRng::seed_from_u64(42);
-//! let codl = Codl::new(g, cfg, &mut rng).unwrap();
 //!
-//! // `query` returns `CodResult<Option<CodAnswer>>`: `Err` for invalid
-//! // input, `Ok(None)` when no community qualifies.
-//! if let Some(answer) = codl.query(0, db, &mut rng).unwrap() {
+//! // Fully optimized CODL: LORE local reclustering + HIMOR index. `query`
+//! // returns `CodResult<Option<CodAnswer>>`: `Err` for invalid input
+//! // (including θ·|V| overflowing `usize`), `Ok(None)` when no community
+//! // qualifies.
+//! let query = Query::new(0, db, Method::Codl);
+//! if let Some(answer) = engine.query(query, &mut rng).unwrap() {
 //!     assert!(answer.members.contains(&0));
 //!     assert!(answer.rank <= 1);
 //! }
@@ -38,7 +41,7 @@
 //! | [`graph`] | CSR attributed graphs, builders, generators, measures |
 //! | [`hierarchy`] | NN-chain agglomerative clustering, dendrograms, O(1) LCA |
 //! | [`influence`] | IC/LT models, RR graphs, estimators, Monte-Carlo truth |
-//! | [`cod`] | compressed COD evaluation, LORE, HIMOR, method pipelines |
+//! | [`cod`] | compressed COD evaluation, LORE, HIMOR, the query engine, CODX v3 |
 //! | [`search`] | ACQ / ATC / CAC community-search baselines |
 //! | [`datasets`] | Table-I dataset presets and query workloads |
 //! | [`serve`] | std-only HTTP serving tier with drain + load shedding |
@@ -55,8 +58,8 @@ pub use cod_serve as serve;
 pub mod prelude {
     pub use cod_core::{
         CacheOutcome, CacheStats, Chain, CodAnswer, CodConfig, CodEngine, CodError, CodResult,
-        Codl, CodlMinus, Codr, Codu, ComposedChain, Counter, DendroChain, HimorIndex, Method,
-        MetricsSnapshot, Phase, Query, QueryLimits, QueryScratch, QueryTrace,
+        ComposedChain, Counter, DendroChain, HimorIndex, Method, MetricsSnapshot, Phase, Query,
+        QueryLimits, QueryScratch, QueryTrace,
     };
     pub use cod_graph::{AttrId, AttributedGraph, Csr, GraphBuilder, NodeId};
     pub use cod_hierarchy::{Dendrogram, LcaIndex, Linkage};

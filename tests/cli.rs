@@ -328,6 +328,38 @@ fn index_with_wrong_graph_is_rejected_under_strict() {
 }
 
 #[test]
+fn serve_fails_fast_on_an_unusable_index() {
+    // `cod serve --index FILE` must open FILE: a corrupt or missing file
+    // ends startup with a one-line error instead of serving without it.
+    let idx = TempFile::new("serveidx", b"not an artifact file");
+    let missing = std::env::temp_dir().join(format!("cod_cli_absent_{}.codx", std::process::id()));
+    let missing = missing.to_str().expect("utf-8 temp path");
+    for path in [idx.path(), missing] {
+        let mut child = Command::new(cod_bin())
+            .args(["serve", "--preset", "cora", "--index", path])
+            .args(["--addr", "127.0.0.1:0"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn cod binary");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while child.try_wait().expect("poll cod serve").is_none() {
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("cod serve kept running with unusable index {path}");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        let o = child.wait_with_output().expect("collect cod serve output");
+        assert_eq!(o.status.code(), Some(1), "stderr: {}", stderr(&o));
+        let err = assert_clean_failure(&o);
+        assert_eq!(err.trim_end().lines().count(), 1, "not one line: {err}");
+        assert!(err.contains(path), "error must name the file: {err}");
+    }
+}
+
+#[test]
 fn zero_budget_fails_cleanly_and_tight_budget_flags_the_answer() {
     let (edges, attrs) = tiny_graph_files();
     let common = [

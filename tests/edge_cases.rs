@@ -39,10 +39,10 @@ fn cod_on_two_nodes() {
         theta: 100,
         ..CodConfig::default()
     };
-    let codu = Codu::new(&g, cfg);
+    let engine = CodEngine::new(g, cfg);
     let mut rng = SmallRng::seed_from_u64(1);
-    let ans = codu
-        .query(0, &mut rng)
+    let ans = engine
+        .query(Query::codu(0), &mut rng)
         .unwrap()
         .expect("a pair has one community");
     assert_eq!(ans.members, vec![0, 1]);
@@ -236,9 +236,9 @@ fn zero_budget_reports_the_chain_wide_requirement() {
         budget: Some(0),
         ..CodConfig::default()
     };
-    let codu = Codu::new(&g, cfg);
+    let engine = CodEngine::new(g, cfg);
     let mut rng = SmallRng::seed_from_u64(3);
-    let err = codu.query(0, &mut rng).unwrap_err();
+    let err = engine.query(Query::codu(0), &mut rng).unwrap_err();
     match err {
         CodError::BudgetExhausted { budget, required } => {
             assert_eq!(budget, 0);
@@ -336,7 +336,7 @@ fn theta_whose_total_overflows_is_rejected_before_sampling() {
     // no randomness, and nothing builds an index.
     use pcod::cod::compressed::resolve_theta;
     use pcod::cod::dynamic::DynamicCod;
-    use pcod::cod::{DurableCod, ShardedEngine};
+    use pcod::cod::DurableCod;
 
     let mut b = GraphBuilder::new(31);
     for v in 0..30 {
@@ -387,14 +387,10 @@ fn theta_whose_total_overflows_is_rejected_before_sampling() {
         let mut fresh = SmallRng::seed_from_u64(4);
         assert_eq!(rng.next_u64(), fresh.next_u64(), "no randomness was drawn");
 
-        // The eager CODL builders fail instead of panicking.
-        invalid(Codl::new(&g, cfg, &mut rng).err().expect("rejected"));
-        let shared = std::sync::Arc::new(g.clone());
-        invalid(
-            ShardedEngine::build(shared, cfg, 2, &mut rng)
-                .err()
-                .expect("rejected"),
-        );
+        // The eager index build and the CODL builders fail instead of
+        // panicking.
+        invalid(engine.ensure_himor(&mut rng).expect_err("rejected"));
+        assert!(engine.himor().is_none(), "a rejected build sets no index");
 
         invalid(DynamicCod::with_seed(&g, cfg, 9).err().expect("rejected"));
         let dir = std::env::temp_dir().join(format!("cod_theta_{}_{theta}", std::process::id()));

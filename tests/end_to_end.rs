@@ -24,18 +24,22 @@ fn all_methods_answer_a_workload() {
     let queries = pcod::datasets::gen_queries(g, 12, &mut rng);
 
     let c = cfg(5);
-    let codu = Codu::new(g, c);
-    let codr = Codr::new(g, c);
-    let codl_minus = CodlMinus::new(g, c);
-    let codl = Codl::new(g, c, &mut rng).unwrap();
+    let engine = CodEngine::new(g.clone(), c);
+    engine.ensure_himor(&mut rng).unwrap();
 
     let mut answered = [0usize; 4];
     for &(q, a) in &queries {
         let answers = [
-            codu.query(q, &mut rng).unwrap(),
-            codr.query(q, a, &mut rng).unwrap(),
-            codl_minus.query(q, a, &mut rng).unwrap(),
-            codl.query(q, a, &mut rng).unwrap(),
+            engine.query(Query::codu(q), &mut rng).unwrap(),
+            engine
+                .query(Query::new(q, a, Method::Codr), &mut rng)
+                .unwrap(),
+            engine
+                .query(Query::new(q, a, Method::CodlMinus), &mut rng)
+                .unwrap(),
+            engine
+                .query(Query::new(q, a, Method::Codl), &mut rng)
+                .unwrap(),
         ];
         for (i, ans) in answers.iter().enumerate() {
             if let Some(ans) = ans {
@@ -74,11 +78,15 @@ fn answers_are_usually_truly_top_k() {
     let mut rng = SmallRng::seed_from_u64(2);
     let queries = pcod::datasets::gen_queries(g, 10, &mut rng);
     let c = cfg(5);
-    let codl = Codl::new(g, c, &mut rng).unwrap();
+    let engine = CodEngine::new(g.clone(), c);
+    engine.ensure_himor(&mut rng).unwrap();
     let mut checked = 0;
     let mut correct = 0;
     for &(q, a) in &queries {
-        if let Some(ans) = codl.query(q, a, &mut rng).unwrap() {
+        if let Some(ans) = engine
+            .query(Query::new(q, a, Method::Codl), &mut rng)
+            .unwrap()
+        {
             if ans.members.len() > 400 {
                 continue; // keep the ground-truth check cheap
             }
@@ -104,13 +112,13 @@ fn community_size_grows_with_k() {
     let mut avg_sizes = Vec::new();
     for k in [1usize, 3, 5] {
         let c = cfg(k);
-        let codu = Codu::new(g, c);
+        let engine = CodEngine::new(g.clone(), c);
         // Reseed per k so the three runs share their randomness as much as
         // possible; residual noise at the rank boundary is tolerated below.
         let mut krng = SmallRng::seed_from_u64(33);
         let mut total = 0f64;
         for &(q, _) in &queries {
-            if let Some(ans) = codu.query(q, &mut krng).unwrap() {
+            if let Some(ans) = engine.query(Query::codu(q), &mut krng).unwrap() {
                 total += ans.size() as f64;
             }
         }
@@ -140,13 +148,17 @@ fn codl_agrees_with_codl_minus_on_found_levels() {
     let mut rng = SmallRng::seed_from_u64(4);
     let queries = pcod::datasets::gen_queries(g, 10, &mut rng);
     let c = cfg(5);
-    let codl = Codl::new(g, c, &mut rng).unwrap();
-    let codl_minus = CodlMinus::new(g, c);
+    let engine = CodEngine::new(g.clone(), c);
+    engine.ensure_himor(&mut rng).unwrap();
     let mut both = 0;
     let mut close = 0;
     for &(q, a) in &queries {
-        let x = codl.query(q, a, &mut rng).unwrap();
-        let y = codl_minus.query(q, a, &mut rng).unwrap();
+        let x = engine
+            .query(Query::new(q, a, Method::Codl), &mut rng)
+            .unwrap();
+        let y = engine
+            .query(Query::new(q, a, Method::CodlMinus), &mut rng)
+            .unwrap();
         if let (Some(x), Some(y)) = (x, y) {
             both += 1;
             // Same chain; estimates are independent, so a borderline rank

@@ -18,10 +18,11 @@ fn cfg() -> CodConfig {
     }
 }
 
-/// Every variant — each facade and each engine method — rejects the same
-/// invalid `(q, attr)` with the same `InvalidQuery` message. Validation is
-/// hoisted to the engine boundary, so a drift between variants means a
-/// facade grew its own (wrong) checks.
+/// Every variant — each method through each engine entry point (single
+/// query, batch, per-call limits) — rejects the same invalid `(q, attr)`
+/// with the same `InvalidQuery` message. Validation is hoisted to the
+/// engine boundary, so a drift between variants means one path grew its
+/// own (wrong) checks.
 #[test]
 fn invalid_queries_error_identically_through_every_variant() {
     let data = dataset();
@@ -30,61 +31,40 @@ fn invalid_queries_error_identically_through_every_variant() {
     let bad_node: NodeId = n as NodeId + 7;
     let bad_attr: AttrId = g.num_attrs() as AttrId + 3;
     let mut rng = SmallRng::seed_from_u64(11);
-
-    let codu = Codu::new(g, cfg());
-    let codr = Codr::new(g, cfg());
-    let cm = CodlMinus::new(g, cfg());
-    let codl = Codl::new(g, cfg(), &mut rng).unwrap();
     let engine = CodEngine::new(g.clone(), cfg());
+    let limits = QueryLimits {
+        deadline: Some(std::time::Duration::from_secs(600)),
+        ..QueryLimits::default()
+    };
+    let mut errors = |query: Query| -> Vec<String> {
+        let batch = engine.query_batch(&[query], &mut rng).pop().unwrap();
+        [
+            engine.query(query, &mut rng),
+            batch,
+            engine.query_with_limits(query, &limits, &mut rng),
+        ]
+        .into_iter()
+        .map(|r| r.unwrap_err().to_string())
+        .collect()
+    };
 
-    // Out-of-range node, through all eight entry points.
-    let node_errors: Vec<String> = vec![
-        codu.query(bad_node, &mut rng).unwrap_err().to_string(),
-        codr.query(bad_node, 0, &mut rng).unwrap_err().to_string(),
-        cm.query(bad_node, 0, &mut rng).unwrap_err().to_string(),
-        codl.query(bad_node, 0, &mut rng).unwrap_err().to_string(),
-        engine
-            .query(Query::codu(bad_node), &mut rng)
-            .unwrap_err()
-            .to_string(),
-        engine
-            .query(Query::new(bad_node, 0, Method::Codr), &mut rng)
-            .unwrap_err()
-            .to_string(),
-        engine
-            .query(Query::new(bad_node, 0, Method::CodlMinus), &mut rng)
-            .unwrap_err()
-            .to_string(),
-        engine
-            .query(Query::new(bad_node, 0, Method::Codl), &mut rng)
-            .unwrap_err()
-            .to_string(),
-    ];
+    // Out-of-range node, through every method and entry point.
+    let mut node_errors = errors(Query::codu(bad_node));
+    for method in [Method::Codr, Method::CodlMinus, Method::Codl] {
+        node_errors.extend(errors(Query::new(bad_node, 0, method)));
+    }
     let expected =
         format!("invalid query: query node {bad_node} out of range (graph has {n} nodes)");
     for (i, msg) in node_errors.iter().enumerate() {
         assert_eq!(msg, &expected, "variant {i} diverged");
     }
 
-    // Unknown attribute, through every attribute-taking entry point.
+    // Unknown attribute, through every attribute-taking method.
     let m = g.num_attrs();
-    let attr_errors: Vec<String> = vec![
-        codr.query(0, bad_attr, &mut rng).unwrap_err().to_string(),
-        cm.query(0, bad_attr, &mut rng).unwrap_err().to_string(),
-        codl.query(0, bad_attr, &mut rng).unwrap_err().to_string(),
-        engine
-            .query(Query::new(0, bad_attr, Method::Codr), &mut rng)
-            .unwrap_err()
-            .to_string(),
-        engine
-            .query(Query::new(0, bad_attr, Method::CodlMinus), &mut rng)
-            .unwrap_err()
-            .to_string(),
-        engine
-            .query(Query::new(0, bad_attr, Method::Codl), &mut rng)
-            .unwrap_err()
-            .to_string(),
-    ];
+    let mut attr_errors = Vec::new();
+    for method in [Method::Codr, Method::CodlMinus, Method::Codl] {
+        attr_errors.extend(errors(Query::new(0, bad_attr, method)));
+    }
     let expected = format!(
         "invalid query: unknown attribute id {bad_attr} (graph has {m} interned attributes)"
     );

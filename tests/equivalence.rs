@@ -195,13 +195,14 @@ fn himor_is_consistent_with_direct_evaluation() {
 
 // ---------------------------------------------------------------------------
 // Thread-invariance at the query surface: under any seeded `Parallelism`,
-// every method facade is a pure function of `(graph, seed, cfg)` — the
-// thread count must never show through in an answer, including the
-// `uncertain` flag on budgeted runs.
+// every method is a pure function of `(graph, seed, cfg)` — the thread
+// count must never show through in an answer, including the `uncertain`
+// flag on budgeted runs.
 // ---------------------------------------------------------------------------
 
-/// Runs each facade with `Parallelism::Threads(t)` and a fresh RNG seeded
-/// identically, returning all answers for comparison across `t`.
+/// Runs every method on one engine with `Parallelism::Threads(t)` and a
+/// fresh RNG seeded identically, returning all answers for comparison
+/// across `t`.
 fn answers_at_threads(
     data: &pcod::datasets::Dataset,
     cfg_base: CodConfig,
@@ -213,17 +214,15 @@ fn answers_at_threads(
         ..cfg_base
     };
     let mut rng = SmallRng::seed_from_u64(0xEC0D);
+    let engine = CodEngine::new(g.clone(), cfg);
     let mut answers = Vec::new();
-    let codu = Codu::new(g, cfg);
-    let codr = Codr::new(g, cfg);
-    let cm = CodlMinus::new(g, cfg);
-    let codl = Codl::new(g, cfg, &mut rng).unwrap();
     for q in [0u32, 31, 77, 150] {
         let attr = g.node_attrs(q).first().copied().unwrap_or(0);
-        answers.push(codu.query(q, &mut rng).unwrap());
-        answers.push(codr.query(q, attr, &mut rng).unwrap());
-        answers.push(cm.query(q, attr, &mut rng).unwrap());
-        answers.push(codl.query(q, attr, &mut rng).unwrap());
+        answers.push(engine.query(Query::codu(q), &mut rng).unwrap());
+        for method in [Method::Codr, Method::CodlMinus, Method::Codl] {
+            let query = Query::new(q, attr, method);
+            answers.push(engine.query(query, &mut rng).unwrap());
+        }
     }
     answers
 }
@@ -241,7 +240,7 @@ fn facades_are_thread_count_invariant() {
     let reference = answers_at_threads(&data, cfg, 1);
     for t in [2usize, 8] {
         let got = answers_at_threads(&data, cfg, t);
-        assert_eq!(got, reference, "threads {t}: facade answers diverged");
+        assert_eq!(got, reference, "threads {t}: answers diverged");
     }
 }
 

@@ -1,71 +1,27 @@
-//! Fault-injection tests for the persistence layer.
+//! Fault-injection tests for the CODX v3 artifact format.
 //!
-//! Three attack surfaces, per the robustness contract in
-//! `cod_core::persist`:
+//! Two attack surfaces, per the robustness contract in `cod_core::codx`:
 //!
-//! 1. **Write failures** — a writer that errors after N bytes must surface
-//!    as `CodError::Io`, and an interrupted [`save_index`] must never leave
-//!    a half-written file where a previous index existed.
-//! 2. **Read failures** — a reader that errors after N bytes must surface
-//!    as `CodError::Io`.
-//! 3. **Bit rot** — *every* single-byte corruption of a saved image must
-//!    yield `Err(CodError::IndexCorrupt)`: never a panic, never an
-//!    oversized allocation, never a silently wrong index.
+//! 1. **Bit rot** — *every* single-byte corruption and *every* truncation
+//!    of a saved image must be caught as `CodError::IndexCorrupt`, either
+//!    when the file is opened or when the damaged artifact is first
+//!    materialized: never a panic, never an oversized allocation, never a
+//!    silently different artifact.
+//! 2. **Interrupted saves** — a `save_artifacts` that fails must never
+//!    leave a half-written file where a previous one existed.
 
-use std::io::{Read, Write};
+use std::sync::Arc;
 
-use pcod::cod::persist::{
-    load_index, load_index_bytes, read_index_from, save_index, serialize_index, write_index_to,
-};
 use pcod::cod::recluster::build_hierarchy;
+use pcod::cod::{save_artifacts, serialize_artifacts, MappedArtifacts};
+use pcod::hierarchy::Hierarchy;
 use pcod::prelude::*;
 use rand::prelude::*;
 
-/// A writer that fails with `ErrorKind::Other` once `limit` bytes passed.
-struct FailingWriter {
-    written: usize,
-    limit: usize,
-}
-
-impl Write for FailingWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let room = self.limit.saturating_sub(self.written);
-        if room == 0 {
-            return Err(std::io::Error::other("injected write failure"));
-        }
-        let n = buf.len().min(room);
-        self.written += n;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// A reader that fails with `ErrorKind::Other` once `limit` bytes passed.
-struct FailingReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    limit: usize,
-}
-
-impl Read for FailingReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos >= self.limit {
-            return Err(std::io::Error::other("injected read failure"));
-        }
-        let end = self.bytes.len().min(self.limit);
-        let n = buf.len().min(end - self.pos);
-        buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-/// A small but structurally interesting index: two communities of unequal
-/// size joined by a bridge.
-fn small_index() -> (Dendrogram, HimorIndex) {
+/// A small but structurally interesting artifact set: two communities of
+/// unequal size joined by a bridge, with a pendant fan, and attributes on
+/// every node so that no section of the image is empty.
+fn small_artifacts() -> (AttributedGraph, Dendrogram, HimorIndex) {
     let mut b = GraphBuilder::new(12);
     for (u, v) in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)] {
         b.add_edge(u, v);
@@ -74,13 +30,23 @@ fn small_index() -> (Dendrogram, HimorIndex) {
     for v in 7..12 {
         b.add_edge(6, v);
     }
-    let g = b.build();
-    let dendro = build_hierarchy(&g, Linkage::Average);
+    let mut names = pcod::graph::AttrInterner::new();
+    let (db, ml) = (names.intern("DB"), names.intern("ML"));
+    let lists = (0..12)
+        .map(|v| match v {
+            0..=2 => vec![db],
+            3..=6 => vec![ml],
+            _ => vec![db, ml],
+        })
+        .collect();
+    let attrs = pcod::graph::AttrTable::from_lists(lists);
+    let g = AttributedGraph::from_parts(b.build(), attrs, names);
+    let dendro = build_hierarchy(g.csr(), Linkage::Average);
     let lca = LcaIndex::new(&dendro);
     let mut rng = SmallRng::seed_from_u64(77);
     let (seed, par) = (rng.next_u64(), Parallelism::Threads(1));
     let index = HimorIndex::build(
-        &g,
+        g.csr(),
         Model::WeightedCascade,
         &dendro,
         &lca,
@@ -90,76 +56,60 @@ fn small_index() -> (Dendrogram, HimorIndex) {
         None,
     )
     .unwrap();
-    (dendro, index)
+    (g, dendro, index)
 }
 
-#[test]
-fn write_failure_at_every_byte_boundary_is_an_io_error() {
-    let (dendro, index) = small_index();
-    let image = serialize_index(&dendro, &index).unwrap();
-    // Fail at byte 0, mid-header, mid-payload, and one short of complete.
-    for limit in [0, 1, 7, image.len() / 2, image.len() - 1] {
-        let mut w = FailingWriter { written: 0, limit };
-        let err = write_index_to(&mut w, &dendro, &index)
-            .expect_err("truncated write must not report success");
-        assert!(
-            matches!(err, CodError::Io(_)),
-            "limit {limit}: expected Io, got {err}"
-        );
-    }
-    // Sanity: an unbounded writer succeeds.
-    let mut w = FailingWriter {
-        written: 0,
-        limit: usize::MAX,
-    };
-    write_index_to(&mut w, &dendro, &index).unwrap();
-    assert_eq!(w.written, image.len());
+/// The three artifacts of an opened image, or the first error.
+type Decoded = (Arc<AttributedGraph>, Arc<Hierarchy>, Arc<HimorIndex>);
+
+fn decode(image: Vec<u8>) -> CodResult<Decoded> {
+    let arts = MappedArtifacts::from_vec(image)?;
+    Ok((arts.graph()?, arts.hierarchy()?, arts.himor()?))
 }
 
-#[test]
-fn read_failure_at_every_byte_boundary_is_an_io_error() {
-    let (dendro, index) = small_index();
-    let image = serialize_index(&dendro, &index).unwrap();
-    for limit in [0, 3, 11, image.len() / 2, image.len() - 1] {
-        let mut r = FailingReader {
-            bytes: &image,
-            pos: 0,
-            limit,
-        };
-        let err = read_index_from(&mut r).expect_err("truncated read must not report success");
-        assert!(
-            matches!(err, CodError::Io(_)),
-            "limit {limit}: expected Io, got {err}"
-        );
-    }
-    let mut r = FailingReader {
-        bytes: &image,
-        pos: 0,
-        limit: usize::MAX,
-    };
-    let (d2, i2) = read_index_from(&mut r).unwrap();
-    assert_eq!(d2.num_leaves(), dendro.num_leaves());
-    assert_eq!(i2.theta(), index.theta());
+/// Whether a decoded artifact set equals the original, field by field.
+fn same_artifacts(
+    (g, h, i): &Decoded,
+    g0: &AttributedGraph,
+    d0: &Dendrogram,
+    i0: &HimorIndex,
+) -> bool {
+    g.csr().raw_offsets() == g0.csr().raw_offsets()
+        && g.csr().raw_neighbors() == g0.csr().raw_neighbors()
+        && g.attrs().raw_offsets() == g0.attrs().raw_offsets()
+        && g.attrs().raw_values() == g0.attrs().raw_values()
+        && g.interner().len() == g0.interner().len()
+        && h.dendro.merges() == d0.merges()
+        && i.theta() == i0.theta()
+        && (0..g0.num_nodes() as NodeId).all(|v| i.ranks_of(v) == i0.ranks_of(v))
 }
 
 #[test]
 fn every_single_byte_flip_is_detected_as_corruption() {
-    let (dendro, index) = small_index();
-    let image = serialize_index(&dendro, &index).unwrap();
+    let (g, dendro, index) = small_artifacts();
+    let image = serialize_artifacts(&g, &dendro, &index).unwrap();
     // Deterministic exhaustive fuzz: flip the low bit and all bits of every
-    // byte. Each mutant must fail with IndexCorrupt — no panic (the test
-    // process would abort), no success, and bounded allocation throughout
-    // (corrupt length fields are checked against the image size before any
-    // reservation).
+    // byte. Each mutant must fail with IndexCorrupt — at open or at the
+    // first access of the damaged section — with no panic and bounded
+    // allocation throughout (corrupt length fields are checked against the
+    // image size before any reservation). The one exception is the zero
+    // padding that aligns sections: no CRC covers it and no reader looks at
+    // it, so a flip there must decode to the original artifacts unchanged.
     let mut checked = 0usize;
     for pos in 0..image.len() {
         for delta in [0x01u8, 0xFF] {
             let mut mutant = image.clone();
             mutant[pos] ^= delta;
-            match load_index_bytes(&mutant) {
+            match decode(mutant) {
                 Err(CodError::IndexCorrupt(_)) => checked += 1,
                 Err(other) => panic!("byte {pos} ^ {delta:#04x}: wrong error class: {other}"),
-                Ok(_) => panic!("byte {pos} ^ {delta:#04x}: corruption went undetected"),
+                Ok(decoded) => {
+                    assert!(
+                        same_artifacts(&decoded, &g, &dendro, &index),
+                        "byte {pos} ^ {delta:#04x}: corruption changed an artifact"
+                    );
+                    checked += 1;
+                }
             }
         }
     }
@@ -168,10 +118,10 @@ fn every_single_byte_flip_is_detected_as_corruption() {
 
 #[test]
 fn every_truncation_is_detected_as_corruption() {
-    let (dendro, index) = small_index();
-    let image = serialize_index(&dendro, &index).unwrap();
+    let (g, dendro, index) = small_artifacts();
+    let image = serialize_artifacts(&g, &dendro, &index).unwrap();
     for len in 0..image.len() {
-        match load_index_bytes(&image[..len]) {
+        match decode(image[..len].to_vec()) {
             Err(CodError::IndexCorrupt(_)) => {}
             Err(other) => panic!("prefix of {len}: wrong error class: {other}"),
             Ok(_) => panic!("prefix of {len} accepted"),
@@ -181,7 +131,7 @@ fn every_truncation_is_detected_as_corruption() {
 
 #[test]
 fn interrupted_save_never_clobbers_the_previous_index() {
-    let (dendro, index) = small_index();
+    let (g, dendro, index) = small_artifacts();
     // A target whose *temp sibling* exceeds NAME_MAX: creating the temp
     // file fails deterministically (works even as root, unlike permission
     // tricks), modelling a failure before any byte reaches the target.
@@ -189,19 +139,24 @@ fn interrupted_save_never_clobbers_the_previous_index() {
     std::fs::create_dir_all(&dir).unwrap();
     let target = dir.join(format!("{}.codx", "x".repeat(245)));
 
-    // Seed the previous index directly (save_index would hit the same
+    // Seed the previous file directly (save_artifacts would hit the same
     // injected failure).
-    let image = serialize_index(&dendro, &index).unwrap();
+    let image = serialize_artifacts(&g, &dendro, &index).unwrap();
     std::fs::write(&target, &image).unwrap();
 
-    let err = save_index(&target, &dendro, &index).expect_err("temp creation must fail");
+    let err = save_artifacts(&target, &g, &dendro, &index).expect_err("temp creation must fail");
     assert!(matches!(err, CodError::Io(_)), "expected Io, got {err}");
 
-    // The previous index is byte-identical and still loads.
+    // The previous file is byte-identical and still loads.
     assert_eq!(std::fs::read(&target).unwrap(), image);
-    let (d2, i2) = load_index(&target).unwrap();
-    assert_eq!(d2.num_leaves(), dendro.num_leaves());
-    assert_eq!(i2.num_nodes(), index.num_nodes());
+    let arts = MappedArtifacts::open(&target).unwrap();
+    let decoded = (
+        arts.graph().unwrap(),
+        arts.hierarchy().unwrap(),
+        arts.himor().unwrap(),
+    );
+    assert!(same_artifacts(&decoded, &g, &dendro, &index));
+    drop((arts, decoded));
 
     // No temp debris left behind.
     let debris: Vec<_> = std::fs::read_dir(&dir)

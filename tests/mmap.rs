@@ -4,16 +4,14 @@
 //! The contract under test (see `cod_core::codx`): a CODX v3 file can be
 //! memory-mapped and served **zero-copy** behind the same accessors the
 //! in-RAM structs implement — answers from a mapped engine are
-//! bit-identical to an engine over eagerly built artifacts; corruption is
-//! caught by per-section CRCs on first access (never a panic, never a
-//! wrong answer); and the versioned writer round-trips both v2 and v3
-//! through the same `load_index` entry point.
+//! bit-identical to an engine over eagerly built artifacts; and
+//! corruption is caught by per-section CRCs on first access (never a
+//! panic, never a wrong answer).
 
 use std::sync::{Arc, Mutex};
 
-use pcod::cod::persist::{load_index, save_index_versioned};
 use pcod::cod::recluster::build_hierarchy;
-use pcod::cod::{save_artifacts, serialize_artifacts, MappedArtifacts, QueryLimits, CODX_V3};
+use pcod::cod::{save_artifacts, serialize_artifacts, MappedArtifacts};
 use pcod::prelude::*;
 use rand::prelude::*;
 
@@ -44,7 +42,7 @@ fn build_artifacts(g: &AttributedGraph) -> (Dendrogram, HimorIndex) {
     let engine = CodEngine::new(g.clone(), cfg());
     let mut rng = SmallRng::seed_from_u64(4242);
     let base = engine.base_hierarchy();
-    let index = engine.ensure_himor(&mut rng);
+    let index = engine.ensure_himor(&mut rng).expect("valid config");
     (base.dendro.clone(), (*index).clone())
 }
 
@@ -137,17 +135,14 @@ fn mapped_engine_answers_match_eager_engine() {
     save_artifacts(&path, g, &dendro, &index).expect("save");
 
     let queries = workload(g);
-    let limits = QueryLimits::default();
-    let seq = SeedSequence::new(0xC0DE);
-
     let lca = LcaIndex::new(&dendro);
     let eager = CodEngine::from_parts(
         Arc::new(g.clone()),
         cfg(),
-        pcod::hierarchy::Hierarchy { dendro, lca },
-        index,
+        Arc::new(pcod::hierarchy::Hierarchy { dendro, lca }),
+        Arc::new(index),
     );
-    let want = comparable(eager.query_batch_seeded(&queries, &seq, 0, &limits));
+    let want = comparable(eager.query_batch(&queries, &mut SmallRng::seed_from_u64(0xC0DE)));
     assert!(want.iter().any(|r| matches!(r, Ok(Some(_)))));
 
     let arts = MappedArtifacts::open(&path).expect("open");
@@ -155,7 +150,7 @@ fn mapped_engine_answers_match_eager_engine() {
     let mapped = CodEngine::from_mapped(&arts, cfg()).expect("engine");
     // The handle can drop — segments keep the mapping alive via Arc.
     drop(arts);
-    let got = comparable(mapped.query_batch_seeded(&queries, &seq, 0, &limits));
+    let got = comparable(mapped.query_batch(&queries, &mut SmallRng::seed_from_u64(0xC0DE)));
     assert_eq!(got, want, "mapped answers diverged from eager answers");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -191,37 +186,6 @@ fn corruption_is_caught_lazily_per_section() {
     // Whole-file truncation is caught at open by the footer check.
     let truncated = bytes[..bytes.len() - 9].to_vec();
     assert!(MappedArtifacts::from_vec(truncated).is_err());
-}
-
-/// `save_index_versioned` writes both formats and `load_index` reads both
-/// back — v3 via the eager-load fallback, with identical artifacts.
-#[test]
-fn versioned_writer_round_trips_v2_and_v3() {
-    let _g = guard();
-    let data = dataset();
-    let g = &data.graph;
-    let (dendro, index) = build_artifacts(g);
-    let dir = std::env::temp_dir().join(format!("codx_ver_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-
-    let v2 = dir.join("idx.v2.codx");
-    let v3 = dir.join("idx.v3.codx");
-    save_index_versioned(&v2, g, &dendro, &index, 2).expect("save v2");
-    save_index_versioned(&v3, g, &dendro, &index, CODX_V3).expect("save v3");
-    assert!(
-        save_index_versioned(&dir.join("bad"), g, &dendro, &index, 9).is_err(),
-        "unknown version must be rejected"
-    );
-
-    let (d2, i2) = load_index(&v2).expect("load v2");
-    let (d3, i3) = load_index(&v3).expect("load v3");
-    assert_eq!(d2.merges(), dendro.merges());
-    assert_eq!(d3.merges(), dendro.merges());
-    for v in 0..g.num_nodes() as NodeId {
-        assert_eq!(i2.ranks_of(v), index.ranks_of(v));
-        assert_eq!(i3.ranks_of(v), index.ranks_of(v));
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The hierarchy built from a v3 file equals the one `build_hierarchy`

@@ -198,7 +198,9 @@ fn warm_pool_answers_match_cold_pool_answers_for_every_method() {
         let engine = CodEngine::new(g.clone(), pooled_cfg(t));
         // Prebuild the index with a fixed stream so no pass consumes a
         // mid-stream index-build draw (seed-replay idiom).
-        engine.ensure_himor(&mut SmallRng::seed_from_u64(1000));
+        engine
+            .ensure_himor(&mut SmallRng::seed_from_u64(1000))
+            .unwrap();
         let mut rng = SmallRng::seed_from_u64(3000);
         let cold = comparable(engine.query_batch(&queries, &mut rng));
         let miss_floor = engine.metrics().counters.get(Counter::PoolMisses);
@@ -237,7 +239,9 @@ fn clear_cache_invalidates_pools_and_rebuilds_identically() {
     let data = dataset();
     let engine = CodEngine::new(data.graph.clone(), pooled_cfg(2));
     let queries = workload(&data.graph);
-    engine.ensure_himor(&mut SmallRng::seed_from_u64(1000));
+    engine
+        .ensure_himor(&mut SmallRng::seed_from_u64(1000))
+        .unwrap();
     let mut rng = SmallRng::seed_from_u64(3000);
     let before = comparable(engine.query_batch(&queries, &mut rng));
     assert!(engine.pool_stats().pools > 0);

@@ -449,62 +449,6 @@ proptest! {
         }
     }
 
-    /// `partition_components` is a cover that never splits a component:
-    /// on arbitrary (often disconnected) graphs, every node lands in
-    /// exactly one shard, shard ids stay dense, sizes add up, and no edge
-    /// — hence no connected component — straddles a shard boundary. This
-    /// is the invariant the multi-shard engine's routing correctness
-    /// rests on.
-    #[test]
-    fn partition_is_a_cover_and_component_closed(
-        n in 1usize..60,
-        edges in 0usize..80,
-        seed in 0u64..1000,
-        shards in 1usize..9,
-    ) {
-        use pcod::graph::components::connected_components;
-        use pcod::graph::partition::partition_components;
-        // No spanning tree: disconnected graphs are the interesting case.
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut b = GraphBuilder::new(n);
-        for _ in 0..edges {
-            let u = rng.random_range(0..n as NodeId);
-            let v = rng.random_range(0..n as NodeId);
-            b.add_edge(u, v);
-        }
-        let g = b.build();
-        let p = partition_components(&g, shards);
-        prop_assert_eq!(p.num_nodes(), n);
-        prop_assert_eq!(p.num_shards(), shards);
-        // Cover: every node has exactly one in-range shard, and the
-        // per-shard node lists tile the node set without overlap.
-        let mut seen = vec![0usize; n];
-        for s in 0..shards as u32 {
-            for v in p.nodes_of_shard(s) {
-                prop_assert_eq!(p.shard_of(v), s);
-                prop_assert_eq!(p.shard_of_checked(v), Some(s));
-                seen[v as usize] += 1;
-            }
-        }
-        prop_assert!(seen.iter().all(|&c| c == 1), "a node is missing or doubled");
-        prop_assert_eq!(p.shard_sizes().iter().sum::<usize>(), n);
-        prop_assert_eq!(p.shard_sizes().len(), shards);
-        prop_assert!(p.shard_of_checked(n as NodeId).is_none());
-        // Component-closed: same component ⇒ same shard.
-        let (_, comp) = connected_components(&g);
-        for (u, v) in g.edges() {
-            prop_assert_eq!(p.shard_of(u), p.shard_of(v), "edge ({}, {}) split", u, v);
-        }
-        let mut shard_of_comp: Vec<Option<u32>> = vec![None; n];
-        for v in 0..n as NodeId {
-            let c = comp[v as usize] as usize;
-            match shard_of_comp[c] {
-                None => shard_of_comp[c] = Some(p.shard_of(v)),
-                Some(s) => prop_assert_eq!(p.shard_of(v), s, "component {} split", c),
-            }
-        }
-    }
-
     /// Graph measures stay in bounds on arbitrary member subsets.
     #[test]
     fn measures_are_bounded(n in 3usize..30, extra in 0usize..50, seed in 0u64..1000) {
@@ -516,31 +460,4 @@ proptest! {
         let cond = pcod::graph::measures::conductance(&g, &members);
         prop_assert!(cond >= 0.0);
     }
-}
-
-/// Partition degenerate inputs: the empty graph and a single isolated
-/// node survive every shard count without panicking, and the cover
-/// invariant holds vacuously / trivially.
-#[test]
-fn partition_handles_empty_and_singleton_graphs() {
-    use pcod::graph::partition::{partition_components, Partition};
-    for shards in [1usize, 2, 8] {
-        let empty = partition_components(&GraphBuilder::new(0).build(), shards);
-        assert_eq!(empty.num_nodes(), 0);
-        assert_eq!(empty.num_shards(), shards);
-        assert_eq!(empty.shard_sizes().iter().sum::<usize>(), 0);
-        assert!(empty.shard_of_checked(0).is_none());
-
-        let singleton = partition_components(&GraphBuilder::new(1).build(), shards);
-        assert_eq!(singleton.num_nodes(), 1);
-        assert_eq!(singleton.shard_of(0), 0);
-        assert_eq!(singleton.nodes_of_shard(0), vec![0]);
-        assert_eq!(singleton.shard_sizes().iter().sum::<usize>(), 1);
-    }
-    // `num_shards = 0` clamps to 1 rather than dividing by zero.
-    let clamped = partition_components(&GraphBuilder::new(3).build(), 0);
-    assert_eq!(clamped.num_shards(), 1);
-    assert_eq!(clamped.num_nodes(), 3);
-    let trivial = Partition::single(3);
-    assert_eq!(trivial.assignment(), &[0, 0, 0]);
 }

@@ -264,8 +264,53 @@ fn auto_policy_matches_explicit_thread_counts() {
     assert_eq!(auto, one);
 }
 
+const METHODS: [Method; 4] = [Method::Codu, Method::Codr, Method::CodlMinus, Method::Codl];
+
+/// Node `q`'s query under `method`, on the node's first attribute.
+fn query_for(g: &AttributedGraph, q: NodeId, method: Method) -> Query {
+    match method {
+        Method::Codu => Query::codu(q),
+        _ => Query::new(q, g.node_attrs(q).first().copied().unwrap_or(0), method),
+    }
+}
+
+/// Four fresh engines, one per method (in [`METHODS`] order), built the
+/// way a one-method caller builds them: only the CODL engine draws from
+/// `rng`, one seed for its index, up front.
+fn engine_per_method(g: &AttributedGraph, cfg: CodConfig, rng: &mut SmallRng) -> Vec<CodEngine> {
+    let engines: Vec<CodEngine> = METHODS
+        .iter()
+        .map(|_| CodEngine::new(g.clone(), cfg))
+        .collect();
+    engines[3].ensure_himor(rng).unwrap();
+    engines
+}
+
+/// Answers of `methods` (each on its own engine from
+/// [`engine_per_method`]) for every query node, interleaved per node in
+/// [`METHODS`] order.
+fn per_method_answers(
+    g: &AttributedGraph,
+    cfg: CodConfig,
+    seed: u64,
+    nodes: &[NodeId],
+    methods: &[Method],
+) -> Vec<Option<CodAnswer>> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let engines = engine_per_method(g, cfg, &mut rng);
+    let mut answers = Vec::new();
+    for &q in nodes {
+        for (&m, engine) in METHODS.iter().zip(&engines) {
+            if methods.contains(&m) {
+                answers.push(engine.query(query_for(g, q, m), &mut rng).unwrap());
+            }
+        }
+    }
+    answers
+}
+
 /// Regression for latent nondeterminism under the default config (one
-/// thread): running every facade twice with the same seed must produce
+/// thread): running every method twice with the same seed must produce
 /// identical answers — any divergence means a hash-iteration order leaked
 /// into results.
 #[test]
@@ -277,28 +322,13 @@ fn full_pipeline_twice_with_same_seed_gives_identical_answers() {
         theta: 15,
         ..CodConfig::default()
     };
-    let queries: Vec<NodeId> = vec![0, 9, 42, 133];
-    let run = || {
-        let mut answers: Vec<Option<CodAnswer>> = Vec::new();
-        let mut rng = SmallRng::seed_from_u64(1000);
-        let codu = Codu::new(g, cfg);
-        let codr = Codr::new(g, cfg);
-        let cm = CodlMinus::new(g, cfg);
-        let codl = Codl::new(g, cfg, &mut rng).unwrap();
-        for &q in &queries {
-            let attr = g.node_attrs(q).first().copied().unwrap_or(0);
-            answers.push(codu.query(q, &mut rng).unwrap());
-            answers.push(codr.query(q, attr, &mut rng).unwrap());
-            answers.push(cm.query(q, attr, &mut rng).unwrap());
-            answers.push(codl.query(q, attr, &mut rng).unwrap());
-        }
-        answers
-    };
+    let nodes: Vec<NodeId> = vec![0, 9, 42, 133];
+    let run = || per_method_answers(g, cfg, 1000, &nodes, &METHODS);
     assert_eq!(run(), run(), "default-config pipeline is not replayable");
 }
 
 /// The same regression for the seeded parallel pipeline: two full runs of
-/// every facade under `Threads(8)` replay exactly.
+/// CODU and CODL under `Threads(8)` replay exactly.
 #[test]
 fn parallel_pipeline_twice_with_same_seed_gives_identical_answers() {
     let data = dataset();
@@ -309,24 +339,14 @@ fn parallel_pipeline_twice_with_same_seed_gives_identical_answers() {
         parallelism: Parallelism::Threads(8),
         ..CodConfig::default()
     };
-    let queries: Vec<NodeId> = vec![0, 9, 42];
-    let run = || {
-        let mut answers: Vec<Option<CodAnswer>> = Vec::new();
-        let mut rng = SmallRng::seed_from_u64(2000);
-        let codu = Codu::new(g, cfg);
-        let codl = Codl::new(g, cfg, &mut rng).unwrap();
-        for &q in &queries {
-            let attr = g.node_attrs(q).first().copied().unwrap_or(0);
-            answers.push(codu.query(q, &mut rng).unwrap());
-            answers.push(codl.query(q, attr, &mut rng).unwrap());
-        }
-        answers
-    };
+    let nodes: Vec<NodeId> = vec![0, 9, 42];
+    let methods = [Method::Codu, Method::Codl];
+    let run = || per_method_answers(g, cfg, 2000, &nodes, &methods);
     assert_eq!(run(), run(), "seeded parallel pipeline is not replayable");
 }
 
 // ---------------------------------------------------------------------------
-// CodEngine equivalence: the serving layer must be a drop-in replacement.
+// One engine for every method: sharing artifacts must not change answers.
 // ---------------------------------------------------------------------------
 
 /// Strips the unequatable error type so whole result sequences can be
@@ -340,16 +360,16 @@ fn comparable(
         .collect()
 }
 
-/// One engine serving all four methods answers bit-identically to the four
-/// standalone facades, cold cache and warm, for every thread count — even
-/// though the engine shares one artifact cache across methods (CODL⁻ warms
-/// the local recluster CODL later reuses) while each facade run rebuilds
-/// everything.
+/// One engine serving all four methods answers bit-identically to four
+/// fresh one-method engines, cold cache and warm, for every thread count —
+/// even though the shared engine keeps one artifact cache across methods
+/// (CODL⁻ warms the local recluster CODL later reuses) while each fresh
+/// engine rebuilds everything.
 #[test]
 fn engine_answers_match_facade_answers_across_threads() {
     let data = dataset();
     let g = &data.graph;
-    let queries: Vec<NodeId> = vec![0, 9, 42, 133];
+    let nodes: Vec<NodeId> = vec![0, 9, 42, 133];
     for t in THREADS {
         let cfg = CodConfig {
             k: 3,
@@ -357,36 +377,21 @@ fn engine_answers_match_facade_answers_across_threads() {
             parallelism: Parallelism::Threads(t),
             ..CodConfig::default()
         };
-        let facade_answers = {
-            let mut answers: Vec<Option<CodAnswer>> = Vec::new();
-            let mut rng = SmallRng::seed_from_u64(1000);
-            let codu = Codu::new(g, cfg);
-            let codr = Codr::new(g, cfg);
-            let cm = CodlMinus::new(g, cfg);
-            let codl = Codl::new(g, cfg, &mut rng).unwrap();
-            for &q in &queries {
-                let attr = g.node_attrs(q).first().copied().unwrap_or(0);
-                answers.push(codu.query(q, &mut rng).unwrap());
-                answers.push(codr.query(q, attr, &mut rng).unwrap());
-                answers.push(cm.query(q, attr, &mut rng).unwrap());
-                answers.push(codl.query(q, attr, &mut rng).unwrap());
-            }
-            answers
-        };
+        let fresh_answers = per_method_answers(g, cfg, 1000, &nodes, &METHODS);
         let engine = CodEngine::new(g.clone(), cfg);
-        // Build the index with the facade stream's first draw (where
-        // `Codl::new` consumed it); each pass below skips that draw to stay
+        // Build the index with the stream's first draw (where the fresh
+        // CODL engine consumed it); each pass below skips that draw to stay
         // aligned.
-        engine.ensure_himor(&mut SmallRng::seed_from_u64(1000));
+        engine
+            .ensure_himor(&mut SmallRng::seed_from_u64(1000))
+            .unwrap();
         let pass = |engine: &CodEngine| {
             let mut rng = SmallRng::seed_from_u64(1000);
             let _ = rng.next_u64(); // the index-build draw, consumed at setup
             let mut answers = Vec::new();
-            for &q in &queries {
-                let attr = g.node_attrs(q).first().copied().unwrap_or(0);
-                answers.push(engine.query(Query::codu(q), &mut rng).unwrap());
-                for m in [Method::Codr, Method::CodlMinus, Method::Codl] {
-                    answers.push(engine.query(Query::new(q, attr, m), &mut rng).unwrap());
+            for &q in &nodes {
+                for m in METHODS {
+                    answers.push(engine.query(query_for(g, q, m), &mut rng).unwrap());
                 }
             }
             answers
@@ -394,12 +399,12 @@ fn engine_answers_match_facade_answers_across_threads() {
         let cold = pass(&engine);
         let warm = pass(&engine);
         assert_eq!(
-            cold, facade_answers,
-            "threads {t}: cold engine diverged from facades"
+            cold, fresh_answers,
+            "threads {t}: cold shared engine diverged from fresh engines"
         );
         assert_eq!(
-            warm, facade_answers,
-            "threads {t}: warm engine diverged from facades"
+            warm, fresh_answers,
+            "threads {t}: warm shared engine diverged from fresh engines"
         );
         assert!(
             engine.cache_stats().hits > 0,
@@ -494,7 +499,9 @@ fn batched_answers_match_sequential_answers() {
             ..CodConfig::default()
         };
         let engine = CodEngine::new(g.clone(), cfg);
-        engine.ensure_himor(&mut SmallRng::seed_from_u64(4000));
+        engine
+            .ensure_himor(&mut SmallRng::seed_from_u64(4000))
+            .unwrap();
         engine
     };
     let reference = {
@@ -552,7 +559,9 @@ fn pooled_engine_batches_replay_across_threads_cold_and_warm() {
             ..CodConfig::default()
         };
         let engine = CodEngine::new(g.clone(), cfg);
-        engine.ensure_himor(&mut SmallRng::seed_from_u64(4000));
+        engine
+            .ensure_himor(&mut SmallRng::seed_from_u64(4000))
+            .unwrap();
         engine
     };
     let reference = {
@@ -574,80 +583,6 @@ fn pooled_engine_batches_replay_across_threads_cold_and_warm() {
             engine.metrics().counters.get(pcod::cod::Counter::PoolHits) > 0,
             "threads {t}: warm batch never hit the pool cache"
         );
-    }
-}
-
-/// Shard routing joins the thread matrix: a [`ShardedEngine`] scattering
-/// the batch over component shards and gathering the results answers
-/// bit-identically to one unsharded engine over the same shared artifacts
-/// and master seed — for every (shards, threads) combination, including
-/// the in-place position of a routed error.
-#[test]
-fn sharded_engine_matches_unsharded_seeded_batch_across_threads() {
-    use pcod::cod::shard::ShardedEngine;
-    use std::sync::Arc;
-
-    let data = dataset();
-    let g = Arc::new(data.graph);
-    let cfg = |t: usize| CodConfig {
-        k: 3,
-        theta: 15,
-        parallelism: Parallelism::Threads(t),
-        ..CodConfig::default()
-    };
-    // Shared prebuilt artifacts, so every engine under comparison sees the
-    // exact same hierarchy and index.
-    let builder = CodEngine::from_shared(Arc::clone(&g), cfg(1));
-    let base = builder.base_hierarchy();
-    let index = builder.ensure_himor(&mut SmallRng::seed_from_u64(4242));
-
-    let mut queries: Vec<Query> = Vec::new();
-    for &q in &[0u32, 9, 42, 133] {
-        let attr = g.node_attrs(q).first().copied().unwrap_or(0);
-        queries.push(Query::codu(q));
-        queries.push(Query::new(q, attr, Method::Codr));
-        queries.push(Query::new(q, attr, Method::CodlMinus));
-        queries.push(Query::new(q, attr, Method::Codl));
-    }
-    queries.push(Query::codu(99_999)); // out of range: errors stay in place
-
-    let limits = QueryLimits::default();
-    let master = 0xAB5_EEDu64;
-    let single = CodEngine::from_shared_parts(
-        Arc::clone(&g),
-        cfg(1),
-        Arc::clone(&base),
-        Arc::clone(&index),
-    );
-    let reference =
-        comparable(single.query_batch_seeded(&queries, &SeedSequence::new(master), 0, &limits));
-    assert!(reference.iter().any(|r| matches!(r, Ok(Some(_)))));
-    assert!(reference.iter().any(|r| r.is_err()));
-
-    /// Pins the single master-seed draw a sharded batch makes.
-    struct Fixed(u64);
-    impl rand::RngCore for Fixed {
-        fn next_u64(&mut self) -> u64 {
-            self.0
-        }
-    }
-
-    for t in THREADS {
-        for shards in [1usize, 2, 8] {
-            let sharded = ShardedEngine::from_shared_parts(
-                Arc::clone(&g),
-                cfg(t),
-                Arc::clone(&base),
-                Arc::clone(&index),
-                shards,
-            );
-            let got =
-                comparable(sharded.query_batch_with_limits(&queries, &limits, &mut Fixed(master)));
-            assert_eq!(
-                got, reference,
-                "shards {shards} threads {t}: routed batch diverged"
-            );
-        }
     }
 }
 
@@ -767,7 +702,9 @@ fn pinned_answers(parallelism: Parallelism, pool: bool) -> Vec<Pinned> {
         ..CodConfig::default()
     };
     let engine = CodEngine::new(g.clone(), cfg);
-    engine.ensure_himor(&mut SmallRng::seed_from_u64(16));
+    engine
+        .ensure_himor(&mut SmallRng::seed_from_u64(16))
+        .unwrap();
     let mut rng = SmallRng::seed_from_u64(1616);
     let mut out = Vec::new();
     for &q in &PINNED_NODES {

@@ -78,21 +78,23 @@ fn send(addr: &str, raw: &str) -> std::io::Result<(u16, String, String)> {
     Ok((status, head.to_owned(), body.to_owned()))
 }
 
-fn get(addr: &str, target: &str) -> std::io::Result<(u16, String, String)> {
-    send(
-        addr,
-        &format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"),
+fn get_request(target: &str) -> String {
+    format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+}
+
+fn post_request(target: &str, body: &str) -> String {
+    format!(
+        "POST {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
     )
 }
 
+fn get(addr: &str, target: &str) -> std::io::Result<(u16, String, String)> {
+    send(addr, &get_request(target))
+}
+
 fn post(addr: &str, target: &str, body: &str) -> std::io::Result<(u16, String, String)> {
-    send(
-        addr,
-        &format!(
-            "POST {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+    send(addr, &post_request(target, body))
 }
 
 fn retry_after_secs(head: &str) -> Option<u64> {
@@ -189,6 +191,14 @@ fn error_mapping_covers_the_documented_taxonomy() {
     let (s, _, b) = get(&addr, "/query?node=0&attr=no_such_attr").unwrap();
     assert_eq!(s, 400);
     assert!(b.contains("unknown attribute"), "{b}");
+    // An ASCII-only client escapes a character outside the BMP as a UTF-16
+    // surrogate pair; it reaches the engine as the one character.
+    let (s, _, b) = post(&addr, "/query", r#"{"node":0,"attr":"\ud83d\ude80"}"#).unwrap();
+    assert_eq!(s, 400);
+    assert!(b.contains("unknown attribute \\\"🚀\\\""), "{b}");
+    let (s, _, b) = post(&addr, "/query", r#"{"node":0,"attr":"\ud83d"}"#).unwrap();
+    assert_eq!(s, 400);
+    assert!(b.contains("surrogate") && b.contains("bad_request"), "{b}");
     let (s, _, b) = post(&addr, "/query_batch", r#"{"queries":[]}"#).unwrap();
     assert_eq!(s, 400, "{b}");
 
@@ -612,7 +622,7 @@ fn recovering_server_gates_readiness_until_replay_completes() {
         release_rx.recv().ok();
         engine.record_recovery(5, 2_000_000);
         engine.record_wal_activity(5, 3);
-        Ok(pcod::serve::EngineHandle::Single(engine))
+        Ok(engine)
     })
     .expect("bind ephemeral port");
     let addr = recovering.addr().to_string();
@@ -698,6 +708,59 @@ fn json_truncations_and_bit_flips_never_panic() {
                 if let Ok(text) = String::from_utf8(flipped) {
                     let _ = parse(&text);
                 }
+            }
+        }
+    }
+}
+
+/// The raw requests this suite sends: every GET target it probes, every
+/// JSON body above as a `/query` POST, and a malformed request line.
+fn request_corpus() -> Vec<String> {
+    let mut corpus: Vec<String> = [
+        "/healthz",
+        "/readyz",
+        "/metrics",
+        "/nonsense",
+        "/query_batch",
+        "/query?node=abc",
+        "/query?node=0&attr=no_such_attr",
+        "/query?node=0&method=codu&deadline_ms=20000",
+    ]
+    .iter()
+    .map(|target| get_request(target))
+    .collect();
+    corpus.extend(REQUEST_BODIES.iter().map(|b| post_request("/query", b)));
+    corpus.push("NONSENSE\r\n\r\n".to_string());
+    corpus
+}
+
+/// Every truncation and every single-bit flip of every request parses to
+/// `Ok` or a `ParseError` — never a panic — and an accepted request never
+/// carries more body than the cap, which is set low enough that flipped
+/// `Content-Length` digits cross it.
+#[test]
+fn http_truncations_and_bit_flips_never_panic() {
+    use pcod::serve::http::read_request;
+    const MAX_BODY: usize = 64;
+    let check = |mut bytes: &[u8]| {
+        if let Ok(req) = read_request(&mut bytes, MAX_BODY) {
+            assert!(
+                req.body.len() <= MAX_BODY,
+                "buffered {} bytes",
+                req.body.len()
+            );
+        }
+    };
+    for request in request_corpus() {
+        let bytes = request.as_bytes();
+        for end in 0..=bytes.len() {
+            check(&bytes[..end]);
+        }
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.to_vec();
+                flipped[i] ^= 1 << bit;
+                check(&flipped);
             }
         }
     }
