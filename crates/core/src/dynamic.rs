@@ -10,10 +10,6 @@
 //! * **mutations are O(1)** — edge edits land in a [`DeltaCsr`] overlay
 //!   over the last materialized CSR, attribute edits in the attribute
 //!   table; nothing is re-sorted or re-hashed per event;
-//! * **invalidation is scoped** — each mutation carries a [`Footprint`]
-//!   and only evicts the pooled RR graphs it can actually stale (an
-//!   attribute edit leaves disjoint attributes' pools resident; an edge
-//!   edit keeps restricted pools whose universe avoids both endpoints);
 //! * **the hierarchy is repaired, not rebuilt** — on flush, linkage is
 //!   re-run only along the leaf-to-root paths of touched nodes
 //!   ([`repair_merges`]) and the HIMOR index is patched by
@@ -21,6 +17,19 @@
 //!   footprint ([`crate::himor::HimorPatchState::patch`]); a full rebuild happens only
 //!   when the edit volume crosses `rebuild_threshold` or the node range
 //!   grows;
+//! * **reads go through [`CodEngine`]** — the flushed graph, hierarchy
+//!   and index are swapped into one engine in place, and every query is
+//!   its CODL query (Algorithm 3): an index hit answers from the index;
+//!   on a miss, compressed evaluation runs only on the reclustered
+//!   hierarchy inside the LORE community `C_ℓ` (the index has ruled out
+//!   its ancestors), and no LORE choice answers `None`;
+//! * **invalidation is scoped** — each mutation carries a [`Footprint`]
+//!   and [`CodEngine::invalidate_scoped`] drops only what it can stale:
+//!   an attribute edit drops the recluster artifacts and pools keyed to a
+//!   touched attribute; an edge edit drops every recluster artifact (they
+//!   are keyed by hierarchy vertex) and the `C_ℓ`-scoped pools whose
+//!   universe holds an endpoint. Everything else stays warm across
+//!   flushes;
 //! * **replay is deterministic** — every applied mutation is appended to
 //!   a [`MutationLog`]; the HIMOR seed is pinned at construction, so the
 //!   repaired index is bit-identical to a from-scratch build of the
@@ -30,24 +39,22 @@
 //! on the seeds, the config and the mutation log — never on when the
 //! flushes happened.
 
-use cod_graph::{
-    AttrId, AttrInterner, AttrTable, AttributedGraph, Csr, DeltaCsr, FxHashSet, NodeId,
-};
-use cod_hierarchy::{match_vertices, repair_merges, Dendrogram, LcaIndex, RepairOutcome};
+use std::sync::Arc;
+
+use cod_graph::{AttrId, AttrInterner, AttrTable, AttributedGraph, Csr, DeltaCsr, NodeId};
+use cod_hierarchy::{match_vertices, repair_merges, Dendrogram, Hierarchy, RepairOutcome};
 use cod_influence::CancelToken;
 use rand::prelude::*;
 
-use crate::chain::{Chain, ComposedChain, DendroChain, SubgraphChain};
-use crate::compressed::{compressed_cod, total_theta, EvalOptions, Samples};
-use crate::engine::package;
+use crate::compressed::total_theta;
+use crate::engine::{CodEngine, Method, Query};
 use crate::error::{CodError, CodResult};
 use crate::failpoint::{self, Site};
-use crate::himor::HimorIndex;
-use crate::lore::select_recluster_community;
-use crate::mutation::{Footprint, Mutation, MutationKind, MutationLog};
-use crate::pipeline::{AnswerSource, CodAnswer, CodConfig};
-use crate::pool::{PoolCache, PoolCacheStats};
-use crate::recluster::{build_hierarchy, local_recluster};
+use crate::himor::{HimorIndex, HimorPatchState};
+use crate::mutation::{Footprint, Mutation, MutationLog};
+use crate::pipeline::{CodAnswer, CodConfig};
+use crate::pool::PoolCacheStats;
+use crate::recluster::build_hierarchy;
 use crate::telemetry::{MetricsRegistry, MetricsSnapshot};
 
 /// How a [`DynamicCod::flush`] brought the cached artifacts current.
@@ -90,24 +97,48 @@ fn node_attrs(g: &AttributedGraph) -> Vec<Vec<AttrId>> {
         .collect()
 }
 
+/// A from-scratch hierarchy and patchable index over `csr`, from the
+/// pinned HIMOR `seed`.
+fn build_artifacts(
+    csr: &Csr,
+    cfg: &CodConfig,
+    seed: u64,
+    cancel: Option<&CancelToken>,
+) -> CodResult<(Hierarchy, HimorIndex, HimorPatchState)> {
+    let hier = Hierarchy::new(build_hierarchy(csr, cfg.linkage));
+    let (index, patch) = HimorIndex::build_patchable(
+        csr,
+        cfg.model,
+        &hier.dendro,
+        &hier.lca,
+        cfg.theta,
+        seed,
+        cfg.parallelism,
+        cancel,
+    )?;
+    Ok((hier, index, patch))
+}
+
 /// A COD engine over a mutable attributed graph.
+///
+/// Reads are [`CodEngine`] CODL queries over the flushed artifacts; see
+/// [`DynamicCod::query`] for the RNG contract.
 pub struct DynamicCod {
     /// Current topology: the last materialized CSR plus a mutable overlay
     /// of inserted/removed edges (and overlay-grown nodes).
     topo: DeltaCsr,
     attrs: Vec<Vec<AttrId>>,
     interner: AttrInterner,
-    cfg: CodConfig,
     /// Fraction of `|E|` worth of edits that triggers a full rebuild.
     rebuild_threshold: f64,
+    /// The CODL engine over the flushed graph, hierarchy and index. It
+    /// answers every query, keeps its recluster cache and RR pools warm
+    /// across flushes (minus what each mutation's footprint drops), and
+    /// holds the one metrics registry reads, mutations, repairs and the
+    /// WAL record into.
+    engine: CodEngine,
     cache: Cache,
     edits_since_build: usize,
-    /// Nodes touched by edits since the last rebuild/repair.
-    dirty: FxHashSet<NodeId>,
-    /// Shared RR-pool cache for [`CodConfig::pool`] queries. Evicted per
-    /// mutation through the event's [`Footprint`]: pools provably
-    /// untouched by the mutation stay resident.
-    pool: PoolCache,
     /// Pinned HIMOR seed: rebuilds and patches both derive per-sample RNGs
     /// from it, so a repaired index is bit-identical to a from-scratch
     /// build of the mutated graph.
@@ -115,7 +146,6 @@ pub struct DynamicCod {
     /// Every applied mutation, in order — persistable via
     /// [`MutationLog::save`] and replayable with [`DynamicCod::apply`].
     log: MutationLog,
-    metrics: MetricsRegistry,
     /// Run the splice-vs-recluster cross-check on every repair (default
     /// true; turn off to benchmark the splice alone).
     verify_repairs: bool,
@@ -123,57 +153,18 @@ pub struct DynamicCod {
     unflushed: usize,
 }
 
+/// The engine's hierarchy and index, kept for the next repair and for
+/// checkpoints.
 struct Cache {
-    graph: AttributedGraph,
-    dendro: Dendrogram,
-    lca: LcaIndex,
-    index: HimorIndex,
+    hier: Arc<Hierarchy>,
+    index: Arc<HimorIndex>,
     /// Retained build state that makes `index` patchable across a
     /// dendrogram repair (`None` for artifacts restored from a checkpoint,
     /// until the first topology flush rebuilds).
-    patch: Option<crate::himor::HimorPatchState>,
-    /// Graph edits newer than `graph` (CSR/attrs need refresh before
-    /// queries).
+    patch: Option<HimorPatchState>,
+    /// Graph edits (or interned names) newer than the engine's graph: the
+    /// next query flushes first.
     csr_stale: bool,
-}
-
-impl Cache {
-    /// A from-scratch hierarchy and patchable index over `csr`, carrying
-    /// the given attribute lists, from the pinned HIMOR `seed`.
-    fn build(
-        csr: Csr,
-        attrs: &[Vec<AttrId>],
-        interner: &AttrInterner,
-        cfg: &CodConfig,
-        seed: u64,
-        cancel: Option<&CancelToken>,
-    ) -> CodResult<Self> {
-        let dendro = build_hierarchy(&csr, cfg.linkage);
-        let lca = LcaIndex::new(&dendro);
-        let (index, patch) = HimorIndex::build_patchable(
-            &csr,
-            cfg.model,
-            &dendro,
-            &lca,
-            cfg.theta,
-            seed,
-            cfg.parallelism,
-            cancel,
-        )?;
-        let graph = AttributedGraph::from_parts(
-            csr,
-            AttrTable::from_lists(attrs.to_vec()),
-            interner.clone(),
-        );
-        Ok(Self {
-            graph,
-            dendro,
-            lca,
-            index,
-            patch: Some(patch),
-            csr_stale: false,
-        })
-    }
 }
 
 impl DynamicCod {
@@ -190,13 +181,19 @@ impl DynamicCod {
     /// count. Fails with [`CodError::InvalidQuery`] when `θ·|V|` overflows.
     pub fn with_seed(g: &AttributedGraph, cfg: CodConfig, seed: u64) -> CodResult<Self> {
         total_theta(cfg.theta, g.num_nodes())?;
-        let attrs = node_attrs(g);
-        let cache = Cache::build(g.csr().clone(), &attrs, g.interner(), &cfg, seed, None)?;
-        Ok(Self::shell(g, attrs, cfg, seed, cache))
+        let (hier, index, patch) = build_artifacts(g.csr(), &cfg, seed, None)?;
+        let cache = Cache {
+            hier: Arc::new(hier),
+            index: Arc::new(index),
+            patch: Some(patch),
+            csr_stale: false,
+        };
+        Ok(Self::shell(Arc::new(g.clone()), cfg, seed, cache))
     }
 
     /// Rehydrates a dynamic engine from checkpointed artifacts (a CODX v3
-    /// snapshot) without rebuilding anything — the recovery path.
+    /// snapshot) without rebuilding or copying anything — the recovery
+    /// path shares the snapshot's graph, hierarchy and index.
     ///
     /// The artifacts are replayable because every rebuild derives from the
     /// pinned `himor_seed`. The restored cache carries no patch state — the
@@ -204,31 +201,28 @@ impl DynamicCod {
     /// determinism contract proves bit-identical to a from-scratch build
     /// (see `tests/mutation.rs`).
     pub fn from_artifacts(
-        g: &AttributedGraph,
-        dendro: Dendrogram,
-        index: HimorIndex,
+        g: Arc<AttributedGraph>,
+        hier: Arc<Hierarchy>,
+        index: Arc<HimorIndex>,
         cfg: CodConfig,
         himor_seed: u64,
     ) -> CodResult<Self> {
         let n = g.num_nodes();
         total_theta(cfg.theta, n)?;
-        if dendro.num_leaves() != n || index.num_nodes() != n {
+        if hier.dendro.num_leaves() != n || index.num_nodes() != n {
             return Err(CodError::IndexCorrupt(format!(
                 "artifact size mismatch: graph has {n} nodes, dendrogram {} leaves, index {}",
-                dendro.num_leaves(),
+                hier.dendro.num_leaves(),
                 index.num_nodes()
             )));
         }
-        let lca = LcaIndex::new(&dendro);
         let cache = Cache {
-            graph: g.clone(),
-            dendro,
-            lca,
+            hier,
             index,
             patch: None,
             csr_stale: false,
         };
-        Ok(Self::shell(g, node_attrs(g), cfg, himor_seed, cache))
+        Ok(Self::shell(g, cfg, himor_seed, cache))
     }
 
     /// Flushes pending mutations and returns the current artifacts
@@ -238,29 +232,20 @@ impl DynamicCod {
     pub fn artifacts(&mut self) -> CodResult<(&AttributedGraph, &Dendrogram, &HimorIndex)> {
         self.flush()?;
         let c = &self.cache;
-        Ok((&c.graph, &c.dendro, &c.index))
+        Ok((self.engine.graph(), &c.hier.dendro, &c.index))
     }
 
-    fn shell(
-        g: &AttributedGraph,
-        attrs: Vec<Vec<AttrId>>,
-        cfg: CodConfig,
-        himor_seed: u64,
-        cache: Cache,
-    ) -> Self {
+    fn shell(g: Arc<AttributedGraph>, cfg: CodConfig, himor_seed: u64, cache: Cache) -> Self {
         Self {
             topo: DeltaCsr::new(g.csr().clone()),
-            attrs,
+            attrs: node_attrs(&g),
             interner: g.interner().clone(),
-            cfg,
             rebuild_threshold: 0.02,
+            engine: CodEngine::from_parts(g, cfg, cache.hier.clone(), cache.index.clone()),
             cache,
             edits_since_build: 0,
-            dirty: FxHashSet::default(),
-            pool: PoolCache::new(cfg.pool_budget_bytes),
             himor_seed,
             log: MutationLog::new(),
-            metrics: MetricsRegistry::default(),
             verify_repairs: true,
             unflushed: 0,
         }
@@ -304,15 +289,17 @@ impl DynamicCod {
         &self.log
     }
 
-    /// A point-in-time snapshot of the mutation/repair telemetry.
+    /// A point-in-time snapshot of the one registry: reads, mutations,
+    /// repairs, scoped evictions and (under [`crate::DurableCod`]) WAL and
+    /// recovery counters.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.engine.metrics()
     }
 
     /// Registry handle so the durability layer ([`crate::recovery`])
     /// records WAL/recovery counters into the same exposition.
     pub(crate) fn metrics_registry(&self) -> &MetricsRegistry {
-        &self.metrics
+        self.engine.metrics_registry()
     }
 
     /// Applies a logged mutation. Returns whether it changed anything
@@ -360,9 +347,9 @@ impl DynamicCod {
                 self.num_nodes()
             )));
         }
-        // The footprint covers old ∪ new attributes: pools keyed to either
-        // side can see a different LORE choice / g_ℓ weighting, everything
-        // else provably cannot.
+        // The footprint covers old ∪ new attributes: artifacts and pools
+        // keyed to either side can see a different LORE choice / g_ℓ
+        // weighting, everything else provably cannot.
         let mut fp = Footprint::new();
         fp.add_attr_event(
             v,
@@ -372,21 +359,21 @@ impl DynamicCod {
                 .chain(attrs.iter().copied()),
         );
         self.attrs[v as usize] = attrs.clone();
-        // Attributes only affect LORE's choice and the g_ℓ weights — no
-        // hierarchy invalidation needed, but the node's queries should not
-        // take the index fast path blindly.
-        self.dirty.insert(v);
         self.unflushed += 1;
-        self.cache.csr_stale = true; // attribute table lives in the cached graph
-        self.metrics.record_mutation(MutationKind::SetAttrs);
-        self.log.push(Mutation::SetAttrs { node: v, attrs });
-        self.evict_scoped(&fp);
+        self.cache.csr_stale = true; // attribute table lives in the served graph
+        self.record(Mutation::SetAttrs { node: v, attrs }, &fp);
         Ok(())
     }
 
-    /// Interns an attribute name.
+    /// Interns an attribute name. A new name is queryable at once: the
+    /// next query flushes it into the served graph.
     pub fn intern_attr(&mut self, name: &str) -> AttrId {
-        self.interner.intern(name)
+        let known = self.interner.len();
+        let id = self.interner.intern(name);
+        if self.interner.len() > known {
+            self.cache.csr_stale = true;
+        }
+        id
     }
 
     fn record_edge_event(&mut self, m: Mutation) {
@@ -396,65 +383,50 @@ impl DynamicCod {
         };
         let mut fp = Footprint::new();
         fp.add_edge_event(u, v);
-        self.metrics.record_mutation(m.kind());
-        self.log.push(m);
         self.edits_since_build += 1;
         self.unflushed += 1;
-        self.dirty.insert(u);
-        self.dirty.insert(v);
         self.cache.csr_stale = true;
-        self.evict_scoped(&fp);
+        self.record(m, &fp);
     }
 
-    /// Drops exactly the pooled RR graphs the footprint can stale:
-    /// topology events evict unrestricted pools plus restricted pools
-    /// whose universe contains a touched endpoint; attribute events evict
-    /// pools keyed to a touched attribute. Everything else keeps its
-    /// samples (they were drawn on a subgraph the mutation cannot reach).
-    fn evict_scoped(&self, fp: &Footprint) {
-        let (pools, _bytes) = if fp.touches_topology() {
-            self.pool.invalidate_scoped(|e| {
-                !e.restricted()
-                    || fp
-                        .nodes()
-                        .iter()
-                        .any(|&v| e.universe().binary_search(&v).is_ok())
-            })
-        } else {
-            self.pool
-                .invalidate_scoped(|e| e.attr().is_some_and(|a| fp.touches_attr(a)))
-        };
-        self.metrics.record_pool_scoped_evictions(pools as u64);
+    /// Tallies and logs an applied mutation, and drops exactly the cached
+    /// artifacts and pools its footprint can stale.
+    fn record(&mut self, m: Mutation, fp: &Footprint) {
+        self.engine.metrics_registry().record_mutation(m.kind());
+        self.log.push(m);
+        self.engine.invalidate_scoped(fp);
     }
 
-    /// Rematerializes the cached graph (CSR + attribute table) from the
-    /// overlay without touching the hierarchy or index.
-    fn refresh_graph(&mut self) {
-        let csr = self.topo.materialize();
-        let graph = AttributedGraph::from_parts(
+    /// `csr` with the current attribute table, as the graph to serve.
+    fn attributed(&self, csr: Csr) -> Arc<AttributedGraph> {
+        Arc::new(AttributedGraph::from_parts(
             csr,
             AttrTable::from_lists(self.attrs.clone()),
             self.interner.clone(),
-        );
-        self.cache.graph = graph;
-        self.cache.csr_stale = false;
+        ))
+    }
+
+    /// Serves `csr` over the cache's hierarchy and index, and rebases the
+    /// overlay on it.
+    fn install(&mut self, csr: Csr) {
+        let graph = self.attributed(csr.clone());
+        self.topo.rebase(csr);
+        let c = &mut self.cache;
+        c.csr_stale = false;
+        self.engine.rebase(graph, c.hier.clone(), c.index.clone());
+        self.edits_since_build = 0;
     }
 
     /// Rebuild from the pinned seed, retaining the patch state so later
     /// mutations can repair instead of rebuilding.
     fn rebuild_governed(&mut self, cancel: Option<&CancelToken>) -> CodResult<()> {
         let csr = self.topo.materialize();
-        self.cache = Cache::build(
-            csr.clone(),
-            &self.attrs,
-            &self.interner,
-            &self.cfg,
-            self.himor_seed,
-            cancel,
-        )?;
-        self.topo.rebase(csr);
-        self.edits_since_build = 0;
-        self.dirty.clear();
+        let (hier, index, patch) =
+            build_artifacts(&csr, self.engine.config(), self.himor_seed, cancel)?;
+        self.cache.hier = Arc::new(hier);
+        self.cache.index = Arc::new(index);
+        self.cache.patch = Some(patch);
+        self.install(csr);
         Ok(())
     }
 
@@ -468,30 +440,31 @@ impl DynamicCod {
         if cancel.is_some_and(CancelToken::should_stop) {
             return Err(CodError::DeadlineExceeded);
         }
+        let cfg = *self.engine.config();
         let cache = &mut self.cache;
+        let old = &cache.hier;
         let rr = repair_merges(
-            &cache.dendro,
+            &old.dendro,
             &new_csr,
             &touched,
-            self.cfg.linkage,
+            cfg.linkage,
             self.verify_repairs,
         );
-        let new_dendro = Dendrogram::from_merges(new_csr.num_nodes(), &rr.merges);
-        let new_lca = LcaIndex::new(&new_dendro);
-        let diff = match_vertices(&cache.dendro, &new_dendro);
+        let new = Hierarchy::new(Dendrogram::from_merges(new_csr.num_nodes(), &rr.merges));
+        let diff = match_vertices(&old.dendro, &new.dendro);
         let Some(mut patch) = cache.patch.take() else {
             unreachable!("flush checked the patch state before choosing repair")
         };
         let patched = patch.patch(
             &new_csr,
-            self.cfg.model,
-            &cache.dendro,
-            &cache.lca,
-            &new_dendro,
-            &new_lca,
+            cfg.model,
+            &old.dendro,
+            &old.lca,
+            &new.dendro,
+            &new.lca,
             &diff,
             &touched,
-            self.cfg.parallelism,
+            cfg.parallelism,
             cancel,
         );
         let Some((index, stats)) = patched else {
@@ -499,22 +472,10 @@ impl DynamicCod {
             cache.patch = Some(patch);
             return Err(CodError::DeadlineExceeded);
         };
-        let graph = AttributedGraph::from_parts(
-            new_csr.clone(),
-            AttrTable::from_lists(self.attrs.clone()),
-            self.interner.clone(),
-        );
-        self.topo.rebase(new_csr);
-        self.cache = Cache {
-            graph,
-            dendro: new_dendro,
-            lca: new_lca,
-            index,
-            patch: Some(patch),
-            csr_stale: false,
-        };
-        self.edits_since_build = 0;
-        self.dirty.clear();
+        cache.hier = Arc::new(new);
+        cache.index = Arc::new(index);
+        cache.patch = Some(patch);
+        self.install(new_csr);
         Ok(FlushOutcome::Repaired {
             spliced: rr.outcome == RepairOutcome::Spliced,
             samples_redrawn: stats.samples_redrawn,
@@ -523,11 +484,12 @@ impl DynamicCod {
     }
 
     /// Forces an immediate hierarchy + index rebuild. Explicit rebuilds
-    /// also start a fresh pooled generation (and bump the pool epoch)
-    /// regardless of footprints.
+    /// also start a fresh cache generation — every recluster artifact and
+    /// pool is dropped and the pool epoch bumps — regardless of
+    /// footprints.
     pub fn rebuild(&mut self) -> CodResult<()> {
         self.rebuild_governed(None)?;
-        self.pool.invalidate();
+        self.engine.clear_cache();
         self.unflushed = 0;
         Ok(())
     }
@@ -557,149 +519,53 @@ impl DynamicCod {
         if self.topo.is_clean() {
             // Attribute-only (or net-zero edge) churn: the hierarchy and
             // index are still exact, only the attribute table moved.
-            self.refresh_graph();
-            self.edits_since_build = 0;
-            self.dirty.clear();
+            self.install(self.topo.materialize());
             self.unflushed = 0;
             return Ok(MutationFlushReport {
                 outcome: FlushOutcome::Refreshed,
                 events,
             });
         }
-        let grew = self.topo.num_nodes() > self.cache.graph.num_nodes();
+        let grew = self.topo.num_nodes() > self.engine.graph().num_nodes();
         let limit = (self.topo.num_edges() as f64 * self.rebuild_threshold) as usize;
         let repairable = self.cache.patch.is_some();
         let outcome = if grew || !repairable || self.edits_since_build > limit {
             self.rebuild_governed(cancel)?;
-            self.metrics.record_full_rebuild();
+            self.engine.metrics_registry().record_full_rebuild();
             FlushOutcome::Rebuilt
         } else {
             let outcome = self.repair_governed(cancel)?;
-            self.metrics.record_repair();
+            self.engine.metrics_registry().record_repair();
             outcome
         };
         self.unflushed = 0;
         Ok(MutationFlushReport { outcome, events })
     }
 
-    /// Whether the next query for `q` may answer from the HIMOR fast path
-    /// (false while `q` or the hierarchy is dirty).
-    pub fn index_usable_for(&self, q: NodeId) -> bool {
-        self.edits_since_build == 0 && !self.dirty.contains(&q)
-    }
-
-    /// Answers a COD query on the *current* graph. Pending mutations are
-    /// flushed first (repairing or rebuilding as needed), so the answer is
-    /// identical to a from-scratch instance of the mutated graph with the
-    /// same seed. A compressed evaluation draws one master seed from `rng`
-    /// (none when the index answers or [`CodConfig::pool`] is on).
+    /// Answers a CODL query on the *current* graph: pending mutations are
+    /// flushed first (repairing or rebuilding as needed), then the query
+    /// is the engine's `Query::new(q, attr, Method::Codl)` over the
+    /// flushed artifacts, so the answer is identical to a fresh
+    /// [`CodEngine::from_parts`] over [`DynamicCod::artifacts`] with the
+    /// same RNG. That is Algorithm 3: an index hit answers from the index;
+    /// on a miss, compressed evaluation runs on the reclustered hierarchy
+    /// inside the LORE community `C_ℓ`, its root excluded, and no LORE
+    /// choice answers `None`. A compressed evaluation draws one master
+    /// seed from `rng`, pooled or not; index hits and `None` draw nothing.
+    /// [`CodConfig::limits`] apply as for any engine query.
     pub fn query<R: Rng>(
         &mut self,
         q: NodeId,
         attr: AttrId,
         rng: &mut R,
     ) -> CodResult<Option<CodAnswer>> {
-        if (q as usize) >= self.num_nodes() {
-            return Err(CodError::InvalidQuery(format!(
-                "query node {q} out of range (graph has {} nodes)",
-                self.num_nodes()
-            )));
-        }
-        if (attr as usize) >= self.interner.len() {
-            return Err(CodError::InvalidQuery(format!(
-                "unknown attribute id {attr} ({} interned attributes)",
-                self.interner.len()
-            )));
-        }
-        if self.cfg.k == 0 {
-            return Err(CodError::InvalidQuery(
-                "top-k rank threshold k must be at least 1".into(),
-            ));
-        }
         self.flush()?;
-        let use_index = self.index_usable_for(q);
-        let c = &self.cache;
-        let g = &c.graph;
-        let choice = select_recluster_community(g, &c.dendro, &c.lca, q, attr);
-        if use_index {
-            let floor = choice.map(|x| x.vertex);
-            if let Some(v) = c.index.largest_top_k(&c.dendro, q, floor, self.cfg.k) {
-                let path = c.dendro.root_path(q);
-                let Some(j) = path.iter().position(|&x| x == v) else {
-                    unreachable!("largest_top_k only returns vertices on q's root path")
-                };
-                return Ok(Some(CodAnswer {
-                    members: c.dendro.members_sorted(v),
-                    rank: c.index.ranks_of(q)[j] as usize,
-                    source: AnswerSource::Index,
-                    uncertain: false,
-                    cache: None,
-                    degraded: None,
-                    trace: None,
-                }));
-            }
-        }
-        match choice {
-            None => {
-                let chain = DendroChain::new(&c.dendro, &c.lca, q)?;
-                self.answer_from_chain(g, &chain, q, attr, rng)
-            }
-            Some(choice) => {
-                let members = c.dendro.members_sorted(choice.vertex);
-                let (sub, sd) = local_recluster(g, &members, attr, self.cfg.beta, self.cfg.linkage);
-                let slca = LcaIndex::new(&sd);
-                let lower = SubgraphChain::new(&sub, &sd, &slca, q, true)?;
-                let chain = ComposedChain::new(lower, &c.dendro, &c.lca, choice.vertex)?;
-                self.answer_from_chain(g, &chain, q, attr, rng)
-            }
-        }
+        self.engine.query(Query::new(q, attr, Method::Codl), rng)
     }
 
-    /// Compressed evaluation of `q` over `chain`, packaged as an answer:
-    /// folded from the shared RR-pool cache when [`CodConfig::pool`] is
-    /// on, drawn fresh from one master seed of `rng` otherwise. An empty
-    /// chain answers `None` without drawing a seed or creating a pool.
-    fn answer_from_chain<R: Rng>(
-        &self,
-        g: &AttributedGraph,
-        chain: &impl Chain,
-        q: NodeId,
-        attr: AttrId,
-        rng: &mut R,
-    ) -> CodResult<Option<CodAnswer>> {
-        if chain.is_empty() {
-            return Ok(None);
-        }
-        let entry = self.cfg.pool.then(|| {
-            let universe = chain.universe();
-            let restricted = universe.len() < g.num_nodes();
-            self.pool.get_or_create(Some(attr), &universe, restricted).0
-        });
-        let samples = match &entry {
-            Some(entry) => Samples::Pool(entry),
-            None => Samples::Seed(rng.next_u64()),
-        };
-        let opts = EvalOptions {
-            budget: self.cfg.budget,
-            par: self.cfg.parallelism,
-            ..EvalOptions::default()
-        };
-        let out = compressed_cod(
-            g.csr(),
-            self.cfg.model,
-            chain,
-            q,
-            self.cfg.k,
-            self.cfg.theta,
-            samples,
-            opts,
-        )?;
-        Ok(package(chain, out, None))
-    }
-
-    /// Gauges of the shared RR-pool cache (pools resident, bytes, epoch).
+    /// Gauges of the engine's RR-pool cache (pools resident, bytes, epoch).
     pub fn pool_stats(&self) -> PoolCacheStats {
-        self.pool.stats()
+        self.engine.pool_stats()
     }
 
     /// The pool cache's invalidation epoch — bumped by every edge insert
@@ -707,16 +573,15 @@ impl DynamicCod {
     /// mutation path forgets to revisit pooled samples (scoped eviction
     /// bumps the epoch even when every pool survives).
     pub fn pool_epoch(&self) -> u64 {
-        self.pool.epoch()
+        self.engine.pool_epoch()
     }
 
     /// The current graph (flushing pending edits first).
     pub fn graph(&mut self) -> CodResult<&AttributedGraph> {
         self.flush()?;
-        Ok(&self.cache.graph)
+        Ok(self.engine.graph())
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -745,12 +610,41 @@ mod tests {
         }
     }
 
+    /// `d`'s answer and a fresh engine's CODL answer over `d`'s flushed
+    /// artifacts, each from an RNG seeded with `seed`.
+    fn with_fresh_engine(
+        d: &mut DynamicCod,
+        q: NodeId,
+        attr: AttrId,
+        seed: u64,
+    ) -> (Option<CodAnswer>, Option<CodAnswer>) {
+        let ours = d
+            .query(q, attr, &mut SmallRng::seed_from_u64(seed))
+            .unwrap();
+        let fresh = CodEngine::from_parts(
+            Arc::new(d.engine.graph().clone()),
+            *d.engine.config(),
+            d.cache.hier.clone(),
+            d.cache.index.clone(),
+        );
+        let theirs = fresh
+            .query(
+                Query::new(q, attr, Method::Codl),
+                &mut SmallRng::seed_from_u64(seed),
+            )
+            .unwrap();
+        (ours, theirs)
+    }
+
     #[test]
     fn behaves_like_codl_without_edits() {
         let g = star_graph();
         let mut rng = SmallRng::seed_from_u64(61);
         let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
-        assert!(dyn_cod.index_usable_for(0));
+        for q in 0..8 {
+            let (ours, theirs) = with_fresh_engine(&mut dyn_cod, q, 0, 610 + u64::from(q));
+            assert_eq!(ours, theirs, "node {q}");
+        }
         let ans = dyn_cod
             .query(0, 0, &mut rng)
             .unwrap()
@@ -759,18 +653,20 @@ mod tests {
     }
 
     #[test]
-    fn edits_disable_the_fast_path_until_rebuild() {
+    fn queries_flush_pending_edits_and_answer_like_the_engine() {
         let g = star_graph();
         let mut rng = SmallRng::seed_from_u64(62);
         let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
         dyn_cod.set_rebuild_threshold(10.0); // avoid auto-rebuild
         assert!(dyn_cod.insert_edge(1, 2));
-        assert!(!dyn_cod.index_usable_for(1));
-        assert!(!dyn_cod.index_usable_for(4) || dyn_cod.pending_edits() == 0);
-        let _ = dyn_cod.query(1, 0, &mut rng).unwrap();
+        assert_eq!(dyn_cod.pending_edits(), 1);
+        let (ours, theirs) = with_fresh_engine(&mut dyn_cod, 1, 0, 620);
+        assert_eq!(dyn_cod.pending_edits(), 0, "the query repaired first");
+        assert_eq!(ours, theirs);
         dyn_cod.rebuild().unwrap();
-        assert!(dyn_cod.index_usable_for(1));
         assert_eq!(dyn_cod.pending_edits(), 0);
+        let (ours, theirs) = with_fresh_engine(&mut dyn_cod, 1, 0, 621);
+        assert_eq!(ours, theirs);
     }
 
     #[test]
@@ -811,9 +707,9 @@ mod tests {
         dyn_cod.insert_edge(2, 3);
         // Next query flushes; with a zero threshold that is a full rebuild
         // and the fast path returns.
-        let _ = dyn_cod.query(0, 0, &mut rng).unwrap();
+        let (ours, theirs) = with_fresh_engine(&mut dyn_cod, 2, 0, 650);
         assert_eq!(dyn_cod.pending_edits(), 0);
-        assert!(dyn_cod.index_usable_for(2));
+        assert_eq!(ours, theirs);
         assert_eq!(dyn_cod.metrics_snapshot().full_rebuilds, 1);
     }
 
@@ -829,6 +725,18 @@ mod tests {
         let _ = dyn_cod.query(6, b, &mut rng).unwrap();
         let graph = dyn_cod.graph().unwrap();
         assert!(graph.has_attr(6, b));
+    }
+
+    #[test]
+    fn a_freshly_interned_attribute_is_queryable_before_any_edit() {
+        let g = star_graph();
+        let mut dyn_cod = DynamicCod::with_seed(&g, cfg(), 66).unwrap();
+        let c = dyn_cod.intern_attr("C");
+        assert_eq!(dyn_cod.intern_attr("C"), c, "interning is idempotent");
+        dyn_cod
+            .query(3, c, &mut SmallRng::seed_from_u64(1))
+            .unwrap();
+        assert_eq!(dyn_cod.graph().unwrap().interner().get("C"), Some(c));
     }
 
     #[test]

@@ -345,6 +345,29 @@ impl CodEngine {
         engine
     }
 
+    /// Swaps in the artifacts of a mutated graph in place, keeping the
+    /// recluster cache, the RR-pool cache, the scratch pool and the metrics
+    /// registry. The caller has already dropped, through
+    /// [`CodEngine::invalidate_scoped`], every cached artifact and pool the
+    /// mutations since the last swap can have staled.
+    pub(crate) fn rebase(
+        &mut self,
+        g: Arc<AttributedGraph>,
+        base: Arc<Hierarchy>,
+        index: Arc<HimorIndex>,
+    ) {
+        self.g = g;
+        self.base = OnceLock::from(base);
+        self.index = OnceLock::from(index);
+    }
+
+    /// The registry the engine records into, so the mutation pipeline
+    /// ([`crate::dynamic`]) and the durability layer ([`crate::recovery`])
+    /// tally their counters beside the queries'.
+    pub(crate) fn metrics_registry(&self) -> &MetricsRegistry {
+        &self.metrics
+    }
+
     /// An engine over the artifacts persisted in a CODX v3 file (see
     /// [`crate::codx::MappedArtifacts`]): graph, hierarchy and index are
     /// materialized once — zero-copy views of the mapping where the
@@ -435,8 +458,8 @@ impl CodEngine {
     ///   pools of disjoint attributes survive.
     ///
     /// Returns `(recluster entries dropped, pools dropped, pool bytes
-    /// dropped)`. An empty footprint is a no-op that does not bump the
-    /// pool epoch.
+    /// dropped)`; the pools dropped are tallied as scoped evictions. An
+    /// empty footprint is a no-op that does not bump the pool epoch.
     pub fn invalidate_scoped(&self, footprint: &crate::mutation::Footprint) -> (usize, usize, u64) {
         if footprint.is_empty() {
             return (0, 0, 0);
@@ -454,6 +477,7 @@ impl CodEngine {
             self.pool
                 .invalidate_scoped(|e| e.attr().is_some_and(|a| footprint.touches_attr(a)))
         };
+        self.metrics.record_pool_scoped_evictions(pools as u64);
         (entries, pools, bytes)
     }
 
@@ -1306,11 +1330,7 @@ impl std::fmt::Debug for CodEngine {
 }
 
 /// Packages a compressed outcome into a [`CodAnswer`].
-pub(crate) fn package(
-    chain: &impl Chain,
-    out: CodOutcome,
-    cache: Option<CacheOutcome>,
-) -> Option<CodAnswer> {
+fn package(chain: &impl Chain, out: CodOutcome, cache: Option<CacheOutcome>) -> Option<CodAnswer> {
     let level = out.best_level?;
     Some(CodAnswer {
         members: chain.members(level),

@@ -32,8 +32,9 @@
 //!   samples — a later query re-derives the dropped indices from their
 //!   seeds, so a truncated pool can never introduce a gap or a duplicate.
 //! * **Invalidation**: [`PoolCache::invalidate`] bumps an epoch and drops
-//!   every pool. `CodEngine::clear_cache` and every `DynamicCod`
-//!   mutation call it; queries already holding an `Arc` to an old pool
+//!   every pool (`CodEngine::clear_cache`); [`PoolCache::invalidate_scoped`]
+//!   bumps it and drops the pools a `DynamicCod` mutation can stale;
+//!   queries already holding an `Arc` to an old pool
 //!   finish against the snapshot they started with (the graph they were
 //!   planned against), new queries build fresh pools.
 //! * **Eviction**: pools are evicted least-recently-used once their
@@ -416,9 +417,10 @@ impl PoolCache {
         evict_over_budget(&mut guard.0, self.budget_bytes, keep)
     }
 
-    /// Drops every pool and bumps the epoch. Called on `clear_cache` and
-    /// on every `DynamicCod` mutation — a pool sampled on the old graph
-    /// must never serve a query planned against the new one.
+    /// Drops every pool and bumps the epoch. Called on `clear_cache`,
+    /// which an explicit `DynamicCod::rebuild` also calls — a pool sampled
+    /// on the old graph must never serve a query planned against the new
+    /// one.
     pub fn invalidate(&self) {
         self.epoch.fetch_add(1, Ordering::AcqRel);
         if let Ok(mut guard) = self.slots.lock() {
@@ -429,7 +431,8 @@ impl PoolCache {
     /// Drops only the pools matching `pred`, leaving the rest resident.
     /// Returns `(pools dropped, bytes dropped)`.
     ///
-    /// This is the scoped-invalidation path used by `DynamicCod`: a
+    /// This is the scoped-invalidation path `DynamicCod` takes through
+    /// `CodEngine::invalidate_scoped`: a
     /// mutation's [`Footprint`](crate::mutation::Footprint) translates to a
     /// predicate over `(attr, universe, restricted)`, so a `set_attrs` on
     /// one attribute no longer evicts pools of unrelated attributes. The

@@ -321,13 +321,10 @@ impl DurableCod {
         let swept = persist::sweep_temp_files(dir)?;
         let manifest = Manifest::load(dir)?;
         let mapped = MappedArtifacts::open_eager(&dir.join(&manifest.snapshot))?;
-        let graph = mapped.graph()?;
-        let hier = mapped.hierarchy()?;
-        let index = mapped.himor()?;
         let mut inner = DynamicCod::from_artifacts(
-            &graph,
-            hier.dendro.clone(),
-            (*index).clone(),
+            mapped.graph()?,
+            mapped.hierarchy()?,
+            mapped.himor()?,
             cfg,
             manifest.seed,
         )?;
@@ -504,7 +501,11 @@ impl DurableCod {
         self.inner.set_repair_verification(on);
     }
 
-    /// Answers a COD query on the current graph (flushing first).
+    /// Answers a CODL query on the current graph, flushing first: the
+    /// inner engine's [`DynamicCod::query`], so a compressed read draws
+    /// one master seed from `rng`, pooled or not, and index hits and
+    /// `None` draw nothing. The read is tallied in
+    /// [`DurableCod::metrics_snapshot`] beside the writes.
     pub fn query<R: Rng>(
         &mut self,
         q: cod_graph::NodeId,
@@ -519,7 +520,8 @@ impl DurableCod {
         self.inner.flush()
     }
 
-    /// A point-in-time snapshot of the engine + durability telemetry.
+    /// A point-in-time snapshot of the one registry: reads, mutations,
+    /// repairs, WAL and recovery counters.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.inner.metrics_snapshot()
     }

@@ -65,22 +65,24 @@ fn main() {
             dynamic.insert_edge(base + i, base + j);
         }
     }
+    println!("{} edits pending", dynamic.pending_edits());
+    // Queries flush first; flushing explicitly shows what the flush did
+    // (the node range grew, so this one rebuilds).
+    let report = dynamic.flush().expect("ungoverned flush");
     println!(
-        "{} edits pending; index fast path for {q}: {}",
-        dynamic.pending_edits(),
-        dynamic.index_usable_for(q)
+        "flush absorbed {} events: {:?}",
+        report.events, report.outcome
     );
     let after = dynamic.query(q, attr, &mut rng).expect("valid query");
     println!(
-        "query on the evolved graph: node {q} -> {:?} members",
-        after.as_ref().map(|a| a.size())
+        "query on the evolved graph: node {q} -> {:?}",
+        after.as_ref().map(|a| (a.size(), a.source))
     );
     dynamic.rebuild().expect("ungoverned rebuild");
     let rebuilt = dynamic.query(q, attr, &mut rng).expect("valid query");
     println!(
-        "after full rebuild: node {q} -> {:?} members (index usable: {})",
-        rebuilt.as_ref().map(|a| a.size()),
-        dynamic.index_usable_for(q)
+        "after an explicit rebuild (same pinned seed): node {q} -> {:?}",
+        rebuilt.as_ref().map(|a| (a.size(), a.source))
     );
     std::fs::remove_file(&path).ok();
 }

@@ -60,19 +60,48 @@ fn main() -> ExitCode {
         "mutate" => cmd_mutate(&opts),
         "recover" => cmd_recover(&opts),
         "generate" => cmd_generate(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "help" | "--help" | "-h" => usage(),
         other => Err(format!("unknown command {other:?}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader went away (`cod stats | head -2`): nothing is left
+        // to say, and nothing went wrong.
+        Err(e) if e == STDOUT_CLOSED => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// `println!` for command output, in functions returning
+/// `Result<_, String>`: a failed write ends the command, and a closed
+/// stdout (a reader such as `head` that exited early) ends it quietly
+/// instead of panicking. SIGPIPE stays ignored, as Rust programs start, so
+/// a client hanging up on `cod serve` cannot kill it either.
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        writeln!(std::io::stdout(), $($arg)*).map_err(stdout_error)?
+    }};
+}
+
+/// The error a write to a closed stdout ends a command with; `main` exits
+/// on it quietly.
+const STDOUT_CLOSED: &str = "stdout closed";
+
+fn stdout_error(e: std::io::Error) -> String {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        STDOUT_CLOSED.to_owned()
+    } else {
+        format!("writing to stdout: {e}")
+    }
+}
+
+fn usage() -> Result<(), String> {
+    outln!("{USAGE}");
+    Ok(())
 }
 
 const USAGE: &str = "\
@@ -451,32 +480,32 @@ fn cmd_stats(opts: &Opts) -> Result<(), String> {
         .map(|v| g.degree(v))
         .max()
         .unwrap_or(0);
-    println!("nodes:       {}", g.num_nodes());
-    println!("edges:       {}", g.num_edges());
-    println!("attributes:  {}", g.num_attrs());
-    println!("components:  {ncomp}");
-    println!("max degree:  {max_deg}");
-    println!(
+    outln!("nodes:       {}", g.num_nodes());
+    outln!("edges:       {}", g.num_edges());
+    outln!("attributes:  {}", g.num_attrs());
+    outln!("components:  {ncomp}");
+    outln!("max degree:  {max_deg}");
+    outln!(
         "avg degree:  {:.2}",
         2.0 * g.num_edges() as f64 / g.num_nodes().max(1) as f64
     );
     let ds = pcod::graph::stats::degree_stats(csr);
-    println!("median deg:  {}", ds.median);
-    println!("pendants:    {:.1}%", ds.pendant_fraction * 100.0);
-    println!(
+    outln!("median deg:  {}", ds.median);
+    outln!("pendants:    {:.1}%", ds.pendant_fraction * 100.0);
+    outln!(
         "clustering:  {:.4}",
         pcod::graph::stats::global_clustering_coefficient(csr)
     );
-    println!(
+    outln!(
         "assortativity: {:.4}",
         pcod::graph::stats::degree_assortativity(csr)
     );
-    println!(
+    outln!(
         "pseudo-diameter: {}",
         pcod::graph::stats::pseudo_diameter(csr)
     );
     let dendro = build_hierarchy(csr, Linkage::Average);
-    println!("hierarchy:   avg |H(q)| = {:.1}", dendro.avg_chain_len());
+    outln!("hierarchy:   avg |H(q)| = {:.1}", dendro.avg_chain_len());
     Ok(())
 }
 
@@ -496,7 +525,8 @@ impl<'a> IndexFile<'a> {
     }
 
     /// The file's hierarchy and HIMOR index, checked against the graph
-    /// `g` they are to serve.
+    /// `g` they are to serve: the file's own graph must have `g`'s CSR
+    /// (the hierarchy and index depend on nothing else).
     fn artifacts_for(
         &self,
         g: &AttributedGraph,
@@ -510,6 +540,18 @@ impl<'a> IndexFile<'a> {
             ));
         }
         let text = |e: CodError| e.to_string();
+        let built_for = arts.graph().map_err(text)?;
+        let (a, b) = (built_for.csr(), g.csr());
+        if !std::ptr::eq(a, b)
+            && (a.raw_offsets() != b.raw_offsets() || a.raw_neighbors() != b.raw_neighbors())
+        {
+            return Err(format!(
+                "index was built for another graph: its CSR ({} edges) differs from \
+                 the graph source's ({} edges)",
+                built_for.num_edges(),
+                g.num_edges()
+            ));
+        }
         Ok((arts.hierarchy().map_err(text)?, arts.himor().map_err(text)?))
     }
 
@@ -587,7 +629,7 @@ fn cmd_index(opts: &Opts) -> Result<(), String> {
     let base = engine.base_hierarchy();
     save_artifacts(path, engine.graph(), &base.dendro, &index).map_err(|e| e.to_string())?;
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    println!(
+    outln!(
         "saved CODX v{} index to {} ({bytes} bytes, {} nodes)",
         pcod::cod::CODX_V3,
         path.display(),
@@ -648,44 +690,52 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
     // metrics matter most exactly when something went wrong.
     let outcome = match answer {
         Err(e) => Err(e.to_string()),
-        Ok(None) => {
-            println!("no community where node {q} is top-{}", cfg.k);
-            Ok(())
-        }
-        Ok(Some(ans)) => {
-            println!(
-                "characteristic community of node {q}: {} members, rank {} (via {:?})",
-                ans.size(),
-                ans.rank,
-                ans.source
-            );
-            if let Some(rung) = ans.degraded {
-                println!(
-                    "note: a query limit fired; the answer was served by the \
-                     {rung:?} rung of the degradation ladder (best-effort)"
-                );
-            } else if ans.uncertain {
-                println!(
-                    "note: best-effort answer: the top-k verdict is within sampling noise or \
-                     a sample budget truncated the evaluation (raise --theta, or raise or drop \
-                     --budget)"
-                );
-            }
-            println!(
-                "topology density {:.4}, conductance {:.4}",
-                measures::topology_density(g.csr(), &ans.members),
-                measures::conductance(g.csr(), &ans.members),
-            );
-            let shown = ans.members.len().min(40);
-            println!("members[..{shown}]: {:?}", &ans.members[..shown]);
-            if let Some(trace) = &ans.trace {
-                println!("{}", trace.render_line());
-            }
-            Ok(())
-        }
+        Ok(answer) => print_answer(q, cfg.k, g, answer),
     };
     write_metrics(opts, &engine)?;
     outcome
+}
+
+/// Prints one `cod query` answer.
+fn print_answer(
+    q: NodeId,
+    k: usize,
+    g: &AttributedGraph,
+    answer: Option<CodAnswer>,
+) -> Result<(), String> {
+    let Some(ans) = answer else {
+        outln!("no community where node {q} is top-{k}");
+        return Ok(());
+    };
+    outln!(
+        "characteristic community of node {q}: {} members, rank {} (via {:?})",
+        ans.size(),
+        ans.rank,
+        ans.source
+    );
+    if let Some(rung) = ans.degraded {
+        outln!(
+            "note: a query limit fired; the answer was served by the \
+             {rung:?} rung of the degradation ladder (best-effort)"
+        );
+    } else if ans.uncertain {
+        outln!(
+            "note: best-effort answer: the top-k verdict is within sampling noise or \
+             a sample budget truncated the evaluation (raise --theta, or raise or drop \
+             --budget)"
+        );
+    }
+    outln!(
+        "topology density {:.4}, conductance {:.4}",
+        measures::topology_density(g.csr(), &ans.members),
+        measures::conductance(g.csr(), &ans.members),
+    );
+    let shown = ans.members.len().min(40);
+    outln!("members[..{shown}]: {:?}", &ans.members[..shown]);
+    if let Some(trace) = &ans.trace {
+        outln!("{}", trace.render_line());
+    }
+    Ok(())
 }
 
 /// Writes the engine's Prometheus-style metrics to `--metrics-out`, when
@@ -778,7 +828,7 @@ fn cmd_query_batch(
         match parse_batch_line(opts, &g, method, line) {
             Ok(query) => queries.push(query),
             Err(msg) => {
-                println!("{}:{}: error: {msg}", path.display(), no + 1);
+                outln!("{}:{}: error: {msg}", path.display(), no + 1);
                 bad_lines += 1;
             }
         }
@@ -809,11 +859,11 @@ fn cmd_query_batch(
         match result {
             Err(e) => {
                 errors += 1;
-                println!("node {q}: error: {e}");
+                outln!("node {q}: error: {e}");
             }
             Ok(None) => {
                 none += 1;
-                println!("node {q}: no community where it is top-{}", cfg.k);
+                outln!("node {q}: no community where it is top-{}", cfg.k);
             }
             Ok(Some(ans)) => {
                 let cache = match ans.cache {
@@ -835,14 +885,14 @@ fn cmd_query_batch(
                         }
                     }
                 };
-                println!(
+                outln!(
                     "node {q}: {} members, rank {} (via {:?}{cache}){flag}",
                     ans.size(),
                     ans.rank,
                     ans.source,
                 );
                 if let Some(trace) = &ans.trace {
-                    println!("  {}", trace.render_line());
+                    outln!("  {}", trace.render_line());
                 }
             }
         }
@@ -891,10 +941,10 @@ fn cmd_hierarchy(opts: &Opts) -> Result<(), String> {
         opts_eval,
     )
     .map_err(|e| e.to_string())?;
-    println!("node {q}: |H(q)| = {} communities", chain.len());
-    println!("level | size     | rank(q) | top-{}?", cfg.k);
+    outln!("node {q}: |H(q)| = {} communities", chain.len());
+    outln!("level | size     | rank(q) | top-{}?", cfg.k);
     for h in 0..chain.len().min(opts.levels) {
-        println!(
+        outln!(
             "{h:5} | {:8} | {:7} | {}",
             chain.size(h),
             out.ranks[h],
@@ -902,7 +952,7 @@ fn cmd_hierarchy(opts: &Opts) -> Result<(), String> {
         );
     }
     if chain.len() > opts.levels {
-        println!(
+        outln!(
             "... ({} more levels; raise --levels)",
             chain.len() - opts.levels
         );
@@ -926,16 +976,16 @@ fn cmd_baseline(opts: &Opts) -> Result<(), String> {
         other => return Err(format!("unknown baseline {other:?}")),
     };
     match community {
-        None => println!("{method}: no community for node {q}"),
+        None => outln!("{method}: no community for node {q}"),
         Some(c) => {
-            println!("{method}: {} members", c.len());
-            println!(
+            outln!("{method}: {} members", c.len());
+            outln!(
                 "topology density {:.4}, attribute density {:.4}",
                 measures::topology_density(g.csr(), &c),
                 measures::attribute_density(&g, &c, attr),
             );
             let shown = c.len().min(40);
-            println!("members[..{shown}]: {:?}", &c[..shown]);
+            outln!("members[..{shown}]: {:?}", &c[..shown]);
         }
     }
     Ok(())
@@ -957,7 +1007,7 @@ fn cmd_im(opts: &Opts) -> Result<(), String> {
             let query = Query::new(q, attr, Method::Codl);
             match engine.query(query, &mut rng).map_err(|e| e.to_string())? {
                 Some(ans) => {
-                    println!(
+                    outln!(
                         "scoping to the characteristic community of node {q} ({} members)",
                         ans.size()
                     );
@@ -983,12 +1033,12 @@ fn cmd_im(opts: &Opts) -> Result<(), String> {
         cfg.parallelism,
     );
     let seeds = pool.greedy_seeds(cfg.k);
-    println!("greedy seeds (marginal estimated influence):");
+    outln!("greedy seeds (marginal estimated influence):");
     for (i, (v, gain)) in seeds.iter().enumerate() {
-        println!("  {}. node {v:6}  +{gain:.2}", i + 1);
+        outln!("  {}. node {v:6}  +{gain:.2}", i + 1);
     }
     let total: Vec<NodeId> = seeds.iter().map(|&(v, _)| v).collect();
-    println!("joint estimated influence: {:.2}", pool.estimate(&total));
+    outln!("joint estimated influence: {:.2}", pool.estimate(&total));
     Ok(())
 }
 
@@ -1038,7 +1088,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
             Ok(Arc::new(engine))
         })
         .map_err(|e| format!("binding listener: {e}"))?;
-        println!("recovering; serving on http://{}", recovering.addr());
+        outln!("recovering; serving on http://{}", recovering.addr());
         let _ = std::io::stdout().flush();
         eprintln!("endpoints: /query /query_batch /metrics /healthz /readyz (SIGTERM drains)");
         let handle = recovering
@@ -1077,7 +1127,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     pcod::serve::signal::install_shutdown_handler();
     let handle = pcod::serve::serve(Arc::new(engine), serve_cfg)
         .map_err(|e| format!("binding listener: {e}"))?;
-    println!("serving on http://{}", handle.addr());
+    outln!("serving on http://{}", handle.addr());
     let _ = std::io::stdout().flush();
     eprintln!("endpoints: /query /query_batch /metrics /healthz /readyz (SIGTERM drains)");
     run_until_shutdown(handle, opts)
@@ -1201,7 +1251,7 @@ fn cmd_mutate(opts: &Opts) -> Result<(), String> {
             }
         }
     };
-    println!(
+    outln!(
         "replaying {} events from {} against {} nodes / {} edges (seed {})",
         log.len(),
         log_path.display(),
@@ -1235,7 +1285,7 @@ fn cmd_mutate(opts: &Opts) -> Result<(), String> {
         };
         let applied = replayer.apply(m).map_err(|e| halt(i, i + 1, e))?;
         if !applied {
-            println!(
+            outln!(
                 "[{:>4}] {label:<24} -> no-op (edge already in that state)",
                 i + 1
             );
@@ -1255,10 +1305,10 @@ fn cmd_mutate(opts: &Opts) -> Result<(), String> {
             ),
             FlushOutcome::Rebuilt => "full rebuild".to_string(),
         };
-        println!("[{:>4}] {label:<24} -> {outcome}", i + 1);
+        outln!("[{:>4}] {label:<24} -> {outcome}", i + 1);
     }
     let snap = replayer.inner().metrics_snapshot();
-    println!(
+    outln!(
         "\nreplayed {} events in {:.2?}: {} repairs, {} full rebuilds, {} pools evicted (scoped)",
         log.len(),
         started.elapsed(),
@@ -1266,14 +1316,14 @@ fn cmd_mutate(opts: &Opts) -> Result<(), String> {
         snap.full_rebuilds,
         snap.pool_scoped_evictions
     );
-    println!(
+    outln!(
         "final graph: {} nodes, {} edges",
         replayer.inner().num_nodes(),
         replayer.inner().num_edges()
     );
     if let Replayer::Durable(d) = &mut replayer {
         d.flush_wal().map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "durable state: {} event(s) total, {} in the live WAL over {} \
              ({} WAL append(s), {} fsync(s))",
             d.events_total(),
@@ -1293,7 +1343,7 @@ fn cmd_recover(opts: &Opts) -> Result<(), String> {
     let cfg = opts.cod_config();
     let dcfg = opts.durability_config()?;
     let (mut durable, report) = DurableCod::open(dir, cfg, dcfg).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "recovered {}: checkpoint {} ({} event(s)) + {} WAL event(s) replayed in {:.2?}",
         dir.display(),
         durable.manifest().snapshot,
@@ -1302,16 +1352,17 @@ fn cmd_recover(opts: &Opts) -> Result<(), String> {
         report.wall_time
     );
     if let Some(t) = report.torn_tail {
-        println!(
+        outln!(
             "torn tail truncated: {} byte(s) dropped past offset {}",
-            t.dropped_bytes, t.valid_offset
+            t.dropped_bytes,
+            t.valid_offset
         );
     }
     if report.swept_temps > 0 {
-        println!("swept {} stale temp file(s)", report.swept_temps);
+        outln!("swept {} stale temp file(s)", report.swept_temps);
     }
     let bytes = durable.snapshot_bytes().map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "recovered state: {} nodes, {} edges, {} event(s) total ({} bytes canonical)",
         durable.engine().num_nodes(),
         durable.engine().num_edges(),
@@ -1320,7 +1371,7 @@ fn cmd_recover(opts: &Opts) -> Result<(), String> {
     );
     if let Some(path) = &opts.index {
         std::fs::write(path, &bytes).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("wrote recovered artifacts to {}", path.display());
+        outln!("wrote recovered artifacts to {}", path.display());
     }
     Ok(())
 }
@@ -1335,7 +1386,7 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
         .ok_or("generate needs --out-edges")?;
     let f = std::fs::File::create(edges_path).map_err(|e| e.to_string())?;
     io::write_edge_list(data.graph.csr(), f).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "wrote {} edges to {}",
         data.graph.num_edges(),
         edges_path.display()
@@ -1343,7 +1394,7 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
     if let Some(attrs_path) = &opts.out_attrs {
         let f = std::fs::File::create(attrs_path).map_err(|e| e.to_string())?;
         io::write_attr_list(&data.graph, f).map_err(|e| e.to_string())?;
-        println!("wrote attributes to {}", attrs_path.display());
+        outln!("wrote attributes to {}", attrs_path.display());
     }
     Ok(())
 }

@@ -328,6 +328,96 @@ fn index_with_wrong_graph_is_rejected_under_strict() {
 }
 
 #[test]
+fn index_built_for_another_graph_of_the_same_size_is_rejected() {
+    // Seeds 42 and 7 give cora graphs of the same node count but other
+    // edges: the node-count check alone would accept the file.
+    let idx = TempFile::new("seed42idx", b"");
+    let o = run(&[
+        "index",
+        "--preset",
+        "cora",
+        "--seed",
+        "42",
+        "--index",
+        idx.path(),
+    ]);
+    assert!(o.status.success(), "stderr: {}", stderr(&o));
+    let seven = ["--preset", "cora", "--seed", "7", "--index", idx.path()];
+
+    let mut strict = vec!["query", "--node", "17", "--strict-index"];
+    strict.extend(seven);
+    let o = run(&strict);
+    assert_eq!(o.status.code(), Some(1), "stderr: {}", stderr(&o));
+    let err = assert_clean_failure(&o);
+    assert_eq!(err.trim_end().lines().count(), 1, "not one line: {err}");
+    assert!(err.contains(idx.path()), "error must name the file: {err}");
+    assert!(err.contains("another graph"), "unexpected: {err}");
+
+    // Without --strict-index the unusable file is rebuilt and resaved.
+    let mut lenient = vec!["query", "--node", "17"];
+    lenient.extend(seven);
+    let o = run(&lenient);
+    assert!(o.status.success(), "stderr: {}", stderr(&o));
+    assert!(stderr(&o).contains("unusable"), "stderr: {}", stderr(&o));
+    let o = run(&strict);
+    assert!(o.status.success(), "resaved for seed 7: {}", stderr(&o));
+    assert!(stderr(&o).contains("loaded HIMOR index"));
+
+    // `cod serve` fails fast on a file built for another graph.
+    let mut serve = vec![
+        "serve",
+        "--preset",
+        "cora",
+        "--seed",
+        "42",
+        "--index",
+        idx.path(),
+    ];
+    serve.extend(["--addr", "127.0.0.1:0"]);
+    let o = exit_of_serve(&serve);
+    assert_eq!(o.status.code(), Some(1), "stderr: {}", stderr(&o));
+    assert!(assert_clean_failure(&o).contains("another graph"));
+}
+
+/// Runs `cod serve` with `args` and waits for it to exit by itself (it
+/// must not start serving); kills it and fails after 60 s.
+fn exit_of_serve(args: &[&str]) -> Output {
+    let mut child = Command::new(cod_bin())
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn cod binary");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while child.try_wait().expect("poll cod serve").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("cod serve {args:?} kept running");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    child.wait_with_output().expect("collect cod serve output")
+}
+
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    // `cod stats --preset cora | head -2`: the reader is gone before the
+    // command prints, so every write meets a closed pipe.
+    let mut child = Command::new(cod_bin())
+        .args(["stats", "--preset", "cora"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn cod binary");
+    drop(child.stdout.take());
+    let o = child.wait_with_output().expect("collect cod output");
+    let err = stderr(&o);
+    assert!(!err.contains("panicked"), "panic on a closed stdout: {err}");
+    assert_ne!(o.status.code(), Some(101), "stderr: {err}");
+}
+
+#[test]
 fn serve_fails_fast_on_an_unusable_index() {
     // `cod serve --index FILE` must open FILE: a corrupt or missing file
     // ends startup with a one-line error instead of serving without it.
@@ -335,23 +425,15 @@ fn serve_fails_fast_on_an_unusable_index() {
     let missing = std::env::temp_dir().join(format!("cod_cli_absent_{}.codx", std::process::id()));
     let missing = missing.to_str().expect("utf-8 temp path");
     for path in [idx.path(), missing] {
-        let mut child = Command::new(cod_bin())
-            .args(["serve", "--preset", "cora", "--index", path])
-            .args(["--addr", "127.0.0.1:0"])
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::piped())
-            .spawn()
-            .expect("spawn cod binary");
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        while child.try_wait().expect("poll cod serve").is_none() {
-            if std::time::Instant::now() > deadline {
-                let _ = child.kill();
-                let _ = child.wait();
-                panic!("cod serve kept running with unusable index {path}");
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        let o = child.wait_with_output().expect("collect cod serve output");
+        let o = exit_of_serve(&[
+            "serve",
+            "--preset",
+            "cora",
+            "--index",
+            path,
+            "--addr",
+            "127.0.0.1:0",
+        ]);
         assert_eq!(o.status.code(), Some(1), "stderr: {}", stderr(&o));
         let err = assert_clean_failure(&o);
         assert_eq!(err.trim_end().lines().count(), 1, "not one line: {err}");

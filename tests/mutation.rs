@@ -9,9 +9,15 @@
 //!   scratch after every event (and to a fresh instance fed the whole
 //!   mutation log at once), at 1, 2 and 8 threads, over a randomized
 //!   200-event schedule on the cora-like dataset;
+//! * **reads are engine reads** — after a repaired, a rebuilt and a
+//!   refreshed flush, every [`DynamicCod::query`] equals a fresh
+//!   [`CodEngine::from_parts`] CODL query over the flushed artifacts with
+//!   the same RNG, pooled and unpooled, with pools kept warm across the
+//!   flushes;
 //! * **scoped invalidation** — an attribute edit evicts exactly the pooled
 //!   RR graphs keyed to a touched attribute: disjoint attributes' pools
-//!   stay resident (and still bump the invalidation epoch);
+//!   stay resident (and still bump the invalidation epoch); an edge
+//!   evicts exactly the pools whose `C_ℓ` universe holds an endpoint;
 //! * **cooperative cancellation** — a token fired at the `dendro_repair`
 //!   or `himor_patch` failpoint returns [`CodError::DeadlineExceeded`]
 //!   with every artifact unchanged; the queued mutations survive and the
@@ -25,11 +31,13 @@
 
 use pcod::cod::dynamic::{DynamicCod, FlushOutcome};
 use pcod::cod::failpoint::{self, Action, Site};
-use pcod::cod::Mutation;
+use pcod::cod::{select_recluster_community, AnswerSource, Mutation};
 use pcod::graph::{AttrTable, FxHashSet};
+use pcod::hierarchy::Hierarchy;
 use pcod::prelude::*;
 use proptest::prelude::*;
 use rand::prelude::*;
+use std::sync::Arc;
 use std::sync::Mutex;
 
 /// Serializes the failpoint tests: the registry is process-global.
@@ -293,26 +301,39 @@ fn attribute_edits_evict_only_the_touched_attributes_pools() {
     // Warm the pool cache until at least two distinct attributes own
     // pools (index-fast-path queries build none; the compressed fallback
     // does).
-    let mut per_attr: Vec<(AttrId, usize)> = Vec::new();
+    let mut per_attr: Vec<(AttrId, NodeId, usize)> = Vec::new();
     for q in 0..g.num_nodes() as NodeId {
         let attr = g.node_attrs(q).first().copied().unwrap_or(0);
-        if per_attr.iter().any(|&(a, _)| a == attr) {
+        if per_attr.iter().any(|&(a, ..)| a == attr) {
             continue;
         }
         let before = d.pool_stats().pools;
         let _ = d.query(q, attr, &mut rng).unwrap();
         let after = d.pool_stats().pools;
         if after > before {
-            per_attr.push((attr, after - before));
+            per_attr.push((attr, q, after - before));
             if per_attr.len() >= 2 {
                 break;
             }
         }
     }
-    let [(attr_a, pools_a), (attr_b, _)] = per_attr[..] else {
+    let [(attr_a, _, pools_a), (attr_b, q_b, pools_b)] = per_attr[..] else {
         panic!("no two attributes built pools on this dataset");
     };
     let total = d.pool_stats().pools;
+    // A pooled CODL read samples inside its LORE community C_ℓ: attr_b's
+    // pools span the members of the community LORE picks for (q_b, attr_b).
+    let universe_b = {
+        let (graph, dendro, _) = d.artifacts().unwrap();
+        let lca = LcaIndex::new(dendro);
+        let choice = select_recluster_community(graph, dendro, &lca, q_b, attr_b)
+            .expect("a compressed CODL read had a LORE choice");
+        dendro.members_sorted(choice.vertex)
+    };
+    assert!(
+        universe_b.len() < g.num_nodes(),
+        "attr {attr_b}'s pool is scoped to C_ℓ, not the whole graph"
+    );
     let num_attrs = g.interner().len() as AttrId;
     let attr_c = (0..num_attrs)
         .find(|a| *a != attr_a && *a != attr_b)
@@ -350,16 +371,136 @@ fn attribute_edits_evict_only_the_touched_attributes_pools() {
         evictions_before + pools_a as u64
     );
 
-    // 3. A topology edit: the unrestricted pools (drawn on the whole
-    //    graph) can all be staled by one edge, so residency drops again.
-    let before = d.pool_stats().pools;
+    // 3. Topology edits evict exactly the pools whose universe holds an
+    //    endpoint (only attr_b's pools are resident now). An edge outside
+    //    every universe evicts none; an edge from inside attr_b's universe
+    //    evicts all of attr_b's pools. The epoch moves both times.
+    let inside = |v: NodeId| universe_b.binary_search(&v).is_ok();
+    let absent_edge = |keep: &dyn Fn(NodeId, NodeId) -> bool| {
+        let n = g.num_nodes() as NodeId;
+        (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .find(|&(u, v)| keep(u, v) && !g.csr().has_edge(u, v))
+            .expect("an absent edge of the wanted shape")
+    };
+    let (u, v) = absent_edge(&|u, v| !inside(u) && !inside(v));
     let epoch = d.pool_epoch();
-    assert!(d.insert_edge(290, 295));
-    assert!(
-        d.pool_stats().pools < before,
-        "an edge edit must evict the unrestricted pools"
+    let evictions = d.metrics_snapshot().pool_scoped_evictions;
+    assert!(d.insert_edge(u, v));
+    assert_eq!(
+        d.pool_stats().pools,
+        pools_b,
+        "an edge outside every pool universe must evict nothing"
+    );
+    assert_eq!(d.metrics_snapshot().pool_scoped_evictions, evictions);
+    assert_eq!(d.pool_epoch(), epoch + 1);
+
+    let (u, v) = absent_edge(&|u, v| inside(u) && !inside(v));
+    let epoch = d.pool_epoch();
+    assert!(d.insert_edge(u, v));
+    assert_eq!(
+        d.pool_stats().pools,
+        0,
+        "an edge into attr {attr_b}'s universe must evict its pools"
+    );
+    assert_eq!(
+        d.metrics_snapshot().pool_scoped_evictions,
+        evictions + pools_b as u64
     );
     assert_eq!(d.pool_epoch(), epoch + 1);
+}
+
+/// The answer fields an engine read is compared on: members, rank, source
+/// and the uncertainty flag.
+fn engine_fields(ans: Option<CodAnswer>) -> Option<(Vec<NodeId>, usize, AnswerSource, bool)> {
+    ans.map(|a| (a.members, a.rank, a.source, a.uncertain))
+}
+
+/// Reads through [`DynamicCod::query`] are [`CodEngine`] CODL reads over
+/// the flushed artifacts: after a repaired, a rebuilt and a refreshed
+/// (attribute-only) flush, every target answers exactly like a fresh
+/// `CodEngine::from_parts` over [`DynamicCod::artifacts`] queried with an
+/// equal RNG — pooled (with the dynamic instance's pools kept warm across
+/// the flushes, the fresh engine's cold) and unpooled.
+#[test]
+fn dynamic_reads_equal_engine_codl_over_the_flushed_artifacts() {
+    // Under the CI chaos leg every failpoint crossing sleeps, so the
+    // paper's 10-node example stands in for cora.
+    let (data, targets) = if chaos_armed() {
+        (pcod::datasets::paper_example(), 4)
+    } else {
+        (pcod::datasets::cora_like(1), 128)
+    };
+    let g = &data.graph;
+    let reads = pcod::datasets::gen_queries(g, targets, &mut SmallRng::seed_from_u64(0x51));
+    let absent = (1..g.num_nodes() as NodeId)
+        .find(|&v| !g.csr().has_edge(0, v))
+        .expect("node 0 is not adjacent to every node");
+    let (ru, rv) = g.csr().edges().next().expect("the graph has an edge");
+    let node = reads[0].0;
+    let other = (0..g.num_attrs() as AttrId)
+        .find(|a| !g.node_attrs(node).contains(a))
+        .expect("an attribute the node lacks");
+    for pool in [false, true] {
+        let cfg = CodConfig {
+            pool,
+            parallelism: Parallelism::Threads(1),
+            ..CodConfig::default()
+        };
+        let mut d = DynamicCod::with_seed(g, cfg, 0x5EED).unwrap();
+        // Each edit with the rebuild threshold that steers its flush.
+        let steps = [
+            (Mutation::InsertEdge { u: 0, v: absent }, 10.0, "repaired"),
+            (Mutation::RemoveEdge { u: ru, v: rv }, 0.0, "rebuilt"),
+            (
+                Mutation::SetAttrs {
+                    node,
+                    attrs: vec![other],
+                },
+                0.0,
+                "refreshed",
+            ),
+        ];
+        for (step, (m, threshold, want)) in steps.into_iter().enumerate() {
+            d.set_rebuild_threshold(threshold);
+            assert!(d.apply(&m).unwrap(), "step {step}: {m:?} applies");
+            let got = match d.flush().unwrap().outcome {
+                FlushOutcome::Noop => "noop",
+                FlushOutcome::Refreshed => "refreshed",
+                FlushOutcome::Repaired { .. } => "repaired",
+                FlushOutcome::Rebuilt => "rebuilt",
+            };
+            assert_eq!(got, want, "step {step}: {m:?}");
+            let fresh = {
+                let (graph, dendro, index) = d.artifacts().unwrap();
+                CodEngine::from_parts(
+                    Arc::new(graph.clone()),
+                    cfg,
+                    Arc::new(Hierarchy::new(dendro.clone())),
+                    Arc::new(index.clone()),
+                )
+            };
+            let mut differ = Vec::new();
+            for (i, &(q, attr)) in reads.iter().enumerate() {
+                let seed = 1000 * step as u64 + i as u64;
+                let ours = d.query(q, attr, &mut SmallRng::seed_from_u64(seed));
+                let theirs = fresh.query(
+                    Query::new(q, attr, Method::Codl),
+                    &mut SmallRng::seed_from_u64(seed),
+                );
+                if engine_fields(ours.unwrap()) != engine_fields(theirs.unwrap()) {
+                    differ.push((q, attr));
+                }
+            }
+            assert!(
+                differ.is_empty(),
+                "pool {pool}, {got} flush: {} of {} reads differ from the engine's, first {:?}",
+                differ.len(),
+                reads.len(),
+                differ.first()
+            );
+        }
+    }
 }
 
 /// A small path-plus-star graph for the cancellation tests (cheap builds,

@@ -355,7 +355,8 @@ fn trace_render_line_mentions_each_phase_and_counter_group() {
 /// decisions and scoped pool evictions all land in the registry snapshot
 /// and come out of the Prometheus exposition under their stable names —
 /// the same families `cod-serve`'s `/metrics` publishes (there with zero
-/// values, asserted in the serve suite).
+/// values, asserted in the serve suite). Reads land in the same registry,
+/// beside the writes.
 #[test]
 fn mutation_counters_flow_through_the_exposition() {
     use pcod::cod::dynamic::DynamicCod;
@@ -377,8 +378,20 @@ fn mutation_counters_flow_through_the_exposition() {
     d.set_rebuild_threshold(0.0);
     assert!(d.insert_edge(2, 62));
     let _ = d.flush().unwrap(); // one forced full rebuild
+    let reads = 12;
+    for q in 0..reads as NodeId {
+        let attr = g.node_attrs(q).first().copied().unwrap_or(0);
+        d.query(q, attr, &mut SmallRng::seed_from_u64(u64::from(q)))
+            .unwrap();
+    }
 
     let snap = d.metrics_snapshot();
+    assert_eq!(snap.queries, reads);
+    assert_eq!(
+        snap.answers_index + snap.answers_compressed + snap.answers_none,
+        reads
+    );
+    assert_eq!(snap.errors, 0);
     assert_eq!(snap.mutations_insert, 3);
     assert_eq!(snap.mutations_remove, 1);
     assert_eq!(snap.mutations_set_attrs, 1);
@@ -393,6 +406,7 @@ fn mutation_counters_flow_through_the_exposition() {
         "cod_repairs_total 1",
         "cod_full_rebuilds_total 1",
         "cod_pool_scoped_evictions_total",
+        "cod_queries_total 12",
     ] {
         assert!(
             text.contains(needle),
