@@ -3,12 +3,15 @@
 //! and flushed after every event — the streaming model where queries
 //! interleave with mutations, so the engine must be consistent after each
 //! edge. The repair leg takes the localized splice + HIMOR patch path
-//! (verification off: that is the production streaming configuration; the
-//! verified mode reruns the full clustering purely to prove equivalence
-//! and is exercised by `tests/mutation.rs` instead). The rebuild leg pins
-//! the rebuild threshold to zero so the identical stream is absorbed by
-//! full from-scratch rebuilds. The `repair_vs_rebuild` ratio gate in
-//! `bench_report` holds the repair leg to a fraction of the rebuild leg.
+//! with verification off, to time the splice alone. `DynamicCod` and
+//! `DurableCod` verify by default: the verified mode also reruns the full
+//! clustering so the repaired hierarchy equals a rebuild's, and without it
+//! a reopened `DurableCod`, whose recovery rebuilds, can differ from the
+//! live one (`tests/mutation.rs` exercises the verified mode). The rebuild
+//! leg pins the rebuild threshold to zero so the identical stream is
+//! absorbed by full from-scratch rebuilds. The `repair_vs_rebuild` ratio
+//! gate in `bench_report` holds the repair leg to a fraction of the
+//! rebuild leg.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -12,11 +12,12 @@
 //!   table; nothing is re-sorted or re-hashed per event;
 //! * **the hierarchy is repaired, not rebuilt** — on flush, linkage is
 //!   re-run only along the leaf-to-root paths of touched nodes
-//!   ([`repair_merges`]) and the HIMOR index is patched by
-//!   redrawing only the RR samples whose node sets intersect the
-//!   footprint ([`crate::himor::HimorPatchState::patch`]); a full rebuild happens only
-//!   when the edit volume crosses `rebuild_threshold` or the node range
-//!   grows;
+//!   ([`repair_merges`]) and the HIMOR index is patched: only the RR
+//!   samples that hold an edited node are redrawn, and those that reach
+//!   only the disturbed region are recorded anew from their retained draws
+//!   ([`crate::himor::HimorPatchState::patch`]); a full rebuild happens
+//!   only when the edit volume crosses `rebuild_threshold` or the node
+//!   range grows;
 //! * **reads go through [`CodEngine`]** — the flushed graph, hierarchy
 //!   and index are swapped into one engine in place, and every query is
 //!   its CODL query (Algorithm 3): an index hit answers from the index;
@@ -40,6 +41,7 @@
 //! flushes happened.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use cod_graph::{AttrId, AttrInterner, AttrTable, AttributedGraph, Csr, DeltaCsr, NodeId};
 use cod_hierarchy::{match_vertices, repair_merges, Dendrogram, Hierarchy, RepairOutcome};
@@ -70,10 +72,13 @@ pub enum FlushOutcome {
         /// Whether the localized splice survived verification (false
         /// means verification fell back to recomputed merges).
         spliced: bool,
-        /// RR samples whose node sets touched the footprint and were
-        /// redrawn on the new topology.
+        /// RR samples that held an edited node and were redrawn on the
+        /// new topology.
         samples_redrawn: u64,
-        /// Total retained samples (`Θ`), the redraw denominator.
+        /// RR samples that held a disturbed leaf but no edited node: their
+        /// retained draws were recorded anew under the repaired tree.
+        samples_rerecorded: u64,
+        /// Total retained samples (`Θ`), the denominator of both counts.
         samples_total: u64,
     },
     /// The hierarchy and index were rebuilt from scratch.
@@ -147,7 +152,7 @@ pub struct DynamicCod {
     /// [`MutationLog::save`] and replayable with [`DynamicCod::apply`].
     log: MutationLog,
     /// Run the splice-vs-recluster cross-check on every repair (default
-    /// true; turn off to benchmark the splice alone).
+    /// true; see [`DynamicCod::set_repair_verification`]).
     verify_repairs: bool,
     /// Events applied since the last flush (the next report's `events`).
     unflushed: usize,
@@ -259,6 +264,14 @@ impl DynamicCod {
 
     /// Toggles the splice-vs-recluster verification cross-check run on
     /// every repair (on by default).
+    ///
+    /// With it on, a repaired hierarchy has exactly the community families
+    /// a rebuild would have, so every flushed artifact equals a
+    /// from-scratch build of the mutated graph. With it off the splice
+    /// stands unchecked and can keep families a rebuild would not: the
+    /// flush is cheaper, but answers can drift from a rebuild's, and a
+    /// reopened [`crate::DurableCod`], whose recovery rebuilds, can differ
+    /// from the live instance.
     pub fn set_repair_verification(&mut self, on: bool) {
         self.verify_repairs = on;
     }
@@ -433,6 +446,9 @@ impl DynamicCod {
     /// Localized repair: splice the dendrogram along the touched
     /// leaf-to-root paths and patch the HIMOR index, committing only when
     /// both succeed (a cancelled repair leaves every artifact as it was).
+    /// The registry receives the wall-clock time of the `repair` stage
+    /// (splice, verification, tree and diff) and of the `himor_patch`
+    /// stage of every repair that commits.
     fn repair_governed(&mut self, cancel: Option<&CancelToken>) -> CodResult<FlushOutcome> {
         let new_csr = self.topo.materialize();
         let touched = self.topo.touched_nodes();
@@ -440,6 +456,7 @@ impl DynamicCod {
         if cancel.is_some_and(CancelToken::should_stop) {
             return Err(CodError::DeadlineExceeded);
         }
+        let repair_start = Instant::now();
         let cfg = *self.engine.config();
         let cache = &mut self.cache;
         let old = &cache.hier;
@@ -455,6 +472,7 @@ impl DynamicCod {
         let Some(mut patch) = cache.patch.take() else {
             unreachable!("flush checked the patch state before choosing repair")
         };
+        let patch_start = Instant::now();
         let patched = patch.patch(
             &new_csr,
             cfg.model,
@@ -472,13 +490,19 @@ impl DynamicCod {
             cache.patch = Some(patch);
             return Err(CodError::DeadlineExceeded);
         };
+        let patch_end = Instant::now();
         cache.hier = Arc::new(new);
         cache.index = Arc::new(index);
         cache.patch = Some(patch);
         self.install(new_csr);
+        self.engine.metrics_registry().record_flush_phases(
+            (patch_start - repair_start).as_nanos() as u64,
+            (patch_end - patch_start).as_nanos() as u64,
+        );
         Ok(FlushOutcome::Repaired {
             spliced: rr.outcome == RepairOutcome::Spliced,
             samples_redrawn: stats.samples_redrawn,
+            samples_rerecorded: stats.samples_rerecorded,
             samples_total: stats.samples_total,
         })
     }

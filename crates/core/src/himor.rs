@@ -676,13 +676,31 @@ fn merge_sorted(runs: [&mut dyn Iterator<Item = &(u32, NodeId)>; 3], out: &mut V
 /// Effort counters of one incremental HIMOR patch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PatchStats {
-    /// RR samples subtracted and redrawn (their node sets touched the
-    /// mutation's footprint).
+    /// RR samples redrawn on the new topology: their draws activated an
+    /// edited node, so they may differ.
     pub samples_redrawn: u64,
-    /// Total retained samples (`Θ`): the denominator of the redraw rate.
+    /// RR samples recorded anew from their retained draws: they reach a
+    /// disturbed leaf, so their tags may change, but no edited node, so
+    /// their draws cannot.
+    pub samples_rerecorded: u64,
+    /// Total retained samples (`Θ`): the denominator of both rates.
     pub samples_total: u64,
     /// Old-tree buckets re-keyed onto surviving communities unchanged.
     pub buckets_rekeyed: u64,
+}
+
+/// How far a mutation reaches into one retained sample, ordered by the
+/// work the patch must do for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Reach {
+    /// No node of the sample is disturbed or edited: its bucket
+    /// contributions are re-keyed unchanged.
+    Clear,
+    /// The sample holds a disturbed leaf but no edited node: its draw
+    /// stands, its tags under the new tree may not.
+    Disturbed,
+    /// The sample holds an edited node: its draw may change.
+    Edited,
 }
 
 /// Retained construction state of a [`HimorIndex::build_patchable`]
@@ -692,10 +710,12 @@ pub struct PatchStats {
 /// After a graph mutation repairs the dendrogram, [`HimorPatchState::patch`]
 /// produces the index a full `build` on the new graph would produce —
 /// bit-identically, because sample `i` is a pure function of
-/// `(graph, model, seed, i)` and only samples whose node set touches the
-/// mutation footprint can change. Everything else keeps its old draw, and
-/// its bucket contributions are re-keyed through the old→new community
-/// matching of [`cod_hierarchy::repair::match_vertices`].
+/// `(graph, model, seed, i)` and a draw reads only the adjacency rows of
+/// the nodes it activates ([`RrSampler::sample_into`]). A sample that
+/// holds an edited node is redrawn; one that holds only disturbed leaves
+/// keeps its draw and is recorded anew under the new tree; everything
+/// else keeps its bucket contributions, re-keyed through the old→new
+/// community matching of [`cod_hierarchy::repair::match_vertices`].
 #[derive(Clone, Debug)]
 pub struct HimorPatchState {
     seeds: SeedSequence,
@@ -739,11 +759,16 @@ impl HimorPatchState {
     /// would return, bit for bit, plus patch-effort counters.
     ///
     /// Only RR samples whose node set intersects the footprint (disturbed
-    /// leaves ∪ edited nodes) are subtracted and redrawn; the redraw loop
-    /// polls `cancel` (and the `himor_patch` failpoint) every
-    /// `CHECK_EVERY` samples. On cancellation — or on an internal
-    /// inconsistency — the state is left **unmodified** and `None` is
-    /// returned, so the caller can retry or fall back to a full rebuild.
+    /// leaves ∪ edited nodes) are subtracted under the old tree and
+    /// recorded under the new one. Of those, only the samples holding an
+    /// edited node are redrawn with their per-index seeds; the rest read
+    /// only unchanged adjacency rows, so their retained draws are what a
+    /// redraw would produce and are recorded as they stand. The record
+    /// loop polls `cancel` (and the `himor_patch` failpoint) every
+    /// `CHECK_EVERY` samples of either kind, charging the redraws' RR
+    /// edges. On cancellation — or on an internal inconsistency — the
+    /// state is left **unmodified** and `None` is returned, so the caller
+    /// can retry or fall back to a full rebuild.
     #[allow(clippy::too_many_arguments)] // two hierarchies plus the token
     pub fn patch(
         &mut self,
@@ -763,22 +788,31 @@ impl HimorPatchState {
         assert_eq!(old_dendro.num_leaves(), n);
         debug_assert_eq!(self.buckets.len(), old_dendro.num_vertices());
 
-        // Footprint: a sample must be redrawn iff its node set touches a
+        // Footprint: a sample is affected iff its node set touches a
         // disturbed leaf (ancestor chain changed in either tree) or an
         // edited node (its own adjacency draws change).
-        let mut hot = vec![false; n];
-        for (v, slot) in hot.iter_mut().enumerate() {
-            *slot = diff.disturbed[v];
-        }
+        let mut reach: Vec<Reach> = diff
+            .disturbed
+            .iter()
+            .map(|&d| if d { Reach::Disturbed } else { Reach::Clear })
+            .collect();
         for &v in edited {
-            hot[v as usize] = true;
+            reach[v as usize] = Reach::Edited;
         }
-        let affected: Vec<u32> = self
+        let affected: Vec<(u32, bool)> = self
             .samples
             .iter()
             .enumerate()
-            .filter(|(_, rr)| rr.nodes().iter().any(|&u| hot[u as usize]))
-            .map(|(i, _)| i as u32)
+            .filter_map(|(i, rr)| {
+                let mut most = Reach::Clear;
+                for &u in rr.nodes() {
+                    most = most.max(reach[u as usize]);
+                    if most == Reach::Edited {
+                        break;
+                    }
+                }
+                (most != Reach::Clear).then_some((i as u32, most == Reach::Edited))
+            })
             .collect();
 
         // Shared traversal scratch sized for both trees.
@@ -796,7 +830,7 @@ impl HimorPatchState {
         // Subtract the affected samples' contributions under the old tree.
         let mut tmp = self.buckets.clone();
         let mut underflow = false;
-        for &i in &affected {
+        for &(i, _) in &affected {
             HimorIndex::hfs_visit_tree(
                 old_dendro,
                 old_lca,
@@ -843,12 +877,13 @@ impl HimorPatchState {
             }
         }
 
-        // Redraw the affected samples on the new topology with their
-        // original per-index seeds, recording against the new tree.
+        // Record every affected sample against the new tree: redraw it on
+        // the new topology with its original per-index seed when it holds
+        // an edited node, and take its retained draw otherwise.
         let mut sampler = RrSampler::new(g, model);
         let mut charged = sampler.stats();
-        let mut redrawn: Vec<(u32, RrGraph)> = Vec::with_capacity(affected.len());
-        for (off, &i) in affected.iter().enumerate() {
+        let mut redrawn: Vec<(u32, RrGraph)> = Vec::new();
+        for (off, &(i, redraw)) in affected.iter().enumerate() {
             if off % CHECK_EVERY == 0 {
                 failpoint::hit(failpoint::Site::HimorPatch, cancel);
                 if let Some(tok) = cancel {
@@ -860,19 +895,23 @@ impl HimorPatchState {
                     }
                 }
             }
-            let mut rng = self.seeds.rng_for(u64::from(i));
-            let rr = sampler.sample_uniform(&mut rng);
+            let rr = if redraw {
+                let mut rng = self.seeds.rng_for(u64::from(i));
+                redrawn.push((i, sampler.sample_uniform(&mut rng)));
+                &redrawn[redrawn.len() - 1].1
+            } else {
+                &self.samples[i as usize]
+            };
             HimorIndex::hfs_visit_tree(
                 new_dendro,
                 new_lca,
-                &rr,
+                rr,
                 &mut queues,
                 &mut explored,
                 |tag, node| {
                     *buckets[tag as usize].entry(node).or_insert(0) += 1;
                 },
             );
-            redrawn.push((i, rr));
         }
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return None;
@@ -881,15 +920,16 @@ impl HimorPatchState {
         // Rank merge over a copy, keeping the master buckets for the next
         // patch. Commit only once the whole pipeline succeeded.
         let ranks = HimorIndex::merge_stage(new_dendro, &buckets, par.thread_count(), cancel)?;
+        let stats = PatchStats {
+            samples_redrawn: redrawn.len() as u64,
+            samples_rerecorded: (affected.len() - redrawn.len()) as u64,
+            samples_total: self.theta as u64,
+            buckets_rekeyed: rekeyed,
+        };
         for (i, rr) in redrawn {
             self.samples[i as usize] = rr;
         }
         self.buckets = buckets;
-        let stats = PatchStats {
-            samples_redrawn: affected.len() as u64,
-            samples_total: self.theta as u64,
-            buckets_rekeyed: rekeyed,
-        };
         let sampled = sampler.stats();
         let index = HimorIndex {
             ranks: RankTable::from_nested(ranks),
@@ -1204,6 +1244,101 @@ mod tests {
                 );
             }
             assert!(stats.samples_redrawn <= stats.samples_total);
+        }
+    }
+
+    #[test]
+    fn patched_state_equals_a_fresh_patchable_build_across_a_chain() {
+        use cod_hierarchy::{match_vertices, repair_merges};
+
+        let graph = |n: usize, edges: &[(u32, u32)]| {
+            let mut b = GraphBuilder::new(n);
+            for &(u, v) in edges {
+                b.add_edge(u, v);
+            }
+            b.build()
+        };
+        let (n, theta) = (16usize, 30usize);
+        let par = Parallelism::Threads(2);
+        let mut rng = SmallRng::seed_from_u64(2024);
+        let models = [
+            Model::WeightedCascade,
+            Model::UniformIc(0.3),
+            Model::LinearThreshold,
+            Model::RandomK(2),
+        ];
+        for (seed, model) in (300u64..).zip(models) {
+            // Sorted edge list of a random graph.
+            let mut edges = Vec::new();
+            for u in 0..n as u32 {
+                for v in u + 1..n as u32 {
+                    if rng.random_bool(0.2) {
+                        edges.push((u, v));
+                    }
+                }
+            }
+            let g = graph(n, &edges);
+            let (mut d, mut lca) = setup(&g);
+            let (_, mut state) =
+                HimorIndex::build_patchable(&g, model, &d, &lca, theta, seed, par, None).unwrap();
+            let (mut redrawn, mut rerecorded) = (0, 0);
+            for step in 0..8 {
+                // Toggle one or two distinct node pairs.
+                let mut toggled: Vec<(u32, u32)> = Vec::new();
+                let count = rng.random_range(1..3usize);
+                while toggled.len() < count {
+                    let u = rng.random_range(0..n as u32);
+                    let v = (u + rng.random_range(1..n as u32)) % n as u32;
+                    let e = (u.min(v), u.max(v));
+                    if toggled.contains(&e) {
+                        continue;
+                    }
+                    toggled.push(e);
+                    match edges.binary_search(&e) {
+                        Ok(at) => {
+                            edges.remove(at);
+                        }
+                        Err(at) => edges.insert(at, e),
+                    }
+                }
+                let mut edited: Vec<u32> = toggled.iter().flat_map(|&(u, v)| [u, v]).collect();
+                edited.sort_unstable();
+                edited.dedup();
+                let g1 = graph(n, &edges);
+                let repair = repair_merges(&d, &g1, &edited, Linkage::Average, true);
+                let d1 = Dendrogram::from_merges(n, &repair.merges);
+                let lca1 = LcaIndex::new(&d1);
+                let diff = match_vertices(&d, &d1);
+                let holding_edited = state
+                    .samples
+                    .iter()
+                    .filter(|rr| rr.nodes().iter().any(|u| edited.contains(u)))
+                    .count() as u64;
+                let (patched, stats) = state
+                    .patch(&g1, model, &d, &lca, &d1, &lca1, &diff, &edited, par, None)
+                    .unwrap();
+                let ctx = format!("{model:?} step {step} toggling {toggled:?}");
+                let (fresh_index, fresh) =
+                    HimorIndex::build_patchable(&g1, model, &d1, &lca1, theta, seed, par, None)
+                        .unwrap();
+                assert!(state.samples == fresh.samples, "{ctx}: retained samples");
+                assert!(state.buckets == fresh.buckets, "{ctx}: master buckets");
+                for q in 0..n as NodeId {
+                    assert_eq!(
+                        patched.ranks_of(q),
+                        fresh_index.ranks_of(q),
+                        "{ctx}: rank row of {q}"
+                    );
+                }
+                assert_eq!(stats.samples_redrawn, holding_edited, "{ctx}: redraws");
+                redrawn += stats.samples_redrawn;
+                rerecorded += stats.samples_rerecorded;
+                (d, lca) = (d1, lca1);
+            }
+            assert!(
+                redrawn > 0 && rerecorded > 0,
+                "{model:?}: the chain redrew {redrawn} and re-recorded {rerecorded} samples"
+            );
         }
     }
 

@@ -495,8 +495,10 @@ impl DurableCod {
     }
 
     /// Passthrough: toggle the inner engine's repair self-verification
-    /// (off is the production streaming configuration; see
-    /// [`DynamicCod::set_repair_verification`]).
+    /// (on by default; see [`DynamicCod::set_repair_verification`]). Turning
+    /// it off trades exactness for speed: recovery rebuilds the hierarchy,
+    /// so a reopened instance can then differ from the live one whose
+    /// splices went unverified.
     pub fn set_repair_verification(&mut self, on: bool) {
         self.inner.set_repair_verification(on);
     }

@@ -417,6 +417,8 @@ pub struct MetricsRegistry {
     mutations_set_attrs: AtomicU64,
     repairs: AtomicU64,
     full_rebuilds: AtomicU64,
+    repair_nanos: AtomicU64,
+    himor_patch_nanos: AtomicU64,
     pool_scoped_evictions: AtomicU64,
     wal_appended_records: AtomicU64,
     wal_fsyncs: AtomicU64,
@@ -446,6 +448,8 @@ impl Default for MetricsRegistry {
             mutations_set_attrs: AtomicU64::new(0),
             repairs: AtomicU64::new(0),
             full_rebuilds: AtomicU64::new(0),
+            repair_nanos: AtomicU64::new(0),
+            himor_patch_nanos: AtomicU64::new(0),
             pool_scoped_evictions: AtomicU64::new(0),
             wal_appended_records: AtomicU64::new(0),
             wal_fsyncs: AtomicU64::new(0),
@@ -543,6 +547,15 @@ impl MetricsRegistry {
         self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Adds the wall-clock nanoseconds of one repaired flush's stages:
+    /// `repair` (dendrogram splice, verification, tree and diff) and
+    /// `himor_patch`.
+    pub fn record_flush_phases(&self, repair_nanos: u64, himor_patch_nanos: u64) {
+        self.repair_nanos.fetch_add(repair_nanos, Ordering::Relaxed);
+        self.himor_patch_nanos
+            .fetch_add(himor_patch_nanos, Ordering::Relaxed);
+    }
+
     /// Tallies `n` RR pools dropped by scoped (footprint-driven)
     /// invalidation — pools that survived a mutation are the difference
     /// between this and the mutation count.
@@ -607,6 +620,8 @@ impl MetricsRegistry {
             mutations_set_attrs: load(&self.mutations_set_attrs),
             repairs: load(&self.repairs),
             full_rebuilds: load(&self.full_rebuilds),
+            repair_nanos: load(&self.repair_nanos),
+            himor_patch_nanos: load(&self.himor_patch_nanos),
             pool_scoped_evictions: load(&self.pool_scoped_evictions),
             wal_appended_records: load(&self.wal_appended_records),
             wal_fsyncs: load(&self.wal_fsyncs),
@@ -663,6 +678,12 @@ pub struct MetricsSnapshot {
     pub repairs: u64,
     /// Mutation batches that forced a full from-scratch rebuild.
     pub full_rebuilds: u64,
+    /// Wall-clock nanoseconds of the `repair` stage (splice, verification,
+    /// tree and diff) of every repaired flush.
+    pub repair_nanos: u64,
+    /// Wall-clock nanoseconds of the `himor_patch` stage of every repaired
+    /// flush.
+    pub himor_patch_nanos: u64,
     /// RR pools dropped by scoped (footprint-driven) invalidation.
     pub pool_scoped_evictions: u64,
     /// Records appended to the write-ahead log.
@@ -787,6 +808,21 @@ impl MetricsSnapshot {
                 out,
                 "cod_phase_seconds_total{{phase=\"{}\"}} {:.9}",
                 p.name(),
+                nanos as f64 / 1e9
+            );
+        }
+        let _ = writeln!(
+            out,
+            "# HELP cod_flush_phase_seconds_total wall-clock per stage of repaired flushes"
+        );
+        let _ = writeln!(out, "# TYPE cod_flush_phase_seconds_total counter");
+        for (phase, nanos) in [
+            ("repair", self.repair_nanos),
+            ("himor_patch", self.himor_patch_nanos),
+        ] {
+            let _ = writeln!(
+                out,
+                "cod_flush_phase_seconds_total{{phase=\"{phase}\"}} {:.9}",
                 nanos as f64 / 1e9
             );
         }
@@ -983,6 +1019,7 @@ mod tests {
         reg.record_mutation(MutationKind::RemoveEdge);
         reg.record_mutation(MutationKind::SetAttrs);
         reg.record_repair();
+        reg.record_flush_phases(2_500_000, 1_000);
         reg.record_full_rebuild();
         reg.record_full_rebuild();
         reg.record_pool_scoped_evictions(3);
@@ -991,6 +1028,8 @@ mod tests {
         assert_eq!(snap.mutations_remove, 1);
         assert_eq!(snap.mutations_set_attrs, 1);
         assert_eq!(snap.repairs, 1);
+        assert_eq!(snap.repair_nanos, 2_500_000);
+        assert_eq!(snap.himor_patch_nanos, 1_000);
         assert_eq!(snap.full_rebuilds, 2);
         assert_eq!(snap.pool_scoped_evictions, 3);
         let cache = crate::cache::CacheStats::default();
@@ -1000,6 +1039,8 @@ mod tests {
         assert!(text.contains("cod_mutations_total{kind=\"remove\"} 1"));
         assert!(text.contains("cod_mutations_total{kind=\"set_attrs\"} 1"));
         assert!(text.contains("cod_repairs_total 1"));
+        assert!(text.contains("cod_flush_phase_seconds_total{phase=\"repair\"} 0.002500000"));
+        assert!(text.contains("cod_flush_phase_seconds_total{phase=\"himor_patch\"} 0.000001000"));
         assert!(text.contains("cod_full_rebuilds_total 2"));
         assert!(text.contains("cod_pool_scoped_evictions_total 3"));
         let helps = text.matches("# HELP").count();

@@ -23,7 +23,7 @@
 //! repaired hierarchy — which old communities survive (and as which new
 //! vertex), and which leaves sit under a changed community. The HIMOR patch
 //! uses it to re-key unaffected bucket contributions and to bound the set of
-//! RR samples that must be redrawn.
+//! RR samples that must be recorded anew under the repaired tree.
 
 use cod_graph::{Csr, FxHashMap, NodeId};
 

@@ -58,6 +58,12 @@ impl Model {
     /// Every incident coin is tested (not only toward inactive nodes); the
     /// caller records all live edges, which is what the possible-world
     /// coupling of Theorem 2 requires.
+    ///
+    /// Under every model the expansion reads only `g.neighbors(v)`: the row
+    /// of the node it expands, never a neighbor's degree or row. Its output
+    /// and the RNG draws it consumes are a function of that row alone, so an
+    /// edit to any other node's adjacency cannot change them. The HIMOR
+    /// patch relies on this to keep the draws that activate no edited node.
     #[inline]
     pub fn reverse_expand<R: Rng>(&self, g: &Csr, v: NodeId, rng: &mut R, out: &mut Vec<NodeId>) {
         let neigh = g.neighbors(v);

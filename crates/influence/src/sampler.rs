@@ -222,6 +222,13 @@ impl<'g> RrSampler<'g> {
     /// The BFS settles nodes in local-index order, so each node's CSR row
     /// is complete before the next opens and is written straight into
     /// `out` with no edge list to sort afterwards.
+    ///
+    /// A draw reads only the adjacency rows of the nodes it activates
+    /// (every node of `out`, the source included): each is expanded once by
+    /// [`Model::reverse_expand`], which reads its row alone. So the same
+    /// `source` and RNG state give the same graph on any topology that
+    /// agrees on those rows — the HIMOR patch keeps every retained draw
+    /// that holds no edited node instead of redrawing it.
     pub fn sample_into<R: Rng>(
         &mut self,
         source: NodeId,

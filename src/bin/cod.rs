@@ -1298,9 +1298,11 @@ fn cmd_mutate(opts: &Opts) -> Result<(), String> {
             FlushOutcome::Repaired {
                 spliced,
                 samples_redrawn,
+                samples_rerecorded,
                 samples_total,
             } => format!(
-                "repaired ({}, {samples_redrawn}/{samples_total} samples redrawn)",
+                "repaired ({}, {samples_redrawn} redrawn + {samples_rerecorded} re-recorded \
+                 of {samples_total} samples)",
                 if spliced { "spliced" } else { "recomputed" }
             ),
             FlushOutcome::Rebuilt => "full rebuild".to_string(),

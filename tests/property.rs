@@ -399,6 +399,50 @@ proptest! {
         }
     }
 
+    /// A draw reads only the adjacency rows of the nodes it activates
+    /// (the contract of `Model::reverse_expand` and
+    /// `RrSampler::sample_into`, which the HIMOR patch relies on): under
+    /// every model, a seeded draw that avoids both endpoints of a toggled
+    /// edge is the same RR graph on the toggled graph. `RrGraph` equality
+    /// compares nodes, offsets and targets.
+    #[test]
+    fn a_draw_that_avoids_a_toggled_edge_is_unchanged(
+        n in 3usize..30,
+        extra in 0usize..50,
+        gseed in 0u64..1000,
+        a in 0u32..1000,
+        b in 0u32..1000,
+        master in 0u64..u64::MAX,
+        index in 0u64..10_000,
+    ) {
+        let g = random_graph(n, extra, gseed);
+        let u = a % n as u32;
+        let v = (u + 1 + b % (n as u32 - 1)) % n as u32;
+        let mut builder = GraphBuilder::new(n);
+        for (x, y) in g.edges().filter(|&e| e != (u.min(v), u.max(v))) {
+            builder.add_edge(x, y);
+        }
+        if !g.has_edge(u, v) {
+            builder.add_edge(u, v);
+        }
+        let toggled = builder.build();
+        prop_assert_ne!(g.has_edge(u, v), toggled.has_edge(u, v));
+        let seq = SeedSequence::new(master);
+        for model in [
+            Model::WeightedCascade,
+            Model::UniformIc(0.3),
+            Model::LinearThreshold,
+            Model::RandomK(2),
+        ] {
+            let before = RrSampler::new(&g, model).sample_uniform(&mut seq.rng_for(index));
+            if before.nodes().contains(&u) || before.nodes().contains(&v) {
+                continue;
+            }
+            let after = RrSampler::new(&toggled, model).sample_uniform(&mut seq.rng_for(index));
+            prop_assert_eq!(&before, &after, "{:?} toggling ({}, {})", model, u, v);
+        }
+    }
+
     /// Under deterministic worlds (`UniformIc(1.0)`, every coin live) the
     /// restricted sample equals reachability-within-the-restriction on the
     /// unrestricted sample — Theorem 2's possible-world coupling, checkable

@@ -139,6 +139,8 @@ fn all_endpoints_answer_with_documented_statuses() {
         "cod_mutations_total{kind=\"set_attrs\"}",
         "cod_repairs_total",
         "cod_full_rebuilds_total",
+        "cod_flush_phase_seconds_total{phase=\"repair\"}",
+        "cod_flush_phase_seconds_total{phase=\"himor_patch\"}",
         "cod_pool_scoped_evictions_total",
     ] {
         assert!(b.contains(needle), "metrics missing {needle}: {b}");

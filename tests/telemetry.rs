@@ -352,14 +352,15 @@ fn trace_render_line_mentions_each_phase_and_counter_group() {
 }
 
 /// Mutation telemetry flows end to end: applied events, repair/rebuild
-/// decisions and scoped pool evictions all land in the registry snapshot
+/// decisions, the stage timings of repaired flushes (and only of those)
+/// and scoped pool evictions all land in the registry snapshot
 /// and come out of the Prometheus exposition under their stable names —
 /// the same families `cod-serve`'s `/metrics` publishes (there with zero
 /// values, asserted in the serve suite). Reads land in the same registry,
 /// beside the writes.
 #[test]
 fn mutation_counters_flow_through_the_exposition() {
-    use pcod::cod::dynamic::DynamicCod;
+    use pcod::cod::dynamic::{DynamicCod, FlushOutcome};
     let data = pcod::datasets::amazon_like_scaled(120, 8);
     let g = &data.graph;
     let cfg = CodConfig {
@@ -375,6 +376,15 @@ fn mutation_counters_flow_through_the_exposition() {
     assert!(d.remove_edge(0, 60));
     d.set_attrs(5, vec![0]).unwrap();
     let _ = d.flush().unwrap(); // one localized repair
+    let repaired = d.metrics_snapshot();
+    assert!(repaired.repair_nanos > 0, "{repaired:?}");
+    assert!(repaired.himor_patch_nanos > 0, "{repaired:?}");
+    d.set_attrs(6, vec![0]).unwrap();
+    let report = d.flush().unwrap();
+    assert_eq!(report.outcome, FlushOutcome::Refreshed);
+    let refreshed = d.metrics_snapshot();
+    assert_eq!(refreshed.repair_nanos, repaired.repair_nanos);
+    assert_eq!(refreshed.himor_patch_nanos, repaired.himor_patch_nanos);
     d.set_rebuild_threshold(0.0);
     assert!(d.insert_edge(2, 62));
     let _ = d.flush().unwrap(); // one forced full rebuild
@@ -394,15 +404,25 @@ fn mutation_counters_flow_through_the_exposition() {
     assert_eq!(snap.errors, 0);
     assert_eq!(snap.mutations_insert, 3);
     assert_eq!(snap.mutations_remove, 1);
-    assert_eq!(snap.mutations_set_attrs, 1);
+    assert_eq!(snap.mutations_set_attrs, 2);
     assert_eq!(snap.repairs, 1);
     assert_eq!(snap.full_rebuilds, 1);
 
     let text = snap.render_prometheus(&CacheStats::default(), &d.pool_stats());
+    let repair_line = format!(
+        "cod_flush_phase_seconds_total{{phase=\"repair\"}} {:.9}",
+        repaired.repair_nanos as f64 / 1e9
+    );
+    let patch_line = format!(
+        "cod_flush_phase_seconds_total{{phase=\"himor_patch\"}} {:.9}",
+        repaired.himor_patch_nanos as f64 / 1e9
+    );
     for needle in [
         "cod_mutations_total{kind=\"insert\"} 3",
         "cod_mutations_total{kind=\"remove\"} 1",
-        "cod_mutations_total{kind=\"set_attrs\"} 1",
+        "cod_mutations_total{kind=\"set_attrs\"} 2",
+        &repair_line,
+        &patch_line,
         "cod_repairs_total 1",
         "cod_full_rebuilds_total 1",
         "cod_pool_scoped_evictions_total",
