@@ -2,16 +2,13 @@
 //! churn stream over the cora-like dataset, applied one event at a time
 //! and flushed after every event — the streaming model where queries
 //! interleave with mutations, so the engine must be consistent after each
-//! edge. The repair leg takes the localized splice + HIMOR patch path
-//! with verification off, to time the splice alone. `DynamicCod` and
-//! `DurableCod` verify by default: the verified mode also reruns the full
-//! clustering so the repaired hierarchy equals a rebuild's, and without it
-//! a reopened `DurableCod`, whose recovery rebuilds, can differ from the
-//! live one (`tests/mutation.rs` exercises the verified mode). The rebuild
-//! leg pins the rebuild threshold to zero so the identical stream is
-//! absorbed by full from-scratch rebuilds. The `repair_vs_rebuild` ratio
-//! gate in `bench_report` holds the repair leg to a fraction of the
-//! rebuild leg.
+//! edge. The repair leg takes the production repair path: a full
+//! recluster of the mutated graph, the tree diff and the HIMOR patch. The
+//! rebuild leg pins the rebuild threshold to zero so the identical stream
+//! is absorbed by full from-scratch rebuilds, which recluster the same way
+//! and build the index anew instead of patching it. The
+//! `repair_vs_rebuild` ratio gate in `bench_report` holds the repair leg
+//! to a fraction of the rebuild leg.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -56,7 +53,6 @@ fn bench_churn(c: &mut Criterion) {
     // so the graph never drifts from its seed topology.
     group.bench_function("repair_per_event", |b| {
         let mut d = DynamicCod::with_seed(g, cfg, 7).expect("valid config");
-        d.set_repair_verification(false);
         let mut present = vec![false; edges.len()];
         let mut i = 0usize;
         b.iter(|| {
@@ -90,7 +86,6 @@ fn bench_churn(c: &mut Criterion) {
             checkpoint_wal_bytes: u64::MAX,
         };
         let mut d = DurableCod::create(&dir, g, cfg, 7, dcfg).expect("create durable dir");
-        d.set_repair_verification(false);
         let mut present = vec![false; edges.len()];
         let mut i = 0usize;
         b.iter(|| {

@@ -10,11 +10,12 @@
 //! * **mutations are O(1)** — edge edits land in a [`DeltaCsr`] overlay
 //!   over the last materialized CSR, attribute edits in the attribute
 //!   table; nothing is re-sorted or re-hashed per event;
-//! * **the hierarchy is repaired, not rebuilt** — on flush, linkage is
-//!   re-run only along the leaf-to-root paths of touched nodes
-//!   ([`repair_merges`]) and the HIMOR index is patched: only the RR
-//!   samples that hold an edited node are redrawn, and those that reach
-//!   only the disturbed region are recorded anew from their retained draws
+//! * **the index is repaired, not rebuilt** — on flush, the mutated graph
+//!   is reclustered exactly as a rebuild clusters it ([`build_hierarchy`]),
+//!   [`match_vertices`] diffs the old and the new tree, and the HIMOR
+//!   index is patched: only the RR samples that hold an edited node are
+//!   redrawn, and those that reach only the disturbed region are recorded
+//!   anew from their retained draws
 //!   ([`crate::himor::HimorPatchState::patch`]); a full rebuild happens
 //!   only when the edit volume crosses `rebuild_threshold` or the node
 //!   range grows;
@@ -32,9 +33,10 @@
 //!   universe holds an endpoint. Everything else stays warm across
 //!   flushes;
 //! * **replay is deterministic** — every applied mutation is appended to
-//!   a [`MutationLog`]; the HIMOR seed is pinned at construction, so the
-//!   repaired index is bit-identical to a from-scratch build of the
-//!   mutated graph with the same seed, at any thread count.
+//!   a [`MutationLog`]; the HIMOR seed is pinned at construction, so every
+//!   repaired artifact, the dendrogram's merge order included, is
+//!   bit-identical to a from-scratch build of the mutated graph with the
+//!   same seed, at any thread count.
 //!
 //! Every query flushes pending mutations first, so an answer depends only
 //! on the seeds, the config and the mutation log — never on when the
@@ -44,7 +46,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cod_graph::{AttrId, AttrInterner, AttrTable, AttributedGraph, Csr, DeltaCsr, NodeId};
-use cod_hierarchy::{match_vertices, repair_merges, Dendrogram, Hierarchy, RepairOutcome};
+use cod_hierarchy::{match_vertices, Dendrogram, Hierarchy};
 use cod_influence::CancelToken;
 use rand::prelude::*;
 
@@ -67,11 +69,8 @@ pub enum FlushOutcome {
     /// Only the attribute table (or a net-zero edge churn) changed: the
     /// graph was rematerialized, the hierarchy and index were kept.
     Refreshed,
-    /// The dendrogram was spliced locally and the HIMOR index patched.
+    /// The mutated graph was reclustered and the HIMOR index patched.
     Repaired {
-        /// Whether the localized splice survived verification (false
-        /// means verification fell back to recomputed merges).
-        spliced: bool,
         /// RR samples that held an edited node and were redrawn on the
         /// new topology.
         samples_redrawn: u64,
@@ -151,9 +150,6 @@ pub struct DynamicCod {
     /// Every applied mutation, in order — persistable via
     /// [`MutationLog::save`] and replayable with [`DynamicCod::apply`].
     log: MutationLog,
-    /// Run the splice-vs-recluster cross-check on every repair (default
-    /// true; see [`DynamicCod::set_repair_verification`]).
-    verify_repairs: bool,
     /// Events applied since the last flush (the next report's `events`).
     unflushed: usize,
 }
@@ -251,29 +247,14 @@ impl DynamicCod {
             edits_since_build: 0,
             himor_seed,
             log: MutationLog::new(),
-            verify_repairs: true,
             unflushed: 0,
         }
     }
 
     /// Sets the edit fraction that forces a hierarchy + index rebuild
-    /// instead of a localized repair (default 2% of `|E|`).
+    /// instead of a repair (default 2% of `|E|`).
     pub fn set_rebuild_threshold(&mut self, fraction: f64) {
         self.rebuild_threshold = fraction.max(0.0);
-    }
-
-    /// Toggles the splice-vs-recluster verification cross-check run on
-    /// every repair (on by default).
-    ///
-    /// With it on, a repaired hierarchy has exactly the community families
-    /// a rebuild would have, so every flushed artifact equals a
-    /// from-scratch build of the mutated graph. With it off the splice
-    /// stands unchecked and can keep families a rebuild would not: the
-    /// flush is cheaper, but answers can drift from a rebuild's, and a
-    /// reopened [`crate::DurableCod`], whose recovery rebuilds, can differ
-    /// from the live instance.
-    pub fn set_repair_verification(&mut self, on: bool) {
-        self.verify_repairs = on;
     }
 
     /// The pinned HIMOR seed.
@@ -443,12 +424,11 @@ impl DynamicCod {
         Ok(())
     }
 
-    /// Localized repair: splice the dendrogram along the touched
-    /// leaf-to-root paths and patch the HIMOR index, committing only when
-    /// both succeed (a cancelled repair leaves every artifact as it was).
-    /// The registry receives the wall-clock time of the `repair` stage
-    /// (splice, verification, tree and diff) and of the `himor_patch`
-    /// stage of every repair that commits.
+    /// Repair: recluster the mutated graph as a rebuild does and patch the
+    /// HIMOR index, committing only when the patch succeeds (a cancelled
+    /// repair leaves every artifact as it was). The registry receives the
+    /// wall-clock time of the `repair` stage (recluster, tree and diff) and
+    /// of the `himor_patch` stage of every repair that commits.
     fn repair_governed(&mut self, cancel: Option<&CancelToken>) -> CodResult<FlushOutcome> {
         let new_csr = self.topo.materialize();
         let touched = self.topo.touched_nodes();
@@ -460,14 +440,7 @@ impl DynamicCod {
         let cfg = *self.engine.config();
         let cache = &mut self.cache;
         let old = &cache.hier;
-        let rr = repair_merges(
-            &old.dendro,
-            &new_csr,
-            &touched,
-            cfg.linkage,
-            self.verify_repairs,
-        );
-        let new = Hierarchy::new(Dendrogram::from_merges(new_csr.num_nodes(), &rr.merges));
+        let new = Hierarchy::new(build_hierarchy(&new_csr, cfg.linkage));
         let diff = match_vertices(&old.dendro, &new.dendro);
         let Some(mut patch) = cache.patch.take() else {
             unreachable!("flush checked the patch state before choosing repair")
@@ -500,7 +473,6 @@ impl DynamicCod {
             (patch_end - patch_start).as_nanos() as u64,
         );
         Ok(FlushOutcome::Repaired {
-            spliced: rr.outcome == RepairOutcome::Spliced,
             samples_redrawn: stats.samples_redrawn,
             samples_rerecorded: stats.samples_rerecorded,
             samples_total: stats.samples_total,
@@ -519,7 +491,7 @@ impl DynamicCod {
     }
 
     /// Brings every cached artifact current with the pending mutations,
-    /// choosing between a localized repair and a full rebuild.
+    /// choosing between a repair and a full rebuild.
     pub fn flush(&mut self) -> CodResult<MutationFlushReport> {
         self.flush_governed(None)
     }

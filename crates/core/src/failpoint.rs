@@ -60,8 +60,8 @@ pub enum Site {
     /// Shared RR-pool cache: per sample batch while folding pooled RR
     /// graphs into a query's HFS buckets.
     PoolFold,
-    /// Mutation pipeline: before the localized dendrogram repair of a
-    /// flush runs.
+    /// Mutation pipeline: before a repaired flush reclusters the mutated
+    /// graph.
     DendroRepair,
     /// Mutation pipeline: per redraw batch while patching the HIMOR index
     /// after a repair (every `CHECK_EVERY` redraws).

@@ -1156,7 +1156,7 @@ mod tests {
 
     #[test]
     fn patch_reproduces_a_from_scratch_rebuild() {
-        use cod_hierarchy::{match_vertices, repair_merges};
+        use cod_hierarchy::match_vertices;
 
         let mut rng = SmallRng::seed_from_u64(99);
         for trial in 0..12 {
@@ -1207,8 +1207,7 @@ mod tests {
                 b1.add_edge(x, y);
             }
             let g1 = b1.build();
-            let repair = repair_merges(&d0, &g1, &[u, v], Linkage::Average, true);
-            let d1 = Dendrogram::from_merges(n, &repair.merges);
+            let d1 = Dendrogram::from_merges(n, &cluster_unweighted(&g1, Linkage::Average));
             let lca1 = LcaIndex::new(&d1);
             let diff = match_vertices(&d0, &d1);
             let (patched, stats) = state
@@ -1249,7 +1248,7 @@ mod tests {
 
     #[test]
     fn patched_state_equals_a_fresh_patchable_build_across_a_chain() {
-        use cod_hierarchy::{match_vertices, repair_merges};
+        use cod_hierarchy::match_vertices;
 
         let graph = |n: usize, edges: &[(u32, u32)]| {
             let mut b = GraphBuilder::new(n);
@@ -1305,8 +1304,7 @@ mod tests {
                 edited.sort_unstable();
                 edited.dedup();
                 let g1 = graph(n, &edges);
-                let repair = repair_merges(&d, &g1, &edited, Linkage::Average, true);
-                let d1 = Dendrogram::from_merges(n, &repair.merges);
+                let d1 = Dendrogram::from_merges(n, &cluster_unweighted(&g1, Linkage::Average));
                 let lca1 = LcaIndex::new(&d1);
                 let diff = match_vertices(&d, &d1);
                 let holding_edited = state

@@ -32,8 +32,9 @@
 //! * [`codx`] — CODX v3, the one on-disk artifact format (graph, hierarchy
 //!   and HIMOR index), memory-mappable and lazily CRC-verified;
 //! * [`dynamic`], [`mutation`], [`wal`] and [`recovery`] — streaming
-//!   graph mutations with localized repair, made crash-safe by a
-//!   write-ahead log and checkpoints;
+//!   graph mutations: a flush reclusters the mutated graph exactly and
+//!   patches the HIMOR index instead of rebuilding it, made crash-safe by
+//!   a write-ahead log and checkpoints;
 //! * [`measures`] — answer-quality measures (size, `ρ`, `φ`, top-k
 //!   precision) shared by the experiment harness.
 

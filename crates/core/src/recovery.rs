@@ -28,13 +28,17 @@
 //! Recovery loads the manifest's snapshot, rehydrates a [`DynamicCod`]
 //! from it ([`DynamicCod::from_artifacts`]), truncates the WAL's torn
 //! tail, and replays the record suffix past the manifest offset through
-//! the ordinary mutation pipeline. Because every rebuild/repair derives
-//! from the pinned HIMOR seed (PR 8's determinism contract), the
-//! recovered artifacts are **bit-identical** to those of a process that
-//! never crashed and applied the same durable prefix — at any thread
-//! count. `tests/durability.rs` proves this by byte-comparing
+//! the ordinary mutation pipeline. The rehydrated engine has no patch
+//! state, so its first topology flush rebuilds where the live process may
+//! have repaired. The two agree byte for byte: a repaired flush reclusters
+//! the mutated graph exactly as a rebuild does, and every rebuild and
+//! index patch derives from the pinned HIMOR seed. So the recovered
+//! artifacts are **bit-identical** to those of a process that never
+//! crashed and applied the same durable prefix — at any thread count.
+//! `tests/durability.rs` proves this by byte-comparing
 //! [`DurableCod::snapshot_bytes`] against a clean replay at 1/2/8
-//! threads, with crashes injected at every WAL/checkpoint failpoint site.
+//! threads, with crashes injected at every WAL/checkpoint failpoint site,
+//! and against the live engine after a run of repaired flushes.
 //!
 //! # MANIFEST format, version 1
 //!
@@ -492,15 +496,6 @@ impl DurableCod {
     /// Read access to the wrapped engine.
     pub fn engine(&self) -> &DynamicCod {
         &self.inner
-    }
-
-    /// Passthrough: toggle the inner engine's repair self-verification
-    /// (on by default; see [`DynamicCod::set_repair_verification`]). Turning
-    /// it off trades exactness for speed: recovery rebuilds the hierarchy,
-    /// so a reopened instance can then differ from the live one whose
-    /// splices went unverified.
-    pub fn set_repair_verification(&mut self, on: bool) {
-        self.inner.set_repair_verification(on);
     }
 
     /// Answers a CODL query on the current graph, flushing first: the

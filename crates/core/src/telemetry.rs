@@ -534,8 +534,8 @@ impl MetricsRegistry {
         tally.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Tallies one localized repair (dendrogram splice + HIMOR patch)
-    /// absorbing a batch of mutations without a from-scratch rebuild.
+    /// Tallies one repair (recluster + HIMOR patch) absorbing a batch of
+    /// mutations without a from-scratch index rebuild.
     pub fn record_repair(&self) {
         self.repairs.fetch_add(1, Ordering::Relaxed);
     }
@@ -548,8 +548,7 @@ impl MetricsRegistry {
     }
 
     /// Adds the wall-clock nanoseconds of one repaired flush's stages:
-    /// `repair` (dendrogram splice, verification, tree and diff) and
-    /// `himor_patch`.
+    /// `repair` (recluster, tree and diff) and `himor_patch`.
     pub fn record_flush_phases(&self, repair_nanos: u64, himor_patch_nanos: u64) {
         self.repair_nanos.fetch_add(repair_nanos, Ordering::Relaxed);
         self.himor_patch_nanos
@@ -673,13 +672,13 @@ pub struct MetricsSnapshot {
     pub mutations_remove: u64,
     /// Attribute replacements applied to a dynamic graph.
     pub mutations_set_attrs: u64,
-    /// Mutation batches absorbed by localized repair (dendrogram splice +
-    /// HIMOR patch) instead of a from-scratch rebuild.
+    /// Mutation batches absorbed by a repair (recluster + HIMOR patch)
+    /// instead of a from-scratch index rebuild.
     pub repairs: u64,
     /// Mutation batches that forced a full from-scratch rebuild.
     pub full_rebuilds: u64,
-    /// Wall-clock nanoseconds of the `repair` stage (splice, verification,
-    /// tree and diff) of every repaired flush.
+    /// Wall-clock nanoseconds of the `repair` stage (recluster, tree and
+    /// diff) of every repaired flush.
     pub repair_nanos: u64,
     /// Wall-clock nanoseconds of the `himor_patch` stage of every repaired
     /// flush.
@@ -746,7 +745,7 @@ impl MetricsSnapshot {
         );
         counter(
             "repairs_total",
-            "mutation batches absorbed by localized repair (splice + HIMOR patch)",
+            "mutation batches absorbed by a repair (recluster + HIMOR patch)",
             self.repairs,
         );
         counter(

@@ -187,30 +187,24 @@ where
         }
         adj.push(m);
     }
-    chain_prepared_governed(adj, vec![1; n], linkage, keep_going)
+    chain_prepared_governed(adj, linkage, keep_going)
 }
 
-/// Runs the NN-chain loop over a pre-built cluster graph: `adj[i]` holds the
-/// cross stats toward each adjacent cluster, `size[i]` the cluster's leaf
-/// count. Fresh clusters get ids continuing at `adj.len()`. This is the same
-/// loop [`cluster`] runs after building singleton clusters; the dendrogram
-/// repair path feeds it the freed subtrees of a spliced hierarchy so the
-/// quotient re-merge is governed by exactly the linkage semantics (tie-breaks
-/// included) of a full clustering.
-pub(crate) fn chain_prepared_governed(
+/// Runs the NN-chain loop over singleton clusters: `adj[i]` holds the cross
+/// stats from node `i` toward each neighbour. Fresh clusters get ids
+/// continuing at `adj.len()`.
+fn chain_prepared_governed(
     adj: Vec<FxHashMap<VertexId, CrossStats>>,
-    size: Vec<u32>,
     linkage: Linkage,
     mut keep_going: impl FnMut(usize) -> bool,
 ) -> Option<Vec<Merge>> {
     let n = adj.len();
-    debug_assert_eq!(size.len(), n);
     if n == 0 {
         return Some(Vec::new());
     }
     let mut state = ChainState {
         adj,
-        size,
+        size: vec![1; n],
         alive: vec![true; n],
         linkage,
     };

@@ -65,9 +65,6 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        // The reader went away (`cod stats | head -2`): nothing is left
-        // to say, and nothing went wrong.
-        Err(e) if e == STDOUT_CLOSED => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -76,26 +73,24 @@ fn main() -> ExitCode {
 }
 
 /// `println!` for command output, in functions returning
-/// `Result<_, String>`: a failed write ends the command, and a closed
-/// stdout (a reader such as `head` that exited early) ends it quietly
-/// instead of panicking. SIGPIPE stays ignored, as Rust programs start, so
-/// a client hanging up on `cod serve` cannot kill it either.
+/// `Result<_, String>`: a failed write ends the command, but a closed
+/// stdout (a reader such as `head` that exited early) only silences the
+/// output, so the command still applies every event and writes every
+/// file. SIGPIPE stays ignored, as Rust programs start, so a client
+/// hanging up on `cod serve` cannot kill it either.
 macro_rules! outln {
     ($($arg:tt)*) => {{
         use std::io::Write as _;
-        writeln!(std::io::stdout(), $($arg)*).map_err(stdout_error)?
+        stdout_result(writeln!(std::io::stdout(), $($arg)*))?
     }};
 }
 
-/// The error a write to a closed stdout ends a command with; `main` exits
-/// on it quietly.
-const STDOUT_CLOSED: &str = "stdout closed";
-
-fn stdout_error(e: std::io::Error) -> String {
-    if e.kind() == std::io::ErrorKind::BrokenPipe {
-        STDOUT_CLOSED.to_owned()
-    } else {
-        format!("writing to stdout: {e}")
+fn stdout_result(written: std::io::Result<()>) -> Result<(), String> {
+    match written {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("writing to stdout: {e}"))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -1296,14 +1291,12 @@ fn cmd_mutate(opts: &Opts) -> Result<(), String> {
             FlushOutcome::Noop => "no-op".to_string(),
             FlushOutcome::Refreshed => "refreshed (hierarchy + index untouched)".to_string(),
             FlushOutcome::Repaired {
-                spliced,
                 samples_redrawn,
                 samples_rerecorded,
                 samples_total,
             } => format!(
-                "repaired ({}, {samples_redrawn} redrawn + {samples_rerecorded} re-recorded \
-                 of {samples_total} samples)",
-                if spliced { "spliced" } else { "recomputed" }
+                "repaired ({samples_redrawn} redrawn + {samples_rerecorded} re-recorded \
+                 of {samples_total} samples)"
             ),
             FlushOutcome::Rebuilt => "full rebuild".to_string(),
         };

@@ -400,12 +400,11 @@ fn exit_of_serve(args: &[&str]) -> Output {
     child.wait_with_output().expect("collect cod serve output")
 }
 
-#[test]
-fn closed_stdout_ends_the_command_quietly() {
-    // `cod stats --preset cora | head -2`: the reader is gone before the
-    // command prints, so every write meets a closed pipe.
+/// Runs `cod` with a reader that is gone before the command prints, so
+/// every write to stdout meets a closed pipe (`cod ... | head -0`).
+fn run_with_closed_stdout(args: &[&str]) -> Output {
     let mut child = Command::new(cod_bin())
-        .args(["stats", "--preset", "cora"])
+        .args(args)
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
@@ -414,7 +413,65 @@ fn closed_stdout_ends_the_command_quietly() {
     let o = child.wait_with_output().expect("collect cod output");
     let err = stderr(&o);
     assert!(!err.contains("panicked"), "panic on a closed stdout: {err}");
-    assert_ne!(o.status.code(), Some(101), "stderr: {err}");
+    assert!(o.status.success(), "{args:?} failed: {err}");
+    o
+}
+
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    // `cod stats --preset cora | head -2`: nothing is left to say, and
+    // nothing went wrong.
+    run_with_closed_stdout(&["stats", "--preset", "cora"]);
+
+    // A closed stdout silences output and nothing else: the work after
+    // each print still happens.
+    let dir = std::env::temp_dir().join(format!("cod_cli_closed_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_owned();
+    let (edges, attrs) = path_graph_files("closed", 40);
+    let log: String = (0..20).map(|v| format!("add {v} {}\n", v + 2)).collect();
+    let (log_path, wal, index) = (path("log.txt"), path("wal"), path("recovered.codx"));
+    std::fs::write(&log_path, log).unwrap();
+    let graph = ["--edges", edges.path(), "--attrs", attrs.path()];
+    let knobs = ["--theta", "2", "--k", "2"];
+
+    let mut mutate = vec!["mutate", "--log", &log_path, "--wal", &wal];
+    mutate.extend(graph.iter().chain(&knobs));
+    run_with_closed_stdout(&mutate);
+    let mut recover = vec!["recover", "--wal", &wal];
+    recover.extend(knobs);
+    let o = run(&recover);
+    assert!(o.status.success(), "stderr: {}", stderr(&o));
+    assert!(
+        stdout(&o).contains("20 event(s) total"),
+        "not every event was applied: {}",
+        stdout(&o)
+    );
+
+    recover.extend(["--index", &index]);
+    run_with_closed_stdout(&recover);
+    assert!(
+        std::fs::metadata(&index).is_ok_and(|m| m.len() > 0),
+        "recover did not write {index}"
+    );
+
+    let (out_edges, out_attrs) = (path("edges.txt"), path("attrs.txt"));
+    run_with_closed_stdout(&[
+        "generate",
+        "--preset",
+        "cora",
+        "--out-edges",
+        &out_edges,
+        "--out-attrs",
+        &out_attrs,
+    ]);
+    for file in [&out_edges, &out_attrs] {
+        assert!(
+            std::fs::metadata(file).is_ok_and(|m| m.len() > 0),
+            "generate did not write {file}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -234,6 +234,59 @@ fn recovery_metrics_flow_into_the_engine_registry() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `COD_FAILPOINTS=all` (the CI chaos leg) injects a 1ms delay at every
+/// site, so a preset-sized index build takes minutes there.
+fn chaos_armed() -> bool {
+    std::env::var_os("COD_FAILPOINTS").is_some()
+}
+
+/// Live ≡ reopened after repairs: single edge events on a preset-sized
+/// graph each flush as a repair (the 16-node graph above crosses the 2%
+/// rebuild threshold on every edit), and the live snapshot must equal
+/// that of the reopened directory, whose recovery rebuilds from the WAL.
+/// A repair whose dendrogram kept its own merge numbering fails here even
+/// when its community families match the rebuild's.
+#[test]
+fn repaired_live_state_equals_reopened_state() {
+    use pcod::cod::dynamic::FlushOutcome;
+    use pcod::cod::Mutation::InsertEdge;
+
+    let _g = guard();
+    failpoint::disarm_all();
+    // The chaos leg shrinks the graph; 148 edges still put the threshold
+    // above one edit, so single events keep repairing.
+    let (data, evs) = if chaos_armed() {
+        let evs = [(1, 41), (2, 42), (5, 20)];
+        (pcod::datasets::amazon_like_scaled(60, 3), evs)
+    } else {
+        let evs = [(5, 2000), (1, 101), (2, 102)];
+        (pcod::datasets::cora_like(1), evs)
+    };
+    let cfg = CodConfig { theta: 2, ..cfg(1) };
+    let dcfg = DurabilityConfig::default();
+    let dir = tmp_dir("live");
+    let mut d = DurableCod::create(&dir, &data.graph, cfg, SEED, dcfg).unwrap();
+    for (u, v) in evs {
+        assert!(d.apply(&InsertEdge { u, v }).unwrap(), "add {u} {v}");
+        let rep = d.flush().unwrap();
+        assert!(
+            matches!(rep.outcome, FlushOutcome::Repaired { .. }),
+            "add {u} {v}: {rep:?}"
+        );
+    }
+    d.flush_wal().unwrap();
+    let live = d.snapshot_bytes().unwrap();
+    drop(d);
+
+    let (mut back, report) = DurableCod::open(&dir, cfg, dcfg).unwrap();
+    assert_eq!(report.replayed, evs.len() as u64);
+    assert!(
+        back.snapshot_bytes().unwrap() == live,
+        "reopened state differs from the live repaired state"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `kill -9` of a child `cod mutate --wal` mid-replay: whatever prefix
 /// made it to disk recovers bit-identically to a clean replay of that
 /// prefix, at multiple thread counts.

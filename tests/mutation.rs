@@ -4,11 +4,12 @@
 //! The contracts under test:
 //!
 //! * **repaired ≡ rebuilt-from-scratch** — a seeded instance that flushes
-//!   every mutation through the localized dendrogram repair + HIMOR patch
-//!   answers every query bit-identically to an instance that rebuilds from
-//!   scratch after every event (and to a fresh instance fed the whole
-//!   mutation log at once), at 1, 2 and 8 threads, over a randomized
-//!   200-event schedule on the cora-like dataset;
+//!   every mutation through the repair path (recluster + HIMOR patch)
+//!   answers every query and serializes every artifact bit-identically to
+//!   an instance that rebuilds from scratch after every event (and answers
+//!   like a fresh instance fed the whole mutation log at once), at 1, 2
+//!   and 8 threads, over a randomized 200-event schedule on the cora-like
+//!   dataset;
 //! * **reads are engine reads** — after a repaired, a rebuilt and a
 //!   refreshed flush, every [`DynamicCod::query`] equals a fresh
 //!   [`CodEngine::from_parts`] CODL query over the flushed artifacts with
@@ -31,7 +32,7 @@
 
 use pcod::cod::dynamic::{DynamicCod, FlushOutcome};
 use pcod::cod::failpoint::{self, Action, Site};
-use pcod::cod::{select_recluster_community, AnswerSource, Mutation};
+use pcod::cod::{select_recluster_community, serialize_artifacts, AnswerSource, Mutation};
 use pcod::graph::{AttrTable, FxHashSet};
 use pcod::hierarchy::Hierarchy;
 use pcod::prelude::*;
@@ -70,6 +71,12 @@ fn seeded_cfg(threads: usize) -> CodConfig {
 /// allowed to differ between serving paths; membership and rank are not).
 fn comparable(ans: Option<CodAnswer>) -> Option<(Vec<NodeId>, usize, bool)> {
     ans.map(|a| (a.members, a.rank, a.uncertain))
+}
+
+/// The CODX image of `d`'s flushed graph, hierarchy and index.
+fn artifact_bytes(d: &mut DynamicCod) -> Vec<u8> {
+    let (g, dendro, index) = d.artifacts().unwrap();
+    serialize_artifacts(g, dendro, index).unwrap()
 }
 
 /// A deterministic mutation schedule over a mirrored edge set: inserts
@@ -125,21 +132,51 @@ fn random_schedule(g: &AttributedGraph, events: usize, seed: u64) -> Vec<Mutatio
 ///
 /// All four must answer probe queries bit-identically after every event,
 /// and a fresh instance fed the accumulated mutation log in one batch must
-/// agree too. Flush RNG streams are deliberately *different* per instance:
-/// the seeded pipeline must never consume them.
+/// agree too. `a1`'s serialized artifacts must equal `r`'s after every
+/// event, and `a2`'s and `a8`'s at every checkpoint: every CODX section,
+/// the dendrogram's merge order included. An insert-then-inverse pair of
+/// repairs must restore the original build's bytes. Flush RNG streams are
+/// deliberately *different* per instance: the seeded pipeline must never
+/// consume them.
 #[test]
 fn randomized_cora_schedule_repairs_match_rebuilds_across_threads() {
     // The CI chaos leg (1ms delay at every checkpoint) charges every query
     // `samples × |H(q)|` hfs_level sleeps, so realistic graph sizes turn
     // each probe into seconds; the paper's 10-node example still crosses
     // every failpoint site while keeping the leg feasible.
-    let (data, events) = if chaos_armed() {
-        (pcod::datasets::paper_example(), 16)
+    let (data, events, inverse_pairs) = if chaos_armed() {
+        (pcod::datasets::paper_example(), 16, [(0, 9), (4, 9)])
     } else {
-        (pcod::datasets::cora_like(7), 200)
+        (pcod::datasets::cora_like(7), 200, [(0, 1500), (3, 900)])
     };
     let g = &data.graph;
     const SEED: u64 = 0xC0DA;
+
+    // Insert-then-inverse: adding an absent edge and removing it again,
+    // each flushed as a repair, leaves the original build's bytes.
+    let mut inv = DynamicCod::with_seed(g, seeded_cfg(1), SEED).unwrap();
+    inv.set_rebuild_threshold(10.0);
+    let original = artifact_bytes(&mut inv);
+    for (u, v) in inverse_pairs {
+        assert!(inv.insert_edge(u, v), "{u}-{v} must be absent");
+        let rep = inv.flush().unwrap();
+        assert!(
+            matches!(rep.outcome, FlushOutcome::Repaired { .. }),
+            "add {u} {v}: {rep:?}"
+        );
+        assert!(inv.remove_edge(u, v));
+        let rep = inv.flush().unwrap();
+        assert!(
+            matches!(rep.outcome, FlushOutcome::Repaired { .. }),
+            "del {u} {v}: {rep:?}"
+        );
+        assert!(
+            artifact_bytes(&mut inv) == original,
+            "add then del {u} {v}: artifacts differ from the original build's"
+        );
+    }
+    drop(inv);
+
     let mut a1 = DynamicCod::with_seed(g, seeded_cfg(1), SEED).unwrap();
     let mut a2 = DynamicCod::with_seed(g, seeded_cfg(2), SEED).unwrap();
     let mut a8 = DynamicCod::with_seed(g, seeded_cfg(8), SEED).unwrap();
@@ -181,6 +218,10 @@ fn randomized_cora_schedule_repairs_match_rebuilds_across_threads() {
             );
             assert_eq!(ref_rep.outcome, FlushOutcome::Rebuilt, "event {i}");
         }
+        assert!(
+            artifact_bytes(&mut a1) == artifact_bytes(&mut r),
+            "event {i} ({m:?}): repaired artifacts differ from the rebuild's"
+        );
         // Staggered cadences: a2 and a8 accumulate events across flushes.
         if i % 3 == 2 {
             a2.flush().unwrap();
@@ -210,6 +251,13 @@ fn randomized_cora_schedule_repairs_match_rebuilds_across_threads() {
         if (i + 1) % 25 == 0 || i + 1 == schedule.len() {
             a2.flush().unwrap();
             a8.flush().unwrap();
+            let reference = artifact_bytes(&mut a1);
+            for (inst, name) in [(&mut a2, "2 threads"), (&mut a8, "8 threads")] {
+                assert!(
+                    artifact_bytes(inst) == reference,
+                    "checkpoint {i}: {name} artifacts diverged"
+                );
+            }
             for &q in &probes {
                 let attr = g.node_attrs(q).first().copied().unwrap_or(0);
                 let qseed = 900_000 + ev * 10 + u64::from(q % 10);

@@ -375,7 +375,7 @@ fn mutation_counters_flow_through_the_exposition() {
     assert!(d.insert_edge(1, 61));
     assert!(d.remove_edge(0, 60));
     d.set_attrs(5, vec![0]).unwrap();
-    let _ = d.flush().unwrap(); // one localized repair
+    let _ = d.flush().unwrap(); // one repair
     let repaired = d.metrics_snapshot();
     assert!(repaired.repair_nanos > 0, "{repaired:?}");
     assert!(repaired.himor_patch_nanos > 0, "{repaired:?}");
