@@ -114,30 +114,10 @@ impl ReclusterCache {
     ///
     /// `build` runs outside the cache lock — a long recluster must not
     /// stall readers of other keys. Two racing builders may both build; the
-    /// loser's identical artifact is dropped.
-    pub fn global(
-        &self,
-        attr: AttrId,
-        beta: f64,
-        linkage: Linkage,
-        build: impl FnOnce() -> Arc<Hierarchy>,
-    ) -> (Arc<Hierarchy>, bool) {
-        let key = CacheKey {
-            attr,
-            beta_bits: beta.to_bits(),
-            linkage,
-            scope: Scope::Global,
-        };
-        match self.fetch_or_insert(key, || Artifact::Global(build())) {
-            (Artifact::Global(h), hit) => (h, hit),
-            (Artifact::Local(_), _) => unreachable!("global key stored a local artifact"),
-        }
-    }
-
-    /// [`ReclusterCache::global`] for interruptible builders: `build`
-    /// returning `None` (a cancelled governed recluster) caches nothing and
-    /// yields `None` — a later uncancelled query rebuilds cleanly. The miss
-    /// is still counted: work was attempted.
+    /// loser's identical artifact is dropped. `build` returning `None` (a
+    /// cancelled governed recluster) caches nothing and yields `None` — a
+    /// later uncancelled query rebuilds cleanly. The miss is still counted:
+    /// work was attempted.
     pub fn try_global(
         &self,
         attr: AttrId,
@@ -158,30 +138,8 @@ impl ReclusterCache {
     }
 
     /// Fetches or builds LORE's local recluster of community `c_ell` for
-    /// `(attr, beta, linkage)`. Returns the artifact and whether it was a
-    /// cache hit.
-    pub fn local(
-        &self,
-        attr: AttrId,
-        beta: f64,
-        linkage: Linkage,
-        c_ell: VertexId,
-        build: impl FnOnce() -> Arc<LocalRecluster>,
-    ) -> (Arc<LocalRecluster>, bool) {
-        let key = CacheKey {
-            attr,
-            beta_bits: beta.to_bits(),
-            linkage,
-            scope: Scope::Local(c_ell),
-        };
-        match self.fetch_or_insert(key, || Artifact::Local(build())) {
-            (Artifact::Local(l), hit) => (l, hit),
-            (Artifact::Global(_), _) => unreachable!("local key stored a global artifact"),
-        }
-    }
-
-    /// [`ReclusterCache::local`] for interruptible builders (see
-    /// [`ReclusterCache::try_global`]).
+    /// `(attr, beta, linkage)`, under the contract of
+    /// [`ReclusterCache::try_global`].
     pub fn try_local(
         &self,
         attr: AttrId,
@@ -199,13 +157,6 @@ impl ReclusterCache {
         match self.fetch_or_try_insert(key, || build().map(Artifact::Local))? {
             (Artifact::Local(l), hit) => Some((l, hit)),
             (Artifact::Global(_), _) => unreachable!("local key stored a global artifact"),
-        }
-    }
-
-    fn fetch_or_insert(&self, key: CacheKey, build: impl FnOnce() -> Artifact) -> (Artifact, bool) {
-        match self.fetch_or_try_insert(key, || Some(build())) {
-            Some(out) => out,
-            None => unreachable!("infallible builder returned None"),
         }
     }
 
@@ -325,18 +276,26 @@ mod tests {
     use super::*;
     use cod_hierarchy::Dendrogram;
 
-    fn hier() -> Arc<Hierarchy> {
-        Arc::new(Hierarchy::new(Dendrogram::singleton()))
+    fn hier() -> Option<Arc<Hierarchy>> {
+        Some(Arc::new(Hierarchy::new(Dendrogram::singleton())))
+    }
+
+    /// Looks `(attr, beta, linkage)` up, building on a miss; returns
+    /// whether it hit.
+    fn global(cache: &ReclusterCache, attr: AttrId, beta: f64, linkage: Linkage) -> bool {
+        let found = cache.try_global(attr, beta, linkage, hier);
+        found.expect("the builder never declines").1
     }
 
     #[test]
     fn repeat_lookups_hit() {
         let cache = ReclusterCache::new(4);
-        let (_, hit) = cache.global(0, 1.0, Linkage::Average, hier);
-        assert!(!hit);
-        let (_, hit) = cache.global(0, 1.0, Linkage::Average, || {
-            panic!("must not rebuild a cached artifact")
-        });
+        assert!(!global(&cache, 0, 1.0, Linkage::Average));
+        let (_, hit) = cache
+            .try_global(0, 1.0, Linkage::Average, || {
+                panic!("must not rebuild a cached artifact")
+            })
+            .unwrap();
         assert!(hit);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
@@ -346,12 +305,12 @@ mod tests {
     #[test]
     fn distinct_parameters_are_distinct_entries() {
         let cache = ReclusterCache::new(8);
-        cache.global(0, 1.0, Linkage::Average, hier);
-        let (_, hit) = cache.global(0, 2.0, Linkage::Average, hier);
+        global(&cache, 0, 1.0, Linkage::Average);
+        let hit = global(&cache, 0, 2.0, Linkage::Average);
         assert!(!hit, "different beta is a different artifact");
-        let (_, hit) = cache.global(0, 1.0, Linkage::Single, hier);
+        let hit = global(&cache, 0, 1.0, Linkage::Single);
         assert!(!hit, "different linkage is a different artifact");
-        let (_, hit) = cache.global(1, 1.0, Linkage::Average, hier);
+        let hit = global(&cache, 1, 1.0, Linkage::Average);
         assert!(!hit, "different attr is a different artifact");
         assert_eq!(cache.stats().len, 4);
     }
@@ -359,13 +318,15 @@ mod tests {
     #[test]
     fn lru_evicts_the_stalest_key() {
         let cache = ReclusterCache::new(2);
-        cache.global(0, 1.0, Linkage::Average, hier);
-        cache.global(1, 1.0, Linkage::Average, hier);
+        global(&cache, 0, 1.0, Linkage::Average);
+        global(&cache, 1, 1.0, Linkage::Average);
         // Touch attr 0 so attr 1 is the LRU victim.
-        cache.global(0, 1.0, Linkage::Average, || panic!("cached"));
-        cache.global(2, 1.0, Linkage::Average, hier);
-        let (_, hit0) = cache.global(0, 1.0, Linkage::Average, hier);
-        let (_, hit1) = cache.global(1, 1.0, Linkage::Average, hier);
+        cache
+            .try_global(0, 1.0, Linkage::Average, || panic!("cached"))
+            .unwrap();
+        global(&cache, 2, 1.0, Linkage::Average);
+        let hit0 = global(&cache, 0, 1.0, Linkage::Average);
+        let hit1 = global(&cache, 1, 1.0, Linkage::Average);
         assert!(hit0, "recently touched entry survives");
         assert!(!hit1, "LRU entry was evicted");
         assert_eq!(cache.stats().len, 2);
@@ -374,8 +335,8 @@ mod tests {
     #[test]
     fn zero_capacity_disables_retention() {
         let cache = ReclusterCache::new(0);
-        cache.global(0, 1.0, Linkage::Average, hier);
-        let (_, hit) = cache.global(0, 1.0, Linkage::Average, hier);
+        global(&cache, 0, 1.0, Linkage::Average);
+        let hit = global(&cache, 0, 1.0, Linkage::Average);
         assert!(!hit);
         assert_eq!(cache.stats().len, 0);
     }
@@ -389,9 +350,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.misses, s.len), (1, 0), "declined build counts a miss");
         // A later successful build inserts cleanly and then hits.
-        let (_, hit) = cache
-            .try_global(0, 1.0, Linkage::Average, || Some(hier()))
-            .unwrap();
+        let (_, hit) = cache.try_global(0, 1.0, Linkage::Average, hier).unwrap();
         assert!(!hit);
         let (_, hit) = cache.try_global(0, 1.0, Linkage::Average, || None).unwrap();
         assert!(hit, "cached artifact served without invoking the builder");
@@ -401,17 +360,17 @@ mod tests {
     fn scoped_invalidation_respects_the_footprint() {
         use crate::mutation::Footprint;
         let cache = ReclusterCache::new(8);
-        cache.global(0, 1.0, Linkage::Average, hier);
-        cache.global(1, 1.0, Linkage::Average, hier);
-        cache.global(2, 1.0, Linkage::Average, hier);
+        global(&cache, 0, 1.0, Linkage::Average);
+        global(&cache, 1, 1.0, Linkage::Average);
+        global(&cache, 2, 1.0, Linkage::Average);
 
         // Attribute footprint: only the touched attribute's entry drops.
         let mut fp = Footprint::new();
         fp.add_attr_event(5, [1]);
         assert_eq!(cache.invalidate_scoped(&fp), 1);
-        let (_, hit0) = cache.global(0, 1.0, Linkage::Average, hier);
-        let (_, hit1) = cache.global(1, 1.0, Linkage::Average, hier);
-        let (_, hit2) = cache.global(2, 1.0, Linkage::Average, hier);
+        let hit0 = global(&cache, 0, 1.0, Linkage::Average);
+        let hit1 = global(&cache, 1, 1.0, Linkage::Average);
+        let hit2 = global(&cache, 2, 1.0, Linkage::Average);
         assert!(hit0 && !hit1 && hit2, "only attr 1 was invalidated");
 
         // Topology footprint: everything drops.
@@ -424,14 +383,16 @@ mod tests {
     #[test]
     fn global_and_local_keys_do_not_collide() {
         let cache = ReclusterCache::new(4);
-        cache.global(0, 1.0, Linkage::Average, hier);
-        let (_, hit) = cache.local(0, 1.0, Linkage::Average, 7, || {
-            let g = cod_graph::GraphBuilder::new(1).build();
-            Arc::new(LocalRecluster {
-                sub: Subgraph::induced(&g, &[0]),
-                hier: Hierarchy::new(Dendrogram::singleton()),
+        global(&cache, 0, 1.0, Linkage::Average);
+        let (_, hit) = cache
+            .try_local(0, 1.0, Linkage::Average, 7, || {
+                let g = cod_graph::GraphBuilder::new(1).build();
+                Some(Arc::new(LocalRecluster {
+                    sub: Subgraph::induced(&g, &[0]),
+                    hier: Hierarchy::new(Dendrogram::singleton()),
+                }))
             })
-        });
+            .unwrap();
         assert!(!hit, "local scope must not alias the global entry");
         assert_eq!(cache.stats().len, 2);
     }

@@ -50,7 +50,7 @@ pub struct CodOutcome {
     pub sigma_q: Vec<f64>,
     /// Per-level flag: the top-k verdict could plausibly flip under
     /// sampling noise (an adversarial ±z·√count perturbation changes it).
-    /// Drives the adaptive sampler ([`compressed_cod_adaptive`]).
+    /// The answer level's flag feeds [`crate::CodAnswer::uncertain`].
     pub uncertain: Vec<bool>,
     /// Number of RR graphs generated.
     pub theta: usize,
@@ -745,120 +745,6 @@ pub(crate) fn incremental_top_k_with(
     }
 }
 
-/// How an adaptive pooled evaluation escalated and where it stopped.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AdaptiveReport {
-    /// Doubling rounds executed (≥ 1).
-    pub rounds: usize,
-    /// Total samples folded in the final round.
-    pub theta: usize,
-    /// The requested half-width bound, on the normalized influence scale
-    /// `p̂ = τ_q/Θ ∈ [0, 1]`.
-    pub epsilon: f64,
-    /// The achieved confidence half-width at the final round, read at the
-    /// answer's level ([`influence_half_width`]).
-    pub half_width: f64,
-    /// The loop stopped because the bound was met (every level's top-k
-    /// verdict stable *and* `half_width ≤ epsilon`), not because it ran
-    /// into `θ_max` or a cancellation.
-    pub converged: bool,
-}
-
-/// Confidence half-width of a normalized influence estimate `p̂ = τ_q/Θ`
-/// from `theta` Bernoulli trials, at confidence `1 − delta`: the tighter
-/// of the empirical-Bernstein bound
-/// `√(2·p̂(1−p̂)·ln(3/δ)/Θ) + 3·ln(3/δ)/Θ` (sharp when `p̂` is small, the
-/// common case for influence fractions) and the distribution-free
-/// Hoeffding bound `√(ln(2/δ)/(2Θ))`. With probability at least `1 − δ`,
-/// `|p̂ − p| ≤` this value.
-pub fn influence_half_width(p_hat: f64, theta: usize, delta: f64) -> f64 {
-    if theta == 0 {
-        return f64::INFINITY;
-    }
-    let n = theta as f64;
-    let p = p_hat.clamp(0.0, 1.0);
-    let l3 = (3.0 / delta).ln();
-    let bernstein = (2.0 * p * (1.0 - p) * l3 / n).sqrt() + 3.0 * l3 / n;
-    let hoeffding = ((2.0 / delta).ln() / (2.0 * n)).sqrt();
-    bernstein.min(hoeffding)
-}
-
-/// The half-width governing the adaptive stop, read at the level the
-/// answer comes from (the characteristic community if one was found, else
-/// the deepest level). Empty outcomes are exact by definition.
-fn outcome_half_width(out: &CodOutcome, universe_len: usize, delta: f64) -> f64 {
-    if out.sigma_q.is_empty() || out.theta == 0 || universe_len == 0 {
-        return 0.0;
-    }
-    let h = out.best_level.unwrap_or(0);
-    // sigma_q = p̂·|universe|, so dividing recovers the [0,1] estimate.
-    influence_half_width(out.sigma_q[h] / universe_len as f64, out.theta, delta)
-}
-
-/// Confidence-bound adaptive evaluation over a shared pool: grow the pool
-/// in doubling rounds `θ_0, 2θ_0, …` and stop as soon as **(a)** no
-/// level's top-k verdict is flippable by sampling noise
-/// ([`CodOutcome::uncertain`]) **and (b)** the confidence half-width on
-/// the query's influence estimate is within `epsilon` at confidence
-/// `1 − delta` ([`influence_half_width`]) — instead of running a fixed
-/// `θ`. This is the sample-sizing loop of the RR-set IM literature the
-/// paper builds on (\[21–24\]): clear-gap queries stop at `θ_0`, borderline
-/// ones get more samples. Rounds are *prefixes of the same pool*: round
-/// `r` re-folds the samples round `r−1` folded plus the top-up, so
-/// escalation never resamples and later queries inherit the grown pool.
-/// Every round runs unbudgeted, on `par`, in `scratch`, under `cancel`.
-///
-/// Returns the final outcome plus an [`AdaptiveReport`] describing the
-/// escalation. The statistical-equivalence harness in
-/// `tests/pool_adaptive.rs` checks the reported bound against a 4×
-/// fixed-θ reference across a query grid.
-#[allow(clippy::too_many_arguments)] // the paper's query signature plus (θ_0, θ_max, ε, δ), pool, fan-out, workspace, token
-pub fn compressed_cod_adaptive(
-    g: &Csr,
-    model: Model,
-    chain: &impl Chain,
-    q: NodeId,
-    k: usize,
-    theta_start: usize,
-    theta_max: usize,
-    epsilon: f64,
-    delta: f64,
-    pool: &RrPoolEntry,
-    par: Parallelism,
-    scratch: Option<&mut QueryScratch>,
-    cancel: Option<&CancelToken>,
-) -> CodResult<(CodOutcome, AdaptiveReport)> {
-    let mut own = QueryScratch::new();
-    let ws = scratch.unwrap_or(&mut own);
-    let universe_len = chain.universe().len();
-    let mut theta_pn = theta_start.max(1);
-    let theta_max_pn = theta_max.max(theta_pn);
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        let round = EvalOptions {
-            budget: None,
-            par,
-            cancel,
-            scratch: Some(&mut *ws),
-        };
-        let out = compressed_cod(g, model, chain, q, k, theta_pn, Samples::Pool(pool), round)?;
-        let half_width = outcome_half_width(&out, universe_len, delta);
-        let settled = !out.uncertain.iter().any(|&u| u) && half_width <= epsilon;
-        if settled || theta_pn * 2 > theta_max_pn || out.cancelled {
-            let report = AdaptiveReport {
-                rounds,
-                theta: out.theta,
-                epsilon,
-                half_width,
-                converged: settled,
-            };
-            return Ok((out, report));
-        }
-        theta_pn *= 2;
-    }
-}
-
 /// The paper's literal heap-based incremental top-k (Algorithm 1, lines
 /// 16–27), kept alongside [`incremental_top_k`] for fidelity testing.
 ///
@@ -1100,76 +986,6 @@ mod tests {
         assert!(
             (est - truth).abs() < 0.5,
             "sigma estimate {est} vs monte carlo {truth}"
-        );
-    }
-
-    /// The pooled adaptive loop with the half-width bound switched off
-    /// (`ε = 1`), so only the top-k uncertainty drives escalation.
-    fn adaptive(
-        g: &Csr,
-        chain: &impl Chain,
-        q: NodeId,
-        theta_start: usize,
-        theta_max: usize,
-    ) -> (CodOutcome, AdaptiveReport) {
-        let universe = std::sync::Arc::new(chain.universe());
-        let restricted = universe.len() < g.num_nodes();
-        let pool = RrPoolEntry::new(None, universe, restricted);
-        compressed_cod_adaptive(
-            g,
-            Model::WeightedCascade,
-            chain,
-            q,
-            1,
-            theta_start,
-            theta_max,
-            1.0,
-            0.05,
-            &pool,
-            Parallelism::Threads(1),
-            None,
-            None,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn adaptive_stops_early_on_clear_gaps() {
-        // Star hub: its rank-1 verdicts have huge margins, so adaptive
-        // evaluation must settle at the starting θ.
-        let mut b = GraphBuilder::new(6);
-        for v in 1..6 {
-            b.add_edge(0, v);
-        }
-        let g = b.build();
-        let merges = cluster_unweighted(&g, Linkage::Average);
-        let d = Dendrogram::from_merges(6, &merges);
-        let lca = LcaIndex::new(&d);
-        let chain = DendroChain::new(&d, &lca, 0).unwrap();
-        let (out, report) = adaptive(&g, &chain, 0, 200, 3200);
-        assert_eq!(out.theta, 200 * 6, "no escalation needed");
-        assert_eq!(report.rounds, 1);
-        assert_eq!(out.best_level, Some(chain.len() - 1));
-    }
-
-    #[test]
-    fn adaptive_escalates_on_borderline_ranks() {
-        // Symmetric pair {0,1} plus a tail: 0 and 1 tie exactly, so the
-        // top-1 verdict is uncertain at tiny θ and the sampler escalates.
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1);
-        b.add_edge(0, 2);
-        b.add_edge(1, 3);
-        let g = b.build();
-        let merges = cluster_unweighted(&g, Linkage::Average);
-        let d = Dendrogram::from_merges(4, &merges);
-        let lca = LcaIndex::new(&d);
-        let chain = DendroChain::new(&d, &lca, 0).unwrap();
-        let (out, _) = adaptive(&g, &chain, 0, 2, 256);
-        assert!(
-            out.theta > 2 * 4,
-            "ties must trigger escalation (theta {})",
-            out.theta
         );
     }
 

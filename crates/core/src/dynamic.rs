@@ -32,14 +32,15 @@
 //!   are keyed by hierarchy vertex) and the `C_ℓ`-scoped pools whose
 //!   universe holds an endpoint. Everything else stays warm across
 //!   flushes;
-//! * **replay is deterministic** — every applied mutation is appended to
-//!   a [`MutationLog`]; the HIMOR seed is pinned at construction, so every
-//!   repaired artifact, the dendrogram's merge order included, is
-//!   bit-identical to a from-scratch build of the mutated graph with the
-//!   same seed, at any thread count.
+//! * **replay is deterministic** — the HIMOR seed is pinned at
+//!   construction, so every repaired artifact, the dendrogram's merge
+//!   order included, is bit-identical to a from-scratch build of the
+//!   mutated graph with the same seed, at any thread count. The applied
+//!   events are not kept here; [`crate::DurableCod`] records them in its
+//!   write-ahead log.
 //!
 //! Every query flushes pending mutations first, so an answer depends only
-//! on the seeds, the config and the mutation log — never on when the
+//! on the seeds, the config and the applied events — never on when the
 //! flushes happened.
 
 use std::sync::Arc;
@@ -55,7 +56,7 @@ use crate::engine::{CodEngine, Method, Query};
 use crate::error::{CodError, CodResult};
 use crate::failpoint::{self, Site};
 use crate::himor::{HimorIndex, HimorPatchState};
-use crate::mutation::{Footprint, Mutation, MutationLog};
+use crate::mutation::{Footprint, Mutation, MutationKind};
 use crate::pipeline::{CodAnswer, CodConfig};
 use crate::pool::PoolCacheStats;
 use crate::recluster::build_hierarchy;
@@ -147,9 +148,6 @@ pub struct DynamicCod {
     /// from it, so a repaired index is bit-identical to a from-scratch
     /// build of the mutated graph.
     himor_seed: u64,
-    /// Every applied mutation, in order — persistable via
-    /// [`MutationLog::save`] and replayable with [`DynamicCod::apply`].
-    log: MutationLog,
     /// Events applied since the last flush (the next report's `events`).
     unflushed: usize,
 }
@@ -177,7 +175,7 @@ impl DynamicCod {
 
     /// Starts from an existing attributed graph with an explicit HIMOR
     /// seed. Two instances built with the same seed and fed the same
-    /// mutation log answer every query identically — regardless of how
+    /// events answer every query identically — regardless of how
     /// many repair/rebuild cycles each went through and at any thread
     /// count. Fails with [`CodError::InvalidQuery`] when `θ·|V|` overflows.
     pub fn with_seed(g: &AttributedGraph, cfg: CodConfig, seed: u64) -> CodResult<Self> {
@@ -246,7 +244,6 @@ impl DynamicCod {
             cache,
             edits_since_build: 0,
             himor_seed,
-            log: MutationLog::new(),
             unflushed: 0,
         }
     }
@@ -276,11 +273,6 @@ impl DynamicCod {
     /// repaired.
     pub fn pending_edits(&self) -> usize {
         self.edits_since_build
-    }
-
-    /// Every mutation applied so far, in order.
-    pub fn mutation_log(&self) -> &MutationLog {
-        &self.log
     }
 
     /// A point-in-time snapshot of the one registry: reads, mutations,
@@ -319,7 +311,7 @@ impl DynamicCod {
         if n > self.attrs.len() {
             self.attrs.resize(n, Vec::new());
         }
-        self.record_edge_event(Mutation::InsertEdge { u, v });
+        self.record_edge_event(MutationKind::InsertEdge, u, v);
         true
     }
 
@@ -328,7 +320,7 @@ impl DynamicCod {
         if !self.topo.remove(u, v) {
             return false;
         }
-        self.record_edge_event(Mutation::RemoveEdge { u, v });
+        self.record_edge_event(MutationKind::RemoveEdge, u, v);
         true
     }
 
@@ -352,10 +344,10 @@ impl DynamicCod {
                 .copied()
                 .chain(attrs.iter().copied()),
         );
-        self.attrs[v as usize] = attrs.clone();
+        self.attrs[v as usize] = attrs;
         self.unflushed += 1;
         self.cache.csr_stale = true; // attribute table lives in the served graph
-        self.record(Mutation::SetAttrs { node: v, attrs }, &fp);
+        self.record(MutationKind::SetAttrs, &fp);
         Ok(())
     }
 
@@ -370,24 +362,19 @@ impl DynamicCod {
         id
     }
 
-    fn record_edge_event(&mut self, m: Mutation) {
-        let (u, v) = match m {
-            Mutation::InsertEdge { u, v } | Mutation::RemoveEdge { u, v } => (u, v),
-            Mutation::SetAttrs { .. } => unreachable!("attribute edits use set_attrs"),
-        };
+    fn record_edge_event(&mut self, kind: MutationKind, u: NodeId, v: NodeId) {
         let mut fp = Footprint::new();
         fp.add_edge_event(u, v);
         self.edits_since_build += 1;
         self.unflushed += 1;
         self.cache.csr_stale = true;
-        self.record(m, &fp);
+        self.record(kind, &fp);
     }
 
-    /// Tallies and logs an applied mutation, and drops exactly the cached
-    /// artifacts and pools its footprint can stale.
-    fn record(&mut self, m: Mutation, fp: &Footprint) {
-        self.engine.metrics_registry().record_mutation(m.kind());
-        self.log.push(m);
+    /// Tallies an applied mutation and drops exactly the cached artifacts
+    /// and pools its footprint can stale.
+    fn record(&mut self, kind: MutationKind, fp: &Footprint) {
+        self.engine.metrics_registry().record_mutation(kind);
         self.engine.invalidate_scoped(fp);
     }
 
@@ -742,12 +729,16 @@ mod tests {
         let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
         let err = dyn_cod.set_attrs(99, vec![0]).unwrap_err();
         assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
-        assert_eq!(dyn_cod.mutation_log().len(), 0, "rejected edits unlogged");
+        assert_eq!(
+            dyn_cod.metrics_snapshot().mutations_set_attrs,
+            0,
+            "rejected edits uncounted"
+        );
     }
 
     #[test]
-    fn mutation_log_and_metrics_track_applied_events_only() {
-        // Duplicate edge inserts and absent removals must not be logged.
+    fn metrics_track_applied_events_only() {
+        // Duplicate edge inserts and absent removals must not be counted.
         let g = star_graph();
         let mut rng = SmallRng::seed_from_u64(68);
         let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
@@ -757,7 +748,6 @@ mod tests {
         assert!(dyn_cod.remove_edge(1, 3));
         assert!(!dyn_cod.remove_edge(1, 3));
         dyn_cod.set_attrs(2, vec![0]).unwrap();
-        assert_eq!(dyn_cod.mutation_log().len(), 3);
         let snap = dyn_cod.metrics_snapshot();
         assert_eq!(snap.mutations_insert, 1);
         assert_eq!(snap.mutations_remove, 1);

@@ -723,23 +723,6 @@ impl CodEngine {
         }
     }
 
-    /// [`CodEngine::query`] under per-request limits (see
-    /// [`CodEngine::query_batch_with_limits`]).
-    pub fn query_with_limits<R: Rng>(
-        &self,
-        query: Query,
-        limits: &QueryLimits,
-        rng: &mut R,
-    ) -> CodResult<Option<CodAnswer>> {
-        match self
-            .query_batch_with_limits(std::slice::from_ref(&query), limits, rng)
-            .pop()
-        {
-            Some(result) => result,
-            None => unreachable!("a batch of one yields one result"),
-        }
-    }
-
     /// Answers a batch of COD queries, one result per query, in order.
     ///
     /// Planning runs sequentially in query order (validation, artifact

@@ -25,8 +25,7 @@
 //!   (`CODU`, `CODR`, `CODL⁻`, `CODL`, §V);
 //! * [`pool`] — the cross-query shared RR-pool cache: key-derived
 //!   deterministic sampling, incremental top-ups, epoch invalidation and
-//!   LRU byte-budget eviction, plus the confidence-bound adaptive
-//!   evaluation built on it;
+//!   LRU byte-budget eviction;
 //! * [`pipeline`] — the shared query configuration, limits and answer
 //!   types;
 //! * [`codx`] — CODX v3, the one on-disk artifact format (graph, hierarchy
@@ -34,7 +33,7 @@
 //! * [`dynamic`], [`mutation`], [`wal`] and [`recovery`] — streaming
 //!   graph mutations: a flush reclusters the mutated graph exactly and
 //!   patches the HIMOR index instead of rebuilding it, made crash-safe by
-//!   a write-ahead log and checkpoints;
+//!   a write-ahead log of the applied events and checkpoints;
 //! * [`measures`] — answer-quality measures (size, `ρ`, `φ`, top-k
 //!   precision) shared by the experiment harness.
 
@@ -65,16 +64,13 @@ pub mod wal;
 pub use cache::{CacheStats, ReclusterCache};
 pub use chain::{Chain, ComposedChain, DendroChain, SubgraphChain};
 pub use codx::{save_artifacts, serialize_artifacts, MappedArtifacts, CODX_V3};
-pub use compressed::{
-    compressed_cod, compressed_cod_adaptive, influence_half_width, resolve_theta, AdaptiveReport,
-    CodOutcome, EvalOptions, Samples,
-};
+pub use compressed::{compressed_cod, resolve_theta, CodOutcome, EvalOptions, Samples};
 pub use dynamic::{DynamicCod, FlushOutcome, MutationFlushReport};
 pub use engine::{CodEngine, Method, Query};
 pub use error::{CodError, CodResult};
 pub use himor::{BuildStats, HimorIndex, HimorPatchState, PatchStats};
 pub use lore::{select_recluster_community, ReclusterChoice};
-pub use mutation::{Footprint, Mutation, MutationKind, MutationLog};
+pub use mutation::{Footprint, Mutation, MutationKind};
 pub use pipeline::{AnswerSource, CacheOutcome, CodAnswer, CodConfig, QueryLimits};
 pub use pool::{
     GrowthStats, PoolCache, PoolCacheStats, PoolLookup, PoolView, RrPoolEntry,

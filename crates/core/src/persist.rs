@@ -1,7 +1,6 @@
 //! Byte-level persistence primitives shared by every on-disk format: CODX
 //! v3 artifacts ([`crate::codx`]), the CODW write-ahead log
-//! ([`crate::wal`]), the CODM mutation log ([`crate::mutation`]) and the
-//! CODF manifest ([`crate::recovery`]).
+//! ([`crate::wal`]) and the CODF manifest ([`crate::recovery`]).
 //!
 //! * [`crc32`] — the IEEE CRC32 (hand-rolled table, no dependencies; see
 //!   `DESIGN.md` §6) that guards every section and record;

@@ -58,7 +58,7 @@ use cod_graph::AttributedGraph;
 use rand::prelude::*;
 
 use crate::codx::{save_artifacts, serialize_artifacts, MappedArtifacts};
-use crate::dynamic::{DynamicCod, MutationFlushReport};
+use crate::dynamic::{DynamicCod, FlushOutcome, MutationFlushReport};
 use crate::error::{CodError, CodResult};
 use crate::failpoint::{self, Site};
 use crate::mutation::Mutation;
@@ -268,6 +268,10 @@ pub struct DurableCod {
     checkpoint_id: u64,
     /// Total events ever applied: `manifest.events_covered` + WAL records.
     events_total: u64,
+    /// The report of a checkpoint's flush that absorbed pending events,
+    /// until the next [`DurableCod::flush`] returns it or the next applied
+    /// event makes it stale.
+    checkpoint_flush: Option<MutationFlushReport>,
 }
 
 impl DurableCod {
@@ -306,6 +310,7 @@ impl DurableCod {
             },
             checkpoint_id: 0,
             events_total: 0,
+            checkpoint_flush: None,
         };
         me.checkpoint_to(0)?;
         let _ = std::fs::remove_file(dir.join(".bootstrap.codw"));
@@ -360,6 +365,7 @@ impl DurableCod {
             dcfg,
             manifest,
             checkpoint_id,
+            checkpoint_flush: None,
         };
         me.gc();
         let report = RecoveryReport {
@@ -402,6 +408,7 @@ impl DurableCod {
             }
         };
         self.events_total += 1;
+        self.checkpoint_flush = None;
         self.maybe_checkpoint()?;
         Ok(changed)
     }
@@ -432,6 +439,10 @@ impl DurableCod {
 
     fn checkpoint_to(&mut self, id: u64) -> CodResult<()> {
         // Flush first: the snapshot must embody every applied event.
+        let flushed = self.inner.flush()?;
+        if flushed.outcome != FlushOutcome::Noop {
+            self.checkpoint_flush = Some(flushed);
+        }
         let (g, dendro, index) = self.inner.artifacts()?;
         failpoint::hit(Site::CheckpointCommit, None);
         let snap = format!("snap-{id}.codx");
@@ -512,9 +523,17 @@ impl DurableCod {
         self.inner.query(q, attr, rng)
     }
 
-    /// Flushes pending mutations through the repair pipeline.
+    /// Flushes pending mutations through the repair pipeline. When a
+    /// checkpoint (automatic inside [`DurableCod::apply`], or explicit) has
+    /// already flushed the events applied since the last call, returns that
+    /// checkpoint's flush report instead of [`FlushOutcome::Noop`], so a
+    /// caller that flushes after every event learns how each was absorbed.
     pub fn flush(&mut self) -> CodResult<MutationFlushReport> {
-        self.inner.flush()
+        let report = self.inner.flush()?;
+        Ok(match self.checkpoint_flush.take() {
+            Some(absorbed) if report.outcome == FlushOutcome::Noop => absorbed,
+            _ => report,
+        })
     }
 
     /// A point-in-time snapshot of the one registry: reads, mutations,
@@ -683,6 +702,11 @@ mod tests {
         d.apply(&Mutation::InsertEdge { u: 3, v: 7 }).unwrap();
         assert_eq!(d.manifest().events_covered, 2, "second event checkpoints");
         assert_eq!(d.wal_records(), 0);
+        // The checkpoint flushed both events; the next flush reports it, once.
+        let report = d.flush().unwrap();
+        assert_ne!(report.outcome, FlushOutcome::Noop);
+        assert_eq!(report.events, 2);
+        assert_eq!(d.flush().unwrap().outcome, FlushOutcome::Noop);
         std::fs::remove_dir_all(&dir).ok();
     }
 

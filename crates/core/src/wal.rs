@@ -12,8 +12,8 @@
 //! ```text
 //! header:  magic "CODW" | version u32 = 1
 //! records: len u32 | payload (len bytes) | crc32(payload) u32
-//!          payload = one CODM-encoded event (tag u8 + fields; see
-//!          `mutation` — the two formats share the per-event layout)
+//!          payload = one encoded event (tag u8 + fields; see
+//!          `mutation::encode_event`)
 //! ```
 //!
 //! There is no footer: the file is append-only and a crash can land

@@ -294,18 +294,6 @@ pub fn livejournal_like(seed: u64) -> Dataset {
     livejournal_like_scaled(60_000, seed)
 }
 
-/// The six evaluation datasets of §V-B at experiment scale.
-pub fn standard_suite(seed: u64) -> Vec<Dataset> {
-    vec![
-        cora_like(seed),
-        citeseer_like(seed + 1),
-        pubmed_like(seed + 2),
-        retweet_like(seed + 3),
-        amazon_like(seed + 4),
-        dblp_like(seed + 5),
-    ]
-}
-
 /// Looks a preset up by name (accepts the Table I dataset names,
 /// case-insensitive).
 pub fn by_name(name: &str, seed: u64) -> Option<Dataset> {

@@ -59,11 +59,6 @@ impl GraphBuilder {
         self.num_nodes
     }
 
-    /// Number of (possibly duplicated) edges added so far.
-    pub fn num_pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Whether the (deduplicated) edge was already added. `O(pending)`; for
     /// generators that need fast membership tests, keep an external set.
     pub fn contains_edge(&self, u: NodeId, v: NodeId) -> bool {

@@ -342,12 +342,6 @@ impl Dendrogram {
             .collect()
     }
 
-    /// Sum of leaf depths `Σ_v dep(v)` — the balancedness term in the
-    /// HIMOR construction cost (paper Theorem 6, Table II discussion).
-    pub fn total_leaf_depth(&self) -> u64 {
-        (0..self.num_leaves).map(|v| u64::from(self.depth[v])).sum()
-    }
-
     /// Average number of hierarchical communities per node,
     /// `|H̄(q)| = avg_u |H(u)|` (paper Table I reports this).
     pub fn avg_chain_len(&self) -> f64 {

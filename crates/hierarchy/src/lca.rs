@@ -100,12 +100,6 @@ impl LcaIndex {
         };
         self.tour[best as usize]
     }
-
-    /// `dep(lca(a, b))` — the paper's `dep(u, v)` shorthand.
-    #[inline]
-    pub fn lca_depth(&self, d: &Dendrogram, a: VertexId, b: VertexId) -> u32 {
-        d.depth(self.lca(a, b))
-    }
 }
 
 #[cfg(test)]

@@ -99,12 +99,6 @@ impl Model {
             }
         }
     }
-
-    /// Whether the model is an independent cascade variant (edge coins are
-    /// independent, enabling forward edge-by-edge simulation).
-    pub fn is_independent_cascade(&self) -> bool {
-        !matches!(self, Model::LinearThreshold | Model::RandomK(_))
-    }
 }
 
 /// Appends `min(k, |pool|)` distinct uniform elements of `pool` to `out`

@@ -1210,14 +1210,14 @@ impl Replayer {
 }
 
 fn cmd_mutate(opts: &Opts) -> Result<(), String> {
-    use pcod::cod::mutation::{Mutation, MutationLog};
+    use pcod::cod::mutation::parse_text;
     use pcod::cod::{CodError, DurableCod, DynamicCod, FlushOutcome};
 
     let g = opts.load_graph()?;
     let log_path = opts.log.as_ref().ok_or("mutate needs --log FILE")?;
     let text = std::fs::read_to_string(log_path)
         .map_err(|e| format!("reading {}: {e}", log_path.display()))?;
-    let log = MutationLog::parse_text(&text).map_err(|e| e.to_string())?;
+    let events = parse_text(&text).map_err(|e| e.to_string())?;
     // The replay is a pure function of the log and --seed, bit-identical at
     // every thread count, and single edits repair the hierarchy in place
     // instead of rebuilding it.
@@ -1248,7 +1248,7 @@ fn cmd_mutate(opts: &Opts) -> Result<(), String> {
     };
     outln!(
         "replaying {} events from {} against {} nodes / {} edges (seed {})",
-        log.len(),
+        events.len(),
         log_path.display(),
         g.num_nodes(),
         g.num_edges(),
@@ -1265,19 +1265,8 @@ fn cmd_mutate(opts: &Opts) -> Result<(), String> {
         }
         .to_string()
     };
-    for (i, m) in log.events().iter().enumerate() {
-        let label = match m {
-            Mutation::InsertEdge { u, v } => format!("add {u} {v}"),
-            Mutation::RemoveEdge { u, v } => format!("del {u} {v}"),
-            Mutation::SetAttrs { node, attrs } => format!(
-                "attrs {node} {}",
-                attrs
-                    .iter()
-                    .map(|a| a.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-        };
+    for (i, m) in events.iter().enumerate() {
+        let label = m.to_string();
         let applied = replayer.apply(m).map_err(|e| halt(i, i + 1, e))?;
         if !applied {
             outln!(
@@ -1305,7 +1294,7 @@ fn cmd_mutate(opts: &Opts) -> Result<(), String> {
     let snap = replayer.inner().metrics_snapshot();
     outln!(
         "\nreplayed {} events in {:.2?}: {} repairs, {} full rebuilds, {} pools evicted (scoped)",
-        log.len(),
+        events.len(),
         started.elapsed(),
         snap.repairs,
         snap.full_rebuilds,

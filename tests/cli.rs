@@ -564,6 +564,30 @@ fn mutate_replays_a_log_with_per_event_outcomes() {
     assert!(out.contains("refreshed"), "{out}"); // the attrs event
     assert!(out.contains("repairs"), "{out}");
     assert!(out.contains("full rebuilds"), "{out}");
+
+    // Durable replay whose third event trips an automatic checkpoint: the
+    // checkpoint flushes that event, and its line must report that flush
+    // rather than the empty one that follows.
+    std::fs::write(&log, "add 1 101\nadd 2 102\nadd 3 103\n").unwrap();
+    let wal = dir.join("wal");
+    let o = run(&[
+        "mutate",
+        "--preset",
+        "cora",
+        "--log",
+        log.to_str().unwrap(),
+        "--wal",
+        wal.to_str().unwrap(),
+        "--checkpoint-events",
+        "3",
+        "--theta",
+        "2",
+    ]);
+    assert!(o.status.success(), "stderr: {}", stderr(&o));
+    let out = stdout(&o);
+    assert!(!out.contains("-> no-op"), "{out}");
+    assert_eq!(out.matches("-> repaired").count(), 3, "{out}");
+    assert!(out.contains("3 repairs"), "{out}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

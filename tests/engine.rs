@@ -41,7 +41,10 @@ fn invalid_queries_error_identically_through_every_variant() {
         [
             engine.query(query, &mut rng),
             batch,
-            engine.query_with_limits(query, &limits, &mut rng),
+            engine
+                .query_batch_with_limits(&[query], &limits, &mut rng)
+                .pop()
+                .unwrap(),
         ]
         .into_iter()
         .map(|r| r.unwrap_err().to_string())

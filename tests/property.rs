@@ -365,8 +365,8 @@ proptest! {
     }
 
     /// Child streams never collide with each other or with the parent's
-    /// per-index seeds (the adaptive sampler relies on round `r` drawing a
-    /// fresh, disjoint stream).
+    /// per-index seeds (the engine's fallback evaluation relies on its
+    /// child stream being disjoint from the primary evaluation's).
     #[test]
     fn child_streams_are_distinct(master in 0u64..u64::MAX, a in 0u64..1000, b in 0u64..1000) {
         let seq = SeedSequence::new(master);
