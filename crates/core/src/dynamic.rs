@@ -10,15 +10,16 @@
 //! * **mutations are O(1)** — edge edits land in a [`DeltaCsr`] overlay
 //!   over the last materialized CSR, attribute edits in the attribute
 //!   table; nothing is re-sorted or re-hashed per event;
-//! * **the index is repaired, not rebuilt** — on flush, the mutated graph
-//!   is reclustered exactly as a rebuild clusters it ([`build_hierarchy`]),
-//!   [`match_vertices`] diffs the old and the new tree, and the HIMOR
-//!   index is patched: only the RR samples that hold an edited node are
-//!   redrawn, and those that reach only the disturbed region are recorded
-//!   anew from their retained draws
-//!   ([`crate::himor::HimorPatchState::patch`]); a full rebuild happens
-//!   only when the edit volume crosses `rebuild_threshold` or the node
-//!   range grows;
+//! * **the index is patched, not rebuilt** — a flush has one path: it
+//!   reclusters the mutated graph exactly as a rebuild clusters it
+//!   ([`build_hierarchy`]), [`match_vertices`] diffs the old and the new
+//!   tree, and the HIMOR index is patched in place: only the RR samples
+//!   that hold an edited node are redrawn, and those that reach only the
+//!   disturbed region are recorded anew from their retained draws
+//!   ([`crate::himor::HimorPatchState::patch`]). The index is built from
+//!   scratch instead only when the edit volume crosses
+//!   `rebuild_threshold`, the node range grows, or no consistent patch
+//!   state is at hand;
 //! * **reads go through [`CodEngine`]** — the flushed graph, hierarchy
 //!   and index are swapped into one engine in place, and every query is
 //!   its CODL query (Algorithm 3): an index hit answers from the index;
@@ -48,13 +49,11 @@ use std::time::Instant;
 
 use cod_graph::{AttrId, AttrInterner, AttrTable, AttributedGraph, Csr, DeltaCsr, NodeId};
 use cod_hierarchy::{match_vertices, Dendrogram, Hierarchy};
-use cod_influence::CancelToken;
 use rand::prelude::*;
 
 use crate::compressed::total_theta;
 use crate::engine::{CodEngine, Method, Query};
 use crate::error::{CodError, CodResult};
-use crate::failpoint::{self, Site};
 use crate::himor::{HimorIndex, HimorPatchState};
 use crate::mutation::{Footprint, Mutation, MutationKind};
 use crate::pipeline::{CodAnswer, CodConfig};
@@ -102,28 +101,6 @@ fn node_attrs(g: &AttributedGraph) -> Vec<Vec<AttrId>> {
         .collect()
 }
 
-/// A from-scratch hierarchy and patchable index over `csr`, from the
-/// pinned HIMOR `seed`.
-fn build_artifacts(
-    csr: &Csr,
-    cfg: &CodConfig,
-    seed: u64,
-    cancel: Option<&CancelToken>,
-) -> CodResult<(Hierarchy, HimorIndex, HimorPatchState)> {
-    let hier = Hierarchy::new(build_hierarchy(csr, cfg.linkage));
-    let (index, patch) = HimorIndex::build_patchable(
-        csr,
-        cfg.model,
-        &hier.dendro,
-        &hier.lca,
-        cfg.theta,
-        seed,
-        cfg.parallelism,
-        cancel,
-    )?;
-    Ok((hier, index, patch))
-}
-
 /// A COD engine over a mutable attributed graph.
 ///
 /// Reads are [`CodEngine`] CODL queries over the flushed artifacts; see
@@ -158,8 +135,8 @@ struct Cache {
     hier: Arc<Hierarchy>,
     index: Arc<HimorIndex>,
     /// Retained build state that makes `index` patchable across a
-    /// dendrogram repair (`None` for artifacts restored from a checkpoint,
-    /// until the first topology flush rebuilds).
+    /// recluster (`None` for artifacts restored from a checkpoint, until
+    /// the first topology flush rebuilds).
     patch: Option<HimorPatchState>,
     /// Graph edits (or interned names) newer than the engine's graph: the
     /// next query flushes first.
@@ -180,7 +157,16 @@ impl DynamicCod {
     /// count. Fails with [`CodError::InvalidQuery`] when `θ·|V|` overflows.
     pub fn with_seed(g: &AttributedGraph, cfg: CodConfig, seed: u64) -> CodResult<Self> {
         total_theta(cfg.theta, g.num_nodes())?;
-        let (hier, index, patch) = build_artifacts(g.csr(), &cfg, seed, None)?;
+        let hier = Hierarchy::new(build_hierarchy(g.csr(), cfg.linkage));
+        let (index, patch) = HimorIndex::build_patchable(
+            g.csr(),
+            cfg.model,
+            &hier.dendro,
+            &hier.lca,
+            cfg.theta,
+            seed,
+            cfg.parallelism,
+        )?;
         let cache = Cache {
             hier: Arc::new(hier),
             index: Arc::new(index),
@@ -398,72 +384,72 @@ impl DynamicCod {
         self.edits_since_build = 0;
     }
 
-    /// Rebuild from the pinned seed, retaining the patch state so later
-    /// mutations can repair instead of rebuilding.
-    fn rebuild_governed(&mut self, cancel: Option<&CancelToken>) -> CodResult<()> {
+    /// Reclusters the current topology and installs it with a HIMOR index
+    /// for the new tree. With `may_patch` and a retained patch state, the
+    /// state is patched ([`HimorPatchState::patch`]) and the registry
+    /// receives the wall-clock time of the `repair` stage (recluster, tree
+    /// and diff) and of the `himor_patch` stage. Otherwise, or when the
+    /// patch finds its state out of sync (the torn state is dropped), a
+    /// fresh patchable index is built from the pinned seed. Either way the
+    /// artifacts equal a from-scratch build of the current graph.
+    fn reindex(&mut self, may_patch: bool) -> CodResult<FlushOutcome> {
         let csr = self.topo.materialize();
-        let (hier, index, patch) =
-            build_artifacts(&csr, self.engine.config(), self.himor_seed, cancel)?;
+        let cfg = *self.engine.config();
+        let repair_start = Instant::now();
+        let hier = Hierarchy::new(build_hierarchy(&csr, cfg.linkage));
+        let patched = match self.cache.patch.take() {
+            Some(mut state) if may_patch => {
+                let old = &self.cache.hier;
+                let diff = match_vertices(&old.dendro, &hier.dendro);
+                let touched = self.topo.touched_nodes();
+                let patch_start = Instant::now();
+                state
+                    .patch(
+                        &csr,
+                        cfg.model,
+                        &old.dendro,
+                        &old.lca,
+                        &hier.dendro,
+                        &hier.lca,
+                        &diff,
+                        &touched,
+                        cfg.parallelism,
+                    )
+                    .map(|(index, stats)| {
+                        self.engine.metrics_registry().record_flush_phases(
+                            (patch_start - repair_start).as_nanos() as u64,
+                            patch_start.elapsed().as_nanos() as u64,
+                        );
+                        let outcome = FlushOutcome::Repaired {
+                            samples_redrawn: stats.samples_redrawn,
+                            samples_rerecorded: stats.samples_rerecorded,
+                            samples_total: stats.samples_total,
+                        };
+                        (index, state, outcome)
+                    })
+            }
+            _ => None,
+        };
+        let (index, state, outcome) = match patched {
+            Some(patched) => patched,
+            None => {
+                let (index, state) = HimorIndex::build_patchable(
+                    &csr,
+                    cfg.model,
+                    &hier.dendro,
+                    &hier.lca,
+                    cfg.theta,
+                    self.himor_seed,
+                    cfg.parallelism,
+                )?;
+                (index, state, FlushOutcome::Rebuilt)
+            }
+        };
         self.cache.hier = Arc::new(hier);
         self.cache.index = Arc::new(index);
-        self.cache.patch = Some(patch);
+        self.cache.patch = Some(state);
         self.install(csr);
-        Ok(())
-    }
-
-    /// Repair: recluster the mutated graph as a rebuild does and patch the
-    /// HIMOR index, committing only when the patch succeeds (a cancelled
-    /// repair leaves every artifact as it was). The registry receives the
-    /// wall-clock time of the `repair` stage (recluster, tree and diff) and
-    /// of the `himor_patch` stage of every repair that commits.
-    fn repair_governed(&mut self, cancel: Option<&CancelToken>) -> CodResult<FlushOutcome> {
-        let new_csr = self.topo.materialize();
-        let touched = self.topo.touched_nodes();
-        failpoint::hit(Site::DendroRepair, cancel);
-        if cancel.is_some_and(CancelToken::should_stop) {
-            return Err(CodError::DeadlineExceeded);
-        }
-        let repair_start = Instant::now();
-        let cfg = *self.engine.config();
-        let cache = &mut self.cache;
-        let old = &cache.hier;
-        let new = Hierarchy::new(build_hierarchy(&new_csr, cfg.linkage));
-        let diff = match_vertices(&old.dendro, &new.dendro);
-        let Some(mut patch) = cache.patch.take() else {
-            unreachable!("flush checked the patch state before choosing repair")
-        };
-        let patch_start = Instant::now();
-        let patched = patch.patch(
-            &new_csr,
-            cfg.model,
-            &old.dendro,
-            &old.lca,
-            &new.dendro,
-            &new.lca,
-            &diff,
-            &touched,
-            cfg.parallelism,
-            cancel,
-        );
-        let Some((index, stats)) = patched else {
-            // Commit-at-end: the cancelled patch left the state untouched.
-            cache.patch = Some(patch);
-            return Err(CodError::DeadlineExceeded);
-        };
-        let patch_end = Instant::now();
-        cache.hier = Arc::new(new);
-        cache.index = Arc::new(index);
-        cache.patch = Some(patch);
-        self.install(new_csr);
-        self.engine.metrics_registry().record_flush_phases(
-            (patch_start - repair_start).as_nanos() as u64,
-            (patch_end - patch_start).as_nanos() as u64,
-        );
-        Ok(FlushOutcome::Repaired {
-            samples_redrawn: stats.samples_redrawn,
-            samples_rerecorded: stats.samples_rerecorded,
-            samples_total: stats.samples_total,
-        })
+        Ok(outcome)
     }
 
     /// Forces an immediate hierarchy + index rebuild. Explicit rebuilds
@@ -471,26 +457,18 @@ impl DynamicCod {
     /// pool is dropped and the pool epoch bumps — regardless of
     /// footprints.
     pub fn rebuild(&mut self) -> CodResult<()> {
-        self.rebuild_governed(None)?;
+        self.reindex(false)?;
         self.engine.clear_cache();
         self.unflushed = 0;
         Ok(())
     }
 
-    /// Brings every cached artifact current with the pending mutations,
-    /// choosing between a repair and a full rebuild.
+    /// Brings every cached artifact current with the pending mutations.
+    /// An edge change reclusters the mutated graph and patches the HIMOR
+    /// index when a patch state exists, the node range did not grow and
+    /// the edits since the last build stay within `rebuild_threshold`;
+    /// otherwise it rebuilds the index from scratch.
     pub fn flush(&mut self) -> CodResult<MutationFlushReport> {
-        self.flush_governed(None)
-    }
-
-    /// [`DynamicCod::flush`] under cooperative governance: the repair,
-    /// patch and rebuild stages poll `cancel`, and a fired token returns
-    /// [`CodError::DeadlineExceeded`] with every artifact unchanged (the
-    /// pending mutations stay queued for the next flush).
-    pub fn flush_governed(
-        &mut self,
-        cancel: Option<&CancelToken>,
-    ) -> CodResult<MutationFlushReport> {
         let events = self.unflushed;
         if !self.cache.csr_stale {
             self.unflushed = 0;
@@ -511,16 +489,12 @@ impl DynamicCod {
         }
         let grew = self.topo.num_nodes() > self.engine.graph().num_nodes();
         let limit = (self.topo.num_edges() as f64 * self.rebuild_threshold) as usize;
-        let repairable = self.cache.patch.is_some();
-        let outcome = if grew || !repairable || self.edits_since_build > limit {
-            self.rebuild_governed(cancel)?;
-            self.engine.metrics_registry().record_full_rebuild();
-            FlushOutcome::Rebuilt
-        } else {
-            let outcome = self.repair_governed(cancel)?;
-            self.engine.metrics_registry().record_repair();
-            outcome
-        };
+        let outcome = self.reindex(!grew && self.edits_since_build <= limit)?;
+        let registry = self.engine.metrics_registry();
+        match outcome {
+            FlushOutcome::Repaired { .. } => registry.record_repair(),
+            _ => registry.record_full_rebuild(),
+        }
         self.unflushed = 0;
         Ok(MutationFlushReport { outcome, events })
     }
@@ -563,6 +537,14 @@ impl DynamicCod {
     pub fn graph(&mut self) -> CodResult<&AttributedGraph> {
         self.flush()?;
         Ok(self.engine.graph())
+    }
+
+    /// Flushes pending mutations and hands over the engine that serves the
+    /// flushed artifacts, with its registry (reads, mutations, repairs and
+    /// any WAL and recovery counters) and its warm caches.
+    pub fn into_engine(mut self) -> CodResult<CodEngine> {
+        self.flush()?;
+        Ok(self.engine)
     }
 }
 #[cfg(test)]

@@ -414,19 +414,6 @@ impl CodEngine {
         self.metrics.snapshot()
     }
 
-    /// Folds a completed recovery into the engine's metrics so a served
-    /// engine built from recovered artifacts exposes `cod_recovery_*`
-    /// telemetry (the recovery itself ran before this engine existed).
-    pub fn record_recovery(&self, replayed: u64, nanos: u64) {
-        self.metrics.record_recovery(replayed, nanos);
-    }
-
-    /// Folds WAL activity observed before this engine was constructed
-    /// (e.g. by the recovery replay) into its metrics.
-    pub fn record_wal_activity(&self, appended: u64, fsyncs: u64) {
-        self.metrics.record_wal_activity(appended, fsyncs);
-    }
-
     /// The engine metrics rendered in the Prometheus text exposition
     /// format (counters as `cod_*_total`, recluster-cache gauges, and a
     /// `cod_query_seconds` histogram over traced queries).

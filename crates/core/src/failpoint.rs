@@ -4,6 +4,11 @@
 //! tests can arm with an [`Action`]: panic (exercising panic isolation),
 //! delay (widening race windows for the stress tests), or forced
 //! cancellation (firing the query's `CancelToken` as if a limit tripped).
+//! The seventeen sites come in five groups: the engine ([`SITES`]), the
+//! serve tier ([`SERVE_SITES`]), the RR-pool cache ([`POOL_SITES`]),
+//! out-of-core artifacts ([`OOC_SITES`]) and durability
+//! ([`DURABILITY_SITES`]). A mutation flush takes no cancel token and has
+//! no site of its own; its reads cross the engine and pool sites.
 //!
 //! **Compiled out in release builds**: with `debug_assertions` off,
 //! [`hit`] is an empty inline function and [`arm`]/[`disarm_all`] are
@@ -60,12 +65,6 @@ pub enum Site {
     /// Shared RR-pool cache: per sample batch while folding pooled RR
     /// graphs into a query's HFS buckets.
     PoolFold,
-    /// Mutation pipeline: before a repaired flush reclusters the mutated
-    /// graph.
-    DendroRepair,
-    /// Mutation pipeline: per redraw batch while patching the HIMOR index
-    /// after a repair (every `CHECK_EVERY` redraws).
-    HimorPatch,
     /// Out-of-core artifacts: before a mapped CODX v3 section's lazy CRC
     /// verification runs (first access of that section).
     MmapSection,
@@ -106,11 +105,6 @@ pub const SERVE_SITES: [Site; 4] = [Site::Accept, Site::Parse, Site::PreEval, Si
 /// never hit these checkpoints.
 pub const POOL_SITES: [Site; 2] = [Site::PoolGrow, Site::PoolFold];
 
-/// The mutation-pipeline sites, reachable only through `DynamicCod`'s
-/// flush path (repair + HIMOR patch). Kept out of [`SITES`] so engine
-/// chaos sweeps over frozen graphs don't arm unreachable checkpoints.
-pub const MUTATION_SITES: [Site; 2] = [Site::DendroRepair, Site::HimorPatch];
-
 /// The out-of-core sites, reachable only through mapped CODX v3 artifacts
 /// ([`crate::codx::MappedArtifacts`]). Kept out of [`SITES`] so in-RAM
 /// chaos sweeps don't arm checkpoints their workload can never hit.
@@ -145,8 +139,6 @@ impl Site {
             "resp_write" => Some(Site::RespWrite),
             "pool_grow" => Some(Site::PoolGrow),
             "pool_fold" => Some(Site::PoolFold),
-            "dendro_repair" => Some(Site::DendroRepair),
-            "himor_patch" => Some(Site::HimorPatch),
             "mmap_section" => Some(Site::MmapSection),
             "wal_append" => Some(Site::WalAppend),
             "wal_fsync" => Some(Site::WalFsync),
@@ -198,7 +190,6 @@ mod imp {
                 .into_iter()
                 .chain(super::SERVE_SITES)
                 .chain(super::POOL_SITES)
-                .chain(super::MUTATION_SITES)
                 .chain(super::OOC_SITES)
                 .chain(super::DURABILITY_SITES)
             {

@@ -14,6 +14,13 @@
 //! largest ancestor of `C_ℓ` on `q`'s root path where `q`'s stored rank is
 //! `≤ k` is returned directly; only if none exists does CODL fall back to
 //! compressed evaluation inside the reclustered `C_ℓ`.
+//!
+//! **Patching** ([`HimorPatchState`]): a patchable build keeps its `Θ`
+//! samples and master buckets, and after a graph mutation
+//! [`HimorPatchState::patch`] updates them in place, paying the HFS terms
+//! only for the samples the mutation reaches, to the index a from-scratch
+//! build of the mutated graph returns. Only [`HimorIndex::build`] takes a
+//! cancel token; patchable builds and patches run to completion.
 
 use cod_graph::{Csr, FxHashMap, NodeId, Segment};
 use cod_hierarchy::{Dendrogram, LcaIndex, TreeDiff, VertexId};
@@ -192,7 +199,8 @@ impl HimorIndex {
     /// and the master per-vertex buckets, so later graph mutations can
     /// *patch* the index via [`HimorPatchState::patch`] instead of
     /// resampling all `Θ` graphs. The index is the one `build` returns.
-    #[allow(clippy::too_many_arguments)] // the build inputs plus seed, fan-out and token
+    /// Ungoverned: fails only with [`CodError::InvalidQuery`] when `Θ`
+    /// overflows.
     pub fn build_patchable(
         g: &Csr,
         model: Model,
@@ -201,19 +209,8 @@ impl HimorIndex {
         theta_per_node: usize,
         seed: u64,
         par: Parallelism,
-        cancel: Option<&CancelToken>,
     ) -> CodResult<(Self, HimorPatchState)> {
-        Self::construct(
-            g,
-            model,
-            dendro,
-            lca,
-            theta_per_node,
-            seed,
-            par,
-            cancel,
-            true,
-        )
+        Self::construct(g, model, dendro, lca, theta_per_node, seed, par, None, true)
     }
 
     /// The build behind [`HimorIndex::build`] and
@@ -262,7 +259,6 @@ impl HimorIndex {
         let state = HimorPatchState {
             seeds,
             theta,
-            theta_per_node: theta_per_node.max(1),
             samples,
             buckets,
         };
@@ -685,8 +681,6 @@ pub struct PatchStats {
     pub samples_rerecorded: u64,
     /// Total retained samples (`Θ`): the denominator of both rates.
     pub samples_total: u64,
-    /// Old-tree buckets re-keyed onto surviving communities unchanged.
-    pub buckets_rekeyed: u64,
 }
 
 /// How far a mutation reaches into one retained sample, ordered by the
@@ -707,7 +701,7 @@ enum Reach {
 /// build: the `Θ` drawn RR graphs plus the master per-vertex buckets, both
 /// keyed to the hierarchy the index was last built against.
 ///
-/// After a graph mutation repairs the dendrogram, [`HimorPatchState::patch`]
+/// After a graph mutation reclusters the dendrogram, [`HimorPatchState::patch`]
 /// produces the index a full `build` on the new graph would produce —
 /// bit-identically, because sample `i` is a pure function of
 /// `(graph, model, seed, i)` and a draw reads only the adjacency rows of
@@ -720,7 +714,6 @@ enum Reach {
 pub struct HimorPatchState {
     seeds: SeedSequence,
     theta: usize,
-    theta_per_node: usize,
     /// Sample `i` as last drawn (index-aligned with the seed sequence).
     samples: Vec<RrGraph>,
     /// Master buckets of the current tree (vertex id space of the
@@ -732,11 +725,6 @@ impl HimorPatchState {
     /// Total retained RR graphs (`Θ`).
     pub fn theta(&self) -> usize {
         self.theta
-    }
-
-    /// The per-node sampling density the state was built with.
-    pub fn theta_per_node(&self) -> usize {
-        self.theta_per_node
     }
 
     /// Heap bytes retained by the samples and master buckets — what keeping
@@ -753,9 +741,9 @@ impl HimorPatchState {
 
     /// Patches the retained state across a mutation: `g` is the new
     /// topology, `old_*` the hierarchy the state is keyed to, `new_*` the
-    /// repaired hierarchy, `diff` their structural matching, and `edited`
-    /// the nodes whose adjacency changed. Returns the index a fresh
-    /// [`HimorIndex::build`] on `(g, new_dendro)` with the same seed
+    /// reclustered hierarchy, `diff` their structural matching, and
+    /// `edited` the nodes whose adjacency changed. Returns the index a
+    /// fresh [`HimorIndex::build`] on `(g, new_dendro)` with the same seed
     /// would return, bit for bit, plus patch-effort counters.
     ///
     /// Only RR samples whose node set intersects the footprint (disturbed
@@ -763,13 +751,15 @@ impl HimorPatchState {
     /// recorded under the new one. Of those, only the samples holding an
     /// edited node are redrawn with their per-index seeds; the rest read
     /// only unchanged adjacency rows, so their retained draws are what a
-    /// redraw would produce and are recorded as they stand. The record
-    /// loop polls `cancel` (and the `himor_patch` failpoint) every
-    /// `CHECK_EVERY` samples of either kind, charging the redraws' RR
-    /// edges. On cancellation — or on an internal inconsistency — the
-    /// state is left **unmodified** and `None` is returned, so the caller
-    /// can retry or fall back to a full rebuild.
-    #[allow(clippy::too_many_arguments)] // two hierarchies plus the token
+    /// redraw would produce and are recorded as they stand. The master
+    /// buckets are updated in place and then moved into the new tree's
+    /// vertex space.
+    ///
+    /// `None` means the state was out of sync with `old_dendro`: a
+    /// subtraction underflowed, or a bucket survived on an unmatched
+    /// community. The state is then torn; drop it and build afresh with
+    /// [`HimorIndex::build_patchable`].
+    #[allow(clippy::too_many_arguments)] // two hierarchies, their diff and the edit set
     pub fn patch(
         &mut self,
         g: &Csr,
@@ -781,7 +771,6 @@ impl HimorPatchState {
         diff: &TreeDiff,
         edited: &[NodeId],
         par: Parallelism,
-        cancel: Option<&CancelToken>,
     ) -> Option<(HimorIndex, PatchStats)> {
         let n = new_dendro.num_leaves();
         assert_eq!(g.num_nodes(), n, "patch cannot grow nodes");
@@ -828,7 +817,6 @@ impl HimorPatchState {
         let mut explored: Vec<bool> = Vec::new();
 
         // Subtract the affected samples' contributions under the old tree.
-        let mut tmp = self.buckets.clone();
         let mut underflow = false;
         for &(i, _) in &affected {
             HimorIndex::hfs_visit_tree(
@@ -838,7 +826,7 @@ impl HimorPatchState {
                 &mut queues,
                 &mut explored,
                 |tag, node| {
-                    let bucket = &mut tmp[tag as usize];
+                    let bucket = &mut self.buckets[tag as usize];
                     match bucket.get_mut(&node) {
                         Some(c) if *c > 1 => *c -= 1,
                         Some(_) => {
@@ -854,22 +842,20 @@ impl HimorPatchState {
             return None;
         }
 
-        // Re-key the surviving buckets into the new tree's vertex space.
+        // Move the surviving buckets into the new tree's vertex space.
         // Every unmatched old community must have been emptied by the
         // subtraction (a sample tagging it necessarily contains a node
         // under it, which the footprint marks disturbed).
-        let mut buckets: Vec<FxHashMap<NodeId, u32>> =
-            vec![FxHashMap::default(); new_dendro.num_vertices()];
-        let mut rekeyed = 0u64;
-        for (v, bucket) in tmp.into_iter().enumerate().skip(n) {
+        let old_buckets = std::mem::replace(
+            &mut self.buckets,
+            vec![FxHashMap::default(); new_dendro.num_vertices()],
+        );
+        for (v, bucket) in old_buckets.into_iter().enumerate().skip(n) {
             if bucket.is_empty() {
                 continue;
             }
             match diff.old_to_new[v] {
-                Some(w) => {
-                    buckets[w as usize] = bucket;
-                    rekeyed += 1;
-                }
+                Some(w) => self.buckets[w as usize] = bucket,
                 None => {
                     debug_assert!(false, "nonempty bucket on unmatched vertex {v}");
                     return None;
@@ -881,55 +867,27 @@ impl HimorPatchState {
         // the new topology with its original per-index seed when it holds
         // an edited node, and take its retained draw otherwise.
         let mut sampler = RrSampler::new(g, model);
-        let mut charged = sampler.stats();
-        let mut redrawn: Vec<(u32, RrGraph)> = Vec::new();
-        for (off, &(i, redraw)) in affected.iter().enumerate() {
-            if off % CHECK_EVERY == 0 {
-                failpoint::hit(failpoint::Site::HimorPatch, cancel);
-                if let Some(tok) = cancel {
-                    let now = sampler.stats();
-                    tok.charge_rr_edges(now.delta_since(charged).edges);
-                    charged = now;
-                    if tok.should_stop() {
-                        return None;
-                    }
-                }
-            }
-            let rr = if redraw {
+        let mut redrawn = 0u64;
+        for &(i, redraw) in &affected {
+            if redraw {
                 let mut rng = self.seeds.rng_for(u64::from(i));
-                redrawn.push((i, sampler.sample_uniform(&mut rng)));
-                &redrawn[redrawn.len() - 1].1
-            } else {
-                &self.samples[i as usize]
-            };
+                self.samples[i as usize] = sampler.sample_uniform(&mut rng);
+                redrawn += 1;
+            }
             HimorIndex::hfs_visit_tree(
                 new_dendro,
                 new_lca,
-                rr,
+                &self.samples[i as usize],
                 &mut queues,
                 &mut explored,
                 |tag, node| {
-                    *buckets[tag as usize].entry(node).or_insert(0) += 1;
+                    *self.buckets[tag as usize].entry(node).or_insert(0) += 1;
                 },
             );
         }
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return None;
-        }
 
-        // Rank merge over a copy, keeping the master buckets for the next
-        // patch. Commit only once the whole pipeline succeeded.
-        let ranks = HimorIndex::merge_stage(new_dendro, &buckets, par.thread_count(), cancel)?;
-        let stats = PatchStats {
-            samples_redrawn: redrawn.len() as u64,
-            samples_rerecorded: (affected.len() - redrawn.len()) as u64,
-            samples_total: self.theta as u64,
-            buckets_rekeyed: rekeyed,
-        };
-        for (i, rr) in redrawn {
-            self.samples[i as usize] = rr;
-        }
-        self.buckets = buckets;
+        // Without a token the merge stage runs to completion.
+        let ranks = HimorIndex::merge_stage(new_dendro, &self.buckets, par.thread_count(), None)?;
         let sampled = sampler.stats();
         let index = HimorIndex {
             ranks: RankTable::from_nested(ranks),
@@ -939,6 +897,11 @@ impl HimorPatchState {
                 rr_edges: sampled.edges,
                 bucket_merges: (new_dendro.num_vertices() - n) as u64,
             },
+        };
+        let stats = PatchStats {
+            samples_redrawn: redrawn,
+            samples_rerecorded: affected.len() as u64 - redrawn,
+            samples_total: self.theta as u64,
         };
         Some((index, stats))
     }
@@ -1144,7 +1107,6 @@ mod tests {
             100,
             42,
             Parallelism::Threads(3),
-            None,
         )
         .unwrap();
         for v in 0..10u32 {
@@ -1187,7 +1149,6 @@ mod tests {
                 20,
                 7 + trial,
                 Parallelism::Threads(2),
-                None,
             )
             .unwrap();
 
@@ -1221,7 +1182,6 @@ mod tests {
                     &diff,
                     &[u, v],
                     Parallelism::Threads(2),
-                    None,
                 )
                 .unwrap();
             let scratch = HimorIndex::build(
@@ -1279,7 +1239,7 @@ mod tests {
             let g = graph(n, &edges);
             let (mut d, mut lca) = setup(&g);
             let (_, mut state) =
-                HimorIndex::build_patchable(&g, model, &d, &lca, theta, seed, par, None).unwrap();
+                HimorIndex::build_patchable(&g, model, &d, &lca, theta, seed, par).unwrap();
             let (mut redrawn, mut rerecorded) = (0, 0);
             for step in 0..8 {
                 // Toggle one or two distinct node pairs.
@@ -1313,12 +1273,11 @@ mod tests {
                     .filter(|rr| rr.nodes().iter().any(|u| edited.contains(u)))
                     .count() as u64;
                 let (patched, stats) = state
-                    .patch(&g1, model, &d, &lca, &d1, &lca1, &diff, &edited, par, None)
+                    .patch(&g1, model, &d, &lca, &d1, &lca1, &diff, &edited, par)
                     .unwrap();
                 let ctx = format!("{model:?} step {step} toggling {toggled:?}");
                 let (fresh_index, fresh) =
-                    HimorIndex::build_patchable(&g1, model, &d1, &lca1, theta, seed, par, None)
-                        .unwrap();
+                    HimorIndex::build_patchable(&g1, model, &d1, &lca1, theta, seed, par).unwrap();
                 assert!(state.samples == fresh.samples, "{ctx}: retained samples");
                 assert!(state.buckets == fresh.buckets, "{ctx}: master buckets");
                 for q in 0..n as NodeId {

@@ -59,6 +59,7 @@ use rand::prelude::*;
 
 use crate::codx::{save_artifacts, serialize_artifacts, MappedArtifacts};
 use crate::dynamic::{DynamicCod, FlushOutcome, MutationFlushReport};
+use crate::engine::CodEngine;
 use crate::error::{CodError, CodResult};
 use crate::failpoint::{self, Site};
 use crate::mutation::Mutation;
@@ -170,16 +171,19 @@ impl Manifest {
                 bytes.len()
             )));
         }
+        // The length field is untrusted: compare it with the length the
+        // file size implies rather than adding it to an offset.
         let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap_or([0; 8]));
-        if 16 + len as usize + 4 + 8 != bytes.len() {
+        let payload_end = bytes.len() - 4 - 8;
+        if len != (payload_end - 16) as u64 {
             return Err(corrupt(format!(
                 "payload length {len} inconsistent with file size {}",
                 bytes.len()
             )));
         }
-        let payload = &bytes[16..16 + len as usize];
+        let payload = &bytes[16..payload_end];
         let stored = u32::from_le_bytes(
-            bytes[16 + len as usize..16 + len as usize + 4]
+            bytes[payload_end..payload_end + 4]
                 .try_into()
                 .unwrap_or([0; 4]),
         );
@@ -542,6 +546,15 @@ impl DurableCod {
         self.inner.metrics_snapshot()
     }
 
+    /// Flushes pending mutations and hands over the engine that serves the
+    /// current artifacts ([`DynamicCod::into_engine`]); its registry keeps
+    /// this handle's recovery, WAL, mutation and repair counters. The WAL
+    /// is closed as on drop: records not yet synced stay as the fsync
+    /// policy left them.
+    pub fn into_engine(self) -> CodResult<CodEngine> {
+        self.inner.into_engine()
+    }
+
     /// The current artifacts as one canonical CODX v3 byte image — the
     /// bit-identity witness the durability tests compare across
     /// crash/recover/thread-count variations.
@@ -618,6 +631,18 @@ mod tests {
         // Truncations never panic.
         for keep in 0..bytes.len() {
             assert!(Manifest::from_bytes(&bytes[..keep]).is_err());
+        }
+        // A forged payload-length field, with the magic, the version and
+        // the total-length footer intact, is corruption too.
+        let true_len = (bytes.len() - 28) as u64;
+        for forged in [u64::MAX, (usize::MAX - 15) as u64, true_len + 1] {
+            let mut b = bytes.clone();
+            b[8..16].copy_from_slice(&forged.to_le_bytes());
+            let err = Manifest::from_bytes(&b).unwrap_err();
+            assert!(
+                matches!(err, CodError::IndexCorrupt(_)),
+                "length {forged}: {err}"
+            );
         }
     }
 

@@ -572,14 +572,6 @@ impl MetricsRegistry {
         self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds a batch of WAL activity observed elsewhere (e.g. before this
-    /// registry existed) into the counters.
-    pub fn record_wal_activity(&self, appended: u64, fsyncs: u64) {
-        self.wal_appended_records
-            .fetch_add(appended, Ordering::Relaxed);
-        self.wal_fsyncs.fetch_add(fsyncs, Ordering::Relaxed);
-    }
-
     /// Records one completed recovery: how many WAL records were replayed
     /// and the wall-clock nanoseconds the whole recovery took.
     pub fn record_recovery(&self, replayed: u64, nanos: u64) {

@@ -4,9 +4,9 @@
 //! re-sort it into a fresh CSR on every rebuild — `O(|E| log |E|)` per
 //! mutation epoch regardless of how few edges changed. [`DeltaCsr`] keeps
 //! the last materialized CSR as an immutable base plus per-node sorted
-//! insert/delete lists; adjacency queries merge the three on the fly, and
-//! [`DeltaCsr::materialize`] rebuilds the CSR by a per-node sorted merge
-//! (`O(|V| + |E|)`, no global sort, no hashing of untouched edges).
+//! insert/delete lists, and [`DeltaCsr::materialize`] rebuilds the CSR by
+//! a per-node sorted merge (`O(|V| + |E|)`, no global sort, no hashing of
+//! untouched edges).
 
 use crate::fxhash::FxHashMap;
 use crate::{Csr, NodeId};
@@ -57,21 +57,8 @@ impl DeltaCsr {
         self.num_edges
     }
 
-    /// Undirected edges represented in the overlay (inserted or masked):
-    /// the drift between this view and its base CSR.
-    #[inline]
-    pub fn delta_edges(&self) -> usize {
-        self.delta_edges
-    }
-
-    /// The immutable base CSR this overlay drapes over.
-    #[inline]
-    pub fn base(&self) -> &Csr {
-        &self.base
-    }
-
     /// Grows the node range so `v` is addressable. New nodes start isolated.
-    pub fn ensure_node(&mut self, v: NodeId) {
+    fn ensure_node(&mut self, v: NodeId) {
         if (v as usize) >= self.num_nodes {
             self.num_nodes = v as usize + 1;
         }
@@ -92,31 +79,17 @@ impl DeltaCsr {
     }
 
     /// Whether `{u, v}` is an edge of the overlaid view.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         if Self::in_list(&self.added, u, v) {
             return true;
         }
         self.base_neighbors(u).binary_search(&v).is_ok() && !Self::in_list(&self.removed, u, v)
     }
 
-    /// Degree of `v` in the overlaid view.
-    pub fn degree(&self, v: NodeId) -> usize {
-        let add = self.added.get(&v).map_or(0, Vec::len);
-        let del = self.removed.get(&v).map_or(0, Vec::len);
-        self.base_neighbors(v).len() + add - del
-    }
-
-    /// Neighbors of `v` in the overlaid view, sorted ascending.
-    ///
-    /// Merges the base list, the mask, and the insert list; `O(deg(v))`.
-    pub fn neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.degree(v));
-        self.for_each_neighbor(v, |u| out.push(u));
-        out
-    }
-
-    /// Visits the neighbors of `v` in ascending order without allocating.
-    pub fn for_each_neighbor(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
+    /// Visits the neighbors of `v` in the overlaid view in ascending
+    /// order, merging the base list, the mask and the insert list in
+    /// `O(deg(v))` without allocating.
+    fn for_each_neighbor(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
         static EMPTY: Vec<NodeId> = Vec::new();
         let removed = self.removed.get(&v).unwrap_or(&EMPTY);
         let added = self.added.get(&v).unwrap_or(&EMPTY);
@@ -271,12 +244,23 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
 
-    fn path4() -> Csr {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1);
-        b.add_edge(1, 2);
-        b.add_edge(2, 3);
+    fn graph(n: usize, edges: &[(NodeId, NodeId)]) -> Csr {
+        let mut b = GraphBuilder::new(n);
+        for &(u, v) in edges {
+            b.add_edge(u, v);
+        }
         b.build()
+    }
+
+    fn path4() -> Csr {
+        graph(4, &[(0, 1), (1, 2), (2, 3)])
+    }
+
+    /// Every adjacency row of `csr`.
+    fn rows(csr: &Csr) -> Vec<Vec<NodeId>> {
+        (0..csr.num_nodes() as NodeId)
+            .map(|v| csr.neighbors(v).to_vec())
+            .collect()
     }
 
     #[test]
@@ -285,27 +269,26 @@ mod tests {
         assert!(d.is_clean());
         assert_eq!(d.num_nodes(), 4);
         assert_eq!(d.num_edges(), 3);
-        assert_eq!(d.neighbors(1), vec![0, 2]);
-        assert!(d.has_edge(2, 3));
-        assert!(!d.has_edge(0, 3));
+        assert_eq!(rows(&d.materialize()), rows(&path4()));
+        assert!(d.touched_nodes().is_empty());
     }
 
     #[test]
-    fn insert_and_remove_merge_into_iteration() {
+    fn insert_and_remove_merge_into_the_materialized_rows() {
         let mut d = DeltaCsr::new(path4());
         assert!(d.insert(0, 3));
         assert!(d.remove(1, 2));
         assert!(!d.insert(0, 3), "duplicate insert rejected");
+        assert!(!d.insert(3, 0), "reverse orientation is the same edge");
         assert!(!d.remove(1, 2), "double remove rejected");
+        assert!(!d.remove(2, 1), "reverse orientation already removed");
         assert!(!d.insert(2, 2), "self-loop rejected");
         assert_eq!(d.num_edges(), 3);
-        assert_eq!(d.neighbors(0), vec![1, 3]);
-        assert_eq!(d.neighbors(1), vec![0]);
-        assert_eq!(d.neighbors(2), vec![3]);
-        assert_eq!(d.neighbors(3), vec![0, 2]);
-        assert_eq!(d.degree(0), 2);
-        assert!(d.has_edge(3, 0));
-        assert!(!d.has_edge(2, 1));
+        assert!(!d.is_clean());
+        assert_eq!(
+            rows(&d.materialize()),
+            vec![vec![1, 3], vec![0], vec![3], vec![0, 2]]
+        );
         assert_eq!(d.touched_nodes(), vec![0, 1, 2, 3]);
     }
 
@@ -313,11 +296,12 @@ mod tests {
     fn reinsert_of_masked_base_edge_unmasks() {
         let mut d = DeltaCsr::new(path4());
         assert!(d.remove(1, 2));
-        assert_eq!(d.delta_edges(), 1);
+        assert!(!d.is_clean());
         assert!(d.insert(2, 1));
-        assert_eq!(d.delta_edges(), 0);
-        assert_eq!(d.neighbors(1), vec![0, 2]);
+        assert!(d.is_clean());
+        assert!(d.touched_nodes().is_empty());
         assert_eq!(d.num_edges(), 3);
+        assert_eq!(rows(&d.materialize()), rows(&path4()));
     }
 
     #[test]
@@ -325,8 +309,9 @@ mod tests {
         let mut d = DeltaCsr::new(path4());
         assert!(d.insert(0, 2));
         assert!(d.remove(0, 2));
-        assert_eq!(d.delta_edges(), 0);
-        assert_eq!(d.neighbors(0), vec![1]);
+        assert!(d.is_clean());
+        assert_eq!(d.num_edges(), 3);
+        assert_eq!(rows(&d.materialize()), rows(&path4()));
     }
 
     #[test]
@@ -334,34 +319,35 @@ mod tests {
         let mut d = DeltaCsr::new(path4());
         assert!(d.insert(3, 6));
         assert_eq!(d.num_nodes(), 7);
-        assert_eq!(d.degree(5), 0);
-        assert_eq!(d.neighbors(6), vec![3]);
-        assert_eq!(d.neighbors(3), vec![2, 6]);
+        assert!(!d.is_clean());
+        assert_eq!(d.touched_nodes(), vec![3, 6]);
+        let csr = d.materialize();
+        assert_eq!(csr.num_nodes(), 7);
+        assert!(csr.neighbors(4).is_empty() && csr.neighbors(5).is_empty());
+        assert_eq!(csr.neighbors(6), &[3]);
+        assert_eq!(csr.neighbors(3), &[2, 6]);
     }
 
     #[test]
-    fn materialize_equals_merged_view_and_rebase_cleans() {
+    fn materialize_equals_a_fresh_build_and_rebase_cleans() {
         let mut d = DeltaCsr::new(path4());
         d.insert(0, 3);
         d.remove(0, 1);
         d.insert(1, 5);
         let csr = d.materialize();
-        assert_eq!(csr.num_nodes(), 6);
         assert_eq!(csr.num_edges(), d.num_edges());
-        for v in 0..csr.num_nodes() as NodeId {
-            assert_eq!(csr.neighbors(v).to_vec(), d.neighbors(v), "node {v}");
-        }
+        assert_eq!(
+            rows(&csr),
+            rows(&graph(6, &[(1, 2), (2, 3), (0, 3), (1, 5)]))
+        );
         d.rebase(csr);
         assert!(d.is_clean());
-        assert_eq!(d.neighbors(1), vec![2, 5]);
-    }
-
-    #[test]
-    fn materialize_of_clean_overlay_round_trips() {
-        let d = DeltaCsr::new(path4());
-        let csr = d.materialize();
-        for v in 0..4 {
-            assert_eq!(csr.neighbors(v), d.base().neighbors(v));
-        }
+        assert!(d.touched_nodes().is_empty());
+        assert!(d.insert(0, 1));
+        assert_eq!(d.touched_nodes(), vec![0, 1]);
+        assert_eq!(
+            rows(&d.materialize()),
+            rows(&graph(6, &[(0, 1), (1, 2), (2, 3), (0, 3), (1, 5)]))
+        );
     }
 }

@@ -1050,7 +1050,8 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
 
     // Durable serving: recover the --wal directory on a background thread
     // while /readyz answers 503 RECOVERING, then promote the listener to
-    // the full server over the recovered artifacts.
+    // the full server over the recovered engine itself, whose registry
+    // already holds the recovery and replay counters.
     if let Some(dir) = &opts.wal {
         if opts.index.is_some() {
             return Err("--wal serves the recovered state: drop --index".into());
@@ -1060,11 +1061,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         let dir = dir.clone();
         pcod::serve::signal::install_shutdown_handler();
         let recovering = pcod::serve::serve_recovering(serve_cfg, move || {
-            let (mut durable, report) = pcod::cod::DurableCod::open(&dir, cfg, dcfg)?;
-            let bytes = durable.snapshot_bytes()?;
-            let arts = MappedArtifacts::from_vec(bytes)?;
-            let engine = CodEngine::from_mapped(&arts, cfg)?;
-            engine.record_recovery(report.replayed, report.wall_time.as_nanos() as u64);
+            let (durable, report) = pcod::cod::DurableCod::open(&dir, cfg, dcfg)?;
             eprintln!(
                 "recovered {} event(s) over checkpoint {} in {:.2?}{}{}",
                 report.replayed,
@@ -1080,7 +1077,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
                     String::new()
                 },
             );
-            Ok(Arc::new(engine))
+            Ok(Arc::new(durable.into_engine()?))
         })
         .map_err(|e| format!("binding listener: {e}"))?;
         outln!("recovering; serving on http://{}", recovering.addr());

@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 use pcod::cod::failpoint::{self, Action, DURABILITY_SITES};
 use pcod::cod::{serialize_artifacts, DurabilityConfig, DurableCod, DynamicCod};
 use pcod::prelude::*;
+use rand::prelude::*;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -418,6 +419,7 @@ fn kill_nine_of_recovered_serve_leaves_state_intact() {
             "2",
             "--seed",
             "53261",
+            "--pool",
         ])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::null())
@@ -468,6 +470,40 @@ fn kill_nine_of_recovered_serve_leaves_state_intact() {
         metrics.contains("cod_recovery_replayed_records_total 5"),
         "recovered serve must export its replay count"
     );
+    // The recovered engine answers as an engine over the durable state's
+    // bytes with the same config. Pooled samples derive from the pool key,
+    // not from the per-request RNG, so the answers must agree exactly.
+    let arts = pcod::cod::MappedArtifacts::from_vec(before.clone()).unwrap();
+    let reference = CodEngine::from_mapped(
+        &arts,
+        CodConfig {
+            pool: true,
+            ..cfg(1)
+        },
+    )
+    .unwrap();
+    for node in [0, 3, 8, 12, 15] {
+        let (s, body) = http_get(&addr, &format!("/query?node={node}&method=codu")).expect("query");
+        assert_eq!(s, 200, "node {node}: {body}");
+        let expected = reference
+            .query(Query::codu(node), &mut SmallRng::seed_from_u64(1))
+            .unwrap();
+        match expected {
+            None => assert_eq!(body, "{\"answer\":null}", "node {node}"),
+            Some(a) => {
+                let members: Vec<String> = a.members.iter().map(|m| m.to_string()).collect();
+                let head = format!(
+                    "{{\"answer\":{{\"members\":[{}],\"rank\":{},",
+                    members.join(","),
+                    a.rank
+                );
+                assert!(
+                    body.starts_with(&head),
+                    "node {node}: served {body}, expected {head}…"
+                );
+            }
+        }
+    }
     let _ = child.kill();
     let _ = child.wait();
 

@@ -19,19 +19,11 @@
 //!   RR graphs keyed to a touched attribute: disjoint attributes' pools
 //!   stay resident (and still bump the invalidation epoch); an edge
 //!   evicts exactly the pools whose `C_ℓ` universe holds an endpoint;
-//! * **cooperative cancellation** — a token fired at the `dendro_repair`
-//!   or `himor_patch` failpoint returns [`CodError::DeadlineExceeded`]
-//!   with every artifact unchanged; the queued mutations survive and the
-//!   next flush repairs normally;
 //! * **property sweep** — on small random attributed graphs, the repair
 //!   path matches the rebuild path for *every* node after *every* event,
 //!   including node-growth events that force the rebuild fallback.
-//!
-//! Failpoint state is process-global, so the cancellation tests serialize
-//! behind one lock and are gated on `failpoint::compiled_in()`.
 
 use pcod::cod::dynamic::{DynamicCod, FlushOutcome};
-use pcod::cod::failpoint::{self, Action, Site};
 use pcod::cod::{select_recluster_community, serialize_artifacts, AnswerSource, Mutation};
 use pcod::graph::{AttrTable, FxHashSet};
 use pcod::hierarchy::Hierarchy;
@@ -39,17 +31,6 @@ use pcod::prelude::*;
 use proptest::prelude::*;
 use rand::prelude::*;
 use std::sync::Arc;
-use std::sync::Mutex;
-
-/// Serializes the failpoint tests: the registry is process-global.
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn guard() -> std::sync::MutexGuard<'static, ()> {
-    match LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// `COD_FAILPOINTS=all` (the CI chaos leg) injects a 1ms delay at every
 /// site; shrink the long schedule so the run stays bounded.
@@ -336,9 +317,9 @@ fn randomized_cora_schedule_repairs_match_rebuilds_across_threads() {
 #[test]
 fn attribute_edits_evict_only_the_touched_attributes_pools() {
     // Pool-warming queries pay minutes of injected sleeps under the CI
-    // chaos leg, and this test crosses no mutation failpoint site (the
-    // pool sites have their own chaos coverage in tests/pool_reuse.rs) —
-    // the eviction accounting it checks is delay-independent. Skip it.
+    // chaos leg, and the pool sites have their own chaos coverage in
+    // tests/pool_reuse.rs — the eviction accounting this test checks is
+    // delay-independent. Skip it.
     if chaos_armed() {
         return;
     }
@@ -557,93 +538,6 @@ fn dynamic_reads_equal_engine_codl_over_the_flushed_artifacts() {
             );
         }
     }
-}
-
-/// A small path-plus-star graph for the cancellation tests (cheap builds,
-/// and a single edge edit stays on the repair path).
-fn small_graph() -> AttributedGraph {
-    let mut b = GraphBuilder::new(10);
-    for v in 1..6 {
-        b.add_edge(0, v);
-    }
-    b.add_edge(5, 6);
-    b.add_edge(6, 7);
-    b.add_edge(7, 8);
-    b.add_edge(8, 9);
-    let attrs = AttrTable::from_lists(vec![vec![0]; 10]);
-    let mut interner = pcod::graph::AttrInterner::new();
-    interner.intern("A");
-    AttributedGraph::from_parts(b.build(), attrs, interner)
-}
-
-/// Drives one failpoint site through the cancel-then-recover cycle:
-/// a fired token surfaces as `DeadlineExceeded` with the mutation still
-/// queued, and after disarming the same instance repairs and answers
-/// exactly like a from-scratch build of the mutated graph.
-fn cancelled_flush_recovers(site: Site) {
-    if !failpoint::compiled_in() {
-        return;
-    }
-    let _lock = guard();
-    let g = small_graph();
-    let mut d = DynamicCod::with_seed(&g, seeded_cfg(1), 4242).unwrap();
-    d.set_rebuild_threshold(10.0);
-    assert!(d.insert_edge(2, 9));
-
-    failpoint::disarm_all();
-    failpoint::arm(site, Action::Cancel);
-    let token = CancelToken::unlimited();
-    let err = d.flush_governed(Some(&token)).unwrap_err();
-    assert!(
-        matches!(err, CodError::DeadlineExceeded),
-        "{site:?}: fired token must surface as DeadlineExceeded, got {err}"
-    );
-    assert_eq!(
-        d.pending_edits(),
-        1,
-        "{site:?}: a cancelled flush must keep the mutation queued"
-    );
-    failpoint::disarm_all();
-
-    // Recovery: the same instance, a fresh (unfired) token, a clean repair.
-    let rep = d.flush_governed(Some(&CancelToken::unlimited())).unwrap();
-    assert!(
-        matches!(rep.outcome, FlushOutcome::Repaired { .. }),
-        "{site:?}: {rep:?}"
-    );
-    assert_eq!(rep.events, 1, "{site:?}: queued event count survived");
-
-    let mut fresh = {
-        let mut b = GraphBuilder::new(10);
-        for v in 1..6 {
-            b.add_edge(0, v);
-        }
-        b.add_edge(5, 6);
-        b.add_edge(6, 7);
-        b.add_edge(7, 8);
-        b.add_edge(8, 9);
-        b.add_edge(2, 9);
-        let attrs = AttrTable::from_lists(vec![vec![0]; 10]);
-        let mut interner = pcod::graph::AttrInterner::new();
-        interner.intern("A");
-        let g2 = AttributedGraph::from_parts(b.build(), attrs, interner);
-        DynamicCod::with_seed(&g2, seeded_cfg(1), 4242).unwrap()
-    };
-    for q in 0..10u32 {
-        let x = comparable(d.query(q, 0, &mut SmallRng::seed_from_u64(9)).unwrap());
-        let y = comparable(fresh.query(q, 0, &mut SmallRng::seed_from_u64(9)).unwrap());
-        assert_eq!(x, y, "{site:?}: node {q} diverged after recovery");
-    }
-}
-
-#[test]
-fn cancelled_dendro_repair_keeps_mutations_queued_and_recovers() {
-    cancelled_flush_recovers(Site::DendroRepair);
-}
-
-#[test]
-fn cancelled_himor_patch_keeps_mutations_queued_and_recovers() {
-    cancelled_flush_recovers(Site::HimorPatch);
 }
 
 /// A random connected attributed graph: spanning tree + extra edges,

@@ -30,6 +30,30 @@ fn random_graph(n: usize, extra_edges: usize, seed: u64) -> Csr {
     b.build()
 }
 
+/// `random_graph` with one or two of three interned attributes per node.
+fn random_attributed(n: usize, extra_edges: usize, seed: u64) -> AttributedGraph {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xA77);
+    let lists = (0..n)
+        .map(|_| {
+            let a = rng.random_range(0..3);
+            if rng.random_bool(0.3) {
+                vec![a.min((a + 1) % 3), a.max((a + 1) % 3)]
+            } else {
+                vec![a]
+            }
+        })
+        .collect();
+    let mut interner = pcod::graph::AttrInterner::new();
+    for name in ["A", "B", "C"] {
+        interner.intern(name);
+    }
+    AttributedGraph::from_parts(
+        random_graph(n, extra_edges, seed),
+        pcod::graph::AttrTable::from_lists(lists),
+        interner,
+    )
+}
+
 /// Definition 3 applied literally: each RR graph's node `v` is recorded
 /// at the smallest level `h` whose induced RR graph — the graph restricted
 /// to `C_h = {u : level_of(u) ≤ h}` — still reaches `v` from the source,
@@ -503,5 +527,53 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&rho));
         let cond = pcod::graph::measures::conductance(&g, &members);
         prop_assert!(cond >= 0.0);
+    }
+
+    /// With a shared seeded pool, `C*(q)` grows with `k`. The pooled
+    /// samples derive from the pool key, not from `k`; a rank ≤ `k` is
+    /// exact; and both the LORE choice and `largest_top_k` are monotone in
+    /// `k`. So for CODU, CODL⁻ and CODL, each engine's index seeded alike,
+    /// the answer at `k` is a subset of the answer at `k + 1` (`None`
+    /// counting as empty).
+    #[test]
+    fn answers_grow_with_k_under_a_shared_pool(
+        n in 4usize..20,
+        extra in 0usize..30,
+        seed in 0u64..1000,
+    ) {
+        let g = random_attributed(n, extra, seed);
+        let engines: Vec<CodEngine> = (1..=6)
+            .map(|k| {
+                let cfg = CodConfig { k, theta: 6, pool: true, ..CodConfig::default() };
+                let engine = CodEngine::new(g.clone(), cfg);
+                engine.ensure_himor(&mut SmallRng::seed_from_u64(seed)).unwrap();
+                engine
+            })
+            .collect();
+        for q in 0..n as NodeId {
+            let attr = g.node_attrs(q)[0];
+            for query in [
+                Query::codu(q),
+                Query::new(q, attr, Method::CodlMinus),
+                Query::new(q, attr, Method::Codl),
+            ] {
+                let answers: Vec<Vec<NodeId>> = engines
+                    .iter()
+                    .map(|e| {
+                        let ans = e.query(query, &mut SmallRng::seed_from_u64(seed)).unwrap();
+                        let mut members = ans.map_or_else(Vec::new, |a| a.members);
+                        members.sort_unstable();
+                        members
+                    })
+                    .collect();
+                for (k, pair) in (1..).zip(answers.windows(2)) {
+                    prop_assert!(
+                        pair[0].iter().all(|v| pair[1].binary_search(v).is_ok()),
+                        "{:?} of {}: C* at k = {} is {:?}, at k = {} {:?}",
+                        query.method, q, k, &pair[0], k + 1, &pair[1]
+                    );
+                }
+            }
+        }
     }
 }

@@ -436,31 +436,51 @@ fn mutation_counters_flow_through_the_exposition() {
 }
 
 /// The durability telemetry rides the same registry → snapshot →
-/// exposition path as every other counter: a recovered engine's WAL and
-/// recovery tallies land in `/metrics` with the documented names.
+/// exposition path as every other counter: a recovered `DurableCod`'s
+/// recovery tally and the WAL activity after it land, with the documented
+/// names, in the exposition of the engine it hands over.
 #[test]
 fn durability_counters_flow_through_engine_exposition() {
-    let g = cycle8();
-    let engine = CodEngine::new(g, CodConfig::default());
-    engine.record_wal_activity(12, 4);
-    engine.record_recovery(7, 3_500_000_000);
+    use pcod::cod::{DurabilityConfig, DurableCod, FsyncPolicy, Mutation};
+    let dir = std::env::temp_dir().join(format!("cod_telemetry_durable_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dcfg = DurabilityConfig {
+        fsync: FsyncPolicy::Always,
+        ..DurabilityConfig::default()
+    };
+    let cfg = CodConfig::default();
+    let chords = [(0, 4), (1, 5), (2, 6), (3, 7)].map(|(u, v)| Mutation::InsertEdge { u, v });
+    let mut d = DurableCod::create(&dir, &cycle8(), cfg, 3, dcfg).unwrap();
+    for m in &chords[..3] {
+        d.apply(m).unwrap();
+    }
+    drop(d);
+    let (mut d, report) = DurableCod::open(&dir, cfg, dcfg).unwrap();
+    assert_eq!(report.replayed, 3);
+    d.apply(&chords[3]).unwrap(); // one append, synced by the policy
+    let engine = d.into_engine().unwrap();
 
     let snap = engine.metrics();
-    assert_eq!(snap.wal_appended_records, 12);
-    assert_eq!(snap.wal_fsyncs, 4);
-    assert_eq!(snap.recovery_replayed_records, 7);
-    assert_eq!(snap.recovery_nanos, 3_500_000_000);
+    assert_eq!(snap.wal_appended_records, 1);
+    assert_eq!(snap.wal_fsyncs, 1);
+    assert_eq!(snap.recovery_replayed_records, 3);
+    assert_eq!(snap.recovery_nanos, report.wall_time.as_nanos() as u64);
 
     let text = engine.metrics_text();
+    let seconds = format!(
+        "cod_recovery_seconds {:.9}",
+        snap.recovery_nanos as f64 / 1e9
+    );
     for needle in [
-        "cod_wal_appended_records_total 12",
-        "cod_wal_fsyncs_total 4",
-        "cod_recovery_replayed_records_total 7",
-        "cod_recovery_seconds 3.500000000",
+        "cod_wal_appended_records_total 1",
+        "cod_wal_fsyncs_total 1",
+        "cod_recovery_replayed_records_total 3",
+        &seconds,
     ] {
         assert!(
             text.contains(needle),
             "exposition lacks {needle:?}:\n{text}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
