@@ -14,9 +14,9 @@
 //!   reclusters the mutated graph exactly as a rebuild clusters it
 //!   ([`build_hierarchy`]), [`match_vertices`] diffs the old and the new
 //!   tree, and the HIMOR index is patched in place: only the RR samples
-//!   that hold an edited node are redrawn, and those that reach only the
-//!   disturbed region are recorded anew from their retained draws
-//!   ([`crate::himor::HimorPatchState::patch`]). The index is built from
+//!   that hold an edited node are redrawn, and those whose highest tag
+//!   reaches a changed community are recorded anew from their retained
+//!   draws ([`crate::himor::HimorPatchState::patch`]). The index is built from
 //!   scratch instead only when the edit volume crosses
 //!   `rebuild_threshold`, the node range grows, or no consistent patch
 //!   state is at hand;
@@ -74,8 +74,9 @@ pub enum FlushOutcome {
         /// RR samples that held an edited node and were redrawn on the
         /// new topology.
         samples_redrawn: u64,
-        /// RR samples that held a disturbed leaf but no edited node: their
-        /// retained draws were recorded anew under the repaired tree.
+        /// RR samples whose highest tag reached a changed community but
+        /// that held no edited node: their retained draws were recorded
+        /// anew under the repaired tree.
         samples_rerecorded: u64,
         /// Total retained samples (`Θ`), the denominator of both counts.
         samples_total: u64,

@@ -16,16 +16,22 @@
 //! compressed evaluation inside the reclustered `C_ℓ`.
 //!
 //! **Patching** ([`HimorPatchState`]): a patchable build keeps its `Θ`
-//! samples and master buckets, and after a graph mutation
-//! [`HimorPatchState::patch`] updates them in place, paying the HFS terms
-//! only for the samples the mutation reaches, to the index a from-scratch
-//! build of the mutated graph returns. Only [`HimorIndex::build`] takes a
-//! cancel token; patchable builds and patches run to completion.
+//! samples in one flat [`RrArena`], each with its source and **span** (the
+//! size of its highest HFS tag), plus the master buckets. After a graph
+//! mutation [`HimorPatchState::patch`] updates them in place to the index
+//! a from-scratch build of the mutated graph returns. It finds the samples
+//! whose draws or tags can move from the flat source and span arrays and
+//! two per-leaf sizes (the smallest changed community and the smallest
+//! community holding an edited node), so it pays the HFS terms only for
+//! those samples and reads no other sample's node list. Only
+//! [`HimorIndex::build`] takes a cancel token; patchable builds and
+//! patches run to completion.
 
 use cod_graph::{Csr, FxHashMap, NodeId, Segment};
-use cod_hierarchy::{Dendrogram, LcaIndex, TreeDiff, VertexId};
+use cod_hierarchy::{smallest_selected_ancestor, Dendrogram, LcaIndex, TreeDiff, VertexId};
 use cod_influence::{
-    par_ranges, CancelToken, Model, Parallelism, RrGraph, RrSampler, SampleStats, SeedSequence,
+    par_ranges, CancelToken, Model, Parallelism, RrArena, RrGraph, RrSampler, RrView, SampleStats,
+    SeedSequence,
 };
 use rand::prelude::*;
 
@@ -128,9 +134,9 @@ pub struct BuildStats {
     pub bucket_merges: u64,
 }
 
-/// What the HFS stage hands back: per-vertex buckets, the drawn RR
-/// graphs (empty unless retention was requested), and effort counters.
-type HfsStageOutput = (Vec<FxHashMap<NodeId, u32>>, Vec<RrGraph>, SampleStats);
+/// What the HFS stage hands back: per-vertex buckets, the drawn samples
+/// (empty unless retention was requested), and effort counters.
+type HfsStageOutput = (Vec<FxHashMap<NodeId, u32>>, Samples, SampleStats);
 
 /// Detached inputs of one vertex's bucket merge (stage 2).
 struct MergeItem<'b> {
@@ -273,8 +279,9 @@ impl HimorIndex {
     /// fired: a partially sampled bucket set must not rank anyone.
     ///
     /// With `keep_samples` set, the drawn RR graphs are also returned, in
-    /// index order (shard ranges are contiguous and ascending), so a
-    /// [`HimorPatchState`] can later subtract and redraw individual samples.
+    /// index order (shard ranges are contiguous and ascending), with their
+    /// sources and spans, so a [`HimorPatchState`] can later subtract and
+    /// redraw individual samples.
     #[allow(clippy::too_many_arguments)] // internal stage: build inputs plus the token
     fn hfs_stage(
         g: &Csr,
@@ -299,10 +306,7 @@ impl HimorIndex {
             let mut queues: Vec<Vec<(u32, VertexId)>> = vec![Vec::new(); max_depth + 1];
             let mut explored: Vec<bool> = Vec::new();
             let mut buckets: Vec<FxHashMap<NodeId, u32>> = vec![FxHashMap::default(); nv];
-            let mut kept: Vec<RrGraph> = Vec::new();
-            if keep_samples {
-                kept.reserve(range.len());
-            }
+            let mut kept = Samples::default();
             let mut charged = sampler.stats();
             for (off, i) in range.enumerate() {
                 if off % CHECK_EVERY == 0 {
@@ -318,19 +322,23 @@ impl HimorIndex {
                 }
                 let mut rng = seeds.rng_for(i as u64);
                 Self::draw_uniform(&mut sampler, &mut rng, &mut rr);
-                Self::hfs_record_tree(dendro, lca, &rr, &mut queues, &mut explored, &mut buckets);
+                let span = Self::hfs_record_tree(
+                    dendro,
+                    lca,
+                    rr.view(),
+                    &mut queues,
+                    &mut explored,
+                    &mut buckets,
+                );
                 if keep_samples {
-                    kept.push(rr.clone());
+                    kept.push(rr.view(), span);
                 }
             }
             (buckets, kept, sampler.stats())
         });
         let mut sampled = SampleStats::default();
         let mut merged: Vec<FxHashMap<NodeId, u32>> = vec![FxHashMap::default(); nv];
-        let mut samples: Vec<RrGraph> = Vec::new();
-        if keep_samples {
-            samples.reserve(theta);
-        }
+        let mut samples = Samples::default();
         for (shard, kept, stats) in shards {
             sampled = sampled.merged(stats);
             for (slot, bucket) in merged.iter_mut().zip(shard) {
@@ -338,7 +346,7 @@ impl HimorIndex {
                     *slot.entry(v).or_insert(0) += c;
                 }
             }
-            samples.extend(kept);
+            samples.append(kept);
         }
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return None;
@@ -348,7 +356,7 @@ impl HimorIndex {
 
     /// Draws one RR graph from a uniform source into `rr`, in place: the
     /// graph and the RNG stream of [`RrSampler::sample_uniform`], without
-    /// allocating. Builds that keep their samples store exact-size clones.
+    /// allocating. Builds that keep their samples copy them into an arena.
     fn draw_uniform<R: Rng>(sampler: &mut RrSampler<'_>, rng: &mut R, rr: &mut RrGraph) {
         let s = rng.random_range(0..sampler.graph().num_nodes()) as NodeId;
         sampler.sample_into(s, rng, |_| true, rr);
@@ -357,18 +365,19 @@ impl HimorIndex {
     /// Records one RR graph into the per-vertex buckets: every RR node goes
     /// to the bucket of the smallest community containing a path from the
     /// source (tagged via O(1) `lca`), drained deepest-first. Leaves
-    /// `queues` empty for reuse.
+    /// `queues` empty for reuse and returns the sample's span (see
+    /// [`HimorIndex::hfs_visit_tree`]).
     fn hfs_record_tree(
         dendro: &Dendrogram,
         lca: &LcaIndex,
-        rr: &RrGraph,
+        rr: RrView<'_>,
         queues: &mut [Vec<(u32, VertexId)>],
         explored: &mut Vec<bool>,
         buckets: &mut [FxHashMap<NodeId, u32>],
-    ) {
+    ) -> u32 {
         Self::hfs_visit_tree(dendro, lca, rr, queues, explored, |tag, node| {
             *buckets[tag as usize].entry(node).or_insert(0) += 1;
-        });
+        })
     }
 
     /// The HFS tree traversal of one RR graph, factored out so the
@@ -376,30 +385,38 @@ impl HimorIndex {
     /// same closure shape the build uses to add them. `visit(tag, node)`
     /// fires exactly once per explored RR node, with `tag` the smallest
     /// community containing a source path to it.
+    ///
+    /// Returns the sample's **span**: the size of its highest tag, which is
+    /// the LCA of its nodes (the source's parent for a lone source; 0 on a
+    /// one-node graph, which tags nothing). Every tag lies on the source's
+    /// root path, and tags are visited in non-increasing depth, so the
+    /// last one visited is the highest.
     fn hfs_visit_tree(
         dendro: &Dendrogram,
         lca: &LcaIndex,
-        rr: &RrGraph,
+        rr: RrView<'_>,
         queues: &mut [Vec<(u32, VertexId)>],
         explored: &mut Vec<bool>,
         mut visit: impl FnMut(VertexId, NodeId),
-    ) {
+    ) -> u32 {
         let s = rr.source();
         let s_leaf = dendro.leaf(s);
         if s_leaf == dendro.root() {
-            return; // single-node graph: nothing to index
+            return 0; // single-node graph: nothing to index
         }
         let tag0 = dendro.parent(s_leaf);
         let d0 = dendro.depth(tag0) as usize;
         explored.clear();
         explored.resize(rr.len(), false);
         queues[d0].push((0, tag0));
+        let mut top = tag0;
         for d in (1..=d0).rev() {
             while let Some((v, tag)) = queues[d].pop() {
                 if explored[v as usize] {
                     continue;
                 }
                 explored[v as usize] = true;
+                top = tag;
                 visit(tag, rr.node(v));
                 for &u in rr.out_neighbors(v) {
                     if explored[u as usize] {
@@ -412,6 +429,7 @@ impl HimorIndex {
                 }
             }
         }
+        dendro.size(top) as u32
     }
 
     /// Stage 2: bottom-up bucket merge producing per-node rank vectors.
@@ -675,47 +693,83 @@ pub struct PatchStats {
     /// RR samples redrawn on the new topology: their draws activated an
     /// edited node, so they may differ.
     pub samples_redrawn: u64,
-    /// RR samples recorded anew from their retained draws: they reach a
-    /// disturbed leaf, so their tags may change, but no edited node, so
-    /// their draws cannot.
+    /// RR samples recorded anew from their retained draws: their span
+    /// reaches a community that changed, so their tags may move, but they
+    /// hold no edited node, so their draws cannot.
     pub samples_rerecorded: u64,
     /// Total retained samples (`Θ`): the denominator of both rates.
     pub samples_total: u64,
 }
 
-/// How far a mutation reaches into one retained sample, ordered by the
-/// work the patch must do for it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Reach {
-    /// No node of the sample is disturbed or edited: its bucket
-    /// contributions are re-keyed unchanged.
-    Clear,
-    /// The sample holds a disturbed leaf but no edited node: its draw
-    /// stands, its tags under the new tree may not.
-    Disturbed,
-    /// The sample holds an edited node: its draw may change.
-    Edited,
+/// The samples a patchable build keeps, index-aligned with the seed
+/// sequence: the drawn RR graphs in one arena, plus each one's source and
+/// span in flat arrays, so a patch can pick the samples an event reaches
+/// without reading any node list it does not need.
+#[derive(Clone, Debug, Default)]
+struct Samples {
+    /// Sample `i` as last drawn.
+    arena: RrArena,
+    /// `sources[i]`: the source node of sample `i`.
+    sources: Vec<NodeId>,
+    /// `spans[i]`: the size of sample `i`'s highest tag under the current
+    /// tree (the LCA of its nodes; see [`HimorIndex::hfs_visit_tree`]).
+    spans: Vec<u32>,
+}
+
+impl Samples {
+    fn push(&mut self, rr: RrView<'_>, span: u32) {
+        self.arena.push(rr);
+        self.sources.push(rr.source());
+        self.spans.push(span);
+    }
+
+    fn append(&mut self, other: Samples) {
+        self.arena.append(other.arena);
+        self.sources.extend(other.sources);
+        self.spans.extend(other.spans);
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.arena.memory_bytes()
+            + self.sources.capacity() * std::mem::size_of::<NodeId>()
+            + self.spans.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Per leaf of `d`: the size of its smallest ancestor-or-self that holds a
+/// node flagged in `is_edited`, or `u32::MAX` when none does. A sample's
+/// nodes all lie in its highest tag, so it can hold an edited node only if
+/// its span reaches this size at its source.
+fn edit_reach(d: &Dendrogram, is_edited: &[bool]) -> Vec<u32> {
+    let n = d.num_leaves();
+    let mut holds = is_edited.to_vec();
+    holds.resize(d.num_vertices(), false);
+    for v in n..d.num_vertices() {
+        let [a, b] = d.children(v as VertexId);
+        holds[v] = holds[a as usize] || holds[b as usize];
+    }
+    smallest_selected_ancestor(d, |v| holds[v as usize])
 }
 
 /// Retained construction state of a [`HimorIndex::build_patchable`]
-/// build: the `Θ` drawn RR graphs plus the master per-vertex buckets, both
-/// keyed to the hierarchy the index was last built against.
+/// build: the `Θ` drawn RR graphs with their sources and spans, plus the
+/// master per-vertex buckets, all keyed to the hierarchy the index was
+/// last built against.
 ///
 /// After a graph mutation reclusters the dendrogram, [`HimorPatchState::patch`]
 /// produces the index a full `build` on the new graph would produce —
 /// bit-identically, because sample `i` is a pure function of
 /// `(graph, model, seed, i)` and a draw reads only the adjacency rows of
 /// the nodes it activates ([`RrSampler::sample_into`]). A sample that
-/// holds an edited node is redrawn; one that holds only disturbed leaves
-/// keeps its draw and is recorded anew under the new tree; everything
-/// else keeps its bucket contributions, re-keyed through the old→new
-/// community matching of [`cod_hierarchy::repair::match_vertices`].
+/// holds an edited node is redrawn; one whose span reaches a community
+/// that changed is recorded anew under the new tree; every other sample
+/// keeps its bucket contributions, re-keyed through the old→new community
+/// matching of [`cod_hierarchy::repair::match_vertices`].
 #[derive(Clone, Debug)]
 pub struct HimorPatchState {
     seeds: SeedSequence,
     theta: usize,
-    /// Sample `i` as last drawn (index-aligned with the seed sequence).
-    samples: Vec<RrGraph>,
+    samples: Samples,
     /// Master buckets of the current tree (vertex id space of the
     /// hierarchy the last build/patch ran against).
     buckets: Vec<FxHashMap<NodeId, u32>>,
@@ -727,16 +781,16 @@ impl HimorPatchState {
         self.theta
     }
 
-    /// Heap bytes retained by the samples and master buckets — what keeping
-    /// the index patchable costs over a plain build.
+    /// Heap bytes retained by the samples (arena, sources, spans) and the
+    /// master buckets — what keeping the index patchable costs over a
+    /// plain build.
     pub fn memory_bytes(&self) -> usize {
-        let samples: usize = self.samples.iter().map(RrGraph::memory_bytes).sum();
         let buckets: usize = self
             .buckets
             .iter()
             .map(|b| b.capacity() * (std::mem::size_of::<NodeId>() + std::mem::size_of::<u32>()))
             .sum();
-        samples + buckets
+        self.samples.memory_bytes() + buckets
     }
 
     /// Patches the retained state across a mutation: `g` is the new
@@ -746,9 +800,16 @@ impl HimorPatchState {
     /// fresh [`HimorIndex::build`] on `(g, new_dendro)` with the same seed
     /// would return, bit for bit, plus patch-effort counters.
     ///
-    /// Only RR samples whose node set intersects the footprint (disturbed
-    /// leaves ∪ edited nodes) are subtracted under the old tree and
-    /// recorded under the new one. Of those, only the samples holding an
+    /// A sample of source `s` and span `w` is subtracted under the old
+    /// tree and recorded under the new one only when it holds an edited
+    /// node or `w ≥ diff.unmatched[s]`. Any other sample's chain of
+    /// communities, from its source up to its highest tag, is matched in
+    /// both trees with equal leaf sets, so HFS tags each of its nodes the
+    /// same way up to the matching, and its contributions move with the
+    /// buckets. A sample's nodes all lie in its highest tag, so it can hold
+    /// an edited node only if `w` reaches the size of the smallest
+    /// ancestor of `s` holding one; only the samples that pass this test
+    /// read their node lists. Of the samples recorded anew, those holding an
     /// edited node are redrawn with their per-index seeds; the rest read
     /// only unchanged adjacency rows, so their retained draws are what a
     /// redraw would produce and are recorded as they stand. The master
@@ -777,30 +838,24 @@ impl HimorPatchState {
         assert_eq!(old_dendro.num_leaves(), n);
         debug_assert_eq!(self.buckets.len(), old_dendro.num_vertices());
 
-        // Footprint: a sample is affected iff its node set touches a
-        // disturbed leaf (ancestor chain changed in either tree) or an
-        // edited node (its own adjacency draws change).
-        let mut reach: Vec<Reach> = diff
-            .disturbed
-            .iter()
-            .map(|&d| if d { Reach::Disturbed } else { Reach::Clear })
-            .collect();
+        // Pick the samples whose tags or draws can move: `(index, redraw)`.
+        let mut is_edited = vec![false; n];
         for &v in edited {
-            reach[v as usize] = Reach::Edited;
+            is_edited[v as usize] = true;
         }
-        let affected: Vec<(u32, bool)> = self
-            .samples
-            .iter()
-            .enumerate()
-            .filter_map(|(i, rr)| {
-                let mut most = Reach::Clear;
-                for &u in rr.nodes() {
-                    most = most.max(reach[u as usize]);
-                    if most == Reach::Edited {
-                        break;
-                    }
-                }
-                (most != Reach::Clear).then_some((i as u32, most == Reach::Edited))
+        let reach = edit_reach(old_dendro, &is_edited);
+        let samples = &self.samples;
+        let affected: Vec<(u32, bool)> = (0..samples.spans.len())
+            .filter_map(|i| {
+                let (s, span) = (samples.sources[i] as usize, samples.spans[i]);
+                let redraw = span >= reach[s]
+                    && samples
+                        .arena
+                        .get(i)
+                        .nodes()
+                        .iter()
+                        .any(|&u| is_edited[u as usize]);
+                (redraw || span >= diff.unmatched[s]).then_some((i as u32, redraw))
             })
             .collect();
 
@@ -822,7 +877,7 @@ impl HimorPatchState {
             HimorIndex::hfs_visit_tree(
                 old_dendro,
                 old_lca,
-                &self.samples[i as usize],
+                self.samples.arena.get(i as usize),
                 &mut queues,
                 &mut explored,
                 |tag, node| {
@@ -844,8 +899,8 @@ impl HimorPatchState {
 
         // Move the surviving buckets into the new tree's vertex space.
         // Every unmatched old community must have been emptied by the
-        // subtraction (a sample tagging it necessarily contains a node
-        // under it, which the footprint marks disturbed).
+        // subtraction: a sample tagging it has it on its source's chain at
+        // or below its highest tag, so its span reaches `diff.unmatched`.
         let old_buckets = std::mem::replace(
             &mut self.buckets,
             vec![FxHashMap::default(); new_dendro.num_vertices()],
@@ -867,22 +922,23 @@ impl HimorPatchState {
         // the new topology with its original per-index seed when it holds
         // an edited node, and take its retained draw otherwise.
         let mut sampler = RrSampler::new(g, model);
+        let mut rr = RrGraph::default();
         let mut redrawn = 0u64;
         for &(i, redraw) in &affected {
+            let i = i as usize;
             if redraw {
-                let mut rng = self.seeds.rng_for(u64::from(i));
-                self.samples[i as usize] = sampler.sample_uniform(&mut rng);
+                let mut rng = self.seeds.rng_for(i as u64);
+                HimorIndex::draw_uniform(&mut sampler, &mut rng, &mut rr);
+                self.samples.arena.replace(i, rr.view());
                 redrawn += 1;
             }
-            HimorIndex::hfs_visit_tree(
+            self.samples.spans[i] = HimorIndex::hfs_record_tree(
                 new_dendro,
                 new_lca,
-                &self.samples[i as usize],
+                self.samples.arena.get(i),
                 &mut queues,
                 &mut explored,
-                |tag, node| {
-                    *self.buckets[tag as usize].entry(node).or_insert(0) += 1;
-                },
+                &mut self.buckets,
             );
         }
 
@@ -1240,8 +1296,9 @@ mod tests {
             let (mut d, mut lca) = setup(&g);
             let (_, mut state) =
                 HimorIndex::build_patchable(&g, model, &d, &lca, theta, seed, par).unwrap();
-            let (mut redrawn, mut rerecorded) = (0, 0);
-            for step in 0..8 {
+            let (mut redrawn, mut rerecorded, mut disturbed) = (0, 0, 0);
+            let mut compacted = false;
+            for step in 0..12 {
                 // Toggle one or two distinct node pairs.
                 let mut toggled: Vec<(u32, u32)> = Vec::new();
                 let count = rng.random_range(1..3usize);
@@ -1269,16 +1326,41 @@ mod tests {
                 let diff = match_vertices(&d, &d1);
                 let holding_edited = state
                     .samples
+                    .arena
                     .iter()
                     .filter(|rr| rr.nodes().iter().any(|u| edited.contains(u)))
                     .count() as u64;
+                // What re-recording every sample that holds a disturbed
+                // leaf (a leaf under a changed community) would cost.
+                let holding_disturbed = state
+                    .samples
+                    .arena
+                    .iter()
+                    .filter(|rr| {
+                        !rr.nodes().iter().any(|u| edited.contains(u))
+                            && rr
+                                .nodes()
+                                .iter()
+                                .any(|&u| diff.unmatched[u as usize] != u32::MAX)
+                    })
+                    .count() as u64;
+                let dead_before = state.samples.arena.dead_words();
                 let (patched, stats) = state
                     .patch(&g1, model, &d, &lca, &d1, &lca1, &diff, &edited, par)
                     .unwrap();
+                compacted |= state.samples.arena.dead_words() < dead_before;
                 let ctx = format!("{model:?} step {step} toggling {toggled:?}");
                 let (fresh_index, fresh) =
                     HimorIndex::build_patchable(&g1, model, &d1, &lca1, theta, seed, par).unwrap();
-                assert!(state.samples == fresh.samples, "{ctx}: retained samples");
+                assert!(
+                    state.samples.arena.iter().eq(fresh.samples.arena.iter()),
+                    "{ctx}: retained samples"
+                );
+                assert_eq!(
+                    state.samples.sources, fresh.samples.sources,
+                    "{ctx}: sources"
+                );
+                assert_eq!(state.samples.spans, fresh.samples.spans, "{ctx}: spans");
                 assert!(state.buckets == fresh.buckets, "{ctx}: master buckets");
                 for q in 0..n as NodeId {
                     assert_eq!(
@@ -1290,12 +1372,19 @@ mod tests {
                 assert_eq!(stats.samples_redrawn, holding_edited, "{ctx}: redraws");
                 redrawn += stats.samples_redrawn;
                 rerecorded += stats.samples_rerecorded;
+                disturbed += holding_disturbed;
                 (d, lca) = (d1, lca1);
             }
             assert!(
                 redrawn > 0 && rerecorded > 0,
                 "{model:?}: the chain redrew {redrawn} and re-recorded {rerecorded} samples"
             );
+            assert!(
+                rerecorded < disturbed,
+                "{model:?}: re-recorded {rerecorded} of the {disturbed} samples that hold a \
+                 disturbed leaf and no edited node; the span test skipped none"
+            );
+            assert!(compacted, "{model:?}: the chain never compacted its arena");
         }
     }
 

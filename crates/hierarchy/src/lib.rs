@@ -33,4 +33,4 @@ pub use linkage::Linkage;
 pub use nnchain::{
     cluster, cluster_governed, cluster_unweighted, cluster_unweighted_governed, Merge,
 };
-pub use repair::{match_vertices, TreeDiff};
+pub use repair::{match_vertices, smallest_selected_ancestor, TreeDiff};

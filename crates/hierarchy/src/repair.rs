@@ -6,14 +6,15 @@
 //! are equal merge for merge. What a repair saves is the HIMOR index:
 //! [`match_vertices`] matches the old and the new communities by leaf-set
 //! content (which old communities survive, and as which new vertex) and
-//! marks the leaves that sit under a changed community. The HIMOR patch
-//! uses it to re-key unaffected bucket contributions and to bound the set
-//! of RR samples that must be recorded anew under the new tree. It depends
-//! only on the community families, never on internal vertex numbering.
+//! gives each leaf the size of its smallest ancestor that changed. The
+//! HIMOR patch uses it to re-key unaffected bucket contributions and to
+//! pick, from each RR sample's source and span alone, the samples whose
+//! tags can move under the new tree. It depends only on the community
+//! families, never on internal vertex numbering.
 
 use cod_graph::{FxHashMap, NodeId};
 
-use crate::dendrogram::{Dendrogram, VertexId};
+use crate::dendrogram::{Dendrogram, VertexId, NO_VERTEX};
 use crate::nnchain::Merge;
 
 /// 128-bit order-independent content hash of a leaf set, plus its size.
@@ -58,17 +59,17 @@ pub struct TreeDiff {
     /// For each old vertex, the new vertex holding exactly the same leaf set
     /// (`None` if the community disappeared). Leaves always match.
     pub old_to_new: Vec<Option<VertexId>>,
-    /// Per graph node: whether any ancestor community of its leaf — in
-    /// either tree — is unmatched. RR samples avoiding every disturbed node
-    /// contribute to both hierarchies' buckets under the matching.
-    pub disturbed: Vec<bool>,
-    /// Whether every internal vertex of both trees matched (the trees
-    /// describe identical families).
-    pub fully_matched: bool,
+    /// Per graph node: the size of the smallest ancestor of its leaf that
+    /// is unmatched in either tree, or `u32::MAX` when every ancestor in
+    /// both trees is matched. Every community of size below this value on
+    /// the node's root path is matched, with an equal leaf set, in both
+    /// trees.
+    pub unmatched: Vec<u32>,
 }
 
-/// Matches communities of `old` against `new` by leaf-set content and marks
-/// the leaves whose ancestor chain changed. `O(n)` with hash-map lookups.
+/// Matches communities of `old` against `new` by leaf-set content and
+/// gives each leaf the size of its smallest unmatched ancestor. `O(n)`
+/// with hash-map lookups.
 pub fn match_vertices(old: &Dendrogram, new: &Dendrogram) -> TreeDiff {
     debug_assert_eq!(old.num_leaves(), new.num_leaves());
     let n = old.num_leaves();
@@ -92,48 +93,42 @@ pub fn match_vertices(old: &Dendrogram, new: &Dendrogram) -> TreeDiff {
             old_to_new.push(m);
         }
     }
-    let matched_old = old_to_new[n..].iter().filter(|m| m.is_some()).count();
-    let fully_matched =
-        matched_old == old.num_vertices() - n && matched_old == new.num_vertices() - n;
 
-    let mut disturbed = vec![false; n];
-    mark_unmatched_spans(old, |v| old_to_new[v as usize].is_none(), &mut disturbed);
     let mut new_matched = vec![false; new.num_vertices()];
     for m in old_to_new.iter().flatten() {
         new_matched[*m as usize] = true;
     }
-    mark_unmatched_spans(new, |v| !new_matched[v as usize], &mut disturbed);
+    let in_old = smallest_selected_ancestor(old, |v| old_to_new[v as usize].is_none());
+    let in_new = smallest_selected_ancestor(new, |v| !new_matched[v as usize]);
+    let unmatched = in_old
+        .iter()
+        .zip(&in_new)
+        .map(|(&a, &b)| a.min(b))
+        .collect();
 
     TreeDiff {
         old_to_new,
-        disturbed,
-        fully_matched,
+        unmatched,
     }
 }
 
-/// Marks (by node id) every leaf under an internal vertex selected by
-/// `unmatched`, via a difference array over the DFS leaf order.
-fn mark_unmatched_spans(
-    d: &Dendrogram,
-    unmatched: impl Fn(VertexId) -> bool,
-    disturbed: &mut [bool],
-) {
-    let n = d.num_leaves();
-    let mut diff = vec![0i32; n + 1];
-    for v in n..d.num_vertices() {
-        if unmatched(v as VertexId) {
-            let (s, e) = d.leaf_span(v as VertexId);
-            diff[s as usize] += 1;
-            diff[e as usize] -= 1;
-        }
+/// Per leaf of `d`: the size of its smallest ancestor-or-self that
+/// `selected` picks, or `u32::MAX` when it picks none. One top-down pass
+/// over the vertices: a parent's id is larger than its children's.
+pub fn smallest_selected_ancestor(d: &Dendrogram, selected: impl Fn(VertexId) -> bool) -> Vec<u32> {
+    let mut reach = vec![u32::MAX; d.num_vertices()];
+    for v in (0..d.num_vertices() as VertexId).rev() {
+        reach[v as usize] = if selected(v) {
+            d.size(v) as u32
+        } else {
+            match d.parent(v) {
+                NO_VERTEX => u32::MAX,
+                p => reach[p as usize],
+            }
+        };
     }
-    let mut depth = 0i32;
-    for (pos, &leaf) in d.leaf_order().iter().enumerate() {
-        depth += diff[pos];
-        if depth > 0 {
-            disturbed[leaf as usize] = true;
-        }
-    }
+    reach.truncate(d.num_leaves());
+    reach
 }
 
 #[cfg(test)]
@@ -161,8 +156,7 @@ mod tests {
         let g = build(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]);
         let d = dendro(&g);
         let diff = match_vertices(&d, &d);
-        assert!(diff.fully_matched);
-        assert!(diff.disturbed.iter().all(|&x| !x));
+        assert!(diff.unmatched.iter().all(|&x| x == u32::MAX));
         for (v, m) in diff.old_to_new.iter().enumerate() {
             assert_eq!(*m, Some(v as VertexId));
         }
@@ -181,8 +175,7 @@ mod tests {
         // tree changed, which disturbs everything. At minimum, matched
         // communities map to equal member sets (checked by debug_assert in
         // match_vertices) and some vertex is unmatched.
-        assert!(!diff.fully_matched);
-        assert!(diff.disturbed.iter().any(|&x| x));
+        assert!(diff.unmatched.iter().any(|&x| x != u32::MAX));
         for (v, m) in diff.old_to_new.iter().enumerate().skip(6) {
             if let Some(w) = m {
                 assert_eq!(d0.members_sorted(v as VertexId), d1.members_sorted(*w));
@@ -191,8 +184,9 @@ mod tests {
     }
 
     #[test]
-    fn disturbed_covers_every_leaf_under_an_unmatched_vertex() {
+    fn unmatched_is_the_size_of_the_smallest_unmatched_ancestor() {
         let mut rng = SmallRng::seed_from_u64(7);
+        let mut changed = 0;
         for _ in 0..20 {
             let n = 8;
             let mut edges = Vec::new();
@@ -214,21 +208,26 @@ mod tests {
             let g1 = build(n, &e1);
             let d1 = dendro(&g1);
             let diff = match_vertices(&d0, &d1);
-            // Reference: recompute disturbed by walking root paths.
+            // Reference: the smallest unmatched community on either root
+            // path, found by walking both paths.
+            let matched: std::collections::HashSet<VertexId> =
+                diff.old_to_new.iter().flatten().copied().collect();
             for leaf in 0..n as NodeId {
-                let old_dist = d0
+                let in_old = d0
                     .root_path(leaf)
-                    .iter()
-                    .any(|&v| diff.old_to_new[v as usize].is_none());
-                let matched: std::collections::HashSet<VertexId> =
-                    diff.old_to_new.iter().flatten().copied().collect();
-                let new_dist = d1.root_path(leaf).iter().any(|&v| !matched.contains(&v));
-                assert_eq!(
-                    diff.disturbed[leaf as usize],
-                    old_dist || new_dist,
-                    "leaf {leaf}"
-                );
+                    .into_iter()
+                    .filter(|&v| diff.old_to_new[v as usize].is_none())
+                    .map(|v| d0.size(v) as u32);
+                let in_new = d1
+                    .root_path(leaf)
+                    .into_iter()
+                    .filter(|v| !matched.contains(v))
+                    .map(|v| d1.size(v) as u32);
+                let smallest = in_old.chain(in_new).min().unwrap_or(u32::MAX);
+                assert_eq!(diff.unmatched[leaf as usize], smallest, "leaf {leaf}");
+                changed += usize::from(smallest != u32::MAX);
             }
         }
+        assert!(changed > 0, "no trial changed a community");
     }
 }

@@ -9,6 +9,9 @@
 //! * [`rrgraph::RrGraph`] — an RR set *plus its activated edges*
 //!   (Definition 2), supporting induced restriction to a community
 //!   (Definition 3) and the possible-world coupling of Theorem 2;
+//! * [`arena::RrArena`] — many RR graphs in three flat arrays, read back
+//!   as borrowed [`rrgraph::RrView`]s (the HIMOR patch state keeps its
+//!   samples there);
 //! * [`sampler::RrSampler`] — RR-graph generation with reusable scratch
 //!   space and no allocation per sample, including community-restricted
 //!   sampling for the Independent baseline;
@@ -21,6 +24,7 @@
 //! of `g` (Theorem 2 couples the community process to possible worlds of
 //! `g`); only traversal is restricted to `C`.
 
+pub mod arena;
 pub mod cancel;
 pub mod estimate;
 pub mod im;
@@ -31,11 +35,12 @@ pub mod rrgraph;
 pub mod sampler;
 pub mod seed;
 
+pub use arena::RrArena;
 pub use cancel::CancelToken;
 pub use estimate::{rank_in_members, InfluenceEstimate, SourceUniverse};
 pub use im::RrPool;
 pub use model::Model;
 pub use parallel::{par_ranges, Parallelism};
-pub use rrgraph::RrGraph;
+pub use rrgraph::{RrGraph, RrView};
 pub use sampler::{RrSampler, SampleStats, SamplerScratch};
 pub use seed::{splitmix64, SeedSequence};

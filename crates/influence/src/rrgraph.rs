@@ -80,6 +80,17 @@ impl RrGraph {
         &self.targets[self.offsets[l] as usize..self.offsets[l + 1] as usize]
     }
 
+    /// This graph as a borrowed [`RrView`], the shape an
+    /// [`RrArena`](crate::RrArena) hands out.
+    #[inline]
+    pub fn view(&self) -> RrView<'_> {
+        RrView {
+            nodes: &self.nodes,
+            offsets: &self.offsets[..self.nodes.len()],
+            targets: &self.targets,
+        }
+    }
+
     /// Nodes reachable from the source when traversal is restricted to
     /// nodes satisfying `keep` — the reachable set of the induced RR graph
     /// `R_g(C)` of Definition 3. Returns global ids; empty if the source
@@ -106,6 +117,67 @@ impl RrGraph {
     }
 }
 
+/// A borrowed RR graph with the read accessors of [`RrGraph`], whether it
+/// lives in an owned graph ([`RrGraph::view`]) or in an
+/// [`RrArena`](crate::RrArena). `offsets[l]` is where local node `l`'s row
+/// starts in `targets`; the row ends where the next one starts, or at the
+/// end of `targets` for the last node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RrView<'a> {
+    pub(crate) nodes: &'a [NodeId],
+    pub(crate) offsets: &'a [u32],
+    pub(crate) targets: &'a [u32],
+}
+
+impl<'a> RrView<'a> {
+    /// The source node (global id).
+    #[inline]
+    pub fn source(&self) -> NodeId {
+        self.nodes[0]
+    }
+
+    /// Number of nodes in the RR set.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Whether the graph holds no node (a view of an empty buffer).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// Number of activated (directed traversal) edges.
+    #[inline]
+    pub fn num_edges(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// Global ids of the RR set, in exploration order.
+    #[inline]
+    pub fn nodes(&self) -> &'a [NodeId] {
+        self.nodes
+    }
+
+    /// Global id of local node `l`.
+    #[inline]
+    pub fn node(&self, l: u32) -> NodeId {
+        self.nodes[l as usize]
+    }
+
+    /// Out-neighbors (local indices) of local node `l`.
+    #[inline]
+    pub fn out_neighbors(&self, l: u32) -> &'a [u32] {
+        let l = l as usize;
+        let end = self
+            .offsets
+            .get(l + 1)
+            .map_or(self.targets.len(), |&e| e as usize);
+        &self.targets[self.offsets[l] as usize..end]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,6 +200,19 @@ mod tests {
         assert_eq!(r.out_neighbors(0), &[1, 3]);
         assert_eq!(r.out_neighbors(1), &[2]);
         assert_eq!(r.out_neighbors(2), &[] as &[u32]);
+    }
+
+    #[test]
+    fn view_reads_like_the_graph() {
+        let r = sample();
+        let v = r.view();
+        assert_eq!((v.source(), v.len(), v.num_edges()), (7, 4, 3));
+        assert_eq!(v.nodes(), r.nodes());
+        for l in 0..4 {
+            assert_eq!(v.node(l), r.node(l));
+            assert_eq!(v.out_neighbors(l), r.out_neighbors(l), "row {l}");
+        }
+        assert!(RrGraph::default().view().is_empty());
     }
 
     #[test]

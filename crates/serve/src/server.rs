@@ -3,10 +3,12 @@
 //!
 //! # Threading model
 //!
-//! One **acceptor** thread owns the (nonblocking) listener and the sending
-//! half of a bounded `sync_channel` of accepted connections; `workers`
-//! threads each loop `recv → handle one connection → close`. Overload
-//! sheds at two rungs:
+//! One **acceptor** thread blocks in `accept` on the listener and owns the
+//! sending half of a bounded `sync_channel` of accepted connections;
+//! `workers` threads each loop `recv → handle one connection → close`. An
+//! idle server burns no CPU: [`ServerHandle::shutdown`] wakes the acceptor
+//! with one loopback connection after it stores *Stopped*. Overload sheds
+//! at two rungs:
 //!
 //! 1. **socket**: when the accept queue is full, the acceptor itself
 //!    writes a `503` (+ `Retry-After` from [`CodEngine::retry_after_hint`])
@@ -29,7 +31,7 @@
 //! thread, so a clean exit leaks neither sockets nor threads.
 
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -210,13 +212,12 @@ pub struct ShutdownReport {
 /// the threads are running.
 pub fn serve(engine: Arc<CodEngine>, cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     serve_on(listener, engine, cfg)
 }
 
-/// Starts the server on an already-bound (nonblocking) listener — the
-/// recovery front hands its listener over through here, so the port never
-/// closes between "recovering" and "serving".
+/// Starts the server on an already-bound listener — the recovery front
+/// hands its listener over through here, so the port never closes between
+/// "recovering" and "serving".
 fn serve_on(
     listener: TcpListener,
     engine: Arc<CodEngine>,
@@ -301,13 +302,16 @@ where
     F: FnOnce() -> Result<Arc<CodEngine>, CodError> + Send + 'static,
 {
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let (engine_tx, engine_rx) = std::sync::mpsc::channel::<Result<Arc<CodEngine>, CodError>>();
     std::thread::Builder::new()
         .name("cod-serve-recover".into())
         .spawn(move || {
-            let _ = engine_tx.send(recover());
+            let res = catch_unwind(AssertUnwindSafe(recover))
+                .unwrap_or_else(|_| Err(CodError::Internal("recovery panicked".into())));
+            let _ = engine_tx.send(res);
+            // The front blocks in `accept`: wake it to promote at once.
+            wake_acceptor(addr);
         })?;
     let (handle_tx, handle_rx) = std::sync::mpsc::channel::<Result<ServerHandle, CodError>>();
     std::thread::Builder::new()
@@ -320,7 +324,9 @@ where
 }
 
 /// The accept loop of a recovering server: answer probes, watch for the
-/// recovered engine, then promote the listener to the full server.
+/// recovered engine, then promote the listener to the full server. It
+/// blocks in `accept`; the recover thread connects once after sending its
+/// result, so the promotion never waits for a client.
 fn recovering_front(
     listener: TcpListener,
     cfg: ServeConfig,
@@ -367,12 +373,27 @@ fn recovering_front(
                 };
                 let _ = resp.write_to(&mut stream);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
+}
+
+/// How long an acceptor waits after a failed `accept` (say, out of file
+/// descriptors) before it tries again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(1);
+
+/// Connects once to `addr`, so that a thread blocked in `accept` on it
+/// returns and rereads its state. An unspecified bind address (`0.0.0.0`,
+/// `::`) is reached through the loopback address of its family.
+fn wake_acceptor(addr: SocketAddr) {
+    let mut to = addr;
+    if to.ip().is_unspecified() {
+        to.set_ip(match to {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&to, Duration::from_secs(1));
 }
 
 impl ServerHandle {
@@ -425,6 +446,7 @@ impl ServerHandle {
             std::thread::sleep(Duration::from_millis(1));
         }
         self.shared.state.store(STOPPED, Ordering::Release);
+        wake_acceptor(self.addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -444,46 +466,46 @@ impl ServerHandle {
 
 fn accept_loop(shared: &Shared, listener: TcpListener, tx: SyncSender<TcpStream>) {
     loop {
-        match shared.state() {
-            STOPPED => break,
-            state => match listener.accept() {
-                Ok((mut stream, _peer)) => {
-                    // The Accept failpoint is the only panic-prone code on
-                    // this thread; an acceptor that dies takes the whole
-                    // server deaf, so isolate it like the worker sites and
-                    // answer the connection with a best-effort 500.
-                    if catch_unwind(|| failpoint::hit(Site::Accept, None)).is_err() {
-                        shared.http.panics.fetch_add(1, Ordering::Relaxed);
-                        let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-                        let _ = http::read_request(&mut stream, shared.cfg.max_request_bytes);
-                        let _ =
-                            Response::text(500, "internal error (accept)\n").write_to(&mut stream);
-                        continue;
-                    }
-                    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-                    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-                    if state == DRAINING {
-                        drain_reply(shared, stream);
-                        continue;
-                    }
-                    shared.conn_inflight.fetch_add(1, Ordering::AcqRel);
-                    match tx.try_send(stream) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(stream)) => {
-                            shared.conn_inflight.fetch_sub(1, Ordering::AcqRel);
-                            shed_at_socket(shared, stream);
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            shared.conn_inflight.fetch_sub(1, Ordering::AcqRel);
-                            break;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(1)),
-            },
+        let accepted = listener.accept();
+        let state = shared.state();
+        if state == STOPPED {
+            break; // the wake-up connection from `shutdown`, or a late client
+        }
+        let mut stream = match accepted {
+            Ok((stream, _peer)) => stream,
+            Err(_) => {
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
+            }
+        };
+        // The Accept failpoint is the only panic-prone code on this
+        // thread; an acceptor that dies takes the whole server deaf, so
+        // isolate it like the worker sites and answer the connection with
+        // a best-effort 500.
+        if catch_unwind(|| failpoint::hit(Site::Accept, None)).is_err() {
+            shared.http.panics.fetch_add(1, Ordering::Relaxed);
+            let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+            let _ = http::read_request(&mut stream, shared.cfg.max_request_bytes);
+            let _ = Response::text(500, "internal error (accept)\n").write_to(&mut stream);
+            continue;
+        }
+        let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
+        let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
+        if state == DRAINING {
+            drain_reply(shared, stream);
+            continue;
+        }
+        shared.conn_inflight.fetch_add(1, Ordering::AcqRel);
+        match tx.try_send(stream) {
+            Ok(()) => {}
+            Err(TrySendError::Full(stream)) => {
+                shared.conn_inflight.fetch_sub(1, Ordering::AcqRel);
+                shed_at_socket(shared, stream);
+            }
+            Err(TrySendError::Disconnected(_)) => {
+                shared.conn_inflight.fetch_sub(1, Ordering::AcqRel);
+                break;
+            }
         }
     }
     // Dropping `tx` here closes the queue; workers exit after draining it.

@@ -421,6 +421,29 @@ fn graceful_drain_completes_in_flight_and_refuses_new_queries() {
     }
 }
 
+/// An idle acceptor blocks in `accept` instead of polling, and `shutdown`
+/// wakes it with one loopback connection: a server that never saw a
+/// request stops at once, bound to a loopback or to an unspecified
+/// address (which the wake reaches through the loopback).
+#[test]
+fn idle_server_shuts_down_promptly() {
+    let _g = guard();
+    failpoint::disarm_all();
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let handle = start(engine(None), |c| c.addr = addr.into());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            let _ = done_tx.send(handle.shutdown().drained_in_time);
+        });
+        // The watchdog: a shutdown that hangs fails here, not the suite.
+        match done_rx.recv_timeout(Duration::from_secs(2)) {
+            Ok(drained) => assert!(drained, "{addr}: an idle drain cannot overrun"),
+            Err(_) => panic!("{addr}: shutdown of an idle server took over 2 s"),
+        }
+        stopper.join().expect("shutdown thread");
+    }
+}
+
 /// Drain-deadline overrun: a straggler slower than the drain budget is
 /// forced through the engine kill switch and still receives an orderly
 /// response — a degraded 200 or a mapped 504, never a dropped connection.
