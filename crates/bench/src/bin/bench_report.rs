@@ -5,6 +5,7 @@
 //! bench_report --input bench.jsonl --out BENCH_PR4.json
 //!              [--baseline BENCH_BASELINE.json] [--max-regression 25]
 //!              [--gate ratio|absolute]
+//! bench_report --trajectory BENCH_BASELINE.json BENCH_PR16.json ...
 //! ```
 //!
 //! The input is the append-only sink written by the vendored criterion
@@ -27,6 +28,11 @@
 //! when baseline and run come from the same machine. In either mode, ids
 //! (or ratio legs) present on only one side are reported but never fail the
 //! gate — benchmarks come and go across PRs.
+//!
+//! `--trajectory FILE...` reads committed reports instead and prints every
+//! [`RATIOS`] entry and every counter of the snapshot as one row, with one
+//! column per file in argument order (`-` where a file lacks the value).
+//! It gates nothing and always exits 0 once the files parse.
 //!
 //! Report schema (`schema_version` 1), one benchmark entry per line so the
 //! file diffs cleanly and parses line-wise without a JSON library:
@@ -177,7 +183,12 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<bool, String> {
-    let opts = Opts::parse(&std::env::args().skip(1).collect::<Vec<_>>())?;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "--trajectory") {
+        print!("{}", trajectory(&args[1..])?);
+        return Ok(true);
+    }
+    let opts = Opts::parse(&args)?;
     let input = std::fs::read_to_string(&opts.input)
         .map_err(|e| format!("reading {}: {e}", opts.input.display()))?;
     let benchmarks = parse_entries(&input)?;
@@ -308,6 +319,95 @@ fn parse_entries(text: &str) -> Result<BTreeMap<String, Entry>, String> {
         entries.insert(id, Entry { median_ns, samples });
     }
     Ok(entries)
+}
+
+/// The `"counters"` object of a committed report: one `"name": value`
+/// line each, up to the object's closing brace.
+fn parse_counters(text: &str) -> BTreeMap<String, u64> {
+    text.lines()
+        .skip_while(|line| !line.contains("\"counters\": {"))
+        .skip(1)
+        .take_while(|line| !line.trim_start().starts_with('}'))
+        .filter_map(|line| {
+            let (name, value) = line.trim().strip_prefix('"')?.split_once("\":")?;
+            let value = value.trim().trim_end_matches(',').parse().ok()?;
+            Some((name.to_string(), value))
+        })
+        .collect()
+}
+
+/// The `--trajectory` table over the committed reports at `paths`: a row
+/// per gate ratio (recomputed from each file's medians, with its absolute
+/// cap) and per snapshot counter, a column per file in argument order.
+fn trajectory(paths: &[String]) -> Result<String, String> {
+    if paths.is_empty() {
+        return Err("--trajectory needs at least one report file".to_string());
+    }
+    let mut columns = Vec::with_capacity(paths.len());
+    for path in paths {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let name = std::path::Path::new(path)
+            .file_stem()
+            .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());
+        columns.push((name, parse_entries(&text)?, parse_counters(&text)));
+    }
+    Ok(render_trajectory(&columns))
+}
+
+/// Renders the `--trajectory` table: `columns` holds each report's name,
+/// benchmark medians and counters, in the order the columns print.
+#[allow(clippy::type_complexity)] // (name, medians, counters) per report
+fn render_trajectory(
+    columns: &[(String, BTreeMap<String, Entry>, BTreeMap<String, u64>)],
+) -> String {
+    let label = RATIOS
+        .iter()
+        .map(|r| r.0.len())
+        .chain(columns.iter().flat_map(|c| c.2.keys().map(String::len)))
+        .max()
+        .unwrap_or(0)
+        .max("counter".len());
+    let widths: Vec<usize> = columns.iter().map(|c| c.0.len().max(10)).collect();
+    let mut out = String::new();
+    let mut row = |name: &str, cap: &str, cells: Vec<String>| {
+        let mut line = format!("{name:<label$}  {cap:>5}");
+        for (cell, w) in cells.iter().zip(&widths) {
+            line.push_str(&format!("  {cell:>w$}"));
+        }
+        out.push_str(line.trim_end());
+        out.push('\n');
+    };
+    row(
+        "ratio",
+        "cap",
+        columns.iter().map(|c| c.0.clone()).collect(),
+    );
+    for (name, num, den, cap) in RATIOS {
+        let cells = columns
+            .iter()
+            .map(|c| ratio_of(&c.1, num, den).map_or("-".to_string(), |r| format!("{r:.4}")))
+            .collect();
+        row(
+            name,
+            &cap.map_or("-".to_string(), |c| format!("{c:.2}")),
+            cells,
+        );
+    }
+    let counters: std::collections::BTreeSet<&String> =
+        columns.iter().flat_map(|c| c.2.keys()).collect();
+    row(
+        "counter",
+        "",
+        columns.iter().map(|_| String::new()).collect(),
+    );
+    for name in counters {
+        let cells = columns
+            .iter()
+            .map(|c| c.2.get(name).map_or("-".to_string(), u64::to_string))
+            .collect();
+        row(name, "", cells);
+    }
+    out
 }
 
 /// A deterministic telemetry-counter snapshot: a fixed mixed-method batch on
@@ -664,6 +764,37 @@ not json at all\n\
             report.contains(&format!("\"{}\": 0.5000", RATIOS[0].0)),
             "{report}"
         );
+    }
+
+    #[test]
+    fn trajectory_lists_ratios_and_counters_in_argument_order() {
+        let mut counters = BTreeMap::new();
+        counters.insert("rr_graphs_sampled", 42u64);
+        let first = render_report(&ratio_legs(500, 1000), &counters);
+        counters.insert("pool_hits", 3);
+        let second = render_report(&ratio_legs(300, 1000), &counters);
+        let column = |name: &str, text: &str| {
+            (
+                name.to_string(),
+                parse_entries(text).unwrap(),
+                parse_counters(text),
+            )
+        };
+        assert_eq!(parse_counters(&second)["pool_hits"], 3);
+        let table = render_trajectory(&[column("OLD", &first), column("NEW", &second)]);
+        let line = |name: &str| {
+            table
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(name))
+                .unwrap_or_else(|| panic!("no {name} row in\n{table}"))
+                .split_whitespace()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(line("ratio")[2..], ["OLD", "NEW"]);
+        assert_eq!(line(RATIOS[0].0)[1..], ["-", "0.5000", "0.3000"]);
+        assert_eq!(line("pool_warm_ratio")[1..], ["0.20", "-", "-"]);
+        assert_eq!(line("rr_graphs_sampled")[1..], ["42", "42"]);
+        assert_eq!(line("pool_hits")[1..], ["-", "3"]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::ops::Range;
 
 use cod_graph::{Csr, FxHashMap, NodeId};
 use cod_influence::{
-    par_ranges, CancelToken, Model, Parallelism, RrGraph, RrSampler, SeedSequence,
+    par_ranges, CancelToken, Model, Parallelism, RrGraph, RrSampler, RrView, SeedSequence,
 };
 use rand::prelude::*;
 
@@ -155,33 +155,38 @@ pub fn compressed_cod(
         scratch,
     } = opts;
     let m = chain.len();
-    let universe = chain.universe();
     let mut own = QueryScratch::new();
     let ws = scratch.unwrap_or(&mut own);
-    let (theta, truncated, source) = match samples {
+    let drawn_universe;
+    let (universe, theta, truncated, source): (&[NodeId], _, _, _) = match samples {
         Samples::Seed(master) => {
-            let (theta, truncated) = resolve_theta(theta_per_node, universe.len(), budget, 0)?;
-            (theta, truncated, Source::Draw(SeedSequence::new(master)))
+            drawn_universe = chain.universe();
+            let (theta, truncated) =
+                resolve_theta(theta_per_node, drawn_universe.len(), budget, 0)?;
+            let source = Source::Draw(SeedSequence::new(master));
+            (&drawn_universe, theta, truncated, source)
         }
         Samples::Pool(pool) => {
+            // The pool keys on the chain's sorted universe and keeps its
+            // own copy, so the evaluation reads that instead of building one.
             debug_assert_eq!(
                 pool.universe(),
-                &universe[..],
+                &chain.universe()[..],
                 "pool key does not match the chain's universe"
             );
             let (theta, truncated) =
-                resolve_theta(theta_per_node, universe.len(), budget, pool.len())?;
+                resolve_theta(theta_per_node, pool.universe().len(), budget, pool.len())?;
             let (view, grown) = pool.ensure(g, model, theta, par, cancel);
             ws.sink.add(Counter::RrGraphsSampled, grown.graphs);
             ws.sink.add(Counter::RrEdgesTraversed, grown.edges);
             if grown.topped_up {
                 ws.sink.incr(Counter::PoolTopups);
             }
-            (theta, truncated, Source::Fold(view))
+            (pool.universe(), theta, truncated, Source::Fold(view))
         }
     };
     ws.prepare_buckets(m);
-    fill_levels(chain, &universe, &mut ws.levels);
+    fill_levels(chain, universe, &mut ws.levels);
 
     // --- Stage 1: shared sample generation (or pool fold) + HFS ---------
     // Phase timers are read outside the per-sample loop, and counters are
@@ -197,7 +202,7 @@ pub fn compressed_cod(
             let levels = std::mem::take(&mut ws.levels);
             let stage = Stage1 {
                 levels: &levels,
-                universe: &universe,
+                universe,
                 restricted: universe.len() < g.num_nodes(),
                 m,
                 seeds,
@@ -486,7 +491,7 @@ fn draw_and_record<R: Rng>(
     } else {
         sampler.sample_into(s, rng, |_| true, rr);
     }
-    hfs_record_dense(rr, ls, m, levels, hfs, buckets, sink, cancel);
+    hfs_record_dense(rr.view(), ls, m, levels, hfs, buckets, sink, cancel);
 }
 
 /// Shared argument validation for the evaluation entry points. `Ok(false)`
@@ -567,7 +572,7 @@ pub fn resolve_theta(
 /// checkpoint that level would make.
 #[allow(clippy::too_many_arguments)] // private HFS body: graph, levels, scratch, output, telemetry, token
 fn hfs_record_dense(
-    rr: &RrGraph,
+    rr: RrView<'_>,
     ls: usize,
     m: usize,
     levels: &[u32],

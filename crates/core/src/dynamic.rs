@@ -551,6 +551,7 @@ impl DynamicCod {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lore::select_recluster_community;
     use cod_graph::GraphBuilder;
     use cod_influence::Model;
 
@@ -691,6 +692,35 @@ mod tests {
         let _ = dyn_cod.query(6, b, &mut rng).unwrap();
         let graph = dyn_cod.graph().unwrap();
         assert!(graph.has_attr(6, b));
+    }
+
+    /// A `SetAttrs` that moves `q`'s LORE choice (dropping `A` from node 3
+    /// moves node 1's `C_ℓ` from vertex 11 to vertex 9) reaches the next
+    /// read: the engine's cached Δ table for `A` is rebuilt after the
+    /// flush, and the answer equals a fresh engine's over the flushed
+    /// artifacts.
+    #[test]
+    fn an_attribute_edit_that_moves_lore_reaches_the_next_read() {
+        let g = star_graph();
+        let mut d = DynamicCod::with_seed(&g, cfg(), 68).unwrap();
+        let choice = |d: &DynamicCod| {
+            let hier = &d.cache.hier;
+            let cached = d.engine.lore_choice(hier, 1, 0);
+            let scanned =
+                select_recluster_community(d.engine.graph(), &hier.dendro, &hier.lca, 1, 0);
+            assert_eq!(
+                cached, scanned,
+                "the cached table answers like an edge scan"
+            );
+            cached.map(|c| c.vertex)
+        };
+        let (ours, theirs) = with_fresh_engine(&mut d, 1, 0, 680);
+        assert_eq!(ours, theirs);
+        assert_eq!(choice(&d), Some(11));
+        d.set_attrs(3, Vec::new()).unwrap();
+        let (ours, theirs) = with_fresh_engine(&mut d, 1, 0, 681);
+        assert_eq!(ours, theirs);
+        assert_eq!(choice(&d), Some(9), "the edit moved C_ℓ");
     }
 
     #[test]

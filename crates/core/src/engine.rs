@@ -4,14 +4,17 @@
 //!
 //! The engine owns the immutable prepared artifacts — the graph, the
 //! non-attributed hierarchy `T` (+ LCA), the HIMOR index — behind `Arc`,
-//! and layers three kinds of reuse on top:
+//! and layers four kinds of reuse on top:
 //!
 //! 1. an **artifact cache** ([`ReclusterCache`]) keyed by `(attr, β,
 //!    linkage)` for CODR's global `T_ℓ` and LORE's local `C_ℓ` hierarchies;
-//! 2. **per-query workspaces** ([`QueryScratch`]) pooled and recycled so RR
+//! 2. one **LORE `Δ` table** per attribute over `T` ([`DeltaTable`]), built
+//!    by the first CODL or CODL⁻ plan of that attribute, so later plans
+//!    choose `C_ℓ` by walking `q`'s root path instead of scanning `|E|`;
+//! 3. **per-query workspaces** ([`QueryScratch`]) pooled and recycled so RR
 //!    sampler stamps, HFS queues and top-k buffers are reused across
 //!    queries;
-//! 3. a **batch API** ([`CodEngine::query_batch`]) that plans queries
+//! 4. a **batch API** ([`CodEngine::query_batch`]) that plans queries
 //!    sequentially (preserving the caller-RNG draw order), groups pending
 //!    evaluations by `(method, attr)` and fans the groups out under the
 //!    configured [`Parallelism`] policy.
@@ -45,7 +48,7 @@ use crate::compressed::{compressed_cod, CodOutcome, EvalOptions, Samples};
 use crate::error::{CodError, CodResult};
 use crate::failpoint;
 use crate::himor::HimorIndex;
-use crate::lore::select_recluster_community;
+use crate::lore::{DeltaTable, ReclusterChoice};
 use crate::pipeline::{
     validate_query, AnswerSource, CacheOutcome, CodAnswer, CodConfig, QueryLimits,
 };
@@ -269,6 +272,9 @@ pub struct CodEngine {
     cfg: CodConfig,
     base: OnceLock<Arc<Hierarchy>>,
     index: OnceLock<Arc<HimorIndex>>,
+    /// LORE's `Δ(C)` table over `base`, one cell per attribute id, each
+    /// built by the first plan that needs it and read without a lock after.
+    lore: Box<[OnceLock<DeltaTable>]>,
     cache: ReclusterCache,
     /// Cross-query shared RR-pool cache, consulted only when
     /// [`CodConfig::pool`] is on (it stays empty otherwise).
@@ -314,6 +320,7 @@ impl CodEngine {
         cache_capacity: usize,
     ) -> Self {
         Self {
+            lore: lore_cells(&g),
             g,
             cfg,
             base: OnceLock::new(),
@@ -349,13 +356,15 @@ impl CodEngine {
     /// recluster cache, the RR-pool cache, the scratch pool and the metrics
     /// registry. The caller has already dropped, through
     /// [`CodEngine::invalidate_scoped`], every cached artifact and pool the
-    /// mutations since the last swap can have staled.
+    /// mutations since the last swap can have staled. The LORE tables
+    /// describe the old graph and hierarchy and go with them.
     pub(crate) fn rebase(
         &mut self,
         g: Arc<AttributedGraph>,
         base: Arc<Hierarchy>,
         index: Arc<HimorIndex>,
     ) {
+        self.lore = lore_cells(&g);
         self.g = g;
         self.base = OnceLock::from(base);
         self.index = OnceLock::from(index);
@@ -1009,8 +1018,7 @@ impl CodEngine {
                     }
                     Some(index) => {
                         let base = self.base_hierarchy();
-                        let choice =
-                            select_recluster_community(&self.g, &base.dendro, &base.lca, q, a);
+                        let choice = self.lore_choice(&base, q, a);
                         let floor: Option<VertexId> = choice.map(|c| c.vertex);
                         // Algorithm 3 lines 1–2: answer from the index if
                         // an ancestor of C_ℓ qualifies. No RNG is consumed.
@@ -1075,6 +1083,22 @@ impl CodEngine {
         })
     }
 
+    /// LORE's choice of `C_ℓ` for `(q, attr)` over `base`, the engine's
+    /// base hierarchy (Algorithm 2): a walk up `q`'s root path through the
+    /// attribute's cached [`DeltaTable`], `O(|H(q)|·log)`. The first plan
+    /// of an attribute builds its table in one pass over the edges. `attr`
+    /// has passed `validate_query`, so it has a cell.
+    pub(crate) fn lore_choice(
+        &self,
+        base: &Hierarchy,
+        q: NodeId,
+        attr: AttrId,
+    ) -> Option<ReclusterChoice> {
+        self.lore[attr as usize]
+            .get_or_init(|| DeltaTable::build(&self.g, &base.dendro, &base.lca, attr))
+            .select(&base.dendro, q)
+    }
+
     /// CODL⁻'s artifact preparation (also the fallback rung when CODL's
     /// index build is interrupted): LORE community selection plus the
     /// governed local recluster. An interrupted local build degrades to
@@ -1090,7 +1114,7 @@ impl CodEngine {
         degraded: &mut Option<Method>,
     ) -> EvalArtifacts {
         let base = self.base_hierarchy();
-        match select_recluster_community(&self.g, &base.dendro, &base.lca, q, a) {
+        match self.lore_choice(&base, q, a) {
             // No attribute signal on the path: evaluate T directly.
             None => EvalArtifacts::Whole(base),
             Some(choice) => {
@@ -1311,6 +1335,11 @@ fn package(chain: &impl Chain, out: CodOutcome, cache: Option<CacheOutcome>) -> 
         degraded: None,
         trace: None,
     })
+}
+
+/// One empty [`DeltaTable`] cell per attribute id of `g`.
+fn lore_cells(g: &AttributedGraph) -> Box<[OnceLock<DeltaTable>]> {
+    (0..g.num_attrs()).map(|_| OnceLock::new()).collect()
 }
 
 fn hit_to_outcome(hit: bool) -> Option<CacheOutcome> {

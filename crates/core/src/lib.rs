@@ -69,7 +69,7 @@ pub use dynamic::{DynamicCod, FlushOutcome, MutationFlushReport};
 pub use engine::{CodEngine, Method, Query};
 pub use error::{CodError, CodResult};
 pub use himor::{BuildStats, HimorIndex, HimorPatchState, PatchStats};
-pub use lore::{select_recluster_community, ReclusterChoice};
+pub use lore::{select_recluster_community, DeltaTable, ReclusterChoice};
 pub use mutation::{Footprint, Mutation, MutationKind};
 pub use pipeline::{AnswerSource, CacheOutcome, CodAnswer, CodConfig, QueryLimits};
 pub use pool::{

@@ -12,9 +12,16 @@
 //! children). LORE reclusters the community with the maximum score;
 //! on ties the deepest maximum wins (Algorithm 2 keeps the first strict
 //! improvement).
+//!
+//! `Δ` does not depend on `q`: a [`DeltaTable`] holds it for one attribute
+//! over one hierarchy, built in one pass over the edges with one LCA query
+//! per attributed edge. Scoring a query then walks `q`'s root path and
+//! looks each community up, `O(|H(q)| · log)` instead of `O(|E|)`.
+//! `CodEngine` keeps one table per attribute; the free functions here
+//! build a fresh table per call.
 
 use cod_graph::{AttrId, AttributedGraph, NodeId};
-use cod_hierarchy::{Dendrogram, LcaIndex, VertexId};
+use cod_hierarchy::{Dendrogram, LcaIndex, VertexId, NO_VERTEX};
 
 /// The community LORE chose for reclustering.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -28,12 +35,101 @@ pub struct ReclusterChoice {
     pub score: f64,
 }
 
+/// The nonzero `Δ(C)` of one attribute over one hierarchy: for each
+/// community that divides at least one edge whose endpoints both carry the
+/// attribute, the number of such edges whose LCA it is. Stored as
+/// `(vertex, count)` pairs sorted by vertex, so its size follows the
+/// attributed edges rather than `|V|`.
+#[derive(Clone, Debug)]
+pub struct DeltaTable {
+    entries: Vec<(VertexId, u32)>,
+}
+
+impl DeltaTable {
+    /// The table of `attr` over `dendro`: one pass over the edges of `g`,
+    /// one LCA query per attributed edge.
+    pub fn build(g: &AttributedGraph, dendro: &Dendrogram, lca: &LcaIndex, attr: AttrId) -> Self {
+        let mut lcas: Vec<VertexId> = g
+            .edges()
+            .filter(|&(u, v)| g.edge_is_attributed(u, v, attr))
+            .map(|(u, v)| lca.lca(dendro.leaf(u), dendro.leaf(v)))
+            .collect();
+        lcas.sort_unstable();
+        let mut entries: Vec<(VertexId, u32)> = Vec::new();
+        for c in lcas {
+            match entries.last_mut() {
+                Some((v, count)) if *v == c => *count += 1,
+                _ => entries.push((c, 1)),
+            }
+        }
+        entries.shrink_to_fit();
+        Self { entries }
+    }
+
+    /// `Δ(c)`: the attributed edges whose LCA is exactly `c`.
+    pub fn delta(&self, c: VertexId) -> u32 {
+        self.entries
+            .binary_search_by_key(&c, |&(v, _)| v)
+            .map_or(0, |i| self.entries[i].1)
+    }
+
+    /// [`recluster_scores`] for `q` from this table; `dendro` must be the
+    /// hierarchy it was built over.
+    pub fn scores(&self, dendro: &Dendrogram, q: NodeId) -> Option<Vec<f64>> {
+        let scores: Vec<f64> = self.path_scores(dendro, q).map(|(_, r)| r).collect();
+        (!scores.is_empty()).then_some(scores)
+    }
+
+    /// [`select_recluster_community`] for `q` from this table; `dendro`
+    /// must be the hierarchy it was built over.
+    pub fn select(&self, dendro: &Dendrogram, q: NodeId) -> Option<ReclusterChoice> {
+        let mut best: Option<ReclusterChoice> = None;
+        for (chain_index, (vertex, score)) in self.path_scores(dendro, q).enumerate() {
+            if score > best.map_or(0.0, |b| b.score) {
+                best = Some(ReclusterChoice {
+                    vertex,
+                    chain_index,
+                    score,
+                });
+            }
+        }
+        best
+    }
+
+    /// Every community on `q`'s root path, deepest first, with its score:
+    /// the Eq. 3/4 prefix sum of `Δ(C_j)·dep(C_j)` over `j = 1..i` in
+    /// integers, divided by `|C_i|`. `r(C_0) = 0` by definition (no chain
+    /// descendant can divide an edge).
+    fn path_scores<'a>(
+        &'a self,
+        dendro: &'a Dendrogram,
+        q: NodeId,
+    ) -> impl Iterator<Item = (VertexId, f64)> + 'a {
+        let mut next = dendro.parent(dendro.leaf(q));
+        let mut deepest = true;
+        let mut sum = 0u64;
+        std::iter::from_fn(move || {
+            if next == NO_VERTEX {
+                return None;
+            }
+            let c = next;
+            next = dendro.parent(c);
+            if std::mem::take(&mut deepest) {
+                return Some((c, 0.0));
+            }
+            sum += u64::from(self.delta(c)) * u64::from(dendro.depth(c));
+            Some((c, sum as f64 / dendro.size(c) as f64))
+        })
+    }
+}
+
 /// Computes the reclustering scores of all communities on `q`'s root path
 /// and returns the maximizer (Algorithm 2, `QueryAttrRelated`).
 ///
 /// Returns `None` when no query-attributed edge is split on the path (all
 /// scores zero) — CODL then skips reclustering and answers from the
-/// non-attributed hierarchy alone.
+/// non-attributed hierarchy alone. Builds a fresh [`DeltaTable`], so one
+/// call costs `O(|E|)`; callers scoring many queries keep the table.
 pub fn select_recluster_community(
     g: &AttributedGraph,
     dendro: &Dendrogram,
@@ -41,28 +137,13 @@ pub fn select_recluster_community(
     q: NodeId,
     attr: AttrId,
 ) -> Option<ReclusterChoice> {
-    let scores = recluster_scores(g, dendro, lca, q, attr)?;
-    let path = dendro.root_path(q);
-    let mut best: Option<ReclusterChoice> = None;
-    for (i, &score) in scores.iter().enumerate() {
-        let improves = match best {
-            None => score > 0.0,
-            Some(b) => score > b.score,
-        };
-        if improves {
-            best = Some(ReclusterChoice {
-                vertex: path[i],
-                chain_index: i,
-                score,
-            });
-        }
-    }
-    best
+    DeltaTable::build(g, dendro, lca, attr).select(dendro, q)
 }
 
 /// The raw reclustering scores `r(C_i(q))` for every community on `q`'s
 /// root path (index 0 = deepest). `r(C_0) = 0` by definition (no chain
 /// descendant can divide an edge). Returns `None` for an empty path.
+/// Builds a fresh [`DeltaTable`], like [`select_recluster_community`].
 pub fn recluster_scores(
     g: &AttributedGraph,
     dendro: &Dendrogram,
@@ -70,39 +151,7 @@ pub fn recluster_scores(
     q: NodeId,
     attr: AttrId,
 ) -> Option<Vec<f64>> {
-    let path = dendro.root_path(q);
-    if path.is_empty() {
-        return None;
-    }
-    let m = path.len();
-    // depth(path[i]) = base - i.
-    let base = dendro.depth(dendro.leaf(q)) - 1;
-
-    // Δ[i] = number of query-attributed edges whose lca is path[i].
-    let mut delta = vec![0u64; m];
-    for (u, v) in g.edges() {
-        if !g.edge_is_attributed(u, v, attr) {
-            continue;
-        }
-        let c = lca.lca(dendro.leaf(u), dendro.leaf(v));
-        // "if q ∈ lca(u, v)" — only communities on q's path count.
-        if !dendro.contains(c, q) {
-            continue;
-        }
-        let d = dendro.depth(c);
-        debug_assert!(d <= base, "an lca of two distinct leaves is internal");
-        let i = (base - d) as usize;
-        delta[i] += 1;
-    }
-
-    // Prefix sums of Δ(C_j)·dep(C_j) over j = 1..i, divided by |C_i|.
-    let mut scores = vec![0.0; m];
-    let mut s = 0u64;
-    for i in 1..m {
-        s += delta[i] * u64::from(base - i as u32);
-        scores[i] = s as f64 / dendro.size(path[i]) as f64;
-    }
-    Some(scores)
+    DeltaTable::build(g, dendro, lca, attr).scores(dendro, q)
 }
 
 #[cfg(test)]
@@ -232,6 +281,21 @@ mod tests {
         assert!((r_c3 - 0.5).abs() < 1e-12);
         assert!((r_c4 - 7.0 / 8.0).abs() < 1e-12);
         let _ = (path, base);
+    }
+
+    /// The DB edges' LCAs on the binary tree: `(0,2)→11`,
+    /// `(0,3),(2,3)→12`, `(4,5)→13`, `(3,7)→15`, `(2,4),(3,5)→16`, the
+    /// off-path `13` included.
+    #[test]
+    fn table_holds_the_nonzero_deltas_sorted() {
+        let (g, d, lca) = paper_example();
+        let table = DeltaTable::build(&g, &d, &lca, 0);
+        assert_eq!(
+            table.entries,
+            vec![(11, 1), (12, 2), (13, 1), (15, 1), (16, 2)]
+        );
+        assert_eq!((table.delta(12), table.delta(14)), (2, 0));
+        assert!(DeltaTable::build(&g, &d, &lca, 99).entries.is_empty());
     }
 
     #[test]

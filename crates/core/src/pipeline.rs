@@ -108,7 +108,8 @@ pub struct CodConfig {
     pub pool: bool,
     /// Byte budget of the shared RR-pool cache before least-recently-used
     /// pools are evicted ([`crate::pool::DEFAULT_POOL_BUDGET_BYTES`] by
-    /// default). Only consulted when [`CodConfig::pool`] is on.
+    /// default), in heap bytes of pooled samples: the capacity of the
+    /// pools' sample arenas. Only consulted when [`CodConfig::pool`] is on.
     pub pool_budget_bytes: usize,
 }
 

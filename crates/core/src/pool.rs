@@ -20,6 +20,16 @@
 //! sample sequence, at every thread count. `tests/pool_reuse.rs` enforces
 //! this (grown ≡ fresh, warm answers ≡ cold answers).
 //!
+//! # Storage
+//!
+//! Each growth adds one chunk: an immutable `Arc<RrArena>` holding its
+//! samples back to back in three flat arrays (nodes, row starts,
+//! targets) plus one extent per sample, so a sample has no allocation of
+//! its own. Growth draws with [`RrSampler::sample_into`] into one reused
+//! [`RrGraph`] per shard, and the chunk keeps no spare capacity. A fold
+//! reads the samples as [`RrView`]s, and dropping a pool frees a few
+//! arrays per chunk.
+//!
 //! # Growth, truncation, invalidation
 //!
 //! * **Incremental growth**: a query needing `θ′` samples over a pool
@@ -39,14 +49,18 @@
 //!   planned against), new queries build fresh pools.
 //! * **Eviction**: pools are evicted least-recently-used once their
 //!   total resident bytes exceed the cache's byte budget; the pool a
-//!   query is actively using is never evicted under it.
+//!   query is actively using is never evicted under it. Resident bytes
+//!   are heap bytes: the sum of the chunks' [`RrArena::memory_bytes`],
+//!   which is what [`RrPoolEntry::memory_bytes`], [`GrowthStats::bytes`]
+//!   and the `cod_pool_cache_resident_bytes` gauge report.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use cod_graph::{AttrId, Csr, NodeId};
 use cod_influence::{
-    par_ranges, splitmix64, CancelToken, Model, Parallelism, RrGraph, RrSampler, SeedSequence,
+    par_ranges, splitmix64, CancelToken, Model, Parallelism, RrArena, RrGraph, RrSampler, RrView,
+    SeedSequence,
 };
 
 use crate::failpoint::{self, Site};
@@ -55,7 +69,8 @@ use crate::failpoint::{self, Site};
 /// the compressed path's per-batch checkpoint granularity.
 pub const CHECK_EVERY: usize = 64;
 
-/// Default byte budget of an engine's pool cache (LRU eviction threshold).
+/// Default byte budget of an engine's pool cache (LRU eviction threshold),
+/// in heap bytes of pooled samples ([`RrArena::memory_bytes`]).
 pub const DEFAULT_POOL_BUDGET_BYTES: usize = 256 * 1024 * 1024;
 
 /// An immutable snapshot of a pool's sample prefix: the chunks resident
@@ -64,7 +79,7 @@ pub const DEFAULT_POOL_BUDGET_BYTES: usize = 256 * 1024 * 1024;
 /// the sample stream.
 #[derive(Clone)]
 pub struct PoolView {
-    chunks: Vec<Arc<Vec<RrGraph>>>,
+    chunks: Vec<Arc<RrArena>>,
     len: usize,
 }
 
@@ -80,7 +95,7 @@ impl PoolView {
     }
 
     /// The pooled RR graphs in sample-index order.
-    pub fn iter(&self) -> impl Iterator<Item = &RrGraph> {
+    pub fn iter(&self) -> impl Iterator<Item = RrView<'_>> {
         self.chunks.iter().flat_map(|c| c.iter())
     }
 }
@@ -92,7 +107,8 @@ pub struct GrowthStats {
     pub graphs: u64,
     /// Activated edges recorded while generating those graphs.
     pub edges: u64,
-    /// Heap bytes the added graphs occupy.
+    /// Heap bytes of the chunk holding the added graphs
+    /// ([`RrArena::memory_bytes`]).
     pub bytes: u64,
     /// Whether this call grew a non-empty pool (a top-up, as opposed to
     /// the initial fill or a pure read).
@@ -109,7 +125,8 @@ pub struct RrPoolEntry {
     /// Serializes growth so concurrent queries never sample overlapping
     /// index ranges; reads proceed under `chunks` alone.
     grow: Mutex<()>,
-    chunks: RwLock<Vec<Arc<Vec<RrGraph>>>>,
+    /// One arena per growth, in index order.
+    chunks: RwLock<Vec<Arc<RrArena>>>,
     samples: AtomicUsize,
     bytes: AtomicUsize,
 }
@@ -159,7 +176,8 @@ impl RrPoolEntry {
         self.len() == 0
     }
 
-    /// Heap bytes the resident samples occupy.
+    /// Heap bytes the resident samples occupy: the sum of the chunks'
+    /// [`RrArena::memory_bytes`].
     pub fn memory_bytes(&self) -> usize {
         self.bytes.load(Ordering::Acquire)
     }
@@ -208,6 +226,10 @@ impl RrPoolEntry {
 
     /// Samples indices `have..theta` and appends the contiguous completed
     /// prefix as one immutable chunk. Caller holds the growth lock.
+    ///
+    /// Each shard draws into one reused [`RrGraph`] and copies it into its
+    /// own [`RrArena`]; the shards join in index order and the chunk drops
+    /// its spare capacity, so it holds exactly its samples.
     fn grow_locked(
         &self,
         g: &Csr,
@@ -230,7 +252,8 @@ impl RrPoolEntry {
         let inside = &inside;
         let shards = par_ranges(n, par.thread_count(), |range| {
             let mut sampler = RrSampler::new(g, model);
-            let mut out = Vec::with_capacity(range.len());
+            let mut rr = RrGraph::default();
+            let mut out = RrArena::default();
             let mut edges = 0u64;
             let mut pending_edges = 0u64;
             let mut complete = true;
@@ -248,16 +271,15 @@ impl RrPoolEntry {
                 }
                 let mut rng = self.seeds.rng_for((have + i) as u64);
                 let s = self.universe[rand::Rng::random_range(&mut rng, 0..self.universe.len())];
-                let rr = if self.restricted {
-                    sampler.sample_restricted(s, &mut rng, |v| {
-                        inside.get(v as usize).copied().unwrap_or(false)
-                    })
+                if self.restricted {
+                    let keep = |v: NodeId| inside.get(v as usize).copied().unwrap_or(false);
+                    sampler.sample_into(s, &mut rng, keep, &mut rr);
                 } else {
-                    sampler.sample_from(s, &mut rng)
-                };
+                    sampler.sample_into(s, &mut rng, |_| true, &mut rr);
+                }
                 edges += rr.num_edges() as u64;
                 pending_edges += rr.num_edges() as u64;
-                out.push(rr);
+                out.push(rr.view());
             }
             if let Some(c) = cancel {
                 c.charge_rr_edges(pending_edges);
@@ -268,11 +290,11 @@ impl RrPoolEntry {
         // Keep only the contiguous prefix of completed samples: once a
         // shard stopped early, everything after it would leave a gap in
         // the index space, so it is dropped and re-derived later.
-        let mut fresh: Vec<RrGraph> = Vec::new();
+        let mut fresh = RrArena::default();
         let mut edges = 0u64;
         for (shard, shard_edges, complete) in shards {
             edges += shard_edges;
-            fresh.extend(shard);
+            fresh.append(shard);
             if !complete {
                 break;
             }
@@ -280,7 +302,8 @@ impl RrPoolEntry {
         if fresh.is_empty() {
             return GrowthStats::default();
         }
-        let bytes: usize = fresh.iter().map(RrGraph::memory_bytes).sum();
+        fresh.shrink_to_fit();
+        let bytes = fresh.memory_bytes();
         let stats = GrowthStats {
             graphs: fresh.len() as u64,
             edges,
@@ -290,13 +313,12 @@ impl RrPoolEntry {
         if let Some(c) = cancel {
             c.charge_memory(self.bytes.load(Ordering::Acquire) + bytes);
         }
-        let chunk = Arc::new(fresh);
-        let added = chunk.len();
+        let added = fresh.len();
         let mut w = match self.chunks.write() {
             Ok(w) => w,
             Err(p) => p.into_inner(),
         };
-        w.push(chunk);
+        w.push(Arc::new(fresh));
         self.bytes.fetch_add(bytes, Ordering::AcqRel);
         self.samples.store(have + added, Ordering::Release);
         stats
@@ -624,6 +646,38 @@ mod tests {
             None,
         );
         assert!(v2.iter().eq(fv.iter()));
+    }
+
+    /// A pool counts the heap bytes of its arenas, each trimmed to its
+    /// samples, and the cache's resident bytes sum the resident pools.
+    #[test]
+    fn pool_bytes_are_the_sum_of_its_chunk_arenas() {
+        let g = ring(20);
+        let cache = PoolCache::new(usize::MAX);
+        let u: Vec<NodeId> = (0..20).collect();
+        let (a, _) = cache.get_or_create(Some(1), &u, false);
+        let (b, _) = cache.get_or_create(Some(2), &u[..9], true);
+        for (entry, thetas) in [(&a, [40, 110]), (&b, [15, 60])] {
+            for theta in thetas {
+                let (_, grown) = entry.ensure(
+                    &g,
+                    Model::WeightedCascade,
+                    theta,
+                    Parallelism::Threads(2),
+                    None,
+                );
+                let chunks = entry.chunks.read().unwrap();
+                let last = chunks.last().unwrap();
+                assert_eq!(grown.bytes, last.memory_bytes() as u64);
+                // A clone holds exactly its contents: the chunk has no slack.
+                assert_eq!(last.memory_bytes(), (**last).clone().memory_bytes());
+                let sum: usize = chunks.iter().map(|c| c.memory_bytes()).sum();
+                assert_eq!(entry.memory_bytes(), sum);
+            }
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.resident_bytes, a.memory_bytes() + b.memory_bytes());
+        assert!(stats.resident_bytes > 0);
     }
 
     #[test]

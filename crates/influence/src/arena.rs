@@ -119,6 +119,16 @@ impl RrArena {
         }
     }
 
+    /// Drops the spare capacity of the three arrays and the extents, so
+    /// [`RrArena::memory_bytes`] counts the graphs held and their dead
+    /// words, with no growth slack.
+    pub fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
+        self.offsets.shrink_to_fit();
+        self.targets.shrink_to_fit();
+        self.extents.shrink_to_fit();
+    }
+
     /// Words (`u32`s) of the three arrays that no graph covers.
     #[inline]
     pub fn dead_words(&self) -> usize {
@@ -202,6 +212,14 @@ mod tests {
         assert_eq!(arena.len(), graphs.len());
         assert!(arena.iter().eq(graphs.iter().map(RrGraph::view)));
         assert_eq!(arena.dead_words(), 0);
+        let words: usize = graphs.iter().map(|rr| 2 * rr.len() + rr.num_edges()).sum();
+        arena.shrink_to_fit();
+        assert!(arena.iter().eq(graphs.iter().map(RrGraph::view)));
+        assert_eq!(
+            arena.memory_bytes(),
+            words * size_of::<u32>() + graphs.len() * size_of::<Extent>(),
+            "a trimmed arena holds no slack"
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   (Definition 2), supporting induced restriction to a community
 //!   (Definition 3) and the possible-world coupling of Theorem 2;
 //! * [`arena::RrArena`] — many RR graphs in three flat arrays, read back
-//!   as borrowed [`rrgraph::RrView`]s (the HIMOR patch state keeps its
-//!   samples there);
+//!   as borrowed [`rrgraph::RrView`]s (the HIMOR patch state and the
+//!   shared RR pools keep their samples there);
 //! * [`sampler::RrSampler`] — RR-graph generation with reusable scratch
 //!   space and no allocation per sample, including community-restricted
 //!   sampling for the Independent baseline;

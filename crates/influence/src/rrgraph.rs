@@ -64,8 +64,10 @@ impl RrGraph {
         self.nodes[l as usize]
     }
 
-    /// Heap bytes held by this RR graph's three arrays — the unit the
-    /// shared-pool cache's byte budget is accounted in.
+    /// Heap bytes held by this RR graph's three arrays (their capacity),
+    /// leaving out the graph's own header. Pools and the HIMOR patch state
+    /// keep their samples in an [`RrArena`](crate::RrArena) and count its
+    /// [`memory_bytes`](crate::RrArena::memory_bytes) instead.
     #[inline]
     pub fn memory_bytes(&self) -> usize {
         self.nodes.capacity() * size_of::<NodeId>()
@@ -92,28 +94,9 @@ impl RrGraph {
     }
 
     /// Nodes reachable from the source when traversal is restricted to
-    /// nodes satisfying `keep` — the reachable set of the induced RR graph
-    /// `R_g(C)` of Definition 3. Returns global ids; empty if the source
-    /// itself is excluded.
+    /// nodes satisfying `keep` ([`RrView::reachable_within`]).
     pub fn reachable_within(&self, keep: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
-        if !keep(self.source()) {
-            return Vec::new();
-        }
-        let n = self.len();
-        let mut seen = vec![false; n];
-        seen[0] = true;
-        let mut stack = vec![0u32];
-        let mut out = vec![self.source()];
-        while let Some(v) = stack.pop() {
-            for &u in self.out_neighbors(v) {
-                if !seen[u as usize] && keep(self.nodes[u as usize]) {
-                    seen[u as usize] = true;
-                    stack.push(u);
-                    out.push(self.nodes[u as usize]);
-                }
-            }
-        }
-        out
+        self.view().reachable_within(keep)
     }
 }
 
@@ -175,6 +158,30 @@ impl<'a> RrView<'a> {
             .get(l + 1)
             .map_or(self.targets.len(), |&e| e as usize);
         &self.targets[self.offsets[l] as usize..end]
+    }
+
+    /// Nodes reachable from the source when traversal is restricted to
+    /// nodes satisfying `keep` — the reachable set of the induced RR graph
+    /// `R_g(C)` of Definition 3. Returns global ids; empty if the source
+    /// itself is excluded.
+    pub fn reachable_within(&self, keep: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
+        if !keep(self.source()) {
+            return Vec::new();
+        }
+        let mut seen = vec![false; self.len()];
+        seen[0] = true;
+        let mut stack = vec![0u32];
+        let mut out = vec![self.source()];
+        while let Some(v) = stack.pop() {
+            for &u in self.out_neighbors(v) {
+                if !seen[u as usize] && keep(self.nodes[u as usize]) {
+                    seen[u as usize] = true;
+                    stack.push(u);
+                    out.push(self.nodes[u as usize]);
+                }
+            }
+        }
+        out
     }
 }
 

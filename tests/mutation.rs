@@ -540,6 +540,124 @@ fn dynamic_reads_equal_engine_codl_over_the_flushed_artifacts() {
     }
 }
 
+/// A mutation followed by its inverse restores every pooled answer. On a
+/// pooled [`DynamicCod`], the CODL answers of a fixed target set, each read
+/// with its own seeded RNG, are recorded. Then an edge insert, an edge
+/// removal and an attribute edit at a pooled target are each applied,
+/// flushed and read through, and undone and flushed: every answer must
+/// equal the recorded one. The round trip crosses the LORE Δ-table
+/// rebuilds, pool eviction and regrowth, and the HIMOR patch there and
+/// back.
+#[test]
+fn a_mutation_and_its_inverse_restore_every_pooled_answer() {
+    // Under the CI chaos leg every failpoint crossing sleeps, so every
+    // (node, attribute) pair of the paper's 10-node example stands in for
+    // cora's sampled targets.
+    let data = if chaos_armed() {
+        pcod::datasets::paper_example()
+    } else {
+        pcod::datasets::cora_like(1)
+    };
+    let g = &data.graph;
+    let reads: Vec<(NodeId, AttrId)> = if chaos_armed() {
+        (0..g.num_nodes() as NodeId)
+            .flat_map(|q| g.node_attrs(q).iter().map(move |&a| (q, a)))
+            .collect()
+    } else {
+        pcod::datasets::gen_queries(g, 40, &mut SmallRng::seed_from_u64(0x1417))
+    };
+    let cfg = CodConfig {
+        theta: 2,
+        pool: true,
+        parallelism: Parallelism::Threads(1),
+        ..CodConfig::default()
+    };
+    let mut d = DynamicCod::with_seed(g, cfg, 0x1417).unwrap();
+    d.set_rebuild_threshold(10.0); // every edge flush patches the index
+    let read_all = |d: &mut DynamicCod| -> Vec<_> {
+        reads
+            .iter()
+            .enumerate()
+            .map(|(i, &(q, attr))| {
+                let mut rng = SmallRng::seed_from_u64(0x1417 + i as u64);
+                engine_fields(d.query(q, attr, &mut rng).unwrap())
+            })
+            .collect()
+    };
+    let recorded = read_all(&mut d);
+    let Some(target) = recorded
+        .iter()
+        .position(|a| a.as_ref().is_some_and(|a| a.2 == AnswerSource::Compressed))
+    else {
+        panic!("no target folded a pool");
+    };
+    let (q, attr) = reads[target];
+    let n = g.num_nodes() as NodeId;
+    let absent = (0..n)
+        .find(|&v| v != q && !g.csr().has_edge(q, v))
+        .expect("q is not adjacent to every node");
+    let present = g.csr().neighbors(q)[0];
+    let other = (0..g.num_attrs() as AttrId)
+        .find(|&a| a != attr)
+        .expect("a second attribute");
+    let pairs = [
+        (
+            Mutation::InsertEdge { u: q, v: absent },
+            Mutation::RemoveEdge { u: q, v: absent },
+        ),
+        (
+            Mutation::RemoveEdge { u: q, v: present },
+            Mutation::InsertEdge { u: q, v: present },
+        ),
+        (
+            Mutation::SetAttrs {
+                node: q,
+                attrs: vec![other],
+            },
+            Mutation::SetAttrs {
+                node: q,
+                attrs: g.node_attrs(q).to_vec(),
+            },
+        ),
+    ];
+    for (m, inverse) in pairs {
+        let evictions = d.metrics_snapshot().pool_scoped_evictions;
+        for event in [&m, &inverse] {
+            assert!(d.apply(event).unwrap(), "{event:?} applies");
+            let outcome = d.flush().unwrap().outcome;
+            if matches!(event, Mutation::SetAttrs { .. }) {
+                assert_eq!(outcome, FlushOutcome::Refreshed, "{event:?}");
+            } else {
+                assert!(
+                    matches!(outcome, FlushOutcome::Repaired { .. }),
+                    "{event:?}: {outcome:?}"
+                );
+            }
+            if std::ptr::eq(event, &m) {
+                assert!(
+                    d.metrics_snapshot().pool_scoped_evictions > evictions,
+                    "{m:?} evicts the pool of ({q}, {attr})"
+                );
+                // Reads over the mutated graph rebuild the Δ tables and
+                // regrow the evicted pools there.
+                read_all(&mut d);
+            }
+        }
+        let restored = read_all(&mut d);
+        let differ: Vec<_> = (0..reads.len())
+            .filter(|&i| restored[i] != recorded[i])
+            .map(|i| reads[i])
+            .collect();
+        assert!(
+            differ.is_empty(),
+            "{m:?} then its inverse: {} of {} answers changed, first {:?}",
+            differ.len(),
+            reads.len(),
+            differ.first()
+        );
+    }
+}
+
 /// A random connected attributed graph: spanning tree + extra edges,
 /// three interned attributes assigned round-robin with a seeded twist.
 fn random_attributed(n: usize, extra: usize, seed: u64) -> AttributedGraph {

@@ -6,9 +6,10 @@ use cod_graph::FxHashMap;
 use pcod::cod::compressed::{compressed_cod, incremental_top_k, CodOutcome, EvalOptions, Samples};
 use pcod::cod::pool::RrPoolEntry;
 use pcod::cod::recluster::build_hierarchy;
-use pcod::cod::SubgraphChain;
+use pcod::cod::{select_recluster_community, DeltaTable, SubgraphChain};
 use pcod::graph::subgraph::Subgraph;
-use pcod::influence::{RrGraph, RrPool};
+use pcod::hierarchy::VertexId;
+use pcod::influence::{RrGraph, RrPool, RrView};
 use pcod::prelude::*;
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -30,21 +31,23 @@ fn random_graph(n: usize, extra_edges: usize, seed: u64) -> Csr {
     b.build()
 }
 
-/// `random_graph` with one or two of three interned attributes per node.
-fn random_attributed(n: usize, extra_edges: usize, seed: u64) -> AttributedGraph {
+/// `random_graph` with one or two of `attrs` (1 to 3) interned attributes
+/// per node.
+fn random_attributed(n: usize, extra_edges: usize, seed: u64, attrs: u32) -> AttributedGraph {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xA77);
     let lists = (0..n)
         .map(|_| {
-            let a = rng.random_range(0..3);
-            if rng.random_bool(0.3) {
-                vec![a.min((a + 1) % 3), a.max((a + 1) % 3)]
+            let a = rng.random_range(0..attrs);
+            let b = (a + 1) % attrs;
+            if rng.random_bool(0.3) && a != b {
+                vec![a.min(b), a.max(b)]
             } else {
                 vec![a]
             }
         })
         .collect();
     let mut interner = pcod::graph::AttrInterner::new();
-    for name in ["A", "B", "C"] {
+    for name in &["A", "B", "C"][..attrs as usize] {
         interner.intern(name);
     }
     AttributedGraph::from_parts(
@@ -63,7 +66,7 @@ fn random_attributed(n: usize, extra_edges: usize, seed: u64) -> AttributedGraph
 /// bit for bit.
 fn definition3_outcome<'a>(
     chain: &impl Chain,
-    draws: impl Iterator<Item = Option<&'a RrGraph>>,
+    draws: impl Iterator<Item = Option<RrView<'a>>>,
     q: NodeId,
     k: usize,
     theta: usize,
@@ -82,6 +85,49 @@ fn definition3_outcome<'a>(
         }
     }
     incremental_top_k(&buckets, q, k, theta, chain.universe().len())
+}
+
+/// Algorithm 2 by a literal edge scan, the reference for the Δ tables:
+/// each edge whose endpoints both carry `attr` and whose LCA lies on `q`'s
+/// root path adds one to that community's Δ, the Eq. 3/4 prefix sum over
+/// the path gives the scores, and the first strict maximum wins. Returns
+/// the scores' bits and the choice as `(vertex, chain index, score bits)`.
+#[allow(clippy::type_complexity)] // the two compared shapes, spelled out
+fn scanned_lore(
+    g: &AttributedGraph,
+    d: &Dendrogram,
+    lca: &LcaIndex,
+    q: NodeId,
+    attr: AttrId,
+) -> (Option<Vec<u64>>, Option<(VertexId, usize, u64)>) {
+    let path = d.root_path(q);
+    if path.is_empty() {
+        return (None, None);
+    }
+    let mut delta = vec![0u64; path.len()];
+    for (u, v) in g.edges() {
+        if !(g.has_attr(u, attr) && g.has_attr(v, attr)) {
+            continue;
+        }
+        let c = lca.lca(d.leaf(u), d.leaf(v));
+        if let Some(i) = path.iter().position(|&p| p == c) {
+            delta[i] += 1;
+        }
+    }
+    let mut scores = vec![0.0f64; path.len()];
+    let mut best: Option<(VertexId, usize, f64)> = None;
+    let mut sum = 0u64;
+    for i in 1..path.len() {
+        sum += delta[i] * u64::from(d.depth(path[i]));
+        scores[i] = sum as f64 / d.size(path[i]) as f64;
+        if scores[i] > best.map_or(0.0, |b| b.2) {
+            best = Some((path[i], i, scores[i]));
+        }
+    }
+    (
+        Some(scores.iter().map(|r| r.to_bits()).collect()),
+        best.map(|(v, i, r)| (v, i, r.to_bits())),
+    )
 }
 
 /// One draw of compressed stage 1, replayed through the public sampler: a
@@ -125,7 +171,8 @@ fn assert_compressed_matches_definition3(
     let draws: Vec<_> = (0..theta)
         .map(|i| replay_draw(&mut sampler, chain, &universe, &mut seeds.rng_for(i as u64)))
         .collect();
-    let want = definition3_outcome(chain, draws.iter().map(Option::as_ref), q, k, theta);
+    let views = draws.iter().map(|d| d.as_ref().map(RrGraph::view));
+    let want = definition3_outcome(chain, views, q, k, theta);
     for t in [1, 2] {
         let sampled = Samples::Seed(seed);
         let got = compressed_cod(g, model, chain, q, k, theta_per_node, sampled, opts(t)).unwrap();
@@ -150,6 +197,37 @@ fn assert_compressed_matches_definition3(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// LORE's per-attribute Δ table, built once and read for every query
+    /// node, chooses what a literal edge scan chooses: the same vertex,
+    /// chain index and score bits, and the same score bits at every level
+    /// of the root path, for every `(q, attr)`.
+    #[test]
+    fn lore_tables_match_a_literal_edge_scan(
+        n in 4usize..20,
+        extra in 0usize..30,
+        seed in 0u64..1000,
+        attrs in 1u32..4,
+    ) {
+        let g = random_attributed(n, extra, seed, attrs);
+        let d = build_hierarchy(g.csr(), Linkage::Average);
+        let lca = LcaIndex::new(&d);
+        for attr in 0..attrs {
+            let table = DeltaTable::build(&g, &d, &lca, attr);
+            for q in 0..n as NodeId {
+                let (scores, choice) = scanned_lore(&g, &d, &lca, q, attr);
+                let got = table.scores(&d, q).map(|s| s.iter().map(|r| r.to_bits()).collect());
+                prop_assert_eq!(got, scores, "scores of ({}, {})", q, attr);
+                let pick = |c: pcod::cod::ReclusterChoice| (c.vertex, c.chain_index, c.score.to_bits());
+                prop_assert_eq!(table.select(&d, q).map(pick), choice, "choice of ({}, {})", q, attr);
+                prop_assert_eq!(
+                    select_recluster_community(&g, &d, &lca, q, attr).map(pick),
+                    choice,
+                    "one-off choice of ({}, {})", q, attr
+                );
+            }
+        }
+    }
 
     /// Dendrogram structural invariants on random connected graphs.
     #[test]
@@ -541,7 +619,7 @@ proptest! {
         extra in 0usize..30,
         seed in 0u64..1000,
     ) {
-        let g = random_attributed(n, extra, seed);
+        let g = random_attributed(n, extra, seed, 3);
         let engines: Vec<CodEngine> = (1..=6)
             .map(|k| {
                 let cfg = CodConfig { k, theta: 6, pool: true, ..CodConfig::default() };
