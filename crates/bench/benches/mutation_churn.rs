@@ -60,7 +60,7 @@ fn bench_churn(c: &mut Criterion) {
             if present[i % edges.len()] {
                 d.remove_edge(u, v);
             } else {
-                d.insert_edge(u, v);
+                d.insert_edge(u, v).expect("in range");
             }
             present[i % edges.len()] = !present[i % edges.len()];
             i += 1;
@@ -115,7 +115,7 @@ fn bench_churn(c: &mut Criterion) {
             if present[i % edges.len()] {
                 d.remove_edge(u, v);
             } else {
-                d.insert_edge(u, v);
+                d.insert_edge(u, v).expect("in range");
             }
             present[i % edges.len()] = !present[i % edges.len()];
             i += 1;

@@ -5,8 +5,9 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use cod_core::recluster::build_hierarchy;
+use cod_graph::NodeId;
 use cod_hierarchy::{cluster_unweighted, LcaIndex, Linkage};
-use cod_influence::{Model, RrSampler};
+use cod_influence::{Model, RrGraph, RrSampler};
 use cod_search::truss::TrussDecomposition;
 use rand::prelude::*;
 
@@ -20,10 +21,13 @@ fn bench_substrates(c: &mut Criterion) {
     group.bench_function("rr_sample_1k_wc", |b| {
         let mut sampler = RrSampler::new(g, Model::WeightedCascade);
         let mut rng = SmallRng::seed_from_u64(1);
+        let mut rr = RrGraph::default();
         b.iter(|| {
             let mut total = 0usize;
             for _ in 0..1000 {
-                total += sampler.sample_uniform(&mut rng).len();
+                let source = rng.random_range(0..g.num_nodes()) as NodeId;
+                sampler.sample_into(source, &mut rng, |_| true, &mut rr);
+                total += rr.view().len();
             }
             black_box(total)
         })
@@ -32,10 +36,13 @@ fn bench_substrates(c: &mut Criterion) {
     group.bench_function("rr_sample_1k_lt", |b| {
         let mut sampler = RrSampler::new(g, Model::LinearThreshold);
         let mut rng = SmallRng::seed_from_u64(2);
+        let mut rr = RrGraph::default();
         b.iter(|| {
             let mut total = 0usize;
             for _ in 0..1000 {
-                total += sampler.sample_uniform(&mut rng).len();
+                let source = rng.random_range(0..g.num_nodes()) as NodeId;
+                sampler.sample_into(source, &mut rng, |_| true, &mut rr);
+                total += rr.view().len();
             }
             black_box(total)
         })

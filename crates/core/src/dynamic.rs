@@ -279,7 +279,7 @@ impl DynamicCod {
     /// (duplicate edge inserts and absent-edge removals are no-ops).
     pub fn apply(&mut self, m: &Mutation) -> CodResult<bool> {
         match m {
-            Mutation::InsertEdge { u, v } => Ok(self.insert_edge(*u, *v)),
+            Mutation::InsertEdge { u, v } => self.insert_edge(*u, *v),
             Mutation::RemoveEdge { u, v } => Ok(self.remove_edge(*u, *v)),
             Mutation::SetAttrs { node, attrs } => {
                 self.set_attrs(*node, attrs.clone())?;
@@ -288,18 +288,29 @@ impl DynamicCod {
         }
     }
 
-    /// Inserts an undirected edge (growing the node range if needed).
-    /// Returns false if it already existed.
-    pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> bool {
+    /// Inserts an undirected edge. Returns `Ok(false)` if it already
+    /// existed. An endpoint may name the next node id, `num_nodes()`, which
+    /// grows the node range by one; a larger id is rejected with
+    /// [`CodError::InvalidQuery`] before anything changes, so one event can
+    /// never size the graph by an arbitrary id.
+    pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> CodResult<bool> {
+        let n = self.num_nodes();
+        if u.max(v) as usize > n {
+            return Err(CodError::InvalidQuery(format!(
+                "insert_edge endpoint {} out of range (graph has {n} nodes; \
+                 an edge may add only node {n})",
+                u.max(v)
+            )));
+        }
         if !self.topo.insert(u, v) {
-            return false;
+            return Ok(false);
         }
         let n = self.topo.num_nodes();
         if n > self.attrs.len() {
             self.attrs.resize(n, Vec::new());
         }
         self.record_edge_event(MutationKind::InsertEdge, u, v);
-        true
+        Ok(true)
     }
 
     /// Removes an undirected edge. Returns false if absent.
@@ -625,7 +636,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(62);
         let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
         dyn_cod.set_rebuild_threshold(10.0); // avoid auto-rebuild
-        assert!(dyn_cod.insert_edge(1, 2));
+        assert!(dyn_cod.insert_edge(1, 2).unwrap());
         assert_eq!(dyn_cod.pending_edits(), 1);
         let (ours, theirs) = with_fresh_engine(&mut dyn_cod, 1, 0, 620);
         assert_eq!(dyn_cod.pending_edits(), 0, "the query repaired first");
@@ -646,7 +657,7 @@ mod tests {
         let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
         dyn_cod.set_rebuild_threshold(10.0);
         for v in 8..13 {
-            assert!(dyn_cod.insert_edge(7, v));
+            assert!(dyn_cod.insert_edge(7, v).unwrap());
         }
         let graph = dyn_cod.graph().unwrap();
         assert_eq!(graph.degree(7), 6);
@@ -658,8 +669,8 @@ mod tests {
         let g = star_graph();
         let mut rng = SmallRng::seed_from_u64(64);
         let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
-        assert!(!dyn_cod.insert_edge(0, 1), "edge already present");
-        assert!(!dyn_cod.insert_edge(3, 3), "self loop");
+        assert!(!dyn_cod.insert_edge(0, 1).unwrap(), "edge already present");
+        assert!(!dyn_cod.insert_edge(3, 3).unwrap(), "self loop");
         assert!(!dyn_cod.remove_edge(0, 7), "edge absent");
         assert!(dyn_cod.remove_edge(1, 0), "reverse orientation works");
         assert_eq!(dyn_cod.num_edges(), 6);
@@ -671,7 +682,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(65);
         let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
         dyn_cod.set_rebuild_threshold(0.0); // every edit forces a rebuild
-        dyn_cod.insert_edge(2, 3);
+        dyn_cod.insert_edge(2, 3).unwrap();
         // Next query flushes; with a zero threshold that is a full rebuild
         // and the fast path returns.
         let (ours, theirs) = with_fresh_engine(&mut dyn_cod, 2, 0, 650);
@@ -750,14 +761,35 @@ mod tests {
     }
 
     #[test]
+    fn an_insert_past_the_next_node_id_is_a_typed_error() {
+        let g = star_graph();
+        let mut dyn_cod = DynamicCod::with_seed(&g, cfg(), 69).unwrap();
+        for (u, v) in [(0, 9), (u32::MAX - 1, 0), (9, 9)] {
+            let err = dyn_cod.insert_edge(u, v).unwrap_err();
+            assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
+            assert!(err.to_string().contains("graph has 8 nodes"), "{err}");
+            let err = dyn_cod.apply(&Mutation::InsertEdge { u, v }).unwrap_err();
+            assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
+        }
+        assert_eq!(dyn_cod.num_nodes(), 8);
+        assert_eq!(dyn_cod.pending_edits(), 0);
+        assert_eq!(dyn_cod.metrics_snapshot().mutations_insert, 0);
+        // Naming exactly the next id still grows the graph by one node.
+        assert!(dyn_cod.insert_edge(3, 8).unwrap());
+        assert!(dyn_cod.apply(&Mutation::InsertEdge { u: 9, v: 8 }).unwrap());
+        assert_eq!(dyn_cod.num_nodes(), 10);
+        assert_eq!(dyn_cod.graph().unwrap().degree(8), 2);
+    }
+
+    #[test]
     fn metrics_track_applied_events_only() {
         // Duplicate edge inserts and absent removals must not be counted.
         let g = star_graph();
         let mut rng = SmallRng::seed_from_u64(68);
         let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
         dyn_cod.set_rebuild_threshold(10.0);
-        assert!(dyn_cod.insert_edge(1, 3));
-        assert!(!dyn_cod.insert_edge(1, 3));
+        assert!(dyn_cod.insert_edge(1, 3).unwrap());
+        assert!(!dyn_cod.insert_edge(1, 3).unwrap());
         assert!(dyn_cod.remove_edge(1, 3));
         assert!(!dyn_cod.remove_edge(1, 3));
         dyn_cod.set_attrs(2, vec![0]).unwrap();
@@ -772,7 +804,7 @@ mod tests {
         let g = star_graph();
         let mut a = DynamicCod::with_seed(&g, cfg(), 4242).unwrap();
         a.set_rebuild_threshold(10.0); // keep the repair path in play
-        assert!(a.insert_edge(1, 2));
+        assert!(a.insert_edge(1, 2).unwrap());
         let report = a.flush().unwrap();
         assert!(
             matches!(report.outcome, FlushOutcome::Repaired { .. }),
@@ -813,7 +845,7 @@ mod tests {
         let g = star_graph();
         let mut dyn_cod = DynamicCod::with_seed(&g, cfg(), 9).unwrap();
         dyn_cod.set_rebuild_threshold(10.0);
-        assert!(dyn_cod.insert_edge(1, 2));
+        assert!(dyn_cod.insert_edge(1, 2).unwrap());
         assert!(dyn_cod.remove_edge(1, 2));
         let report = dyn_cod.flush().unwrap();
         assert_eq!(report.outcome, FlushOutcome::Refreshed);

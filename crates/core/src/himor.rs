@@ -355,8 +355,8 @@ impl HimorIndex {
     }
 
     /// Draws one RR graph from a uniform source into `rr`, in place: the
-    /// graph and the RNG stream of [`RrSampler::sample_uniform`], without
-    /// allocating. Builds that keep their samples copy them into an arena.
+    /// source from `rng`, then [`RrSampler::sample_into`] from the same
+    /// stream. Builds that keep their samples copy them into an arena.
     fn draw_uniform<R: Rng>(sampler: &mut RrSampler<'_>, rng: &mut R, rr: &mut RrGraph) {
         let s = rng.random_range(0..sampler.graph().num_nodes()) as NodeId;
         sampler.sample_into(s, rng, |_| true, rr);
@@ -1024,9 +1024,11 @@ mod tests {
         // must equal the direct one exactly, ties sharing a rank.
         let seeds = SeedSequence::new(seed);
         let mut sampler = RrSampler::new(&g, Model::WeightedCascade);
-        let draws: Vec<RrGraph> = (0..theta * g.num_nodes())
-            .map(|i| sampler.sample_uniform(&mut seeds.rng_for(i as u64)))
-            .collect();
+        let (mut draws, mut rr) = (RrArena::default(), RrGraph::default());
+        for i in 0..theta * g.num_nodes() {
+            HimorIndex::draw_uniform(&mut sampler, &mut seeds.rng_for(i as u64), &mut rr);
+            draws.push(rr.view());
+        }
         // Independently, the stored rank must match a fresh high-θ estimate
         // within one wherever that estimate separates `q` from every other
         // member by more than a ±2σ count margin (the `uncertain` rule):
@@ -1038,7 +1040,7 @@ mod tests {
                 let members = d.members_sorted(c);
                 let inside = |u: NodeId| members.binary_search(&u).is_ok();
                 let mut count = vec![0u32; g.num_nodes()];
-                for rr in &draws {
+                for rr in draws.iter() {
                     for v in rr.reachable_within(inside) {
                         count[v as usize] += 1;
                     }

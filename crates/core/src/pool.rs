@@ -277,9 +277,10 @@ impl RrPoolEntry {
                 } else {
                     sampler.sample_into(s, &mut rng, |_| true, &mut rr);
                 }
-                edges += rr.num_edges() as u64;
-                pending_edges += rr.num_edges() as u64;
-                out.push(rr.view());
+                let drawn = rr.view();
+                edges += drawn.num_edges() as u64;
+                pending_edges += drawn.num_edges() as u64;
+                out.push(drawn);
             }
             if let Some(c) = cancel {
                 c.charge_rr_edges(pending_edges);

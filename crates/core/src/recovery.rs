@@ -577,7 +577,7 @@ fn parse_checkpoint_id(snapshot: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cod_graph::{AttrInterner, AttrTable, GraphBuilder};
+    use cod_graph::{AttrInterner, AttrTable, GraphBuilder, NodeId};
     use cod_influence::Model;
 
     fn star_graph() -> AttributedGraph {
@@ -753,6 +753,48 @@ mod tests {
         drop(d);
         let (_, report) = DurableCod::open(&dir, cfg(), DurabilityConfig::default()).unwrap();
         assert_eq!(report.replayed, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_out_of_range_insert_is_rolled_back_and_halts_a_replay_that_holds_it() {
+        let dir = tmp_dir("far_insert");
+        let g = star_graph();
+        let mut d = DurableCod::create(&dir, &g, cfg(), 5, DurabilityConfig::default()).unwrap();
+        let far = Mutation::InsertEdge {
+            u: 0,
+            v: u32::MAX - 1,
+        };
+        let err = d.apply(&far).unwrap_err();
+        assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
+        assert_eq!(d.wal_records(), 0, "rejected event left no WAL record");
+        assert_eq!(d.events_total(), 0);
+        // The next node id is still accepted, and the directory reopens.
+        let n = g.num_nodes() as NodeId;
+        assert!(d.apply(&Mutation::InsertEdge { u: 0, v: n }).unwrap());
+        drop(d);
+        let (mut d, report) = DurableCod::open(&dir, cfg(), DurabilityConfig::default()).unwrap();
+        assert_eq!(report.replayed, 1);
+        assert_eq!(d.engine().num_nodes(), g.num_nodes() + 1);
+        // A WAL that already holds such a record halts replay at it.
+        d.wal.append(&far).unwrap();
+        d.flush_wal().unwrap();
+        drop(d);
+        let err = match DurableCod::open(&dir, cfg(), DurabilityConfig::default()) {
+            Err(e) => e,
+            Ok(_) => panic!("replaying an out-of-range insert must fail"),
+        };
+        assert!(
+            matches!(
+                err,
+                CodError::ReplayHalted {
+                    applied: 1,
+                    failed_event: 2,
+                    ..
+                }
+            ),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

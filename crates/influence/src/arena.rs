@@ -198,7 +198,13 @@ mod tests {
         let g = b.build();
         let mut sampler = RrSampler::new(&g, Model::UniformIc(0.4));
         (0..count)
-            .map(|i| sampler.sample_uniform(&mut SmallRng::seed_from_u64(seed ^ i)))
+            .map(|i| {
+                let mut rng = SmallRng::seed_from_u64(seed ^ i);
+                let mut rr = RrGraph::default();
+                let source = rng.random_range(0..g.num_nodes()) as NodeId;
+                sampler.sample_into(source, &mut rng, |_| true, &mut rr);
+                rr
+            })
             .collect()
     }
 
@@ -212,7 +218,10 @@ mod tests {
         assert_eq!(arena.len(), graphs.len());
         assert!(arena.iter().eq(graphs.iter().map(RrGraph::view)));
         assert_eq!(arena.dead_words(), 0);
-        let words: usize = graphs.iter().map(|rr| 2 * rr.len() + rr.num_edges()).sum();
+        let words: usize = graphs
+            .iter()
+            .map(|rr| 2 * rr.view().len() + rr.view().num_edges())
+            .sum();
         arena.shrink_to_fit();
         assert!(arena.iter().eq(graphs.iter().map(RrGraph::view)));
         assert_eq!(

@@ -5,7 +5,8 @@ use rand::prelude::*;
 
 use crate::model::Model;
 use crate::parallel::{par_ranges, Parallelism};
-use crate::sampler::{RrSampler, SamplerScratch};
+use crate::rrgraph::RrGraph;
+use crate::sampler::RrSampler;
 use crate::seed::SeedSequence;
 
 fn merge_count_shards(shards: Vec<FxHashMap<NodeId, u32>>) -> FxHashMap<NodeId, u32> {
@@ -22,7 +23,7 @@ fn merge_count_shards(shards: Vec<FxHashMap<NodeId, u32>>) -> FxHashMap<NodeId, 
 
 /// Where RR-sample sources are drawn from (and what traversal may touch).
 #[derive(Clone, Copy, Debug)]
-pub enum SourceUniverse<'a> {
+enum SourceUniverse<'a> {
     /// Uniform sources over the whole graph, unrestricted traversal.
     Graph,
     /// Uniform sources over `members` (sorted ascending), traversal
@@ -39,23 +40,28 @@ impl SourceUniverse<'_> {
     }
 }
 
-/// Draws one RR sample per the universe and folds its nodes into `counts`.
-/// This is the shared per-sample body of every estimation loop.
+/// Draws one RR sample per the universe into `rr` and folds its nodes into
+/// `counts`: a uniform source from `rng`, then its draw from the same
+/// stream. This is the shared per-sample body of every estimation loop.
 #[inline]
 fn record_one<R: Rng>(
     sampler: &mut RrSampler<'_>,
     universe: SourceUniverse<'_>,
     rng: &mut R,
+    rr: &mut RrGraph,
     counts: &mut FxHashMap<NodeId, u32>,
 ) {
-    let r = match universe {
-        SourceUniverse::Graph => sampler.sample_uniform(rng),
+    match universe {
+        SourceUniverse::Graph => {
+            let s = rng.random_range(0..sampler.graph().num_nodes()) as NodeId;
+            sampler.sample_into(s, rng, |_| true, rr);
+        }
         SourceUniverse::Members(members) => {
             let s = members[rng.random_range(0..members.len())];
-            sampler.sample_restricted(s, rng, |v| members.binary_search(&v).is_ok())
+            sampler.sample_into(s, rng, |v| members.binary_search(&v).is_ok(), rr);
         }
-    };
-    for &v in r.nodes() {
+    }
+    for &v in rr.view().nodes() {
         *counts.entry(v).or_insert(0) += 1;
     }
 }
@@ -71,50 +77,36 @@ pub struct InfluenceEstimate {
 
 impl InfluenceEstimate {
     /// The single estimation driver: `theta` RR samples over `universe`,
-    /// sample `i` drawn from `seeds.rng_for(i)`, fanned out under `par`,
-    /// with an optional reusable sampler `scratch`.
+    /// sample `i` drawn from `seeds.rng_for(i)`, fanned out under `par`.
+    /// Each shard draws into its own sampler and [`RrGraph`].
     ///
     /// The estimate is a pure function of `(g, model, universe, theta,
-    /// seeds)`: neither the scratch nor the resolved thread count changes a
-    /// sample, and shards merge by commutative count addition.
-    pub fn with_policy(
+    /// seeds)`: the resolved thread count never changes a sample, and
+    /// shards merge by commutative count addition.
+    fn with_policy(
         g: &Csr,
         model: Model,
         universe: SourceUniverse<'_>,
         theta: usize,
         seeds: SeedSequence,
         par: Parallelism,
-        scratch: Option<&mut SamplerScratch>,
     ) -> InfluenceEstimate {
         assert!(theta > 0 && universe.len(g) > 0);
         if let SourceUniverse::Members(m) = universe {
             debug_assert!(m.windows(2).all(|w| w[0] < w[1]));
         }
-        let record_range = |sampler: &mut RrSampler<'_>, range: std::ops::Range<usize>| {
+        let shards = par_ranges(theta, par.thread_count(), |range| {
+            let mut sampler = RrSampler::new(g, model);
+            let mut rr = RrGraph::default();
             let mut counts: FxHashMap<NodeId, u32> = FxHashMap::default();
             for i in range {
                 let mut rng = seeds.rng_for(i as u64);
-                record_one(sampler, universe, &mut rng, &mut counts);
+                record_one(&mut sampler, universe, &mut rng, &mut rr, &mut counts);
             }
             counts
-        };
-        let counts = match scratch {
-            // Single-threaded runs borrow the caller's scratch; parallel
-            // shards allocate their own (a &mut cannot be shared across
-            // workers, and shard-local scratch keeps workers
-            // contention-free).
-            Some(s) if par.thread_count() <= 1 => {
-                let mut sampler = RrSampler::with_scratch(g, model, std::mem::take(s));
-                let counts = record_range(&mut sampler, 0..theta);
-                *s = sampler.into_scratch();
-                counts
-            }
-            _ => merge_count_shards(par_ranges(theta, par.thread_count(), |range| {
-                record_range(&mut RrSampler::new(g, model), range)
-            })),
-        };
+        });
         InfluenceEstimate {
-            counts,
+            counts: merge_count_shards(shards),
             theta,
             universe: universe.len(g),
         }
@@ -131,7 +123,7 @@ impl InfluenceEstimate {
         seeds: SeedSequence,
         par: Parallelism,
     ) -> InfluenceEstimate {
-        Self::with_policy(g, model, SourceUniverse::Graph, theta, seeds, par, None)
+        Self::with_policy(g, model, SourceUniverse::Graph, theta, seeds, par)
     }
 
     /// Estimates influences *within a community* from `theta` RR graphs
@@ -147,15 +139,8 @@ impl InfluenceEstimate {
         seeds: SeedSequence,
         par: Parallelism,
     ) -> InfluenceEstimate {
-        Self::with_policy(
-            g,
-            model,
-            SourceUniverse::Members(members),
-            theta,
-            seeds,
-            par,
-            None,
-        )
+        let universe = SourceUniverse::Members(members);
+        Self::with_policy(g, model, universe, theta, seeds, par)
     }
 
     /// Raw appearance count of `v`.
@@ -309,38 +294,6 @@ mod tests {
                 assert_eq!(base_c.count(v), est_c.count(v), "community t={t} v={v}");
             }
         }
-    }
-
-    #[test]
-    fn scratch_reuse_never_changes_estimates() {
-        use crate::sampler::SamplerScratch;
-        let g = star();
-        let members: Vec<NodeId> = (0..5).collect();
-        let seeds = SeedSequence::new(42);
-        let mut scratch = SamplerScratch::default();
-        let want = InfluenceEstimate::on_community(
-            &g,
-            Model::WeightedCascade,
-            &members,
-            256,
-            seeds,
-            Parallelism::Threads(1),
-        );
-        for round in 0..3 {
-            let got = InfluenceEstimate::with_policy(
-                &g,
-                Model::WeightedCascade,
-                SourceUniverse::Members(&members),
-                256,
-                seeds,
-                Parallelism::Threads(1),
-                Some(&mut scratch),
-            );
-            for v in 0..5 {
-                assert_eq!(want.count(v), got.count(v), "round={round} v={v}");
-            }
-        }
-        assert!(scratch.memory_bytes() > 0, "scratch buffers were recycled");
     }
 
     #[test]

@@ -6,15 +6,17 @@
 //!   cascade* parametrization (`p(u, v) = 1/deg(v)`, the paper's §V-A
 //!   default), a uniform-probability IC variant, and the linear threshold
 //!   model (the paper's claimed extension, §II-A);
-//! * [`rrgraph::RrGraph`] — an RR set *plus its activated edges*
+//! * [`rrgraph::RrView`] — an RR set *plus its activated edges*
 //!   (Definition 2), supporting induced restriction to a community
 //!   (Definition 3) and the possible-world coupling of Theorem 2;
+//!   [`rrgraph::RrGraph`] is the buffer one draw fills, read as a view;
 //! * [`arena::RrArena`] — many RR graphs in three flat arrays, read back
-//!   as borrowed [`rrgraph::RrView`]s (the HIMOR patch state and the
-//!   shared RR pools keep their samples there);
+//!   as views: the one place samples are kept (the HIMOR patch state and
+//!   the shared RR pools);
 //! * [`sampler::RrSampler`] — RR-graph generation with reusable scratch
-//!   space and no allocation per sample, including community-restricted
-//!   sampling for the Independent baseline;
+//!   space and no allocation per sample: one draw,
+//!   [`sampler::RrSampler::sample_into`], optionally restricted to a
+//!   community (the Independent baseline and chain universes);
 //! * [`montecarlo`] — forward IC/LT simulation for ground-truth influence
 //!   `σ_C(q)` (used for the paper's top-k precision measure, §V-C);
 //! * [`estimate`] — RR-based influence and rank estimation on a whole graph
@@ -27,7 +29,6 @@
 pub mod arena;
 pub mod cancel;
 pub mod estimate;
-pub mod im;
 pub mod model;
 pub mod montecarlo;
 pub mod parallel;
@@ -37,8 +38,7 @@ pub mod seed;
 
 pub use arena::RrArena;
 pub use cancel::CancelToken;
-pub use estimate::{rank_in_members, InfluenceEstimate, SourceUniverse};
-pub use im::RrPool;
+pub use estimate::{rank_in_members, InfluenceEstimate};
 pub use model::Model;
 pub use parallel::{par_ranges, Parallelism};
 pub use rrgraph::{RrGraph, RrView};

@@ -2,20 +2,17 @@
 
 use cod_graph::NodeId;
 
-/// An RR set together with the edges activated while generating it
-/// (Definition 2). Nodes are stored with local indices `0..len`, node `0`
-/// being the source; `targets` holds *directed* traversal edges `v ⇒ u`
-/// (meaning `u` reverse-activated from `v`, i.e. influence flows `u → v`).
-///
-/// Restricting traversal to a community yields the induced RR graph of
-/// Definition 3; by Theorem 2 the probability that a node is reachable from
-/// the source inside the restriction estimates its influence in that
-/// community.
+/// The buffer one draw fills: an RR set together with the edges activated
+/// while generating it (Definition 2). Nodes are stored with local indices
+/// `0..len`, node `0` being the source; `targets` holds *directed*
+/// traversal edges `v ⇒ u` (meaning `u` reverse-activated from `v`, i.e.
+/// influence flows `u → v`).
 ///
 /// [`RrSampler::sample_into`](crate::RrSampler::sample_into) refills one
-/// graph in place; `Default` gives the empty buffer to start from. A clone
-/// holds exactly its contents, with no spare capacity.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// graph in place; `Default` gives the empty buffer to start from. Every
+/// read goes through [`RrGraph::view`], the shape an
+/// [`RrArena`](crate::RrArena) hands out too.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct RrGraph {
     /// Global node ids, in exploration (BFS) order; `nodes[0]` is the source.
     pub(crate) nodes: Vec<NodeId>,
@@ -27,43 +24,6 @@ pub struct RrGraph {
 }
 
 impl RrGraph {
-    /// The source node (global id).
-    #[inline]
-    pub fn source(&self) -> NodeId {
-        self.nodes[0]
-    }
-
-    /// Number of nodes in the RR set.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the graph holds no node: true only of a default buffer that
-    /// was never sampled into (a drawn RR graph always holds its source).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Number of activated (directed traversal) edges.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// Global ids of the RR set, in exploration order.
-    #[inline]
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
-    }
-
-    /// Global id of local node `l`.
-    #[inline]
-    pub fn node(&self, l: u32) -> NodeId {
-        self.nodes[l as usize]
-    }
-
     /// Heap bytes held by this RR graph's three arrays (their capacity),
     /// leaving out the graph's own header. Pools and the HIMOR patch state
     /// keep their samples in an [`RrArena`](crate::RrArena) and count its
@@ -75,15 +35,7 @@ impl RrGraph {
             + self.targets.capacity() * size_of::<u32>()
     }
 
-    /// Out-neighbors (local indices) of local node `l`.
-    #[inline]
-    pub fn out_neighbors(&self, l: u32) -> &[u32] {
-        let l = l as usize;
-        &self.targets[self.offsets[l] as usize..self.offsets[l + 1] as usize]
-    }
-
-    /// This graph as a borrowed [`RrView`], the shape an
-    /// [`RrArena`](crate::RrArena) hands out.
+    /// The drawn graph as a borrowed [`RrView`].
     #[inline]
     pub fn view(&self) -> RrView<'_> {
         RrView {
@@ -92,17 +44,14 @@ impl RrGraph {
             targets: &self.targets,
         }
     }
-
-    /// Nodes reachable from the source when traversal is restricted to
-    /// nodes satisfying `keep` ([`RrView::reachable_within`]).
-    pub fn reachable_within(&self, keep: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
-        self.view().reachable_within(keep)
-    }
 }
 
-/// A borrowed RR graph with the read accessors of [`RrGraph`], whether it
-/// lives in an owned graph ([`RrGraph::view`]) or in an
-/// [`RrArena`](crate::RrArena). `offsets[l]` is where local node `l`'s row
+/// A borrowed RR graph, whether it lives in a draw buffer
+/// ([`RrGraph::view`]) or in an [`RrArena`](crate::RrArena). Restricting
+/// traversal to a community yields the induced RR graph of Definition 3
+/// ([`RrView::reachable_within`]); by Theorem 2 the probability that a
+/// node is reachable from the source inside the restriction estimates its
+/// influence in that community. `offsets[l]` is where local node `l`'s row
 /// starts in `targets`; the row ends where the next one starts, or at the
 /// end of `targets` for the last node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -201,6 +150,7 @@ mod tests {
     #[test]
     fn structure_round_trip() {
         let r = sample();
+        let r = r.view();
         assert_eq!(r.source(), 7);
         assert_eq!(r.len(), 4);
         assert_eq!(r.num_edges(), 3);
@@ -214,10 +164,11 @@ mod tests {
         let r = sample();
         let v = r.view();
         assert_eq!((v.source(), v.len(), v.num_edges()), (7, 4, 3));
-        assert_eq!(v.nodes(), r.nodes());
-        for l in 0..4 {
-            assert_eq!(v.node(l), r.node(l));
-            assert_eq!(v.out_neighbors(l), r.out_neighbors(l), "row {l}");
+        assert_eq!(v.nodes(), &r.nodes[..]);
+        for l in 0..4u32 {
+            let row = r.offsets[l as usize] as usize..r.offsets[l as usize + 1] as usize;
+            assert_eq!(v.node(l), r.nodes[l as usize]);
+            assert_eq!(v.out_neighbors(l), &r.targets[row], "row {l}");
         }
         assert!(RrGraph::default().view().is_empty());
     }
@@ -225,7 +176,7 @@ mod tests {
     #[test]
     fn unrestricted_reachability_is_everything() {
         let r = sample();
-        let mut got = r.reachable_within(|_| true);
+        let mut got = r.view().reachable_within(|_| true);
         got.sort_unstable();
         assert_eq!(got, vec![3, 5, 7, 9]);
     }
@@ -234,7 +185,7 @@ mod tests {
     fn restriction_cuts_paths() {
         let r = sample();
         // Without node 3, node 5 is unreachable.
-        let mut got = r.reachable_within(|v| v != 3);
+        let mut got = r.view().reachable_within(|v| v != 3);
         got.sort_unstable();
         assert_eq!(got, vec![7, 9]);
     }
@@ -242,6 +193,6 @@ mod tests {
     #[test]
     fn excluded_source_gives_empty_induced_set() {
         let r = sample();
-        assert!(r.reachable_within(|v| v != 7).is_empty());
+        assert!(r.view().reachable_within(|v| v != 7).is_empty());
     }
 }

@@ -11,17 +11,14 @@ use crate::rrgraph::RrGraph;
 /// Scratch arrays (visited stamps, local-id mapping and the expansion
 /// list) are allocated once and reused across samples, so generating `Θ`
 /// RR graphs costs `O(Θ · ω)` with no per-sample `O(|V|)` term (paper
-/// Theorem 4's sampling cost). [`RrSampler::sample_into`] allocates
-/// nothing per sample: it refills a caller's [`RrGraph`] in place, writing
-/// each CSR row as the BFS settles its node. The owning calls
-/// ([`RrSampler::sample_from`], [`RrSampler::sample_uniform`],
-/// [`RrSampler::sample_restricted`]) draw into the sampler's own buffer
-/// and return an exact-size copy, so their only allocation is the graph
-/// they hand back.
+/// Theorem 4's sampling cost). The one draw, [`RrSampler::sample_into`],
+/// allocates nothing per sample: it refills a caller's [`RrGraph`] in
+/// place, writing each CSR row as the BFS settles its node. A caller that
+/// keeps its samples copies each view into an [`RrArena`](crate::RrArena).
 ///
 /// ```
 /// use cod_graph::GraphBuilder;
-/// use cod_influence::{Model, RrSampler};
+/// use cod_influence::{Model, RrGraph, RrSampler};
 /// use rand::prelude::*;
 ///
 /// let mut b = GraphBuilder::new(3);
@@ -30,7 +27,9 @@ use crate::rrgraph::RrGraph;
 /// let g = b.build();
 /// let mut sampler = RrSampler::new(&g, Model::WeightedCascade);
 /// let mut rng = SmallRng::seed_from_u64(7);
-/// let rr = sampler.sample_from(1, &mut rng);
+/// let mut rr = RrGraph::default();
+/// sampler.sample_into(1, &mut rng, |_| true, &mut rr);
+/// let rr = rr.view();
 /// assert_eq!(rr.source(), 1);
 /// assert!(rr.len() >= 1 && rr.len() <= 3);
 /// ```
@@ -45,8 +44,6 @@ pub struct RrSampler<'g> {
     stats: SampleStats,
     /// Live reverse coins of the node being expanded.
     expansion: Vec<NodeId>,
-    /// Draw buffer of the owning `sample_*` calls.
-    rr: RrGraph,
 }
 
 /// Detached sampler scratch buffers, reusable across queries and graphs.
@@ -68,7 +65,6 @@ pub struct SamplerScratch {
     epoch: u32,
     stats: SampleStats,
     expansion: Vec<NodeId>,
-    rr: RrGraph,
 }
 
 impl SamplerScratch {
@@ -76,7 +72,6 @@ impl SamplerScratch {
     pub fn memory_bytes(&self) -> usize {
         (self.stamp.capacity() + self.local.capacity() + self.expansion.capacity())
             * std::mem::size_of::<u32>()
-            + self.rr.memory_bytes()
     }
 
     /// Cumulative sampling effort recorded by every sampler this scratch
@@ -141,7 +136,6 @@ impl<'g> RrSampler<'g> {
             epoch,
             stats,
             expansion,
-            rr,
         } = scratch;
         stamp.resize(g.num_nodes(), 0);
         local.resize(g.num_nodes(), 0);
@@ -153,7 +147,6 @@ impl<'g> RrSampler<'g> {
             epoch,
             stats,
             expansion,
-            rr,
         }
     }
 
@@ -165,7 +158,6 @@ impl<'g> RrSampler<'g> {
             epoch: self.epoch,
             stats: self.stats,
             expansion: self.expansion,
-            rr: self.rr,
         }
     }
 
@@ -174,50 +166,21 @@ impl<'g> RrSampler<'g> {
         self.stats
     }
 
-    /// The diffusion model in use.
-    pub fn model(&self) -> Model {
-        self.model
-    }
-
     /// The underlying graph.
     pub fn graph(&self) -> &'g Csr {
         self.g
     }
 
-    /// Samples one RR graph from a uniformly random source.
-    pub fn sample_uniform<R: Rng>(&mut self, rng: &mut R) -> RrGraph {
-        let s = rng.random_range(0..self.g.num_nodes()) as NodeId;
-        self.sample_from(s, rng)
-    }
-
-    /// Samples one RR graph from `source` (paper Definition 2).
-    pub fn sample_from<R: Rng>(&mut self, source: NodeId, rng: &mut R) -> RrGraph {
-        self.sample_restricted(source, rng, |_| true)
-    }
-
-    /// Samples an RR graph whose traversal never leaves the nodes accepted
-    /// by `keep` — RR generation *on the community* used by the Independent
-    /// baseline. Edge probabilities stay those of the full graph `g`
-    /// (Theorem 2's possible-world coupling).
+    /// Samples one RR graph from `source` (paper Definition 2) into
+    /// `out`, which is cleared and refilled in place: once `out` and the
+    /// sampler's buffers have grown to the largest RR graph seen, a draw
+    /// allocates nothing.
     ///
-    /// `keep(source)` must hold.
-    pub fn sample_restricted<R: Rng>(
-        &mut self,
-        source: NodeId,
-        rng: &mut R,
-        keep: impl Fn(NodeId) -> bool,
-    ) -> RrGraph {
-        let mut rr = std::mem::take(&mut self.rr);
-        self.sample_into(source, rng, keep, &mut rr);
-        let copy = rr.clone();
-        self.rr = rr;
-        copy
-    }
-
-    /// [`RrSampler::sample_restricted`] into `out`, which is cleared and
-    /// refilled in place: once `out` and the sampler's buffers have grown to
-    /// the largest RR graph seen, a draw allocates nothing. The drawn graph
-    /// (and the RNG stream consumed) is the one `sample_restricted` returns.
+    /// Traversal never leaves the nodes accepted by `keep`: with a
+    /// community's membership test this is RR generation *on the
+    /// community*, as the Independent baseline and restricted chain
+    /// universes draw. Edge probabilities stay those of the full graph `g`
+    /// (Theorem 2's possible-world coupling). `keep(source)` must hold.
     ///
     /// The BFS settles nodes in local-index order, so each node's CSR row
     /// is complete before the next opens and is written straight into
@@ -292,6 +255,20 @@ mod tests {
         b.build()
     }
 
+    /// One unrestricted draw from `source` into a fresh buffer.
+    fn draw<R: Rng>(s: &mut RrSampler<'_>, source: NodeId, rng: &mut R) -> RrGraph {
+        let mut rr = RrGraph::default();
+        s.sample_into(source, rng, |_| true, &mut rr);
+        rr
+    }
+
+    /// A uniform source from `rng`, then its unrestricted draw from the
+    /// same stream.
+    fn draw_uniform<R: Rng>(s: &mut RrSampler<'_>, rng: &mut R) -> RrGraph {
+        let source = rng.random_range(0..s.graph().num_nodes()) as NodeId;
+        draw(s, source, rng)
+    }
+
     #[test]
     fn deterministic_graph_explores_everything() {
         // UniformIc(1.0): every coin is live, so the RR set is the whole
@@ -299,10 +276,10 @@ mod tests {
         let g = path3();
         let mut s = RrSampler::new(&g, Model::UniformIc(1.0));
         let mut rng = SmallRng::seed_from_u64(0);
-        let r = s.sample_from(1, &mut rng);
-        assert_eq!(r.len(), 3);
+        let r = draw(&mut s, 1, &mut rng);
+        assert_eq!(r.view().len(), 3);
         // Node 1 has two out-edges; 0 and 2 each record their edge back to 1.
-        assert_eq!(r.num_edges(), 4);
+        assert_eq!(r.view().num_edges(), 4);
     }
 
     #[test]
@@ -310,7 +287,8 @@ mod tests {
         let g = path3();
         let mut s = RrSampler::new(&g, Model::UniformIc(0.0));
         let mut rng = SmallRng::seed_from_u64(0);
-        let r = s.sample_from(1, &mut rng);
+        let r = draw(&mut s, 1, &mut rng);
+        let r = r.view();
         assert_eq!(r.len(), 1);
         assert_eq!(r.source(), 1);
         assert_eq!(r.num_edges(), 0);
@@ -321,9 +299,10 @@ mod tests {
         let g = path3();
         let mut s = RrSampler::new(&g, Model::UniformIc(1.0));
         let mut rng = SmallRng::seed_from_u64(0);
-        let r = s.sample_restricted(0, &mut rng, |v| v != 2);
-        assert!(r.nodes().iter().all(|&v| v != 2));
-        assert_eq!(r.len(), 2);
+        let mut r = RrGraph::default();
+        s.sample_into(0, &mut rng, |v| v != 2, &mut r);
+        assert!(r.view().nodes().iter().all(|&v| v != 2));
+        assert_eq!(r.view().len(), 2);
     }
 
     #[test]
@@ -332,12 +311,12 @@ mod tests {
         let mut s = RrSampler::new(&g, Model::UniformIc(1.0));
         let mut rng = SmallRng::seed_from_u64(0);
         for _ in 0..100 {
-            let r = s.sample_uniform(&mut rng);
+            let r = draw_uniform(&mut s, &mut rng);
             // No duplicate nodes may appear.
-            let mut ns = r.nodes().to_vec();
+            let mut ns = r.view().nodes().to_vec();
             ns.sort_unstable();
             ns.dedup();
-            assert_eq!(ns.len(), r.len());
+            assert_eq!(ns.len(), r.view().len());
         }
     }
 
@@ -354,8 +333,8 @@ mod tests {
         // Fresh-scratch reference stream.
         let mut fresh = RrSampler::new(&g, Model::WeightedCascade);
         let mut rng = SmallRng::seed_from_u64(11);
-        let want: Vec<Vec<u32>> = (0..50)
-            .map(|_| fresh.sample_uniform(&mut rng).nodes().to_vec())
+        let want: Vec<RrGraph> = (0..50)
+            .map(|_| draw_uniform(&mut fresh, &mut rng))
             .collect();
         // Dirty the scratch on a different (larger) graph, then reuse it.
         let mut scratch = SamplerScratch::default();
@@ -363,14 +342,14 @@ mod tests {
             let mut s = RrSampler::with_scratch(&star, Model::WeightedCascade, scratch);
             let mut r2 = SmallRng::seed_from_u64(99);
             for _ in 0..10 {
-                s.sample_uniform(&mut r2);
+                draw_uniform(&mut s, &mut r2);
             }
             scratch = s.into_scratch();
         }
         let mut reused = RrSampler::with_scratch(&g, Model::WeightedCascade, scratch);
         let mut rng = SmallRng::seed_from_u64(11);
-        let got: Vec<Vec<u32>> = (0..50)
-            .map(|_| reused.sample_uniform(&mut rng).nodes().to_vec())
+        let got: Vec<RrGraph> = (0..50)
+            .map(|_| draw_uniform(&mut reused, &mut rng))
             .collect();
         assert_eq!(want, got, "scratch reuse must not change drawn samples");
     }
@@ -380,8 +359,8 @@ mod tests {
         let g = path3();
         let mut s = RrSampler::new(&g, Model::UniformIc(1.0));
         let mut rng = SmallRng::seed_from_u64(3);
-        s.sample_from(1, &mut rng); // 3 nodes, 4 recorded edges
-        s.sample_from(1, &mut rng);
+        draw(&mut s, 1, &mut rng); // 3 nodes, 4 recorded edges
+        draw(&mut s, 1, &mut rng);
         assert_eq!(
             s.stats(),
             SampleStats {
@@ -393,7 +372,7 @@ mod tests {
         let scratch = s.into_scratch();
         assert_eq!(scratch.stats().graphs, 2);
         let mut s2 = RrSampler::with_scratch(&g, Model::UniformIc(0.0), scratch);
-        s2.sample_from(0, &mut rng); // source only, no edges
+        draw(&mut s2, 0, &mut rng); // source only, no edges
         assert_eq!(
             s2.stats(),
             SampleStats {
@@ -468,18 +447,12 @@ mod tests {
         let g = b.build();
         let mut s = RrSampler::new(&g, Model::WeightedCascade);
         let mut buf = RrGraph::default();
-        assert!(buf.is_empty());
+        assert!(buf.view().is_empty());
         for i in 0..300u64 {
             let source = (i % 40) as NodeId;
             let want = edge_list_reference(&g, source, &mut SmallRng::seed_from_u64(i));
             s.sample_into(source, &mut SmallRng::seed_from_u64(i), |_| true, &mut buf);
             assert_eq!(buf, want, "draw {i}");
-            let owned = s.sample_from(source, &mut SmallRng::seed_from_u64(i));
-            assert_eq!(owned, want, "draw {i}");
-            assert_eq!(
-                owned.memory_bytes(),
-                4 * (2 * owned.len() + 1 + owned.num_edges())
-            );
         }
         // Once grown to the largest draw, refills reuse the same storage.
         let cap = buf.memory_bytes();
@@ -503,9 +476,10 @@ mod tests {
         let mut s = RrSampler::new(&g, Model::WeightedCascade);
         let mut rng = SmallRng::seed_from_u64(7);
         let mut center_reached = 0;
+        let mut r = RrGraph::default();
         for _ in 0..500 {
-            let r = s.sample_from(1, &mut rng);
-            if r.nodes().contains(&0) {
+            s.sample_into(1, &mut rng, |_| true, &mut r);
+            if r.view().nodes().contains(&0) {
                 center_reached += 1;
             }
         }

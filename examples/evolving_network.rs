@@ -57,12 +57,12 @@ fn main() {
     // Node q gains a cluster of new collaborators.
     let base = g.num_nodes() as NodeId;
     for i in 0..6 {
-        dynamic.insert_edge(q, base + i);
+        dynamic.insert_edge(q, base + i).expect("in range");
         dynamic.set_attrs(base + i, vec![attr]).expect("in range");
     }
     for i in 0..6 {
         for j in i + 1..6 {
-            dynamic.insert_edge(base + i, base + j);
+            dynamic.insert_edge(base + i, base + j).expect("in range");
         }
     }
     println!("{} edits pending", dynamic.pending_edits());

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pcod::cod::chain::Chain;
-use pcod::cod::compressed::{compressed_cod, total_theta, EvalOptions, Samples};
+use pcod::cod::compressed::{compressed_cod, EvalOptions, Samples};
 use pcod::cod::recluster::build_hierarchy;
 use pcod::cod::{save_artifacts, MappedArtifacts};
 use pcod::graph::io;
@@ -55,7 +55,6 @@ fn main() -> ExitCode {
         "query" => cmd_query(&opts),
         "hierarchy" => cmd_hierarchy(&opts),
         "baseline" => cmd_baseline(&opts),
-        "im" => cmd_im(&opts),
         "serve" => cmd_serve(&opts),
         "mutate" => cmd_mutate(&opts),
         "recover" => cmd_recover(&opts),
@@ -112,8 +111,6 @@ COMMANDS:
   query      find the characteristic community of a node
   hierarchy  print a node's hierarchical communities and influence ranks
   baseline   run a community-search baseline (acq / atc / cac)
-  im         greedy influence-maximization seeds (optionally inside the
-             characteristic community of --node)
   serve      HTTP serving tier: /query, /query_batch, /metrics, /healthz,
              /readyz on --addr; SIGTERM/SIGINT drains and exits cleanly
   mutate     replay a mutation log against the incremental pipeline,
@@ -983,57 +980,6 @@ fn cmd_baseline(opts: &Opts) -> Result<(), String> {
             outln!("members[..{shown}]: {:?}", &c[..shown]);
         }
     }
-    Ok(())
-}
-
-fn cmd_im(opts: &Opts) -> Result<(), String> {
-    use pcod::influence::RrPool;
-    let g = opts.load_graph()?;
-    let cfg = opts.cod_config();
-    let mut rng = SmallRng::seed_from_u64(opts.seed);
-    // Scope: whole graph, or the characteristic community of --node.
-    let members: Option<Vec<NodeId>> = match opts.node {
-        None => None,
-        Some(q) => {
-            check_node(&g, q)?;
-            let attr = opts.resolve_attr(&g, q)?;
-            let engine = CodEngine::new(g.clone(), cfg);
-            engine.ensure_himor(&mut rng).map_err(|e| e.to_string())?;
-            let query = Query::new(q, attr, Method::Codl);
-            match engine.query(query, &mut rng).map_err(|e| e.to_string())? {
-                Some(ans) => {
-                    outln!(
-                        "scoping to the characteristic community of node {q} ({} members)",
-                        ans.size()
-                    );
-                    Some(ans.members)
-                }
-                None => {
-                    return Err(format!(
-                        "node {q} has no characteristic community at k = {};                          drop --node for whole-graph seeds",
-                        cfg.k
-                    ))
-                }
-            }
-        }
-    };
-    let scope = members.as_ref().map_or(g.num_nodes(), Vec::len);
-    let theta = total_theta(cfg.theta.max(20), scope).map_err(|e| e.to_string())?;
-    let pool = RrPool::sample(
-        g.csr(),
-        cfg.model,
-        theta,
-        SeedSequence::new(rng.next_u64()),
-        members.as_deref(),
-        cfg.parallelism,
-    );
-    let seeds = pool.greedy_seeds(cfg.k);
-    outln!("greedy seeds (marginal estimated influence):");
-    for (i, (v, gain)) in seeds.iter().enumerate() {
-        outln!("  {}. node {v:6}  +{gain:.2}", i + 1);
-    }
-    let total: Vec<NodeId> = seeds.iter().map(|&(v, _)| v).collect();
-    outln!("joint estimated influence: {:.2}", pool.estimate(&total));
     Ok(())
 }
 

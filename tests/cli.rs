@@ -616,6 +616,52 @@ fn mutate_rejects_a_malformed_log_with_a_line_number() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An edge event naming a node id past the next one is a typed error
+/// (exit 1, no abort), and with `--wal` it leaves no record behind, so
+/// the directory still recovers.
+#[test]
+fn mutate_rejects_an_insert_past_the_next_node_id() {
+    let (edges, attrs) = path_graph_files("far", 12);
+    let log = TempFile::new("far_log", b"add 0 4294967294\n");
+    let wal = std::env::temp_dir().join(format!("cod-mutate-far-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal);
+    let mutate = |durable: bool| {
+        let mut args = vec![
+            "mutate",
+            "--edges",
+            edges.path(),
+            "--attrs",
+            attrs.path(),
+            "--log",
+            log.path(),
+        ];
+        if durable {
+            args.extend(["--wal", wal.to_str().unwrap(), "--fsync", "always"]);
+        }
+        run(&args)
+    };
+    for durable in [false, true] {
+        let o = mutate(durable);
+        let err = stderr(&o);
+        assert_eq!(o.status.code(), Some(1), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+        let last = err.lines().last().unwrap_or_default();
+        assert!(
+            last.starts_with("error: replay halted at event 1")
+                && last.contains("endpoint 4294967294 out of range (graph has 12 nodes"),
+            "{err}"
+        );
+    }
+    let o = run(&["recover", "--wal", wal.to_str().unwrap()]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert!(
+        stdout(&o).contains("+ 0 WAL event(s) replayed"),
+        "{}",
+        stdout(&o)
+    );
+    std::fs::remove_dir_all(&wal).ok();
+}
+
 #[test]
 fn theta_whose_total_overflows_is_a_one_line_error() {
     // θ·|V| over the 31-node path: 595056260442243601·31 wraps to 15, and

@@ -139,7 +139,7 @@ fn randomized_cora_schedule_repairs_match_rebuilds_across_threads() {
     inv.set_rebuild_threshold(10.0);
     let original = artifact_bytes(&mut inv);
     for (u, v) in inverse_pairs {
-        assert!(inv.insert_edge(u, v), "{u}-{v} must be absent");
+        assert!(inv.insert_edge(u, v).unwrap(), "{u}-{v} must be absent");
         let rep = inv.flush().unwrap();
         assert!(
             matches!(rep.outcome, FlushOutcome::Repaired { .. }),
@@ -423,7 +423,7 @@ fn attribute_edits_evict_only_the_touched_attributes_pools() {
     let (u, v) = absent_edge(&|u, v| !inside(u) && !inside(v));
     let epoch = d.pool_epoch();
     let evictions = d.metrics_snapshot().pool_scoped_evictions;
-    assert!(d.insert_edge(u, v));
+    assert!(d.insert_edge(u, v).unwrap());
     assert_eq!(
         d.pool_stats().pools,
         pools_b,
@@ -434,7 +434,7 @@ fn attribute_edits_evict_only_the_touched_attributes_pools() {
 
     let (u, v) = absent_edge(&|u, v| inside(u) && !inside(v));
     let epoch = d.pool_epoch();
-    assert!(d.insert_edge(u, v));
+    assert!(d.insert_edge(u, v).unwrap());
     assert_eq!(
         d.pool_stats().pools,
         0,

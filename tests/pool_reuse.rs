@@ -311,7 +311,7 @@ fn pool_invalidation_script(g: &AttributedGraph, q: NodeId) -> Option<()> {
 
     // Edge insert.
     let epoch = dyn_cod.pool_epoch();
-    assert!(dyn_cod.insert_edge(q, other));
+    assert!(dyn_cod.insert_edge(q, other).unwrap());
     assert_eq!(
         dyn_cod.pool_epoch(),
         epoch + 1,
@@ -455,32 +455,62 @@ fn pool_fold_cancellation_degrades_gracefully() {
 // Property: top-up schedules tile the index space injectively, gap-free.
 // ---------------------------------------------------------------------------
 
-fn ring(n: usize) -> Csr {
+/// A random connected graph: a random spanning tree plus `extra` edges.
+fn random_graph(n: usize, extra: usize, rng: &mut SmallRng) -> Csr {
     let mut b = GraphBuilder::new(n);
-    for v in 0..n {
-        b.add_edge(v as NodeId, ((v + 1) % n) as NodeId);
+    for v in 1..n as NodeId {
+        b.add_edge(rng.random_range(0..v), v);
+    }
+    for _ in 0..extra {
+        b.add_edge(
+            rng.random_range(0..n as NodeId),
+            rng.random_range(0..n as NodeId),
+        );
     }
     b.build()
+}
+
+/// The whole node range, or with `restrict` a random sorted strict subset
+/// of it (never empty): the universe of a restricted pool.
+fn random_universe(n: usize, restrict: bool, rng: &mut SmallRng) -> Vec<NodeId> {
+    let mut members: Vec<NodeId> = (0..n as NodeId)
+        .filter(|_| !restrict || rng.random_bool(0.5))
+        .collect();
+    if restrict {
+        if members.is_empty() {
+            members.push(rng.random_range(0..n as NodeId));
+        } else if members.len() == n {
+            members.remove(rng.random_range(0..n));
+        }
+    }
+    members
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Any top-up schedule (arbitrary increments, arbitrary per-step
-    /// thread counts) produces exactly the fresh pool of the final size:
-    /// the chunks partition `0..total` in order (no index sampled twice,
-    /// none skipped), which is only possible if every top-up drew exactly
-    /// the missing suffix.
+    /// thread counts) on any graph shape, over the whole graph or a
+    /// restricted universe, produces exactly the fresh pool of the final
+    /// size: the chunks partition `0..total` in order (no index sampled
+    /// twice, none skipped), which is only possible if every top-up drew
+    /// exactly the missing suffix.
     #[test]
     fn any_topup_schedule_equals_the_fresh_pool(
         increments in proptest::collection::vec(1usize..40, 1..6),
-        threads in proptest::collection::vec(1usize..5, 6),
+        threads in proptest::collection::vec(1usize..12, 6),
+        n in 2usize..30,
+        extra in 0usize..40,
+        gseed in 0u64..500,
+        restrict in 0u8..2,
     ) {
         let _g = guard();
         failpoint::disarm_all();
-        let g = ring(20);
-        let universe: Arc<Vec<NodeId>> = Arc::new((0..20).collect());
-        let grown = RrPoolEntry::new(Some(1), universe.clone(), false);
+        let mut rng = SmallRng::seed_from_u64(gseed);
+        let g = random_graph(n, extra, &mut rng);
+        let restricted = restrict == 1;
+        let universe = Arc::new(random_universe(n, restricted, &mut rng));
+        let grown = RrPoolEntry::new(Some(1), universe.clone(), restricted);
         let mut target = 0usize;
         let mut expected_chunks = Vec::new();
         for (step, &inc) in increments.iter().enumerate() {
@@ -501,7 +531,7 @@ proptest! {
         // match the schedule exactly — injective and gap-free.
         prop_assert_eq!(grown.chunk_lens(), expected_chunks);
         prop_assert_eq!(grown.len(), target);
-        let fresh = RrPoolEntry::new(Some(1), universe, false);
+        let fresh = RrPoolEntry::new(Some(1), universe, restricted);
         let (fv, _) = fresh.ensure(&g, Model::WeightedCascade, target, Parallelism::Threads(1), None);
         let (gv, _) = grown.ensure(&g, Model::WeightedCascade, target, Parallelism::Threads(1), None);
         prop_assert!(gv.iter().eq(fv.iter()), "schedule diverged from fresh pool");

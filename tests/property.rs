@@ -9,7 +9,7 @@ use pcod::cod::recluster::build_hierarchy;
 use pcod::cod::{select_recluster_community, DeltaTable, SubgraphChain};
 use pcod::graph::subgraph::Subgraph;
 use pcod::hierarchy::VertexId;
-use pcod::influence::{RrGraph, RrPool, RrView};
+use pcod::influence::{RrArena, RrGraph, RrView};
 use pcod::prelude::*;
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -130,19 +130,42 @@ fn scanned_lore(
     )
 }
 
+/// One uniform-source draw: the source from `rng`, then its unrestricted
+/// RR graph from the same stream.
+fn draw_uniform<R: Rng>(sampler: &mut RrSampler<'_>, rng: &mut R) -> RrGraph {
+    let source = rng.random_range(0..sampler.graph().num_nodes()) as NodeId;
+    draw(sampler, source, rng, |_| true)
+}
+
+/// One draw from `source` whose traversal stays inside `keep`.
+fn draw<R: Rng>(
+    sampler: &mut RrSampler<'_>,
+    source: NodeId,
+    rng: &mut R,
+    keep: impl Fn(NodeId) -> bool,
+) -> RrGraph {
+    let mut rr = RrGraph::default();
+    sampler.sample_into(source, rng, keep, &mut rr);
+    rr
+}
+
 /// One draw of compressed stage 1, replayed through the public sampler: a
 /// uniform universe source from `rng`, no RR graph when the source is in
 /// no chain community, and otherwise its RR graph restricted to the
-/// universe, drawn from the same RNG.
+/// universe, drawn from the same RNG into `rr`. Returns whether it drew.
 fn replay_draw<R: Rng>(
     sampler: &mut RrSampler<'_>,
     chain: &impl Chain,
     universe: &[NodeId],
     rng: &mut R,
-) -> Option<RrGraph> {
+    rr: &mut RrGraph,
+) -> bool {
     let s = universe[rng.random_range(0..universe.len())];
-    chain.level_of(s)?;
-    Some(sampler.sample_restricted(s, rng, |v| universe.binary_search(&v).is_ok()))
+    if chain.level_of(s).is_none() {
+        return false;
+    }
+    sampler.sample_into(s, rng, |v| universe.binary_search(&v).is_ok(), rr);
+    true
 }
 
 /// Checks both sample sources of `compressed_cod` on `chain` against
@@ -168,11 +191,14 @@ fn assert_compressed_matches_definition3(
     };
 
     let seeds = SeedSequence::new(seed);
-    let draws: Vec<_> = (0..theta)
-        .map(|i| replay_draw(&mut sampler, chain, &universe, &mut seeds.rng_for(i as u64)))
-        .collect();
-    let views = draws.iter().map(|d| d.as_ref().map(RrGraph::view));
-    let want = definition3_outcome(chain, views, q, k, theta);
+    let (mut draws, mut rr) = (RrArena::default(), RrGraph::default());
+    for i in 0..theta {
+        let rng = &mut seeds.rng_for(i as u64);
+        if replay_draw(&mut sampler, chain, &universe, rng, &mut rr) {
+            draws.push(rr.view());
+        }
+    }
+    let want = definition3_outcome(chain, draws.iter().map(Some), q, k, theta);
     for t in [1, 2] {
         let sampled = Samples::Seed(seed);
         let got = compressed_cod(g, model, chain, q, k, theta_per_node, sampled, opts(t)).unwrap();
@@ -294,7 +320,8 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xabcd);
         let mut sampler = RrSampler::new(&g, Model::WeightedCascade);
         for _ in 0..10 {
-            let rr = sampler.sample_uniform(&mut rng);
+            let rr = draw_uniform(&mut sampler, &mut rng);
+            let rr = rr.view();
             let mut all = rr.reachable_within(|_| true);
             all.sort_unstable();
             let mut nodes = rr.nodes().to_vec();
@@ -492,8 +519,11 @@ proptest! {
         let seq = SeedSequence::new(master);
         let mut s1 = RrSampler::new(&g, Model::WeightedCascade);
         let mut s2 = RrSampler::new(&g, Model::WeightedCascade);
-        let rr1 = s1.sample_uniform(&mut seq.rng_for(index));
-        let rr2 = s2.sample_uniform(&mut seq.rng_for(index));
+        let (rr1, rr2) = (
+            draw_uniform(&mut s1, &mut seq.rng_for(index)),
+            draw_uniform(&mut s2, &mut seq.rng_for(index)),
+        );
+        let (rr1, rr2) = (rr1.view(), rr2.view());
         prop_assert_eq!(rr1.source(), rr2.source());
         prop_assert_eq!(rr1.nodes(), rr2.nodes());
         for l in 0..rr1.len() as u32 {
@@ -536,11 +566,11 @@ proptest! {
             Model::LinearThreshold,
             Model::RandomK(2),
         ] {
-            let before = RrSampler::new(&g, model).sample_uniform(&mut seq.rng_for(index));
-            if before.nodes().contains(&u) || before.nodes().contains(&v) {
+            let before = draw_uniform(&mut RrSampler::new(&g, model), &mut seq.rng_for(index));
+            if before.view().nodes().contains(&u) || before.view().nodes().contains(&v) {
                 continue;
             }
-            let after = RrSampler::new(&toggled, model).sample_uniform(&mut seq.rng_for(index));
+            let after = draw_uniform(&mut RrSampler::new(&toggled, model), &mut seq.rng_for(index));
             prop_assert_eq!(&before, &after, "{:?} toggling ({}, {})", model, u, v);
         }
     }
@@ -562,37 +592,13 @@ proptest! {
         let source: NodeId = 0; // even, so keep(source) holds
         let mut s1 = RrSampler::new(&g, Model::UniformIc(1.0));
         let mut s2 = RrSampler::new(&g, Model::UniformIc(1.0));
-        let restricted = s1.sample_restricted(source, &mut seq.rng_for(0), keep);
-        let full = s2.sample_from(source, &mut seq.rng_for(0));
-        let mut got = restricted.nodes().to_vec();
+        let restricted = draw(&mut s1, source, &mut seq.rng_for(0), keep);
+        let full = draw(&mut s2, source, &mut seq.rng_for(0), |_| true);
+        let mut got = restricted.view().nodes().to_vec();
         got.sort_unstable();
-        let mut want = full.reachable_within(keep);
+        let mut want = full.view().reachable_within(keep);
         want.sort_unstable();
         prop_assert_eq!(got, want);
-    }
-
-    /// The shared RR pool is invariant under *any* thread count, not just
-    /// the fixed 1/2/8 grid of the seed-replay suite.
-    #[test]
-    fn rr_pool_is_invariant_under_any_thread_count(
-        n in 2usize..30,
-        extra in 0usize..40,
-        gseed in 0u64..500,
-        master in 0u64..u64::MAX,
-        threads in 2usize..12,
-    ) {
-        let g = random_graph(n, extra, gseed);
-        let seq = SeedSequence::new(master);
-        let theta = 64;
-        let serial = RrPool::sample(
-            &g, Model::WeightedCascade, theta, seq, None, Parallelism::Threads(1),
-        );
-        let parallel = RrPool::sample(
-            &g, Model::WeightedCascade, theta, seq, None, Parallelism::Threads(threads),
-        );
-        for i in 0..theta {
-            prop_assert_eq!(serial.set(i), parallel.set(i), "set {} diverged", i);
-        }
     }
 
     /// Graph measures stay in bounds on arbitrary member subsets.

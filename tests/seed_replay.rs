@@ -13,7 +13,6 @@ use pcod::cod::recluster::build_hierarchy;
 use pcod::cod::AnswerSource;
 use pcod::influence::estimate::InfluenceEstimate;
 use pcod::influence::montecarlo;
-use pcod::influence::RrPool;
 use pcod::prelude::*;
 use rand::prelude::*;
 
@@ -55,80 +54,6 @@ fn hierarchy(g: &AttributedGraph) -> (Dendrogram, LcaIndex) {
     let dendro = build_hierarchy(g.csr(), Linkage::Average);
     let lca = LcaIndex::new(&dendro);
     (dendro, lca)
-}
-
-/// The shared RR pool is bit-identical across thread counts and runs:
-/// every set, in order, node for node.
-#[test]
-fn rr_pool_is_bit_identical_across_threads_and_runs() {
-    let data = dataset();
-    let g = data.graph.csr();
-    let seeds = SeedSequence::new(0xC0D_5EED);
-    let theta = 2000;
-    let reference = RrPool::sample(
-        g,
-        Model::WeightedCascade,
-        theta,
-        seeds,
-        None,
-        Parallelism::Threads(1),
-    );
-    for t in THREADS {
-        for run in 0..2 {
-            let pool = RrPool::sample(
-                g,
-                Model::WeightedCascade,
-                theta,
-                seeds,
-                None,
-                Parallelism::Threads(t),
-            );
-            assert_eq!(pool.len(), reference.len());
-            for i in 0..theta {
-                assert_eq!(
-                    pool.set(i),
-                    reference.set(i),
-                    "threads {t} run {run}: RR set {i} diverged"
-                );
-            }
-        }
-    }
-}
-
-/// Community-restricted pools replay identically too.
-#[test]
-fn restricted_rr_pool_is_bit_identical_across_threads() {
-    let data = dataset();
-    let g = data.graph.csr();
-    let members = data
-        .communities
-        .iter()
-        .find(|c| c.len() >= 10)
-        .expect("a community exists")
-        .clone();
-    let seeds = SeedSequence::new(77);
-    let theta = 1000;
-    let reference = RrPool::sample(
-        g,
-        Model::WeightedCascade,
-        theta,
-        seeds,
-        Some(&members),
-        Parallelism::Threads(1),
-    );
-    for t in THREADS {
-        let pool = RrPool::sample(
-            g,
-            Model::WeightedCascade,
-            theta,
-            seeds,
-            Some(&members),
-            Parallelism::Threads(t),
-        );
-        for i in 0..theta {
-            assert_eq!(pool.set(i), reference.set(i), "threads {t}: set {i}");
-        }
-    }
 }
 
 /// `compressed_cod` returns byte-identical outcomes — ranks, sigma
@@ -619,7 +544,7 @@ fn dynamic_mutation_interleavings_replay_across_threads() {
                     let u = script.random_range(0..n);
                     let v = script.random_range(0..n);
                     if u != v {
-                        d.insert_edge(u, v);
+                        d.insert_edge(u, v).unwrap();
                     }
                 }
                 1 => {

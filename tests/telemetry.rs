@@ -371,8 +371,8 @@ fn mutation_counters_flow_through_the_exposition() {
     };
     let mut d = DynamicCod::with_seed(g, cfg, 5).unwrap();
     d.set_rebuild_threshold(10.0);
-    assert!(d.insert_edge(0, 60));
-    assert!(d.insert_edge(1, 61));
+    assert!(d.insert_edge(0, 60).unwrap());
+    assert!(d.insert_edge(1, 61).unwrap());
     assert!(d.remove_edge(0, 60));
     d.set_attrs(5, vec![0]).unwrap();
     let _ = d.flush().unwrap(); // one repair
@@ -386,7 +386,7 @@ fn mutation_counters_flow_through_the_exposition() {
     assert_eq!(refreshed.repair_nanos, repaired.repair_nanos);
     assert_eq!(refreshed.himor_patch_nanos, repaired.himor_patch_nanos);
     d.set_rebuild_threshold(0.0);
-    assert!(d.insert_edge(2, 62));
+    assert!(d.insert_edge(2, 62).unwrap());
     let _ = d.flush().unwrap(); // one forced full rebuild
     let reads = 12;
     for q in 0..reads as NodeId {
