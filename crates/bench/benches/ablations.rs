@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cod_bench::util::compressed;
-use cod_core::chain::DendroChain;
+use cod_core::chain::Chain;
 use cod_core::recluster::{build_hierarchy, global_recluster};
 use cod_core::CodConfig;
 use cod_hierarchy::LcaIndex;
@@ -61,8 +61,7 @@ fn bench_ablations(c: &mut Criterion) {
             let mut rng = SmallRng::seed_from_u64(41);
             b.iter(|| {
                 for &(q, _) in &queries {
-                    let chain =
-                        DendroChain::new(&dendro, &lca, q).expect("query node within hierarchy");
+                    let chain = Chain::new(&dendro, &lca, q).expect("query node within hierarchy");
                     black_box(
                         compressed(g.csr(), cfg, &chain, q, cfg.k, cfg.theta, &mut rng).best_level,
                     );

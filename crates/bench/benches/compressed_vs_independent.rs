@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cod_bench::util::compressed;
-use cod_core::chain::DendroChain;
+use cod_core::chain::Chain;
 use cod_core::independent::independent_cod;
 use cod_core::recluster::global_recluster;
 use cod_core::CodConfig;
@@ -37,8 +37,7 @@ fn bench_eval(c: &mut Criterion) {
             b.iter(|| {
                 for (q, dendro) in &prepared {
                     let lca = LcaIndex::new(dendro);
-                    let chain =
-                        DendroChain::new(dendro, &lca, *q).expect("query node within hierarchy");
+                    let chain = Chain::new(dendro, &lca, *q).expect("query node within hierarchy");
                     black_box(
                         compressed(g.csr(), cfg, &chain, *q, cfg.k, theta, &mut rng).best_level,
                     );
@@ -50,8 +49,7 @@ fn bench_eval(c: &mut Criterion) {
             b.iter(|| {
                 for (q, dendro) in &prepared {
                     let lca = LcaIndex::new(dendro);
-                    let chain =
-                        DendroChain::new(dendro, &lca, *q).expect("query node within hierarchy");
+                    let chain = Chain::new(dendro, &lca, *q).expect("query node within hierarchy");
                     black_box(
                         independent_cod(g.csr(), cfg.model, &chain, *q, cfg.k, theta, &mut rng)
                             .best_level,

@@ -1,11 +1,10 @@
 //! One runner per table/figure of the paper's §V evaluation.
 
-use cod_core::chain::Chain;
 use cod_core::independent::independent_cod;
 use cod_core::lore::select_recluster_community;
 use cod_core::measures::{answer_quality, average_quality, AnswerQuality};
 use cod_core::recluster::{build_hierarchy, global_recluster, local_recluster};
-use cod_core::{CodConfig, CodEngine, ComposedChain, DendroChain, Method, Query, SubgraphChain};
+use cod_core::{Chain, CodConfig, CodEngine, Method, Query};
 use cod_datasets::{by_name, gen_queries, Dataset};
 use cod_graph::{measures as gm, AttrId, AttributedGraph, NodeId};
 use cod_hierarchy::{Hierarchy, LcaIndex};
@@ -80,10 +79,8 @@ pub fn table1(opts: &CliOpts) {
                     let members = dendro.members_sorted(choice.vertex);
                     let (sub, sd) = local_recluster(g, &members, a, cfg.beta, cfg.linkage);
                     let slca = LcaIndex::new(&sd);
-                    let lower = SubgraphChain::new(&sub, &sd, &slca, q, true)
-                        .expect("query node inside C_ell");
-                    ComposedChain::new(lower, &dendro, &lca, choice.vertex)
-                        .expect("lower chain includes C_ell")
+                    Chain::local(&sub, &sd, &slca, q, Some((&dendro, &lca, choice.vertex)))
+                        .expect("query node inside C_ell")
                         .len()
                 }
             };
@@ -163,10 +160,9 @@ pub fn fig4(opts: &CliOpts) {
                     let members = dendro.members_sorted(choice.vertex);
                     let (sub, sd) = local_recluster(g, &members, a, cfg.beta, cfg.linkage);
                     let slca = LcaIndex::new(&sd);
-                    let lower = SubgraphChain::new(&sub, &sd, &slca, q, true)
-                        .expect("query node inside C_ell");
-                    let chain = ComposedChain::new(lower, &dendro, &lca, choice.vertex)
-                        .expect("lower chain includes C_ell");
+                    let chain =
+                        Chain::local(&sub, &sd, &slca, q, Some((&dendro, &lca, choice.vertex)))
+                            .expect("query node inside C_ell");
                     for h in 0..chain.len().min(5) {
                         codl_sizes.push(chain.size(h) as f64);
                     }
@@ -369,8 +365,7 @@ pub fn fig8(opts: &CliOpts) {
                 // Both variants share CODR's attribute-aware hierarchy.
                 let dendro = global_recluster(g, a, cfg.beta, cfg.linkage);
                 let lca = LcaIndex::new(&dendro);
-                let chain =
-                    DendroChain::new(&dendro, &lca, q).expect("query node within hierarchy");
+                let chain = Chain::new(&dendro, &lca, q).expect("query node within hierarchy");
                 if chain.is_empty() {
                     continue;
                 }
@@ -638,8 +633,7 @@ pub fn ablation_hgc(opts: &CliOpts) {
             let queries = gen_queries(g, opts.queries, &mut rng);
             let mut qualities = Vec::new();
             for &(q, a) in &queries {
-                let chain =
-                    DendroChain::new(&dendro, &lca, q).expect("query node within hierarchy");
+                let chain = Chain::new(&dendro, &lca, q).expect("query node within hierarchy");
                 let out = if chain.is_empty() {
                     None
                 } else {
@@ -726,7 +720,7 @@ pub fn ablation_weights(opts: &CliOpts) {
                 &cod_hierarchy::cluster(g.csr(), &w, cfg.linkage),
             );
             let lca = LcaIndex::new(&dendro);
-            let chain = DendroChain::new(&dendro, &lca, q).expect("query node within hierarchy");
+            let chain = Chain::new(&dendro, &lca, q).expect("query node within hierarchy");
             let best = if chain.is_empty() {
                 None
             } else {

@@ -7,7 +7,7 @@
 //! module derives all per-k characteristic communities from one evaluation
 //! (and one estimate per baseline community).
 
-use cod_core::chain::{Chain, ComposedChain, DendroChain, SubgraphChain};
+use cod_core::chain::Chain;
 use cod_core::compressed::CodOutcome;
 use cod_core::lore::select_recluster_community;
 use cod_core::recluster::{global_recluster, local_recluster};
@@ -27,7 +27,7 @@ pub struct MultiK {
 }
 
 impl MultiK {
-    fn from_outcome(chain: &impl Chain, out: &CodOutcome, k_max: usize) -> Self {
+    fn from_outcome(chain: &Chain<'_>, out: &CodOutcome, k_max: usize) -> Self {
         let mut per_k = Vec::with_capacity(k_max);
         for k in 1..=k_max {
             let best = (0..chain.len()).rfind(|&h| out.ranks[h] <= k);
@@ -47,7 +47,7 @@ pub fn codu_multi_k<R: Rng>(
     k_max: usize,
     rng: &mut R,
 ) -> MultiK {
-    let chain = DendroChain::new(dendro, lca, q).expect("query node within hierarchy");
+    let chain = Chain::new(dendro, lca, q).expect("query node within hierarchy");
     if chain.is_empty() {
         return MultiK {
             per_k: vec![None; k_max],
@@ -68,7 +68,7 @@ pub fn codr_multi_k<R: Rng>(
 ) -> MultiK {
     let dendro = global_recluster(g, attr, cfg.beta, cfg.linkage);
     let lca = LcaIndex::new(&dendro);
-    let chain = DendroChain::new(&dendro, &lca, q).expect("query node within hierarchy");
+    let chain = Chain::new(&dendro, &lca, q).expect("query node within hierarchy");
     if chain.is_empty() {
         return MultiK {
             per_k: vec![None; k_max],
@@ -96,10 +96,8 @@ pub fn codl_minus_multi_k<R: Rng>(
             let members = dendro.members_sorted(choice.vertex);
             let (sub, sd) = local_recluster(g, &members, attr, cfg.beta, cfg.linkage);
             let slca = LcaIndex::new(&sd);
-            let lower =
-                SubgraphChain::new(&sub, &sd, &slca, q, true).expect("query node inside C_ell");
-            let chain = ComposedChain::new(lower, dendro, lca, choice.vertex)
-                .expect("lower chain includes C_ell");
+            let chain = Chain::local(&sub, &sd, &slca, q, Some((dendro, lca, choice.vertex)))
+                .expect("query node inside C_ell");
             if chain.is_empty() {
                 return MultiK {
                     per_k: vec![None; k_max],
@@ -145,8 +143,8 @@ pub fn codl_multi_k<R: Rng>(
             let (sub, sd) = local_recluster(g, &members, attr, cfg.beta, cfg.linkage);
             let slca = LcaIndex::new(&sd);
             let out = {
-                let chain = SubgraphChain::new(&sub, &sd, &slca, q, false)
-                    .expect("query node inside C_ell");
+                let chain =
+                    Chain::local(&sub, &sd, &slca, q, None).expect("query node inside C_ell");
                 if chain.is_empty() {
                     CodOutcome {
                         best_level: None,
@@ -164,7 +162,7 @@ pub fn codl_multi_k<R: Rng>(
             fallback = Some((SubgraphOwned { sub, sd, slca }, out));
         }
         let (owned, out) = fallback.as_ref().unwrap();
-        let chain = SubgraphChain::new(&owned.sub, &owned.sd, &owned.slca, q, false)
+        let chain = Chain::local(&owned.sub, &owned.sd, &owned.slca, q, None)
             .expect("query node inside C_ell");
         let best = (0..chain.len()).rfind(|&h| out.ranks[h] <= k);
         per_k.push(best.map(|h| chain.members(h)));

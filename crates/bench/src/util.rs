@@ -24,7 +24,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 pub fn compressed<R: Rng>(
     g: &Csr,
     cfg: CodConfig,
-    chain: &impl Chain,
+    chain: &Chain<'_>,
     q: NodeId,
     k: usize,
     theta: usize,

@@ -1,8 +1,9 @@
 //! Bounded LRU cache for reclustered hierarchies.
 //!
 //! CODR rebuilds the global attribute-weighted hierarchy `T_ℓ` per query
-//! and LORE rebuilds the local `C_ℓ` hierarchy per query — both pure
-//! functions of `(attr, β, linkage)` (plus the LORE community vertex).
+//! and LORE rebuilds the local `C_ℓ` hierarchy per query — under one
+//! engine's fixed `β` and linkage, both pure functions of the attribute
+//! (plus the LORE community vertex).
 //! Under realistic workloads queries concentrate on a few popular
 //! attributes, so the serving layer keeps the last few artifacts around.
 //! Because reclustering is deterministic, serving a cached artifact is
@@ -19,7 +20,7 @@ use std::sync::{Arc, Mutex};
 
 use cod_graph::subgraph::Subgraph;
 use cod_graph::AttrId;
-use cod_hierarchy::{Hierarchy, Linkage, VertexId};
+use cod_hierarchy::{Hierarchy, VertexId};
 
 /// A cached LORE local recluster: the induced subgraph of `C_ℓ` plus the
 /// reclustered hierarchy over it.
@@ -30,14 +31,12 @@ pub struct LocalRecluster {
     pub hier: Hierarchy,
 }
 
-/// What a cached artifact was derived from. `β` is keyed by its IEEE bit
-/// pattern: builds are bit-deterministic in `β`, so bitwise equality is the
-/// correct (and total) notion of "same parameters".
+/// What a cached artifact was derived from. `β` and the linkage are not
+/// part of it: an engine's [`crate::CodConfig`] never changes after
+/// construction, so every lookup of one cache shares them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct CacheKey {
     attr: AttrId,
-    beta_bits: u64,
-    linkage: Linkage,
     scope: Scope,
 }
 
@@ -88,9 +87,11 @@ impl CacheStats {
     }
 }
 
-/// A bounded LRU cache of reclustered hierarchies keyed by
-/// `(attr, β, linkage)` (plus the community vertex for local artifacts).
-pub struct ReclusterCache {
+/// A bounded LRU cache of reclustered hierarchies keyed by the attribute
+/// (plus the community vertex for local artifacts). One cache serves one
+/// `β` and linkage, as one engine does: every `build` closure passed to it
+/// must use them, which is why the type stays inside this crate.
+pub(crate) struct ReclusterCache {
     slots: Mutex<(Vec<Slot>, u64)>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -100,7 +101,7 @@ pub struct ReclusterCache {
 impl ReclusterCache {
     /// A cache holding at most `capacity` artifacts (0 disables caching:
     /// every lookup misses and nothing is retained).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             slots: Mutex::new((Vec::new(), 0)),
             hits: AtomicU64::new(0),
@@ -109,8 +110,8 @@ impl ReclusterCache {
         }
     }
 
-    /// Fetches or builds CODR's global hierarchy for `(attr, beta,
-    /// linkage)`. Returns the artifact and whether it was a cache hit.
+    /// Fetches or builds CODR's global hierarchy for `attr`. Returns the
+    /// artifact and whether it was a cache hit.
     ///
     /// `build` runs outside the cache lock — a long recluster must not
     /// stall readers of other keys. Two racing builders may both build; the
@@ -118,17 +119,13 @@ impl ReclusterCache {
     /// cancelled governed recluster) caches nothing and yields `None` — a
     /// later uncancelled query rebuilds cleanly. The miss is still counted:
     /// work was attempted.
-    pub fn try_global(
+    pub(crate) fn try_global(
         &self,
         attr: AttrId,
-        beta: f64,
-        linkage: Linkage,
         build: impl FnOnce() -> Option<Arc<Hierarchy>>,
     ) -> Option<(Arc<Hierarchy>, bool)> {
         let key = CacheKey {
             attr,
-            beta_bits: beta.to_bits(),
-            linkage,
             scope: Scope::Global,
         };
         match self.fetch_or_try_insert(key, || build().map(Artifact::Global))? {
@@ -138,20 +135,15 @@ impl ReclusterCache {
     }
 
     /// Fetches or builds LORE's local recluster of community `c_ell` for
-    /// `(attr, beta, linkage)`, under the contract of
-    /// [`ReclusterCache::try_global`].
-    pub fn try_local(
+    /// `attr`, under the contract of [`ReclusterCache::try_global`].
+    pub(crate) fn try_local(
         &self,
         attr: AttrId,
-        beta: f64,
-        linkage: Linkage,
         c_ell: VertexId,
         build: impl FnOnce() -> Option<Arc<LocalRecluster>>,
     ) -> Option<(Arc<LocalRecluster>, bool)> {
         let key = CacheKey {
             attr,
-            beta_bits: beta.to_bits(),
-            linkage,
             scope: Scope::Local(c_ell),
         };
         match self.fetch_or_try_insert(key, || build().map(Artifact::Local))? {
@@ -223,7 +215,7 @@ impl ReclusterCache {
     }
 
     /// Current counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         let len = self.slots.lock().map(|g| g.0.len()).unwrap_or(0);
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -234,7 +226,7 @@ impl ReclusterCache {
     }
 
     /// Drops every cached artifact (counters are kept).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         if let Ok(mut guard) = self.slots.lock() {
             guard.0.clear();
         }
@@ -249,7 +241,7 @@ impl ReclusterCache {
     ///   touched attribute: `g_ℓ`'s edge weights depend solely on which
     ///   endpoints carry `ℓ`, so artifacts of untouched attributes are
     ///   bit-identical to what a rebuild would produce and stay resident.
-    pub fn invalidate_scoped(&self, footprint: &crate::mutation::Footprint) -> usize {
+    pub(crate) fn invalidate_scoped(&self, footprint: &crate::mutation::Footprint) -> usize {
         let Ok(mut guard) = self.slots.lock() else {
             return 0;
         };
@@ -280,21 +272,18 @@ mod tests {
         Some(Arc::new(Hierarchy::new(Dendrogram::singleton())))
     }
 
-    /// Looks `(attr, beta, linkage)` up, building on a miss; returns
-    /// whether it hit.
-    fn global(cache: &ReclusterCache, attr: AttrId, beta: f64, linkage: Linkage) -> bool {
-        let found = cache.try_global(attr, beta, linkage, hier);
+    /// Looks `attr` up, building on a miss; returns whether it hit.
+    fn global(cache: &ReclusterCache, attr: AttrId) -> bool {
+        let found = cache.try_global(attr, hier);
         found.expect("the builder never declines").1
     }
 
     #[test]
     fn repeat_lookups_hit() {
         let cache = ReclusterCache::new(4);
-        assert!(!global(&cache, 0, 1.0, Linkage::Average));
+        assert!(!global(&cache, 0));
         let (_, hit) = cache
-            .try_global(0, 1.0, Linkage::Average, || {
-                panic!("must not rebuild a cached artifact")
-            })
+            .try_global(0, || panic!("must not rebuild a cached artifact"))
             .unwrap();
         assert!(hit);
         let s = cache.stats();
@@ -305,28 +294,22 @@ mod tests {
     #[test]
     fn distinct_parameters_are_distinct_entries() {
         let cache = ReclusterCache::new(8);
-        global(&cache, 0, 1.0, Linkage::Average);
-        let hit = global(&cache, 0, 2.0, Linkage::Average);
-        assert!(!hit, "different beta is a different artifact");
-        let hit = global(&cache, 0, 1.0, Linkage::Single);
-        assert!(!hit, "different linkage is a different artifact");
-        let hit = global(&cache, 1, 1.0, Linkage::Average);
+        global(&cache, 0);
+        let hit = global(&cache, 1);
         assert!(!hit, "different attr is a different artifact");
-        assert_eq!(cache.stats().len, 4);
+        assert_eq!(cache.stats().len, 2);
     }
 
     #[test]
     fn lru_evicts_the_stalest_key() {
         let cache = ReclusterCache::new(2);
-        global(&cache, 0, 1.0, Linkage::Average);
-        global(&cache, 1, 1.0, Linkage::Average);
+        global(&cache, 0);
+        global(&cache, 1);
         // Touch attr 0 so attr 1 is the LRU victim.
-        cache
-            .try_global(0, 1.0, Linkage::Average, || panic!("cached"))
-            .unwrap();
-        global(&cache, 2, 1.0, Linkage::Average);
-        let hit0 = global(&cache, 0, 1.0, Linkage::Average);
-        let hit1 = global(&cache, 1, 1.0, Linkage::Average);
+        cache.try_global(0, || panic!("cached")).unwrap();
+        global(&cache, 2);
+        let hit0 = global(&cache, 0);
+        let hit1 = global(&cache, 1);
         assert!(hit0, "recently touched entry survives");
         assert!(!hit1, "LRU entry was evicted");
         assert_eq!(cache.stats().len, 2);
@@ -335,8 +318,8 @@ mod tests {
     #[test]
     fn zero_capacity_disables_retention() {
         let cache = ReclusterCache::new(0);
-        global(&cache, 0, 1.0, Linkage::Average);
-        let hit = global(&cache, 0, 1.0, Linkage::Average);
+        global(&cache, 0);
+        let hit = global(&cache, 0);
         assert!(!hit);
         assert_eq!(cache.stats().len, 0);
     }
@@ -344,15 +327,13 @@ mod tests {
     #[test]
     fn declined_build_caches_nothing() {
         let cache = ReclusterCache::new(4);
-        assert!(cache
-            .try_global(0, 1.0, Linkage::Average, || None)
-            .is_none());
+        assert!(cache.try_global(0, || None).is_none());
         let s = cache.stats();
         assert_eq!((s.misses, s.len), (1, 0), "declined build counts a miss");
         // A later successful build inserts cleanly and then hits.
-        let (_, hit) = cache.try_global(0, 1.0, Linkage::Average, hier).unwrap();
+        let (_, hit) = cache.try_global(0, hier).unwrap();
         assert!(!hit);
-        let (_, hit) = cache.try_global(0, 1.0, Linkage::Average, || None).unwrap();
+        let (_, hit) = cache.try_global(0, || None).unwrap();
         assert!(hit, "cached artifact served without invoking the builder");
     }
 
@@ -360,17 +341,17 @@ mod tests {
     fn scoped_invalidation_respects_the_footprint() {
         use crate::mutation::Footprint;
         let cache = ReclusterCache::new(8);
-        global(&cache, 0, 1.0, Linkage::Average);
-        global(&cache, 1, 1.0, Linkage::Average);
-        global(&cache, 2, 1.0, Linkage::Average);
+        global(&cache, 0);
+        global(&cache, 1);
+        global(&cache, 2);
 
         // Attribute footprint: only the touched attribute's entry drops.
         let mut fp = Footprint::new();
         fp.add_attr_event(5, [1]);
         assert_eq!(cache.invalidate_scoped(&fp), 1);
-        let hit0 = global(&cache, 0, 1.0, Linkage::Average);
-        let hit1 = global(&cache, 1, 1.0, Linkage::Average);
-        let hit2 = global(&cache, 2, 1.0, Linkage::Average);
+        let hit0 = global(&cache, 0);
+        let hit1 = global(&cache, 1);
+        let hit2 = global(&cache, 2);
         assert!(hit0 && !hit1 && hit2, "only attr 1 was invalidated");
 
         // Topology footprint: everything drops.
@@ -383,9 +364,9 @@ mod tests {
     #[test]
     fn global_and_local_keys_do_not_collide() {
         let cache = ReclusterCache::new(4);
-        global(&cache, 0, 1.0, Linkage::Average);
+        global(&cache, 0);
         let (_, hit) = cache
-            .try_local(0, 1.0, Linkage::Average, 7, || {
+            .try_local(0, 7, || {
                 let g = cod_graph::GraphBuilder::new(1).build();
                 Some(Arc::new(LocalRecluster {
                     sub: Subgraph::induced(&g, &[0]),

@@ -1,24 +1,62 @@
-//! The hierarchical-community chain `H(q)` that COD evaluation runs over.
+//! The chain of nested communities around the query node that COD
+//! evaluation (Algorithm 1) runs over.
 //!
-//! The paper's Algorithm 1 is agnostic to where the nested communities come
-//! from; this module provides the three concrete shapes used by the method
-//! variants:
+//! Every chain the method variants evaluate has one shape: `q`'s root path
+//! inside a reclustered subgraph (the *lower* part, in global node ids),
+//! stacked on the strict ancestors of an *anchor* vertex in a whole-graph
+//! dendrogram (the *upper* part), with either part possibly absent:
 //!
-//! * [`DendroChain`] — the root path of `q` in a dendrogram over the whole
-//!   graph (CODU on `T`, CODR on the reweighted `T_ℓ`);
-//! * [`SubgraphChain`] — the root path of `q` in a dendrogram over an
-//!   induced subgraph, mapped back to global node ids (the reclustered part
-//!   `H_ℓ(q | C_ℓ)` that HIMOR-based CODL evaluates, Algorithm 3 line 3);
-//! * [`ComposedChain`] — LORE's `H_ℓ(q) = Ancestors(q, T_ℓ) ∪
-//!   Ancestors(C_ℓ, T)` (Algorithm 2 line 4), used by CODL⁻.
+//! * [`Chain::new`] — `H(q)` in `T` (CODU) or in the reweighted `T_ℓ`
+//!   (CODR): no lower part, and the anchor is `q`'s leaf;
+//! * [`Chain::local`] without `above` — the reclustered part
+//!   `H_ℓ(q | C_ℓ)` that HIMOR-based CODL evaluates on an index miss
+//!   (Algorithm 3, line 3): the subgraph root `C_ℓ` excluded, no upper
+//!   part;
+//! * [`Chain::local`] with `above` — LORE's `H_ℓ(q) = Ancestors(q, T_ℓ) ∪
+//!   Ancestors(C_ℓ, T)` (Algorithm 2, line 4), used by CODL⁻: the subgraph
+//!   root included, and the anchor is `C_ℓ`.
 //!
 //! Chains list communities from the deepest (`C_0`, index 0) to the largest.
 
 use cod_graph::subgraph::Subgraph;
 use cod_graph::NodeId;
-use cod_hierarchy::{Dendrogram, LcaIndex, VertexId};
+use cod_hierarchy::{Dendrogram, LcaIndex, VertexId, NO_VERTEX};
 
 use crate::error::{CodError, CodResult};
+
+/// The strict ancestors of `anchor` in `dendro`, deepest first.
+struct Ancestors<'a> {
+    dendro: &'a Dendrogram,
+    lca: &'a LcaIndex,
+    anchor: VertexId,
+    /// `path[i]` has depth `depth(anchor) − 1 − i`.
+    path: Vec<VertexId>,
+}
+
+impl<'a> Ancestors<'a> {
+    fn of(dendro: &'a Dendrogram, lca: &'a LcaIndex, anchor: VertexId) -> Self {
+        let mut path = Vec::with_capacity(dendro.depth(anchor) as usize);
+        let mut v = dendro.parent(anchor);
+        while v != NO_VERTEX {
+            path.push(v);
+            v = dendro.parent(v);
+        }
+        Self {
+            dendro,
+            lca,
+            anchor,
+            path,
+        }
+    }
+
+    /// Index in `path` of the deepest ancestor of `anchor` holding vertex
+    /// `v`: `depth(anchor) − depth(lca(v, anchor)) − 1`, or 0 when `anchor`
+    /// itself holds `v`.
+    fn level(&self, v: VertexId) -> usize {
+        let d = self.dendro.depth(self.lca.lca(v, self.anchor));
+        (self.dendro.depth(self.anchor) - d).saturating_sub(1) as usize
+    }
+}
 
 /// A chain of strictly nested communities containing the query node,
 /// ordered from deepest (smallest, index 0) upward.
@@ -26,48 +64,18 @@ use crate::error::{CodError, CodResult};
 /// `level_of` is the workhorse of HFS (§III-A): for any node `u` it returns
 /// the index of the *deepest* chain community containing `u`, or `None` if
 /// `u` lies outside the whole chain.
-pub trait Chain {
-    /// Number of communities `|H(q)|`.
-    fn len(&self) -> usize;
-
-    /// Whether the chain is empty (single-node graphs).
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Size `|C_h|` of the `h`-th community.
-    fn size(&self, h: usize) -> usize;
-
-    /// Index of the deepest chain community containing `u`, if any.
-    fn level_of(&self, u: NodeId) -> Option<usize>;
-
-    /// Members of `C_h`, sorted ascending by node id.
-    fn members(&self, h: usize) -> Vec<NodeId>;
-
-    /// The nodes eligible as RR-graph sources (the largest community's
-    /// members), sorted ascending. Sampling is restricted here: induced RR
-    /// graphs of chain communities never leave it (Definition 3).
-    fn universe(&self) -> Vec<NodeId>;
-
-    /// A short label for community `h` (diagnostics).
-    fn label(&self, h: usize) -> String {
-        format!("C_{h}")
-    }
+pub struct Chain<'a> {
+    /// `q`'s root path in a reclustered subgraph, whose local ids the
+    /// subgraph maps to global ones. The anchor is `q`'s local leaf.
+    lower: Option<(&'a Subgraph, Ancestors<'a>)>,
+    /// The strict ancestors of the anchor in a whole-graph dendrogram.
+    upper: Option<Ancestors<'a>>,
 }
 
-/// `H(q)`: the full root path of `q` in a dendrogram over the whole graph.
-pub struct DendroChain<'a> {
-    dendro: &'a Dendrogram,
-    lca: &'a LcaIndex,
-    q: NodeId,
-    path: Vec<VertexId>,
-    /// `depth(leaf(q)) - 1`, so `path[i]` has depth `base - i`.
-    base: u32,
-}
-
-impl<'a> DendroChain<'a> {
-    /// Builds the chain for query node `q`. Fails with
-    /// [`CodError::InvalidQuery`] when `q` is not a leaf of the hierarchy.
+impl<'a> Chain<'a> {
+    /// `H(q)`, the root path of `q` in a dendrogram over the whole graph.
+    /// Fails with [`CodError::InvalidQuery`] when `q` is not a leaf of the
+    /// hierarchy.
     pub fn new(dendro: &'a Dendrogram, lca: &'a LcaIndex, q: NodeId) -> CodResult<Self> {
         if (q as usize) >= dendro.num_leaves() {
             return Err(CodError::InvalidQuery(format!(
@@ -75,89 +83,28 @@ impl<'a> DendroChain<'a> {
                 dendro.num_leaves()
             )));
         }
-        let path = dendro.root_path(q);
-        let base = dendro.depth(dendro.leaf(q)) - 1;
-        debug_assert_eq!(path.len(), base as usize);
         Ok(Self {
-            dendro,
-            lca,
-            q,
-            path,
-            base,
+            lower: None,
+            upper: Some(Ancestors::of(dendro, lca, dendro.leaf(q))),
         })
     }
 
-    /// The dendrogram vertex of community `h`.
-    pub fn vertex(&self, h: usize) -> VertexId {
-        self.path[h]
-    }
-
-    /// The query node.
-    pub fn query(&self) -> NodeId {
-        self.q
-    }
-}
-
-impl Chain for DendroChain<'_> {
-    fn len(&self) -> usize {
-        self.path.len()
-    }
-
-    fn size(&self, h: usize) -> usize {
-        self.dendro.size(self.path[h])
-    }
-
-    fn level_of(&self, u: NodeId) -> Option<usize> {
-        if u == self.q {
-            return if self.path.is_empty() { None } else { Some(0) };
-        }
-        let d = self
-            .dendro
-            .depth(self.lca.lca(self.dendro.leaf(self.q), self.dendro.leaf(u)));
-        Some((self.base - d) as usize)
-    }
-
-    fn members(&self, h: usize) -> Vec<NodeId> {
-        self.dendro.members_sorted(self.path[h])
-    }
-
-    fn universe(&self) -> Vec<NodeId> {
-        match self.path.last() {
-            Some(&root) => self.dendro.members_sorted(root),
-            None => vec![self.q],
-        }
-    }
-
-    fn label(&self, h: usize) -> String {
-        format!("T:{}", self.path[h])
-    }
-}
-
-/// The root path of `q` inside a reclustered *subgraph*, expressed in
-/// global node ids. Excludes the subgraph's root community (`C_ℓ` itself),
-/// which the HIMOR index answers directly.
-pub struct SubgraphChain<'a> {
-    sub: &'a Subgraph,
-    dendro: &'a Dendrogram,
-    lca: &'a LcaIndex,
-    q_local: NodeId,
-    /// Path of `q_local` in the subgraph dendrogram, root excluded.
-    path: Vec<VertexId>,
-    base: u32,
-    include_root: bool,
-}
-
-impl<'a> SubgraphChain<'a> {
-    /// Builds the chain for global query node `q`, which must be a member
-    /// of `sub` (otherwise [`CodError::InvalidQuery`]). When `include_root`
-    /// is false the subgraph's root community is dropped from the chain
-    /// (Algorithm 3 queries it from the index).
-    pub fn new(
+    /// The root path of global query node `q` in the hierarchy `dendro`
+    /// over the reclustered subgraph `sub`. `q` must be a member of `sub`
+    /// (otherwise [`CodError::InvalidQuery`]), and `dendro` must cover it
+    /// (otherwise [`CodError::GraphFormat`]).
+    ///
+    /// With `above = None` the subgraph root `C_ℓ` is left out: Algorithm 3
+    /// answers it from the index. With `above = Some((T, lca, c_ell))` the
+    /// root is kept and the ancestors of `c_ell` in `T` follow it; `sub`
+    /// must then be induced by the members of `c_ell` (otherwise
+    /// [`CodError::GraphFormat`]).
+    pub fn local(
         sub: &'a Subgraph,
         dendro: &'a Dendrogram,
         lca: &'a LcaIndex,
         q: NodeId,
-        include_root: bool,
+        above: Option<(&'a Dendrogram, &'a LcaIndex, VertexId)>,
     ) -> CodResult<Self> {
         let Some(q_local) = sub.local(q) else {
             return Err(CodError::InvalidQuery(format!(
@@ -171,185 +118,117 @@ impl<'a> SubgraphChain<'a> {
                 sub.len()
             )));
         }
-        let mut path = dendro.root_path(q_local);
-        if !include_root {
-            path.pop();
-        }
-        let base = dendro.depth(dendro.leaf(q_local)) - 1;
-        Ok(Self {
-            sub,
-            dendro,
-            lca,
-            q_local,
-            path,
-            base,
-            include_root,
-        })
-    }
-
-    /// Whether the subgraph root is part of the chain.
-    pub fn includes_root(&self) -> bool {
-        self.include_root
-    }
-}
-
-impl Chain for SubgraphChain<'_> {
-    fn len(&self) -> usize {
-        self.path.len()
-    }
-
-    fn size(&self, h: usize) -> usize {
-        self.dendro.size(self.path[h])
-    }
-
-    fn level_of(&self, u: NodeId) -> Option<usize> {
-        let lu = self.sub.local(u)?;
-        let h = if lu == self.q_local {
-            0usize
-        } else {
-            let d = self.dendro.depth(
-                self.lca
-                    .lca(self.dendro.leaf(self.q_local), self.dendro.leaf(lu)),
-            );
-            (self.base - d) as usize
+        let mut lower = Ancestors::of(dendro, lca, dendro.leaf(q_local));
+        let upper = match above {
+            None => {
+                lower.path.pop();
+                None
+            }
+            Some((t, t_lca, c_ell)) => {
+                if (c_ell as usize) >= t.num_vertices() {
+                    return Err(CodError::GraphFormat(format!(
+                        "C_ell vertex {c_ell} out of range ({} hierarchy vertices)",
+                        t.num_vertices()
+                    )));
+                }
+                if sub.len() != t.size(c_ell) {
+                    return Err(CodError::GraphFormat(format!(
+                        "lower chain spans {} nodes but C_ell has {}",
+                        sub.len(),
+                        t.size(c_ell)
+                    )));
+                }
+                Some(Ancestors::of(t, t_lca, c_ell))
+            }
         };
-        if h < self.path.len() {
-            Some(h)
-        } else {
-            None // only in the excluded subgraph root
-        }
-    }
-
-    fn members(&self, h: usize) -> Vec<NodeId> {
-        let mut m: Vec<NodeId> = self
-            .dendro
-            .members(self.path[h])
-            .iter()
-            .map(|&l| self.sub.parent(l))
-            .collect();
-        m.sort_unstable();
-        m
-    }
-
-    fn universe(&self) -> Vec<NodeId> {
-        // Sources come from the whole subgraph (the reclustered community);
-        // sources outside every chain community contribute nothing and are
-        // skipped by HFS.
-        self.sub.members.clone()
-    }
-
-    fn label(&self, h: usize) -> String {
-        format!("Tl:{}", self.path[h])
-    }
-}
-
-/// LORE's attribute-aware chain `H_ℓ(q)`: the subgraph path inside `C_ℓ`
-/// (including `C_ℓ` as the subgraph root) followed by the ancestors of
-/// `C_ℓ` in the non-attributed hierarchy `T` (Algorithm 2, line 4).
-pub struct ComposedChain<'a> {
-    /// Lower, reclustered part (with the subgraph root = `C_ℓ` included).
-    lower: SubgraphChain<'a>,
-    /// The full-graph hierarchy `T`.
-    dendro: &'a Dendrogram,
-    lca: &'a LcaIndex,
-    /// Strict ancestors of `C_ℓ` in `T`, deepest first.
-    upper: Vec<VertexId>,
-    /// The reclustered community `C_ℓ` as a vertex of `T`.
-    c_ell: VertexId,
-}
-
-impl<'a> ComposedChain<'a> {
-    /// Composes the chain: `lower` must be built with `include_root =
-    /// true`, and its subgraph must be induced by the members of `c_ell`
-    /// (otherwise [`CodError::GraphFormat`]).
-    pub fn new(
-        lower: SubgraphChain<'a>,
-        dendro: &'a Dendrogram,
-        lca: &'a LcaIndex,
-        c_ell: VertexId,
-    ) -> CodResult<Self> {
-        if !lower.includes_root() {
-            return Err(CodError::GraphFormat(
-                "composed chain needs a lower chain that includes C_ell".into(),
-            ));
-        }
-        if (c_ell as usize) >= dendro.num_vertices() {
-            return Err(CodError::GraphFormat(format!(
-                "C_ell vertex {c_ell} out of range ({} hierarchy vertices)",
-                dendro.num_vertices()
-            )));
-        }
-        if lower.sub.len() != dendro.size(c_ell) {
-            return Err(CodError::GraphFormat(format!(
-                "lower chain spans {} nodes but C_ell has {}",
-                lower.sub.len(),
-                dendro.size(c_ell)
-            )));
-        }
-        let mut upper = Vec::new();
-        let mut v = dendro.parent(c_ell);
-        while v != cod_hierarchy::NO_VERTEX {
-            upper.push(v);
-            v = dendro.parent(v);
-        }
         Ok(Self {
-            lower,
-            dendro,
-            lca,
+            lower: Some((sub, lower)),
             upper,
-            c_ell,
         })
     }
-}
 
-impl Chain for ComposedChain<'_> {
-    fn len(&self) -> usize {
-        self.lower.len() + self.upper.len()
+    fn lower_len(&self) -> usize {
+        self.lower.as_ref().map_or(0, |(_, l)| l.path.len())
     }
 
-    fn size(&self, h: usize) -> usize {
-        if h < self.lower.len() {
-            self.lower.size(h)
-        } else {
-            self.dendro.size(self.upper[h - self.lower.len()])
+    /// Number of communities `|H(q)|`.
+    pub fn len(&self) -> usize {
+        self.lower_len() + self.upper.as_ref().map_or(0, |u| u.path.len())
+    }
+
+    /// Whether the chain holds no community: a single-node graph, or a
+    /// local chain whose only community was the excluded subgraph root.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The part holding `C_h` and `C_h`'s vertex in that part's dendrogram.
+    fn vertex(&self, h: usize) -> (&Ancestors<'a>, VertexId) {
+        match (&self.lower, &self.upper) {
+            (Some((_, l)), _) if h < l.path.len() => (l, l.path[h]),
+            (_, Some(u)) => (u, u.path[h - self.lower_len()]),
+            _ => panic!("community {h} is past the chain's end"),
         }
     }
 
-    fn level_of(&self, u: NodeId) -> Option<usize> {
-        if self.dendro.contains(self.c_ell, u) {
-            // Inside C_ℓ: the subgraph chain decides (it includes its root,
-            // so this is always Some).
-            return self.lower.level_of(u);
-        }
-        // Outside C_ℓ: the deepest ancestor of C_ℓ in T containing u is
-        // lca(u, C_ℓ).
-        let a = self.lca.lca(self.dendro.leaf(u), self.c_ell);
-        let d = self.dendro.depth(a);
-        let j = (self.dendro.depth(self.c_ell) - 1 - d) as usize;
-        Some(self.lower.len() + j)
+    /// Size `|C_h|` of the `h`-th community.
+    pub fn size(&self, h: usize) -> usize {
+        let (part, v) = self.vertex(h);
+        part.dendro.size(v)
     }
 
-    fn members(&self, h: usize) -> Vec<NodeId> {
-        if h < self.lower.len() {
-            self.lower.members(h)
-        } else {
-            self.dendro.members_sorted(self.upper[h - self.lower.len()])
+    /// Index of the deepest chain community containing `u`, if any.
+    pub fn level_of(&self, u: NodeId) -> Option<usize> {
+        let mut below = 0;
+        if let Some((sub, l)) = &self.lower {
+            if let Some(lu) = sub.local(u) {
+                // `None` only for the excluded subgraph root.
+                let h = l.level(l.dendro.leaf(lu));
+                return (h < l.path.len()).then_some(h);
+            }
+            below = l.path.len();
+        }
+        let up = self.upper.as_ref()?;
+        let h = up.level(up.dendro.leaf(u));
+        (h < up.path.len()).then_some(below + h)
+    }
+
+    /// Members of `C_h`, sorted ascending by node id.
+    pub fn members(&self, h: usize) -> Vec<NodeId> {
+        match &self.lower {
+            Some((sub, l)) if h < l.path.len() => {
+                let mut m: Vec<NodeId> = l
+                    .dendro
+                    .members(l.path[h])
+                    .iter()
+                    .map(|&v| sub.parent(v))
+                    .collect();
+                m.sort_unstable();
+                m
+            }
+            _ => {
+                let (part, v) = self.vertex(h);
+                part.dendro.members_sorted(v)
+            }
         }
     }
 
-    fn universe(&self) -> Vec<NodeId> {
-        match self.upper.last() {
-            Some(&root) => self.dendro.members_sorted(root),
-            None => self.lower.universe(),
+    /// The nodes eligible as RR-graph sources (the largest community's
+    /// members), sorted ascending. Sampling is restricted here: induced RR
+    /// graphs of chain communities never leave it (Definition 3).
+    pub fn universe(&self) -> Vec<NodeId> {
+        if let Some(up) = &self.upper {
+            // The top ancestor, or the anchor alone when it is the root.
+            return up
+                .dendro
+                .members_sorted(up.path.last().copied().unwrap_or(up.anchor));
         }
-    }
-
-    fn label(&self, h: usize) -> String {
-        if h < self.lower.len() {
-            self.lower.label(h)
-        } else {
-            format!("T:{}", self.upper[h - self.lower.len()])
-        }
+        // The whole reclustered subgraph, its excluded root included:
+        // sources in no chain community contribute nothing and HFS skips
+        // them.
+        self.lower
+            .as_ref()
+            .map_or_else(Vec::new, |(sub, _)| sub.members.clone())
     }
 }
 
@@ -372,11 +251,11 @@ mod tests {
     }
 
     #[test]
-    fn dendro_chain_is_nested_and_ends_at_root() {
+    fn whole_graph_chain_is_nested_and_ends_at_root() {
         let g = line(8);
         let d = dendro(&g);
         let lca = LcaIndex::new(&d);
-        let chain = DendroChain::new(&d, &lca, 3).unwrap();
+        let chain = Chain::new(&d, &lca, 3).unwrap();
         assert!(chain.len() >= 3);
         let mut prev = 0usize;
         for h in 0..chain.len() {
@@ -393,7 +272,7 @@ mod tests {
         let g = line(8);
         let d = dendro(&g);
         let lca = LcaIndex::new(&d);
-        let chain = DendroChain::new(&d, &lca, 3).unwrap();
+        let chain = Chain::new(&d, &lca, 3).unwrap();
         assert_eq!(chain.level_of(3), Some(0));
         for u in 0..8 {
             let h = chain.level_of(u).unwrap();
@@ -408,33 +287,21 @@ mod tests {
     }
 
     #[test]
-    fn subgraph_chain_maps_to_global_ids() {
-        let g = line(8);
-        let members: Vec<NodeId> = vec![2, 3, 4, 5];
-        let sub = Subgraph::induced(&g, &members);
-        let sd = dendro(&sub.csr);
-        let lca = LcaIndex::new(&sd);
-        let chain = SubgraphChain::new(&sub, &sd, &lca, 3, true).unwrap();
-        // Top community is the whole subgraph, in global ids.
-        assert_eq!(chain.members(chain.len() - 1), members);
-        assert!(chain.level_of(0).is_none(), "node outside subgraph");
-        assert_eq!(chain.level_of(3), Some(0));
+    fn single_node_chain_is_empty() {
+        let d = Dendrogram::singleton();
+        let lca = LcaIndex::new(&d);
+        let chain = Chain::new(&d, &lca, 0).unwrap();
+        assert!(chain.is_empty());
+        assert_eq!(chain.level_of(0), None);
+        assert_eq!(chain.universe(), vec![0]);
+        assert!(matches!(
+            Chain::new(&d, &lca, 1),
+            Err(CodError::InvalidQuery(_))
+        ));
     }
 
     #[test]
-    fn subgraph_chain_can_exclude_root() {
-        let g = line(8);
-        let members: Vec<NodeId> = vec![2, 3, 4, 5];
-        let sub = Subgraph::induced(&g, &members);
-        let sd = dendro(&sub.csr);
-        let lca = LcaIndex::new(&sd);
-        let with_root = SubgraphChain::new(&sub, &sd, &lca, 3, true).unwrap();
-        let without = SubgraphChain::new(&sub, &sd, &lca, 3, false).unwrap();
-        assert_eq!(without.len() + 1, with_root.len());
-    }
-
-    #[test]
-    fn composed_chain_stitches_lower_and_upper() {
+    fn local_chain_under_c_ell_stitches_lower_and_upper() {
         let g = line(8);
         let d = dendro(&g);
         let lca = LcaIndex::new(&d);
@@ -445,11 +312,11 @@ mod tests {
             .find(|&&v| d.size(v) >= 3)
             .expect("some ancestor has size >= 3");
         let members = d.members_sorted(c_ell);
+        assert!(members.len() < 8, "C_ℓ is a proper community");
         let sub = Subgraph::induced(&g, &members);
         let sd = dendro(&sub.csr);
         let slca = LcaIndex::new(&sd);
-        let lower = SubgraphChain::new(&sub, &sd, &slca, 3, true).unwrap();
-        let chain = ComposedChain::new(lower, &d, &lca, c_ell).unwrap();
+        let chain = Chain::local(&sub, &sd, &slca, 3, Some((&d, &lca, c_ell))).unwrap();
         // Chain sizes strictly increase and the top is the whole graph.
         let mut prev = 0usize;
         for h in 0..chain.len() {
@@ -465,6 +332,35 @@ mod tests {
             if h > 0 {
                 assert!(!chain.members(h - 1).contains(&u));
             }
+        }
+        // Without `above`, the chain stops below the subgraph root and
+        // agrees with the stitched one there.
+        let below = Chain::local(&sub, &sd, &slca, 3, None).unwrap();
+        let upper = (d.depth(c_ell) - 1) as usize;
+        assert_eq!(below.len() + 1 + upper, chain.len());
+        assert_eq!(below.universe(), members);
+        for u in 0..8 {
+            let h = chain.level_of(u).filter(|&h| h < below.len());
+            assert_eq!(below.level_of(u), h, "u={u}");
+        }
+        for h in 0..below.len() {
+            assert_eq!(below.members(h), chain.members(h));
+        }
+        let outside = (0..8).find(|u| !members.contains(u)).unwrap();
+        assert!(matches!(
+            Chain::local(&sub, &sd, &slca, outside, None),
+            Err(CodError::InvalidQuery(_))
+        ));
+        assert!(matches!(
+            Chain::local(&sub, &d, &lca, 3, None),
+            Err(CodError::GraphFormat(_))
+        ));
+        let past = d.num_vertices() as VertexId;
+        for bad in [past, d.leaf(3)] {
+            assert!(matches!(
+                Chain::local(&sub, &sd, &slca, 3, Some((&d, &lca, bad))),
+                Err(CodError::GraphFormat(_))
+            ));
         }
     }
 }

@@ -138,7 +138,7 @@ pub struct EvalOptions<'a> {
 pub fn compressed_cod(
     g: &Csr,
     model: Model,
-    chain: &impl Chain,
+    chain: &Chain<'_>,
     q: NodeId,
     k: usize,
     theta_per_node: usize,
@@ -445,7 +445,7 @@ fn stage1_memory_estimate(
 /// the restricted sampler's `keep` and every HFS level lookup. The table
 /// ends at the largest universe node; [`level`] reads past it as
 /// `u32::MAX`.
-fn fill_levels(chain: &impl Chain, universe: &[NodeId], levels: &mut Vec<u32>) {
+fn fill_levels(chain: &Chain<'_>, universe: &[NodeId], levels: &mut Vec<u32>) {
     let m = chain.len() as u32;
     levels.clear();
     levels.resize(universe.last().map_or(0, |&v| v as usize + 1), u32::MAX);
@@ -497,11 +497,11 @@ fn draw_and_record<R: Rng>(
 /// Shared argument validation for the evaluation entry points. `Ok(false)`
 /// means the chain is empty and the caller should return
 /// [`CodOutcome::empty`].
-fn validate_chain_query(chain: &impl Chain, q: NodeId, k: usize) -> CodResult<bool> {
+fn validate_chain_query(chain: &Chain<'_>, q: NodeId, k: usize) -> CodResult<bool> {
     if k == 0 {
         return Err(CodError::InvalidQuery("top-k requires k >= 1".into()));
     }
-    if chain.len() == 0 {
+    if chain.is_empty() {
         return Ok(false);
     }
     if chain.level_of(q) != Some(0) {
@@ -862,7 +862,6 @@ use cod_graph::FxHashSet;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::DendroChain;
     use cod_graph::GraphBuilder;
     use cod_hierarchy::{cluster_unweighted, Dendrogram, LcaIndex, Linkage};
 
@@ -870,7 +869,7 @@ mod tests {
     /// drawn from `rng`.
     fn eval(
         g: &Csr,
-        chain: &impl Chain,
+        chain: &Chain<'_>,
         q: NodeId,
         k: usize,
         theta: usize,
@@ -913,7 +912,7 @@ mod tests {
         let merges = cluster_unweighted(&g, Linkage::Average);
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
-        let chain = DendroChain::new(&d, &lca, 0).unwrap();
+        let chain = Chain::new(&d, &lca, 0).unwrap();
         let mut rng = SmallRng::seed_from_u64(1);
         let out = eval(&g, &chain, 0, 1, 200, None, &mut rng).unwrap();
         // Node 0 dominates its star and the whole graph: the characteristic
@@ -928,7 +927,7 @@ mod tests {
         let merges = cluster_unweighted(&g, Linkage::Average);
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
-        let chain = DendroChain::new(&d, &lca, 9).unwrap();
+        let chain = Chain::new(&d, &lca, 9).unwrap();
         let mut rng = SmallRng::seed_from_u64(2);
         let out = eval(&g, &chain, 9, 1, 400, None, &mut rng).unwrap();
         assert!(
@@ -949,7 +948,7 @@ mod tests {
         let merges = cluster_unweighted(&g, Linkage::Average);
         let d = Dendrogram::from_merges(6, &merges);
         let lca = LcaIndex::new(&d);
-        let chain = DendroChain::new(&d, &lca, 0).unwrap();
+        let chain = Chain::new(&d, &lca, 0).unwrap();
         let mut rng = SmallRng::seed_from_u64(3);
         let out = eval(&g, &chain, 0, 1, 300, None, &mut rng).unwrap();
         for (h, &r) in out.ranks.iter().enumerate() {
@@ -964,7 +963,7 @@ mod tests {
         let merges = cluster_unweighted(&g, Linkage::Average);
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
-        let chain = DendroChain::new(&d, &lca, 0).unwrap();
+        let chain = Chain::new(&d, &lca, 0).unwrap();
         let mut rng = SmallRng::seed_from_u64(4);
         let out = eval(&g, &chain, 0, 1, 500, None, &mut rng).unwrap();
         // σ is monotone along the chain for a fixed node (more reachable
@@ -1080,7 +1079,7 @@ mod tests {
         let merges = cluster_unweighted(&g, Linkage::Average);
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
-        let chain = DendroChain::new(&d, &lca, 0).unwrap();
+        let chain = Chain::new(&d, &lca, 0).unwrap();
         let mut rng = SmallRng::seed_from_u64(8);
         let err = eval(&g, &chain, 0, 0, 10, None, &mut rng).unwrap_err();
         assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
@@ -1092,7 +1091,7 @@ mod tests {
         let merges = cluster_unweighted(&g, Linkage::Average);
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
-        let chain = DendroChain::new(&d, &lca, 0).unwrap();
+        let chain = Chain::new(&d, &lca, 0).unwrap();
         let mut rng = SmallRng::seed_from_u64(9);
         // θ=100 per node would mean 1000 samples; a budget of 40 truncates.
         let out = eval(&g, &chain, 0, 1, 100, Some(40), &mut rng).unwrap();
@@ -1110,7 +1109,7 @@ mod tests {
         let merges = cluster_unweighted(&g, Linkage::Average);
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
-        let chain = DendroChain::new(&d, &lca, 0).unwrap();
+        let chain = Chain::new(&d, &lca, 0).unwrap();
         let mut rng = SmallRng::seed_from_u64(10);
         let err = eval(&g, &chain, 0, 1, 100, Some(0), &mut rng).unwrap_err();
         assert!(
@@ -1124,7 +1123,7 @@ mod tests {
         let g = GraphBuilder::new(1).build();
         let d = Dendrogram::singleton();
         let lca = LcaIndex::new(&d);
-        let chain = DendroChain::new(&d, &lca, 0).unwrap();
+        let chain = Chain::new(&d, &lca, 0).unwrap();
         let mut rng = SmallRng::seed_from_u64(6);
         let out = eval(&g, &chain, 0, 1, 10, None, &mut rng).unwrap();
         assert!(out.best_level.is_none());

@@ -111,6 +111,11 @@ pub struct DynamicCod {
     /// of inserted/removed edges (and overlay-grown nodes).
     topo: DeltaCsr,
     attrs: Vec<Vec<AttrId>>,
+    /// How many entries of `attrs` name each id, up to the largest id
+    /// held. With the interned names it gives the attribute range
+    /// [`DynamicCod::set_attrs`] accepts: the current graph's
+    /// `num_attrs()`, whenever it was last flushed.
+    holders: Vec<usize>,
     interner: AttrInterner,
     /// Fraction of `|E|` worth of edits that triggers a full rebuild.
     rebuild_threshold: f64,
@@ -222,9 +227,15 @@ impl DynamicCod {
     }
 
     fn shell(g: Arc<AttributedGraph>, cfg: CodConfig, himor_seed: u64, cache: Cache) -> Self {
+        let attrs = node_attrs(&g);
+        let mut holders = vec![0; g.attrs().max_attr_plus_one()];
+        for &a in attrs.iter().flatten() {
+            holders[a as usize] += 1;
+        }
         Self {
             topo: DeltaCsr::new(g.csr().clone()),
-            attrs: node_attrs(&g),
+            attrs,
+            holders,
             interner: g.interner().clone(),
             rebuild_threshold: 0.02,
             engine: CodEngine::from_parts(g, cfg, cache.hier.clone(), cache.index.clone()),
@@ -323,12 +334,24 @@ impl DynamicCod {
     }
 
     /// Replaces the attribute set of a node. Errors with
-    /// [`CodError::InvalidQuery`] if `v` is outside the node range.
+    /// [`CodError::InvalidQuery`], before anything changes, if `v` is
+    /// outside the node range or an attribute id is past the current
+    /// attribute range: the interned names or one past the largest id a
+    /// node holds now, whichever is larger. A new attribute comes from
+    /// [`DynamicCod::intern_attr`], so one event can never size the
+    /// per-attribute tables by an arbitrary id, and the range depends on
+    /// the events alone, never on when a flush ran.
     pub fn set_attrs(&mut self, v: NodeId, attrs: Vec<AttrId>) -> CodResult<()> {
         if (v as usize) >= self.num_nodes() {
             return Err(CodError::InvalidQuery(format!(
                 "set_attrs target {v} out of range (graph has {} nodes)",
                 self.num_nodes()
+            )));
+        }
+        let range = self.interner.len().max(self.holders.len());
+        if let Some(&a) = attrs.iter().find(|&&a| a as usize >= range) {
+            return Err(CodError::InvalidQuery(format!(
+                "set_attrs attribute {a} out of range (graph has {range} attributes)"
             )));
         }
         // The footprint covers old ∪ new attributes: artifacts and pools
@@ -342,6 +365,18 @@ impl DynamicCod {
                 .copied()
                 .chain(attrs.iter().copied()),
         );
+        for &a in &self.attrs[v as usize] {
+            self.holders[a as usize] -= 1;
+        }
+        for &a in &attrs {
+            if a as usize >= self.holders.len() {
+                self.holders.resize(a as usize + 1, 0);
+            }
+            self.holders[a as usize] += 1;
+        }
+        while self.holders.last() == Some(&0) {
+            self.holders.pop();
+        }
         self.attrs[v as usize] = attrs;
         self.unflushed += 1;
         self.cache.csr_stale = true; // attribute table lives in the served graph
@@ -751,13 +786,62 @@ mod tests {
         let g = star_graph();
         let mut rng = SmallRng::seed_from_u64(67);
         let mut dyn_cod = DynamicCod::new(&g, cfg(), &mut rng).unwrap();
-        let err = dyn_cod.set_attrs(99, vec![0]).unwrap_err();
-        assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
+        assert_eq!(g.num_attrs(), 1);
+        // A node past the node range, then ids past the attribute range.
+        for (node, attrs) in [(99, vec![0]), (3, vec![1]), (3, vec![0, u32::MAX - 1])] {
+            let err = dyn_cod.set_attrs(node, attrs.clone()).unwrap_err();
+            assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
+            let err = dyn_cod
+                .apply(&Mutation::SetAttrs { node, attrs })
+                .unwrap_err();
+            assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
+        }
+        let err = dyn_cod.set_attrs(3, vec![1]).unwrap_err();
+        assert!(err.to_string().contains("graph has 1 attributes"), "{err}");
         assert_eq!(
             dyn_cod.metrics_snapshot().mutations_set_attrs,
             0,
             "rejected edits uncounted"
         );
+        assert_eq!(dyn_cod.graph().unwrap().num_attrs(), 1);
+        // The last id of the range is accepted, and an interned name widens
+        // the range by one.
+        dyn_cod.set_attrs(3, vec![0]).unwrap();
+        let b = dyn_cod.intern_attr("B");
+        assert_eq!(b, 1);
+        dyn_cod.set_attrs(3, vec![0, b]).unwrap();
+        assert!(dyn_cod.set_attrs(3, vec![2]).is_err());
+        assert_eq!(dyn_cod.graph().unwrap().node_attrs(3), &[0, b]);
+    }
+
+    #[test]
+    fn the_attribute_range_follows_events_not_flushes() {
+        // Ids 0..=4 with no names; node 7 alone holds id 4.
+        let mut lists: Vec<Vec<AttrId>> = (0..8).map(|v| vec![v % 4]).collect();
+        lists[7] = vec![4];
+        let g = AttributedGraph::from_parts(
+            star_graph().csr().clone(),
+            AttrTable::from_lists(lists),
+            AttrInterner::new(),
+        );
+        assert_eq!(g.num_attrs(), 5);
+        // Clearing the only holder of id 4 shrinks the range to 4 whether
+        // or not a flush runs before the next event, and an instance
+        // restarted from the flushed graph, as recovery restarts from a
+        // checkpoint, agrees.
+        for flush_between in [false, true] {
+            let mut d = DynamicCod::with_seed(&g, cfg(), 5).unwrap();
+            d.set_attrs(7, vec![]).unwrap();
+            if flush_between {
+                d.flush().unwrap();
+            }
+            let err = d.set_attrs(7, vec![4]).unwrap_err();
+            assert!(err.to_string().contains("graph has 4 attributes"), "{err}");
+            d.set_attrs(7, vec![3]).unwrap();
+            let mut restarted = DynamicCod::with_seed(d.graph().unwrap(), cfg(), 5).unwrap();
+            assert!(restarted.set_attrs(0, vec![4]).is_err());
+            restarted.set_attrs(0, vec![3]).unwrap();
+        }
     }
 
     #[test]

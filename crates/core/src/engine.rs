@@ -6,8 +6,9 @@
 //! non-attributed hierarchy `T` (+ LCA), the HIMOR index — behind `Arc`,
 //! and layers four kinds of reuse on top:
 //!
-//! 1. an **artifact cache** ([`ReclusterCache`]) keyed by `(attr, β,
-//!    linkage)` for CODR's global `T_ℓ` and LORE's local `C_ℓ` hierarchies;
+//! 1. an **artifact cache** ([`crate::cache`]) keyed by the attribute
+//!    for CODR's global `T_ℓ` and LORE's local `C_ℓ` (plus its vertex)
+//!    hierarchies;
 //! 2. one **LORE `Δ` table** per attribute over `T` ([`DeltaTable`]), built
 //!    by the first CODL or CODL⁻ plan of that attribute, so later plans
 //!    choose `C_ℓ` by walking `q`'s root path instead of scanning `|E|`;
@@ -43,7 +44,7 @@ use cod_influence::{par_ranges, CancelToken, Parallelism, SeedSequence};
 use rand::prelude::*;
 
 use crate::cache::{LocalRecluster, ReclusterCache};
-use crate::chain::{Chain, ComposedChain, DendroChain, SubgraphChain};
+use crate::chain::Chain;
 use crate::compressed::{compressed_cod, CodOutcome, EvalOptions, Samples};
 use crate::error::{CodError, CodResult};
 use crate::failpoint;
@@ -117,99 +118,29 @@ impl Query {
 /// references, so the plan stores the owning `Arc`s and the chain is
 /// rebuilt (cheaply, and deterministically) at evaluation time.
 enum EvalArtifacts {
-    /// `DendroChain` over a whole-graph hierarchy (`T` for CODU/CODL⁻
+    /// `q`'s root path in a whole-graph hierarchy (`T` for CODU/CODL⁻
     /// without a LORE choice, `T_ℓ` for CODR).
     Whole(Arc<Hierarchy>),
-    /// CODL⁻: subgraph chain inside `C_ℓ` (root included) composed with
-    /// the ancestors of `C_ℓ` in `T`.
-    ComposedLocal {
-        base: Arc<Hierarchy>,
+    /// `q`'s path inside the reclustered `C_ℓ`: for CODL⁻, `above` holds
+    /// `T` and `C_ℓ`'s vertex in it, so the root is kept and `C_ℓ`'s
+    /// ancestors follow; for a CODL index miss it is `None` and the root
+    /// is left out (Algorithm 3 already ruled it out via the index).
+    Local {
         local: Arc<LocalRecluster>,
-        c_ell: VertexId,
+        above: Option<(Arc<Hierarchy>, VertexId)>,
     },
-    /// CODL index miss: subgraph chain inside `C_ℓ`, root excluded
-    /// (Algorithm 3 already ruled it out via the index).
-    SubLocal { local: Arc<LocalRecluster> },
 }
 
-/// A chain borrowing from [`EvalArtifacts`] — the one shape compressed
-/// evaluation sees.
-enum AnyChain<'a> {
-    Dendro(DendroChain<'a>),
-    Sub(SubgraphChain<'a>),
-    Composed(ComposedChain<'a>),
-}
-
-impl Chain for AnyChain<'_> {
-    fn len(&self) -> usize {
-        match self {
-            AnyChain::Dendro(c) => c.len(),
-            AnyChain::Sub(c) => c.len(),
-            AnyChain::Composed(c) => c.len(),
-        }
-    }
-
-    fn size(&self, h: usize) -> usize {
-        match self {
-            AnyChain::Dendro(c) => c.size(h),
-            AnyChain::Sub(c) => c.size(h),
-            AnyChain::Composed(c) => c.size(h),
-        }
-    }
-
-    fn level_of(&self, u: NodeId) -> Option<usize> {
-        match self {
-            AnyChain::Dendro(c) => c.level_of(u),
-            AnyChain::Sub(c) => c.level_of(u),
-            AnyChain::Composed(c) => c.level_of(u),
-        }
-    }
-
-    fn members(&self, h: usize) -> Vec<NodeId> {
-        match self {
-            AnyChain::Dendro(c) => c.members(h),
-            AnyChain::Sub(c) => c.members(h),
-            AnyChain::Composed(c) => c.members(h),
-        }
-    }
-
-    fn universe(&self) -> Vec<NodeId> {
-        match self {
-            AnyChain::Dendro(c) => c.universe(),
-            AnyChain::Sub(c) => c.universe(),
-            AnyChain::Composed(c) => c.universe(),
-        }
-    }
-
-    fn label(&self, h: usize) -> String {
-        match self {
-            AnyChain::Dendro(c) => c.label(h),
-            AnyChain::Sub(c) => c.label(h),
-            AnyChain::Composed(c) => c.label(h),
-        }
-    }
-}
-
-fn build_chain<'a>(artifacts: &'a EvalArtifacts, q: NodeId) -> CodResult<AnyChain<'a>> {
+fn build_chain(artifacts: &EvalArtifacts, q: NodeId) -> CodResult<Chain<'_>> {
     match artifacts {
-        EvalArtifacts::Whole(h) => Ok(AnyChain::Dendro(DendroChain::new(&h.dendro, &h.lca, q)?)),
-        EvalArtifacts::ComposedLocal { base, local, c_ell } => {
-            let lower =
-                SubgraphChain::new(&local.sub, &local.hier.dendro, &local.hier.lca, q, true)?;
-            Ok(AnyChain::Composed(ComposedChain::new(
-                lower,
-                &base.dendro,
-                &base.lca,
-                *c_ell,
-            )?))
-        }
-        EvalArtifacts::SubLocal { local } => Ok(AnyChain::Sub(SubgraphChain::new(
+        EvalArtifacts::Whole(h) => Chain::new(&h.dendro, &h.lca, q),
+        EvalArtifacts::Local { local, above } => Chain::local(
             &local.sub,
             &local.hier.dendro,
             &local.hier.lca,
             q,
-            false,
-        )?)),
+            above.as_ref().map(|(t, c_ell)| (&t.dendro, &t.lca, *c_ell)),
+        ),
     }
 }
 
@@ -249,7 +180,7 @@ const SCRATCH_POOL_CAP: usize = 64;
 /// construction, enough for a coarse best-effort verdict.
 const FALLBACK_BUDGET: usize = 256;
 
-/// Default [`ReclusterCache`] capacity.
+/// Default capacity of the engine's recluster cache ([`crate::cache`]).
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 
 /// Base retry-after hint handed out with the first shed of a streak; each
@@ -577,12 +508,11 @@ impl CodEngine {
         attr: AttrId,
         cancel: Option<&CancelToken>,
     ) -> Option<(Arc<Hierarchy>, bool)> {
-        self.cache
-            .try_global(attr, self.cfg.beta, self.cfg.linkage, || {
-                failpoint::hit(failpoint::Site::CacheBuild, cancel);
-                global_recluster_governed(&self.g, attr, self.cfg.beta, self.cfg.linkage, cancel)
-                    .map(|d| Arc::new(Hierarchy::new(d)))
-            })
+        self.cache.try_global(attr, || {
+            failpoint::hit(failpoint::Site::CacheBuild, cancel);
+            global_recluster_governed(&self.g, attr, self.cfg.beta, self.cfg.linkage, cancel)
+                .map(|d| Arc::new(Hierarchy::new(d)))
+        })
     }
 
     /// LORE's local artifact for `(attr, vertex)`, through the cache,
@@ -595,23 +525,22 @@ impl CodEngine {
         vertex: VertexId,
         cancel: Option<&CancelToken>,
     ) -> Option<(Arc<LocalRecluster>, bool)> {
-        self.cache
-            .try_local(attr, self.cfg.beta, self.cfg.linkage, vertex, || {
-                failpoint::hit(failpoint::Site::CacheBuild, cancel);
-                let members = base.dendro.members_sorted(vertex);
-                let (sub, sd) = local_recluster_governed(
-                    &self.g,
-                    &members,
-                    attr,
-                    self.cfg.beta,
-                    self.cfg.linkage,
-                    cancel,
-                )?;
-                Some(Arc::new(LocalRecluster {
-                    sub,
-                    hier: Hierarchy::new(sd),
-                }))
-            })
+        self.cache.try_local(attr, vertex, || {
+            failpoint::hit(failpoint::Site::CacheBuild, cancel);
+            let members = base.dendro.members_sorted(vertex);
+            let (sub, sd) = local_recluster_governed(
+                &self.g,
+                &members,
+                attr,
+                self.cfg.beta,
+                self.cfg.linkage,
+                cancel,
+            )?;
+            Some(Arc::new(LocalRecluster {
+                sub,
+                hier: Hierarchy::new(sd),
+            }))
+        })
     }
 
     /// Claims an in-flight slot. `Ok(None)` when no cap is configured;
@@ -1049,7 +978,7 @@ impl CodEngine {
                             Some((local, hit)) => {
                                 record_lookup(sink, hit, t0);
                                 cache_outcome = hit_to_outcome(hit);
-                                EvalArtifacts::SubLocal { local }
+                                EvalArtifacts::Local { local, above: None }
                             }
                             None => {
                                 record_lookup(sink, false, t0);
@@ -1123,10 +1052,9 @@ impl CodEngine {
                     Some((local, hit)) => {
                         record_lookup(sink, hit, t0);
                         *cache_outcome = hit_to_outcome(hit);
-                        EvalArtifacts::ComposedLocal {
-                            base,
+                        EvalArtifacts::Local {
                             local,
-                            c_ell: choice.vertex,
+                            above: Some((base, choice.vertex)),
                         }
                     }
                     None => {
@@ -1186,7 +1114,7 @@ impl CodEngine {
     /// and `θ`.
     fn compressed(
         &self,
-        chain: &impl Chain,
+        chain: &Chain<'_>,
         q: NodeId,
         samples: Samples<'_>,
         opts: EvalOptions<'_>,
@@ -1213,7 +1141,7 @@ impl CodEngine {
         &self,
         q: NodeId,
         attr: Option<AttrId>,
-        chain: &AnyChain<'_>,
+        chain: &Chain<'_>,
         par: Parallelism,
         ws: &mut QueryScratch,
         cancel: Option<&CancelToken>,
@@ -1255,7 +1183,7 @@ impl CodEngine {
     fn finish(
         &self,
         q: NodeId,
-        chain: &impl Chain,
+        chain: &Chain<'_>,
         out: CodOutcome,
         cache: Option<CacheOutcome>,
         degraded: Option<Method>,
@@ -1287,7 +1215,7 @@ impl CodEngine {
         ws: &mut QueryScratch,
     ) -> CodResult<Option<CodAnswer>> {
         let base = self.base_hierarchy();
-        let chain = DendroChain::new(&base.dendro, &base.lca, q)?;
+        let chain = Chain::new(&base.dendro, &base.lca, q)?;
         if chain.is_empty() {
             return Err(CodError::DeadlineExceeded);
         }
@@ -1324,7 +1252,7 @@ impl std::fmt::Debug for CodEngine {
 }
 
 /// Packages a compressed outcome into a [`CodAnswer`].
-fn package(chain: &impl Chain, out: CodOutcome, cache: Option<CacheOutcome>) -> Option<CodAnswer> {
+fn package(chain: &Chain<'_>, out: CodOutcome, cache: Option<CacheOutcome>) -> Option<CodAnswer> {
     let level = out.best_level?;
     Some(CodAnswer {
         members: chain.members(level),

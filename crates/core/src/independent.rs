@@ -19,7 +19,7 @@ use crate::compressed::CodOutcome;
 pub fn independent_cod<R: Rng>(
     g: &Csr,
     model: Model,
-    chain: &impl Chain,
+    chain: &Chain<'_>,
     q: NodeId,
     k: usize,
     theta_per_node: usize,
@@ -65,7 +65,6 @@ pub fn independent_cod<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::DendroChain;
     use cod_graph::GraphBuilder;
     use cod_hierarchy::{cluster_unweighted, Dendrogram, LcaIndex, Linkage};
 
@@ -79,7 +78,7 @@ mod tests {
         let merges = cluster_unweighted(&g, Linkage::Average);
         let d = Dendrogram::from_merges(6, &merges);
         let lca = LcaIndex::new(&d);
-        let chain = DendroChain::new(&d, &lca, 0).unwrap();
+        let chain = Chain::new(&d, &lca, 0).unwrap();
         let mut rng = SmallRng::seed_from_u64(9);
         let out = independent_cod(&g, Model::WeightedCascade, &chain, 0, 1, 200, &mut rng);
         assert_eq!(out.best_level, Some(chain.len() - 1));
@@ -98,7 +97,7 @@ mod tests {
         let merges = cluster_unweighted(&g, Linkage::Average);
         let d = Dendrogram::from_merges(4, &merges);
         let lca = LcaIndex::new(&d);
-        let chain = DendroChain::new(&d, &lca, 1).unwrap();
+        let chain = Chain::new(&d, &lca, 1).unwrap();
         let mut rng = SmallRng::seed_from_u64(10);
         let out = independent_cod(&g, Model::WeightedCascade, &chain, 1, 1, 3, &mut rng);
         let expected: usize = (0..chain.len()).map(|h| 3 * chain.size(h)).sum();

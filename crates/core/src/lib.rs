@@ -5,9 +5,10 @@
 //! hierarchy in which `q` is top-`k` influential (Definition 1). This crate
 //! implements:
 //!
-//! * [`chain`] — the hierarchical-community chain `H(q)` abstraction that
-//!   evaluation runs over (a dendrogram root path, a reclustered-subgraph
-//!   path, or the LORE composition of both);
+//! * [`chain`] — the chain of nested communities around `q` that
+//!   evaluation runs over: `q`'s path inside a reclustered community,
+//!   stacked on ancestors in a whole-graph hierarchy, either part possibly
+//!   absent (`H(q)`, the CODL index-miss chain and LORE's `H_ℓ(q)`);
 //! * [`compressed`] — **Algorithm 1**: compressed COD evaluation with shared
 //!   sample generation, hierarchical-first search and incremental top-k
 //!   evaluation (§III);
@@ -61,8 +62,8 @@ pub mod scratch;
 pub mod telemetry;
 pub mod wal;
 
-pub use cache::{CacheStats, ReclusterCache};
-pub use chain::{Chain, ComposedChain, DendroChain, SubgraphChain};
+pub use cache::CacheStats;
+pub use chain::Chain;
 pub use codx::{save_artifacts, serialize_artifacts, MappedArtifacts, CODX_V3};
 pub use compressed::{compressed_cod, resolve_theta, CodOutcome, EvalOptions, Samples};
 pub use dynamic::{DynamicCod, FlushOutcome, MutationFlushReport};

@@ -183,7 +183,7 @@ pub enum AnswerSource {
 /// artifact cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// The `(attr, β, linkage)` artifact was already resident.
+    /// The query attribute's artifact was already resident.
     Hit,
     /// The artifact was built for this query (and cached for the next).
     Miss,

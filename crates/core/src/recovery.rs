@@ -577,7 +577,7 @@ fn parse_checkpoint_id(snapshot: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cod_graph::{AttrInterner, AttrTable, GraphBuilder, NodeId};
+    use cod_graph::{AttrId, AttrInterner, AttrTable, GraphBuilder, NodeId};
     use cod_influence::Model;
 
     fn star_graph() -> AttributedGraph {
@@ -757,45 +757,81 @@ mod tests {
     }
 
     #[test]
-    fn an_out_of_range_insert_is_rolled_back_and_halts_a_replay_that_holds_it() {
-        let dir = tmp_dir("far_insert");
+    fn an_out_of_range_event_is_rolled_back_and_halts_a_replay_that_holds_it() {
+        // The star graph with node 0 bare, so that an accepted SetAttrs
+        // shows in the recovered graph.
         let g = star_graph();
-        let mut d = DurableCod::create(&dir, &g, cfg(), 5, DurabilityConfig::default()).unwrap();
-        let far = Mutation::InsertEdge {
-            u: 0,
-            v: u32::MAX - 1,
-        };
-        let err = d.apply(&far).unwrap_err();
-        assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
-        assert_eq!(d.wal_records(), 0, "rejected event left no WAL record");
-        assert_eq!(d.events_total(), 0);
-        // The next node id is still accepted, and the directory reopens.
-        let n = g.num_nodes() as NodeId;
-        assert!(d.apply(&Mutation::InsertEdge { u: 0, v: n }).unwrap());
-        drop(d);
-        let (mut d, report) = DurableCod::open(&dir, cfg(), DurabilityConfig::default()).unwrap();
-        assert_eq!(report.replayed, 1);
-        assert_eq!(d.engine().num_nodes(), g.num_nodes() + 1);
-        // A WAL that already holds such a record halts replay at it.
-        d.wal.append(&far).unwrap();
-        d.flush_wal().unwrap();
-        drop(d);
-        let err = match DurableCod::open(&dir, cfg(), DurabilityConfig::default()) {
-            Err(e) => e,
-            Ok(_) => panic!("replaying an out-of-range insert must fail"),
-        };
-        assert!(
-            matches!(
-                err,
-                CodError::ReplayHalted {
-                    applied: 1,
-                    failed_event: 2,
-                    ..
-                }
-            ),
-            "{err}"
+        let mut lists = vec![vec![0]; g.num_nodes()];
+        lists[0].clear();
+        let g = AttributedGraph::from_parts(
+            g.csr().clone(),
+            AttrTable::from_lists(lists),
+            g.interner().clone(),
         );
-        std::fs::remove_dir_all(&dir).ok();
+        let (n, a) = (g.num_nodes() as NodeId, g.num_attrs() as AttrId);
+        // Each rejected event beside an accepted one at the edge of its
+        // range (the next node id, the last attribute id), and the node
+        // count and node 0's attributes once the accepted one is replayed.
+        let cases = [
+            (
+                Mutation::InsertEdge {
+                    u: 0,
+                    v: u32::MAX - 1,
+                },
+                Mutation::InsertEdge { u: 0, v: n },
+                (g.num_nodes() + 1, vec![]),
+            ),
+            (
+                Mutation::SetAttrs {
+                    node: 0,
+                    attrs: vec![a],
+                },
+                Mutation::SetAttrs {
+                    node: 0,
+                    attrs: vec![a - 1],
+                },
+                (g.num_nodes(), vec![a - 1]),
+            ),
+        ];
+        for (far, near, (nodes, attrs_of_0)) in &cases {
+            let dir = tmp_dir("far_event");
+            let mut d =
+                DurableCod::create(&dir, &g, cfg(), 5, DurabilityConfig::default()).unwrap();
+            let err = d.apply(far).unwrap_err();
+            assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
+            assert_eq!(d.wal_records(), 0, "rejected event left no WAL record");
+            assert_eq!(d.events_total(), 0);
+            // The in-range event is still accepted, and the directory
+            // reopens.
+            assert!(d.apply(near).unwrap());
+            drop(d);
+            let (mut d, report) =
+                DurableCod::open(&dir, cfg(), DurabilityConfig::default()).unwrap();
+            assert_eq!(report.replayed, 1);
+            let recovered = d.inner.graph().unwrap();
+            assert_eq!(recovered.num_nodes(), *nodes);
+            assert_eq!(recovered.node_attrs(0), attrs_of_0.as_slice());
+            // A WAL that already holds such a record halts replay at it.
+            d.wal.append(far).unwrap();
+            d.flush_wal().unwrap();
+            drop(d);
+            let err = match DurableCod::open(&dir, cfg(), DurabilityConfig::default()) {
+                Err(e) => e,
+                Ok(_) => panic!("replaying {far} must fail"),
+            };
+            assert!(
+                matches!(
+                    err,
+                    CodError::ReplayHalted {
+                        applied: 1,
+                        failed_event: 2,
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //!
 //! Run with: `cargo run --release --example hierarchy_explorer [node]`
 
-use pcod::cod::chain::Chain;
 use pcod::cod::compressed::{compressed_cod, EvalOptions, Samples};
 use pcod::cod::{lore, recluster};
 use pcod::prelude::*;
@@ -35,7 +34,7 @@ fn main() {
     // Build the non-attributed hierarchy T.
     let dendro = recluster::build_hierarchy(g.csr(), Linkage::Average);
     let lca = LcaIndex::new(&dendro);
-    let chain = DendroChain::new(&dendro, &lca, q).unwrap();
+    let chain = Chain::new(&dendro, &lca, q).unwrap();
     println!("|H(q)| = {} hierarchical communities", chain.len());
 
     // LORE's reclustering scores along the chain.

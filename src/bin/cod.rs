@@ -26,7 +26,6 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pcod::cod::chain::Chain;
 use pcod::cod::compressed::{compressed_cod, EvalOptions, Samples};
 use pcod::cod::recluster::build_hierarchy;
 use pcod::cod::{save_artifacts, MappedArtifacts};
@@ -915,7 +914,7 @@ fn cmd_hierarchy(opts: &Opts) -> Result<(), String> {
     let cfg = opts.cod_config();
     let dendro = build_hierarchy(g.csr(), cfg.linkage);
     let lca = LcaIndex::new(&dendro);
-    let chain = DendroChain::new(&dendro, &lca, q).map_err(|e| e.to_string())?;
+    let chain = Chain::new(&dendro, &lca, q).map_err(|e| e.to_string())?;
     let mut rng = SmallRng::seed_from_u64(opts.seed);
     let opts_eval = EvalOptions {
         par: cfg.parallelism,

@@ -58,8 +58,8 @@ pub use cod_serve as serve;
 pub mod prelude {
     pub use cod_core::{
         CacheOutcome, CacheStats, Chain, CodAnswer, CodConfig, CodEngine, CodError, CodResult,
-        ComposedChain, Counter, DendroChain, HimorIndex, Method, MetricsSnapshot, Phase, Query,
-        QueryLimits, QueryScratch, QueryTrace,
+        Counter, HimorIndex, Method, MetricsSnapshot, Phase, Query, QueryLimits, QueryScratch,
+        QueryTrace,
     };
     pub use cod_graph::{AttrId, AttributedGraph, Csr, GraphBuilder, NodeId};
     pub use cod_hierarchy::{Dendrogram, LcaIndex, Linkage};

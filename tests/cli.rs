@@ -616,16 +616,17 @@ fn mutate_rejects_a_malformed_log_with_a_line_number() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// An edge event naming a node id past the next one is a typed error
-/// (exit 1, no abort), and with `--wal` it leaves no record behind, so
-/// the directory still recovers.
-#[test]
-fn mutate_rejects_an_insert_past_the_next_node_id() {
-    let (edges, attrs) = path_graph_files("far", 12);
-    let log = TempFile::new("far_log", b"add 0 4294967294\n");
-    let wal = std::env::temp_dir().join(format!("cod-mutate-far-{}", std::process::id()));
+/// Replays the one-line mutation `log` against a 12-node path graph whose
+/// nodes all carry attribute `A`, plain and then with `--wal`: both runs
+/// must halt at event 1 with an error containing `msg` (exit 1, no
+/// abort), and the WAL must keep no record, so the directory still
+/// recovers.
+fn assert_mutate_rejects(tag: &str, log: &str, msg: &str) {
+    let (edges, attrs) = path_graph_files(tag, 12);
+    let log = TempFile::new(&format!("{tag}_log"), log.as_bytes());
+    let wal = std::env::temp_dir().join(format!("cod-mutate-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal);
-    let mutate = |durable: bool| {
+    for durable in [false, true] {
         let mut args = vec![
             "mutate",
             "--edges",
@@ -638,17 +639,13 @@ fn mutate_rejects_an_insert_past_the_next_node_id() {
         if durable {
             args.extend(["--wal", wal.to_str().unwrap(), "--fsync", "always"]);
         }
-        run(&args)
-    };
-    for durable in [false, true] {
-        let o = mutate(durable);
+        let o = run(&args);
         let err = stderr(&o);
         assert_eq!(o.status.code(), Some(1), "{err}");
         assert!(!err.contains("panicked"), "{err}");
         let last = err.lines().last().unwrap_or_default();
         assert!(
-            last.starts_with("error: replay halted at event 1")
-                && last.contains("endpoint 4294967294 out of range (graph has 12 nodes"),
+            last.starts_with("error: replay halted at event 1") && last.contains(msg),
             "{err}"
         );
     }
@@ -660,6 +657,29 @@ fn mutate_rejects_an_insert_past_the_next_node_id() {
         stdout(&o)
     );
     std::fs::remove_dir_all(&wal).ok();
+}
+
+/// An edge event naming a node id past the next one is a typed error.
+#[test]
+fn mutate_rejects_an_insert_past_the_next_node_id() {
+    assert_mutate_rejects(
+        "far",
+        "add 0 4294967294\n",
+        "endpoint 4294967294 out of range (graph has 12 nodes",
+    );
+}
+
+/// An attribute event naming an id past the graph's attribute range (here
+/// the one id of `A`) is a typed error.
+#[test]
+fn mutate_rejects_an_attribute_past_the_attribute_range() {
+    for (tag, log, id) in [
+        ("farattr", "attrs 0 1\n", 1u32),
+        ("hugeattr", "attrs 0 0,4294967294\n", 4294967294),
+    ] {
+        let msg = format!("attribute {id} out of range (graph has 1 attributes");
+        assert_mutate_rejects(tag, log, &msg);
+    }
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! Cross-crate edge-case tests: tiny graphs, degenerate parameters, and
 //! behavioural contracts that unit tests don't cover.
 
-use pcod::cod::chain::Chain;
 use pcod::cod::compressed::{compressed_cod, CodOutcome, EvalOptions, Samples};
 use pcod::cod::recluster::build_hierarchy;
 use pcod::graph::subgraph::Subgraph;
@@ -11,7 +10,7 @@ use rand::prelude::*;
 /// Compressed evaluation on one thread, its master seed drawn from `rng`.
 fn evaluate(
     g: &Csr,
-    chain: &DendroChain<'_>,
+    chain: &Chain<'_>,
     q: NodeId,
     k: usize,
     theta: usize,
@@ -54,7 +53,7 @@ fn k_at_least_community_size_accepts_every_level() {
     let g = &data.graph;
     let dendro = build_hierarchy(g.csr(), Linkage::Average);
     let lca = LcaIndex::new(&dendro);
-    let chain = DendroChain::new(&dendro, &lca, 0).unwrap();
+    let chain = Chain::new(&dendro, &lca, 0).unwrap();
     let mut rng = SmallRng::seed_from_u64(2);
     // k = |V| dominates every rank: best level must be the chain top.
     let out = evaluate(g.csr(), &chain, 0, 10, 200, &mut rng).unwrap();
@@ -119,7 +118,7 @@ fn divisive_hierarchy_supports_cod_queries() {
     let mut rng = SmallRng::seed_from_u64(5);
     let queries = pcod::datasets::gen_queries(g, 6, &mut rng);
     for &(q, _) in &queries {
-        let chain = DendroChain::new(&dendro, &lca, q).unwrap();
+        let chain = Chain::new(&dendro, &lca, q).unwrap();
         let out = evaluate(g.csr(), &chain, q, 5, 10, &mut rng).unwrap();
         assert_eq!(out.ranks.len(), chain.len());
         if let Some(h) = out.best_level {
@@ -191,7 +190,7 @@ fn chain_universe_matches_top_community() {
     let g = &data.graph;
     let dendro = build_hierarchy(g.csr(), Linkage::Average);
     let lca = LcaIndex::new(&dendro);
-    let chain = DendroChain::new(&dendro, &lca, 42).unwrap();
+    let chain = Chain::new(&dendro, &lca, 42).unwrap();
     assert_eq!(chain.universe(), chain.members(chain.len() - 1));
 }
 
@@ -267,7 +266,7 @@ fn pooled_zero_budget_nets_already_pooled_samples() {
     let g = two_node_graph();
     let dendro = build_hierarchy(g.csr(), Linkage::Average);
     let lca = LcaIndex::new(&dendro);
-    let chain = DendroChain::new(&dendro, &lca, 0).unwrap();
+    let chain = Chain::new(&dendro, &lca, 0).unwrap();
     let universe: Arc<Vec<NodeId>> = Arc::new(chain.universe().to_vec());
     assert_eq!(universe.len(), 2);
     let pool = RrPoolEntry::new(None, universe, false);

@@ -1,6 +1,5 @@
 //! Estimator-equivalence tests: the theorems of §II–§III hold numerically.
 
-use pcod::cod::chain::Chain;
 use pcod::cod::compressed::{compressed_cod, CodOutcome, EvalOptions, Samples};
 use pcod::cod::independent::independent_cod;
 use pcod::cod::recluster::build_hierarchy;
@@ -12,7 +11,7 @@ use rand::prelude::*;
 /// Compressed evaluation on one thread, its master seed drawn from `rng`.
 fn evaluate(
     g: &Csr,
-    chain: &DendroChain<'_>,
+    chain: &Chain<'_>,
     q: NodeId,
     k: usize,
     theta: usize,
@@ -77,7 +76,7 @@ fn compressed_matches_independent_at_high_theta() {
     let queries = pcod::datasets::gen_queries(g, 5, &mut rng);
     let k = 5;
     for &(q, _) in &queries {
-        let chain = DendroChain::new(&dendro, &lca, q).unwrap();
+        let chain = Chain::new(&dendro, &lca, q).unwrap();
         if chain.len() > 14 {
             continue; // keep Independent affordable
         }
@@ -113,7 +112,7 @@ fn compressed_sigma_is_calibrated() {
     let lca = LcaIndex::new(&dendro);
     let mut rng = SmallRng::seed_from_u64(10);
     let q = pcod::datasets::gen_queries(g, 1, &mut rng)[0].0;
-    let chain = DendroChain::new(&dendro, &lca, q).unwrap();
+    let chain = Chain::new(&dendro, &lca, q).unwrap();
     let out = evaluate(g.csr(), &chain, q, 5, 80, &mut rng);
     // Root-level sigma equals the global influence of q.
     let mut mc_rng = SmallRng::seed_from_u64(11);
@@ -172,7 +171,7 @@ fn himor_is_consistent_with_direct_evaluation() {
     let mut agreements = 0;
     let mut total = 0;
     for &(q, _) in &queries {
-        let chain = DendroChain::new(&dendro, &lca, q).unwrap();
+        let chain = Chain::new(&dendro, &lca, q).unwrap();
         let direct = evaluate(g.csr(), &chain, q, k, 60, &mut rng);
         let from_index = index.largest_top_k(&dendro, q, None, k);
         let direct_vertex = direct.best_level.map(|h| dendro.root_path(q)[h]);

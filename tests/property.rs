@@ -6,7 +6,7 @@ use cod_graph::FxHashMap;
 use pcod::cod::compressed::{compressed_cod, incremental_top_k, CodOutcome, EvalOptions, Samples};
 use pcod::cod::pool::RrPoolEntry;
 use pcod::cod::recluster::build_hierarchy;
-use pcod::cod::{select_recluster_community, DeltaTable, SubgraphChain};
+use pcod::cod::{select_recluster_community, DeltaTable};
 use pcod::graph::subgraph::Subgraph;
 use pcod::hierarchy::VertexId;
 use pcod::influence::{RrArena, RrGraph, RrView};
@@ -65,7 +65,7 @@ fn random_attributed(n: usize, extra_edges: usize, seed: u64, attrs: u32) -> Att
 /// shortcut, no HFS queues: the reference the compressed paths must equal
 /// bit for bit.
 fn definition3_outcome<'a>(
-    chain: &impl Chain,
+    chain: &Chain<'_>,
     draws: impl Iterator<Item = Option<RrView<'a>>>,
     q: NodeId,
     k: usize,
@@ -155,7 +155,7 @@ fn draw<R: Rng>(
 /// universe, drawn from the same RNG into `rr`. Returns whether it drew.
 fn replay_draw<R: Rng>(
     sampler: &mut RrSampler<'_>,
-    chain: &impl Chain,
+    chain: &Chain<'_>,
     universe: &[NodeId],
     rng: &mut R,
     rr: &mut RrGraph,
@@ -168,16 +168,28 @@ fn replay_draw<R: Rng>(
     true
 }
 
+/// Checks `chain` against the member sets read off its hierarchies,
+/// deepest first: its length, sizes, members and universe, and that
+/// `level_of(u)` is the first set holding `u` (`None` when no set does)
+/// for every node of the `n`-node graph.
+fn assert_chain_reads(chain: &Chain<'_>, sets: &[Vec<NodeId>], universe: &[NodeId], n: usize) {
+    assert_eq!(chain.len(), sets.len());
+    for (h, set) in sets.iter().enumerate() {
+        assert_eq!(chain.size(h), set.len(), "size of C_{h}");
+        assert_eq!(&chain.members(h), set, "members of C_{h}");
+    }
+    assert_eq!(chain.universe(), universe);
+    for u in 0..n as NodeId {
+        let first = sets.iter().position(|s| s.binary_search(&u).is_ok());
+        assert_eq!(chain.level_of(u), first, "level of node {u}");
+    }
+}
+
 /// Checks both sample sources of `compressed_cod` on `chain` against
 /// [`definition3_outcome`] over the very draws they made: per-index seeding
 /// at 1 and 2 threads, and a shared pool (the oracle reads the pool's own
 /// view).
-fn assert_compressed_matches_definition3(
-    g: &Csr,
-    chain: &(impl Chain + Sync),
-    q: NodeId,
-    seed: u64,
-) {
+fn assert_compressed_matches_definition3(g: &Csr, chain: &Chain<'_>, q: NodeId, seed: u64) {
     if chain.is_empty() {
         return;
     }
@@ -387,11 +399,13 @@ proptest! {
         prop_assert_eq!(out.best_level, best);
     }
 
-    /// Compressed evaluation equals the Definition-3 oracle bit for bit on
-    /// all three chain shapes: the whole-graph `DendroChain`, a
-    /// `SubgraphChain` over a proper community with its root excluded
-    /// (restricted sampling, and universe nodes in no chain community) and
-    /// the `ComposedChain` stitched onto that community.
+    /// Each of the three chains the methods evaluate reads what its
+    /// hierarchies hold, and compressed evaluation over it equals the
+    /// Definition-3 oracle bit for bit: `H(q)` in the whole-graph
+    /// hierarchy, `q`'s path in a reclustered proper community with its
+    /// root excluded (restricted sampling, and universe nodes in no chain
+    /// community), and that path with the root kept, stacked on the
+    /// community's ancestors.
     #[test]
     fn compressed_paths_match_the_definition3_oracle(
         n in 4usize..26,
@@ -404,10 +418,15 @@ proptest! {
         let d = build_hierarchy(&g, Linkage::Average);
         let lca = LcaIndex::new(&d);
         let q = (gseed % n as u64) as NodeId;
-        assert_compressed_matches_definition3(&g, &DendroChain::new(&d, &lca, q).unwrap(), q, seed);
-        let communities: Vec<u32> = d
-            .root_path(q)
-            .into_iter()
+        let path = d.root_path(q);
+        let everyone: Vec<NodeId> = (0..n as NodeId).collect();
+        let whole: Vec<Vec<NodeId>> = path.iter().map(|&v| d.members_sorted(v)).collect();
+        let chain = Chain::new(&d, &lca, q).unwrap();
+        assert_chain_reads(&chain, &whole, &everyone, n);
+        assert_compressed_matches_definition3(&g, &chain, q, seed);
+        let communities: Vec<u32> = path
+            .iter()
+            .copied()
             .filter(|&c| (3..n).contains(&d.size(c)))
             .collect();
         if !communities.is_empty() {
@@ -415,11 +434,25 @@ proptest! {
             let sub = Subgraph::induced(&g, &d.members_sorted(c));
             let sd = build_hierarchy(&sub.csr, Linkage::Average);
             let slca = LcaIndex::new(&sd);
-            let lower = SubgraphChain::new(&sub, &sd, &slca, q, false).unwrap();
-            assert_compressed_matches_definition3(&g, &lower, q, seed);
-            let lower = SubgraphChain::new(&sub, &sd, &slca, q, true).unwrap();
-            let composed = ComposedChain::new(lower, &d, &lca, c).unwrap();
-            assert_compressed_matches_definition3(&g, &composed, q, seed);
+            // `members` lists are ascending and `parent` is monotone, so
+            // the mapped sets stay sorted.
+            let lower: Vec<Vec<NodeId>> = sd
+                .root_path(sub.local(q).unwrap())
+                .iter()
+                .map(|&v| sd.members_sorted(v).iter().map(|&l| sub.parent(l)).collect())
+                .collect();
+            let chain = Chain::local(&sub, &sd, &slca, q, None).unwrap();
+            assert_chain_reads(&chain, &lower[..lower.len() - 1], &sub.members, n);
+            assert_compressed_matches_definition3(&g, &chain, q, seed);
+            let above = path.iter().skip_while(|&&v| v != c).skip(1);
+            let stitched: Vec<Vec<NodeId>> = lower
+                .iter()
+                .cloned()
+                .chain(above.map(|&v| d.members_sorted(v)))
+                .collect();
+            let chain = Chain::local(&sub, &sd, &slca, q, Some((&d, &lca, c))).unwrap();
+            assert_chain_reads(&chain, &stitched, &everyone, n);
+            assert_compressed_matches_definition3(&g, &chain, q, seed);
         }
     }
 

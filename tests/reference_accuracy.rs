@@ -26,7 +26,7 @@ use pcod::cod::compressed::{compressed_cod, EvalOptions, Samples};
 use pcod::cod::lore::select_recluster_community;
 use pcod::cod::pool::RrPoolEntry;
 use pcod::cod::recluster::{build_hierarchy, local_recluster};
-use pcod::cod::{CodOutcome, SubgraphChain};
+use pcod::cod::CodOutcome;
 use pcod::hierarchy::Hierarchy;
 use pcod::prelude::*;
 use rand::prelude::*;
@@ -56,7 +56,7 @@ struct Tally {
 }
 
 impl Tally {
-    fn score(&mut self, chain: &impl Chain, answer: &CodOutcome, reference: &CodOutcome) {
+    fn score(&mut self, chain: &Chain<'_>, answer: &CodOutcome, reference: &CodOutcome) {
         self.queries += 1;
         if answer.best_level == reference.best_level {
             self.agree += 1;
@@ -95,7 +95,7 @@ fn jaccard(a: &[NodeId], b: &[NodeId]) -> f64 {
 }
 
 /// One pooled evaluation of `chain` at `theta` per node.
-fn pooled(g: &Csr, chain: &impl Chain, q: NodeId, theta: usize, pool: &RrPoolEntry) -> CodOutcome {
+fn pooled(g: &Csr, chain: &Chain<'_>, q: NodeId, theta: usize, pool: &RrPoolEntry) -> CodOutcome {
     let opts = EvalOptions {
         par: Parallelism::Threads(2),
         ..EvalOptions::default()
@@ -115,7 +115,7 @@ fn pooled(g: &Csr, chain: &impl Chain, q: NodeId, theta: usize, pool: &RrPoolEnt
 
 /// A pool over `chain`'s universe, restricted when that is not the whole
 /// graph (the engine's rule).
-fn pool_for(g: &Csr, attr: Option<AttrId>, chain: &impl Chain) -> RrPoolEntry {
+fn pool_for(g: &Csr, attr: Option<AttrId>, chain: &Chain<'_>) -> RrPoolEntry {
     let universe = chain.universe();
     let restricted = universe.len() < g.num_nodes();
     RrPoolEntry::new(attr, Arc::new(universe), restricted)
@@ -139,7 +139,7 @@ fn pooled_fixed_theta_agrees_with_a_16x_reference_on_cora() {
     let mut codu = Tally::default();
     let mut codl = Tally::default();
     for &(q, a) in &queries {
-        let chain = DendroChain::new(&base.dendro, &base.lca, q).expect("chain exists");
+        let chain = Chain::new(&base.dendro, &base.lca, q).expect("chain exists");
         let answer = pooled(g, &chain, q, THETA, &codu_pool);
         let reference = pooled(g, &chain, q, THETA_REF, &codu_ref);
         codu.score(&chain, &answer, &reference);
@@ -150,8 +150,7 @@ fn pooled_fixed_theta_agrees_with_a_16x_reference_on_cora() {
         let members = base.dendro.members_sorted(choice.vertex);
         let (sub, dendro) = local_recluster(graph, &members, a, 1.0, Linkage::Average);
         let local = Hierarchy::new(dendro);
-        let chain =
-            SubgraphChain::new(&sub, &local.dendro, &local.lca, q, false).expect("q is in C_ℓ");
+        let chain = Chain::local(&sub, &local.dendro, &local.lca, q, None).expect("q is in C_ℓ");
         if chain.is_empty() {
             continue;
         }

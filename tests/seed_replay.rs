@@ -26,7 +26,7 @@ fn dataset() -> pcod::datasets::Dataset {
 #[allow(clippy::too_many_arguments)] // the paper's query signature plus seed and fan-out
 fn evaluate(
     g: &Csr,
-    chain: &DendroChain<'_>,
+    chain: &Chain<'_>,
     q: NodeId,
     k: usize,
     theta: usize,
@@ -65,7 +65,7 @@ fn compressed_cod_outcome_is_bit_identical_across_threads_and_runs() {
     let g = data.graph.csr();
     let (dendro, lca) = hierarchy(&data.graph);
     for q in [0u32, 17, 101] {
-        let chain = DendroChain::new(&dendro, &lca, q).unwrap();
+        let chain = Chain::new(&dendro, &lca, q).unwrap();
         let mut outcomes: Vec<CodOutcome> = Vec::new();
         for t in THREADS {
             for _run in 0..2 {
@@ -183,7 +183,7 @@ fn auto_policy_matches_explicit_thread_counts() {
     let g = data.graph.csr();
     let (dendro, lca) = hierarchy(&data.graph);
     let q = 3u32;
-    let chain = DendroChain::new(&dendro, &lca, q).unwrap();
+    let chain = Chain::new(&dendro, &lca, q).unwrap();
     let one = evaluate(g, &chain, q, 3, 15, 5, Parallelism::Threads(1));
     let auto = evaluate(g, &chain, q, 3, 15, 5, Parallelism::Auto);
     assert_eq!(auto, one);

@@ -283,7 +283,7 @@ fn pool_topups_are_counted_and_sample_only_the_missing_suffix() {
     let dendro = build_hierarchy(g, Linkage::Average);
     let lca = LcaIndex::new(&dendro);
     let q = 3u32;
-    let chain = DendroChain::new(&dendro, &lca, q).expect("chain exists");
+    let chain = Chain::new(&dendro, &lca, q).expect("chain exists");
     let universe: Arc<Vec<NodeId>> = Arc::new(chain.universe().to_vec());
     let n = universe.len() as u64;
     let pool = RrPoolEntry::new(None, universe, false);
