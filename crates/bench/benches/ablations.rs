@@ -1,5 +1,5 @@
 //! Ablation benches for the design choices called out in `DESIGN.md` §4:
-//! linkage function, attribute weight `β`, and diffusion model.
+//! hierarchy family, attribute weight `β`, and diffusion model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -9,7 +9,6 @@ use cod_core::chain::Chain;
 use cod_core::recluster::{build_hierarchy, global_recluster};
 use cod_core::CodConfig;
 use cod_hierarchy::LcaIndex;
-use cod_hierarchy::Linkage;
 use cod_influence::Model;
 use rand::prelude::*;
 
@@ -21,17 +20,6 @@ fn bench_ablations(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablations");
     group.sample_size(10);
 
-    // Linkage function: clustering cost per variant.
-    for (name, linkage) in [
-        ("linkage_average", Linkage::Average),
-        ("linkage_single", Linkage::Single),
-        ("linkage_complete", Linkage::Complete),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| black_box(build_hierarchy(g.csr(), linkage).num_vertices()))
-        });
-    }
-
     // Hierarchy construction family: agglomerative NN-chain vs divisive
     // recursive bisection (the balancedness lever of Table II).
     group.bench_function("hgc_divisive_bisection", |b| {
@@ -42,12 +30,12 @@ fn bench_ablations(c: &mut Criterion) {
     // measures the weight-transform overhead).
     for beta in [0.0f64, 1.0, 4.0] {
         group.bench_function(format!("recluster_beta_{beta}"), |b| {
-            b.iter(|| black_box(global_recluster(g, 0, beta, cfg.linkage).num_vertices()))
+            b.iter(|| black_box(global_recluster(g, 0, beta).num_vertices()))
         });
     }
 
     // Diffusion model: compressed evaluation under WC / uniform IC / LT.
-    let dendro = build_hierarchy(g.csr(), cfg.linkage);
+    let dendro = build_hierarchy(g.csr());
     let lca = LcaIndex::new(&dendro);
     let mut qrng = SmallRng::seed_from_u64(40);
     let queries = cod_datasets::gen_queries(g, 4, &mut qrng);

@@ -15,7 +15,7 @@ fn bench_queries(c: &mut Criterion) {
     let data = cod_datasets::cora_like(1);
     let g = &data.graph;
     let cfg = CodConfig::default();
-    let dendro = build_hierarchy(g.csr(), cfg.linkage);
+    let dendro = build_hierarchy(g.csr());
     let lca = LcaIndex::new(&dendro);
     let mut rng = SmallRng::seed_from_u64(4);
     let index = himor(g.csr(), cfg, &dendro, &lca, &mut rng);

@@ -23,7 +23,7 @@ fn bench_eval(c: &mut Criterion) {
     let prepared: Vec<_> = queries
         .iter()
         .map(|&(q, a)| {
-            let dendro = global_recluster(g, a, cfg.beta, cfg.linkage);
+            let dendro = global_recluster(g, a, cfg.beta);
             (q, dendro)
         })
         .collect();

@@ -20,7 +20,7 @@ fn bench_build(c: &mut Criterion) {
         ("citeseer", cod_datasets::citeseer_like(2)),
     ] {
         let g = data.graph.csr().clone();
-        let dendro = build_hierarchy(&g, cfg.linkage);
+        let dendro = build_hierarchy(&g);
         let lca = LcaIndex::new(&dendro);
         group.bench_function(name, |b| {
             let mut rng = SmallRng::seed_from_u64(30);

@@ -60,7 +60,7 @@ fn bench_himor_build(c: &mut Criterion) {
         ("citeseer", cod_datasets::citeseer_like(2)),
     ] {
         let g = data.graph.csr().clone();
-        let dendro = build_hierarchy(&g, cfg.linkage);
+        let dendro = build_hierarchy(&g);
         let lca = LcaIndex::new(&dendro);
         for (label, par) in [
             ("serial", Parallelism::Threads(1)),

@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use cod_core::{CodConfig, CodEngine, Method, Query, QueryLimits};
+use cod_core::{CodConfig, CodEngine, Method, Query};
 use cod_influence::Parallelism;
 use rand::prelude::*;
 
@@ -118,9 +118,9 @@ fn bench_single_vs_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Governance checkpoint overhead: the same warm workload with query limits
-/// unarmed (no token; checkpoints are no-ops) vs armed with generous caps
-/// that never fire (every checkpoint polls a token and charges budgets).
+/// Governance checkpoint overhead: the same warm workload with no deadline
+/// (no token; checkpoints are no-ops) vs armed with a generous deadline
+/// that never passes (every checkpoint polls a token).
 /// Answers are bit-identical; `bench_report` gates the armed/unarmed ratio
 /// at ≤ 1.05 — the governance layer may cost at most 5%.
 fn bench_governance_overhead(c: &mut Criterion) {
@@ -137,11 +137,7 @@ fn bench_governance_overhead(c: &mut Criterion) {
     });
 
     let armed_cfg = CodConfig {
-        limits: QueryLimits {
-            deadline: Some(std::time::Duration::from_secs(3600)),
-            max_rr_edges: Some(u64::MAX / 2),
-            max_memory_bytes: Some(usize::MAX / 2),
-        },
+        deadline: Some(std::time::Duration::from_secs(3600)),
         ..cfg(Parallelism::Threads(1))
     };
     let armed = CodEngine::new(data.graph.clone(), armed_cfg);
@@ -235,12 +231,11 @@ fn bench_mmap_cold_vs_eager(c: &mut Criterion) {
     let path = std::env::temp_dir().join(format!("bench_mmap_{}.codx", std::process::id()));
     cod_core::save_artifacts(&path, g, &base.dendro, &index).expect("save artifacts");
     let queries = repeat_attr_queries(16);
-    let limits = QueryLimits::default();
     let run_cold = |arts: MappedArtifacts| {
         let engine = CodEngine::from_mapped(&arts, cfg(Parallelism::Threads(1))).expect("engine");
         let mut rng = SmallRng::seed_from_u64(42);
         engine
-            .query_batch_with_limits(&queries, &limits, &mut rng)
+            .query_batch(&queries, &mut rng)
             .into_iter()
             .flatten()
             .flatten()

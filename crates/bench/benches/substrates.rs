@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use cod_core::recluster::build_hierarchy;
 use cod_graph::NodeId;
-use cod_hierarchy::{cluster_unweighted, LcaIndex, Linkage};
+use cod_hierarchy::{cluster_unweighted, LcaIndex};
 use cod_influence::{Model, RrGraph, RrSampler};
 use cod_search::truss::TrussDecomposition;
 use rand::prelude::*;
@@ -49,16 +49,16 @@ fn bench_substrates(c: &mut Criterion) {
     });
 
     group.bench_function("nnchain_cluster_cora", |b| {
-        b.iter(|| black_box(cluster_unweighted(g, Linkage::Average).len()))
+        b.iter(|| black_box(cluster_unweighted(g).len()))
     });
 
     group.bench_function("lca_build_cora", |b| {
-        let dendro = build_hierarchy(g, Linkage::Average);
+        let dendro = build_hierarchy(g);
         b.iter(|| black_box(LcaIndex::new(&dendro)))
     });
 
     group.bench_function("lca_query_10k", |b| {
-        let dendro = build_hierarchy(g, Linkage::Average);
+        let dendro = build_hierarchy(g);
         let lca = LcaIndex::new(&dendro);
         let nv = dendro.num_vertices() as u32;
         let mut rng = SmallRng::seed_from_u64(3);

@@ -66,7 +66,7 @@ pub fn table1(opts: &CliOpts) {
         let data = load(name, opts);
         let g = &data.graph;
         let cfg = cfg_from(opts);
-        let dendro = build_hierarchy(g.csr(), cfg.linkage);
+        let dendro = build_hierarchy(g.csr());
         let lca = LcaIndex::new(&dendro);
         let mut rng = SmallRng::seed_from_u64(opts.seed);
         let queries = gen_queries(g, opts.queries, &mut rng);
@@ -77,7 +77,7 @@ pub fn table1(opts: &CliOpts) {
                 None => dendro.root_path(q).len(),
                 Some(choice) => {
                     let members = dendro.members_sorted(choice.vertex);
-                    let (sub, sd) = local_recluster(g, &members, a, cfg.beta, cfg.linkage);
+                    let (sub, sd) = local_recluster(g, &members, a, cfg.beta);
                     let slca = LcaIndex::new(&sd);
                     Chain::local(&sub, &sd, &slca, q, Some((&dendro, &lca, choice.vertex)))
                         .expect("query node inside C_ell")
@@ -125,7 +125,7 @@ pub fn fig4(opts: &CliOpts) {
         let data = load(name, opts);
         let g = &data.graph;
         let cfg = cfg_from(opts);
-        let dendro = build_hierarchy(g.csr(), cfg.linkage);
+        let dendro = build_hierarchy(g.csr());
         let lca = LcaIndex::new(&dendro);
         let mut rng = SmallRng::seed_from_u64(opts.seed + 4);
         let queries = gen_queries(g, opts.queries, &mut rng);
@@ -144,7 +144,7 @@ pub fn fig4(opts: &CliOpts) {
                 codu_sizes.push(dendro.size(*v) as f64);
             }
             // CODR: the 5 deepest on the globally reclustered hierarchy.
-            let gr = global_recluster(g, a, cfg.beta, cfg.linkage);
+            let gr = global_recluster(g, a, cfg.beta);
             for v in gr.root_path(q).iter().take(5) {
                 codr_sizes.push(gr.size(*v) as f64);
             }
@@ -158,7 +158,7 @@ pub fn fig4(opts: &CliOpts) {
                 }
                 Some(choice) => {
                     let members = dendro.members_sorted(choice.vertex);
-                    let (sub, sd) = local_recluster(g, &members, a, cfg.beta, cfg.linkage);
+                    let (sub, sd) = local_recluster(g, &members, a, cfg.beta);
                     let slca = LcaIndex::new(&sd);
                     let chain =
                         Chain::local(&sub, &sd, &slca, q, Some((&dendro, &lca, choice.vertex)))
@@ -244,7 +244,7 @@ pub fn fig7(opts: &CliOpts) {
         let g = &data.graph;
         let cfg = cfg_from(opts);
         let ((dendro, lca, index), setup_t) = timed(|| {
-            let dendro = build_hierarchy(g.csr(), cfg.linkage);
+            let dendro = build_hierarchy(g.csr());
             let lca = LcaIndex::new(&dendro);
             let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xbeef);
             let index = himor(g.csr(), cfg, &dendro, &lca, &mut rng);
@@ -363,7 +363,7 @@ pub fn fig8(opts: &CliOpts) {
             let mut stats = [Fig8Stat::default(), Fig8Stat::default()];
             for &(q, a) in &queries {
                 // Both variants share CODR's attribute-aware hierarchy.
-                let dendro = global_recluster(g, a, cfg.beta, cfg.linkage);
+                let dendro = global_recluster(g, a, cfg.beta);
                 let lca = LcaIndex::new(&dendro);
                 let chain = Chain::new(&dendro, &lca, q).expect("query node within hierarchy");
                 if chain.is_empty() {
@@ -501,7 +501,7 @@ pub fn fig9(opts: &CliOpts) {
         let queries = gen_queries(g, nq, &mut rng);
 
         let (prep, t_prep) = timed(|| {
-            let dendro = build_hierarchy(g.csr(), cfg.linkage);
+            let dendro = build_hierarchy(g.csr());
             let lca = LcaIndex::new(&dendro);
             let mut irng = SmallRng::seed_from_u64(opts.seed ^ 0xf00d);
             let index = himor(g.csr(), cfg, &dendro, &lca, &mut irng);
@@ -573,7 +573,7 @@ pub fn table2(opts: &CliOpts) {
         let data = load(name, opts);
         let g = &data.graph;
         let cfg = cfg_from(opts);
-        let dendro = build_hierarchy(g.csr(), cfg.linkage);
+        let dendro = build_hierarchy(g.csr());
         let lca = LcaIndex::new(&dendro);
         let mut rng = SmallRng::seed_from_u64(opts.seed + 10);
         let (index, t_build) = timed(|| himor(g.csr(), cfg, &dendro, &lca, &mut rng));
@@ -624,7 +624,7 @@ pub fn ablation_hgc(opts: &CliOpts) {
         let g = &data.graph;
         let cfg = cfg_from(opts);
         for (method, dendro) in [
-            ("nnchain", build_hierarchy(g.csr(), cfg.linkage)),
+            ("nnchain", build_hierarchy(g.csr())),
             ("bisect", cod_hierarchy::bisect(g.csr())),
         ] {
             let lca = LcaIndex::new(&dendro);
@@ -715,10 +715,8 @@ pub fn ablation_weights(opts: &CliOpts) {
         for &(q, a) in &queries {
             // CODR-style: recluster globally under the scheme, evaluate.
             let w = attribute_weights_with(g, a, *scheme);
-            let dendro = Dendrogram::from_merges(
-                g.num_nodes(),
-                &cod_hierarchy::cluster(g.csr(), &w, cfg.linkage),
-            );
+            let dendro =
+                Dendrogram::from_merges(g.num_nodes(), &cod_hierarchy::cluster(g.csr(), &w));
             let lca = LcaIndex::new(&dendro);
             let chain = Chain::new(&dendro, &lca, q).expect("query node within hierarchy");
             let best = if chain.is_empty() {
@@ -768,7 +766,7 @@ pub fn case_study(opts: &CliOpts) {
         theta: opts.theta.max(20),
         ..CodConfig::default()
     };
-    let dendro = build_hierarchy(g.csr(), cfg.linkage);
+    let dendro = build_hierarchy(g.csr());
     let lca = LcaIndex::new(&dendro);
     let mut rng = SmallRng::seed_from_u64(opts.seed + 11);
     let index = himor(g.csr(), cfg, &dendro, &lca, &mut rng);

@@ -66,7 +66,7 @@ pub fn codr_multi_k<R: Rng>(
     k_max: usize,
     rng: &mut R,
 ) -> MultiK {
-    let dendro = global_recluster(g, attr, cfg.beta, cfg.linkage);
+    let dendro = global_recluster(g, attr, cfg.beta);
     let lca = LcaIndex::new(&dendro);
     let chain = Chain::new(&dendro, &lca, q).expect("query node within hierarchy");
     if chain.is_empty() {
@@ -94,7 +94,7 @@ pub fn codl_minus_multi_k<R: Rng>(
         None => codu_multi_k(g, cfg, dendro, lca, q, k_max, rng),
         Some(choice) => {
             let members = dendro.members_sorted(choice.vertex);
-            let (sub, sd) = local_recluster(g, &members, attr, cfg.beta, cfg.linkage);
+            let (sub, sd) = local_recluster(g, &members, attr, cfg.beta);
             let slca = LcaIndex::new(&sd);
             let chain = Chain::local(&sub, &sd, &slca, q, Some((dendro, lca, choice.vertex)))
                 .expect("query node inside C_ell");
@@ -140,7 +140,7 @@ pub fn codl_multi_k<R: Rng>(
         };
         if fallback.is_none() {
             let members = dendro.members_sorted(choice.vertex);
-            let (sub, sd) = local_recluster(g, &members, attr, cfg.beta, cfg.linkage);
+            let (sub, sd) = local_recluster(g, &members, attr, cfg.beta);
             let slca = LcaIndex::new(&sd);
             let out = {
                 let chain =
@@ -217,7 +217,7 @@ mod tests {
             theta: 40,
             ..CodConfig::default()
         };
-        let dendro = build_hierarchy(g.csr(), cfg.linkage);
+        let dendro = build_hierarchy(g.csr());
         let lca = LcaIndex::new(&dendro);
         let mut rng = SmallRng::seed_from_u64(6);
         let queries = cod_datasets::gen_queries(g, 6, &mut rng);

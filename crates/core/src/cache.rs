@@ -2,7 +2,7 @@
 //!
 //! CODR rebuilds the global attribute-weighted hierarchy `T_ℓ` per query
 //! and LORE rebuilds the local `C_ℓ` hierarchy per query — under one
-//! engine's fixed `β` and linkage, both pure functions of the attribute
+//! engine's fixed `β`, both pure functions of the attribute
 //! (plus the LORE community vertex).
 //! Under realistic workloads queries concentrate on a few popular
 //! attributes, so the serving layer keeps the last few artifacts around.
@@ -31,9 +31,9 @@ pub struct LocalRecluster {
     pub hier: Hierarchy,
 }
 
-/// What a cached artifact was derived from. `β` and the linkage are not
-/// part of it: an engine's [`crate::CodConfig`] never changes after
-/// construction, so every lookup of one cache shares them.
+/// What a cached artifact was derived from. `β` is not part of it: an
+/// engine's [`crate::CodConfig`] never changes after construction, so
+/// every lookup of one cache shares it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct CacheKey {
     attr: AttrId,
@@ -89,8 +89,8 @@ impl CacheStats {
 
 /// A bounded LRU cache of reclustered hierarchies keyed by the attribute
 /// (plus the community vertex for local artifacts). One cache serves one
-/// `β` and linkage, as one engine does: every `build` closure passed to it
-/// must use them, which is why the type stays inside this crate.
+/// `β`, as one engine does: every `build` closure passed to it must use
+/// it, which is why the type stays inside this crate.
 pub(crate) struct ReclusterCache {
     slots: Mutex<(Vec<Slot>, u64)>,
     hits: AtomicU64,

@@ -236,7 +236,7 @@ impl<'a> Chain<'a> {
 mod tests {
     use super::*;
     use cod_graph::{Csr, GraphBuilder};
-    use cod_hierarchy::{cluster_unweighted, Linkage};
+    use cod_hierarchy::cluster_unweighted;
 
     fn line(n: usize) -> Csr {
         let mut b = GraphBuilder::new(n);
@@ -247,7 +247,7 @@ mod tests {
     }
 
     fn dendro(g: &Csr) -> Dendrogram {
-        Dendrogram::from_merges(g.num_nodes(), &cluster_unweighted(g, Linkage::Average))
+        Dendrogram::from_merges(g.num_nodes(), &cluster_unweighted(g))
     }
 
     #[test]

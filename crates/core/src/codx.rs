@@ -642,7 +642,7 @@ mod tests {
     use super::*;
     use crate::recluster::build_hierarchy;
     use cod_graph::GraphBuilder;
-    use cod_hierarchy::{LcaIndex, Linkage};
+    use cod_hierarchy::LcaIndex;
     use cod_influence::Model;
     use rand::prelude::*;
 
@@ -662,7 +662,7 @@ mod tests {
         let labels: Vec<u32> = (0..10).map(|v| if v < 6 { db } else { ml }).collect();
         let attrs = AttrTable::single_per_node(&labels);
         let g = AttributedGraph::from_parts(csr, attrs, interner);
-        let dendro = build_hierarchy(g.csr(), Linkage::Average);
+        let dendro = build_hierarchy(g.csr());
         let lca = LcaIndex::new(&dendro);
         let mut rng = SmallRng::seed_from_u64(50);
         let par = cod_influence::Parallelism::Threads(1);

@@ -57,8 +57,8 @@ pub struct CodOutcome {
     /// A sample budget cut the evaluation short of the requested `Θ`: the
     /// answer is best-effort and should be flagged `uncertain` downstream.
     pub truncated: bool,
-    /// Cooperative cancellation (a deadline, a resource cap, or a forced
-    /// failpoint injection) stopped stage 1 at a batch boundary: `theta`
+    /// Cooperative cancellation (a deadline, the engine kill switch, or a
+    /// forced failpoint injection) stopped stage 1 at a batch boundary: `theta`
     /// reports the samples actually drawn and the answer is best-effort.
     /// Implies [`CodOutcome::truncated`].
     pub cancelled: bool,
@@ -110,8 +110,8 @@ pub struct EvalOptions<'a> {
     /// outcome.
     pub par: Parallelism,
     /// Cooperative governance: every `CHECK_EVERY` draws (or folds) stage 1
-    /// hits a failpoint, charges RR edges and live memory against the
-    /// token's caps, and stops at the batch boundary once it fires. The
+    /// hits a failpoint, polls the token, and stops at the batch boundary
+    /// once it fires. The
     /// partial buckets still run stage 2, so the caller gets a best-effort
     /// outcome with [`CodOutcome::cancelled`] set and `theta` reporting the
     /// samples that completed. Checkpoints never touch an RNG, so a token
@@ -338,19 +338,12 @@ impl Stage1<'_> {
         sink: &mut TraceSink,
     ) -> usize {
         let before = sampler.stats();
-        let mut charged = before;
         let mut done = 0;
         for (off, i) in range.enumerate() {
             if off % CHECK_EVERY == 0 {
                 failpoint::hit(failpoint::Site::SampleBatch, self.cancel);
-                if let Some(tok) = self.cancel {
-                    let now = sampler.stats();
-                    tok.charge_rr_edges(now.delta_since(charged).edges);
-                    charged = now;
-                    tok.charge_memory(stage1_memory_estimate(buckets, hfs, self.levels));
-                    if tok.should_stop() {
-                        break;
-                    }
+                if self.cancel.is_some_and(CancelToken::should_stop) {
+                    break;
                 }
             }
             let mut rng = self.seeds.rng_for(i as u64);
@@ -392,11 +385,8 @@ fn fold_pool(
     for (i, rr) in view.iter().take(theta).enumerate() {
         if i % CHECK_EVERY == 0 {
             failpoint::hit(failpoint::Site::PoolFold, cancel);
-            if let Some(tok) = cancel {
-                tok.charge_memory(stage1_memory_estimate(&ws.buckets, &ws.hfs, &ws.levels));
-                if tok.should_stop() {
-                    break;
-                }
+            if cancel.is_some_and(CancelToken::should_stop) {
+                break;
             }
         }
         let ls = level(&ws.levels, rr.source()) as usize;
@@ -420,22 +410,6 @@ fn fold_pool(
         completed += 1;
     }
     completed
-}
-
-/// Approximate live bytes of stage-1 state for [`CancelToken`] memory
-/// accounting: bucket entries (the part that grows with samples) plus the
-/// HFS scratch capacities and the dense level table. Map overhead is
-/// folded into a flat per-entry constant — the cap is a guard rail, not an
-/// allocator audit.
-fn stage1_memory_estimate(
-    buckets: &[FxHashMap<NodeId, u32>],
-    hfs: &HfsScratch,
-    levels: &[u32],
-) -> usize {
-    const BUCKET_ENTRY_BYTES: usize =
-        2 * std::mem::size_of::<NodeId>() + std::mem::size_of::<u32>(); // key + count + control byte slack
-    let entries: usize = buckets.iter().map(FxHashMap::len).sum();
-    entries * BUCKET_ENTRY_BYTES + hfs.memory_bytes() + std::mem::size_of_val(levels)
 }
 
 /// Fills the dense per-query level table both stage-1 paths read:
@@ -863,7 +837,7 @@ use cod_graph::FxHashSet;
 mod tests {
     use super::*;
     use cod_graph::GraphBuilder;
-    use cod_hierarchy::{cluster_unweighted, Dendrogram, LcaIndex, Linkage};
+    use cod_hierarchy::{cluster_unweighted, Dendrogram, LcaIndex};
 
     /// One fresh-sample evaluation on the calling thread, its master seed
     /// drawn from `rng`.
@@ -909,7 +883,7 @@ mod tests {
     #[test]
     fn hub_is_top_1_in_the_whole_graph() {
         let g = two_stars();
-        let merges = cluster_unweighted(&g, Linkage::Average);
+        let merges = cluster_unweighted(&g);
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
         let chain = Chain::new(&d, &lca, 0).unwrap();
@@ -924,7 +898,7 @@ mod tests {
     #[test]
     fn leaf_is_not_top_1_at_the_root() {
         let g = two_stars();
-        let merges = cluster_unweighted(&g, Linkage::Average);
+        let merges = cluster_unweighted(&g);
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
         let chain = Chain::new(&d, &lca, 9).unwrap();
@@ -945,7 +919,7 @@ mod tests {
             b.add_edge(0, v);
         }
         let g = b.build();
-        let merges = cluster_unweighted(&g, Linkage::Average);
+        let merges = cluster_unweighted(&g);
         let d = Dendrogram::from_merges(6, &merges);
         let lca = LcaIndex::new(&d);
         let chain = Chain::new(&d, &lca, 0).unwrap();
@@ -960,7 +934,7 @@ mod tests {
     #[test]
     fn sigma_estimates_grow_with_community_size() {
         let g = two_stars();
-        let merges = cluster_unweighted(&g, Linkage::Average);
+        let merges = cluster_unweighted(&g);
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
         let chain = Chain::new(&d, &lca, 0).unwrap();
@@ -1076,7 +1050,7 @@ mod tests {
     #[test]
     fn zero_k_is_rejected_not_panicking() {
         let g = two_stars();
-        let merges = cluster_unweighted(&g, Linkage::Average);
+        let merges = cluster_unweighted(&g);
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
         let chain = Chain::new(&d, &lca, 0).unwrap();
@@ -1088,7 +1062,7 @@ mod tests {
     #[test]
     fn budget_truncates_and_flags() {
         let g = two_stars();
-        let merges = cluster_unweighted(&g, Linkage::Average);
+        let merges = cluster_unweighted(&g);
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
         let chain = Chain::new(&d, &lca, 0).unwrap();
@@ -1106,7 +1080,7 @@ mod tests {
     #[test]
     fn zero_budget_is_exhausted() {
         let g = two_stars();
-        let merges = cluster_unweighted(&g, Linkage::Average);
+        let merges = cluster_unweighted(&g);
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
         let chain = Chain::new(&d, &lca, 0).unwrap();

@@ -163,7 +163,7 @@ impl DynamicCod {
     /// count. Fails with [`CodError::InvalidQuery`] when `θ·|V|` overflows.
     pub fn with_seed(g: &AttributedGraph, cfg: CodConfig, seed: u64) -> CodResult<Self> {
         total_theta(cfg.theta, g.num_nodes())?;
-        let hier = Hierarchy::new(build_hierarchy(g.csr(), cfg.linkage));
+        let hier = Hierarchy::new(build_hierarchy(g.csr()));
         let (index, patch) = HimorIndex::build_patchable(
             g.csr(),
             cfg.model,
@@ -443,7 +443,7 @@ impl DynamicCod {
         let csr = self.topo.materialize();
         let cfg = *self.engine.config();
         let repair_start = Instant::now();
-        let hier = Hierarchy::new(build_hierarchy(&csr, cfg.linkage));
+        let hier = Hierarchy::new(build_hierarchy(&csr));
         let patched = match self.cache.patch.take() {
             Some(mut state) if may_patch => {
                 let old = &self.cache.hier;
@@ -556,7 +556,7 @@ impl DynamicCod {
     /// inside the LORE community `C_ℓ`, its root excluded, and no LORE
     /// choice answers `None`. A compressed evaluation draws one master
     /// seed from `rng`, pooled or not; index hits and `None` draw nothing.
-    /// [`CodConfig::limits`] apply as for any engine query.
+    /// [`CodConfig::deadline`] applies as for any engine query.
     pub fn query<R: Rng>(
         &mut self,
         q: NodeId,

@@ -50,10 +50,8 @@ use crate::error::{CodError, CodResult};
 use crate::failpoint;
 use crate::himor::HimorIndex;
 use crate::lore::{DeltaTable, ReclusterChoice};
-use crate::pipeline::{
-    validate_query, AnswerSource, CacheOutcome, CodAnswer, CodConfig, QueryLimits,
-};
-use crate::pool::{PoolCache, PoolCacheStats};
+use crate::pipeline::{validate_query, AnswerSource, CacheOutcome, CodAnswer, CodConfig};
+use crate::pool::{PoolCache, PoolCacheStats, DEFAULT_POOL_BUDGET_BYTES};
 use crate::recluster::{build_hierarchy, global_recluster_governed, local_recluster_governed};
 use crate::scratch::QueryScratch;
 use crate::telemetry::{
@@ -160,8 +158,8 @@ enum Plan {
         cache: Option<CacheOutcome>,
         /// The requested method — names the rung an answer degrades from.
         method: Method,
-        /// The query's governance token (`None` when the config is
-        /// unlimited). Minted at plan time, so the deadline clock covers
+        /// The query's governance token (`None` without a deadline or a
+        /// drain). Minted at plan time, so the deadline clock covers
         /// planning, artifact builds and evaluation together.
         token: Option<CancelToken>,
         /// Set when planning already degraded the artifacts (an
@@ -222,8 +220,8 @@ pub struct CodEngine {
     /// server initiating drain fires it once and every in-flight query
     /// observes it at its next governance checkpoint.
     kill: CancelToken,
-    /// Set by [`CodEngine::begin_drain`]. While draining, even unlimited
-    /// queries get a (bare) token so the kill switch can reach them.
+    /// Set by [`CodEngine::begin_drain`]. While draining, even queries
+    /// without a deadline get a (bare) token so the kill switch can reach them.
     draining: AtomicBool,
 }
 
@@ -257,7 +255,7 @@ impl CodEngine {
             base: OnceLock::new(),
             index: OnceLock::new(),
             cache: ReclusterCache::new(cache_capacity),
-            pool: PoolCache::new(cfg.pool_budget_bytes),
+            pool: PoolCache::new(DEFAULT_POOL_BUDGET_BYTES),
             scratch: Mutex::new(Vec::new()),
             metrics: MetricsRegistry::default(),
             inflight: AtomicUsize::new(0),
@@ -411,12 +409,7 @@ impl CodEngine {
     /// The non-attributed base hierarchy `T` (+ LCA), built on first use.
     pub fn base_hierarchy(&self) -> Arc<Hierarchy> {
         self.base
-            .get_or_init(|| {
-                Arc::new(Hierarchy::new(build_hierarchy(
-                    self.g.csr(),
-                    self.cfg.linkage,
-                )))
-            })
+            .get_or_init(|| Arc::new(Hierarchy::new(build_hierarchy(self.g.csr()))))
             .clone()
     }
 
@@ -438,7 +431,7 @@ impl CodEngine {
     /// that fires mid-build aborts it — the error leaves the index unset so
     /// a later (un-pressured) query can build it cleanly. The seed draw
     /// happens either way, so replay divergence stays confined to queries
-    /// whose limits actually fired.
+    /// whose token actually fired.
     pub(crate) fn ensure_himor_governed<R: Rng>(
         &self,
         rng: &mut R,
@@ -510,7 +503,7 @@ impl CodEngine {
     ) -> Option<(Arc<Hierarchy>, bool)> {
         self.cache.try_global(attr, || {
             failpoint::hit(failpoint::Site::CacheBuild, cancel);
-            global_recluster_governed(&self.g, attr, self.cfg.beta, self.cfg.linkage, cancel)
+            global_recluster_governed(&self.g, attr, self.cfg.beta, cancel)
                 .map(|d| Arc::new(Hierarchy::new(d)))
         })
     }
@@ -528,14 +521,8 @@ impl CodEngine {
         self.cache.try_local(attr, vertex, || {
             failpoint::hit(failpoint::Site::CacheBuild, cancel);
             let members = base.dendro.members_sorted(vertex);
-            let (sub, sd) = local_recluster_governed(
-                &self.g,
-                &members,
-                attr,
-                self.cfg.beta,
-                self.cfg.linkage,
-                cancel,
-            )?;
+            let (sub, sd) =
+                local_recluster_governed(&self.g, &members, attr, self.cfg.beta, cancel)?;
             Some(Arc::new(LocalRecluster {
                 sub,
                 hier: Hierarchy::new(sd),
@@ -583,7 +570,7 @@ impl CodEngine {
 
     /// Marks the engine as draining: still answering, but every query
     /// planned from now on carries a token linked to the engine kill
-    /// switch — including queries whose limits are unlimited and would
+    /// switch — including queries without a deadline, which would
     /// normally skip tokens entirely. Idempotent; there is no un-drain
     /// (the engine is expected to be dropped once the drain completes).
     pub fn begin_drain(&self) {
@@ -599,7 +586,7 @@ impl CodEngine {
     /// token observes it at its next governance checkpoint and walks the
     /// degradation ladder (degraded answer, or `DeadlineExceeded` when
     /// even the fallback rung can't finish). Queries planned before
-    /// [`CodEngine::begin_drain`] under an unlimited config carry no
+    /// [`CodEngine::begin_drain`] without a deadline carry no
     /// token and run to completion — callers who need the hard stop call
     /// `begin_drain` first and give in-flight work a grace period.
     pub fn cancel_inflight(&self) {
@@ -607,18 +594,13 @@ impl CodEngine {
         self.kill.cancel();
     }
 
-    /// The governance token for one query: the configured limits, linked
-    /// to the engine kill switch. Unlimited queries skip the token (the
+    /// The governance token for one query: its deadline, linked to the
+    /// engine kill switch. Queries without a deadline skip the token (the
     /// fast path — every checkpoint is then a no-op) unless the engine is
     /// draining, in which case they get a bare child of the kill switch.
-    fn mint_token(&self, limits: &QueryLimits) -> Option<CancelToken> {
-        match limits.token_with_parent(&self.kill) {
-            Some(t) => Some(t),
-            None if self.is_draining() => {
-                Some(CancelToken::with_parent(None, None, None, &self.kill))
-            }
-            None => None,
-        }
+    fn mint_token(&self, deadline: Option<Duration>) -> Option<CancelToken> {
+        (deadline.is_some() || self.is_draining())
+            .then(|| CancelToken::with_parent(deadline, &self.kill))
     }
 
     fn take_scratch(&self) -> QueryScratch {
@@ -662,20 +644,19 @@ impl CodEngine {
         queries: &[Query],
         rng: &mut R,
     ) -> Vec<CodResult<Option<CodAnswer>>> {
-        let limits = self.cfg.limits;
-        self.query_batch_with_limits(queries, &limits, rng)
+        self.query_batch_with_deadline(queries, self.cfg.deadline, rng)
     }
 
-    /// [`CodEngine::query_batch`] with the configured [`CodConfig::limits`]
-    /// replaced by per-call `limits` — the serve tier maps each HTTP
-    /// request's deadline here without rebuilding the engine. Admission
-    /// control, caching, telemetry and the determinism contract are
-    /// identical; a query whose limits never fire answers bit-identically
-    /// to an unlimited one.
-    pub fn query_batch_with_limits<R: Rng>(
+    /// [`CodEngine::query_batch`] with the configured
+    /// [`CodConfig::deadline`] replaced by a per-call `deadline` — the
+    /// serve tier maps each HTTP request's deadline here without
+    /// rebuilding the engine. Admission control, caching, telemetry and
+    /// the determinism contract are identical; a query whose deadline
+    /// never passes answers bit-identically to an unlimited one.
+    pub fn query_batch_with_deadline<R: Rng>(
         &self,
         queries: &[Query],
-        limits: &QueryLimits,
+        deadline: Option<Duration>,
         rng: &mut R,
     ) -> Vec<CodResult<Option<CodAnswer>>> {
         // Admission control: with `max_inflight` set, at most that many
@@ -710,7 +691,7 @@ impl CodEngine {
         let plans: Vec<Plan> = queries
             .iter()
             .zip(sinks.iter_mut())
-            .map(|(&query, sink)| self.plan(query, limits, rng, sink))
+            .map(|(&query, sink)| self.plan(query, deadline, rng, sink))
             .collect();
 
         // Group pending evaluations by (method, attr), preserving
@@ -824,7 +805,7 @@ impl CodEngine {
     fn plan<R: Rng>(
         &self,
         query: Query,
-        limits: &QueryLimits,
+        deadline: Option<Duration>,
         rng: &mut R,
         sink: &mut TraceSink,
     ) -> Plan {
@@ -834,7 +815,7 @@ impl CodEngine {
         // becomes this query's `Internal` error and the engine stays
         // serviceable. Cache and scratch locks recover from poisoning.
         let plan = match catch_unwind(AssertUnwindSafe(|| {
-            self.plan_inner(query, limits, rng, sink)
+            self.plan_inner(query, deadline, rng, sink)
         })) {
             Ok(Ok(plan)) => plan,
             Ok(Err(e)) => Plan::Done(Err(e)),
@@ -860,7 +841,7 @@ impl CodEngine {
     fn plan_inner<R: Rng>(
         &self,
         query: Query,
-        limits: &QueryLimits,
+        deadline: Option<Duration>,
         rng: &mut R,
         sink: &mut TraceSink,
     ) -> CodResult<Plan> {
@@ -880,14 +861,15 @@ impl CodEngine {
         } else {
             None
         };
-        validate_query(&self.g, &self.cfg, q, attr)?;
+        // `lore` holds one cell per attribute id, sized with the graph.
+        validate_query(&self.g, self.lore.len(), &self.cfg, q, attr)?;
 
         // Governance: one token per query, minted after validation (the
         // deadline clock starts here and covers artifact builds and
-        // evaluation together). `None` when the limits are unlimited and
+        // evaluation together). `None` when there is no deadline and
         // the engine isn't draining — the common case, which keeps every
         // checkpoint a no-op.
-        let token = self.mint_token(limits);
+        let token = self.mint_token(deadline);
         let mut degraded: Option<Method> = None;
 
         let mut cache_outcome = None;

@@ -39,11 +39,9 @@ pub enum CodError {
         /// the chain universe (the chain-wide total, not the per-node θ).
         required: usize,
     },
-    /// The query's deadline (or another [`QueryLimits`] cap) expired and no
-    /// rung of the degradation ladder could produce even a best-effort
-    /// answer in the time left.
-    ///
-    /// [`QueryLimits`]: crate::pipeline::QueryLimits
+    /// The query's deadline ([`crate::CodConfig::deadline`]) passed, or the
+    /// engine's kill switch fired, and no rung of the degradation ladder
+    /// could produce even a best-effort answer in the time left.
     DeadlineExceeded,
     /// The engine's in-flight admission cap was reached and this query was
     /// shed instead of queued. Retriable: admitted work keeps draining, so

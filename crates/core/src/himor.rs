@@ -307,17 +307,11 @@ impl HimorIndex {
             let mut explored: Vec<bool> = Vec::new();
             let mut buckets: Vec<FxHashMap<NodeId, u32>> = vec![FxHashMap::default(); nv];
             let mut kept = Samples::default();
-            let mut charged = sampler.stats();
             for (off, i) in range.enumerate() {
                 if off % CHECK_EVERY == 0 {
                     failpoint::hit(failpoint::Site::SampleBatch, cancel);
-                    if let Some(tok) = cancel {
-                        let now = sampler.stats();
-                        tok.charge_rr_edges(now.delta_since(charged).edges);
-                        charged = now;
-                        if tok.should_stop() {
-                            break;
-                        }
+                    if cancel.is_some_and(CancelToken::should_stop) {
+                        break;
                     }
                 }
                 let mut rng = seeds.rng_for(i as u64);
@@ -967,7 +961,7 @@ impl HimorPatchState {
 mod tests {
     use super::*;
     use cod_graph::GraphBuilder;
-    use cod_hierarchy::{cluster_unweighted, Linkage};
+    use cod_hierarchy::cluster_unweighted;
     use cod_influence::InfluenceEstimate;
 
     fn two_stars() -> Csr {
@@ -989,7 +983,7 @@ mod tests {
     }
 
     fn setup(g: &Csr) -> (Dendrogram, LcaIndex) {
-        let merges = cluster_unweighted(g, Linkage::Average);
+        let merges = cluster_unweighted(g);
         let d = Dendrogram::from_merges(g.num_nodes(), &merges);
         let lca = LcaIndex::new(&d);
         (d, lca)
@@ -1226,7 +1220,7 @@ mod tests {
                 b1.add_edge(x, y);
             }
             let g1 = b1.build();
-            let d1 = Dendrogram::from_merges(n, &cluster_unweighted(&g1, Linkage::Average));
+            let d1 = Dendrogram::from_merges(n, &cluster_unweighted(&g1));
             let lca1 = LcaIndex::new(&d1);
             let diff = match_vertices(&d0, &d1);
             let (patched, stats) = state
@@ -1323,7 +1317,7 @@ mod tests {
                 edited.sort_unstable();
                 edited.dedup();
                 let g1 = graph(n, &edges);
-                let d1 = Dendrogram::from_merges(n, &cluster_unweighted(&g1, Linkage::Average));
+                let d1 = Dendrogram::from_merges(n, &cluster_unweighted(&g1));
                 let lca1 = LcaIndex::new(&d1);
                 let diff = match_vertices(&d, &d1);
                 let holding_edited = state

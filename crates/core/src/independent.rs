@@ -66,7 +66,7 @@ pub fn independent_cod<R: Rng>(
 mod tests {
     use super::*;
     use cod_graph::GraphBuilder;
-    use cod_hierarchy::{cluster_unweighted, Dendrogram, LcaIndex, Linkage};
+    use cod_hierarchy::{cluster_unweighted, Dendrogram, LcaIndex};
 
     #[test]
     fn agrees_with_structure_on_a_star() {
@@ -75,7 +75,7 @@ mod tests {
             b.add_edge(0, v);
         }
         let g = b.build();
-        let merges = cluster_unweighted(&g, Linkage::Average);
+        let merges = cluster_unweighted(&g);
         let d = Dendrogram::from_merges(6, &merges);
         let lca = LcaIndex::new(&d);
         let chain = Chain::new(&d, &lca, 0).unwrap();
@@ -94,7 +94,7 @@ mod tests {
             b.add_edge(u, v);
         }
         let g = b.build();
-        let merges = cluster_unweighted(&g, Linkage::Average);
+        let merges = cluster_unweighted(&g);
         let d = Dendrogram::from_merges(4, &merges);
         let lca = LcaIndex::new(&d);
         let chain = Chain::new(&d, &lca, 1).unwrap();

@@ -27,8 +27,8 @@
 //! * [`pool`] — the cross-query shared RR-pool cache: key-derived
 //!   deterministic sampling, incremental top-ups, epoch invalidation and
 //!   LRU byte-budget eviction;
-//! * [`pipeline`] — the shared query configuration, limits and answer
-//!   types;
+//! * [`pipeline`] — the shared query configuration (the deadline, the
+//!   one query limit, among it) and answer types;
 //! * [`codx`] — CODX v3, the one on-disk artifact format (graph, hierarchy
 //!   and HIMOR index), memory-mappable and lazily CRC-verified;
 //! * [`dynamic`], [`mutation`], [`wal`] and [`recovery`] — streaming
@@ -72,7 +72,7 @@ pub use error::{CodError, CodResult};
 pub use himor::{BuildStats, HimorIndex, HimorPatchState, PatchStats};
 pub use lore::{select_recluster_community, DeltaTable, ReclusterChoice};
 pub use mutation::{Footprint, Mutation, MutationKind};
-pub use pipeline::{AnswerSource, CacheOutcome, CodAnswer, CodConfig, QueryLimits};
+pub use pipeline::{AnswerSource, CacheOutcome, CodAnswer, CodConfig};
 pub use pool::{
     GrowthStats, PoolCache, PoolCacheStats, PoolLookup, PoolView, RrPoolEntry,
     DEFAULT_POOL_BUDGET_BYTES,

@@ -2,62 +2,18 @@
 //! evaluated in the paper's §V (CODU, CODR, CODL⁻, CODL), all served by
 //! [`crate::engine::CodEngine`]:
 //!
-//! * [`CodConfig`] — the paper's parameters plus the serving knobs;
-//! * [`QueryLimits`] — per-query deadline and resource caps;
+//! * [`CodConfig`] — the paper's parameters plus the serving knobs,
+//!   among them the per-query deadline, the one query limit;
 //! * [`CodAnswer`] — the characteristic community's members plus
 //!   diagnostics ([`AnswerSource`], [`CacheOutcome`]);
 //! * `validate_query` — the one boundary check every query passes.
 
 use cod_graph::{AttrId, AttributedGraph, NodeId};
-use cod_hierarchy::Linkage;
-use cod_influence::{CancelToken, Model, Parallelism};
+use cod_influence::{Model, Parallelism};
 
 use crate::compressed::total_theta;
 use crate::engine::Method;
 use crate::error::{CodError, CodResult};
-
-/// Per-query resource limits enforced by cooperative cancellation.
-///
-/// All limits default to `None` (unlimited), and a limit that never
-/// triggers is invisible: the cancellation checkpoints never touch an RNG,
-/// so answers are bit-identical to running without limits (asserted by the
-/// seed-replay suite). When a limit fires mid-query the engine degrades
-/// down the method ladder (CODL → CODL⁻ → CODU) and flags the answer via
-/// [`CodAnswer::degraded`]; if no rung can answer, the query fails with
-/// [`CodError::DeadlineExceeded`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QueryLimits {
-    /// Wall-clock deadline per query, measured from when the engine starts
-    /// planning it.
-    pub deadline: Option<std::time::Duration>,
-    /// Cap on RR-graph edges traversed while sampling for one query.
-    pub max_rr_edges: Option<u64>,
-    /// Cap on the resident bytes of one query's scratch workspace.
-    pub max_memory_bytes: Option<usize>,
-}
-
-impl QueryLimits {
-    /// Whether every limit is unset (the default).
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_rr_edges.is_none() && self.max_memory_bytes.is_none()
-    }
-
-    /// A fresh token enforcing these limits, linked to `parent` so an
-    /// engine-wide kill switch (the serve tier's drain hook) reaches this
-    /// query too; `None` when unlimited — the unlimited serving path
-    /// carries no token at all.
-    pub(crate) fn token_with_parent(&self, parent: &CancelToken) -> Option<CancelToken> {
-        if self.is_unlimited() {
-            return None;
-        }
-        Some(CancelToken::with_parent(
-            self.deadline,
-            self.max_rr_edges,
-            self.max_memory_bytes,
-            parent,
-        ))
-    }
-}
 
 /// Shared configuration for all COD variants (paper §V-A defaults).
 #[derive(Clone, Copy, Debug)]
@@ -68,8 +24,6 @@ pub struct CodConfig {
     pub theta: usize,
     /// Extra weight `β` on query-attributed edges in `g_ℓ` (default 1).
     pub beta: f64,
-    /// Linkage function for hierarchical clustering.
-    pub linkage: Linkage,
     /// Diffusion model (default weighted cascade).
     pub model: Model,
     /// Optional cap on the *total* RR samples one query may draw. When the
@@ -90,9 +44,15 @@ pub struct CodConfig {
     /// way, and neither mode touches the RNG — answers are bit-identical
     /// with tracing on or off (asserted by the seed-replay suite).
     pub trace: bool,
-    /// Per-query deadline and resource caps ([`QueryLimits`]); unlimited by
-    /// default. Limits that never trigger leave answers bit-identical.
-    pub limits: QueryLimits,
+    /// Wall-clock deadline per query, measured from when the engine starts
+    /// planning it; `None` (the default) means unlimited. A deadline that
+    /// never passes is invisible: the cancellation checkpoints never touch
+    /// an RNG, so answers are bit-identical to running without one
+    /// (asserted by the seed-replay suite). When it passes mid-query the
+    /// engine degrades down the method ladder (CODL → CODL⁻ → CODU) and
+    /// flags the answer via [`CodAnswer::degraded`]; if no rung can answer,
+    /// the query fails with [`CodError::DeadlineExceeded`].
+    pub deadline: Option<std::time::Duration>,
     /// Admission-control cap on concurrent
     /// [`crate::engine::CodEngine::query_batch`]
     /// calls. When the cap is reached, further calls are shed immediately
@@ -105,12 +65,9 @@ pub struct CodConfig {
     /// resampling. Off by default because pooled sampling is key-derived —
     /// answers are deterministic and identical warm or cold, but not
     /// bit-identical to the unpooled paths' per-query master seeds.
+    /// The cache evicts least-recently-used pools past
+    /// [`crate::pool::DEFAULT_POOL_BUDGET_BYTES`].
     pub pool: bool,
-    /// Byte budget of the shared RR-pool cache before least-recently-used
-    /// pools are evicted ([`crate::pool::DEFAULT_POOL_BUDGET_BYTES`] by
-    /// default), in heap bytes of pooled samples: the capacity of the
-    /// pools' sample arenas. Only consulted when [`CodConfig::pool`] is on.
-    pub pool_budget_bytes: usize,
 }
 
 impl Default for CodConfig {
@@ -119,24 +76,24 @@ impl Default for CodConfig {
             k: 5,
             theta: 10,
             beta: 1.0,
-            linkage: Linkage::Average,
             model: Model::WeightedCascade,
             budget: None,
             parallelism: Parallelism::default(),
             trace: false,
-            limits: QueryLimits::default(),
+            deadline: None,
             max_inflight: None,
             pool: false,
-            pool_budget_bytes: crate::pool::DEFAULT_POOL_BUDGET_BYTES,
         }
     }
 }
 
-/// Validates the user-supplied query parameters against `g` and `cfg`
+/// Validates the user-supplied query parameters against `g` (with
+/// `num_attrs` attribute ids, which the caller already knows) and `cfg`
 /// before any work happens. The engine calls this once at its boundary, so
 /// the algorithm internals can assume well-formed input.
 pub(crate) fn validate_query(
     g: &AttributedGraph,
+    num_attrs: usize,
     cfg: &CodConfig,
     q: NodeId,
     attr: Option<AttrId>,
@@ -148,10 +105,9 @@ pub(crate) fn validate_query(
         )));
     }
     if let Some(a) = attr {
-        let m = g.num_attrs();
-        if (a as usize) >= m {
+        if (a as usize) >= num_attrs {
             return Err(CodError::InvalidQuery(format!(
-                "unknown attribute id {a} (graph has {m} interned attributes)"
+                "unknown attribute id {a} (graph has {num_attrs} interned attributes)"
             )));
         }
     }
@@ -201,11 +157,12 @@ pub struct CodAnswer {
     /// Best-effort flag: the winning level's top-k verdict could flip under
     /// sampling noise, or a sample budget truncated the evaluation.
     pub uncertain: bool,
-    /// Set when a [`QueryLimits`] trigger forced the degradation ladder:
+    /// Set when the deadline (or the engine kill switch) forced the
+    /// degradation ladder:
     /// the method rung that actually served the answer (equal to the
     /// requested method when the primary rung still answered, lower —
     /// e.g. [`Method::Codu`] for a CODL query — when the engine fell
-    /// back). `None` for every answer served without a limit firing;
+    /// back). `None` for every answer served without a token firing;
     /// degraded answers are always also [`CodAnswer::uncertain`].
     pub degraded: Option<Method>,
     /// Engine diagnostic: artifact-cache outcome for the query's

@@ -255,18 +255,13 @@ impl RrPoolEntry {
             let mut rr = RrGraph::default();
             let mut out = RrArena::default();
             let mut edges = 0u64;
-            let mut pending_edges = 0u64;
             let mut complete = true;
             for (j, i) in range.enumerate() {
                 if j % CHECK_EVERY == 0 {
                     failpoint::hit(Site::PoolGrow, cancel);
-                    if let Some(c) = cancel {
-                        c.charge_rr_edges(pending_edges);
-                        pending_edges = 0;
-                        if c.should_stop() {
-                            complete = false;
-                            break;
-                        }
+                    if cancel.is_some_and(CancelToken::should_stop) {
+                        complete = false;
+                        break;
                     }
                 }
                 let mut rng = self.seeds.rng_for((have + i) as u64);
@@ -279,11 +274,7 @@ impl RrPoolEntry {
                 }
                 let drawn = rr.view();
                 edges += drawn.num_edges() as u64;
-                pending_edges += drawn.num_edges() as u64;
                 out.push(drawn);
-            }
-            if let Some(c) = cancel {
-                c.charge_rr_edges(pending_edges);
             }
             (out, edges, complete)
         });
@@ -311,9 +302,6 @@ impl RrPoolEntry {
             bytes: bytes as u64,
             topped_up: have > 0,
         };
-        if let Some(c) = cancel {
-            c.charge_memory(self.bytes.load(Ordering::Acquire) + bytes);
-        }
         let added = fresh.len();
         let mut w = match self.chunks.write() {
             Ok(w) => w,

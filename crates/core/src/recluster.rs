@@ -5,11 +5,12 @@
 //! an edge whose endpoints both carry the query attribute gets weight
 //! `1 + β`, every other edge weight `1`. The transform scheme is declared
 //! orthogonal to the contribution (§V-A); `β` defaults to 1 and is swept in
-//! the ablation benches.
+//! the ablation benches. Every (re)clustering here is §V-A's NN-chain with
+//! unweighted-average linkage ([`cod_hierarchy::nnchain`]).
 
 use cod_graph::subgraph::Subgraph;
 use cod_graph::{AttrId, AttributedGraph, Csr, NodeId};
-use cod_hierarchy::{cluster_governed, cluster_unweighted, Dendrogram, Linkage};
+use cod_hierarchy::{cluster_governed, cluster_unweighted, Dendrogram};
 use cod_influence::CancelToken;
 
 use crate::failpoint;
@@ -107,19 +108,14 @@ pub fn attribute_weights_with(g: &AttributedGraph, attr: AttrId, scheme: WeightS
 }
 
 /// The non-attributed hierarchy `T` (CODU's hierarchy, LORE's reference).
-pub fn build_hierarchy(g: &Csr, linkage: Linkage) -> Dendrogram {
-    Dendrogram::from_merges(g.num_nodes(), &cluster_unweighted(g, linkage))
+pub fn build_hierarchy(g: &Csr) -> Dendrogram {
+    Dendrogram::from_merges(g.num_nodes(), &cluster_unweighted(g))
 }
 
 /// CODR's global reclustering: hierarchical clustering of `g_ℓ` from
 /// scratch.
-pub fn global_recluster(
-    g: &AttributedGraph,
-    attr: AttrId,
-    beta: f64,
-    linkage: Linkage,
-) -> Dendrogram {
-    match global_recluster_governed(g, attr, beta, linkage, None) {
+pub fn global_recluster(g: &AttributedGraph, attr: AttrId, beta: f64) -> Dendrogram {
+    match global_recluster_governed(g, attr, beta, None) {
         Some(d) => d,
         None => unreachable!("an ungoverned reclustering has no token to cancel it"),
     }
@@ -134,11 +130,10 @@ pub fn global_recluster_governed(
     g: &AttributedGraph,
     attr: AttrId,
     beta: f64,
-    linkage: Linkage,
     cancel: Option<&CancelToken>,
 ) -> Option<Dendrogram> {
     let w = attribute_weights(g, attr, beta);
-    let merges = cluster_governed(g.csr(), &w, linkage, linkage_keep_going(cancel))?;
+    let merges = cluster_governed(g.csr(), &w, linkage_keep_going(cancel))?;
     Some(Dendrogram::from_merges(g.num_nodes(), &merges))
 }
 
@@ -151,9 +146,8 @@ pub fn local_recluster(
     members: &[NodeId],
     attr: AttrId,
     beta: f64,
-    linkage: Linkage,
 ) -> (Subgraph, Dendrogram) {
-    match local_recluster_governed(g, members, attr, beta, linkage, None) {
+    match local_recluster_governed(g, members, attr, beta, None) {
         Some(out) => out,
         None => unreachable!("an ungoverned reclustering has no token to cancel it"),
     }
@@ -166,7 +160,6 @@ pub fn local_recluster_governed(
     members: &[NodeId],
     attr: AttrId,
     beta: f64,
-    linkage: Linkage,
     cancel: Option<&CancelToken>,
 ) -> Option<(Subgraph, Dendrogram)> {
     let sub = Subgraph::induced(g.csr(), members);
@@ -182,7 +175,7 @@ pub fn local_recluster_governed(
             }
         }
     }
-    let merges = cluster_governed(&sub.csr, &w, linkage, linkage_keep_going(cancel))?;
+    let merges = cluster_governed(&sub.csr, &w, linkage_keep_going(cancel))?;
     let dendro = Dendrogram::from_merges(sub.len(), &merges);
     Some((sub, dendro))
 }
@@ -227,7 +220,7 @@ mod tests {
         b.add_edge(1, 2);
         let attrs = AttrTable::from_lists(vec![vec![], vec![0], vec![0]]);
         let g = AttributedGraph::from_parts(b.build(), attrs, AttrInterner::new());
-        let d = global_recluster(&g, 0, 1.0, Linkage::Average);
+        let d = global_recluster(&g, 0, 1.0);
         // First merge vertex (id 3) must be {1,2}.
         assert_eq!(d.members_sorted(3), vec![1, 2]);
     }
@@ -235,7 +228,7 @@ mod tests {
     #[test]
     fn local_recluster_stays_inside_members() {
         let g = attributed_path();
-        let (sub, d) = local_recluster(&g, &[1, 2, 3], 0, 1.0, Linkage::Average);
+        let (sub, d) = local_recluster(&g, &[1, 2, 3], 0, 1.0);
         assert_eq!(sub.len(), 3);
         assert_eq!(d.num_leaves(), 3);
         assert_eq!(d.size(d.root()), 3);
@@ -281,7 +274,7 @@ mod tests {
     #[test]
     fn build_hierarchy_covers_graph() {
         let g = attributed_path();
-        let d = build_hierarchy(g.csr(), Linkage::Average);
+        let d = build_hierarchy(g.csr());
         assert_eq!(d.size(d.root()), 4);
     }
 }

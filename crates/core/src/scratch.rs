@@ -43,12 +43,6 @@ impl HfsScratch {
         self.queues.truncate(m);
         self.queues.resize_with(m, Vec::new);
     }
-
-    /// Capacity bytes of the queues and the explored flags.
-    pub(crate) fn memory_bytes(&self) -> usize {
-        self.queues.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<u32>()
-            + self.explored.capacity()
-    }
 }
 
 /// Scratch for the incremental top-k scan (stage 2 of Algorithm 1).
@@ -125,18 +119,5 @@ impl QueryScratch {
         self.buckets.resize_with(m, FxHashMap::default);
         self.hfs.prepare(m);
         self.topk.prepare();
-    }
-
-    /// Approximate bytes retained by the workspace (sampler stamps plus
-    /// vector capacities; map capacity is not observable and excluded).
-    pub fn memory_bytes(&self) -> usize {
-        let topk = (self.topk.pool.capacity() + self.topk.candidates.capacity())
-            * std::mem::size_of::<NodeId>()
-            + self.topk.taus.capacity() * std::mem::size_of::<u32>();
-        self.sampler.memory_bytes()
-            + self.rr.memory_bytes()
-            + self.levels.capacity() * std::mem::size_of::<u32>()
-            + self.hfs.memory_bytes()
-            + topk
     }
 }

@@ -316,10 +316,7 @@ mod tests {
         }
         let g = b.build();
         let divisive = bisect(&g);
-        let agglomerative = Dendrogram::from_merges(
-            64,
-            &crate::nnchain::cluster_unweighted(&g, crate::linkage::Linkage::Average),
-        );
+        let agglomerative = Dendrogram::from_merges(64, &crate::nnchain::cluster_unweighted(&g));
         assert!(
             divisive.avg_chain_len() < agglomerative.avg_chain_len() / 2.0,
             "divisive {:.1} vs agglomerative {:.1}",

@@ -1,4 +1,4 @@
-//! Cheap `Arc`-shareable hierarchy handles.
+//! Prepared hierarchy handles.
 //!
 //! A prepared hierarchy is always the *pair* of a [`Dendrogram`] and its
 //! [`LcaIndex`] — every COD algorithm that walks `H(q)` also asks `lca`
@@ -6,8 +6,6 @@
 //! layer can hold one `Arc<Hierarchy>` per prepared artifact and hand clones
 //! of the pointer to concurrent queries without re-deriving the LCA sparse
 //! table each time.
-
-use std::sync::Arc;
 
 use crate::dendrogram::Dendrogram;
 use crate::lca::LcaIndex;
@@ -30,11 +28,6 @@ impl Hierarchy {
         let lca = LcaIndex::new(&dendro);
         Self { dendro, lca }
     }
-
-    /// Convenience: `Arc::new(Hierarchy::new(dendro))`.
-    pub fn shared(dendro: Dendrogram) -> SharedHierarchy {
-        Arc::new(Self::new(dendro))
-    }
 }
 
 impl std::fmt::Debug for Hierarchy {
@@ -45,27 +38,18 @@ impl std::fmt::Debug for Hierarchy {
     }
 }
 
-/// A reference-counted handle to a prepared [`Hierarchy`].
-///
-/// Cloning is a pointer bump; the underlying dendrogram and LCA tables are
-/// never copied.
-pub type SharedHierarchy = Arc<Hierarchy>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn handle_clones_share_storage() {
+    fn hierarchy_answers_its_dendrogram_lca_queries() {
         let (d, _) = crate::dendrogram::tests::fig2();
-        let h = Hierarchy::shared(d.clone());
-        let h2 = Arc::clone(&h);
-        assert_eq!(h.dendro.num_vertices(), d.num_vertices());
+        let h = Hierarchy::new(d.clone());
         assert_eq!(
-            h2.lca.lca(0, 6),
+            h.lca.lca(0, 6),
             LcaIndex::new(&d).lca(0, 6),
-            "shared handle answers the same LCA queries"
+            "the bundled index answers the same LCA queries"
         );
-        assert_eq!(Arc::strong_count(&h), 2);
     }
 }

@@ -3,8 +3,7 @@
 //! The COD problem (paper §II) is defined over a *community hierarchy* `T`
 //! produced by any hierarchical graph clustering method; following the
 //! paper's §V-A we implement the **nearest-neighbour chain** algorithm
-//! ([`nnchain`]) with the **unweighted-average linkage** function (plus
-//! single and complete linkage for ablations, [`linkage`]).
+//! ([`nnchain`]) with the **unweighted-average linkage** function.
 //!
 //! The resulting [`Dendrogram`] offers exactly the operations the COD
 //! algorithms need:
@@ -21,16 +20,12 @@ pub mod bisect;
 pub mod dendrogram;
 pub mod handle;
 pub mod lca;
-pub mod linkage;
 pub mod nnchain;
 pub mod repair;
 
 pub use bisect::bisect;
 pub use dendrogram::{Dendrogram, DendrogramError, VertexId, NO_VERTEX};
-pub use handle::{Hierarchy, SharedHierarchy};
+pub use handle::Hierarchy;
 pub use lca::LcaIndex;
-pub use linkage::Linkage;
-pub use nnchain::{
-    cluster, cluster_governed, cluster_unweighted, cluster_unweighted_governed, Merge,
-};
+pub use nnchain::{cluster, cluster_governed, cluster_unweighted, Merge};
 pub use repair::{match_vertices, smallest_selected_ancestor, TreeDiff};

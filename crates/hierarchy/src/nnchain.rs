@@ -4,9 +4,11 @@
 //! neighbor chain algorithm \[54, 55\] and the unweighted-average linkage
 //! function \[45\]". This module implements exactly that: clusters start as
 //! singletons; the NN-chain walks to a pair of *mutual* nearest neighbours
-//! (by linkage similarity) and merges them; reducibility of the linkage
-//! guarantees the produced merge order is identical to naive greedy
-//! agglomeration.
+//! and merges them. Two adjacent clusters `A`, `B` with total cross-edge
+//! weight `W(A, B)` score `W(A, B) / (|A| · |B|)` (UPGMA on graphs); that
+//! similarity is *reducible* (`sim(A ∪ B, C) ≤ max(sim(A, C), sim(B, C))`,
+//! the mediant inequality), which guarantees the produced merge order is
+//! identical to naive greedy agglomeration.
 //!
 //! Only *adjacent* clusters (connected by at least one edge) are candidates
 //! for merging. If the graph is disconnected, each component is clustered
@@ -16,7 +18,6 @@
 use cod_graph::{Csr, FxHashMap, NodeId};
 
 use crate::dendrogram::VertexId;
-use crate::linkage::{CrossStats, Linkage};
 
 /// One agglomerative merge: clusters `a` and `b` become vertex
 /// `num_leaves + index`.
@@ -28,12 +29,18 @@ pub struct Merge {
     pub b: VertexId,
 }
 
+/// Unweighted-average similarity of two adjacent clusters of the given
+/// sizes whose cross-edge weights sum to `cross`.
+#[inline]
+fn similarity(cross: f64, size_a: u32, size_b: u32) -> f64 {
+    cross / (size_a as f64 * size_b as f64)
+}
+
 struct ChainState {
-    /// Per-cluster adjacency: neighbor cluster -> cross stats.
-    adj: Vec<FxHashMap<VertexId, CrossStats>>,
+    /// Per-cluster adjacency: neighbor cluster -> summed cross weight.
+    adj: Vec<FxHashMap<VertexId, f64>>,
     size: Vec<u32>,
     alive: Vec<bool>,
-    linkage: Linkage,
 }
 
 impl ChainState {
@@ -42,13 +49,9 @@ impl ChainState {
     /// detection sound under ties), then the smallest id.
     fn nearest(&self, x: VertexId, prev: Option<VertexId>) -> Option<VertexId> {
         let mut best: Option<(f64, VertexId)> = None;
-        for (&y, stats) in &self.adj[x as usize] {
+        for (&y, &cross) in &self.adj[x as usize] {
             debug_assert!(self.alive[y as usize]);
-            let sim = self.linkage.similarity(
-                stats,
-                self.size[x as usize] as usize,
-                self.size[y as usize] as usize,
-            );
+            let sim = similarity(cross, self.size[x as usize], self.size[y as usize]);
             let better = match best {
                 None => true,
                 Some((bs, by)) => {
@@ -68,22 +71,18 @@ impl ChainState {
         let mut map_a = std::mem::take(&mut self.adj[a as usize]);
         let map_b = std::mem::take(&mut self.adj[b as usize]);
         map_a.remove(&b);
-        // Fold b's adjacency into a's (small map copied into large one would
-        // be ideal; stats merging forces a full pass over b anyway).
-        for (y, st) in map_b {
+        // Fold b's adjacency into a's: W(A ∪ B, Y) = W(A, Y) + W(B, Y).
+        for (y, w) in map_b {
             if y == a {
                 continue;
             }
-            map_a
-                .entry(y)
-                .and_modify(|acc| *acc = acc.merge(&st))
-                .or_insert(st);
+            map_a.entry(y).and_modify(|acc| *acc += w).or_insert(w);
         }
-        for (&y, st) in &map_a {
+        for (&y, &w) in &map_a {
             let ym = &mut self.adj[y as usize];
             ym.remove(&a);
             ym.remove(&b);
-            ym.insert(c, *st);
+            ym.insert(c, w);
         }
         self.alive[a as usize] = false;
         self.alive[b as usize] = false;
@@ -102,8 +101,8 @@ impl ChainState {
 /// neighbor array (see [`Csr::neighbor_range`]); weights must be symmetric
 /// across the two orientations of each edge. Pass [`cluster_unweighted`] for
 /// unit weights.
-pub fn cluster(g: &Csr, weights: &[f64], linkage: Linkage) -> Vec<Merge> {
-    match cluster_governed(g, weights, linkage, |_| true) {
+pub fn cluster(g: &Csr, weights: &[f64]) -> Vec<Merge> {
+    match cluster_governed(g, weights, |_| true) {
         Some(m) => m,
         None => unreachable!("an always-true callback never aborts"),
     }
@@ -117,7 +116,6 @@ pub fn cluster(g: &Csr, weights: &[f64], linkage: Linkage) -> Vec<Merge> {
 pub fn cluster_governed(
     g: &Csr,
     weights: &[f64],
-    linkage: Linkage,
     keep_going: impl FnMut(usize) -> bool,
 ) -> Option<Vec<Merge>> {
     assert_eq!(
@@ -125,77 +123,63 @@ pub fn cluster_governed(
         g.num_half_edges(),
         "one weight per half-edge"
     );
-    cluster_impl(g, |idx, _u, _v| weights[idx], linkage, keep_going)
+    cluster_impl(g, |idx| weights[idx], keep_going)
 }
 
 /// Clusters `g` with unit edge weights (the non-attributed hierarchy `T`).
 ///
 /// ```
 /// use cod_graph::GraphBuilder;
-/// use cod_hierarchy::{cluster_unweighted, Dendrogram, Linkage};
+/// use cod_hierarchy::{cluster_unweighted, Dendrogram};
 ///
 /// let mut b = GraphBuilder::new(4);
 /// for (u, v) in [(0, 1), (1, 2), (2, 3)] {
 ///     b.add_edge(u, v);
 /// }
 /// let g = b.build();
-/// let merges = cluster_unweighted(&g, Linkage::Average);
+/// let merges = cluster_unweighted(&g);
 /// let dendro = Dendrogram::from_merges(4, &merges);
 /// assert_eq!(dendro.size(dendro.root()), 4);
 /// // H(q): the communities containing node 0, deepest first.
 /// let chain = dendro.root_path(0);
 /// assert_eq!(*chain.last().unwrap(), dendro.root());
 /// ```
-pub fn cluster_unweighted(g: &Csr, linkage: Linkage) -> Vec<Merge> {
-    match cluster_unweighted_governed(g, linkage, |_| true) {
+pub fn cluster_unweighted(g: &Csr) -> Vec<Merge> {
+    match cluster_impl(g, |_idx| 1.0, |_| true) {
         Some(m) => m,
         None => unreachable!("an always-true callback never aborts"),
     }
 }
 
-/// [`cluster_unweighted`] with the [`cluster_governed`] cancellation hook.
-pub fn cluster_unweighted_governed(
+fn cluster_impl(
     g: &Csr,
-    linkage: Linkage,
+    weight: impl Fn(usize) -> f64,
     keep_going: impl FnMut(usize) -> bool,
 ) -> Option<Vec<Merge>> {
-    cluster_impl(g, |_idx, _u, _v| 1.0, linkage, keep_going)
-}
-
-fn cluster_impl<F>(
-    g: &Csr,
-    weight: F,
-    linkage: Linkage,
-    keep_going: impl FnMut(usize) -> bool,
-) -> Option<Vec<Merge>>
-where
-    F: Fn(usize, NodeId, NodeId) -> f64,
-{
     let n = g.num_nodes();
     if n == 0 {
         return Some(Vec::new());
     }
-    let mut adj: Vec<FxHashMap<VertexId, CrossStats>> = Vec::with_capacity(2 * n);
+    let mut adj: Vec<FxHashMap<VertexId, f64>> = Vec::with_capacity(2 * n);
     for u in 0..n as NodeId {
         let mut m = FxHashMap::default();
         m.reserve(g.degree(u));
         let range = g.neighbor_range(u);
         for (idx, &v) in range.clone().zip(g.neighbors(u)) {
-            let w = weight(idx, u, v);
+            let w = weight(idx);
             debug_assert!(w >= 0.0, "edge weights must be non-negative");
-            m.insert(v as VertexId, CrossStats::edge(w));
+            m.insert(v as VertexId, w);
         }
         adj.push(m);
     }
-    chain_prepared_governed(adj, linkage, keep_going)
+    chain_prepared_governed(adj, keep_going)
 }
 
-/// Runs the NN-chain loop over singleton clusters: `adj[i]` holds the cross
-/// stats from node `i` toward each neighbour. Fresh clusters get ids
+/// Runs the NN-chain loop over singleton clusters: `adj[i]` holds the edge
+/// weight from node `i` toward each neighbour. Fresh clusters get ids
 /// continuing at `adj.len()`.
 fn chain_prepared_governed(
-    adj: Vec<FxHashMap<VertexId, CrossStats>>,
-    linkage: Linkage,
+    adj: Vec<FxHashMap<VertexId, f64>>,
     mut keep_going: impl FnMut(usize) -> bool,
 ) -> Option<Vec<Merge>> {
     let n = adj.len();
@@ -206,7 +190,6 @@ fn chain_prepared_governed(
         adj,
         size: vec![1; n],
         alive: vec![true; n],
-        linkage,
     };
 
     let mut merges: Vec<Merge> = Vec::with_capacity(n - 1);
@@ -313,7 +296,7 @@ mod tests {
     #[test]
     fn produces_full_hierarchy() {
         let g = barbell();
-        let merges = cluster_unweighted(&g, Linkage::Average);
+        let merges = cluster_unweighted(&g);
         let d = Dendrogram::from_merges(6, &merges);
         assert_eq!(d.size(d.root()), 6);
     }
@@ -324,7 +307,7 @@ mod tests {
         // Weak bridge: with distinct weights the greedy order is forced and
         // the two children of the root must be exactly the two triangles.
         let w = edge_weights(&g, |u, v| if (u, v) == (2, 3) { 0.25 } else { 1.0 });
-        let merges = cluster(&g, &w, Linkage::Average);
+        let merges = cluster(&g, &w);
         let d = Dendrogram::from_merges(6, &merges);
         let [a, b] = d.children(d.root());
         let mut sides = [d.members_sorted(a), d.members_sorted(b)];
@@ -350,7 +333,7 @@ mod tests {
                 };
             }
         }
-        let merges = cluster(&g, &w, Linkage::Average);
+        let merges = cluster(&g, &w);
         assert_eq!(merges[0], Merge { a: 1, b: 2 });
     }
 
@@ -361,7 +344,7 @@ mod tests {
         b.add_edge(2, 3);
         // node 4 isolated
         let g = b.build();
-        let merges = cluster_unweighted(&g, Linkage::Average);
+        let merges = cluster_unweighted(&g);
         let d = Dendrogram::from_merges(5, &merges);
         assert_eq!(d.size(d.root()), 5);
         // {0,1} and {2,3} each appear as a community.
@@ -375,23 +358,39 @@ mod tests {
     #[test]
     fn single_node_graph() {
         let g = GraphBuilder::new(1).build();
-        let merges = cluster_unweighted(&g, Linkage::Average);
+        let merges = cluster_unweighted(&g);
         assert!(merges.is_empty());
     }
 
     #[test]
     fn governed_abort_stops_at_the_requested_merge() {
         let g = barbell();
+        let unit = vec![1.0; g.num_half_edges()];
         let mut calls = Vec::new();
-        let out = cluster_unweighted_governed(&g, Linkage::Average, |done| {
+        let out = cluster_governed(&g, &unit, |done| {
             calls.push(done);
             done < 3
         });
         assert!(out.is_none(), "callback returning false must abort");
         assert_eq!(calls, vec![1, 2, 3], "one call per merge, in order");
         // An always-true callback reproduces the ungoverned merge sequence.
-        let governed = cluster_unweighted_governed(&g, Linkage::Average, |_| true).unwrap();
-        assert_eq!(governed, cluster_unweighted(&g, Linkage::Average));
+        let governed = cluster_governed(&g, &unit, |_| true).unwrap();
+        assert_eq!(governed, cluster_unweighted(&g));
+    }
+
+    #[test]
+    fn average_normalizes_by_size_product() {
+        assert!((similarity(3.0, 2, 3) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn average_linkage_is_reducible() {
+        // sim(A∪B, C) <= max(sim(A,C), sim(B,C)) — mediant inequality.
+        let (ac, bc) = (3.0, 1.0);
+        let (sa, sb, sc) = (2, 5, 3);
+        let lhs = similarity(ac + bc, sa + sb, sc);
+        let rhs = similarity(ac, sa, sc).max(similarity(bc, sb, sc));
+        assert!(lhs <= rhs + 1e-12);
     }
 
     #[test]
@@ -418,7 +417,7 @@ mod tests {
                 wmap.insert((u, v), 0.5 + rng.random::<f64>());
             }
             let w = edge_weights(&g, |u, v| wmap[&(u, v)]);
-            let merges = cluster(&g, &w, Linkage::Average);
+            let merges = cluster(&g, &w);
             let d = Dendrogram::from_merges(n, &merges);
             let naive = naive_greedy(&g, &wmap);
             // Compare the sets of communities (both should contain the same

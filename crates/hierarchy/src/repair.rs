@@ -134,7 +134,6 @@ pub fn smallest_selected_ancestor(d: &Dendrogram, selected: impl Fn(VertexId) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linkage::Linkage;
     use crate::nnchain::cluster_unweighted;
     use cod_graph::{Csr, GraphBuilder};
     use rand::prelude::*;
@@ -148,7 +147,7 @@ mod tests {
     }
 
     fn dendro(g: &Csr) -> Dendrogram {
-        Dendrogram::from_merges(g.num_nodes(), &cluster_unweighted(g, Linkage::Average))
+        Dendrogram::from_merges(g.num_nodes(), &cluster_unweighted(g))
     }
 
     #[test]

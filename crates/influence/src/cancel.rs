@@ -6,20 +6,18 @@
 //! HFS level, per merge wave, per linkage round); the token never interrupts
 //! anything by itself, it only answers "should this work stop now?".
 //!
-//! Three independent triggers can fire a token:
+//! Two triggers can fire a token:
 //!
 //! * an explicit [`CancelToken::cancel`] call (tests, admission control);
 //! * a wall-clock **deadline** (checked lazily inside
 //!   [`CancelToken::should_stop`], so the fast path is one relaxed atomic
-//!   load);
-//! * exceeding a **resource cap** charged by the workers themselves
-//!   ([`CancelToken::charge_rr_edges`], [`CancelToken::charge_memory`]).
+//!   load).
 //!
 //! Determinism contract: polling a token never touches an RNG and never
 //! reorders work, so a token that never fires is invisible — results are
 //! bit-identical to running without one.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,16 +25,13 @@ use std::time::{Duration, Instant};
 struct Inner {
     cancelled: AtomicBool,
     deadline: Option<Instant>,
-    max_rr_edges: Option<u64>,
-    max_memory_bytes: Option<usize>,
-    rr_edges: AtomicU64,
     /// A parent whose firing cancels this token too (but never the other
     /// way round). Lets a server fire one engine-wide kill switch that
     /// reaches every in-flight query without tracking them individually.
     parent: Option<CancelToken>,
 }
 
-/// Shared cancellation flag with optional deadline and resource caps.
+/// Shared cancellation flag with an optional deadline.
 ///
 /// Cloning is an `Arc` bump; all clones observe the same state.
 ///
@@ -44,10 +39,11 @@ struct Inner {
 /// use cod_influence::CancelToken;
 /// use std::time::Duration;
 ///
-/// let t = CancelToken::with(Some(Duration::from_secs(3600)), Some(10), None);
-/// assert!(!t.should_stop());
-/// t.charge_rr_edges(11); // blows the edge cap
-/// assert!(t.is_cancelled());
+/// let t = CancelToken::with(Some(Duration::from_secs(3600)));
+/// let worker = t.clone();
+/// assert!(!worker.should_stop());
+/// t.cancel();
+/// assert!(worker.is_cancelled());
 /// ```
 #[derive(Clone, Debug)]
 pub struct CancelToken {
@@ -55,21 +51,15 @@ pub struct CancelToken {
 }
 
 impl CancelToken {
-    /// A token with no deadline and no caps: it only fires when
+    /// A token with no deadline: it only fires when
     /// [`cancel`](Self::cancel) is called explicitly.
     pub fn unlimited() -> Self {
-        Self::with(None, None, None)
+        Self::with(None)
     }
 
-    /// A token that fires after `deadline` elapses (measured from now), or
-    /// when more than `max_rr_edges` RR-graph edges have been charged, or
-    /// when a single memory charge exceeds `max_memory_bytes`.
-    pub fn with(
-        deadline: Option<Duration>,
-        max_rr_edges: Option<u64>,
-        max_memory_bytes: Option<usize>,
-    ) -> Self {
-        Self::build(deadline, max_rr_edges, max_memory_bytes, None)
+    /// A token that fires after `deadline` elapses (measured from now).
+    pub fn with(deadline: Option<Duration>) -> Self {
+        Self::build(deadline, None)
     }
 
     /// Like [`CancelToken::with`], but additionally linked to `parent`:
@@ -77,33 +67,15 @@ impl CancelToken {
     /// it too. Firing the child never fires the parent. One parent can
     /// back any number of children — the engine uses this to give a server
     /// a single drain kill switch covering every in-flight query.
-    pub fn with_parent(
-        deadline: Option<Duration>,
-        max_rr_edges: Option<u64>,
-        max_memory_bytes: Option<usize>,
-        parent: &CancelToken,
-    ) -> Self {
-        Self::build(
-            deadline,
-            max_rr_edges,
-            max_memory_bytes,
-            Some(parent.clone()),
-        )
+    pub fn with_parent(deadline: Option<Duration>, parent: &CancelToken) -> Self {
+        Self::build(deadline, Some(parent.clone()))
     }
 
-    fn build(
-        deadline: Option<Duration>,
-        max_rr_edges: Option<u64>,
-        max_memory_bytes: Option<usize>,
-        parent: Option<CancelToken>,
-    ) -> Self {
+    fn build(deadline: Option<Duration>, parent: Option<CancelToken>) -> Self {
         Self {
             inner: Arc::new(Inner {
                 cancelled: AtomicBool::new(false),
                 deadline: deadline.map(|d| Instant::now() + d),
-                max_rr_edges,
-                max_memory_bytes,
-                rr_edges: AtomicU64::new(0),
                 parent,
             }),
         }
@@ -152,29 +124,6 @@ impl CancelToken {
         }
         false
     }
-
-    /// Charges `n` traversed RR-graph edges against the edge cap; fires the
-    /// token when the cumulative total exceeds it.
-    pub fn charge_rr_edges(&self, n: u64) {
-        let Some(cap) = self.inner.max_rr_edges else {
-            return;
-        };
-        let total = self.inner.rr_edges.fetch_add(n, Ordering::Relaxed) + n;
-        if total > cap {
-            self.cancel();
-        }
-    }
-
-    /// Charges a high-water scratch-memory reading against the memory cap;
-    /// fires the token when `bytes` exceeds it. Not cumulative: each call
-    /// reports a current resident size, not an allocation delta.
-    pub fn charge_memory(&self, bytes: usize) {
-        if let Some(cap) = self.inner.max_memory_bytes {
-            if bytes > cap {
-                self.cancel();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -193,7 +142,7 @@ mod tests {
 
     #[test]
     fn zero_deadline_fires_on_first_poll() {
-        let t = CancelToken::with(Some(Duration::ZERO), None, None);
+        let t = CancelToken::with(Some(Duration::ZERO));
         // The cheap check alone never reads the clock.
         assert!(!t.is_cancelled());
         assert!(t.should_stop());
@@ -202,30 +151,10 @@ mod tests {
     }
 
     #[test]
-    fn edge_cap_is_cumulative_across_clones() {
-        let t = CancelToken::with(None, Some(100), None);
-        let u = t.clone();
-        t.charge_rr_edges(60);
-        assert!(!t.is_cancelled());
-        u.charge_rr_edges(41);
-        assert!(t.is_cancelled(), "clones share the charge ledger");
-    }
-
-    #[test]
-    fn memory_cap_is_high_water_not_cumulative() {
-        let t = CancelToken::with(None, None, Some(1000));
-        t.charge_memory(600);
-        t.charge_memory(600); // same reading twice: still under the cap
-        assert!(!t.is_cancelled());
-        t.charge_memory(1001);
-        assert!(t.is_cancelled());
-    }
-
-    #[test]
     fn parent_cancellation_reaches_children_but_not_vice_versa() {
         let parent = CancelToken::unlimited();
-        let a = CancelToken::with_parent(None, None, None, &parent);
-        let b = CancelToken::with_parent(Some(Duration::from_secs(3600)), None, None, &parent);
+        let a = CancelToken::with_parent(None, &parent);
+        let b = CancelToken::with_parent(Some(Duration::from_secs(3600)), &parent);
         assert!(!a.is_cancelled() && !b.is_cancelled());
         // A fired child leaves the parent and its siblings untouched.
         a.cancel();
@@ -238,21 +167,13 @@ mod tests {
 
     #[test]
     fn parent_deadline_latches_through_child_polls() {
-        let parent = CancelToken::with(Some(Duration::ZERO), None, None);
-        let child = CancelToken::with_parent(None, None, None, &parent);
+        let parent = CancelToken::with(Some(Duration::ZERO));
+        let child = CancelToken::with_parent(None, &parent);
         // The cheap check alone reads no clock, so nothing fired yet.
         assert!(!child.is_cancelled());
         // A full poll consults the parent's deadline and latches it.
         assert!(child.should_stop());
         assert!(parent.is_cancelled());
         assert!(child.is_cancelled());
-    }
-
-    #[test]
-    fn uncapped_charges_never_fire() {
-        let t = CancelToken::unlimited();
-        t.charge_rr_edges(u64::MAX / 2);
-        t.charge_memory(usize::MAX);
-        assert!(!t.should_stop());
     }
 }

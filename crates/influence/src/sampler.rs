@@ -68,12 +68,6 @@ pub struct SamplerScratch {
 }
 
 impl SamplerScratch {
-    /// Bytes held by the scratch buffers (capacity, not length).
-    pub fn memory_bytes(&self) -> usize {
-        (self.stamp.capacity() + self.local.capacity() + self.expansion.capacity())
-            * std::mem::size_of::<u32>()
-    }
-
     /// Cumulative sampling effort recorded by every sampler this scratch
     /// has passed through. Callers that want per-query numbers snapshot
     /// before and after and subtract.

@@ -22,8 +22,9 @@
 //! # Robustness contract
 //!
 //! * per-connection read/write timeouts and a request-size cap;
-//! * request `deadline_ms` mapped into [`cod_core::QueryLimits`], so the
-//!   engine's cooperative cancellation bounds every request;
+//! * request `deadline_ms` mapped into the engine's per-query deadline
+//!   ([`cod_core::CodConfig::deadline`]), so its cooperative cancellation
+//!   bounds every request;
 //! * overload sheds at the socket (bounded accept queue → immediate 503 +
 //!   `Retry-After`) and at the engine (`CodError::Overloaded` → 503 with
 //!   the error's own hint);

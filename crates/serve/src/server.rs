@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cod_core::failpoint::{self, Site};
-use cod_core::{CodAnswer, CodEngine, CodError, Method, MetricsSnapshot, Query, QueryLimits};
+use cod_core::{CodAnswer, CodEngine, CodError, Method, MetricsSnapshot, Query};
 use cod_graph::AttrId;
 use rand::prelude::*;
 
@@ -884,25 +884,23 @@ fn query_endpoint(shared: &Shared, req: &Request, batch: bool) -> Response {
         });
     }
 
-    // The request deadline maps straight into QueryLimits: the engine's
-    // cooperative cancellation bounds everything past this point.
-    let mut limits: QueryLimits = shared.engine.config().limits;
-    let deadline = deadline_ms
+    // The request deadline (or the serve default), capped by the engine's
+    // own: the engine's cooperative cancellation bounds everything past
+    // this point.
+    let request = deadline_ms
         .map(Duration::from_millis)
         .or(shared.cfg.default_deadline);
-    if let Some(d) = deadline {
-        limits.deadline = Some(match limits.deadline {
-            Some(base) => base.min(d),
-            None => d,
-        });
-    }
+    let deadline = match (shared.engine.config().deadline, request) {
+        (Some(base), Some(d)) => Some(base.min(d)),
+        (base, d) => base.or(d),
+    };
 
     failpoint::hit(Site::PreEval, None);
     let idx = shared.req_counter.fetch_add(1, Ordering::Relaxed);
     let mut rng = SmallRng::seed_from_u64(shared.cfg.seed ^ idx.wrapping_mul(0x9e3779b97f4a7c15));
     let results = shared
         .engine
-        .query_batch_with_limits(&queries, &limits, &mut rng);
+        .query_batch_with_deadline(&queries, deadline, &mut rng);
 
     // Shedding is all-or-nothing per batch: one Overloaded means the
     // whole call was shed, and the 503 carries the engine's retry hint.

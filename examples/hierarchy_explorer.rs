@@ -32,7 +32,7 @@ fn main() {
     );
 
     // Build the non-attributed hierarchy T.
-    let dendro = recluster::build_hierarchy(g.csr(), Linkage::Average);
+    let dendro = recluster::build_hierarchy(g.csr());
     let lca = LcaIndex::new(&dendro);
     let chain = Chain::new(&dendro, &lca, q).unwrap();
     println!("|H(q)| = {} hierarchical communities", chain.len());

@@ -453,10 +453,7 @@ impl Opts {
             parallelism: self.threads.unwrap_or_default(),
             trace: self.trace,
             pool: self.pool,
-            limits: QueryLimits {
-                deadline: self.deadline_ms.map(std::time::Duration::from_millis),
-                ..QueryLimits::default()
-            },
+            deadline: self.deadline_ms.map(std::time::Duration::from_millis),
             max_inflight: self.max_inflight,
             ..CodConfig::default()
         }
@@ -495,7 +492,7 @@ fn cmd_stats(opts: &Opts) -> Result<(), String> {
         "pseudo-diameter: {}",
         pcod::graph::stats::pseudo_diameter(csr)
     );
-    let dendro = build_hierarchy(csr, Linkage::Average);
+    let dendro = build_hierarchy(csr);
     outln!("hierarchy:   avg |H(q)| = {:.1}", dendro.avg_chain_len());
     Ok(())
 }
@@ -912,7 +909,7 @@ fn cmd_hierarchy(opts: &Opts) -> Result<(), String> {
     let q = opts.node.ok_or("hierarchy needs --node")?;
     check_node(&g, q)?;
     let cfg = opts.cod_config();
-    let dendro = build_hierarchy(g.csr(), cfg.linkage);
+    let dendro = build_hierarchy(g.csr());
     let lca = LcaIndex::new(&dendro);
     let chain = Chain::new(&dendro, &lca, q).map_err(|e| e.to_string())?;
     let mut rng = SmallRng::seed_from_u64(opts.seed);

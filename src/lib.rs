@@ -58,10 +58,9 @@ pub use cod_serve as serve;
 pub mod prelude {
     pub use cod_core::{
         CacheOutcome, CacheStats, Chain, CodAnswer, CodConfig, CodEngine, CodError, CodResult,
-        Counter, HimorIndex, Method, MetricsSnapshot, Phase, Query, QueryLimits, QueryScratch,
-        QueryTrace,
+        Counter, HimorIndex, Method, MetricsSnapshot, Phase, Query, QueryScratch, QueryTrace,
     };
     pub use cod_graph::{AttrId, AttributedGraph, Csr, GraphBuilder, NodeId};
-    pub use cod_hierarchy::{Dendrogram, LcaIndex, Linkage};
+    pub use cod_hierarchy::{Dendrogram, LcaIndex};
     pub use cod_influence::{CancelToken, Model, Parallelism, RrSampler, SeedSequence};
 }

@@ -51,7 +51,7 @@ fn cod_on_two_nodes() {
 fn k_at_least_community_size_accepts_every_level() {
     let data = pcod::datasets::paper_example();
     let g = &data.graph;
-    let dendro = build_hierarchy(g.csr(), Linkage::Average);
+    let dendro = build_hierarchy(g.csr());
     let lca = LcaIndex::new(&dendro);
     let chain = Chain::new(&dendro, &lca, 0).unwrap();
     let mut rng = SmallRng::seed_from_u64(2);
@@ -70,8 +70,8 @@ fn codr_with_unused_attribute_degenerates_to_codu_hierarchy() {
     let data = pcod::datasets::paper_example();
     let g = &data.graph;
     let unused_attr = 77;
-    let r = pcod::cod::recluster::global_recluster(g, unused_attr, 1.0, Linkage::Average);
-    let u = build_hierarchy(g.csr(), Linkage::Average);
+    let r = pcod::cod::recluster::global_recluster(g, unused_attr, 1.0);
+    let u = build_hierarchy(g.csr());
     for v in 0..g.num_nodes() as NodeId {
         assert_eq!(r.root_path(v).len(), u.root_path(v).len());
     }
@@ -97,7 +97,7 @@ fn identity_subgraph_round_trips() {
 #[test]
 fn dendrogram_merges_round_trip() {
     let data = pcod::datasets::cora_like(3);
-    let d = build_hierarchy(data.graph.csr(), Linkage::Average);
+    let d = build_hierarchy(data.graph.csr());
     let d2 = Dendrogram::from_merges(d.num_leaves(), &d.merges());
     assert_eq!(d.num_vertices(), d2.num_vertices());
     for v in 0..d.num_vertices() as u32 {
@@ -131,7 +131,7 @@ fn divisive_hierarchy_supports_cod_queries() {
 fn divisive_hierarchy_is_much_flatter_on_skewed_graphs() {
     let data = pcod::datasets::retweet_like(6);
     let g = data.graph.csr();
-    let agglomerative = build_hierarchy(g, Linkage::Average);
+    let agglomerative = build_hierarchy(g);
     let divisive = pcod::hierarchy::bisect(g);
     assert!(
         divisive.avg_chain_len() * 3.0 < agglomerative.avg_chain_len(),
@@ -155,7 +155,7 @@ fn baselines_reject_out_of_attribute_queries() {
 fn lore_on_every_node_of_the_example_is_stable() {
     let data = pcod::datasets::paper_example();
     let g = &data.graph;
-    let dendro = build_hierarchy(g.csr(), Linkage::Average);
+    let dendro = build_hierarchy(g.csr());
     let lca = LcaIndex::new(&dendro);
     for q in 0..10u32 {
         for attr in 0..2u32 {
@@ -188,7 +188,7 @@ fn quality_measures_on_whole_graph() {
 fn chain_universe_matches_top_community() {
     let data = pcod::datasets::citeseer_like(7);
     let g = &data.graph;
-    let dendro = build_hierarchy(g.csr(), Linkage::Average);
+    let dendro = build_hierarchy(g.csr());
     let lca = LcaIndex::new(&dendro);
     let chain = Chain::new(&dendro, &lca, 42).unwrap();
     assert_eq!(chain.universe(), chain.members(chain.len() - 1));
@@ -197,7 +197,7 @@ fn chain_universe_matches_top_community() {
 #[test]
 fn himor_on_two_node_graph() {
     let g = two_node_graph();
-    let dendro = build_hierarchy(g.csr(), Linkage::Average);
+    let dendro = build_hierarchy(g.csr());
     let lca = LcaIndex::new(&dendro);
     let mut rng = SmallRng::seed_from_u64(8);
     let index = HimorIndex::build(
@@ -264,7 +264,7 @@ fn pooled_zero_budget_nets_already_pooled_samples() {
     use std::sync::Arc;
 
     let g = two_node_graph();
-    let dendro = build_hierarchy(g.csr(), Linkage::Average);
+    let dendro = build_hierarchy(g.csr());
     let lca = LcaIndex::new(&dendro);
     let chain = Chain::new(&dendro, &lca, 0).unwrap();
     let universe: Arc<Vec<NodeId>> = Arc::new(chain.universe().to_vec());

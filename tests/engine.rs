@@ -19,7 +19,7 @@ fn cfg() -> CodConfig {
 }
 
 /// Every variant — each method through each engine entry point (single
-/// query, batch, per-call limits) — rejects the same invalid `(q, attr)`
+/// query, batch, per-call deadline) — rejects the same invalid `(q, attr)`
 /// with the same `InvalidQuery` message. Validation is hoisted to the
 /// engine boundary, so a drift between variants means one path grew its
 /// own (wrong) checks.
@@ -32,17 +32,14 @@ fn invalid_queries_error_identically_through_every_variant() {
     let bad_attr: AttrId = g.num_attrs() as AttrId + 3;
     let mut rng = SmallRng::seed_from_u64(11);
     let engine = CodEngine::new(g.clone(), cfg());
-    let limits = QueryLimits {
-        deadline: Some(std::time::Duration::from_secs(600)),
-        ..QueryLimits::default()
-    };
+    let deadline = Some(std::time::Duration::from_secs(600));
     let mut errors = |query: Query| -> Vec<String> {
         let batch = engine.query_batch(&[query], &mut rng).pop().unwrap();
         [
             engine.query(query, &mut rng),
             batch,
             engine
-                .query_batch_with_limits(&[query], &limits, &mut rng)
+                .query_batch_with_deadline(&[query], deadline, &mut rng)
                 .pop()
                 .unwrap(),
         ]

@@ -70,7 +70,7 @@ fn theorem_2_induced_estimates_match_forward_simulation() {
 fn compressed_matches_independent_at_high_theta() {
     let data = dataset();
     let g = &data.graph;
-    let dendro = build_hierarchy(g.csr(), Linkage::Average);
+    let dendro = build_hierarchy(g.csr());
     let lca = LcaIndex::new(&dendro);
     let mut rng = SmallRng::seed_from_u64(9);
     let queries = pcod::datasets::gen_queries(g, 5, &mut rng);
@@ -108,7 +108,7 @@ fn compressed_matches_independent_at_high_theta() {
 fn compressed_sigma_is_calibrated() {
     let data = dataset();
     let g = &data.graph;
-    let dendro = build_hierarchy(g.csr(), Linkage::Average);
+    let dendro = build_hierarchy(g.csr());
     let lca = LcaIndex::new(&dendro);
     let mut rng = SmallRng::seed_from_u64(10);
     let q = pcod::datasets::gen_queries(g, 1, &mut rng)[0].0;
@@ -157,7 +157,7 @@ fn lt_model_estimates_match_simulation() {
 fn himor_is_consistent_with_direct_evaluation() {
     let data = dataset();
     let g = &data.graph;
-    let dendro = build_hierarchy(g.csr(), Linkage::Average);
+    let dendro = build_hierarchy(g.csr());
     let lca = LcaIndex::new(&dendro);
     let mut rng = SmallRng::seed_from_u64(14);
     let (model, seed, par) = (

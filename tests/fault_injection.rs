@@ -41,7 +41,7 @@ fn small_artifacts() -> (AttributedGraph, Dendrogram, HimorIndex) {
         .collect();
     let attrs = pcod::graph::AttrTable::from_lists(lists);
     let g = AttributedGraph::from_parts(b.build(), attrs, names);
-    let dendro = build_hierarchy(g.csr(), Linkage::Average);
+    let dendro = build_hierarchy(g.csr());
     let lca = LcaIndex::new(&dendro);
     let mut rng = SmallRng::seed_from_u64(77);
     let (seed, par) = (rng.next_u64(), Parallelism::Threads(1));

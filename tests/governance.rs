@@ -3,10 +3,10 @@
 //! harness in `cod_core::failpoint`.
 //!
 //! The contract under test:
-//! * limits that never fire leave answers **bit-identical** to running
-//!   without limits (the seed-replay suite sweeps this across thread
+//! * a deadline that never passes leaves answers **bit-identical** to
+//!   running without one (the seed-replay suite sweeps this across thread
 //!   counts; here we pin the single-engine case),
-//! * a limit that fires produces a **bounded** outcome — a best-effort
+//! * a deadline that passes produces a **bounded** outcome — a best-effort
 //!   answer flagged [`CodAnswer::degraded`]/`uncertain`, or the typed
 //!   [`CodError::DeadlineExceeded`] — never a hang,
 //! * an injected panic at any site surfaces as [`CodError::Internal`] and
@@ -40,15 +40,9 @@ fn dataset() -> pcod::datasets::Dataset {
     pcod::datasets::amazon_like_scaled(120, 8)
 }
 
-/// Limits armed but generous enough that no checkpoint can ever trip
-/// them: the governed code paths run, the outcome must not change.
-fn generous_limits() -> QueryLimits {
-    QueryLimits {
-        deadline: Some(Duration::from_secs(3600)),
-        max_rr_edges: Some(u64::MAX / 2),
-        max_memory_bytes: Some(usize::MAX / 2),
-    }
-}
+/// A deadline armed but long enough that no checkpoint can ever trip it:
+/// the governed code paths run, the outcome must not change.
+const GENEROUS_DEADLINE: Option<Duration> = Some(Duration::from_secs(3600));
 
 fn base_cfg() -> CodConfig {
     CodConfig {
@@ -89,9 +83,9 @@ fn run_workload(cfg: CodConfig, g: &AttributedGraph) -> Vec<Result<Option<CodAns
     comparable(engine.query_batch(&workload(g), &mut rng))
 }
 
-/// Generous limits leave every answer bit-identical to the unlimited
-/// engine — the governed paths (token polls, charge calls) must not touch
-/// the RNG or alter any result.
+/// A generous deadline leaves every answer bit-identical to the unlimited
+/// engine — the governed paths (token polls) must not touch the RNG or
+/// alter any result.
 #[test]
 fn generous_limits_answers_match_unlimited_answers() {
     let _g = guard();
@@ -101,15 +95,18 @@ fn generous_limits_answers_match_unlimited_answers() {
     assert!(unlimited.iter().any(|r| matches!(r, Ok(Some(_)))));
     let governed = run_workload(
         CodConfig {
-            limits: generous_limits(),
+            deadline: GENEROUS_DEADLINE,
             ..base_cfg()
         },
         &data.graph,
     );
-    assert_eq!(governed, unlimited, "never-firing limits changed answers");
+    assert_eq!(
+        governed, unlimited,
+        "a never-passing deadline changed answers"
+    );
     for r in &governed {
         if let Ok(Some(a)) = r {
-            assert!(a.degraded.is_none(), "no limit fired, yet {a:?} degraded");
+            assert!(a.degraded.is_none(), "no token fired, yet {a:?} degraded");
         }
     }
 }
@@ -123,10 +120,7 @@ fn zero_deadline_queries_stay_bounded_and_flagged() {
     failpoint::disarm_all();
     let data = dataset();
     let cfg = CodConfig {
-        limits: QueryLimits {
-            deadline: Some(Duration::ZERO),
-            ..QueryLimits::default()
-        },
+        deadline: Some(Duration::ZERO),
         ..base_cfg()
     };
     let engine = CodEngine::new(data.graph.clone(), cfg);
@@ -173,7 +167,7 @@ fn delay_injection_at_every_site_preserves_answers() {
     failpoint::disarm_all();
     let data = dataset();
     let cfg = CodConfig {
-        limits: generous_limits(),
+        deadline: GENEROUS_DEADLINE,
         ..base_cfg()
     };
     let baseline = run_workload(cfg, &data.graph);
@@ -260,10 +254,10 @@ fn forced_cancellation_at_every_site_degrades_gracefully() {
     for site in SITES {
         failpoint::disarm_all();
         failpoint::arm(site, Action::Cancel);
-        // Limits must be armed for a token to exist; generous ones never
-        // fire on their own, so every cancellation comes from the injection.
+        // A deadline must be armed for a token to exist; a long one never
+        // passes on its own, so every cancellation comes from the injection.
         let cfg = CodConfig {
-            limits: generous_limits(),
+            deadline: GENEROUS_DEADLINE,
             ..base_cfg()
         };
         let engine = CodEngine::new(data.graph.clone(), cfg);
@@ -388,7 +382,7 @@ fn concurrent_queries_and_cache_clears_stay_consistent() {
     }
     let data = dataset();
     let cfg = CodConfig {
-        limits: generous_limits(),
+        deadline: GENEROUS_DEADLINE,
         ..base_cfg()
     };
     let engine = CodEngine::new(data.graph.clone(), cfg);

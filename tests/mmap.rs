@@ -198,7 +198,7 @@ fn persisted_hierarchy_matches_rebuilt_hierarchy() {
     let (dendro, index) = build_artifacts(g);
     let bytes = serialize_artifacts(g, &dendro, &index).expect("serialize");
     let arts = MappedArtifacts::from_vec(bytes).expect("open");
-    let fresh = build_hierarchy(g.csr(), Linkage::Average);
+    let fresh = build_hierarchy(g.csr());
     assert_eq!(
         arts.hierarchy().expect("hierarchy").dendro.merges(),
         fresh.merges()

@@ -415,14 +415,10 @@ fn pool_fold_cancellation_degrades_gracefully() {
     let data = dataset();
     failpoint::disarm_all();
     failpoint::arm(Site::PoolFold, Action::Cancel);
-    // Limits must be armed for a token to exist; generous ones never fire
-    // on their own, so every cancellation comes from the injection.
+    // A deadline must be armed for a token to exist; a long one never
+    // passes on its own, so every cancellation comes from the injection.
     let cfg = CodConfig {
-        limits: QueryLimits {
-            deadline: Some(Duration::from_secs(3600)),
-            max_rr_edges: Some(u64::MAX / 2),
-            max_memory_bytes: Some(usize::MAX / 2),
-        },
+        deadline: Some(Duration::from_secs(3600)),
         ..pooled_cfg(2)
     };
     let engine = CodEngine::new(data.graph.clone(), cfg);

@@ -248,7 +248,7 @@ proptest! {
         attrs in 1u32..4,
     ) {
         let g = random_attributed(n, extra, seed, attrs);
-        let d = build_hierarchy(g.csr(), Linkage::Average);
+        let d = build_hierarchy(g.csr());
         let lca = LcaIndex::new(&d);
         for attr in 0..attrs {
             let table = DeltaTable::build(&g, &d, &lca, attr);
@@ -271,7 +271,7 @@ proptest! {
     #[test]
     fn dendrogram_invariants(n in 2usize..40, extra in 0usize..60, seed in 0u64..1000) {
         let g = random_graph(n, extra, seed);
-        let d = build_hierarchy(&g, Linkage::Average);
+        let d = build_hierarchy(&g);
         prop_assert_eq!(d.num_leaves(), n);
         prop_assert_eq!(d.num_vertices(), 2 * n - 1);
         prop_assert_eq!(d.size(d.root()), n);
@@ -299,7 +299,7 @@ proptest! {
     #[test]
     fn lca_matches_naive(n in 2usize..30, extra in 0usize..40, seed in 0u64..1000) {
         let g = random_graph(n, extra, seed);
-        let d = build_hierarchy(&g, Linkage::Average);
+        let d = build_hierarchy(&g);
         let lca = LcaIndex::new(&d);
         let naive = |a: u32, b: u32| -> u32 {
             let mut anc = vec![a];
@@ -415,7 +415,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let g = random_graph(n, extra, gseed);
-        let d = build_hierarchy(&g, Linkage::Average);
+        let d = build_hierarchy(&g);
         let lca = LcaIndex::new(&d);
         let q = (gseed % n as u64) as NodeId;
         let path = d.root_path(q);
@@ -432,7 +432,7 @@ proptest! {
         if !communities.is_empty() {
             let c = communities[pick % communities.len()];
             let sub = Subgraph::induced(&g, &d.members_sorted(c));
-            let sd = build_hierarchy(&sub.csr, Linkage::Average);
+            let sd = build_hierarchy(&sub.csr);
             let slca = LcaIndex::new(&sd);
             // `members` lists are ascending and `parent` is monotone, so
             // the mapped sets stay sorted.

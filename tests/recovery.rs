@@ -26,7 +26,7 @@ fn nnchain_recovers_planted_partition() {
     let g = planted_partition(n, &blocks, 0.35, 0.004, &mut rng);
     let g = make_connected(&g, &mut rng);
     let truth = labels_from_blocks(n, &blocks);
-    let dendro = build_hierarchy(&g, Linkage::Average);
+    let dendro = build_hierarchy(&g);
     let cut = dendro.cut(10);
     let score = nmi(&truth, &cut);
     assert!(
@@ -60,7 +60,7 @@ fn recovery_degrades_with_lfr_mixing() {
     for &mu in &[0.05f64, 0.5] {
         let g = lfr_like(n, &blocks, 4, 20, 2.5, mu, &mut rng);
         let g = make_connected(&g, &mut rng);
-        let dendro = build_hierarchy(&g, Linkage::Average);
+        let dendro = build_hierarchy(&g);
         scores.push(nmi(&truth, &dendro.cut(6)));
     }
     assert!(
@@ -85,7 +85,7 @@ fn preset_hierarchies_align_with_planted_communities() {
     let g = data.graph.csr();
     let n = g.num_nodes();
     let truth = labels_from_blocks(n, &data.communities);
-    let dendro = build_hierarchy(g, Linkage::Average);
+    let dendro = build_hierarchy(g);
     let cut = dendro.cut(data.communities.len());
     let score = nmi(&truth, &cut);
     assert!(score > 0.5, "amazon-like preset NMI {score}");

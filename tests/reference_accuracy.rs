@@ -126,7 +126,7 @@ fn pooled_fixed_theta_agrees_with_a_16x_reference_on_cora() {
     let data = pcod::datasets::cora_like(1);
     let graph = &data.graph;
     let g = graph.csr();
-    let base = Hierarchy::new(build_hierarchy(g, Linkage::Average));
+    let base = Hierarchy::new(build_hierarchy(g));
     let mut rng = SmallRng::seed_from_u64(7);
     let queries = pcod::datasets::gen_queries(graph, QUERIES, &mut rng);
     assert_eq!(queries.len(), QUERIES);
@@ -148,7 +148,7 @@ fn pooled_fixed_theta_agrees_with_a_16x_reference_on_cora() {
             continue;
         };
         let members = base.dendro.members_sorted(choice.vertex);
-        let (sub, dendro) = local_recluster(graph, &members, a, 1.0, Linkage::Average);
+        let (sub, dendro) = local_recluster(graph, &members, a, 1.0);
         let local = Hierarchy::new(dendro);
         let chain = Chain::local(&sub, &local.dendro, &local.lca, q, None).expect("q is in C_ℓ");
         if chain.is_empty() {

@@ -280,7 +280,7 @@ fn pool_topups_are_counted_and_sample_only_the_missing_suffix() {
 
     let data = dataset();
     let g = data.graph.csr();
-    let dendro = build_hierarchy(g, Linkage::Average);
+    let dendro = build_hierarchy(g);
     let lca = LcaIndex::new(&dendro);
     let q = 3u32;
     let chain = Chain::new(&dendro, &lca, q).expect("chain exists");
