@@ -455,7 +455,6 @@ impl DynamicCod {
                         &csr,
                         cfg.model,
                         &old.dendro,
-                        &old.lca,
                         &hier.dendro,
                         &hier.lca,
                         &diff,

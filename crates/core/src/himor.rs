@@ -16,14 +16,16 @@
 //! compressed evaluation inside the reclustered `C_ℓ`.
 //!
 //! **Patching** ([`HimorPatchState`]): a patchable build keeps its `Θ`
-//! samples in one flat [`RrArena`], each with its source and **span** (the
-//! size of its highest HFS tag), plus the master buckets. After a graph
+//! samples in one flat [`RrArena`], each with its source, its **span**
+//! (the size of its highest HFS tag) and each RR node's tag **level** on
+//! the source's root path, plus the master buckets. After a graph
 //! mutation [`HimorPatchState::patch`] updates them in place to the index
 //! a from-scratch build of the mutated graph returns. It finds the samples
 //! whose draws or tags can move from the flat source and span arrays and
 //! two per-leaf sizes (the smallest changed community and the smallest
 //! community holding an edited node), so it pays the HFS terms only for
-//! those samples and reads no other sample's node list. Only
+//! those samples and reads no other sample's node list; it subtracts a
+//! sample by replaying its levels, without an LCA query. Only
 //! [`HimorIndex::build`] takes a cancel token; patchable builds and
 //! patches run to completion.
 
@@ -169,13 +171,12 @@ impl HimorIndex {
     /// sets) run on `par`.
     ///
     /// Under cooperative governance the HFS stage polls `cancel` every
-    /// `CHECK_EVERY` draws (charging traversed RR edges against the token's
-    /// cap) and the merge stage polls it once per depth wave; checkpoints
-    /// never touch an RNG, so a token that does not fire leaves the index
-    /// bit-identical. Fails with [`CodError::InvalidQuery`] when `Θ`
-    /// overflows (before any sampling), and with
-    /// [`CodError::DeadlineExceeded`] when the token fires — a half-built
-    /// index is never observable.
+    /// `CHECK_EVERY` draws and the merge stage polls it once per depth
+    /// wave; checkpoints never touch an RNG, so a token that does not fire
+    /// leaves the index bit-identical. Fails with
+    /// [`CodError::InvalidQuery`] when `Θ` overflows (before any sampling),
+    /// and with [`CodError::DeadlineExceeded`] when the token fires — a
+    /// half-built index is never observable.
     #[allow(clippy::too_many_arguments)] // the build inputs plus seed, fan-out and token
     pub fn build(
         g: &Csr,
@@ -280,8 +281,8 @@ impl HimorIndex {
     ///
     /// With `keep_samples` set, the drawn RR graphs are also returned, in
     /// index order (shard ranges are contiguous and ascending), with their
-    /// sources and spans, so a [`HimorPatchState`] can later subtract and
-    /// redraw individual samples.
+    /// sources, spans and tag levels, so a [`HimorPatchState`] can later
+    /// subtract and redraw individual samples.
     #[allow(clippy::too_many_arguments)] // internal stage: build inputs plus the token
     fn hfs_stage(
         g: &Csr,
@@ -307,6 +308,7 @@ impl HimorIndex {
             let mut explored: Vec<bool> = Vec::new();
             let mut buckets: Vec<FxHashMap<NodeId, u32>> = vec![FxHashMap::default(); nv];
             let mut kept = Samples::default();
+            let mut levels = Vec::new();
             for (off, i) in range.enumerate() {
                 if off % CHECK_EVERY == 0 {
                     failpoint::hit(failpoint::Site::SampleBatch, cancel);
@@ -323,9 +325,10 @@ impl HimorIndex {
                     &mut queues,
                     &mut explored,
                     &mut buckets,
+                    keep_samples.then_some(&mut levels),
                 );
                 if keep_samples {
-                    kept.push(rr.view(), span);
+                    kept.push(rr.view(), span, &levels);
                 }
             }
             (buckets, kept, sampler.stats())
@@ -357,10 +360,20 @@ impl HimorIndex {
     }
 
     /// Records one RR graph into the per-vertex buckets: every RR node goes
-    /// to the bucket of the smallest community containing a path from the
-    /// source (tagged via O(1) `lca`), drained deepest-first. Leaves
-    /// `queues` empty for reuse and returns the sample's span (see
-    /// [`HimorIndex::hfs_visit_tree`]).
+    /// to the bucket of its tag, the smallest community containing a path
+    /// from the source (tagged via O(1) `lca`), drained deepest-first. With
+    /// `levels`, it also sets `levels[k]` to RR node `k`'s tag **level**,
+    /// its place on the source's root path: `depth(leaf(s)) − 1 −
+    /// depth(tag)`, the index rank rows use (0 = the source's parent). A
+    /// patch replays the levels to subtract the sample without traversing
+    /// it again; a plain build passes `None` and writes none. Leaves
+    /// `queues` empty for reuse.
+    ///
+    /// Returns the sample's **span**: the size of its highest tag, which is
+    /// the LCA of its nodes (the source's parent for a lone source; 0 on a
+    /// one-node graph, which tags nothing). Every tag lies on the source's
+    /// root path, and tags are visited in non-increasing depth, so the
+    /// last one visited is the highest.
     fn hfs_record_tree(
         dendro: &Dendrogram,
         lca: &LcaIndex,
@@ -368,31 +381,12 @@ impl HimorIndex {
         queues: &mut [Vec<(u32, VertexId)>],
         explored: &mut Vec<bool>,
         buckets: &mut [FxHashMap<NodeId, u32>],
+        mut levels: Option<&mut Vec<u32>>,
     ) -> u32 {
-        Self::hfs_visit_tree(dendro, lca, rr, queues, explored, |tag, node| {
-            *buckets[tag as usize].entry(node).or_insert(0) += 1;
-        })
-    }
-
-    /// The HFS tree traversal of one RR graph, factored out so the
-    /// incremental patch can *subtract* a sample's contributions with the
-    /// same closure shape the build uses to add them. `visit(tag, node)`
-    /// fires exactly once per explored RR node, with `tag` the smallest
-    /// community containing a source path to it.
-    ///
-    /// Returns the sample's **span**: the size of its highest tag, which is
-    /// the LCA of its nodes (the source's parent for a lone source; 0 on a
-    /// one-node graph, which tags nothing). Every tag lies on the source's
-    /// root path, and tags are visited in non-increasing depth, so the
-    /// last one visited is the highest.
-    fn hfs_visit_tree(
-        dendro: &Dendrogram,
-        lca: &LcaIndex,
-        rr: RrView<'_>,
-        queues: &mut [Vec<(u32, VertexId)>],
-        explored: &mut Vec<bool>,
-        mut visit: impl FnMut(VertexId, NodeId),
-    ) -> u32 {
+        if let Some(levels) = levels.as_deref_mut() {
+            levels.clear();
+            levels.resize(rr.len(), 0);
+        }
         let s = rr.source();
         let s_leaf = dendro.leaf(s);
         if s_leaf == dendro.root() {
@@ -411,7 +405,10 @@ impl HimorIndex {
                 }
                 explored[v as usize] = true;
                 top = tag;
-                visit(tag, rr.node(v));
+                *buckets[tag as usize].entry(rr.node(v)).or_insert(0) += 1;
+                if let Some(levels) = levels.as_deref_mut() {
+                    levels[v as usize] = (d0 - d) as u32;
+                }
                 for &u in rr.out_neighbors(v) {
                     if explored[u as usize] {
                         continue;
@@ -695,10 +692,16 @@ pub struct PatchStats {
     pub samples_total: u64,
 }
 
+/// The level store compacts once its dead entries exceed one
+/// `LEVELS_COMPACT_RATIO`-th of its live entries, the rule [`RrArena`]
+/// follows.
+const LEVELS_COMPACT_RATIO: usize = 8;
+
 /// The samples a patchable build keeps, index-aligned with the seed
 /// sequence: the drawn RR graphs in one arena, plus each one's source and
 /// span in flat arrays, so a patch can pick the samples an event reaches
-/// without reading any node list it does not need.
+/// without reading any node list it does not need, and each one's tag
+/// levels, so a patch can subtract it without traversing it.
 #[derive(Clone, Debug, Default)]
 struct Samples {
     /// Sample `i` as last drawn.
@@ -706,27 +709,78 @@ struct Samples {
     /// `sources[i]`: the source node of sample `i`.
     sources: Vec<NodeId>,
     /// `spans[i]`: the size of sample `i`'s highest tag under the current
-    /// tree (the LCA of its nodes; see [`HimorIndex::hfs_visit_tree`]).
+    /// tree (the LCA of its nodes; see [`HimorIndex::hfs_record_tree`]).
     spans: Vec<u32>,
+    /// Tag levels under the current tree, one per RR node, aligned with
+    /// the sample's node list: sample `i`'s are the `arena.get(i).len()`
+    /// entries from `level_at[i]`.
+    levels: Vec<u32>,
+    level_at: Vec<usize>,
+    /// Entries of `levels` no sample covers.
+    dead_levels: usize,
 }
 
 impl Samples {
-    fn push(&mut self, rr: RrView<'_>, span: u32) {
+    fn push(&mut self, rr: RrView<'_>, span: u32, levels: &[u32]) {
+        debug_assert_eq!(levels.len(), rr.len());
         self.arena.push(rr);
         self.sources.push(rr.source());
         self.spans.push(span);
+        self.level_at.push(self.levels.len());
+        self.levels.extend_from_slice(levels);
     }
 
     fn append(&mut self, other: Samples) {
+        let base = self.levels.len();
         self.arena.append(other.arena);
         self.sources.extend(other.sources);
         self.spans.extend(other.spans);
+        self.levels.extend(other.levels);
+        self.level_at
+            .extend(other.level_at.iter().map(|&at| at + base));
+        self.dead_levels += other.dead_levels;
+    }
+
+    /// Sample `i`'s tag levels, aligned with its node list.
+    fn levels(&self, i: usize) -> &[u32] {
+        let at = self.level_at[i];
+        &self.levels[at..at + self.arena.get(i).len()]
+    }
+
+    /// Makes `levels` sample `i`'s, once the arena holds its current draw;
+    /// `old_len` is the node count of the draw they replace. They are
+    /// written in place when they fit and appended otherwise, and the
+    /// store compacts when its dead entries pass their share.
+    fn set_levels(&mut self, i: usize, old_len: usize, levels: &[u32]) {
+        debug_assert_eq!(levels.len(), self.arena.get(i).len());
+        if levels.len() <= old_len {
+            let at = self.level_at[i];
+            self.levels[at..at + levels.len()].copy_from_slice(levels);
+            self.dead_levels += old_len - levels.len();
+        } else {
+            self.level_at[i] = self.levels.len();
+            self.levels.extend_from_slice(levels);
+            self.dead_levels += old_len;
+        }
+        let live = self.levels.len() - self.dead_levels;
+        if self.dead_levels * LEVELS_COMPACT_RATIO > live {
+            let mut fresh = Vec::with_capacity(live + live / LEVELS_COMPACT_RATIO);
+            for j in 0..self.level_at.len() {
+                let at = fresh.len();
+                fresh.extend_from_slice(self.levels(j));
+                self.level_at[j] = at;
+            }
+            self.levels = fresh;
+            self.dead_levels = 0;
+        }
     }
 
     fn memory_bytes(&self) -> usize {
         self.arena.memory_bytes()
             + self.sources.capacity() * std::mem::size_of::<NodeId>()
             + self.spans.capacity() * std::mem::size_of::<u32>()
+            + self.levels.capacity() * std::mem::size_of::<u32>()
+            + self.level_at.capacity() * std::mem::size_of::<usize>()
     }
 }
 
@@ -746,9 +800,9 @@ fn edit_reach(d: &Dendrogram, is_edited: &[bool]) -> Vec<u32> {
 }
 
 /// Retained construction state of a [`HimorIndex::build_patchable`]
-/// build: the `Θ` drawn RR graphs with their sources and spans, plus the
-/// master per-vertex buckets, all keyed to the hierarchy the index was
-/// last built against.
+/// build: the `Θ` drawn RR graphs with their sources, spans and tag
+/// levels, plus the master per-vertex buckets, all keyed to the hierarchy
+/// the index was last built against.
 ///
 /// After a graph mutation reclusters the dendrogram, [`HimorPatchState::patch`]
 /// produces the index a full `build` on the new graph would produce —
@@ -775,9 +829,9 @@ impl HimorPatchState {
         self.theta
     }
 
-    /// Heap bytes retained by the samples (arena, sources, spans) and the
-    /// master buckets — what keeping the index patchable costs over a
-    /// plain build.
+    /// Heap bytes retained by the samples (arena, sources, spans, tag
+    /// levels) and the master buckets — what keeping the index patchable
+    /// costs over a plain build.
     pub fn memory_bytes(&self) -> usize {
         let buckets: usize = self
             .buckets
@@ -788,8 +842,8 @@ impl HimorPatchState {
     }
 
     /// Patches the retained state across a mutation: `g` is the new
-    /// topology, `old_*` the hierarchy the state is keyed to, `new_*` the
-    /// reclustered hierarchy, `diff` their structural matching, and
+    /// topology, `old_dendro` the hierarchy the state is keyed to, `new_*`
+    /// the reclustered hierarchy, `diff` their structural matching, and
     /// `edited` the nodes whose adjacency changed. Returns the index a
     /// fresh [`HimorIndex::build`] on `(g, new_dendro)` with the same seed
     /// would return, bit for bit, plus patch-effort counters.
@@ -806,9 +860,12 @@ impl HimorPatchState {
     /// read their node lists. Of the samples recorded anew, those holding an
     /// edited node are redrawn with their per-index seeds; the rest read
     /// only unchanged adjacency rows, so their retained draws are what a
-    /// redraw would produce and are recorded as they stand. The master
-    /// buckets are updated in place and then moved into the new tree's
-    /// vertex space.
+    /// redraw would produce and are recorded as they stand. The
+    /// subtraction replays each sample's stored tag levels on its old root
+    /// path instead of traversing it; a skipped sample's levels stay valid,
+    /// since its chain up to its highest tag is the same families in the
+    /// same order in both trees. The master buckets are updated in place
+    /// and then moved into the new tree's vertex space.
     ///
     /// `None` means the state was out of sync with `old_dendro`: a
     /// subtraction underflowed, or a bucket survived on an unmatched
@@ -820,7 +877,6 @@ impl HimorPatchState {
         g: &Csr,
         model: Model,
         old_dendro: &Dendrogram,
-        old_lca: &LcaIndex,
         new_dendro: &Dendrogram,
         new_lca: &LcaIndex,
         diff: &TreeDiff,
@@ -853,38 +909,36 @@ impl HimorPatchState {
             })
             .collect();
 
-        // Shared traversal scratch sized for both trees.
-        let max_depth = (0..n as NodeId)
-            .map(|v| {
-                old_dendro
-                    .depth(old_dendro.leaf(v))
-                    .max(new_dendro.depth(new_dendro.leaf(v)))
-            })
-            .max()
-            .unwrap_or(1) as usize;
-        let mut queues: Vec<Vec<(u32, VertexId)>> = vec![Vec::new(); max_depth + 1];
-        let mut explored: Vec<bool> = Vec::new();
-
-        // Subtract the affected samples' contributions under the old tree.
+        // Subtract the affected samples' contributions under the old tree by
+        // replaying their stored levels: node `k` of sample `i` was counted
+        // in the bucket `levels[k]` steps up its source's root path, which
+        // is walked once, up to the sample's highest level.
         let mut underflow = false;
+        let mut path: Vec<VertexId> = Vec::new();
         for &(i, _) in &affected {
-            HimorIndex::hfs_visit_tree(
-                old_dendro,
-                old_lca,
-                self.samples.arena.get(i as usize),
-                &mut queues,
-                &mut explored,
-                |tag, node| {
-                    let bucket = &mut self.buckets[tag as usize];
-                    match bucket.get_mut(&node) {
-                        Some(c) if *c > 1 => *c -= 1,
-                        Some(_) => {
-                            bucket.remove(&node);
-                        }
-                        None => underflow = true,
+            let i = i as usize;
+            if self.samples.spans[i] == 0 {
+                continue; // one-node graph: the record tagged nothing
+            }
+            path.clear();
+            path.push(old_dendro.parent(old_dendro.leaf(self.samples.sources[i])));
+            let nodes = self.samples.arena.get(i).nodes();
+            for (&node, &level) in nodes.iter().zip(self.samples.levels(i)) {
+                while path.len() <= level as usize {
+                    let Some(&top) = path.last() else {
+                        unreachable!("the path starts at the source's parent")
+                    };
+                    path.push(old_dendro.parent(top));
+                }
+                let bucket = &mut self.buckets[path[level as usize] as usize];
+                match bucket.get_mut(&node) {
+                    Some(c) if *c > 1 => *c -= 1,
+                    Some(_) => {
+                        bucket.remove(&node);
                     }
-                },
-            );
+                    None => underflow = true,
+                }
+            }
         }
         if underflow {
             debug_assert!(false, "patch subtraction underflow: state out of sync");
@@ -915,11 +969,19 @@ impl HimorPatchState {
         // Record every affected sample against the new tree: redraw it on
         // the new topology with its original per-index seed when it holds
         // an edited node, and take its retained draw otherwise.
+        let max_depth = (0..n as NodeId)
+            .map(|v| new_dendro.depth(new_dendro.leaf(v)))
+            .max()
+            .unwrap_or(1) as usize;
+        let mut queues: Vec<Vec<(u32, VertexId)>> = vec![Vec::new(); max_depth + 1];
+        let mut explored: Vec<bool> = Vec::new();
+        let mut levels: Vec<u32> = Vec::new();
         let mut sampler = RrSampler::new(g, model);
         let mut rr = RrGraph::default();
         let mut redrawn = 0u64;
         for &(i, redraw) in &affected {
             let i = i as usize;
+            let old_len = self.samples.arena.get(i).len();
             if redraw {
                 let mut rng = self.seeds.rng_for(i as u64);
                 HimorIndex::draw_uniform(&mut sampler, &mut rng, &mut rr);
@@ -933,7 +995,9 @@ impl HimorPatchState {
                 &mut queues,
                 &mut explored,
                 &mut self.buckets,
+                Some(&mut levels),
             );
+            self.samples.set_levels(i, old_len, &levels);
         }
 
         // Without a token the merge stage runs to completion.
@@ -1169,6 +1233,39 @@ mod tests {
     }
 
     #[test]
+    fn a_plain_build_keeps_no_levels() {
+        let g = two_stars();
+        let (d, lca) = setup(&g);
+        let par = Parallelism::Threads(2);
+        let build = |keep| {
+            HimorIndex::construct(&g, Model::WeightedCascade, &d, &lca, 20, 5, par, None, keep)
+                .unwrap()
+                .1
+                .samples
+        };
+        let plain = build(false);
+        assert!(plain.levels.is_empty() && plain.level_at.is_empty());
+        assert_eq!(
+            plain.levels.capacity(),
+            0,
+            "a plain build allocates no levels"
+        );
+        // A patchable build keeps one level per RR node: the source's at
+        // level 0, and every level on the source's root path.
+        let kept = build(true);
+        assert_eq!(
+            kept.levels.len(),
+            kept.arena.iter().map(|rr| rr.len()).sum::<usize>()
+        );
+        for (i, rr) in kept.arena.iter().enumerate() {
+            let levels = kept.levels(i);
+            assert_eq!(levels[0], 0, "sample {i}: the source's tag is its parent");
+            let path = d.root_path(rr.source()).len() as u32;
+            assert!(levels.iter().all(|&l| l < path), "sample {i}: {levels:?}");
+        }
+    }
+
+    #[test]
     fn patch_reproduces_a_from_scratch_rebuild() {
         use cod_hierarchy::match_vertices;
 
@@ -1228,7 +1325,6 @@ mod tests {
                     &g1,
                     Model::WeightedCascade,
                     &d0,
-                    &lca0,
                     &d1,
                     &lca1,
                     &diff,
@@ -1289,11 +1385,11 @@ mod tests {
                 }
             }
             let g = graph(n, &edges);
-            let (mut d, mut lca) = setup(&g);
+            let (mut d, lca) = setup(&g);
             let (_, mut state) =
                 HimorIndex::build_patchable(&g, model, &d, &lca, theta, seed, par).unwrap();
             let (mut redrawn, mut rerecorded, mut disturbed) = (0, 0, 0);
-            let mut compacted = false;
+            let (mut compacted, mut levels_compacted) = (false, false);
             for step in 0..12 {
                 // Toggle one or two distinct node pairs.
                 let mut toggled: Vec<(u32, u32)> = Vec::new();
@@ -1341,10 +1437,12 @@ mod tests {
                     })
                     .count() as u64;
                 let dead_before = state.samples.arena.dead_words();
+                let dead_levels_before = state.samples.dead_levels;
                 let (patched, stats) = state
-                    .patch(&g1, model, &d, &lca, &d1, &lca1, &diff, &edited, par)
+                    .patch(&g1, model, &d, &d1, &lca1, &diff, &edited, par)
                     .unwrap();
                 compacted |= state.samples.arena.dead_words() < dead_before;
+                levels_compacted |= state.samples.dead_levels < dead_levels_before;
                 let ctx = format!("{model:?} step {step} toggling {toggled:?}");
                 let (fresh_index, fresh) =
                     HimorIndex::build_patchable(&g1, model, &d1, &lca1, theta, seed, par).unwrap();
@@ -1357,6 +1455,13 @@ mod tests {
                     "{ctx}: sources"
                 );
                 assert_eq!(state.samples.spans, fresh.samples.spans, "{ctx}: spans");
+                for i in 0..fresh.samples.spans.len() {
+                    assert_eq!(
+                        state.samples.levels(i),
+                        fresh.samples.levels(i),
+                        "{ctx}: tag levels of sample {i}"
+                    );
+                }
                 assert!(state.buckets == fresh.buckets, "{ctx}: master buckets");
                 for q in 0..n as NodeId {
                     assert_eq!(
@@ -1369,7 +1474,7 @@ mod tests {
                 redrawn += stats.samples_redrawn;
                 rerecorded += stats.samples_rerecorded;
                 disturbed += holding_disturbed;
-                (d, lca) = (d1, lca1);
+                d = d1;
             }
             assert!(
                 redrawn > 0 && rerecorded > 0,
@@ -1381,6 +1486,10 @@ mod tests {
                  disturbed leaf and no edited node; the span test skipped none"
             );
             assert!(compacted, "{model:?}: the chain never compacted its arena");
+            assert!(
+                levels_compacted,
+                "{model:?}: the chain never compacted its level store"
+            );
         }
     }
 

@@ -24,7 +24,22 @@ pub enum IoError {
     /// [`SNIPPET_MAX`] characters so a pathological line cannot flood logs
     /// or terminal output).
     Parse { line: usize, content: String },
+    /// An edge list whose largest node id, first named on 1-based `line`,
+    /// is past [`NODES_PER_EDGE_LINE`] times its `edge_lines`: the node
+    /// arrays it asks for would dwarf the file.
+    NodeIdTooLarge {
+        line: usize,
+        node: NodeId,
+        edge_lines: usize,
+    },
 }
+
+/// Node ids an edge list may span per edge line it holds: a file of `m`
+/// edge lines may name ids below `NODES_PER_EDGE_LINE · m`. An edge line
+/// names at most two nodes, so past this bound nearly every node would be
+/// isolated, and sizing the graph by a stray large id would allocate far
+/// more than the file holds.
+pub const NODES_PER_EDGE_LINE: usize = 16;
 
 /// Longest line excerpt kept in an [`IoError::Parse`].
 pub const SNIPPET_MAX: usize = 120;
@@ -48,6 +63,16 @@ impl std::fmt::Display for IoError {
             IoError::Parse { line, content } => {
                 write!(f, "parse error on line {line}: {content:?}")
             }
+            IoError::NodeIdTooLarge {
+                line,
+                node,
+                edge_lines,
+            } => write!(
+                f,
+                "node id {node} on line {line} is out of range: {edge_lines} edge line(s) \
+                 may name ids below {}",
+                NODES_PER_EDGE_LINE.saturating_mul(*edge_lines)
+            ),
         }
     }
 }
@@ -60,12 +85,17 @@ impl From<std::io::Error> for IoError {
     }
 }
 
-/// Parses an edge list from a reader.
+/// Parses an edge list from a reader. The node count is one past the
+/// largest id, which must lie below [`NODES_PER_EDGE_LINE`] times the
+/// number of edge lines ([`IoError::NodeIdTooLarge`] otherwise).
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Csr, IoError> {
     let mut b = GraphBuilder::new(0);
     let mut line = String::new();
     let mut reader = reader;
     let mut lineno = 0usize;
+    let mut edge_lines = 0usize;
+    // The largest id so far and the line that first named it.
+    let mut largest: Option<(NodeId, usize)> = None;
     loop {
         line.clear();
         if reader.read_line(&mut line)? == 0 {
@@ -94,7 +124,21 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Csr, IoError> {
             line: lineno,
             content: snippet(t),
         })?;
+        edge_lines += 1;
+        let top = u.max(v);
+        if largest.is_none_or(|(id, _)| top > id) {
+            largest = Some((top, lineno));
+        }
         b.add_edge(u, v);
+    }
+    if let Some((node, line)) = largest {
+        if node as usize >= NODES_PER_EDGE_LINE.saturating_mul(edge_lines) {
+            return Err(IoError::NodeIdTooLarge {
+                line,
+                node,
+                edge_lines,
+            });
+        }
     }
     Ok(b.build())
 }
@@ -226,6 +270,29 @@ mod tests {
             }
             other => panic!("unexpected: {other}"),
         }
+    }
+
+    #[test]
+    fn a_node_id_past_the_per_line_bound_is_a_typed_error() {
+        let err = read_edge_list(Cursor::new("0 1\n# c\n0 4000000000\n2 3\n")).unwrap_err();
+        match err {
+            IoError::NodeIdTooLarge {
+                line,
+                node,
+                edge_lines,
+            } => assert_eq!((line, node, edge_lines), (3, 4_000_000_000, 3)),
+            other => panic!("unexpected: {other}"),
+        }
+        // The bound is exclusive: one line may name ids below 16.
+        let edge = |v: u32| read_edge_list(Cursor::new(format!("0 {v}\n")));
+        assert_eq!(
+            edge(NODES_PER_EDGE_LINE as u32 - 1).unwrap().num_nodes(),
+            16
+        );
+        assert!(matches!(
+            edge(NODES_PER_EDGE_LINE as u32),
+            Err(IoError::NodeIdTooLarge { line: 1, .. })
+        ));
     }
 
     #[test]

@@ -36,26 +36,43 @@ fn similarity(cross: f64, size_a: u32, size_b: u32) -> f64 {
     cross / (size_a as f64 * size_b as f64)
 }
 
+/// NN-chain state, indexed by **slot**. There are `n` slots, one per leaf
+/// at the start. A merge folds the smaller adjacency map into the larger,
+/// and the new cluster keeps the larger map's slot, so only the smaller
+/// side's neighbours are re-keyed. Ties and the returned merges use
+/// production ids (`num_leaves + merge index`), kept per slot in `id`, so
+/// every choice is the one a loop keyed by id would make.
 struct ChainState {
-    /// Per-cluster adjacency: neighbor cluster -> summed cross weight.
-    adj: Vec<FxHashMap<VertexId, f64>>,
+    /// `adj[slot]`: neighbour slot -> summed cross weight `W(A, B)`.
+    adj: Vec<FxHashMap<u32, f64>>,
+    /// `size[slot]`: the cluster's member count.
     size: Vec<u32>,
+    /// `id[slot]`: the production id of the cluster in that slot.
+    id: Vec<VertexId>,
+    /// `slot[id]`: where cluster `id` lives (stale once it merged).
+    slot: Vec<u32>,
+    /// `alive[id]`: cluster `id` is unmerged and not set aside as a
+    /// component root. One entry per production id made so far.
     alive: Vec<bool>,
 }
 
 impl ChainState {
-    /// Deterministic nearest neighbor of `x`: maximum similarity, ties
-    /// prefer `prev` (the cluster below `x` on the chain, to make mutual-NN
-    /// detection sound under ties), then the smallest id.
-    fn nearest(&self, x: VertexId, prev: Option<VertexId>) -> Option<VertexId> {
-        let mut best: Option<(f64, VertexId)> = None;
+    /// Deterministic nearest neighbor of slot `x`: maximum similarity,
+    /// ties prefer `prev` (the cluster below `x` on the chain, to make
+    /// mutual-NN detection sound under ties), then the smallest id.
+    fn nearest(&self, x: u32, prev: Option<u32>) -> Option<u32> {
+        let mut best: Option<(f64, u32)> = None;
         for (&y, &cross) in &self.adj[x as usize] {
-            debug_assert!(self.alive[y as usize]);
+            debug_assert!(self.alive[self.id[y as usize] as usize]);
             let sim = similarity(cross, self.size[x as usize], self.size[y as usize]);
             let better = match best {
                 None => true,
                 Some((bs, by)) => {
-                    sim > bs || (sim == bs && (Some(y) == prev || (Some(by) != prev && y < by)))
+                    sim > bs
+                        || (sim == bs
+                            && (Some(y) == prev
+                                || (Some(by) != prev
+                                    && self.id[y as usize] < self.id[by as usize])))
                 }
             };
             if better {
@@ -65,31 +82,46 @@ impl ChainState {
         best.map(|(_, y)| y)
     }
 
-    /// Merges clusters `a` and `b` into a fresh cluster, returning its id.
-    fn merge(&mut self, a: VertexId, b: VertexId) -> VertexId {
-        let c = self.size.len() as VertexId;
-        let mut map_a = std::mem::take(&mut self.adj[a as usize]);
-        let map_b = std::mem::take(&mut self.adj[b as usize]);
-        map_a.remove(&b);
-        // Fold b's adjacency into a's: W(A ∪ B, Y) = W(A, Y) + W(B, Y).
-        for (y, w) in map_b {
-            if y == a {
+    /// Merges the clusters in slots `a` and `b` into a fresh cluster,
+    /// returning its id. It lives in the slot of the larger map.
+    fn merge(&mut self, a: u32, b: u32) -> VertexId {
+        let c = self.alive.len() as VertexId;
+        let (keep, fold) = if self.adj[a as usize].len() >= self.adj[b as usize].len() {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let mut kept = std::mem::take(&mut self.adj[keep as usize]);
+        let folded = std::mem::take(&mut self.adj[fold as usize]);
+        kept.remove(&fold);
+        // W(K ∪ F, Y) = W(K, Y) + W(F, Y): one addition per shared
+        // neighbour, which commutes, so the sum's bits do not depend on
+        // which side is kept. A neighbour of `K` alone is untouched.
+        for (y, w) in folded {
+            if y == keep {
                 continue;
             }
-            map_a.entry(y).and_modify(|acc| *acc += w).or_insert(w);
-        }
-        for (&y, &w) in &map_a {
+            let sum = match kept.get_mut(&y) {
+                Some(acc) => {
+                    *acc += w;
+                    *acc
+                }
+                None => {
+                    kept.insert(y, w);
+                    w
+                }
+            };
             let ym = &mut self.adj[y as usize];
-            ym.remove(&a);
-            ym.remove(&b);
-            ym.insert(c, w);
+            ym.remove(&fold);
+            ym.insert(keep, sum);
         }
-        self.alive[a as usize] = false;
-        self.alive[b as usize] = false;
+        self.adj[keep as usize] = kept;
+        self.size[keep as usize] += self.size[fold as usize];
+        self.alive[self.id[a as usize] as usize] = false;
+        self.alive[self.id[b as usize] as usize] = false;
         self.alive.push(true);
-        self.size
-            .push(self.size[a as usize] + self.size[b as usize]);
-        self.adj.push(map_a);
+        self.id[keep as usize] = c;
+        self.slot.push(keep);
         c
     }
 }
@@ -160,7 +192,7 @@ fn cluster_impl(
     if n == 0 {
         return Some(Vec::new());
     }
-    let mut adj: Vec<FxHashMap<VertexId, f64>> = Vec::with_capacity(2 * n);
+    let mut adj: Vec<FxHashMap<u32, f64>> = Vec::with_capacity(n);
     for u in 0..n as NodeId {
         let mut m = FxHashMap::default();
         m.reserve(g.degree(u));
@@ -168,7 +200,7 @@ fn cluster_impl(
         for (idx, &v) in range.clone().zip(g.neighbors(u)) {
             let w = weight(idx);
             debug_assert!(w >= 0.0, "edge weights must be non-negative");
-            m.insert(v as VertexId, w);
+            m.insert(v, w);
         }
         adj.push(m);
     }
@@ -177,25 +209,32 @@ fn cluster_impl(
 
 /// Runs the NN-chain loop over singleton clusters: `adj[i]` holds the edge
 /// weight from node `i` toward each neighbour. Fresh clusters get ids
-/// continuing at `adj.len()`.
+/// continuing at `adj.len()`. The chain holds slots; the chain-start
+/// cursor scans production ids.
 fn chain_prepared_governed(
-    adj: Vec<FxHashMap<VertexId, f64>>,
+    adj: Vec<FxHashMap<u32, f64>>,
     mut keep_going: impl FnMut(usize) -> bool,
 ) -> Option<Vec<Merge>> {
     let n = adj.len();
     if n == 0 {
         return Some(Vec::new());
     }
+    let mut slot = Vec::with_capacity(2 * n - 1);
+    slot.extend(0..n as u32);
+    let mut alive = Vec::with_capacity(2 * n - 1);
+    alive.resize(n, true);
     let mut state = ChainState {
         adj,
         size: vec![1; n],
-        alive: vec![true; n],
+        id: (0..n as VertexId).collect(),
+        slot,
+        alive,
     };
 
     let mut merges: Vec<Merge> = Vec::with_capacity(n - 1);
     let mut roots: Vec<VertexId> = Vec::new(); // component roots, set aside
-    let mut chain: Vec<VertexId> = Vec::new();
-    let mut cursor: usize = 0; // scan position for fresh chain starts
+    let mut chain: Vec<u32> = Vec::new();
+    let mut cursor: usize = 0; // scan position (an id) for fresh chain starts
 
     loop {
         if chain.is_empty() {
@@ -203,12 +242,13 @@ fn chain_prepared_governed(
             let mut start = None;
             while cursor < state.alive.len() {
                 if state.alive[cursor] {
-                    if state.adj[cursor].is_empty() {
+                    let s = state.slot[cursor];
+                    if state.adj[s as usize].is_empty() {
                         // Component fully agglomerated: set its root aside.
                         state.alive[cursor] = false;
                         roots.push(cursor as VertexId);
                     } else {
-                        start = Some(cursor as VertexId);
+                        start = Some(s);
                         break;
                     }
                 }
@@ -225,8 +265,9 @@ fn chain_prepared_governed(
         if state.adj[top as usize].is_empty() {
             // Isolated root reached mid-chain.
             chain.pop();
-            state.alive[top as usize] = false;
-            roots.push(top);
+            let id = state.id[top as usize];
+            state.alive[id as usize] = false;
+            roots.push(id);
             continue;
         }
         let prev = if chain.len() >= 2 {
@@ -240,8 +281,11 @@ fn chain_prepared_governed(
         if prev == Some(next) {
             chain.pop();
             chain.pop();
+            merges.push(Merge {
+                a: state.id[next as usize],
+                b: state.id[top as usize],
+            });
             let c = state.merge(top, next);
-            merges.push(Merge { a: next, b: top });
             debug_assert_eq!(c as usize, n + merges.len() - 1);
             if !keep_going(merges.len()) {
                 return None;
@@ -256,7 +300,7 @@ fn chain_prepared_governed(
     roots.sort_unstable();
     let mut acc = roots[0];
     for &r in &roots[1..] {
-        let c = state.merge(acc, r);
+        let c = state.merge(state.slot[acc as usize], state.slot[r as usize]);
         merges.push(Merge { a: acc, b: r });
         acc = c;
         if !keep_going(merges.len()) {
@@ -272,6 +316,7 @@ mod tests {
     use super::*;
     use crate::dendrogram::Dendrogram;
     use cod_graph::GraphBuilder;
+    use rand::prelude::*;
 
     fn barbell() -> Csr {
         // Dense triangles {0,1,2} and {3,4,5} joined by a weak bridge.
@@ -393,13 +438,211 @@ mod tests {
         assert!(lhs <= rhs + 1e-12);
     }
 
+    /// The NN-chain loop as it stood before slots: keyed by production id,
+    /// a merge folds `b`'s map into `a`'s, pushes a fresh map for the new
+    /// cluster and re-keys every neighbour of both sides. Kept as the
+    /// reference the slot loop must match merge for merge.
+    fn reference_chain(mut adj: Vec<FxHashMap<VertexId, f64>>) -> Vec<Merge> {
+        let n = adj.len();
+        let mut size = vec![1u32; n];
+        let mut alive = vec![true; n];
+        let nearest = |adj: &[FxHashMap<VertexId, f64>],
+                       size: &[u32],
+                       x: VertexId,
+                       prev: Option<VertexId>| {
+            let mut best: Option<(f64, VertexId)> = None;
+            for (&y, &cross) in &adj[x as usize] {
+                let sim = similarity(cross, size[x as usize], size[y as usize]);
+                let better = match best {
+                    None => true,
+                    Some((bs, by)) => {
+                        sim > bs || (sim == bs && (Some(y) == prev || (Some(by) != prev && y < by)))
+                    }
+                };
+                if better {
+                    best = Some((sim, y));
+                }
+            }
+            best.map(|(_, y)| y)
+        };
+        let merge = |adj: &mut Vec<FxHashMap<VertexId, f64>>,
+                     size: &mut Vec<u32>,
+                     alive: &mut Vec<bool>,
+                     a: VertexId,
+                     b: VertexId| {
+            let c = size.len() as VertexId;
+            let mut map_a = std::mem::take(&mut adj[a as usize]);
+            let map_b = std::mem::take(&mut adj[b as usize]);
+            map_a.remove(&b);
+            for (y, w) in map_b {
+                if y == a {
+                    continue;
+                }
+                map_a.entry(y).and_modify(|acc| *acc += w).or_insert(w);
+            }
+            for (&y, &w) in &map_a {
+                let ym = &mut adj[y as usize];
+                ym.remove(&a);
+                ym.remove(&b);
+                ym.insert(c, w);
+            }
+            alive[a as usize] = false;
+            alive[b as usize] = false;
+            alive.push(true);
+            size.push(size[a as usize] + size[b as usize]);
+            adj.push(map_a);
+            c
+        };
+
+        let mut merges = Vec::new();
+        let mut roots: Vec<VertexId> = Vec::new();
+        let mut chain: Vec<VertexId> = Vec::new();
+        let mut cursor = 0;
+        loop {
+            if chain.is_empty() {
+                let mut start = None;
+                while cursor < alive.len() {
+                    if alive[cursor] {
+                        if adj[cursor].is_empty() {
+                            alive[cursor] = false;
+                            roots.push(cursor as VertexId);
+                        } else {
+                            start = Some(cursor as VertexId);
+                            break;
+                        }
+                    }
+                    cursor += 1;
+                }
+                match start {
+                    Some(s) => chain.push(s),
+                    None => break,
+                }
+            }
+            let top = *chain.last().unwrap();
+            if adj[top as usize].is_empty() {
+                chain.pop();
+                alive[top as usize] = false;
+                roots.push(top);
+                continue;
+            }
+            let prev = (chain.len() >= 2).then(|| chain[chain.len() - 2]);
+            let next = nearest(&adj, &size, top, prev).unwrap();
+            if prev == Some(next) {
+                chain.pop();
+                chain.pop();
+                merge(&mut adj, &mut size, &mut alive, top, next);
+                merges.push(Merge { a: next, b: top });
+            } else {
+                chain.push(next);
+            }
+        }
+        roots.sort_unstable();
+        let mut acc = roots[0];
+        for &r in &roots[1..] {
+            let c = merge(&mut adj, &mut size, &mut alive, acc, r);
+            merges.push(Merge { a: acc, b: r });
+            acc = c;
+        }
+        merges
+    }
+
+    /// The singleton adjacency maps `cluster` starts from.
+    fn singleton_maps(g: &Csr, w: &[f64]) -> Vec<FxHashMap<VertexId, f64>> {
+        (0..g.num_nodes() as NodeId)
+            .map(|u| {
+                g.neighbor_range(u)
+                    .zip(g.neighbors(u))
+                    .map(|(idx, &v)| (v, w[idx]))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Random edges on `n` nodes with probability `p` each, offset by
+    /// `base`, so several calls build several components.
+    fn random_edges(rng: &mut SmallRng, base: u32, n: u32, p: f64) -> Vec<(NodeId, NodeId)> {
+        let mut out = Vec::new();
+        for u in 0..n {
+            for v in u + 1..n {
+                if rng.random_bool(p) {
+                    out.push((base + u, base + v));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn slot_loop_matches_the_reference_loop_merge_for_merge() {
+        let mut rng = SmallRng::seed_from_u64(29);
+        // Weight schemes: unit (ties everywhere), small integers (many
+        // ties), random reals (ties measure-zero).
+        type Scheme = fn(&mut SmallRng) -> f64;
+        let schemes: [(&str, Scheme); 3] = [
+            ("unit", |_| 1.0),
+            ("small-int", |r| f64::from(r.random_range(1..4u32))),
+            ("real", |r| 0.1 + r.random::<f64>()),
+        ];
+        // (name, node count, edges)
+        type Case = (String, usize, Vec<(NodeId, NodeId)>);
+        let mut graphs: Vec<Case> = Vec::new();
+        for trial in 0..60u32 {
+            // One component of 2–40 nodes at a varying density.
+            let n = 2 + trial % 39;
+            let p = [0.08, 0.2, 0.5][trial as usize % 3];
+            graphs.push((
+                format!("random {trial}"),
+                n as usize,
+                random_edges(&mut rng, 0, n, p),
+            ));
+            // Several components, then isolated nodes past them.
+            let mut edges = Vec::new();
+            let mut base = 0;
+            for _ in 0..1 + trial % 4 {
+                let size = rng.random_range(1..12u32);
+                edges.extend(random_edges(&mut rng, base, size, 0.4));
+                base += size;
+            }
+            let isolated = trial % 3;
+            graphs.push((
+                format!("components {trial}"),
+                (base + isolated) as usize,
+                edges,
+            ));
+        }
+        // A hub that absorbs leaves one at a time, with a few leaf pairs.
+        for leaves in [1u32, 5, 30, 120] {
+            let mut edges: Vec<_> = (1..=leaves).map(|v| (0, v)).collect();
+            edges.extend((1..leaves).step_by(7).map(|v| (v, v + 1)));
+            graphs.push((format!("hub of {leaves}"), leaves as usize + 1, edges));
+        }
+        for (name, n, edges) in &graphs {
+            let mut b = GraphBuilder::new(*n);
+            for &(u, v) in edges {
+                b.add_edge(u, v);
+            }
+            let g = b.build();
+            for (scheme, weigh) in schemes {
+                let mut wmap = std::collections::BTreeMap::new();
+                for e in g.edges() {
+                    wmap.insert(e, weigh(&mut rng));
+                }
+                let w = edge_weights(&g, |u, v| wmap[&(u, v)]);
+                assert_eq!(
+                    cluster(&g, &w),
+                    reference_chain(singleton_maps(&g, &w)),
+                    "{name}, {scheme} weights"
+                );
+            }
+        }
+    }
+
     #[test]
     fn matches_naive_greedy_on_small_graphs() {
         // Naive greedy agglomeration: repeatedly merge the globally most
         // similar adjacent pair. For a reducible linkage and tie-free
         // similarities, NN-chain must produce the same set of clusters.
         // Random distinct edge weights make ties measure-zero.
-        use rand::prelude::*;
         let mut rng = SmallRng::seed_from_u64(3);
         for trial in 0..20 {
             let n = 8 + (trial % 5);

@@ -1239,6 +1239,20 @@ fn cmd_mutate(opts: &Opts) -> Result<(), String> {
         snap.full_rebuilds,
         snap.pool_scoped_evictions
     );
+    // Where a repaired flush's time goes: the recluster, tree and diff
+    // (`repair`) against the HIMOR patch (`himor_patch`).
+    let ms = |nanos: u64| nanos as f64 / 1e6;
+    let per_flush = |nanos: u64| match snap.repairs {
+        0 => "-".to_string(),
+        r => format!("{:.3} ms", ms(nanos) / r as f64),
+    };
+    outln!(
+        "repaired-flush stages: repair {:.2} ms ({} per flush), himor_patch {:.2} ms ({} per flush)",
+        ms(snap.repair_nanos),
+        per_flush(snap.repair_nanos),
+        ms(snap.himor_patch_nanos),
+        per_flush(snap.himor_patch_nanos)
+    );
     outln!(
         "final graph: {} nodes, {} edges",
         replayer.inner().num_nodes(),

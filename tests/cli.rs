@@ -218,6 +218,18 @@ fn malformed_edge_list_reports_the_line_number() {
 }
 
 #[test]
+fn an_edge_list_naming_a_huge_node_id_fails_with_its_line() {
+    // Sized by its largest id, this one-line file would ask for a 32 GB
+    // node array; it is rejected before any is allocated.
+    let huge = TempFile::new("hugeid", b"0 4000000000\n");
+    let o = run(&["stats", "--edges", huge.path()]);
+    let err = assert_clean_failure(&o);
+    assert!(err.contains("line 1"), "line number missing: {err}");
+    assert!(err.contains("out of range"), "cause missing: {err}");
+    assert_eq!(err.trim_end().lines().count(), 1, "not one line: {err}");
+}
+
+#[test]
 fn zero_k_is_rejected_without_panic() {
     let (edges, attrs) = tiny_graph_files();
     let o = run(&[
@@ -588,6 +600,15 @@ fn mutate_replays_a_log_with_per_event_outcomes() {
     assert!(!out.contains("-> no-op"), "{out}");
     assert_eq!(out.matches("-> repaired").count(), 3, "{out}");
     assert!(out.contains("3 repairs"), "{out}");
+    // The closing summary splits the three flushes' time by stage.
+    let stages = out
+        .lines()
+        .find(|l| l.starts_with("repaired-flush stages: repair "))
+        .unwrap_or_else(|| panic!("no stage line: {out}"));
+    assert!(
+        stages.contains(" ms per flush), himor_patch ") && stages.ends_with(" ms per flush)"),
+        "{stages}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

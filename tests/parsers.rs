@@ -2,10 +2,11 @@
 //! list and the attribute list (`cod_graph::io`) and the `cod mutate` log
 //! (`mutation::parse_text`). Every prefix and every single-bit flip of a
 //! small well-formed input must parse to `Ok` or a typed error, never a
-//! panic. (CODX, CODW, the MANIFEST, HTTP and JSON have their own suites.)
+//! panic, and an edge list never sizes the graph past what its lines can
+//! name. (CODX, CODW, the MANIFEST, HTTP and JSON have their own suites.)
 
 use pcod::cod::mutation::parse_text;
-use pcod::graph::io::{read_attr_list, read_edge_list};
+use pcod::graph::io::{read_attr_list, read_edge_list, IoError};
 
 const EDGES: &str = "# a two-triangle graph\n0 1\n1 2\n2 0\n\n3 4\n4 5\n5 3\n2 3\n";
 const ATTRS: &str = "0 DB ML\n1 DB\n# comment\n\n2 ML\n5 IR DB\n";
@@ -30,6 +31,25 @@ fn each_truncation_and_bit_flip(input: &[u8], mut check: impl FnMut(&[u8])) {
 fn edge_list_truncations_and_bit_flips_never_panic() {
     assert_eq!(read_edge_list(EDGES.as_bytes()).unwrap().num_edges(), 7);
     each_truncation_and_bit_flip(EDGES.as_bytes(), |bytes| {
+        let _ = read_edge_list(bytes);
+    });
+}
+
+/// A stray large id is a typed error naming its line, not a graph sized
+/// by it: one line `0 4000000000` would ask for a 32 GB node array. No
+/// prefix or one-bit flip of it allocates one either.
+#[test]
+fn an_edge_list_naming_a_huge_id_is_a_typed_error() {
+    const HUGE: &str = "0 1\n0 4000000000\n";
+    assert!(matches!(
+        read_edge_list(HUGE.as_bytes()),
+        Err(IoError::NodeIdTooLarge {
+            line: 2,
+            node: 4_000_000_000,
+            edge_lines: 2
+        })
+    ));
+    each_truncation_and_bit_flip(HUGE.as_bytes(), |bytes| {
         let _ = read_edge_list(bytes);
     });
 }
